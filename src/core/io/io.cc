@@ -33,6 +33,7 @@ void SpanFieldSource::read_at(std::size_t offset, std::span<std::uint8_t> out) c
   if (offset > bytes_.size() || out.size() > bytes_.size() - offset) {
     fail("read past end of source", name());
   }
+  if (out.empty()) return;  // an empty source may have no storage to copy from
   std::memcpy(out.data(), bytes_.data() + offset, out.size());
 }
 

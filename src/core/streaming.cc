@@ -61,6 +61,26 @@ std::size_t resolve_workers(const StreamingConfig& cfg) {
 #endif
 }
 
+/// Workers a pipeline run actually uses: `cap` (the plan's worker count,
+/// the item count) when the config is parallel, else one.  A run nested
+/// under an outer fan-out (compress_many) is always single-worker, so the
+/// fan-out stays explicitly one-level.
+std::size_t run_workers(const StreamingConfig& cfg, std::size_t cap) {
+#ifdef _OPENMP
+  if (cfg.parallel && !sim::in_parallel_worker()) return std::max<std::size_t>(1, cap);
+#else
+  (void)cfg;
+  (void)cap;
+#endif
+  return 1;
+}
+
+/// Queue window for `workers` pipeline workers: cfg.queue_window when set,
+/// else twice the workers, never below one item.
+std::size_t queue_window(const StreamingConfig& cfg, std::size_t workers) {
+  return std::max<std::size_t>(1, cfg.queue_window != 0 ? cfg.queue_window : 2 * workers);
+}
+
 /// Slab partition along the slowest axis: slab thickness chosen so each
 /// slab holds at most max_slab_elems.
 struct SlabPlan {
@@ -96,15 +116,14 @@ SlabPlan plan_slabs(const Extents& ext, const StreamingConfig& cfg, std::size_t 
   return p;
 }
 
-/// The full out-of-core plan: the slab split plus the worker count and
-/// queue window the memory budget admits.
+/// The full out-of-core plan: the slab split plus the worker count the
+/// memory budget admits.
 struct StreamPlan {
   SlabPlan slabs;
   std::size_t workers;  ///< cap on pipeline workers (== resolved when unbudgeted)
-  std::size_t window;   ///< queue window the budget model assumed
 };
 
-/// Resolve slab thickness, worker count, and queue window against
+/// Resolve slab thickness and worker count against
 /// cfg.memory_budget.  Residency model (DESIGN.md §2.3): W staging buffers
 /// of one slab each (viewless ingest) plus Q parked archives of at most
 /// slab_bytes + kSlabArchiveOverhead awaiting in-order packing:
@@ -119,23 +138,19 @@ StreamPlan plan_stream(const Extents& ext, const StreamingConfig& cfg, std::size
   StreamPlan p{};
   p.slabs = plan_slabs(ext, cfg, plan_workers);
   p.workers = plan_workers;
-  p.window =
-      std::max<std::size_t>(1, cfg.queue_window != 0 ? cfg.queue_window : 2 * plan_workers);
   if (cfg.memory_budget == 0) return p;
 
   const std::size_t budget = cfg.memory_budget;
   const std::size_t plane_bytes = p.slabs.plane_elems * elem_size;
   std::size_t w = std::max<std::size_t>(1, plan_workers);
   for (;;) {
-    const std::size_t q =
-        std::max<std::size_t>(1, cfg.queue_window != 0 ? cfg.queue_window : 2 * w);
+    const std::size_t q = queue_window(cfg, w);
     const std::size_t fixed = q * kSlabArchiveOverhead;
     if (budget > fixed) {
       const std::size_t max_slab_bytes = (budget - fixed) / (w + q);
       const std::size_t t = max_slab_bytes / plane_bytes;
       if (t >= 1) {
         p.workers = w;
-        p.window = q;
         p.slabs.thickness = std::min(p.slabs.thickness, t);
         p.slabs.count =
             (p.slabs.slow_extent + p.slabs.thickness - 1) / p.slabs.thickness;
@@ -159,11 +174,32 @@ Extents slab_extents(const Extents& ext, std::size_t len) {
   }
 }
 
+/// min/max/finiteness of `n` contiguous elements (plain scalar code, no
+/// nested OpenMP pragma).
+template <typename T>
+ValueRange chunk_range(const T* p, std::size_t n) {
+  T lo = p[0];
+  T hi = p[0];
+  bool fin = true;
+  for (std::size_t i = 0; i < n; ++i) {
+    fin = fin && std::isfinite(p[i]);
+    lo = std::min(lo, p[i]);
+    hi = std::max(hi, p[i]);
+  }
+  return ValueRange{static_cast<double>(lo), static_cast<double>(hi), fin};
+}
+
+/// Fold a partial range into `r` (exact: min/max/and commute).
+void merge_range(ValueRange& r, const ValueRange& part) {
+  r.min = std::min(r.min, part.min);
+  r.max = std::max(r.max, part.max);
+  r.finite = r.finite && part.finite;
+}
+
 /// Whole-field min/max as a block-reduce over the launch substrate: the
-/// per-block loops are plain scalar code (no nested OpenMP pragma), the
 /// block partials merge exactly, so the resolved bound is identical to the
-/// single-pass ValueRange::of scan — but the scan now parallelizes instead
-/// of running serially before any slab worker starts.
+/// single-pass ValueRange::of scan — but the scan parallelizes instead of
+/// running serially before any slab worker starts.
 template <typename T>
 ValueRange field_range_blocked(std::span<const T> data) {
   constexpr std::size_t kBlock = std::size_t{1} << 16;
@@ -171,24 +207,10 @@ ValueRange field_range_blocked(std::span<const T> data) {
   std::vector<ValueRange> partial(blocks);
   sim::launch_blocks(blocks, [&](std::size_t b) {
     const std::size_t begin = b * kBlock;
-    const std::size_t end = std::min(begin + kBlock, data.size());
-    T lo = data[begin];
-    T hi = data[begin];
-    bool fin = true;
-    for (std::size_t i = begin; i < end; ++i) {
-      const T v = data[i];
-      fin = fin && std::isfinite(v);
-      lo = std::min(lo, v);
-      hi = std::max(hi, v);
-    }
-    partial[b] = ValueRange{static_cast<double>(lo), static_cast<double>(hi), fin};
+    partial[b] = chunk_range(data.data() + begin, std::min(kBlock, data.size() - begin));
   });
   ValueRange r = partial[0];
-  for (std::size_t b = 1; b < blocks; ++b) {
-    r.min = std::min(r.min, partial[b].min);
-    r.max = std::max(r.max, partial[b].max);
-    r.finite = r.finite && partial[b].finite;
-  }
+  for (std::size_t b = 1; b < blocks; ++b) merge_range(r, partial[b]);
   return r;
 }
 
@@ -200,65 +222,17 @@ ValueRange field_range_streamed(const io::FieldSource& src, std::size_t count) {
   constexpr std::size_t kChunk = std::size_t{1} << 16;
   std::vector<std::uint8_t> buf(std::min(count, kChunk) * sizeof(T));
   ValueRange r{};
-  bool first = true;
   for (std::size_t begin = 0; begin < count; begin += kChunk) {
     const std::size_t n = std::min(kChunk, count - begin);
     src.read_at(begin * sizeof(T), std::span<std::uint8_t>(buf.data(), n * sizeof(T)));
-    const T* p = reinterpret_cast<const T*>(buf.data());
-    T lo = p[0];
-    T hi = p[0];
-    bool fin = true;
-    for (std::size_t i = 0; i < n; ++i) {
-      fin = fin && std::isfinite(p[i]);
-      lo = std::min(lo, p[i]);
-      hi = std::max(hi, p[i]);
-    }
-    const ValueRange part{static_cast<double>(lo), static_cast<double>(hi), fin};
-    if (first) {
+    const ValueRange part = chunk_range(reinterpret_cast<const T*>(buf.data()), n);
+    if (begin == 0) {
       r = part;
-      first = false;
     } else {
-      r.min = std::min(r.min, part.min);
-      r.max = std::max(r.max, part.max);
-      r.finite = r.finite && part.finite;
+      merge_range(r, part);
     }
   }
   return r;
-}
-
-/// Dynamic one-level fan-out: `count` independent work items claimed by up
-/// to `workers` threads from a shared counter (no static pre-assignment, so
-/// uneven item cost load-balances).  Exceptions are captured and the
-/// lowest-index one is rethrown after every item has run, exactly like
-/// sim::launch_blocks.  Used for compress_many fields and decompress slabs.
-template <typename Body>
-void fan_out_dynamic(std::size_t count, std::size_t workers, const Body& body) {
-#ifdef _OPENMP
-  if (workers > 1 && count > 1 && !sim::in_parallel_worker()) {
-    std::atomic<std::size_t> next{0};
-    sim::detail::FirstBlockError err;
-    const int team = static_cast<int>(std::min(workers, count));
-#pragma omp parallel num_threads(team)
-    {
-      for (;;) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= count) break;
-        try {
-          body(i);
-        } catch (...) {
-          err.note(i);
-        }
-      }
-    }
-    err.rethrow_if_set();
-    return;
-  }
-#else
-  (void)workers;
-#endif
-  // Serial: the first fault is the lowest-index fault, so direct
-  // propagation already matches the parallel path's determinism.
-  for (std::size_t i = 0; i < count; ++i) body(i);
 }
 
 /// High-water accounting for bytes the pipeline itself holds resident:
@@ -319,6 +293,18 @@ struct EngineState {
   std::vector<char> ready;
   double produce_seconds = 0.0;  ///< summed across workers (can exceed wall)
   double consume_seconds = 0.0;
+
+  /// Record item `s`'s fault (lock held) and wind down.  The lowest index
+  /// wins: claims are monotonic, so every item below a faulting one was
+  /// claimed and ran to completion — the winner is deterministic regardless
+  /// of interleaving.
+  void fail(std::size_t s, std::exception_ptr e) {
+    if (s < err_slab) {
+      err_slab = s;
+      err = std::move(e);
+    }
+    stop = true;
+  }
 };
 
 struct PipelineSeconds {
@@ -326,54 +312,23 @@ struct PipelineSeconds {
   double consume = 0.0;
 };
 
-/// The bounded ordered pipeline (DESIGN.md §2.2/§2.3), generalized over
-/// what flows through it: compress runs it with Item = Compressed (produce
-/// = read + compress a slab, consume = pack it), out-of-core decode with
-/// Item = a decoded slab (produce = read + decode, consume = emit raw
-/// bytes).  Every worker alternates between claiming the next index and
-/// producing it, or — when the lowest unconsumed item is finished and
-/// nobody else holds the packer role — draining consecutive finished items
-/// through `consume` in index order.  On faults the lowest-index error wins
-/// deterministically (claims are monotonic, so every item below a faulting
-/// one ran to completion).
-///
-/// Single-worker runs execute serially: the two-phase reference schedule
-/// (produce everything, then consume everything) when `interleave_serial`
-/// is false — the in-memory default, where holding all items costs nothing
-/// extra — or item-by-item interleaving when true, so bounded-residency
-/// out-of-core runs never hold more than one finished item.
+/// The bounded ordered pipeline (DESIGN.md §2.2/§2.3) — the one slab
+/// scheduler, generalized over what flows through it: compress runs it with
+/// Item = Compressed (produce = read + compress a slab, consume = pack it),
+/// decode in memory and out of core with Item = a decoded slab (produce =
+/// read + decode, consume = emit raw bytes), compress_many with Item = one
+/// field's container.  Every worker alternates between claiming the next
+/// index and producing it, or — when the lowest unconsumed item is finished
+/// and nobody else holds the packer role — draining consecutive finished
+/// items through `consume` in index order.  On faults the lowest-index
+/// error wins deterministically (claims are monotonic, so every item below
+/// a faulting one ran to completion).  A single worker runs the same loop
+/// on the calling thread, which interleaves produce and consume item by
+/// item, so it never holds more than one finished item.
 template <typename Item, typename MakeCtx, typename Produce, typename Consume>
 PipelineSeconds run_ordered_pipeline(std::size_t count, std::size_t workers, std::size_t window,
-                                     bool interleave_serial, const MakeCtx& make_ctx,
-                                     const Produce& produce, const Consume& consume) {
-  PipelineSeconds out;
-#ifndef _OPENMP
-  workers = 1;
-#endif
-  if (workers <= 1 || count <= 1) {
-    auto ctx = make_ctx();
-    if (interleave_serial) {
-      for (std::size_t s = 0; s < count; ++s) {
-        sim::Timer t;
-        Item item = produce(ctx, s);
-        out.produce += t.seconds();
-        t.reset();
-        consume(s, std::move(item));
-        out.consume += t.seconds();
-      }
-    } else {
-      std::vector<Item> items;
-      items.reserve(count);
-      sim::Timer t;
-      for (std::size_t s = 0; s < count; ++s) items.push_back(produce(ctx, s));
-      out.produce = t.seconds();
-      t.reset();
-      for (std::size_t s = 0; s < count; ++s) consume(s, std::move(items[s]));
-      out.consume = t.seconds();
-    }
-    return out;
-  }
-#ifdef _OPENMP
+                                     const MakeCtx& make_ctx, const Produce& produce,
+                                     const Consume& consume) {
   EngineState<Item> st;
   st.done.resize(count);
   st.ready.assign(count, 0);
@@ -394,21 +349,17 @@ PipelineSeconds run_ordered_pipeline(std::size_t count, std::size_t workers, std
             Item item = std::move(st.done[s]);
             lk.unlock();
             sim::Timer t;
-            bool pack_ok = true;
+            std::exception_ptr fault;
             try {
               consume(s, std::move(item));
             } catch (...) {
-              pack_ok = false;
-              lk.lock();
-              if (s < st.err_slab) {
-                st.err_slab = s;
-                st.err = std::current_exception();
-              }
-              st.stop = true;
+              fault = std::current_exception();
             }
-            if (pack_ok) {
-              const double dt = t.seconds();
-              lk.lock();
+            const double dt = t.seconds();
+            lk.lock();
+            if (fault) {
+              st.fail(s, fault);
+            } else {
               st.consume_seconds += dt;
               ++st.frontier;
             }
@@ -421,25 +372,18 @@ PipelineSeconds run_ordered_pipeline(std::size_t count, std::size_t workers, std
           const std::size_t s = st.next++;
           lk.unlock();
           sim::Timer t;
-          bool ok = true;
+          std::exception_ptr fault;
           Item item;
           try {
             item = produce(ctx, s);
           } catch (...) {
-            ok = false;
-            lk.lock();
-            // Keep the lowest-index fault: claims are monotonic, so every
-            // item below a faulting one was claimed and ran to completion —
-            // the winner is deterministic regardless of interleaving.
-            if (s < st.err_slab) {
-              st.err_slab = s;
-              st.err = std::current_exception();
-            }
-            st.stop = true;
+            fault = std::current_exception();
           }
-          if (ok) {
-            const double dt = t.seconds();
-            lk.lock();
+          const double dt = t.seconds();
+          lk.lock();
+          if (fault) {
+            st.fail(s, fault);
+          } else {
             st.produce_seconds += dt;
             st.done[s] = std::move(item);
             st.ready[s] = 1;
@@ -464,14 +408,27 @@ PipelineSeconds run_ordered_pipeline(std::size_t count, std::size_t workers, std
     }
   };
 
+  if (workers > 1) {
 #pragma omp parallel num_threads(static_cast<int>(workers))
-  { worker(); }
+    { worker(); }
+  } else {
+    worker();
+  }
 
   if (st.err) std::rethrow_exception(st.err);
-  out.produce = st.produce_seconds;
-  out.consume = st.consume_seconds;
-#endif
-  return out;
+  return {st.produce_seconds, st.consume_seconds};
+}
+
+/// Fill the run's phase split, ratio and residency high-water mark once
+/// both byte counts are known.
+void finish_stats(StreamingStats& stats, const PipelineSeconds& t, const PhaseClock& clock,
+                  const ResidencyMeter& meter) {
+  stats.phases.read_seconds = clock.read;
+  stats.phases.write_seconds = clock.write;
+  stats.phases.compress_seconds = std::max(0.0, t.produce - clock.read);
+  stats.phases.pack_seconds = t.consume;
+  stats.ratio = compression_ratio(stats.original_bytes, stats.compressed_bytes);
+  stats.peak_resident_bytes = meter.peak.load(std::memory_order_relaxed);
 }
 
 /// Per-worker pipeline context: a leased workspace (under a parallel
@@ -484,8 +441,21 @@ struct WorkerCtx {
   std::size_t charged = 0;  ///< staging capacity already on the meter
 };
 
-std::vector<std::uint8_t>& staging_buffer(WorkerCtx& ctx) {
-  return ctx.lease ? ctx.lease->slab_io : ctx.own_buf;
+/// Viewless ingest: read `len` bytes at `pos` into the worker's staging
+/// buffer, timing the read and charging staging growth to the meter.
+std::span<const std::uint8_t> stage_read(WorkerCtx& ctx, const io::FieldSource& src,
+                                         std::size_t pos, std::size_t len, ResidencyMeter& meter,
+                                         PhaseClock& clock) {
+  std::vector<std::uint8_t>& buf = ctx.lease ? ctx.lease->slab_io : ctx.own_buf;
+  sim::Timer rt;
+  buf.resize(len);
+  src.read_at(pos, std::span<std::uint8_t>(buf.data(), len));
+  clock.add_read(rt.seconds());
+  if (buf.capacity() > ctx.charged) {
+    meter.add(buf.capacity() - ctx.charged);
+    ctx.charged = buf.capacity();
+  }
+  return {buf.data(), len};
 }
 
 template <typename T>
@@ -550,26 +520,17 @@ StreamingStats compress_stream_impl(const StreamingConfig& cfg, const Compressor
     if (sink.retains_bytes()) meter.add(header.size());
   }
 
-  const auto slab_geom = [&](std::size_t s, Extents& sub, std::size_t& offset) {
+  const auto slab_at = [&](std::size_t s) {
     const std::size_t begin = s * plan.slabs.thickness;
-    const std::size_t len = std::min(plan.slabs.thickness, plan.slabs.slow_extent - begin);
-    sub = slab_extents(ext, len);
-    offset = begin * plan.slabs.plane_elems;
+    SlabInfo info;
+    info.extents =
+        slab_extents(ext, std::min(plan.slabs.thickness, plan.slabs.slow_extent - begin));
+    info.offset = begin * plan.slabs.plane_elems;
+    return info;
   };
 
-  // How many workers actually run: the config's parallel switch, the
-  // machine, the plan, and the memory budget all cap it, and a compress
-  // nested under an outer fan-out (compress_many) always runs single-worker
-  // so the fan-out stays explicitly one-level.
-  std::size_t exec_workers = 1;
-#ifdef _OPENMP
-  if (cfg.parallel && !sim::in_parallel_worker()) {
-    exec_workers = std::min({plan.workers, plan.slabs.count});
-  }
-#endif
-  stats.workers_used = std::max<std::size_t>(1, exec_workers);
-  const std::size_t window = std::max<std::size_t>(
-      1, cfg.queue_window != 0 ? cfg.queue_window : 2 * std::max<std::size_t>(1, exec_workers));
+  const std::size_t workers = run_workers(cfg, std::min(plan.workers, plan.slabs.count));
+  stats.workers_used = workers;
 
   const auto make_ctx = [&] {
     // Lease iff the config is parallel (single-worker parallel runs keep
@@ -579,79 +540,49 @@ StreamingStats compress_stream_impl(const StreamingConfig& cfg, const Compressor
   };
 
   const auto produce = [&](WorkerCtx& ctx, std::size_t s) -> Compressed {
-    Extents sub;
-    std::size_t offset = 0;
-    slab_geom(s, sub, offset);
-    std::span<const T> span;
-    if (view_elems != nullptr) {
-      span = std::span<const T>(view_elems + offset, sub.count());
-    } else {
-      std::vector<std::uint8_t>& buf = staging_buffer(ctx);
-      const std::size_t nbytes = sub.count() * sizeof(T);
-      sim::Timer rt;
-      buf.resize(nbytes);
-      src.read_at(offset * sizeof(T), std::span<std::uint8_t>(buf.data(), nbytes));
-      clock.add_read(rt.seconds());
-      if (buf.capacity() > ctx.charged) {
-        meter.add(buf.capacity() - ctx.charged);
-        ctx.charged = buf.capacity();
-      }
-      span = std::span<const T>(reinterpret_cast<const T*>(buf.data()), sub.count());
-    }
-    Compressed slab = ctx.lease ? compressor.compress(span, sub, slab_cfg, *ctx.lease)
-                                : compressor.compress(span, sub, slab_cfg);
+    const SlabInfo at = slab_at(s);
+    const std::size_t n = at.extents.count();
+    const T* elems =
+        view_elems != nullptr
+            ? view_elems + at.offset
+            : reinterpret_cast<const T*>(
+                  stage_read(ctx, src, at.offset * sizeof(T), n * sizeof(T), meter, clock).data());
+    const std::span<const T> span(elems, n);
+    Compressed slab = ctx.lease ? compressor.compress(span, at.extents, slab_cfg, *ctx.lease)
+                                : compressor.compress(span, at.extents, slab_cfg);
     meter.add(slab.bytes.size());  // parked until the packer drains it
     return slab;
   };
 
   const auto consume = [&](std::size_t s, Compressed&& slab) {
-    Extents sub;
-    std::size_t offset = 0;
-    slab_geom(s, sub, offset);
+    SlabInfo info = slab_at(s);
     if (s == 0) {
       // Size the container off the first slab (offset + length prefix +
       // payload per entry) so incremental packing does not pay repeated
       // reallocation-and-copy (retaining sinks) — streaming sinks ignore it.
       sink.reserve_hint(plan.slabs.count * (slab.bytes.size() + 16));
     }
-    SlabInfo info;
-    info.extents = sub;
-    info.offset = offset;
     info.ratio = slab.stats.ratio;
     info.workflow = slab.stats.workflow_used;
     stats.slabs.push_back(info);
     std::array<std::uint8_t, 16> prefix{};
-    const std::uint64_t off64 = offset;
+    const std::uint64_t off64 = info.offset;
     const std::uint64_t len64 = slab.bytes.size();
     std::memcpy(prefix.data(), &off64, 8);
     std::memcpy(prefix.data() + 8, &len64, 8);
-    const std::size_t parked = slab.bytes.size();
     sim::Timer wt;
     sink.write(prefix);
     sink.write(slab.bytes);
     clock.add_write(wt.seconds());
-    if (sink.retains_bytes()) meter.add(prefix.size() + parked);
-    meter.sub(parked);
+    if (sink.retains_bytes()) meter.add(prefix.size() + slab.bytes.size());
+    meter.sub(slab.bytes.size());
   };
 
-  // A retaining sink holds the whole container anyway, so the serial path
-  // keeps the two-phase reference schedule (compress everything, then pack
-  // — interleaving only costs cache locality when nothing runs
-  // concurrently).  Streaming sinks and budgeted runs interleave so no more
-  // than one finished slab is ever parked.
-  const bool interleave_serial = !sink.retains_bytes() || cfg.memory_budget != 0;
-  const PipelineSeconds t =
-      run_ordered_pipeline<Compressed>(plan.slabs.count, exec_workers, window,
-                                       interleave_serial, make_ctx, produce, consume);
+  const PipelineSeconds t = run_ordered_pipeline<Compressed>(
+      plan.slabs.count, workers, queue_window(cfg, workers), make_ctx, produce, consume);
   sink.finish();
-
-  stats.phases.read_seconds = clock.read;
-  stats.phases.write_seconds = clock.write;
-  stats.phases.compress_seconds = std::max(0.0, t.produce - clock.read);
-  stats.phases.pack_seconds = t.consume;
   stats.compressed_bytes = sink.bytes_written();
-  stats.ratio = compression_ratio(stats.original_bytes, stats.compressed_bytes);
-  stats.peak_resident_bytes = meter.peak.load(std::memory_order_relaxed);
+  finish_stats(stats, t, clock, meter);
   return stats;
 }
 
@@ -679,19 +610,17 @@ std::vector<StreamingCompressed> compress_many_impl(const StreamingConfig& cfg,
     throw std::invalid_argument(
         "StreamingCompressor::compress_many: one extents entry per field required");
   }
+  // Fields fan out across workers; each nested compress_impl detects the
+  // active outer region and runs single-worker (stats.workers_used == 1),
+  // so the fan-out is explicitly one-level regardless of the OpenMP
+  // runtime's nesting default.  Every result is kept, so the window spans
+  // the whole batch and never throttles claiming.
   std::vector<StreamingCompressed> out(fields.size());
-  const auto compress_field = [&](std::size_t f) {
-    out[f] = compress_impl(cfg, compressor, fields[f], exts[f]);
-  };
-  if (cfg.parallel) {
-    // Fields fan out across workers; each nested compress_impl detects the
-    // active outer region and runs single-worker (stats.workers_used == 1),
-    // so the fan-out is explicitly one-level regardless of the OpenMP
-    // runtime's nesting default.
-    fan_out_dynamic(fields.size(), resolve_workers(cfg), compress_field);
-  } else {
-    for (std::size_t f = 0; f < fields.size(); ++f) compress_field(f);
-  }
+  const std::size_t workers = run_workers(cfg, std::min(resolve_workers(cfg), fields.size()));
+  run_ordered_pipeline<StreamingCompressed>(
+      fields.size(), workers, fields.size(), [] { return WorkerCtx{}; },
+      [&](WorkerCtx&, std::size_t f) { return compress_impl(cfg, compressor, fields[f], exts[f]); },
+      [&](std::size_t f, StreamingCompressed&& c) { out[f] = std::move(c); });
   return out;
 }
 
@@ -856,11 +785,10 @@ FileContainerMap walk_container(const io::FieldSource& src) {
   return map;
 }
 
-/// One decoded slab flowing through the out-of-core decode pipeline.
+/// One decoded slab flowing through the decode pipeline.
 struct DecodedSlab {
   Decompressed d;
   std::size_t declared_offset = 0;  ///< element offset from the directory
-  std::size_t resident = 0;         ///< bytes charged to the meter while parked
 };
 
 std::span<const std::uint8_t> decoded_bytes(const Decompressed& d) {
@@ -877,15 +805,15 @@ std::span<const std::uint8_t> decoded_bytes(const Decompressed& d) {
 /// produce_cost bounds what one in-flight slab holds (payload staging plus
 /// its decoded elements), park_cost what a finished slab parks awaiting
 /// in-order emission (decoded elements only; the staging buffer is reused).
-void resolve_decode_budget(std::size_t budget, std::size_t produce_cost, std::size_t park_cost,
-                           std::size_t cfg_window, std::size_t& workers, std::size_t& window) {
+void resolve_decode_budget(const StreamingConfig& cfg, std::size_t produce_cost,
+                           std::size_t park_cost, std::size_t& workers, std::size_t& window) {
+  const std::size_t budget = cfg.memory_budget;
   if (budget == 0) return;
   produce_cost = std::max<std::size_t>(1, produce_cost);
   park_cost = std::max<std::size_t>(1, park_cost);
   std::size_t w = std::max<std::size_t>(1, workers);
   for (;;) {
-    const std::size_t q =
-        std::max<std::size_t>(1, cfg_window != 0 ? cfg_window : 2 * w);
+    const std::size_t q = queue_window(cfg, w);
     if (w * produce_cost + q * park_cost <= budget) {
       workers = w;
       window = q;
@@ -905,12 +833,15 @@ void resolve_decode_budget(std::size_t budget, std::size_t produce_cost, std::si
       std::to_string(produce_cost + park_cost) + " bytes");
 }
 
-StreamingFileInfo decompress_stream_impl(io::FieldSource& src, io::ContainerSink& sink,
-                                         const StreamingConfig& cfg) {
+/// The one decode path: in memory (span source, FieldSink) and out of core
+/// (file source, FileSink) alike.  `out` is filled as the run goes — dtype
+/// and extents as soon as the directory pass has validated them, before the
+/// sink sees any byte — so a sink may consult it.
+void decompress_stream_impl(io::FieldSource& src, io::ContainerSink& sink,
+                            const StreamingConfig& cfg, StreamingFileInfo& out) {
   const std::span<const std::uint8_t> view = src.view();
   ResidencyMeter meter;
   PhaseClock clock;
-  StreamingFileInfo out;
   out.stats.compressed_bytes = src.size_bytes();
 
   // Directory pass: zero-copy via the validated in-memory index when the
@@ -920,19 +851,15 @@ StreamingFileInfo decompress_stream_impl(io::FieldSource& src, io::ContainerSink
   FileContainerMap map;
   const bool has_view = !view.empty();
   std::size_t slab_count = 0;
-  std::size_t esize = 0;
   std::size_t max_slab_elems_est = 0;
   if (has_view) {
     idx = index_impl(view);
     out.dtype = idx.dtype;
     out.extents = idx.extents;
     slab_count = idx.slabs.size();
-    std::size_t max_payload = 0;
     for (const ContainerSlab& ref : idx.slabs) {
-      max_payload = std::max(max_payload, ref.bytes.size());
       max_slab_elems_est = std::max(max_slab_elems_est, ref.count);
     }
-    map.max_payload = max_payload;
   } else {
     map = walk_container(src);
     out.dtype = map.header.dtype;
@@ -944,23 +871,19 @@ StreamingFileInfo decompress_stream_impl(io::FieldSource& src, io::ContainerSink
                              ? 0
                              : (out.extents.count() + slab_count - 1) / slab_count;
   }
-  esize = out.dtype == DType::kFloat32 ? sizeof(float) : sizeof(double);
+  const std::size_t esize = out.dtype == DType::kFloat32 ? sizeof(float) : sizeof(double);
   const std::size_t total = out.extents.count();
 
-  std::size_t exec_workers = 1;
-#ifdef _OPENMP
-  if (cfg.parallel && !sim::in_parallel_worker()) {
-    exec_workers = std::min(resolve_workers(cfg), std::max<std::size_t>(1, slab_count));
-  }
-#endif
-  std::size_t window = std::max<std::size_t>(
-      1, cfg.queue_window != 0 ? cfg.queue_window : 2 * std::max<std::size_t>(1, exec_workers));
+  std::size_t workers = run_workers(cfg, std::min(resolve_workers(cfg), slab_count));
+  std::size_t window = queue_window(cfg, workers);
   const std::size_t park_cost = max_slab_elems_est * esize;
   const std::size_t produce_cost = (has_view ? 0 : map.max_payload) + park_cost;
-  resolve_decode_budget(cfg.memory_budget, produce_cost, park_cost, cfg.queue_window,
-                        exec_workers, window);
-  out.stats.workers_used = std::max<std::size_t>(1, exec_workers);
+  resolve_decode_budget(cfg, produce_cost, park_cost, workers, window);
+  out.stats.workers_used = workers;
   out.stats.eb_abs = 0.0;  // per-slab bounds live in the slab archives
+  // The validated index bounds the field, so a retaining sink may size for
+  // it up front; a walked directory is validated only as slabs arrive.
+  if (has_view) sink.reserve_hint(total * esize);
 
   const auto make_ctx = [&] { return WorkerCtx{}; };
 
@@ -979,16 +902,8 @@ StreamingFileInfo decompress_stream_impl(io::FieldSource& src, io::ContainerSink
       }
     } else {
       const FileSlabRef& ref = map.slabs[s];
-      std::vector<std::uint8_t>& buf = staging_buffer(ctx);
-      sim::Timer rt;
-      buf.resize(ref.payload_len);
-      src.read_at(ref.payload_pos, std::span<std::uint8_t>(buf.data(), ref.payload_len));
-      clock.add_read(rt.seconds());
-      if (buf.capacity() > ctx.charged) {
-        meter.add(buf.capacity() - ctx.charged);
-        ctx.charged = buf.capacity();
-      }
-      item.d = Compressor::decompress(std::span<const std::uint8_t>(buf.data(), buf.size()));
+      item.d = Compressor::decompress(
+          stage_read(ctx, src, ref.payload_pos, ref.payload_len, meter, clock));
       item.declared_offset = ref.field_offset;
       if (item.d.dtype != out.dtype) {
         throw DecodeError(DecodeErrorKind::kCorruptStream, "slab directory",
@@ -996,8 +911,7 @@ StreamingFileInfo decompress_stream_impl(io::FieldSource& src, io::ContainerSink
                               " element type disagrees with the container");
       }
     }
-    item.resident = decoded_bytes(item.d).size();
-    meter.add(item.resident);
+    meter.add(decoded_bytes(item.d).size());  // parked until the packer emits it
     return item;
   };
 
@@ -1018,29 +932,65 @@ StreamingFileInfo decompress_stream_impl(io::FieldSource& src, io::ContainerSink
     sink.write(bytes);
     clock.add_write(wt.seconds());
     if (sink.retains_bytes()) meter.add(bytes.size());
-    meter.sub(item.resident);
+    meter.sub(bytes.size());
     covered += n;
   };
 
-  const PipelineSeconds t = run_ordered_pipeline<DecodedSlab>(
-      slab_count, exec_workers, window, /*interleave_serial=*/true, make_ctx, produce, consume);
+  const PipelineSeconds t =
+      run_ordered_pipeline<DecodedSlab>(slab_count, workers, window, make_ctx, produce, consume);
   if (covered != total) {
     throw DecodeError(DecodeErrorKind::kCorruptStream, "slab directory",
                       "slabs cover " + std::to_string(covered) + " of " + std::to_string(total) +
                           " elements");
   }
   sink.finish();
-
-  out.stats.phases.read_seconds = clock.read;
-  out.stats.phases.write_seconds = clock.write;
-  out.stats.phases.compress_seconds = std::max(0.0, t.produce - clock.read);
-  out.stats.phases.pack_seconds = t.consume;
   out.stats.original_bytes = sink.bytes_written();
-  out.stats.ratio =
-      compression_ratio(out.stats.original_bytes, out.stats.compressed_bytes);
-  out.stats.peak_resident_bytes = meter.peak.load(std::memory_order_relaxed);
-  return out;
+  finish_stats(out.stats, t, clock, meter);
 }
+
+/// Sink of the in-memory decompress(): decoded slabs append straight into
+/// the result's data/data_f64, picked by the dtype the directory pass
+/// recorded in `info`, and reserved once from the decode's size hint.
+class FieldSink final : public io::ContainerSink {
+ public:
+  explicit FieldSink(const StreamingFileInfo& info) : info_(info) {}
+
+  void write(std::span<const std::uint8_t> bytes) override {
+    if (info_.dtype == DType::kFloat32) {
+      append(field_.data, bytes);
+    } else {
+      append(field_.data_f64, bytes);
+    }
+  }
+  void reserve_hint(std::size_t more) override {
+    if (info_.dtype == DType::kFloat32) {
+      field_.data.reserve(field_.data.size() + more / sizeof(float));
+    } else {
+      field_.data_f64.reserve(field_.data_f64.size() + more / sizeof(double));
+    }
+  }
+  [[nodiscard]] std::size_t bytes_written() const override {
+    return field_.data.size() * sizeof(float) + field_.data_f64.size() * sizeof(double);
+  }
+  [[nodiscard]] bool retains_bytes() const override { return true; }
+  [[nodiscard]] std::string name() const override { return "<memory>"; }
+
+  [[nodiscard]] StreamingDecompressed take() {
+    field_.dtype = info_.dtype;
+    field_.extents = info_.extents;
+    return std::move(field_);
+  }
+
+ private:
+  template <typename T>
+  static void append(std::vector<T>& v, std::span<const std::uint8_t> bytes) {
+    const T* p = reinterpret_cast<const T*>(bytes.data());
+    v.insert(v.end(), p, p + bytes.size() / sizeof(T));
+  }
+
+  const StreamingFileInfo& info_;
+  StreamingDecompressed field_;
+};
 
 io::SourceMode source_mode(const StreamingConfig& cfg) {
   return cfg.use_mmap ? io::SourceMode::kAuto : io::SourceMode::kRead;
@@ -1109,8 +1059,11 @@ StreamingFileInfo StreamingCompressor::decompress_stream(io::FieldSource& contai
 StreamingFileInfo StreamingCompressor::decompress_stream(io::FieldSource& container,
                                                          io::ContainerSink& raw,
                                                          const StreamingConfig& cfg) {
-  return decode_guard("streaming container",
-                      [&] { return decompress_stream_impl(container, raw, cfg); });
+  return decode_guard("streaming container", [&] {
+    StreamingFileInfo info;
+    decompress_stream_impl(container, raw, cfg, info);
+    return info;
+  });
 }
 
 StreamingFileInfo StreamingCompressor::decompress_file(const std::filesystem::path& input,
@@ -1154,47 +1107,11 @@ StreamingDecompressed StreamingCompressor::decompress(std::span<const std::uint8
 StreamingDecompressed StreamingCompressor::decompress(std::span<const std::uint8_t> container,
                                                       const StreamingConfig& cfg) {
   return decode_guard("streaming container", [&] {
-    const ContainerIndex idx = index_impl(container);
-
-    StreamingDecompressed out;
-    out.extents = idx.extents;
-    out.dtype = idx.dtype;
-    if (idx.dtype == DType::kFloat32) {
-      out.data.resize(idx.extents.count());
-    } else {
-      out.data_f64.resize(idx.extents.count());
-    }
-
-    // Slabs decode into their disjoint output ranges (the directory pass
-    // proved the tiling), claimed dynamically by up to cfg.workers threads
-    // when cfg.parallel — and genuinely serially otherwise, so a serial
-    // config serializes both directions.
-    const auto decode_slab = [&](std::size_t s) {
-      const ContainerSlab& ref = idx.slabs[s];
-      auto slab = Compressor::decompress(ref.bytes);
-      // The directory pass validated offset/count tiling from the slab
-      // headers; re-check against the decoded payload before the copy.
-      const std::size_t decoded =
-          idx.dtype == DType::kFloat32 ? slab.data.size() : slab.data_f64.size();
-      if (decoded != ref.count) {
-        throw DecodeError(DecodeErrorKind::kCorruptStream, "slab directory",
-                          "slab decoded to " + std::to_string(decoded) +
-                              " elements, its header declared " + std::to_string(ref.count));
-      }
-      if (idx.dtype == DType::kFloat32) {
-        std::copy(slab.data.begin(), slab.data.end(),
-                  out.data.begin() + static_cast<std::ptrdiff_t>(ref.offset));
-      } else {
-        std::copy(slab.data_f64.begin(), slab.data_f64.end(),
-                  out.data_f64.begin() + static_cast<std::ptrdiff_t>(ref.offset));
-      }
-    };
-    if (cfg.parallel) {
-      fan_out_dynamic(idx.slabs.size(), resolve_workers(cfg), decode_slab);
-    } else {
-      for (std::size_t s = 0; s < idx.slabs.size(); ++s) decode_slab(s);
-    }
-    return out;
+    io::SpanFieldSource src(container);
+    StreamingFileInfo info;
+    FieldSink sink(info);
+    decompress_stream_impl(src, sink, cfg, info);
+    return sink.take();
   });
 }
 

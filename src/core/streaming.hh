@@ -11,13 +11,13 @@
 // Slab independence buys two things.  First, partial access:
 // decompress_slab() reconstructs one slab without touching the others — the
 // coarse-grained decompression granularity cuSZ's block split was designed
-// for (§II-A).  Second, parallelism: slabs are compressed by a bounded
-// producer/consumer worker pool that overlaps per-slab compression with
-// container packing (host-orchestrated, one pooled workspace per worker;
-// see DESIGN.md §2.2).  Finished slab archives are packed into the
-// container strictly in index order, so the container bytes are identical
-// to a serial run.  compress_many() applies the same one-level fan-out
-// across whole fields.
+// for (§II-A).  Second, parallelism: one bounded producer/consumer engine
+// schedules every slab run — compress, decode in memory or file to file,
+// and compress_many() across whole fields — overlapping per-item work with
+// in-order packing (host-orchestrated, one pooled workspace per worker;
+// see DESIGN.md §2.2).  Finished items are consumed strictly in index
+// order, so the container bytes are identical to a serial run, which is
+// the same worker loop on the calling thread.
 //
 // A relative error bound is resolved against the *whole field's* range
 // before slabbing, so every slab honors the same absolute bound and the
@@ -227,18 +227,22 @@ class StreamingCompressor {
                                                          const std::filesystem::path& output,
                                                          const StreamingConfig& cfg);
 
-  /// Compress a batch of fields (fields[i] has extents exts[i]), fanning the
-  /// fields out across workers when cfg.parallel is set.  Equivalent to
-  /// calling compress() per field, in order.
+  /// Compress a batch of fields (fields[i] has extents exts[i]) on the slab
+  /// engine, one field per item, fanned out across workers when cfg.parallel
+  /// is set (each field then compresses single-worker, so the fan-out stays
+  /// one level).  Equivalent to calling compress() per field, in order.
   [[nodiscard]] std::vector<StreamingCompressed> compress_many(
       std::span<const std::span<const float>> fields, std::span<const Extents> exts) const;
   [[nodiscard]] std::vector<StreamingCompressed> compress_many(
       std::span<const std::span<const double>> fields, std::span<const Extents> exts) const;
 
-  /// Reassemble the whole field (slabs decode concurrently into their
-  /// disjoint output ranges).  The config overload honors cfg.parallel and
-  /// cfg.workers, so a serial config genuinely serializes both directions;
-  /// the no-config overload decodes with the default (parallel) config.
+  /// Reassemble the whole field: the decompress_stream() path over the
+  /// in-memory container, appending decoded slabs in field order into a
+  /// result reserved once the directory is validated.  The config overload
+  /// honors cfg.parallel, cfg.workers, cfg.queue_window and
+  /// cfg.memory_budget exactly as decompress_stream() does (an undersized
+  /// budget is refused with ConfigError); the no-config overload decodes
+  /// with the default (parallel, unbudgeted) config.
   [[nodiscard]] static StreamingDecompressed decompress(std::span<const std::uint8_t> container);
   [[nodiscard]] static StreamingDecompressed decompress(std::span<const std::uint8_t> container,
                                                         const StreamingConfig& cfg);
@@ -269,7 +273,7 @@ class StreamingCompressor {
   /// (Compressor::lease_workspace), so the pool's capability-annotated
   /// Mutex (core/thread_safety.hh) is taken once per worker, not once per
   /// slab.  The pipeline's own coordination (slab claiming, the in-order
-  /// pack frontier) lives in a short-lived engine local to compress_impl;
+  /// pack frontier) lives in a short-lived engine local to each call;
   /// worker-local state (the per-slab outputs) is disjoint by index.
   Compressor slab_compressor_{};
 };

@@ -250,7 +250,7 @@ TEST(OocoreIdentity, WorkerSweepFileMatchesMemory) {
       const auto info =
           StreamingCompressor::decompress_file(tmp / "field.szpc", tmp / "out.f32", fcfg);
       EXPECT_EQ(info.extents.count(), ext.count());
-      const auto reference = StreamingCompressor::decompress(memory.bytes);
+      const auto reference = StreamingCompressor::decompress(memory.bytes, fcfg);
       EXPECT_EQ(read_file(tmp / "out.f32"),
                 std::vector<std::uint8_t>(
                     reinterpret_cast<const std::uint8_t*>(reference.data.data()),
@@ -331,6 +331,14 @@ TEST(OocoreBudget, TooSmallBudgetIsRefusedWithAClearError) {
   try {
     (void)StreamingCompressor::decompress_file(tmp / "field.szpc", tmp / "out.f32", dec);
     FAIL() << "undersized decode budget accepted";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("too small to decode"), std::string::npos)
+        << e.what();
+  }
+  // In-memory decode runs the same engine, so the budget binds it too.
+  try {
+    (void)StreamingCompressor::decompress(read_file(tmp / "field.szpc"), dec);
+    FAIL() << "undersized in-memory decode budget accepted";
   } catch (const ConfigError& e) {
     EXPECT_NE(std::string(e.what()).find("too small to decode"), std::string::npos)
         << e.what();

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -51,6 +52,14 @@ struct GoldenCase {
   const char* workflow_name;
   Workflow workflow;
 };
+
+// gtest lists each case with its printed parameter, and CTest takes that
+// listing into the test name. The default printer dumps the raw bytes —
+// pointers and padding that change from run to run — so print the two
+// enum values instead to keep the names stable.
+void PrintTo(const GoldenCase& gc, std::ostream* os) {
+  *os << '{' << static_cast<int>(gc.predictor) << ", " << static_cast<int>(gc.workflow) << '}';
+}
 
 class GoldenArchive : public ::testing::TestWithParam<GoldenCase> {};
 

@@ -245,10 +245,22 @@ TEST(StreamingParallel, SerialAndParallelDecompressAgree) {
   EXPECT_LT(compare_fields(data, serial.data).max_abs_error, c.stats.eb_abs);
 }
 
+/// The schedules every fault-determinism test sweeps: serial, one worker
+/// through the parallel config, and four overlapping workers.
+std::vector<StreamingConfig> fault_schedules(const StreamingConfig& base) {
+  std::vector<StreamingConfig> out(3, base);
+  out[0].parallel = false;
+  out[1].parallel = true;
+  out[1].workers = 1;
+  out[2].parallel = true;
+  out[2].workers = 4;
+  return out;
+}
+
 TEST(StreamingParallel, MidSlabDecodeErrorIsDeterministic) {
-  // Corrupt one mid-index slab and decode repeatedly with a parallel
-  // config: the surfaced DecodeError must be byte-for-byte the same every
-  // run, regardless of worker interleaving.
+  // Corrupt one mid-index slab and decode repeatedly under every schedule:
+  // the surfaced DecodeError must be byte-for-byte the same every run,
+  // regardless of worker count or interleaving.
   const Extents ext = Extents::d1(20000);
   const auto data = field(ext, 24);
   auto c = StreamingCompressor(config_with(3000)).compress(data, ext);
@@ -260,19 +272,19 @@ TEST(StreamingParallel, MidSlabDecodeErrorIsDeterministic) {
       static_cast<std::size_t>(victim.bytes.data() - c.bytes.data()) + victim.bytes.size() / 2;
   c.bytes[pos] ^= 0xFF;  // invalidates slab 2's checksum, nothing else
 
-  StreamingConfig cfg;
-  cfg.parallel = true;
-  cfg.workers = 4;
   std::string first_message;
-  for (int run = 0; run < 4; ++run) {
-    try {
-      (void)StreamingCompressor::decompress(c.bytes, cfg);
-      FAIL() << "corrupt slab was accepted on run " << run;
-    } catch (const DecodeError& e) {
-      if (run == 0) {
-        first_message = e.what();
-      } else {
-        EXPECT_EQ(first_message, std::string(e.what())) << "run " << run;
+  for (const StreamingConfig& cfg : fault_schedules(StreamingConfig{})) {
+    for (int run = 0; run < 4; ++run) {
+      try {
+        (void)StreamingCompressor::decompress(c.bytes, cfg);
+        FAIL() << "corrupt slab was accepted on run " << run << ", workers " << cfg.workers;
+      } catch (const DecodeError& e) {
+        if (first_message.empty()) {
+          first_message = e.what();
+        } else {
+          EXPECT_EQ(first_message, std::string(e.what()))
+              << "run " << run << ", parallel " << cfg.parallel << ", workers " << cfg.workers;
+        }
       }
     }
   }
@@ -287,23 +299,24 @@ TEST(StreamingParallel, MidSlabCompressFaultIsDeterministic) {
   auto data = field(ext, 25);
   data[2 * 3000 + 17] = std::nanf("");  // inside slab 2 of 8
 
-  StreamingConfig cfg;
-  cfg.base.eb = ErrorBound::absolute(1e-3);
-  cfg.max_slab_elems = 3000;
-  cfg.parallel = true;
-  cfg.workers = 4;
-  const StreamingCompressor comp(cfg);
+  StreamingConfig base;
+  base.base.eb = ErrorBound::absolute(1e-3);
+  base.max_slab_elems = 3000;
+  const StreamingCompressor comp(base);
 
   std::string first_message;
-  for (int run = 0; run < 4; ++run) {
-    try {
-      (void)comp.compress(data, ext);
-      FAIL() << "non-finite slab was accepted on run " << run;
-    } catch (const std::invalid_argument& e) {
-      if (run == 0) {
-        first_message = e.what();
-      } else {
-        EXPECT_EQ(first_message, std::string(e.what())) << "run " << run;
+  for (const StreamingConfig& cfg : fault_schedules(base)) {
+    for (int run = 0; run < 4; ++run) {
+      try {
+        (void)comp.compress(data, ext, cfg);
+        FAIL() << "non-finite slab was accepted on run " << run << ", workers " << cfg.workers;
+      } catch (const std::invalid_argument& e) {
+        if (first_message.empty()) {
+          first_message = e.what();
+        } else {
+          EXPECT_EQ(first_message, std::string(e.what()))
+              << "run " << run << ", parallel " << cfg.parallel << ", workers " << cfg.workers;
+        }
       }
     }
   }
@@ -328,10 +341,15 @@ TEST(StreamingParallel, CompressManyFanOutStaysOneLevel) {
   }
 
   const auto batch = comp.compress_many(fields, exts);
+  StreamingConfig serial_cfg = cfg;
+  serial_cfg.parallel = false;
+  const auto serial = StreamingCompressor(serial_cfg).compress_many(fields, exts);
   ASSERT_EQ(batch.size(), exts.size());
+  ASSERT_EQ(serial.size(), exts.size());
   for (std::size_t f = 0; f < batch.size(); ++f) {
     EXPECT_EQ(batch[f].stats.workers_used, 1u) << "field " << f;
     EXPECT_EQ(batch[f].bytes, comp.compress(fields[f], exts[f]).bytes) << "field " << f;
+    EXPECT_EQ(serial[f].bytes, batch[f].bytes) << "field " << f;
   }
 }
 

@@ -267,18 +267,20 @@ int cmd_compress(const Args& a, std::ostream& out) {
   cfg.workflow = parse_workflow(codec ? *codec : a.get("--workflow").value_or("auto"));
   cfg.predictor = parse_predictor(a.get("--predictor").value_or("lorenzo"));
 
-  if (a.get("--memory-budget")) {
-    // Out-of-core file-to-file: the field streams straight from the input
-    // file through the bounded slab pipeline into the output container —
-    // never materialized in memory, peak residency capped by the budget.
+  const auto stream = a.get("--stream");
+  if (stream || a.get("--memory-budget")) {
+    // Slab container, file to file: the field streams straight from the
+    // input file through the bounded slab pipeline into the output
+    // container, never materialized in memory (peak residency capped by
+    // --memory-budget when given).
     StreamingConfig scfg = streaming_config(a);
     scfg.base = cfg;
-    if (const auto stream = a.get("--stream")) {
-      if (*stream == "auto") {
-        scfg.auto_slab_thickness = true;
-      } else {
-        scfg.max_slab_elems = static_cast<std::size_t>(std::stoull(*stream));
-      }
+    if (stream && *stream == "auto") {
+      // Keep the default memory cap but let the planner pick a slab
+      // thickness sized to the worker pool (~3 slabs per worker).
+      scfg.auto_slab_thickness = true;
+    } else if (stream) {
+      scfg.max_slab_elems = static_cast<std::size_t>(std::stoull(*stream));
     }
     const auto stats = StreamingCompressor(scfg).compress_file(
         in_path, out_path, ext, is_double ? DType::kFloat64 : DType::kFloat32);
@@ -295,25 +297,6 @@ int cmd_compress(const Args& a, std::ostream& out) {
     if (data.size() != ext.count()) {
       throw std::runtime_error("file holds " + std::to_string(data.size()) +
                                " elements but dims describe " + std::to_string(ext.count()));
-    }
-    if (const auto stream = a.get("--stream")) {
-      StreamingConfig scfg;
-      scfg.base = cfg;
-      if (*stream == "auto") {
-        // Keep the default memory cap but let the planner pick a slab
-        // thickness sized to the worker pool (~3 slabs per worker).
-        scfg.auto_slab_thickness = true;
-      } else {
-        scfg.max_slab_elems = static_cast<std::size_t>(std::stoull(*stream));
-      }
-      scfg.parallel = !a.has_flag("--serial-slabs");
-      if (const auto workers = a.get("--workers")) {
-        scfg.workers = static_cast<std::size_t>(std::stoull(*workers));
-      }
-      auto c = StreamingCompressor(scfg).compress(data, ext);
-      out << "streamed " << c.stats.slabs.size() << " slabs (" << c.stats.workers_used
-          << " workers)\n";
-      return {std::move(c.bytes), c.stats.ratio};
     }
     auto c = Compressor(cfg).compress(data, ext);
     out << "workflow: " << workflow_name(c.stats.workflow_used)
@@ -333,55 +316,33 @@ int cmd_decompress(const Args& a, std::ostream& out) {
   const auto in_path = require_path(a, "-i", "--in");
   const auto out_path = require_path(a, "-o", "--out");
 
-  if (a.get("--memory-budget")) {
-    // Out-of-core file-to-file: containers stream slab-by-slab; a bare
-    // archive has no slab structure to stream, so it falls through to the
-    // in-memory path below.
-    std::array<char, 4> magic{};
-    std::ifstream probe(in_path, std::ios::binary);
-    probe.read(magic.data(), magic.size());
-    if (probe.gcount() == 4 && std::memcmp(magic.data(), "SZPC", 4) == 0) {
-      const StreamingConfig scfg = streaming_config(a);
-      const auto info = StreamingCompressor::decompress_file(in_path, out_path, scfg);
-      out << "streamed " << info.stats.slabs.size() << " slabs (" << info.stats.workers_used
-          << " workers) file-to-file\n";
-      out << "peak resident: " << info.stats.peak_resident_bytes << " bytes (budget "
-          << scfg.memory_budget << ")\n";
-      out << "decompressed " << info.stats.compressed_bytes << " bytes -> "
-          << info.stats.original_bytes << " bytes\n";
-      return 0;
-    }
-    out << "note: not an SZPC container; --memory-budget ignored\n";
+  // Containers and single archives are distinguished by magic.  A container
+  // streams slab by slab, file to file; a bare archive has no slab
+  // structure to stream, so it decodes in memory.
+  std::array<char, 4> magic{};
+  std::ifstream probe(in_path, std::ios::binary);
+  probe.read(magic.data(), magic.size());
+  if (probe.gcount() == 4 && std::memcmp(magic.data(), "SZPC", 4) == 0) {
+    const StreamingConfig scfg = streaming_config(a);
+    const auto info = StreamingCompressor::decompress_file(in_path, out_path, scfg);
+    out << "streamed " << info.stats.slabs.size() << " slabs (" << info.stats.workers_used
+        << " workers) file-to-file\n";
+    out << "peak resident: " << info.stats.peak_resident_bytes << " bytes (budget "
+        << scfg.memory_budget << ")\n";
+    out << "decompressed " << info.stats.compressed_bytes << " bytes -> "
+        << info.stats.original_bytes << " bytes\n";
+    return 0;
   }
+  if (a.get("--memory-budget")) out << "note: not an SZPC container; --memory-budget ignored\n";
 
   const auto bytes = read_bytes(in_path);
-
-  // Containers and single archives are distinguished by magic.
-  std::vector<std::uint8_t> raw;
-  if (bytes.size() >= 4 && std::memcmp(bytes.data(), "SZPC", 4) == 0) {
-    StreamingConfig scfg;
-    scfg.parallel = !a.has_flag("--serial-slabs");
-    if (const auto workers = a.get("--workers")) {
-      scfg.workers = static_cast<std::size_t>(std::stoull(*workers));
-    }
-    auto d = StreamingCompressor::decompress(bytes, scfg);
-    if (d.dtype == DType::kFloat32) {
-      raw.resize(d.data.size() * sizeof(float));
-      std::memcpy(raw.data(), d.data.data(), raw.size());
-    } else {
-      raw.resize(d.data_f64.size() * sizeof(double));
-      std::memcpy(raw.data(), d.data_f64.data(), raw.size());
-    }
-  } else {
-    auto d = Compressor::decompress(bytes);
-    if (d.dtype == DType::kFloat32) {
-      raw.resize(d.data.size() * sizeof(float));
-      std::memcpy(raw.data(), d.data.data(), raw.size());
-    } else {
-      raw.resize(d.data_f64.size() * sizeof(double));
-      std::memcpy(raw.data(), d.data_f64.data(), raw.size());
-    }
-  }
+  const auto d = Compressor::decompress(bytes);
+  const std::span<const std::uint8_t> raw =
+      d.dtype == DType::kFloat32
+          ? std::span(reinterpret_cast<const std::uint8_t*>(d.data.data()),
+                      d.data.size() * sizeof(float))
+          : std::span(reinterpret_cast<const std::uint8_t*>(d.data_f64.data()),
+                      d.data_f64.size() * sizeof(double));
   write_bytes(out_path, raw);
   out << "decompressed " << bytes.size() << " bytes -> " << raw.size() << " bytes\n";
   return 0;
@@ -743,20 +704,21 @@ void usage(std::ostream& err) {
          "smallest tail-truncated prefix that still reproduces the verdict (as\n"
          "KIND__SEGMENT__min.szpf); --replay DIR re-decodes a committed corpus and\n"
          "fails on any verdict drift.\n"
-         "A corrupt or truncated input archive exits with 4.  --stream compresses\n"
-         "slabs in parallel by default (--stream auto additionally sizes slabs to\n"
-         "the worker pool); --serial-slabs forces one-at-a-time in both directions\n"
-         "(the container bytes are identical either way).  --workers N (or the\n"
-         "SZP_WORKERS environment variable) sets the slab worker-pool size.\n"
-         "--memory-budget BYTES (K/M/G suffixes accepted; --in/--out work as\n"
-         "aliases for -i/-o) switches both directions to the out-of-core\n"
-         "file-to-file path: the field streams through the slab pipeline without\n"
-         "ever being materialized in memory, slab thickness and queue window are\n"
-         "resolved so peak residency stays within the budget (refused with a\n"
-         "clear error when even one single-plane slab cannot fit), and the\n"
-         "container bytes are identical to the in-memory path under the same\n"
-         "config.  Ingest uses mmap when available; --no-mmap forces positional\n"
-         "reads through budget-metered staging buffers.\n"
+         "A corrupt or truncated input archive exits with 4.  --stream (or\n"
+         "--memory-budget) writes a slab container, and decompress reads any\n"
+         "container, file to file through the slab pipeline: the field is never\n"
+         "materialized in memory.  Slabs run in parallel by default (--stream\n"
+         "auto additionally sizes slabs to the worker pool); --serial-slabs\n"
+         "forces one-at-a-time in both directions (the container bytes are\n"
+         "identical either way).  --workers N (or the SZP_WORKERS environment\n"
+         "variable) sets the slab worker-pool size.  --memory-budget BYTES\n"
+         "(K/M/G suffixes accepted; --in/--out work as aliases for -i/-o)\n"
+         "resolves slab thickness and queue window so peak residency stays\n"
+         "within the budget (refused with a clear error when even one\n"
+         "single-plane slab cannot fit); the container bytes are identical to\n"
+         "the in-memory API's under the same config.  Ingest uses mmap when\n"
+         "available; --no-mmap forces positional reads through budget-metered\n"
+         "staging buffers.\n"
          "--check replays the run under the simulated-GPU race & bounds checker\n"
          "(exit 3 if violations are found); SZP_SIM_CHECK=1 enables it globally.\n"
          "--check=word upgrades to word-granular shadow memory (racecheck-style\n"
