@@ -52,17 +52,6 @@ HuffmanSection read_huffman_section(ByteReader& r) {
   return s;
 }
 
-/// Copy a decoded symbol vector into the caller's span, enforcing the
-/// header-validated element count (shared by every built-in decode path).
-void deliver_symbols(const std::vector<quant_t>& symbols, std::span<quant_t> out) {
-  if (symbols.size() != out.size()) {
-    throw DecodeError(DecodeErrorKind::kCorruptStream, "quant-codes",
-                      "decoded " + std::to_string(symbols.size()) + " symbols, the grid holds " +
-                          std::to_string(out.size()));
-  }
-  std::copy(symbols.begin(), symbols.end(), out.begin());
-}
-
 /// Live (nonzero) histogram entries — the serialized size of the sparse
 /// codebook/model forms depends on it.
 std::size_t live_symbols(std::span<const std::uint64_t> freq) {
@@ -144,10 +133,9 @@ class HuffmanCodec final : public LosslessCodec {
   void decode(ByteReader& r, const DecodeContext& ctx, std::span<quant_t> out,
               sim::PipelineReport& report) const override {
     sim::Timer t;
-    auto s = read_huffman_section(r);
-    auto dec = huffman_decode(s.enc, s.book);
-    report.add({"huffman_decode", ctx.payload_bytes, t.seconds(), dec.cost});
-    deliver_symbols(dec.symbols, out);
+    const auto s = read_huffman_section(r);
+    const sim::KernelCost cost = huffman_decode_into(s.enc, s.book, out);
+    report.add({"huffman_decode", ctx.payload_bytes, t.seconds(), cost});
   }
 
   [[nodiscard]] CodecEstimate estimate(const CodecSignals& sig) const override {
@@ -190,9 +178,8 @@ class RleCodec final : public LosslessCodec {
     rle.num_symbols = r.get<std::uint64_t>();
     rle.values = r.get_vector<quant_t>();
     rle.counts = r.get_vector<std::uint16_t>();
-    auto dec = rle_decode(rle);
-    report.add({"rle_decode", ctx.payload_bytes, t.seconds(), dec.cost});
-    deliver_symbols(dec.symbols, out);
+    const sim::KernelCost cost = rle_decode_into(rle, out);
+    report.add({"rle_decode", ctx.payload_bytes, t.seconds(), cost});
   }
 
   [[nodiscard]] CodecEstimate estimate(const CodecSignals& sig) const override {
@@ -264,12 +251,10 @@ class RleVleCodec final : public LosslessCodec {
     auto cdec = huffman_decode(cs.enc, cs.book);
     rle.values = std::move(vdec.symbols);
     rle.counts.assign(cdec.symbols.begin(), cdec.symbols.end());
-    auto dec = rle_decode(rle);
     sim::KernelCost cost = vdec.cost;
     cost += cdec.cost;
-    cost += dec.cost;
+    cost += rle_decode_into(rle, out);
     report.add({"rle_vle_decode", ctx.payload_bytes, t.seconds(), cost});
-    deliver_symbols(dec.symbols, out);
   }
 
   [[nodiscard]] CodecEstimate estimate(const CodecSignals& sig) const override {
@@ -347,15 +332,14 @@ class RansCodec final : public LosslessCodec {
     r.set_segment("quant-codes");
     const auto count = r.get<std::uint64_t>();
     if (count != ctx.n) {
-      // Checked before rans_decode so a spliced count cannot drive the
-      // symbol-buffer allocation past the grid size.
+      // The decoder fills exactly the grid's n symbols, so a spliced count
+      // is refused here, before the stream is read.
       throw DecodeError(DecodeErrorKind::kCorruptStream, "quant-codes",
                         "rans symbol count " + std::to_string(count) +
                             " does not match the " + std::to_string(ctx.n) + "-element grid");
     }
-    const auto enc = r.get_vector<std::uint8_t>();
-    const auto syms = rans_decode(enc, count, model);
-    std::vector<quant_t> quant(syms.begin(), syms.end());
+    const auto enc = r.get_bytes();
+    rans_decode_into(enc, model, out);
     sim::KernelCost cost;
     cost.bytes_read = enc.size();
     cost.bytes_written = count * sizeof(quant_t);
@@ -363,7 +347,6 @@ class RansCodec final : public LosslessCodec {
     cost.parallel_items = count;
     cost.pattern = sim::AccessPattern::kCoalescedStreaming;
     report.add({"rans_decode", ctx.payload_bytes, t.seconds(), cost});
-    deliver_symbols(quant, out);
   }
 
   [[nodiscard]] CodecEstimate estimate(const CodecSignals& sig) const override {

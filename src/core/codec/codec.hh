@@ -13,9 +13,12 @@
 // Contract highlights:
 //   * encode() serializes the codec's self-describing section directly
 //     after the outlier section; decode() must consume exactly those bytes
-//     and fill the caller's n-element span (throwing DecodeError with the
-//     taxonomy of core/error.hh on any inconsistency, always validating
-//     declared sizes *before* allocating).
+//     and decode in place into the caller's n-element span — the decode
+//     workspace's quant-code buffer, with no intermediate symbol vector
+//     (throwing DecodeError with the taxonomy of core/error.hh on any
+//     inconsistency, always validating declared sizes *before* allocating,
+//     and running its own section checks before the symbol-count-vs-grid
+//     check, kCorruptStream in "quant-codes").
 //   * Kernels run as registered checked launches with footprint contracts,
 //     so `--check=word`, `szp analyze` and the traffic analyzer cover every
 //     codec equally.
@@ -84,10 +87,10 @@ class LosslessCodec {
   virtual void encode(std::span<const quant_t> quant, const EncodeContext& ctx, Workspace& ws,
                       ByteWriter& w, sim::PipelineReport& report) const = 0;
 
-  /// Mirror of encode(): parse the section and fill all of `out` (whose
-  /// size is the header-validated element count).  Throws DecodeError when
-  /// the section is inconsistent or does not hold exactly out.size()
-  /// symbols.
+  /// Mirror of encode(): parse the section and decode straight into all of
+  /// `out` (whose size is the header-validated element count).  Throws
+  /// DecodeError when the section is inconsistent or does not hold exactly
+  /// out.size() symbols.
   virtual void decode(ByteReader& r, const DecodeContext& ctx, std::span<quant_t> out,
                       sim::PipelineReport& report) const = 0;
 

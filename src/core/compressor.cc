@@ -176,9 +176,9 @@ Compressor::ArchiveInfo Compressor::inspect(std::span<const std::uint8_t> archiv
   });
 }
 
-Decompressed Compressor::decompress(std::span<const std::uint8_t> archive,
-                                    const ReconstructConfig& recon) {
-  return decode_guard("szp archive", [&] {
+void Compressor::decompress(std::span<const std::uint8_t> archive, Decompressed& out,
+                            Workspace& ws, const ReconstructConfig& recon) {
+  decode_guard("szp archive", [&] {
     ByteReader r(archive::checked_body(archive));
     const archive::ArchiveHeader h = archive::read_header(r);
     const auto& registry = pipeline::StageRegistry::instance();
@@ -191,10 +191,10 @@ Decompressed Compressor::decompress(std::span<const std::uint8_t> archive,
     const std::size_t payload_bytes =
         n * (h.dtype == DType::kFloat32 ? sizeof(float) : sizeof(double));
 
-    sim::SparseVector<qdiff_t> outliers;
+    sim::SparseVector<qdiff_t>& outliers = ws.outliers;
     r.set_segment("outliers");
-    outliers.indices = r.get_vector<std::uint64_t>();
-    outliers.values = r.get_vector<qdiff_t>();
+    r.get_vector_into(outliers.indices);
+    r.get_vector_into(outliers.values);
     if (outliers.indices.size() != outliers.values.size()) {
       throw DecodeError(DecodeErrorKind::kCorruptStream, "outliers",
                         "index/value stream size mismatch (" +
@@ -211,24 +211,38 @@ Decompressed Compressor::decompress(std::span<const std::uint8_t> archive,
       }
     }
 
-    Decompressed out;
     out.extents = h.extents;
     out.dtype = h.dtype;
+    out.pipeline.stages.clear();
+    // A reused `out` may hold the other element type's field from an
+    // earlier call; a fresh result has only this dtype's buffer filled.
+    if (h.dtype == DType::kFloat32) {
+      out.data_f64.clear();
+    } else {
+      out.data.clear();
+    }
 
     // --- Decode quant-codes -------------------------------------------------
     r.set_segment("quant-codes");
     const pipeline::DecodeContext dctx{n, payload_bytes};
-    // The codec fills exactly n symbols or throws; n was validated by
-    // read_header before this allocation.
-    std::vector<quant_t> quant(n);
-    registry.codec(h.workflow).decode(r, dctx, quant, out.pipeline);
+    // The codec fills exactly n symbols in place or throws; n was validated
+    // by read_header before this resize.
+    ws.decode_quant.resize(n);
+    registry.codec(h.workflow).decode(r, dctx, ws.decode_quant, out.pipeline);
 
     // --- Scatter outliers + predictor reconstruction ------------------------
     const QuantConfig qcfg{h.capacity};
-    predictor.reconstruct(quant, outliers, aux, h.extents, h.eb_abs, qcfg, recon,
-                          payload_bytes, out);
-    return out;
+    predictor.reconstruct(ws.decode_quant, outliers, aux, h.extents, h.eb_abs, qcfg, recon,
+                          payload_bytes, ws.decode_scratch, out);
   });
+}
+
+Decompressed Compressor::decompress(std::span<const std::uint8_t> archive,
+                                    const ReconstructConfig& recon) {
+  Workspace ws;
+  Decompressed out;
+  decompress(archive, out, ws, recon);
+  return out;
 }
 
 }  // namespace szp

@@ -10,7 +10,8 @@
 // (core/pipeline/) around the shared archive framing (core/archive.hh).
 // Per-call scratch comes from a reusable WorkspacePool (core/workspace.hh),
 // so a reused Compressor performs zero steady-state allocations in the
-// compression hot path.
+// compression hot path; decompression reaches the same steady state
+// through its explicit-workspace overload.
 //
 // Every stage is timed on the host and carries an analytic KernelCost so
 // benches can print both measured-CPU and modeled-V100/A100 throughputs
@@ -140,9 +141,21 @@ class Compressor {
 
   /// Decompress an archive produced by compress().  `recon` selects the
   /// reconstruction kernel variant (Table II ablation); the default is the
-  /// optimized partial-sum kernel.
+  /// optimized partial-sum kernel.  Runs the overload below over a
+  /// workspace local to the call.
   [[nodiscard]] static Decompressed decompress(std::span<const std::uint8_t> archive,
                                                const ReconstructConfig& recon = {});
+
+  /// Decompress into caller-owned buffers, mirroring the explicit-workspace
+  /// compress overloads: the codec decodes the quant-codes in place into
+  /// `ws`, reconstruction takes its scratch from `ws`, and `out`'s vectors
+  /// are resized in place — so a worker decoding many slabs through one
+  /// workspace and one `out` stops allocating after the first.  The result
+  /// equals the value-returning decompress() byte for byte, whatever `ws`
+  /// and `out` held before.  On DecodeError `out`'s contents are
+  /// unspecified.  The workspace must not be shared across concurrent calls.
+  static void decompress(std::span<const std::uint8_t> archive, Decompressed& out,
+                         Workspace& ws, const ReconstructConfig& recon = {});
 
   /// Parse an archive's header without decompressing the payload.
   struct ArchiveInfo {

@@ -156,16 +156,16 @@ HuffmanEncoded huffman_encode(std::span<const quant_t> symbols, const HuffmanCod
   return enc;
 }
 
-HuffmanDecoded huffman_decode(const HuffmanEncoded& enc, const HuffmanCodebook& book) {
-  HuffmanDecoded dec;
+namespace {
+
+/// Validate every metadata field of an (untrusted) encoding before any
+/// output is sized or written.
+void check_decode_metadata(const HuffmanEncoded& enc) {
   const std::size_t n = enc.num_symbols;
-  if (n == 0) {
-    return dec;
-  }
-  // Metadata validation happens *before* the output allocation: every field
-  // here may come from an untrusted archive.  Each encoded symbol costs at
-  // least one payload bit, so num_symbols is bounded by the payload size —
-  // this also keeps the div_ceil below from wrapping on a spliced count.
+  if (n == 0) return;
+  // Each encoded symbol costs at least one payload bit, so num_symbols is
+  // bounded by the payload size — this also keeps the div_ceil below from
+  // wrapping on a spliced count.
   if (n > enc.payload.size() * 8) {
     throw DecodeError(DecodeErrorKind::kCorruptStream, "huffman stream",
                       "symbol count " + std::to_string(n) + " exceeds the " +
@@ -190,18 +190,26 @@ HuffmanDecoded huffman_decode(const HuffmanEncoded& enc, const HuffmanCodebook& 
                         "corrupt chunk offsets");
     }
   }
-
   const std::size_t nchunks = enc.chunk_offsets.size() - 1;
-  const std::size_t subblocks_per_chunk =
-      enc.gap_stride > 0 ? enc.chunk_size / enc.gap_stride : 1;
-  if (enc.gap_stride > 0 && enc.gaps.size() != nchunks * subblocks_per_chunk) {
+  if (enc.gap_stride > 0 && enc.gaps.size() != nchunks * (enc.chunk_size / enc.gap_stride)) {
     throw DecodeError(DecodeErrorKind::kCorruptStream, "huffman stream",
                       "gap array size mismatch");
   }
-  dec.symbols.resize(n);
+}
+
+/// The inflate launch over metadata check_decode_metadata() accepted;
+/// `symbols` holds exactly enc.num_symbols entries.
+sim::KernelCost decode_chunks(const HuffmanEncoded& enc, const HuffmanCodebook& book,
+                              std::span<quant_t> symbols) {
+  sim::KernelCost cost;
+  const std::size_t n = enc.num_symbols;
+  if (n == 0) return cost;
+  const std::size_t nchunks = enc.chunk_offsets.size() - 1;
+  const std::size_t subblocks_per_chunk =
+      enc.gap_stride > 0 ? enc.chunk_size / enc.gap_stride : 1;
   namespace chk = sim::checked;
   namespace ctr = sim::contract;
-  sim::traffic::Scope traffic_scope;  // contract-derived volumes for dec.cost
+  sim::traffic::Scope traffic_scope;  // contract-derived volumes for `cost`
   // Decode unit `u` covers symbols [u*stride, u*stride + stride) ∩ [0, n):
   // with chunk_size = subblocks_per_chunk * stride, the chunk/sub-block
   // decomposition collapses to one affine window per unit.  The payload
@@ -224,7 +232,7 @@ HuffmanDecoded huffman_decode(const HuffmanEncoded& enc, const HuffmanCodebook& 
               chk::bufs(chk::in(std::span<const std::uint8_t>(enc.payload), "payload"),
                         chk::in(std::span<const std::uint64_t>(enc.chunk_offsets), "offsets"),
                         chk::in(std::span<const std::uint32_t>(enc.gaps), "gaps"),
-                        chk::out(std::span<quant_t>(dec.symbols), "symbols")),
+                        chk::out(symbols, "symbols")),
               decode_contract,
               [&, n, subblocks_per_chunk](std::size_t unit, const auto& vpayload,
                                           const auto& voffsets, const auto& vgaps,
@@ -249,8 +257,8 @@ HuffmanDecoded huffman_decode(const HuffmanEncoded& enc, const HuffmanCodebook& 
     }
   });
 
-  traffic_scope.apply(dec.cost);
-  dec.cost.bytes_read += book.alphabet_size() * 9;  // codebook is not a launch buffer
+  traffic_scope.apply(cost);
+  cost.bytes_read += book.alphabet_size() * 9;  // codebook is not a launch buffer
   // The canonical decode is a dependent bit-serial table walk: latency/
   // compute-bound, not bandwidth-bound — which is why the paper sees it
   // stagnate from V100 to A100 (§V-C.2).  The per-symbol weight is
@@ -259,10 +267,31 @@ HuffmanDecoded huffman_decode(const HuffmanEncoded& enc, const HuffmanCodebook& 
   // which reference [15] reports as a multi-x decode gain (weight
   // calibrated accordingly).
   const std::size_t chain = enc.gap_stride > 0 ? enc.gap_stride : enc.chunk_size;
-  dec.cost.flops =
+  cost.flops =
       n * (130 + 320 * std::min<std::size_t>(chain, 4096) / 4096);
-  dec.cost.parallel_items = n;
-  dec.cost.pattern = sim::AccessPattern::kCoalescedStreaming;
+  cost.parallel_items = n;
+  cost.pattern = sim::AccessPattern::kCoalescedStreaming;
+  return cost;
+}
+
+}  // namespace
+
+sim::KernelCost huffman_decode_into(const HuffmanEncoded& enc, const HuffmanCodebook& book,
+                                    std::span<quant_t> out) {
+  check_decode_metadata(enc);
+  if (enc.num_symbols != out.size()) {
+    throw DecodeError(DecodeErrorKind::kCorruptStream, "quant-codes",
+                      "huffman stream holds " + std::to_string(enc.num_symbols) +
+                          " symbols, the grid holds " + std::to_string(out.size()));
+  }
+  return decode_chunks(enc, book, out);
+}
+
+HuffmanDecoded huffman_decode(const HuffmanEncoded& enc, const HuffmanCodebook& book) {
+  check_decode_metadata(enc);  // before the output allocation
+  HuffmanDecoded dec;
+  dec.symbols.resize(enc.num_symbols);
+  dec.cost = decode_chunks(enc, book, dec.symbols);
   return dec;
 }
 

@@ -68,10 +68,17 @@ struct HuffmanDecoded {
   sim::KernelCost cost;
 };
 
-/// Decode all chunks (parallel over chunks, canonical table walk within).
-/// When the encoding carries a gap array, decoding enters each sub-block at
-/// its recorded bit offset instead, raising the decode parallelism from
-/// one-per-chunk to one-per-sub-block.
+/// Decode all chunks (parallel over chunks, canonical table walk within)
+/// straight into `out` and return the kernel cost.  When the encoding
+/// carries a gap array, decoding enters each sub-block at its recorded bit
+/// offset instead, raising the decode parallelism from one-per-chunk to
+/// one-per-sub-block.  The metadata is validated first; then an encoding
+/// that does not hold exactly out.size() symbols throws DecodeError
+/// (kCorruptStream, "quant-codes").
+sim::KernelCost huffman_decode_into(const HuffmanEncoded& enc, const HuffmanCodebook& book,
+                                    std::span<quant_t> out);
+
+/// huffman_decode_into() a new vector of enc.num_symbols symbols.
 [[nodiscard]] HuffmanDecoded huffman_decode(const HuffmanEncoded& enc,
                                             const HuffmanCodebook& book);
 

@@ -18,20 +18,23 @@ namespace szp::pipeline {
 namespace {
 
 /// Dense-outlier scatter shared by the regression and interpolation decode
-/// paths (Lorenzo scatters into the fused residual field instead).
-std::vector<qdiff_t> scatter_dense(const sim::SparseVector<qdiff_t>& outliers, std::size_t n,
-                                   std::size_t payload_bytes, sim::PipelineReport& report) {
+/// paths (Lorenzo scatters into the fused residual field instead): re-zero
+/// the n-element scratch, then add the outliers on top.
+std::span<const qdiff_t> scatter_dense(const sim::SparseVector<qdiff_t>& outliers,
+                                       std::size_t n, std::size_t payload_bytes,
+                                       sim::device_vector<qdiff_t>& scratch,
+                                       sim::PipelineReport& report) {
   sim::Timer t;
-  std::vector<qdiff_t> outlier_dense(n, 0);
+  scratch.assign(n, 0);
   sim::KernelCost cost;
   {
     sim::traffic::Scope scope;  // contract-derived volumes
-    sim::scatter_add(outliers, std::span<qdiff_t>(outlier_dense));
+    sim::scatter_add(outliers, std::span<qdiff_t>(scratch));
     cost = sim::scatter_cost(outliers.nnz(), sizeof(qdiff_t), sizeof(std::uint64_t));
     scope.apply(cost);
   }
   report.add({"scatter_outlier", payload_bytes, t.seconds(), cost});
-  return outlier_dense;
+  return scratch;
 }
 
 class LorenzoStage final : public PredictStage {
@@ -56,13 +59,15 @@ class LorenzoStage final : public PredictStage {
   void reconstruct(std::span<const quant_t> quant, const sim::SparseVector<qdiff_t>& outliers,
                    const PredictorAux&, const Extents& ext, double eb_abs,
                    const QuantConfig& qcfg, const ReconstructConfig& recon,
-                   std::size_t payload_bytes, Decompressed& out) const override {
+                   std::size_t payload_bytes, sim::device_vector<qdiff_t>& qprime,
+                   Decompressed& out) const override {
     const std::size_t n = ext.count();
     const auto radius = static_cast<std::int32_t>(qcfg.capacity / 2);
 
     // --- Fuse quant ⊕ outlier (Algorithm 1 line 9) -------------------------
+    // The fuse overwrites all n residuals, so a resize is enough.
     sim::Timer t;
-    std::vector<qdiff_t> qprime(n);
+    qprime.resize(n);
     // The streaming fuse dominates the traffic; the sparse scatter rides
     // along (outliers are rare), so the stage keeps the streaming access
     // profile.  Volumes for both launches come from their contracts.
@@ -132,9 +137,10 @@ class RegressionStage final : public PredictStage {
   void reconstruct(std::span<const quant_t> quant, const sim::SparseVector<qdiff_t>& outliers,
                    const PredictorAux& aux, const Extents& ext, double eb_abs,
                    const QuantConfig& qcfg, const ReconstructConfig&,
-                   std::size_t payload_bytes, Decompressed& out) const override {
+                   std::size_t payload_bytes, sim::device_vector<qdiff_t>& scratch,
+                   Decompressed& out) const override {
     const std::size_t n = ext.count();
-    const auto outlier_dense = scatter_dense(outliers, n, payload_bytes, out.pipeline);
+    const auto outlier_dense = scatter_dense(outliers, n, payload_bytes, scratch, out.pipeline);
     sim::Timer t;
     sim::KernelCost recon_cost;
     if (out.dtype == DType::kFloat32) {
@@ -192,9 +198,10 @@ class InterpolationStage final : public PredictStage {
   void reconstruct(std::span<const quant_t> quant, const sim::SparseVector<qdiff_t>& outliers,
                    const PredictorAux& aux, const Extents& ext, double eb_abs,
                    const QuantConfig& qcfg, const ReconstructConfig&,
-                   std::size_t payload_bytes, Decompressed& out) const override {
+                   std::size_t payload_bytes, sim::device_vector<qdiff_t>& scratch,
+                   Decompressed& out) const override {
     const std::size_t n = ext.count();
-    const auto outlier_dense = scatter_dense(outliers, n, payload_bytes, out.pipeline);
+    const auto outlier_dense = scatter_dense(outliers, n, payload_bytes, scratch, out.pipeline);
     sim::Timer t;
     sim::KernelCost recon_cost;
     if (out.dtype == DType::kFloat32) {

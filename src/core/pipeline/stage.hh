@@ -24,7 +24,9 @@
 //     "huffman_book", ... ) — tests and the perf benches pin those names.
 //   * Construction writes into the caller's Workspace (core/workspace.hh)
 //     through capacity-preserving fills, never into fresh allocations, so
-//     repeated compression is allocation-free at steady state.
+//     repeated compression is allocation-free at steady state.  The decode
+//     side mirrors it: reconstruction takes its scratch from the workspace
+//     and resizes the caller's Decompressed buffers in place.
 #pragma once
 
 #include <cstdint>
@@ -79,12 +81,15 @@ class PredictStage {
 
   /// Rebuild the field from decoded quant-codes and the sparse outlier
   /// stream; appends its own PipelineReport entries (scatter + reconstruct)
-  /// and fills out.data / out.data_f64 according to out.dtype.
+  /// and resizes and fills out.data / out.data_f64 according to out.dtype.
+  /// `scratch` is workspace memory holding anything from an earlier call:
+  /// the stage sizes it to ext.count() and owns its contents — a stage
+  /// that scatters outliers into it re-zeroes it first.
   virtual void reconstruct(std::span<const quant_t> quant,
                            const sim::SparseVector<qdiff_t>& outliers, const PredictorAux& aux,
                            const Extents& ext, double eb_abs, const QuantConfig& qcfg,
                            const ReconstructConfig& recon, std::size_t payload_bytes,
-                           Decompressed& out) const = 0;
+                           sim::device_vector<qdiff_t>& scratch, Decompressed& out) const = 0;
 };
 
 }  // namespace szp::pipeline

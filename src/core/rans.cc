@@ -168,9 +168,8 @@ std::vector<std::uint8_t> rans_encode(std::span<const std::uint16_t> symbols,
   return {reversed.rbegin(), reversed.rend()};
 }
 
-std::vector<std::uint16_t> rans_decode(std::span<const std::uint8_t> bytes, std::size_t count,
-                                       const RansModel& model) {
-  std::vector<std::uint16_t> out(count);
+void rans_decode_into(std::span<const std::uint8_t> bytes, const RansModel& model,
+                      std::span<std::uint16_t> out) {
   std::size_t pos = 0;
   const auto next_byte = [&]() -> std::uint32_t {
     if (pos >= bytes.size()) {
@@ -185,7 +184,7 @@ std::vector<std::uint16_t> rans_decode(std::span<const std::uint8_t> bytes, std:
   for (int k = 0; k < 4; ++k) x = (x << 8) | next_byte();
 
   constexpr std::uint32_t kMask = RansModel::kProbScale - 1;
-  for (std::size_t i = 0; i < count; ++i) {
+  for (std::size_t i = 0; i < out.size(); ++i) {
     const std::uint32_t slot = x & kMask;
     const std::uint16_t s = model.symbol_at(slot);
     out[i] = s;
@@ -196,6 +195,12 @@ std::vector<std::uint16_t> rans_decode(std::span<const std::uint8_t> bytes, std:
     throw DecodeError(DecodeErrorKind::kCorruptStream, "rans stream",
                       "final decoder state mismatch");
   }
+}
+
+std::vector<std::uint16_t> rans_decode(std::span<const std::uint8_t> bytes, std::size_t count,
+                                       const RansModel& model) {
+  std::vector<std::uint16_t> out(count);
+  rans_decode_into(bytes, model, out);
   return out;
 }
 

@@ -53,7 +53,11 @@ class RansModel {
 [[nodiscard]] std::vector<std::uint8_t> rans_encode(std::span<const std::uint16_t> symbols,
                                                     const RansModel& model);
 
-/// Decode `count` symbols.
+/// Decode exactly out.size() symbols into `out`.
+void rans_decode_into(std::span<const std::uint8_t> bytes, const RansModel& model,
+                      std::span<std::uint16_t> out);
+
+/// Decode `count` symbols into a new vector.
 [[nodiscard]] std::vector<std::uint16_t> rans_decode(std::span<const std::uint8_t> bytes,
                                                      std::size_t count, const RansModel& model);
 

@@ -42,16 +42,18 @@ RleEncoded rle_encode(std::span<const quant_t> symbols) {
   return enc;
 }
 
-RleDecoded rle_decode(const RleEncoded& enc) {
-  RleDecoded dec;
+namespace {
+
+/// Validate the (untrusted) run streams and return each run's output
+/// offset (exclusive scan).  The sum is checked against the declared symbol
+/// count *before* any output is sized, so a spliced count cannot trigger a
+/// huge resize.
+std::vector<std::uint64_t> run_offsets(const RleEncoded& enc) {
   if (enc.values.size() != enc.counts.size()) {
     throw DecodeError(DecodeErrorKind::kCorruptStream, "rle streams",
                       "values/counts size mismatch (" + std::to_string(enc.values.size()) +
                           " vs " + std::to_string(enc.counts.size()) + ")");
   }
-  // Offsets of each run in the output (exclusive scan), then parallel fill.
-  // The sum is validated against the declared symbol count *before* the
-  // output allocation, so a spliced count cannot trigger a huge resize.
   std::vector<std::uint64_t> offset(enc.counts.size() + 1, 0);
   for (std::size_t r = 0; r < enc.counts.size(); ++r) {
     offset[r + 1] = offset[r] + enc.counts[r];
@@ -61,17 +63,22 @@ RleDecoded rle_decode(const RleEncoded& enc) {
                       "run lengths sum to " + std::to_string(offset.back()) +
                           ", declared symbol count is " + std::to_string(enc.num_symbols));
   }
-  dec.symbols.resize(enc.num_symbols);
+  return offset;
+}
+
+/// Parallel fill of each run's [offset[r], offset[r+1]) slice of `symbols`.
+sim::KernelCost expand_runs(const RleEncoded& enc, std::span<const std::uint64_t> offset,
+                            std::span<quant_t> symbols) {
+  sim::KernelCost cost;
   namespace chk = sim::checked;
   namespace ctr = sim::contract;
-  sim::traffic::Scope traffic_scope;  // contract-derived volumes for dec.cost
+  sim::traffic::Scope traffic_scope;  // contract-derived volumes for `cost`
   // Each run writes [offset[r], offset[r+1]) — run lengths are data, so the
   // write footprint is data-dependent and the expand kernel honestly stays
   // on dynamic (word-shadow) checking.
   chk::launch("rle_decode/expand", enc.values.size(),
               chk::bufs(chk::in(std::span<const quant_t>(enc.values), "values"),
-                        chk::in(std::span<const std::uint64_t>(offset), "offset"),
-                        chk::out(std::span<quant_t>(dec.symbols), "symbols")),
+                        chk::in(offset, "offset"), chk::out(symbols, "symbols")),
               ctr::contract(ctr::reads("values", ctr::b(), 1),
                             ctr::reads("offset", ctr::b(), 2),
                             // The validated run-length sum is the exact
@@ -85,12 +92,32 @@ RleDecoded rle_decode(const RleEncoded& enc) {
     std::fill(vsym.data() + lo, vsym.data() + hi, vvalues[r]);
   });
 
-  // Traffic from the expand contract (the offset scan above is host-side
-  // metadata validation, not a device launch).
-  traffic_scope.apply(dec.cost);
-  dec.cost.flops = enc.num_symbols;
-  dec.cost.parallel_items = enc.values.empty() ? 1 : enc.values.size();
-  dec.cost.pattern = sim::AccessPattern::kCoalescedStreaming;
+  // Traffic from the expand contract (the offset scan is host-side metadata
+  // validation, not a device launch).
+  traffic_scope.apply(cost);
+  cost.flops = enc.num_symbols;
+  cost.parallel_items = enc.values.empty() ? 1 : enc.values.size();
+  cost.pattern = sim::AccessPattern::kCoalescedStreaming;
+  return cost;
+}
+
+}  // namespace
+
+sim::KernelCost rle_decode_into(const RleEncoded& enc, std::span<quant_t> out) {
+  const auto offset = run_offsets(enc);
+  if (enc.num_symbols != out.size()) {
+    throw DecodeError(DecodeErrorKind::kCorruptStream, "quant-codes",
+                      "rle runs expand to " + std::to_string(enc.num_symbols) +
+                          " symbols, the grid holds " + std::to_string(out.size()));
+  }
+  return expand_runs(enc, offset, out);
+}
+
+RleDecoded rle_decode(const RleEncoded& enc) {
+  const auto offset = run_offsets(enc);
+  RleDecoded dec;
+  dec.symbols.resize(enc.num_symbols);
+  dec.cost = expand_runs(enc, offset, dec.symbols);
   return dec;
 }
 

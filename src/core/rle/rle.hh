@@ -36,7 +36,12 @@ struct RleDecoded {
   sim::KernelCost cost;
 };
 
-/// Expand runs back to the flat symbol stream.
+/// Expand runs straight into `out` and return the kernel cost.  The run
+/// streams are validated first; then runs that do not expand to exactly
+/// out.size() symbols throw DecodeError (kCorruptStream, "quant-codes").
+sim::KernelCost rle_decode_into(const RleEncoded& enc, std::span<quant_t> out);
+
+/// Expand runs back to the flat symbol stream in a new vector.
 [[nodiscard]] RleDecoded rle_decode(const RleEncoded& enc);
 
 /// Average encoded bits per original symbol for plain RLE (value+count pairs

@@ -71,11 +71,20 @@ class ByteReader {
 
   template <typename T>
   std::vector<T> get_vector() {
-    const std::uint64_t n = checked_count(sizeof(T));
-    std::vector<T> v(static_cast<std::size_t>(n));
-    std::memcpy(v.data(), bytes_.data() + pos_, static_cast<std::size_t>(n) * sizeof(T));
-    pos_ += static_cast<std::size_t>(n) * sizeof(T);
+    std::vector<T> v;
+    get_vector_into(v);
     return v;
+  }
+
+  /// get_vector() into a caller-owned vector, reusing its capacity (decode
+  /// workspaces, core/workspace.hh).
+  template <typename T, typename Alloc>
+  void get_vector_into(std::vector<T, Alloc>& v) {
+    const auto n = static_cast<std::size_t>(checked_count(sizeof(T)));
+    v.resize(n);
+    if (n == 0) return;  // an empty vector's data() may be null: no memcpy
+    std::memcpy(v.data(), bytes_.data() + pos_, n * sizeof(T));
+    pos_ += n * sizeof(T);
   }
 
   /// Zero-copy variant of get_vector<uint8_t>: a view into the underlying

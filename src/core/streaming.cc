@@ -236,8 +236,9 @@ ValueRange field_range_streamed(const io::FieldSource& src, std::size_t count) {
 }
 
 /// High-water accounting for bytes the pipeline itself holds resident:
-/// staging buffers, parked items awaiting in-order consumption, retained
-/// sink bytes.  Lock-free so produce-side charging never contends with the
+/// staging buffers, parked items awaiting in-order consumption (on decode,
+/// every slab buffer the run has created, parked or idle), retained sink
+/// bytes.  Lock-free so produce-side charging never contends with the
 /// engine mutex.
 struct ResidencyMeter {
   std::atomic<std::size_t> current{0};
@@ -431,10 +432,11 @@ void finish_stats(StreamingStats& stats, const PipelineSeconds& t, const PhaseCl
   stats.peak_resident_bytes = meter.peak.load(std::memory_order_relaxed);
 }
 
-/// Per-worker pipeline context: a leased workspace (under a parallel
-/// config) and a slab staging buffer for viewless sources.  Staging prefers
-/// the workspace's tracked slab_io buffer so steady-state out-of-core runs
-/// allocate nothing; a worker without a lease falls back to its own vector.
+/// Per-worker pipeline context: a leased workspace (compress under a
+/// parallel config; decode always) and a slab staging buffer for viewless
+/// sources.  Staging prefers the workspace's tracked slab_io buffer so
+/// steady-state out-of-core runs allocate nothing; a worker without a lease
+/// falls back to its own vector.
 struct WorkerCtx {
   WorkspaceLease lease;
   std::vector<std::uint8_t> own_buf;
@@ -800,6 +802,44 @@ std::span<const std::uint8_t> decoded_bytes(const Decompressed& d) {
           d.data_f64.size() * sizeof(double)};
 }
 
+/// Heap bytes a decoded-slab buffer holds (both element types' capacity).
+std::size_t held_bytes(const Decompressed& d) {
+  return d.data.capacity() * sizeof(float) + d.data_f64.capacity() * sizeof(double);
+}
+
+/// Decoded-slab buffers recycled within one decode run: the packer hands
+/// back each buffer it has emitted, and produce draws from here before
+/// allocating.  Claims stay inside frontier + window, so a run creates at
+/// most `window` buffers; it parks no more than the slabs still unclaimed
+/// need, so the tail of a run frees its buffers instead of holding them.
+class SlabBufferList {
+ public:
+  explicit SlabBufferList(std::size_t slabs) : unclaimed_(slabs) {}
+
+  /// A buffer for one newly claimed slab (recycled when one is idle).
+  Decompressed take() {
+    const std::lock_guard<std::mutex> lk(m_);
+    --unclaimed_;
+    if (idle_.empty()) return {};
+    Decompressed d = std::move(idle_.back());
+    idle_.pop_back();
+    return d;
+  }
+  /// Park an emitted buffer; false when no unclaimed slab needs it, and
+  /// then it is freed on return.
+  bool give(Decompressed d) {
+    const std::lock_guard<std::mutex> lk(m_);
+    if (idle_.size() >= unclaimed_) return false;
+    idle_.push_back(std::move(d));
+    return true;
+  }
+
+ private:
+  std::mutex m_;
+  std::size_t unclaimed_;
+  std::vector<Decompressed> idle_;
+};
+
 /// Cap decode workers/window so the budget model fits:
 ///   W·produce_cost + Q·park_cost <= budget
 /// produce_cost bounds what one in-flight slab holds (payload staging plus
@@ -885,13 +925,20 @@ void decompress_stream_impl(io::FieldSource& src, io::ContainerSink& sink,
   // it up front; a walked directory is validated only as slabs arrive.
   if (has_view) sink.reserve_hint(total * esize);
 
-  const auto make_ctx = [&] { return WorkerCtx{}; };
+  // Decode buffers live for this call only (DESIGN.md §2.3): each worker
+  // leases one workspace for its codes, outliers, reconstruct scratch and
+  // payload staging, and decoded slabs recycle through `buffers`.
+  WorkspacePool pool;
+  SlabBufferList buffers(slab_count);
+  const auto make_ctx = [&] { return WorkerCtx{pool.acquire(), {}, 0}; };
 
   const auto produce = [&](WorkerCtx& ctx, std::size_t s) -> DecodedSlab {
     DecodedSlab item;
+    item.d = buffers.take();
+    const std::size_t held = held_bytes(item.d);
     if (has_view) {
       const ContainerSlab& ref = idx.slabs[s];
-      item.d = Compressor::decompress(ref.bytes);
+      Compressor::decompress(ref.bytes, item.d, *ctx.lease);
       item.declared_offset = ref.offset;
       const std::size_t decoded =
           idx.dtype == DType::kFloat32 ? item.d.data.size() : item.d.data_f64.size();
@@ -902,8 +949,9 @@ void decompress_stream_impl(io::FieldSource& src, io::ContainerSink& sink,
       }
     } else {
       const FileSlabRef& ref = map.slabs[s];
-      item.d = Compressor::decompress(
-          stage_read(ctx, src, ref.payload_pos, ref.payload_len, meter, clock));
+      Compressor::decompress(
+          stage_read(ctx, src, ref.payload_pos, ref.payload_len, meter, clock), item.d,
+          *ctx.lease);
       item.declared_offset = ref.field_offset;
       if (item.d.dtype != out.dtype) {
         throw DecodeError(DecodeErrorKind::kCorruptStream, "slab directory",
@@ -911,7 +959,9 @@ void decompress_stream_impl(io::FieldSource& src, io::ContainerSink& sink,
                               " element type disagrees with the container");
       }
     }
-    meter.add(decoded_bytes(item.d).size());  // parked until the packer emits it
+    // A buffer is charged when it is created or grows, and stays charged
+    // while parked and while idle in `buffers` — until `buffers` frees it.
+    meter.add(held_bytes(item.d) - held);
     return item;
   };
 
@@ -932,8 +982,9 @@ void decompress_stream_impl(io::FieldSource& src, io::ContainerSink& sink,
     sink.write(bytes);
     clock.add_write(wt.seconds());
     if (sink.retains_bytes()) meter.add(bytes.size());
-    meter.sub(bytes.size());
     covered += n;
+    const std::size_t held = held_bytes(item.d);
+    if (!buffers.give(std::move(item.d))) meter.sub(held);
   };
 
   const PipelineSeconds t =

@@ -16,6 +16,7 @@ std::array<std::size_t, Workspace::kTrackedBuffers> Workspace::capacities() cons
       huffman.gaps.capacity(),      huffman_chunk_bytes.capacity(),
       vle_freq.capacity(),          book_freq.capacity(),
       codec_bytes.capacity(),       slab_io.capacity(),
+      decode_quant.capacity(),      decode_scratch.capacity(),
   };
 }
 
@@ -58,11 +59,6 @@ void WorkspacePool::release(std::unique_ptr<Workspace> ws,
 WorkspacePool::Stats WorkspacePool::stats() const {
   const MutexLock lock(mutex_);
   return stats_;
-}
-
-WorkspacePool& default_workspace_pool() {
-  static WorkspacePool pool;
-  return pool;
 }
 
 }  // namespace szp

@@ -1,20 +1,24 @@
-// szp — reusable per-call scratch for the compression pipeline.
+// szp — reusable per-call scratch for the compression pipeline, both ways.
 //
 // Every compress() call needs the same family of O(n) buffers: the
 // predictor's quant-code and dense-outlier arrays, the histogram bins and
 // their block-private replicas, the gathered outlier stream plus its tile
-// scratch, and the Huffman encoder's chunk metadata and payload.  Allocating
-// them per call makes repeated-field compression malloc-bound; FZ-GPU makes
-// the same observation for real device buffers (HPDC'23).  A Workspace owns
-// one instance of each buffer and the pipeline stages fill them with
-// capacity-preserving assign()/resize() calls, so a reused Compressor
-// reaches a steady state where no pipeline buffer grows at all.
+// scratch, and the Huffman encoder's chunk metadata and payload.  Every
+// decompress() needs the mirror set: the outlier stream, the quant-codes
+// the codec decodes in place, and the predictor's reconstruct scratch.
+// Allocating them per call makes repeated-field (and per-slab) work
+// malloc- and page-fault-bound; FZ-GPU makes the same observation for real
+// device buffers (HPDC'23).  A Workspace owns one instance of each buffer
+// and the pipeline stages fill them with capacity-preserving
+// assign()/resize() calls, so a reused workspace reaches a steady state
+// where no pipeline buffer grows at all.
 //
 // Concurrency: a Workspace is single-threaded state.  WorkspacePool hands
 // out exclusive leases from a mutex-protected free list — parallel slab
-// streaming acquires one workspace per worker from its Compressor's pool,
-// and at steady state the pool holds max-concurrency workspaces and
-// acquire() allocates nothing.
+// streaming acquires one workspace per worker (from its Compressor's pool
+// to compress, from a pool local to the call to decode), and at steady
+// state the pool holds max-concurrency workspaces and acquire() allocates
+// nothing.
 //
 // Accounting: the pool cannot see inside malloc, so it counts *grow events*
 // instead — a lease compares the capacity of every tracked buffer at
@@ -34,6 +38,7 @@
 #include "core/predictor/regression.hh"
 #include "core/thread_safety.hh"
 #include "core/types.hh"
+#include "sim/aligned.hh"
 #include "sim/sparse.hh"
 
 namespace szp {
@@ -47,7 +52,7 @@ struct Workspace {
   RegressionResult regression;
   InterpolationResult interp;
 
-  // --- Outlier gather (dense -> sparse) ------------------------------------
+  // --- Outlier gather (dense -> sparse); decode reads the stream into it ---
   sim::SparseVector<qdiff_t> outliers;
   std::vector<std::size_t> gather_tile_nnz;
   std::vector<std::size_t> gather_offsets;
@@ -81,8 +86,15 @@ struct Workspace {
   /// streaming allocates no read buffers either.
   std::vector<std::uint8_t> slab_io;
 
+  // --- Decode ---------------------------------------------------------------
+  /// Quant-codes the codec decodes in place (core/codec/codec.hh).
+  sim::device_vector<quant_t> decode_quant;
+  /// PredictStage::reconstruct scratch: Lorenzo's fused residuals, the
+  /// dense outliers of regression and interpolation.
+  sim::device_vector<qdiff_t> decode_scratch;
+
   /// Number of tracked buffers in the capacity snapshot.
-  static constexpr std::size_t kTrackedBuffers = 22;
+  static constexpr std::size_t kTrackedBuffers = 24;
 
   /// Capacity snapshot of every tracked buffer, in a fixed order.  A fixed
   /// array (not a vector) so lease accounting itself never allocates —
@@ -146,9 +158,5 @@ class WorkspacePool {
   std::vector<std::unique_ptr<Workspace>> idle_ SZP_GUARDED_BY(mutex_);
   Stats stats_ SZP_GUARDED_BY(mutex_);
 };
-
-/// Process-wide pool backing the static decompress()/inspect() entry points
-/// and any caller that does not hold a Compressor.
-[[nodiscard]] WorkspacePool& default_workspace_pool();
 
 }  // namespace szp

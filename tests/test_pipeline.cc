@@ -1,18 +1,22 @@
 // Stage-pipeline architecture tests: golden archives pin the byte layout
 // across the registry/workspace refactor, the workspace pool is checked for
-// allocation-free steady state, parallel slab streaming must produce the
-// same container as serial, and the registry's lookup/override contract is
-// exercised end to end.
+// allocation-free steady state in both directions, decoding through a
+// reused workspace must match a fresh decode, parallel slab streaming must
+// produce the same container as serial, and the registry's lookup/override
+// contract is exercised end to end.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <ostream>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "core/archive.hh"
 #include "core/compressor.hh"
+#include "core/error.hh"
 #include "core/pipeline/builtin.hh"
 #include "core/pipeline/registry.hh"
 #include "core/streaming.hh"
@@ -44,6 +48,43 @@ std::vector<double> wave_f64(std::size_t n) {
 
 std::vector<std::uint8_t> golden(const std::string& name) {
   return data::read_bytes(std::string(SZP_GOLDEN_DIR) + "/" + name);
+}
+
+/// A wave under uniform noise: with a 16-code quantizer and a 1e-3 bound
+/// most residuals fall outside the radius, so the archive carries a dense
+/// outlier stream.
+template <typename T>
+std::vector<T> noisy(std::size_t n, std::uint32_t seed) {
+  std::vector<T> v(n);
+  std::uint32_t x = seed;
+  for (std::size_t i = 0; i < n; ++i) {
+    x = x * 1664525u + 1013904223u;
+    const double u = static_cast<double>(x >> 8) / static_cast<double>(1u << 24);
+    v[i] = static_cast<T>(std::sin(static_cast<double>(i) * 0.05) + (u - 0.5));
+  }
+  return v;
+}
+
+template <typename T>
+std::vector<std::uint8_t> noisy_archive(PredictorKind predictor, Workflow wf, const Extents& ext,
+                                        std::uint32_t seed) {
+  CompressConfig cfg;
+  cfg.eb = ErrorBound::absolute(1e-3);
+  cfg.quant.capacity = 16;
+  cfg.predictor = predictor;
+  cfg.workflow = wf;
+  return Compressor(cfg).compress(noisy<T>(ext.count(), seed), ext).bytes;
+}
+
+/// The decoded field as raw bytes, both element types in turn.
+std::vector<std::uint8_t> field_bytes(const Decompressed& d) {
+  std::vector<std::uint8_t> b(d.data.size() * sizeof(float) + d.data_f64.size() * sizeof(double));
+  if (!d.data.empty()) std::memcpy(b.data(), d.data.data(), d.data.size() * sizeof(float));
+  if (!d.data_f64.empty()) {
+    std::memcpy(b.data() + d.data.size() * sizeof(float), d.data_f64.data(),
+                d.data_f64.size() * sizeof(double));
+  }
+  return b;
 }
 
 struct GoldenCase {
@@ -118,6 +159,79 @@ TEST(GoldenArchive, GoldenStillDecodesWithinBound) {
   }
 }
 
+// --- Decode through a reused workspace --------------------------------------
+
+TEST(DecodeReuse, OneWorkspaceDecodesAnySequenceLikeAFreshCall) {
+  // Every golden, ordered so that predictor, codec and element type all
+  // change between neighbours.
+  const char* const kGoldens[] = {
+      "lorenzo__huffman__f32",  "regression__rle__f64",    "lorenzo__rlevle__f32",
+      "interp__huffman__f64",   "lorenzo__rle__f32",       "regression__huffman__f64",
+      "lorenzo__rans__f32",     "interp__rle__f64",        "lorenzo__lz77__f32",
+      "regression__rlevle__f64", "lorenzo__lzh__f32",      "interp__rlevle__f64",
+      "lorenzo__lzr__f32",      "regression__rans__f64",   "interp__huffman__f32",
+      "lorenzo__rle__f64",      "regression__huffman__f32", "lorenzo__rlevle__f64",
+      "interp__rle__f32",       "lorenzo__huffman__f64",   "regression__rle__f32",
+      "lorenzo__rans__f64",     "interp__rlevle__f32",     "lorenzo__lz77__f64",
+      "regression__rans__f32",  "lorenzo__lzh__f64",       "interp__rans__f32",
+      "lorenzo__lzr__f64",      "regression__rlevle__f32", "interp__rans__f64",
+  };
+  std::vector<std::vector<std::uint8_t>> seq;
+  for (const char* stem : kGoldens) seq.push_back(golden(std::string(stem) + ".szp"));
+
+  // Outlier-heavy fields of other sizes, inserted in pairs so the element
+  // type still alternates.  Each leaves outliers or fused residuals in the
+  // workspace scratch beyond what the next, smaller field covers: a
+  // regression or interpolation scatter must re-zero it first.
+  const auto insert_after = [&](std::size_t golden_index, std::vector<std::uint8_t> a,
+                                std::vector<std::uint8_t> b) {
+    const auto at = seq.begin() + static_cast<std::ptrdiff_t>(golden_index + 1);
+    seq.insert(seq.insert(at, std::move(a)) + 1, std::move(b));
+  };
+  insert_after(19, noisy_archive<float>(PredictorKind::kRegression, Workflow::kRans,
+                                        Extents::d2(50, 60), 3),
+               noisy_archive<double>(PredictorKind::kInterpolation, Workflow::kHuffman,
+                                     Extents::d1(2222), 4));
+  insert_after(4, noisy_archive<double>(PredictorKind::kInterpolation, Workflow::kRans,
+                                        Extents::d1(3000), 1),
+               noisy_archive<float>(PredictorKind::kLorenzo, Workflow::kRleVle,
+                                    Extents::d3(14, 12, 10), 2));
+
+  // A corrupt archive mid-sequence: its framing and CRC are valid but its
+  // last RLE run length is off by one, so it is rejected inside the codec
+  // after the outlier stream and the output metadata were written.
+  auto corrupt = noisy_archive<float>(PredictorKind::kRegression, Workflow::kRle,
+                                      Extents::d1(1500), 5);
+  corrupt.resize(corrupt.size() - 4);  // drop the CRC
+  corrupt[corrupt.size() - 2] ^= 1;    // low byte of the last u16 run length
+  archive::append_crc32(corrupt);
+  const std::size_t corrupt_at = 14;
+  seq.insert(seq.begin() + static_cast<std::ptrdiff_t>(corrupt_at), corrupt);
+
+  for (std::size_t i = 1; i < seq.size(); ++i) {
+    if (i == corrupt_at || i == corrupt_at + 1) continue;
+    const auto a = Compressor::inspect(seq[i - 1]);
+    const auto b = Compressor::inspect(seq[i]);
+    EXPECT_NE(a.predictor, b.predictor) << "neighbours " << i - 1 << ", " << i;
+    EXPECT_NE(a.workflow, b.workflow) << "neighbours " << i - 1 << ", " << i;
+    EXPECT_NE(a.dtype, b.dtype) << "neighbours " << i - 1 << ", " << i;
+  }
+
+  Workspace ws;
+  Decompressed out;
+  for (std::size_t i = 0; i < seq.size(); ++i) {
+    if (i == corrupt_at) {
+      EXPECT_THROW(Compressor::decompress(seq[i], out, ws), DecodeError);
+      continue;
+    }
+    Compressor::decompress(seq[i], out, ws);
+    const Decompressed fresh = Compressor::decompress(seq[i]);
+    EXPECT_EQ(out.dtype, fresh.dtype) << "archive " << i;
+    EXPECT_EQ(out.extents, fresh.extents) << "archive " << i;
+    EXPECT_EQ(field_bytes(out), field_bytes(fresh)) << "archive " << i;
+  }
+}
+
 // --- Workspace pool ---------------------------------------------------------
 
 TEST(WorkspacePool, SteadyStateStopsAllocating) {
@@ -186,6 +300,33 @@ TEST(WorkspacePool, ExplicitLeaseReusedAcrossCalls) {
     }
   }
   EXPECT_EQ(comp.workspace_stats().leases, leases_before + 1);
+}
+
+TEST(WorkspacePool, RepeatDecodeThroughOneWorkspaceGrowsNothing) {
+  const Extents ext = Extents::d2(40, 50);
+  for (const PredictorKind p :
+       {PredictorKind::kLorenzo, PredictorKind::kRegression, PredictorKind::kInterpolation}) {
+    for (const Workflow wf : {Workflow::kHuffman, Workflow::kRle, Workflow::kRleVle,
+                              Workflow::kRans, Workflow::kLzr}) {
+      if (p != PredictorKind::kLorenzo && wf == Workflow::kLzr) continue;
+      const std::string label = std::to_string(static_cast<int>(p)) + "/" +
+                                std::to_string(static_cast<int>(wf));
+      const auto archive = noisy_archive<float>(p, wf, ext, 7);
+      Workspace ws;
+      Decompressed out;
+      Compressor::decompress(archive, out, ws);
+      const auto caps = ws.capacities();
+      const std::size_t data_cap = out.data.capacity();
+      Compressor::decompress(archive, out, ws);
+      EXPECT_EQ(ws.capacities(), caps) << label;
+      EXPECT_EQ(out.data.capacity(), data_cap) << label;
+
+      // Same shape, other values: the next decode must rewrite every element.
+      const auto other = noisy_archive<float>(p, wf, ext, 8);
+      Compressor::decompress(other, out, ws);
+      EXPECT_EQ(field_bytes(out), field_bytes(Compressor::decompress(other))) << label;
+    }
+  }
 }
 
 TEST(WorkspacePool, CopiedCompressorStartsCold) {
