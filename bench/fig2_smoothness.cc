@@ -8,6 +8,7 @@
 //      practical selector rule <b> <= 1.09.
 //
 // Also runs the selector-threshold ablation called out in DESIGN.md §6.
+#include <algorithm>
 #include <cmath>
 
 #include "bench/bench_util.hh"
@@ -97,7 +98,8 @@ int main() {
       return Compressor(cfg).compress(bf.values, bf.extents()).stats.ratio;
     };
     println("%-12s | %10.4f %8.4f %8.3f | %9.2f %9.2f %9.2f | %s", name, m.smoothness(),
-            decision.stats.p1, decision.est_avg_bits, ratio_of(Workflow::kHuffman),
+            decision.stats.p1, std::max(1.0, decision.stats.avg_bits_lower()),
+            ratio_of(Workflow::kHuffman),
             ratio_of(Workflow::kRle), ratio_of(Workflow::kRleVle),
             decision.workflow == Workflow::kHuffman ? "VLE" : "RLE(+VLE)");
   }
@@ -126,7 +128,8 @@ int main() {
     const auto vle = Compressor(cfg).compress(bf.values, bf.extents());
     cfg.workflow = Workflow::kRleVle;
     const auto rv = Compressor(cfg).compress(bf.values, bf.extents());
-    evals.push_back({vle.stats.decision.est_avg_bits, vle.stats.ratio, rv.stats.ratio});
+    evals.push_back({std::max(1.0, vle.stats.decision.stats.avg_bits_lower()), vle.stats.ratio,
+                     rv.stats.ratio});
   }
   for (const double threshold : {0.9, 1.0, 1.09, 1.2, 1.5, 2.0}) {
     int to_rle = 0;

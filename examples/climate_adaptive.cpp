@@ -8,6 +8,7 @@
 // the histogram alone, with no trial compression.
 //
 //   ./examples/climate_adaptive [axis_scale]
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -48,7 +49,7 @@ int main(int argc, char** argv) {
     total_fixed += fixed.stats.compressed_bytes;
 
     std::printf("%-12s %10.3f %10s %8.2fx %7.1fdB   %+6.1f%%\n", field.spec.name.c_str(),
-                adaptive.stats.decision.est_avg_bits,
+                std::max(1.0, adaptive.stats.decision.stats.avg_bits_lower()),
                 adaptive.stats.workflow_used == szp::Workflow::kHuffman ? "Huffman" : "RLE+VLE",
                 adaptive.stats.ratio, m.psnr_db,
                 100.0 * (adaptive.stats.ratio / fixed.stats.ratio - 1.0));

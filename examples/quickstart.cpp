@@ -2,6 +2,7 @@
 // verify the bound — the 60-second tour of the szp public API.
 //
 //   ./examples/quickstart [rel_eb]
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <vector>
@@ -38,7 +39,8 @@ int main(int argc, char** argv) {
               compressed.stats.ratio);
   std::printf("workflow: %s (selector estimated <b> = %.3f bits/symbol, p1 = %.3f)\n",
               compressed.stats.workflow_used == szp::Workflow::kHuffman ? "Huffman" : "RLE+VLE",
-              compressed.stats.decision.est_avg_bits, compressed.stats.decision.stats.p1);
+              std::max(1.0, compressed.stats.decision.stats.avg_bits_lower()),
+              compressed.stats.decision.stats.p1);
   std::printf("outliers: %zu of %zu values (%.4f%%)\n", compressed.stats.outlier_count,
               field.size(),
               100.0 * static_cast<double>(compressed.stats.outlier_count) /

@@ -13,15 +13,7 @@ WorkflowDecision select_workflow(std::span<const std::uint64_t> freq,
                                  std::size_t bytes_per_value, const SelectorConfig& cfg) {
   WorkflowDecision d;
   d.stats = entropy_stats(freq);
-
-  // Legacy evidence fields (the paper's §III quantities), kept because the
-  // CLI and tests report them and because the ⟨b⟩ ≤ 1.09 rule is the
-  // ratio-only two-candidate special case of the ranking below.
-  d.est_avg_bits = std::max(1.0, d.stats.avg_bits_lower());
   const double value_bits = static_cast<double>(bytes_per_value) * 8.0;
-  d.est_vle_cr = d.est_avg_bits > 0.0 ? value_bits / d.est_avg_bits : 0.0;
-  const double change_rate = std::max(1e-12, 1.0 - d.stats.p1);
-  d.est_rle_bits = 32.0 * change_rate;
 
   // --- Rank every registered codec ----------------------------------------
   const sim::DeviceSpec& dev = cfg.device != nullptr ? *cfg.device : sim::v100();
@@ -71,15 +63,15 @@ WorkflowDecision select_workflow(std::span<const std::uint64_t> freq,
     s.score = cfg.ratio_weight * ratio_norm + cfg.throughput_weight * time_norm;
   }
 
-  // Rank best-first with a deterministic tie-break on the workflow tag;
-  // cfg.prefer_rle_vle keeps the paper's preference when plain RLE and
-  // RLE+VLE land on exactly the same score.
-  std::stable_sort(d.scores.begin(), d.scores.end(), [&](const CodecScore& a,
-                                                         const CodecScore& b) {
+  // Rank best-first with a deterministic tie-break on the workflow tag,
+  // except that RLE+VLE ranks before plain RLE on an exact score tie (the
+  // paper's preference).
+  std::stable_sort(d.scores.begin(), d.scores.end(), [](const CodecScore& a,
+                                                        const CodecScore& b) {
     if (a.score != b.score) return a.score > b.score;
-    const auto rank = [&](const CodecScore& s) {
-      if (s.workflow == Workflow::kRleVle) return cfg.prefer_rle_vle ? -1 : 1;
-      if (s.workflow == Workflow::kRle) return cfg.prefer_rle_vle ? 1 : -1;
+    const auto rank = [](const CodecScore& s) {
+      if (s.workflow == Workflow::kRleVle) return -1;
+      if (s.workflow == Workflow::kRle) return 1;
       return static_cast<int>(s.workflow);
     };
     return rank(a) < rank(b);

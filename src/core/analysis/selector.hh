@@ -51,7 +51,6 @@ enum class Workflow : std::uint8_t {
 };
 
 struct SelectorConfig {
-  bool prefer_rle_vle = true;  ///< when plain RLE and RLE+VLE tie, take VLE
   /// Objective weights.  ratio_weight rewards the projected compression
   /// ratio, throughput_weight rewards modeled encode speed; both are
   /// normalized against the best candidate, so only their relative size
@@ -79,12 +78,12 @@ struct CodecScore {
   double score = 0.0;               ///< weighted objective, higher is better
 };
 
+/// The selector's verdict and all of its evidence: the histogram
+/// statistics (the paper's ⟨b⟩ ≈ max(1, H + R⁻) is
+/// max(1, stats.avg_bits_lower())) and one projected row per codec.
 struct WorkflowDecision {
   Workflow workflow = Workflow::kHuffman;
-  EntropyStats stats;            ///< the histogram evidence
-  double est_avg_bits = 0.0;     ///< projected Huffman ⟨b⟩ = max(1, H + R⁻)
-  double est_vle_cr = 0.0;       ///< projected CR of Workflow-Huffman
-  double est_rle_bits = 0.0;     ///< projected ⟨b⟩_RLE from p1 (geometric runs)
+  EntropyStats stats;              ///< the histogram evidence
   std::vector<CodecScore> scores;  ///< every registered codec, best first
 };
 

@@ -32,15 +32,8 @@ inline constexpr std::uint16_t kVersion = 2;
 inline constexpr std::uint16_t kVersionCodec = 3;
 
 /// The fixed-size leading header of an SZP+ archive (everything before the
-/// predictor aux payload).
-struct ArchiveHeader {
-  Workflow workflow = Workflow::kHuffman;
-  DType dtype = DType::kFloat32;
-  Extents extents;
-  double eb_abs = 0.0;          ///< kernel-side absolute bound
-  std::uint32_t capacity = 0;   ///< quantizer capacity (histogram bins)
-  PredictorKind predictor = PredictorKind::kLorenzo;
-};
+/// predictor aux payload) — the struct Compressor::inspect() returns.
+using ArchiveHeader = Compressor::ArchiveInfo;
 
 /// Serialize the header (magic, version, rank, workflow, dtype, extents,
 /// bound, capacity, predictor — in that order, little-endian).

@@ -28,9 +28,8 @@ void validate_exactness(const ValueRange& range, double eb_abs) {
   }
 }
 
-template <typename T>
-Compressed compress_impl(const CompressConfig& cfg_, std::span<const T> data,
-                         const Extents& ext, Workspace& ws) {
+Compressed compress_impl(const CompressConfig& cfg_, FieldView data, const Extents& ext,
+                         Workspace& ws) {
   if (data.empty() || data.size() != ext.count()) {
     throw std::invalid_argument("Compressor::compress: data must be non-empty and match extents");
   }
@@ -43,14 +42,14 @@ Compressed compress_impl(const CompressConfig& cfg_, std::span<const T> data,
   CompressStats& st = out.stats;
   st.original_bytes = data.size_bytes();
 
-  const ValueRange range = ValueRange::of(data);
+  const ValueRange range = data.visit([](auto elems) { return ValueRange::of(elems); });
   if (!range.finite) {
     throw std::invalid_argument("Compressor::compress: data contains non-finite values");
   }
   // The kernels run with a slightly tightened bound so the user-visible
   // guarantee |d - d'| < eb holds *strictly* even when prequantization
   // rounds a midpoint (error exactly eb) and the output value rounds to T.
-  const double ulp = std::is_same_v<T, float> ? 0x1p-22 : 0x1p-51;
+  const double ulp = data.dtype() == DType::kFloat32 ? 0x1p-22 : 0x1p-51;
   const double eb_user = cfg_.eb.resolve(range.span());
   const double margin = std::max(eb_user * 1e-6, range.max_abs() * ulp);
   if (margin >= 0.5 * eb_user) {
@@ -97,7 +96,7 @@ Compressed compress_impl(const CompressConfig& cfg_, std::span<const T> data,
 
   // --- Workflow selection -------------------------------------------------
   Workflow wf = cfg_.workflow;
-  st.decision = select_workflow(ws.freq, sizeof(T), cfg_.selector);
+  st.decision = select_workflow(ws.freq, dtype_size(data.dtype()), cfg_.selector);
   if (wf == Workflow::kAuto) wf = st.decision.workflow;
   st.workflow_used = wf;
   if (wf == Workflow::kAuto) {
@@ -107,8 +106,7 @@ Compressed compress_impl(const CompressConfig& cfg_, std::span<const T> data,
   // --- Header + predictor aux payload -------------------------------------
   ByteWriter w;
   archive::write_header(
-      w, {wf, std::is_same_v<T, float> ? DType::kFloat32 : DType::kFloat64, ext, eb_kernel,
-          cfg_.quant.capacity, cfg_.predictor});
+      w, {wf, data.dtype(), ext, eb_kernel, cfg_.quant.capacity, cfg_.predictor});
   predictor.write_aux(w, ws);
 
   // --- Outlier section ----------------------------------------------------
@@ -129,50 +127,25 @@ Compressed compress_impl(const CompressConfig& cfg_, std::span<const T> data,
 
 }  // namespace
 
-Compressed Compressor::compress(std::span<const float> data, const Extents& ext) const {
-  auto lease = pool_.acquire();
-  return compress_impl(cfg_, data, ext, *lease);
+Compressed Compressor::compress(FieldView data, const Extents& ext) const {
+  return compress(data, ext, cfg_);
 }
 
-Compressed Compressor::compress(std::span<const double> data, const Extents& ext) const {
-  auto lease = pool_.acquire();
-  return compress_impl(cfg_, data, ext, *lease);
-}
-
-Compressed Compressor::compress(std::span<const float> data, const Extents& ext,
+Compressed Compressor::compress(FieldView data, const Extents& ext,
                                 const CompressConfig& cfg) const {
   auto lease = pool_.acquire();
   return compress_impl(cfg, data, ext, *lease);
 }
 
-Compressed Compressor::compress(std::span<const double> data, const Extents& ext,
-                                const CompressConfig& cfg) const {
-  auto lease = pool_.acquire();
-  return compress_impl(cfg, data, ext, *lease);
-}
-
-Compressed Compressor::compress(std::span<const float> data, const Extents& ext,
-                                const CompressConfig& cfg, Workspace& ws) const {
-  return compress_impl(cfg, data, ext, ws);
-}
-
-Compressed Compressor::compress(std::span<const double> data, const Extents& ext,
-                                const CompressConfig& cfg, Workspace& ws) const {
+Compressed Compressor::compress(FieldView data, const Extents& ext, const CompressConfig& cfg,
+                                Workspace& ws) const {
   return compress_impl(cfg, data, ext, ws);
 }
 
 Compressor::ArchiveInfo Compressor::inspect(std::span<const std::uint8_t> archive) {
   return decode_guard("szp archive", [&] {
     ByteReader r(archive::checked_body(archive));
-    const archive::ArchiveHeader h = archive::read_header(r);
-    ArchiveInfo info;
-    info.workflow = h.workflow;
-    info.dtype = h.dtype;
-    info.extents = h.extents;
-    info.eb_abs = h.eb_abs;
-    info.capacity = h.capacity;
-    info.predictor = h.predictor;
-    return info;
+    return archive::read_header(r);
   });
 }
 
@@ -188,8 +161,7 @@ void Compressor::decompress(std::span<const std::uint8_t> archive, Decompressed&
     predictor.read_aux(r, aux);
 
     const std::size_t n = h.extents.count();
-    const std::size_t payload_bytes =
-        n * (h.dtype == DType::kFloat32 ? sizeof(float) : sizeof(double));
+    const std::size_t payload_bytes = n * dtype_size(h.dtype);
 
     sim::SparseVector<qdiff_t>& outliers = ws.outliers;
     r.set_segment("outliers");
@@ -214,13 +186,6 @@ void Compressor::decompress(std::span<const std::uint8_t> archive, Decompressed&
     out.extents = h.extents;
     out.dtype = h.dtype;
     out.pipeline.stages.clear();
-    // A reused `out` may hold the other element type's field from an
-    // earlier call; a fresh result has only this dtype's buffer filled.
-    if (h.dtype == DType::kFloat32) {
-      out.data_f64.clear();
-    } else {
-      out.data.clear();
-    }
 
     // --- Decode quant-codes -------------------------------------------------
     r.set_segment("quant-codes");

@@ -8,6 +8,11 @@
 // The Compressor itself is thin: it validates inputs, resolves the error
 // bound, and assembles the pipeline by StageRegistry lookup
 // (core/pipeline/) around the shared archive framing (core/archive.hh).
+// The API is dtype-generic: a field enters as one FieldView
+// (core/types.hh) whatever its element type, and comes back as one
+// Decompressed whose bytes()/write_field() are the only code that picks
+// between its float and double vectors.  The element type is a template
+// parameter only on the kernels the stages visit into.
 // Per-call scratch comes from a reusable WorkspacePool (core/workspace.hh),
 // so a reused Compressor performs zero steady-state allocations in the
 // compression hot path; decompression reaches the same steady state
@@ -30,11 +35,6 @@
 #include "sim/profile.hh"
 
 namespace szp {
-
-/// Element type of the uncompressed field.  Doubles raise the Huffman CR
-/// ceiling from 32x to 64x (paper §III) and permit error bounds below
-/// float32 precision.
-enum class DType : std::uint8_t { kFloat32 = 0, kFloat64 = 1 };
 
 /// Which prediction model transforms values into quant-codes.
 enum class PredictorKind : std::uint8_t {
@@ -79,12 +79,43 @@ struct Compressed {
   CompressStats stats;
 };
 
+/// A decoded field.  `dtype` says which of the two vectors holds it; the
+/// other is empty.  Library code never picks between them by hand: it goes
+/// through bytes(), held_bytes() and write_field().
 struct Decompressed {
   DType dtype = DType::kFloat32;
   std::vector<float> data;        ///< filled when dtype == kFloat32
   std::vector<double> data_f64;   ///< filled when dtype == kFloat64
   Extents extents;
-  sim::PipelineReport pipeline;
+  sim::PipelineReport pipeline;   ///< the decode's stage report
+
+  /// The decoded elements as raw bytes (the vector `dtype` selects).
+  [[nodiscard]] std::span<const std::uint8_t> bytes() const {
+    if (dtype == DType::kFloat64) {
+      return {reinterpret_cast<const std::uint8_t*>(data_f64.data()),
+              data_f64.size() * sizeof(double)};
+    }
+    return {reinterpret_cast<const std::uint8_t*>(data.data()), data.size() * sizeof(float)};
+  }
+
+  /// Heap bytes the two vectors hold (capacity, not size).
+  [[nodiscard]] std::size_t held_bytes() const {
+    return data.capacity() * sizeof(float) + data_f64.capacity() * sizeof(double);
+  }
+
+  /// Clear the vector `dtype` does not select and call `f` with the one it
+  /// does (std::vector<float>& or std::vector<double>&), for the caller to
+  /// size and fill.  A reused result may hold the other element type's
+  /// field from an earlier decode; this is what drops it.
+  template <typename F>
+  decltype(auto) write_field(F&& f) {
+    if (dtype == DType::kFloat64) {
+      data.clear();
+      return std::forward<F>(f)(data_f64);
+    }
+    data_f64.clear();
+    return std::forward<F>(f)(data);
+  }
 };
 
 /// Error-bounded lossy compressor (cuSZ+).  Holds only its configuration
@@ -104,19 +135,17 @@ class Compressor {
 
   [[nodiscard]] const CompressConfig& config() const { return cfg_; }
 
-  /// Compress one field (float32 or float64).  Throws std::invalid_argument
-  /// on empty/mismatched input, non-finite data, or an error bound too
-  /// tight for exact integer residual arithmetic (max|d|/2eb must stay
-  /// below 2^27).
-  [[nodiscard]] Compressed compress(std::span<const float> data, const Extents& ext) const;
-  [[nodiscard]] Compressed compress(std::span<const double> data, const Extents& ext) const;
+  /// Compress one field: a FieldView, so any contiguous float or double
+  /// range converts in place.  Throws std::invalid_argument on
+  /// empty/mismatched input, non-finite data, or an error bound too tight
+  /// for exact integer residual arithmetic (max|d|/2eb must stay below
+  /// 2^27).
+  [[nodiscard]] Compressed compress(FieldView data, const Extents& ext) const;
 
   /// Compress with a per-call config override (e.g. the streaming layer's
   /// pre-resolved absolute bound), still reusing this Compressor's
   /// workspace pool.
-  [[nodiscard]] Compressed compress(std::span<const float> data, const Extents& ext,
-                                    const CompressConfig& cfg) const;
-  [[nodiscard]] Compressed compress(std::span<const double> data, const Extents& ext,
+  [[nodiscard]] Compressed compress(FieldView data, const Extents& ext,
                                     const CompressConfig& cfg) const;
 
   /// Compress through an explicitly supplied workspace (bypasses the pool).
@@ -125,19 +154,12 @@ class Compressor {
   /// the pool mutex and per-lease capacity accounting are paid once per
   /// worker instead of once per slab.  The workspace must not be shared
   /// across concurrent calls.
-  [[nodiscard]] Compressed compress(std::span<const float> data, const Extents& ext,
-                                    const CompressConfig& cfg, Workspace& ws) const;
-  [[nodiscard]] Compressed compress(std::span<const double> data, const Extents& ext,
+  [[nodiscard]] Compressed compress(FieldView data, const Extents& ext,
                                     const CompressConfig& cfg, Workspace& ws) const;
 
   /// Exclusive RAII lease on one of this Compressor's pooled workspaces,
-  /// for use with the explicit-workspace compress overloads.
+  /// for use with the explicit-workspace compress overload.
   [[nodiscard]] WorkspaceLease lease_workspace() const { return pool_.acquire(); }
-
-  template <typename T, typename Alloc>
-  [[nodiscard]] Compressed compress(const std::vector<T, Alloc>& data, const Extents& ext) const {
-    return compress(std::span<const T>(data.data(), data.size()), ext);
-  }
 
   /// Decompress an archive produced by compress().  `recon` selects the
   /// reconstruction kernel variant (Table II ablation); the default is the
@@ -157,15 +179,17 @@ class Compressor {
   static void decompress(std::span<const std::uint8_t> archive, Decompressed& out,
                          Workspace& ws, const ReconstructConfig& recon = {});
 
-  /// Parse an archive's header without decompressing the payload.
+  /// An archive's fixed header: everything before the predictor aux
+  /// payload (core/archive.hh reads and writes it as archive::ArchiveHeader).
   struct ArchiveInfo {
-    Extents extents;
-    DType dtype = DType::kFloat32;
     Workflow workflow = Workflow::kHuffman;
+    DType dtype = DType::kFloat32;
+    Extents extents;
+    double eb_abs = 0.0;          ///< kernel-side absolute bound
+    std::uint32_t capacity = 0;   ///< quantizer capacity (histogram bins)
     PredictorKind predictor = PredictorKind::kLorenzo;
-    double eb_abs = 0.0;
-    std::uint32_t capacity = 0;
   };
+  /// Parse an archive's header without decompressing the payload.
   [[nodiscard]] static ArchiveInfo inspect(std::span<const std::uint8_t> archive);
 
   /// Pool accounting for this Compressor's workspaces (allocation tests and

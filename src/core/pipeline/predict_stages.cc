@@ -42,15 +42,10 @@ class LorenzoStage final : public PredictStage {
   [[nodiscard]] PredictorKind kind() const override { return PredictorKind::kLorenzo; }
   [[nodiscard]] const char* construct_stage() const override { return "lorenzo_construct"; }
 
-  [[nodiscard]] PredictProduct construct(std::span<const float> data, const Extents& ext,
-                                         double eb_kernel, const CompressConfig& cfg,
+  [[nodiscard]] PredictProduct construct(FieldView data, const Extents& ext, double eb_kernel,
+                                         const CompressConfig& cfg,
                                          Workspace& ws) const override {
-    return construct_impl(data, ext, eb_kernel, cfg, ws);
-  }
-  [[nodiscard]] PredictProduct construct(std::span<const double> data, const Extents& ext,
-                                         double eb_kernel, const CompressConfig& cfg,
-                                         Workspace& ws) const override {
-    return construct_impl(data, ext, eb_kernel, cfg, ws);
+    return data.visit([&](auto elems) { return construct_impl(elems, ext, eb_kernel, cfg, ws); });
   }
 
   void write_aux(ByteWriter&, const Workspace&) const override {}  // no sidecar
@@ -86,14 +81,11 @@ class LorenzoStage final : public PredictStage {
 
     // --- Partial-sum Lorenzo reconstruction --------------------------------
     t.reset();
-    sim::KernelCost recon_cost;
-    if (out.dtype == DType::kFloat32) {
-      out.data.resize(n);
-      recon_cost = lorenzo_reconstruct_fused<float>(qprime, ext, eb_abs, out.data, recon);
-    } else {
-      out.data_f64.resize(n);
-      recon_cost = lorenzo_reconstruct_fused<double>(qprime, ext, eb_abs, out.data_f64, recon);
-    }
+    const sim::KernelCost recon_cost =
+        out.write_field([&]<typename T>(std::vector<T>& field) {
+          field.resize(n);
+          return lorenzo_reconstruct_fused<T>(qprime, ext, eb_abs, field, recon);
+        });
     out.pipeline.add({"lorenzo_reconstruct", payload_bytes, t.seconds(), recon_cost});
   }
 
@@ -115,15 +107,10 @@ class RegressionStage final : public PredictStage {
   [[nodiscard]] PredictorKind kind() const override { return PredictorKind::kRegression; }
   [[nodiscard]] const char* construct_stage() const override { return "regression_construct"; }
 
-  [[nodiscard]] PredictProduct construct(std::span<const float> data, const Extents& ext,
-                                         double eb_kernel, const CompressConfig& cfg,
+  [[nodiscard]] PredictProduct construct(FieldView data, const Extents& ext, double eb_kernel,
+                                         const CompressConfig& cfg,
                                          Workspace& ws) const override {
-    return construct_impl(data, ext, eb_kernel, cfg, ws);
-  }
-  [[nodiscard]] PredictProduct construct(std::span<const double> data, const Extents& ext,
-                                         double eb_kernel, const CompressConfig& cfg,
-                                         Workspace& ws) const override {
-    return construct_impl(data, ext, eb_kernel, cfg, ws);
+    return data.visit([&](auto elems) { return construct_impl(elems, ext, eb_kernel, cfg, ws); });
   }
 
   void write_aux(ByteWriter& w, const Workspace& ws) const override {
@@ -142,16 +129,12 @@ class RegressionStage final : public PredictStage {
     const std::size_t n = ext.count();
     const auto outlier_dense = scatter_dense(outliers, n, payload_bytes, scratch, out.pipeline);
     sim::Timer t;
-    sim::KernelCost recon_cost;
-    if (out.dtype == DType::kFloat32) {
-      out.data.resize(n);
-      recon_cost = regression_reconstruct<float>(quant, outlier_dense, aux.coefficients, ext,
-                                                 eb_abs, qcfg, out.data);
-    } else {
-      out.data_f64.resize(n);
-      recon_cost = regression_reconstruct<double>(quant, outlier_dense, aux.coefficients, ext,
-                                                  eb_abs, qcfg, out.data_f64);
-    }
+    const sim::KernelCost recon_cost =
+        out.write_field([&]<typename T>(std::vector<T>& field) {
+          field.resize(n);
+          return regression_reconstruct<T>(quant, outlier_dense, aux.coefficients, ext, eb_abs,
+                                           qcfg, field);
+        });
     out.pipeline.add({"regression_reconstruct", payload_bytes, t.seconds(), recon_cost});
   }
 
@@ -174,15 +157,10 @@ class InterpolationStage final : public PredictStage {
     return "interpolation_construct";
   }
 
-  [[nodiscard]] PredictProduct construct(std::span<const float> data, const Extents& ext,
-                                         double eb_kernel, const CompressConfig& cfg,
+  [[nodiscard]] PredictProduct construct(FieldView data, const Extents& ext, double eb_kernel,
+                                         const CompressConfig& cfg,
                                          Workspace& ws) const override {
-    return construct_impl(data, ext, eb_kernel, cfg, ws);
-  }
-  [[nodiscard]] PredictProduct construct(std::span<const double> data, const Extents& ext,
-                                         double eb_kernel, const CompressConfig& cfg,
-                                         Workspace& ws) const override {
-    return construct_impl(data, ext, eb_kernel, cfg, ws);
+    return data.visit([&](auto elems) { return construct_impl(elems, ext, eb_kernel, cfg, ws); });
   }
 
   void write_aux(ByteWriter& w, const Workspace& ws) const override {
@@ -203,18 +181,12 @@ class InterpolationStage final : public PredictStage {
     const std::size_t n = ext.count();
     const auto outlier_dense = scatter_dense(outliers, n, payload_bytes, scratch, out.pipeline);
     sim::Timer t;
-    sim::KernelCost recon_cost;
-    if (out.dtype == DType::kFloat32) {
-      out.data.resize(n);
-      recon_cost = interpolation_reconstruct<float>(quant, outlier_dense, aux.coefficients,
-                                                    aux.level, true, ext, eb_abs, qcfg,
-                                                    out.data);
-    } else {
-      out.data_f64.resize(n);
-      recon_cost = interpolation_reconstruct<double>(quant, outlier_dense, aux.coefficients,
-                                                     aux.level, true, ext, eb_abs, qcfg,
-                                                     out.data_f64);
-    }
+    const sim::KernelCost recon_cost =
+        out.write_field([&]<typename T>(std::vector<T>& field) {
+          field.resize(n);
+          return interpolation_reconstruct<T>(quant, outlier_dense, aux.coefficients, aux.level,
+                                              true, ext, eb_abs, qcfg, field);
+        });
     out.pipeline.add({"interpolation_reconstruct", payload_bytes, t.seconds(), recon_cost});
   }
 

@@ -19,6 +19,9 @@
 //   * Stages serialize *directly* after the fixed archive header
 //     (core/archive.hh) in a layout they own; the encode and decode halves
 //     of one workflow must agree byte-for-byte.
+//   * Stages are dtype-generic: construct() takes a FieldView and visits it
+//     once into the stage's typed kernel; reconstruct() sizes and fills the
+//     field through Decompressed::write_field().
 //   * Stages report their work as PipelineReport entries using the same
 //     stage names the monolithic compressor used ("lorenzo_construct",
 //     "huffman_book", ... ) — tests and the perf benches pin those names.
@@ -66,11 +69,10 @@ class PredictStage {
   /// PipelineReport entry name of the construct pass (pinned by tests).
   [[nodiscard]] virtual const char* construct_stage() const = 0;
 
-  /// Fill ws with quant-codes and the dense outlier array for `data`.
-  [[nodiscard]] virtual PredictProduct construct(std::span<const float> data, const Extents& ext,
-                                                 double eb_kernel, const CompressConfig& cfg,
-                                                 Workspace& ws) const = 0;
-  [[nodiscard]] virtual PredictProduct construct(std::span<const double> data, const Extents& ext,
+  /// Fill ws with quant-codes and the dense outlier array for `data`
+  /// (either element type: a stage visits the view once into its typed
+  /// kernel).
+  [[nodiscard]] virtual PredictProduct construct(FieldView data, const Extents& ext,
                                                  double eb_kernel, const CompressConfig& cfg,
                                                  Workspace& ws) const = 0;
 
@@ -81,7 +83,8 @@ class PredictStage {
 
   /// Rebuild the field from decoded quant-codes and the sparse outlier
   /// stream; appends its own PipelineReport entries (scatter + reconstruct)
-  /// and resizes and fills out.data / out.data_f64 according to out.dtype.
+  /// and sizes and fills the field through out.write_field() (out.dtype
+  /// is already set).
   /// `scratch` is workspace memory holding anything from an earlier call:
   /// the stage sizes it to ext.count() and owns its contents — a stage
   /// that scatters outliers into it re-zeroes it first.

@@ -432,14 +432,12 @@ void finish_stats(StreamingStats& stats, const PipelineSeconds& t, const PhaseCl
   stats.peak_resident_bytes = meter.peak.load(std::memory_order_relaxed);
 }
 
-/// Per-worker pipeline context: a leased workspace (compress under a
-/// parallel config; decode always) and a slab staging buffer for viewless
-/// sources.  Staging prefers the workspace's tracked slab_io buffer so
-/// steady-state out-of-core runs allocate nothing; a worker without a lease
-/// falls back to its own vector.
+/// Per-worker pipeline context: one workspace leased for the worker's
+/// whole run, compress and decode alike.  Its tracked slab_io buffer stages
+/// slabs read from viewless sources, so steady-state out-of-core runs
+/// allocate nothing.
 struct WorkerCtx {
   WorkspaceLease lease;
-  std::vector<std::uint8_t> own_buf;
   std::size_t charged = 0;  ///< staging capacity already on the meter
 };
 
@@ -448,7 +446,7 @@ struct WorkerCtx {
 std::span<const std::uint8_t> stage_read(WorkerCtx& ctx, const io::FieldSource& src,
                                          std::size_t pos, std::size_t len, ResidencyMeter& meter,
                                          PhaseClock& clock) {
-  std::vector<std::uint8_t>& buf = ctx.lease ? ctx.lease->slab_io : ctx.own_buf;
+  std::vector<std::uint8_t>& buf = ctx.lease->slab_io;
   sim::Timer rt;
   buf.resize(len);
   src.read_at(pos, std::span<std::uint8_t>(buf.data(), len));
@@ -460,27 +458,26 @@ std::span<const std::uint8_t> stage_read(WorkerCtx& ctx, const io::FieldSource& 
   return {buf.data(), len};
 }
 
-template <typename T>
 StreamingStats compress_stream_impl(const StreamingConfig& cfg, const Compressor& compressor,
-                                    io::FieldSource& src, const Extents& ext,
+                                    io::FieldSource& src, DType dtype, const Extents& ext,
                                     io::ContainerSink& sink) {
+  const std::size_t esize = dtype_size(dtype);
   const std::size_t total = ext.count();
   if (total == 0) {
     throw std::invalid_argument("StreamingCompressor::compress: data must match extents");
   }
-  if (src.size_bytes() != total * sizeof(T)) {
+  if (src.size_bytes() != total * esize) {
     throw std::invalid_argument("StreamingCompressor::compress: source " + src.name() +
                                 " holds " + std::to_string(src.size_bytes()) +
-                                " bytes, extents declare " + std::to_string(total * sizeof(T)));
+                                " bytes, extents declare " + std::to_string(total * esize));
   }
   const std::size_t plan_workers = resolve_workers(cfg);
-  const StreamPlan plan = plan_stream(ext, cfg, plan_workers, sizeof(T));
+  const StreamPlan plan = plan_stream(ext, cfg, plan_workers, esize);
 
   StreamingStats stats;
   stats.original_bytes = src.size_bytes();
 
   const std::span<const std::uint8_t> view = src.view();
-  const T* view_elems = view.empty() ? nullptr : reinterpret_cast<const T*>(view.data());
   ResidencyMeter meter;
   PhaseClock clock;
 
@@ -492,9 +489,12 @@ StreamingStats compress_stream_impl(const StreamingConfig& cfg, const Compressor
   sim::Timer phase_timer;
   CompressConfig slab_cfg = cfg.base;
   if (cfg.base.eb.mode != EbMode::kAbsolute) {
-    const ValueRange range = view_elems != nullptr
-                                 ? field_range_blocked(std::span<const T>(view_elems, total))
-                                 : field_range_streamed<T>(src, total);
+    const ValueRange range =
+        !view.empty()
+            ? FieldView(view, dtype).visit([](auto elems) { return field_range_blocked(elems); })
+            : dispatch_dtype(dtype, [&](auto tag) {
+                return field_range_streamed<decltype(tag)>(src, total);
+              });
     if (!range.finite) {
       throw std::invalid_argument("StreamingCompressor::compress: non-finite values");
     }
@@ -511,8 +511,7 @@ StreamingStats compress_stream_impl(const StreamingConfig& cfg, const Compressor
     w.put(kContainerMagic);
     w.put(kContainerVersion);
     w.put<std::uint8_t>(static_cast<std::uint8_t>(ext.rank));
-    w.put<std::uint8_t>(static_cast<std::uint8_t>(
-        std::is_same_v<T, float> ? DType::kFloat32 : DType::kFloat64));
+    w.put<std::uint8_t>(static_cast<std::uint8_t>(dtype));
     w.put<std::uint64_t>(ext.nx);
     w.put<std::uint64_t>(ext.ny);
     w.put<std::uint64_t>(ext.nz);
@@ -534,24 +533,17 @@ StreamingStats compress_stream_impl(const StreamingConfig& cfg, const Compressor
   const std::size_t workers = run_workers(cfg, std::min(plan.workers, plan.slabs.count));
   stats.workers_used = workers;
 
-  const auto make_ctx = [&] {
-    // Lease iff the config is parallel (single-worker parallel runs keep
-    // the pipeline's per-worker discipline; a genuinely serial config skips
-    // the pool round-trip) — lease assignment is deleted, so build in place.
-    return WorkerCtx{cfg.parallel ? compressor.lease_workspace() : WorkspaceLease(), {}, 0};
-  };
+  // Every worker leases one workspace for its whole run.
+  const auto make_ctx = [&] { return WorkerCtx{compressor.lease_workspace(), 0}; };
 
   const auto produce = [&](WorkerCtx& ctx, std::size_t s) -> Compressed {
     const SlabInfo at = slab_at(s);
-    const std::size_t n = at.extents.count();
-    const T* elems =
-        view_elems != nullptr
-            ? view_elems + at.offset
-            : reinterpret_cast<const T*>(
-                  stage_read(ctx, src, at.offset * sizeof(T), n * sizeof(T), meter, clock).data());
-    const std::span<const T> span(elems, n);
-    Compressed slab = ctx.lease ? compressor.compress(span, at.extents, slab_cfg, *ctx.lease)
-                                : compressor.compress(span, at.extents, slab_cfg);
+    const std::size_t pos = at.offset * esize;
+    const std::size_t len = at.extents.count() * esize;
+    const std::span<const std::uint8_t> bytes =
+        !view.empty() ? view.subspan(pos, len) : stage_read(ctx, src, pos, len, meter, clock);
+    Compressed slab =
+        compressor.compress(FieldView(bytes, dtype), at.extents, slab_cfg, *ctx.lease);
     meter.add(slab.bytes.size());  // parked until the packer drains it
     return slab;
   };
@@ -588,17 +580,15 @@ StreamingStats compress_stream_impl(const StreamingConfig& cfg, const Compressor
   return stats;
 }
 
-template <typename T>
 StreamingCompressed compress_impl(const StreamingConfig& cfg, const Compressor& compressor,
-                                  std::span<const T> data, const Extents& ext) {
+                                  FieldView data, const Extents& ext) {
   if (data.empty() || data.size() != ext.count()) {
     throw std::invalid_argument("StreamingCompressor::compress: data must match extents");
   }
-  io::SpanFieldSource src(std::span<const std::uint8_t>(
-      reinterpret_cast<const std::uint8_t*>(data.data()), data.size_bytes()));
+  io::SpanFieldSource src(data.bytes());
   io::VectorSink sink;
   StreamingCompressed out;
-  out.stats = compress_stream_impl<T>(cfg, compressor, src, ext, sink);
+  out.stats = compress_stream_impl(cfg, compressor, src, data.dtype(), ext, sink);
   out.bytes = sink.take();
   return out;
 }
@@ -793,20 +783,6 @@ struct DecodedSlab {
   std::size_t declared_offset = 0;  ///< element offset from the directory
 };
 
-std::span<const std::uint8_t> decoded_bytes(const Decompressed& d) {
-  if (d.dtype == DType::kFloat32) {
-    return {reinterpret_cast<const std::uint8_t*>(d.data.data()),
-            d.data.size() * sizeof(float)};
-  }
-  return {reinterpret_cast<const std::uint8_t*>(d.data_f64.data()),
-          d.data_f64.size() * sizeof(double)};
-}
-
-/// Heap bytes a decoded-slab buffer holds (both element types' capacity).
-std::size_t held_bytes(const Decompressed& d) {
-  return d.data.capacity() * sizeof(float) + d.data_f64.capacity() * sizeof(double);
-}
-
 /// Decoded-slab buffers recycled within one decode run: the packer hands
 /// back each buffer it has emitted, and produce draws from here before
 /// allocating.  Claims stay inside frontier + window, so a run creates at
@@ -911,7 +887,7 @@ void decompress_stream_impl(io::FieldSource& src, io::ContainerSink& sink,
                              ? 0
                              : (out.extents.count() + slab_count - 1) / slab_count;
   }
-  const std::size_t esize = out.dtype == DType::kFloat32 ? sizeof(float) : sizeof(double);
+  const std::size_t esize = dtype_size(out.dtype);
   const std::size_t total = out.extents.count();
 
   std::size_t workers = run_workers(cfg, std::min(resolve_workers(cfg), slab_count));
@@ -930,18 +906,17 @@ void decompress_stream_impl(io::FieldSource& src, io::ContainerSink& sink,
   // payload staging, and decoded slabs recycle through `buffers`.
   WorkspacePool pool;
   SlabBufferList buffers(slab_count);
-  const auto make_ctx = [&] { return WorkerCtx{pool.acquire(), {}, 0}; };
+  const auto make_ctx = [&] { return WorkerCtx{pool.acquire(), 0}; };
 
   const auto produce = [&](WorkerCtx& ctx, std::size_t s) -> DecodedSlab {
     DecodedSlab item;
     item.d = buffers.take();
-    const std::size_t held = held_bytes(item.d);
+    const std::size_t held = item.d.held_bytes();
     if (has_view) {
       const ContainerSlab& ref = idx.slabs[s];
       Compressor::decompress(ref.bytes, item.d, *ctx.lease);
       item.declared_offset = ref.offset;
-      const std::size_t decoded =
-          idx.dtype == DType::kFloat32 ? item.d.data.size() : item.d.data_f64.size();
+      const std::size_t decoded = item.d.bytes().size() / esize;
       if (decoded != ref.count) {
         throw DecodeError(DecodeErrorKind::kCorruptStream, "slab directory",
                           "slab decoded to " + std::to_string(decoded) +
@@ -961,13 +936,13 @@ void decompress_stream_impl(io::FieldSource& src, io::ContainerSink& sink,
     }
     // A buffer is charged when it is created or grows, and stays charged
     // while parked and while idle in `buffers` — until `buffers` frees it.
-    meter.add(held_bytes(item.d) - held);
+    meter.add(item.d.held_bytes() - held);
     return item;
   };
 
   std::size_t covered = 0;  // touched only by the in-order packer role
   const auto consume = [&](std::size_t s, DecodedSlab&& item) {
-    const std::span<const std::uint8_t> bytes = decoded_bytes(item.d);
+    const std::span<const std::uint8_t> bytes = item.d.bytes();
     const std::size_t n = bytes.size() / esize;
     if (item.declared_offset != covered || covered + n > total) {
       throw DecodeError(DecodeErrorKind::kCorruptStream, "slab directory",
@@ -983,7 +958,7 @@ void decompress_stream_impl(io::FieldSource& src, io::ContainerSink& sink,
     clock.add_write(wt.seconds());
     if (sink.retains_bytes()) meter.add(bytes.size());
     covered += n;
-    const std::size_t held = held_bytes(item.d);
+    const std::size_t held = item.d.held_bytes();
     if (!buffers.give(std::move(item.d))) meter.sub(held);
   };
 
@@ -1000,47 +975,41 @@ void decompress_stream_impl(io::FieldSource& src, io::ContainerSink& sink,
 }
 
 /// Sink of the in-memory decompress(): decoded slabs append straight into
-/// the result's data/data_f64, picked by the dtype the directory pass
-/// recorded in `info`, and reserved once from the decode's size hint.
+/// the result's field, of the dtype the directory pass recorded in `info`,
+/// reserved once from the decode's size hint.
 class FieldSink final : public io::ContainerSink {
  public:
   explicit FieldSink(const StreamingFileInfo& info) : info_(info) {}
 
   void write(std::span<const std::uint8_t> bytes) override {
-    if (info_.dtype == DType::kFloat32) {
-      append(field_.data, bytes);
-    } else {
-      append(field_.data_f64, bytes);
-    }
+    field().write_field([&]<typename T>(std::vector<T>& v) {
+      const T* p = reinterpret_cast<const T*>(bytes.data());
+      v.insert(v.end(), p, p + bytes.size() / sizeof(T));
+    });
   }
   void reserve_hint(std::size_t more) override {
-    if (info_.dtype == DType::kFloat32) {
-      field_.data.reserve(field_.data.size() + more / sizeof(float));
-    } else {
-      field_.data_f64.reserve(field_.data_f64.size() + more / sizeof(double));
-    }
+    field().write_field(
+        [&]<typename T>(std::vector<T>& v) { v.reserve(v.size() + more / sizeof(T)); });
   }
-  [[nodiscard]] std::size_t bytes_written() const override {
-    return field_.data.size() * sizeof(float) + field_.data_f64.size() * sizeof(double);
-  }
+  [[nodiscard]] std::size_t bytes_written() const override { return field_.bytes().size(); }
   [[nodiscard]] bool retains_bytes() const override { return true; }
   [[nodiscard]] std::string name() const override { return "<memory>"; }
 
-  [[nodiscard]] StreamingDecompressed take() {
-    field_.dtype = info_.dtype;
+  [[nodiscard]] Decompressed take() {
     field_.extents = info_.extents;
-    return std::move(field_);
+    return std::move(field());
   }
 
  private:
-  template <typename T>
-  static void append(std::vector<T>& v, std::span<const std::uint8_t> bytes) {
-    const T* p = reinterpret_cast<const T*>(bytes.data());
-    v.insert(v.end(), p, p + bytes.size() / sizeof(T));
+  /// The result, tagged with the dtype the directory pass has recorded by
+  /// the time the sink sees its first call.
+  Decompressed& field() {
+    field_.dtype = info_.dtype;
+    return field_;
   }
 
   const StreamingFileInfo& info_;
-  StreamingDecompressed field_;
+  Decompressed field_;
 };
 
 io::SourceMode source_mode(const StreamingConfig& cfg) {
@@ -1049,22 +1018,11 @@ io::SourceMode source_mode(const StreamingConfig& cfg) {
 
 }  // namespace
 
-StreamingCompressed StreamingCompressor::compress(std::span<const float> data,
-                                                  const Extents& ext) const {
-  return compress_impl(cfg_, slab_compressor_, data, ext);
+StreamingCompressed StreamingCompressor::compress(FieldView data, const Extents& ext) const {
+  return compress(data, ext, cfg_);
 }
 
-StreamingCompressed StreamingCompressor::compress(std::span<const double> data,
-                                                  const Extents& ext) const {
-  return compress_impl(cfg_, slab_compressor_, data, ext);
-}
-
-StreamingCompressed StreamingCompressor::compress(std::span<const float> data, const Extents& ext,
-                                                  const StreamingConfig& cfg) const {
-  return compress_impl(cfg, slab_compressor_, data, ext);
-}
-
-StreamingCompressed StreamingCompressor::compress(std::span<const double> data, const Extents& ext,
+StreamingCompressed StreamingCompressor::compress(FieldView data, const Extents& ext,
                                                   const StreamingConfig& cfg) const {
   return compress_impl(cfg, slab_compressor_, data, ext);
 }
@@ -1078,13 +1036,7 @@ StreamingStats StreamingCompressor::compress_stream(io::FieldSource& src, DType 
 StreamingStats StreamingCompressor::compress_stream(io::FieldSource& src, DType dtype,
                                                     const Extents& ext, io::ContainerSink& sink,
                                                     const StreamingConfig& cfg) const {
-  switch (dtype) {
-    case DType::kFloat32:
-      return compress_stream_impl<float>(cfg, slab_compressor_, src, ext, sink);
-    case DType::kFloat64:
-      return compress_stream_impl<double>(cfg, slab_compressor_, src, ext, sink);
-  }
-  throw std::invalid_argument("StreamingCompressor::compress_stream: unsupported element type");
+  return compress_stream_impl(cfg, slab_compressor_, src, dtype, ext, sink);
 }
 
 StreamingStats StreamingCompressor::compress_file(const std::filesystem::path& input,
@@ -1151,12 +1103,12 @@ ContainerIndex StreamingCompressor::index(std::span<const std::uint8_t> containe
   return decode_guard("streaming container", [&] { return index_impl(container); });
 }
 
-StreamingDecompressed StreamingCompressor::decompress(std::span<const std::uint8_t> container) {
+Decompressed StreamingCompressor::decompress(std::span<const std::uint8_t> container) {
   return decompress(container, StreamingConfig{});
 }
 
-StreamingDecompressed StreamingCompressor::decompress(std::span<const std::uint8_t> container,
-                                                      const StreamingConfig& cfg) {
+Decompressed StreamingCompressor::decompress(std::span<const std::uint8_t> container,
+                                             const StreamingConfig& cfg) {
   return decode_guard("streaming container", [&] {
     io::SpanFieldSource src(container);
     StreamingFileInfo info;
@@ -1166,9 +1118,8 @@ StreamingDecompressed StreamingCompressor::decompress(std::span<const std::uint8
   });
 }
 
-StreamingDecompressed StreamingCompressor::decompress_slab(const ContainerIndex& index,
-                                                           std::size_t slab_index,
-                                                           SlabInfo* info_out) {
+Decompressed StreamingCompressor::decompress_slab(const ContainerIndex& index,
+                                                  std::size_t slab_index, SlabInfo* info_out) {
   // A bad index with a well-formed container is a caller error, not archive
   // corruption; keep its own exception type.
   if (slab_index >= index.slabs.size()) {
@@ -1176,23 +1127,17 @@ StreamingDecompressed StreamingCompressor::decompress_slab(const ContainerIndex&
   }
   return decode_guard("streaming container", [&] {
     const ContainerSlab& ref = index.slabs[slab_index];
-    auto slab = Compressor::decompress(ref.bytes);
-
-    StreamingDecompressed out;
-    out.extents = slab.extents;
-    out.dtype = index.dtype;
-    out.data = std::move(slab.data);
-    out.data_f64 = std::move(slab.data_f64);
+    Decompressed slab = Compressor::decompress(ref.bytes);
     if (info_out != nullptr) {
       info_out->extents = slab.extents;
       info_out->offset = ref.offset;
     }
-    return out;
+    return slab;
   });
 }
 
-StreamingDecompressed StreamingCompressor::decompress_slab(
-    std::span<const std::uint8_t> container, std::size_t slab_index, SlabInfo* info_out) {
+Decompressed StreamingCompressor::decompress_slab(std::span<const std::uint8_t> container,
+                                                  std::size_t slab_index, SlabInfo* info_out) {
   return decompress_slab(index(container), slab_index, info_out);
 }
 

@@ -22,6 +22,12 @@
 // A relative error bound is resolved against the *whole field's* range
 // before slabbing, so every slab honors the same absolute bound and the
 // result is identical in quality to single-shot compression.
+//
+// Like Compressor, the engine is dtype-generic: an in-memory field enters
+// as a FieldView, a streamed one as raw bytes plus a DType, and each slab
+// reaches Compressor::compress as FieldView(bytes, dtype) cut from the
+// source view or a staging buffer.  Decodes return the same Decompressed
+// as Compressor::decompress.
 #pragma once
 
 #include <cstdint>
@@ -119,12 +125,10 @@ struct StreamingCompressed {
   StreamingStats stats;
 };
 
-struct StreamingDecompressed {
-  DType dtype = DType::kFloat32;
-  std::vector<float> data;
-  std::vector<double> data_f64;
-  Extents extents;
-};
+/// Kept as a name only: a streaming decode returns the same Decompressed
+/// as Compressor::decompress (decompress_slab() carries the slab's stage
+/// report; a whole-container decode leaves the report empty).
+using StreamingDecompressed = Decompressed;
 
 /// Result of an out-of-core decompress: what the container declared, plus
 /// the run's stats.  For decode runs the stats read "backwards":
@@ -162,26 +166,17 @@ class StreamingCompressor {
 
   [[nodiscard]] const StreamingConfig& config() const { return cfg_; }
 
-  [[nodiscard]] StreamingCompressed compress(std::span<const float> data,
-                                             const Extents& ext) const;
-  [[nodiscard]] StreamingCompressed compress(std::span<const double> data,
-                                             const Extents& ext) const;
+  /// Compress an in-memory field (any FieldView: float or double) into a
+  /// slab container — compress_stream() over a span source.
+  [[nodiscard]] StreamingCompressed compress(FieldView data, const Extents& ext) const;
 
   /// Per-call config override: compress with `cfg` instead of the
   /// constructed config, reusing this instance's compressor and workspace
   /// pool.  Lets one warm instance serve calls with different
   /// parallel/worker/slab settings (and lets the bench compare serial vs
   /// parallel through identical pooled buffers).
-  [[nodiscard]] StreamingCompressed compress(std::span<const float> data, const Extents& ext,
+  [[nodiscard]] StreamingCompressed compress(FieldView data, const Extents& ext,
                                              const StreamingConfig& cfg) const;
-  [[nodiscard]] StreamingCompressed compress(std::span<const double> data, const Extents& ext,
-                                             const StreamingConfig& cfg) const;
-
-  template <typename T, typename Alloc>
-  [[nodiscard]] StreamingCompressed compress(const std::vector<T, Alloc>& data,
-                                             const Extents& ext) const {
-    return compress(std::span<const T>(data.data(), data.size()), ext);
-  }
 
   /// Out-of-core tier: compress raw element bytes flowing from a
   /// FieldSource into a ContainerSink, so ingest (read), per-slab
@@ -231,6 +226,8 @@ class StreamingCompressor {
   /// engine, one field per item, fanned out across workers when cfg.parallel
   /// is set (each field then compresses single-worker, so the fan-out stays
   /// one level).  Equivalent to calling compress() per field, in order.
+  /// Typed per element because a span of spans does not convert to any one
+  /// FieldView-based signature; both forward to one implementation.
   [[nodiscard]] std::vector<StreamingCompressed> compress_many(
       std::span<const std::span<const float>> fields, std::span<const Extents> exts) const;
   [[nodiscard]] std::vector<StreamingCompressed> compress_many(
@@ -243,9 +240,9 @@ class StreamingCompressor {
   /// cfg.memory_budget exactly as decompress_stream() does (an undersized
   /// budget is refused with ConfigError); the no-config overload decodes
   /// with the default (parallel, unbudgeted) config.
-  [[nodiscard]] static StreamingDecompressed decompress(std::span<const std::uint8_t> container);
-  [[nodiscard]] static StreamingDecompressed decompress(std::span<const std::uint8_t> container,
-                                                        const StreamingConfig& cfg);
+  [[nodiscard]] static Decompressed decompress(std::span<const std::uint8_t> container);
+  [[nodiscard]] static Decompressed decompress(std::span<const std::uint8_t> container,
+                                               const StreamingConfig& cfg);
 
   /// Number of slabs in a container (without decompressing anything).
   [[nodiscard]] static std::size_t slab_count(std::span<const std::uint8_t> container);
@@ -254,16 +251,18 @@ class StreamingCompressor {
   /// The returned index views the container buffer; keep it alive.
   [[nodiscard]] static ContainerIndex index(std::span<const std::uint8_t> container);
 
-  /// Decompress a single slab (partial access).  `info_out`, if non-null,
-  /// receives the slab's extents and element offset within the full field.
-  /// The container overload rebuilds the directory index per call; when
-  /// reading many slabs from one container, build the index once and use
-  /// the ContainerIndex overload (O(1) per slab).
-  [[nodiscard]] static StreamingDecompressed decompress_slab(
-      std::span<const std::uint8_t> container, std::size_t slab_index,
-      SlabInfo* info_out = nullptr);
-  [[nodiscard]] static StreamingDecompressed decompress_slab(
-      const ContainerIndex& index, std::size_t slab_index, SlabInfo* info_out = nullptr);
+  /// Decompress a single slab (partial access): the slab archive's own
+  /// Compressor::decompress result, stage report included.  `info_out`, if
+  /// non-null, receives the slab's extents and element offset within the
+  /// full field.  The container overload rebuilds the directory index per
+  /// call; when reading many slabs from one container, build the index once
+  /// and use the ContainerIndex overload (O(1) per slab).
+  [[nodiscard]] static Decompressed decompress_slab(std::span<const std::uint8_t> container,
+                                                    std::size_t slab_index,
+                                                    SlabInfo* info_out = nullptr);
+  [[nodiscard]] static Decompressed decompress_slab(const ContainerIndex& index,
+                                                    std::size_t slab_index,
+                                                    SlabInfo* info_out = nullptr);
 
  private:
   StreamingConfig cfg_{};

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 #include "core/analysis/entropy.hh"
@@ -138,6 +139,18 @@ std::size_t rank_of(const WorkflowDecision& d, Workflow wf) {
   return d.scores.size();
 }
 
+// A codec's row in the decision's score table.
+const CodecScore& row_of(const WorkflowDecision& d, Workflow wf) {
+  const std::size_t r = rank_of(d, wf);
+  if (r == d.scores.size()) throw std::logic_error("codec missing from score table");
+  return d.scores[r];
+}
+
+// The paper's projected Huffman ⟨b⟩ = max(1, H + R⁻).
+double huffman_avg_bits(const WorkflowDecision& d) {
+  return std::max(1.0, d.stats.avg_bits_lower());
+}
+
 TEST(Selector, VerySmoothDataBreaksTheHuffmanFloor) {
   // ⟨b⟩ ≤ 1.09 is the paper's cue that Huffman is pinned at its 1-bit
   // floor.  The cost model generalizes the rule: every sub-bit codec —
@@ -146,7 +159,7 @@ TEST(Selector, VerySmoothDataBreaksTheHuffmanFloor) {
   // encode time).
   const auto d = select_workflow(histogram_with_p1(0.995));
   EXPECT_EQ(d.workflow, Workflow::kRans);
-  EXPECT_LE(d.est_avg_bits, 1.09);
+  EXPECT_LE(huffman_avg_bits(d), 1.09);
   const auto huffman_rank = rank_of(d, Workflow::kHuffman);
   EXPECT_LT(rank_of(d, Workflow::kRans), huffman_rank);
   EXPECT_LT(rank_of(d, Workflow::kRleVle), huffman_rank);  // the §III rule
@@ -156,7 +169,7 @@ TEST(Selector, VerySmoothDataBreaksTheHuffmanFloor) {
 TEST(Selector, RoughDataSelectsHuffman) {
   const auto d = select_workflow(histogram_with_p1(0.6));
   EXPECT_EQ(d.workflow, Workflow::kHuffman);
-  EXPECT_GT(d.est_avg_bits, 1.09);
+  EXPECT_GT(huffman_avg_bits(d), 1.09);
 }
 
 TEST(Selector, ScoreTableCoversEveryWorkflowOnce) {
@@ -195,13 +208,14 @@ TEST(Selector, EstimatedVleCrRespectsTheFloatCeiling) {
   // ⟨b⟩ >= 1 bit means VLE alone cannot beat 32x for float data — the
   // ceiling the paper's Workflow-RLE is designed to break.
   const auto d = select_workflow(histogram_with_p1(0.9999));
-  EXPECT_LE(d.est_vle_cr, 32.0 + 1e-9);
+  EXPECT_LE(row_of(d, Workflow::kHuffman).est_ratio, 32.0 + 1e-9);
 }
 
 TEST(Selector, RleBitsEstimateTracksP1) {
   const auto smooth = select_workflow(histogram_with_p1(0.99));
   const auto rough = select_workflow(histogram_with_p1(0.7));
-  EXPECT_LT(smooth.est_rle_bits, rough.est_rle_bits);
+  EXPECT_LT(row_of(smooth, Workflow::kRle).est_bits_per_symbol,
+            row_of(rough, Workflow::kRle).est_bits_per_symbol);
 }
 
 }  // namespace

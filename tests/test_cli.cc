@@ -1,8 +1,12 @@
 // CLI tests: the `szp` tool driven in-process over temp files.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <sstream>
+#include <stdexcept>
+#include <vector>
 
 #include "core/eb.hh"
 #include "core/metrics.hh"
@@ -247,6 +251,67 @@ TEST_F(CliTest, FuzzSubcommandReportsACleanCampaign) {
   const auto r = run({"fuzz", "--seed", "99"});
   EXPECT_EQ(r.code, 0) << r.err;
   EXPECT_NE(r.out.find("0 contract violations"), std::string::npos) << r.out;
+}
+
+/// The max |error| line `szp verify` prints.
+double verified_max_error(const std::string& verify_out) {
+  const std::string key = "max |error|: ";
+  const auto at = verify_out.find(key);
+  if (at == std::string::npos) throw std::runtime_error("no max |error| line in: " + verify_out);
+  return std::stod(verify_out.substr(at + key.size()));
+}
+
+TEST_F(CliTest, DoubleFieldsRoundTripInMemoryAndStreamed) {
+  const auto raw = path("d.f64");
+  std::vector<double> field(30 * 40);
+  for (std::size_t i = 0; i < field.size(); ++i) {
+    const double x = static_cast<double>(i);
+    field[i] = std::sin(0.01 * x) + 1e-3 * std::cos(0.37 * x);
+  }
+  szp::data::write_bytes(raw, {reinterpret_cast<const std::uint8_t*>(field.data()),
+                               field.size() * sizeof(double)});
+  const double eb = 1e-6;  // below float32 resolution of O(1) values
+  for (const bool stream : {false, true}) {
+    const std::string tag = stream ? "streamed" : "in-memory";
+    const auto arc = path("d_" + tag + ".szp");
+    const auto restored = path("d_" + tag + ".out");
+    std::vector<std::string> args{"compress", "-i", raw, "-o", arc, "-d", "30x40",
+                                  "--eb", "1e-6", "--abs", "--double"};
+    if (stream) args.insert(args.end(), {"--stream", "400"});
+    auto r = run(args);
+    ASSERT_EQ(r.code, 0) << tag << ": " << r.err;
+    r = run({"info", "-i", arc});
+    ASSERT_EQ(r.code, 0) << tag << ": " << r.err;
+    EXPECT_NE(r.out.find(stream ? "3 slabs" : "float64"), std::string::npos) << tag << r.out;
+    r = run({"decompress", "-i", arc, "-o", restored});
+    ASSERT_EQ(r.code, 0) << tag << ": " << r.err;
+    EXPECT_EQ(fs::file_size(restored), field.size() * sizeof(double)) << tag;
+    r = run({"verify", "-a", raw, "-b", restored, "--double"});
+    ASSERT_EQ(r.code, 0) << tag << ": " << r.err;
+    EXPECT_LT(verified_max_error(r.out), eb) << tag << ": " << r.out;
+  }
+}
+
+TEST_F(CliTest, DoubleInputMustBeWholeElements) {
+  const auto seven = path("seven.f64");
+  szp::data::write_bytes(seven, std::vector<std::uint8_t>(7, 0x3f));
+  auto r = run({"compress", "-i", seven, "-o", path("seven.szp"), "-d", "1", "--double"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("not a whole number of elements"), std::string::npos) << r.err;
+  r = run({"verify", "-a", seven, "-b", seven, "--double"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("not a whole number of elements"), std::string::npos) << r.err;
+}
+
+TEST_F(CliTest, EmptyInputIsRejected) {
+  const auto empty = path("empty.f32");
+  szp::data::write_bytes(empty, {});
+  EXPECT_EQ(run({"compress", "-i", empty, "-o", path("e.szp"), "-d", "10"}).code, 1);
+  EXPECT_EQ(run({"compress", "-i", empty, "-o", path("e.szp"), "-d", "10", "--double"}).code, 1);
+  // Two empty fields compare equal.
+  const auto r = run({"verify", "-a", empty, "-b", empty});
+  ASSERT_EQ(r.code, 0) << r.err;
+  EXPECT_EQ(verified_max_error(r.out), 0.0);
 }
 
 TEST_F(CliTest, ErrorsAreReported) {

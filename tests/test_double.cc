@@ -1,12 +1,21 @@
 // Double-precision path: the paper's 64x VLE ceiling for doubles, error
-// bounds below float32 precision, and float/double parity.
+// bounds below float32 precision, float/double parity, and the one
+// dtype-generic entry type (FieldView) every call shape converts to.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <random>
+#include <span>
+#include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "core/compressor.hh"
+#include "core/io/io.hh"
 #include "core/metrics.hh"
+#include "core/streaming.hh"
+#include "sim/aligned.hh"
 
 namespace {
 
@@ -75,8 +84,13 @@ TEST(DoubleCompressor, CeilingIs64xNot32x) {
   const auto c = Compressor(cfg).compress(data, ext);
   EXPECT_GT(c.stats.ratio, 32.0);
   EXPECT_LT(c.stats.ratio, 70.0);
-  // And the selector's VLE-CR estimate uses the 64-bit width.
-  EXPECT_GT(c.stats.decision.est_vle_cr, 32.0);
+  // And the selector's Huffman ratio estimate uses the 64-bit width.
+  const auto& scores = c.stats.decision.scores;
+  const auto huffman = std::find_if(scores.begin(), scores.end(), [](const CodecScore& s) {
+    return s.workflow == Workflow::kHuffman;
+  });
+  ASSERT_NE(huffman, scores.end());
+  EXPECT_GT(huffman->est_ratio, 32.0);
 }
 
 TEST(DoubleCompressor, FloatAndDoubleAgreeOnFloatData) {
@@ -116,6 +130,97 @@ TEST(DoubleCompressor, RejectsNonFinite) {
   data[50] = std::numeric_limits<double>::infinity();
   EXPECT_THROW((void)Compressor(CompressConfig{}).compress(data, Extents::d1(100)),
                std::invalid_argument);
+}
+
+template <typename T>
+class FieldViewShapes : public ::testing::Test {};
+using ElementTypes = ::testing::Types<float, double>;
+TYPED_TEST_SUITE(FieldViewShapes, ElementTypes);
+
+TYPED_TEST(FieldViewShapes, EveryCallShapeCompressesToTheSameBytes) {
+  using T = TypeParam;
+  const DType dtype = std::is_same_v<T, float> ? DType::kFloat32 : DType::kFloat64;
+  const Extents ext = Extents::d2(48, 40);
+  const auto smooth = smooth_field_f64(ext, 11, 1e-3);
+  const std::vector<T> field(smooth.begin(), smooth.end());
+  std::vector<T> writable = field;
+  const sim::device_vector<T> device(field.begin(), field.end());
+  const std::span<const std::uint8_t> bytes(reinterpret_cast<const std::uint8_t*>(field.data()),
+                                            field.size() * sizeof(T));
+
+  CompressConfig cfg;
+  cfg.eb = ErrorBound::relative(1e-4);
+  const Compressor comp(cfg);
+  const auto archive = comp.compress(field, ext).bytes;
+  EXPECT_EQ(Compressor::inspect(archive).dtype, dtype);
+  EXPECT_EQ(comp.compress(std::span<const T>(field), ext).bytes, archive);
+  EXPECT_EQ(comp.compress(std::span<T>(writable), ext).bytes, archive);
+  EXPECT_EQ(comp.compress(device, ext).bytes, archive);
+  EXPECT_EQ(comp.compress(std::vector<T>(field), ext).bytes, archive);
+  EXPECT_EQ(comp.compress(FieldView(bytes, dtype), ext).bytes, archive);
+
+  StreamingConfig scfg;
+  scfg.base = cfg;
+  scfg.max_slab_elems = 10 * ext.nx;  // five slabs
+  const StreamingCompressor streamer(scfg);
+  const auto container = streamer.compress(field, ext).bytes;
+  EXPECT_EQ(StreamingCompressor::slab_count(container), 5u);
+  EXPECT_EQ(StreamingCompressor::index(container).dtype, dtype);
+  EXPECT_EQ(streamer.compress(std::span<const T>(field), ext).bytes, container);
+  EXPECT_EQ(streamer.compress(device, ext).bytes, container);
+  EXPECT_EQ(streamer.compress(FieldView(bytes, dtype), ext).bytes, container);
+  io::SpanFieldSource src(bytes);
+  io::VectorSink sink;
+  (void)streamer.compress_stream(src, dtype, ext, sink);
+  EXPECT_EQ(sink.take(), container);
+}
+
+TEST(FieldView, RawBytesMustBeWholeElements) {
+  const std::vector<std::uint8_t> raw(16);
+  const std::span<const std::uint8_t> bytes(raw);
+  EXPECT_THROW((void)FieldView(bytes.first(7), DType::kFloat64), std::invalid_argument);
+  EXPECT_THROW((void)FieldView(bytes.first(6), DType::kFloat32), std::invalid_argument);
+  EXPECT_THROW((void)FieldView(bytes.first(12), DType::kFloat64), std::invalid_argument);
+  EXPECT_EQ(FieldView(bytes.first(12), DType::kFloat32).size(), 3u);
+  EXPECT_EQ(FieldView(bytes, DType::kFloat64).size(), 2u);
+  EXPECT_TRUE(FieldView(bytes.first(0), DType::kFloat64).empty());
+}
+
+TEST(DoubleStreaming, DecompressSlabFillsOnlyTheF64FieldAndCarriesItsReport) {
+  const Extents ext = Extents::d2(48, 40);
+  const auto data = smooth_field_f64(ext, 5, 1e-3);
+  StreamingConfig scfg;
+  scfg.base.eb = ErrorBound::relative(1e-4);
+  scfg.max_slab_elems = 10 * ext.nx;
+  const auto container = StreamingCompressor(scfg).compress(data, ext).bytes;
+  const auto whole = StreamingCompressor::decompress(container);
+  ASSERT_EQ(whole.dtype, DType::kFloat64);
+  ASSERT_EQ(whole.data_f64.size(), data.size());
+
+  const ContainerIndex index = StreamingCompressor::index(container);
+  ASSERT_EQ(index.slabs.size(), 5u);
+  for (std::size_t s = 0; s < index.slabs.size(); ++s) {
+    SlabInfo info;
+    const auto slab = StreamingCompressor::decompress_slab(index, s, &info);
+    EXPECT_EQ(slab.dtype, DType::kFloat64) << s;
+    EXPECT_TRUE(slab.data.empty()) << s;
+    ASSERT_EQ(slab.data_f64.size(), info.extents.count()) << s;
+    EXPECT_EQ(slab.extents, info.extents) << s;
+    EXPECT_TRUE(std::equal(slab.data_f64.begin(), slab.data_f64.end(),
+                           whole.data_f64.begin() + static_cast<std::ptrdiff_t>(info.offset)))
+        << s;
+    // The slab archive's own decode report: the same stages, in order, as
+    // decoding that archive directly.
+    const auto direct = Compressor::decompress(index.slabs[s].bytes);
+    ASSERT_EQ(slab.pipeline.stages.size(), direct.pipeline.stages.size()) << s;
+    ASSERT_FALSE(slab.pipeline.stages.empty()) << s;
+    for (std::size_t k = 0; k < slab.pipeline.stages.size(); ++k) {
+      EXPECT_EQ(slab.pipeline.stages[k].name, direct.pipeline.stages[k].name) << s;
+      EXPECT_EQ(slab.pipeline.stages[k].payload_bytes, info.extents.count() * sizeof(double))
+          << s;
+    }
+    EXPECT_NE(slab.pipeline.find("lorenzo_reconstruct"), nullptr) << s;
+  }
 }
 
 }  // namespace

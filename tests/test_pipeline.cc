@@ -76,15 +76,12 @@ std::vector<std::uint8_t> noisy_archive(PredictorKind predictor, Workflow wf, co
   return Compressor(cfg).compress(noisy<T>(ext.count(), seed), ext).bytes;
 }
 
-/// The decoded field as raw bytes, both element types in turn.
+/// The decoded field as raw bytes.  Both vectors together must hold no
+/// more than the field: the one its dtype does not select stays empty.
 std::vector<std::uint8_t> field_bytes(const Decompressed& d) {
-  std::vector<std::uint8_t> b(d.data.size() * sizeof(float) + d.data_f64.size() * sizeof(double));
-  if (!d.data.empty()) std::memcpy(b.data(), d.data.data(), d.data.size() * sizeof(float));
-  if (!d.data_f64.empty()) {
-    std::memcpy(b.data() + d.data.size() * sizeof(float), d.data_f64.data(),
-                d.data_f64.size() * sizeof(double));
-  }
-  return b;
+  const auto b = d.bytes();
+  EXPECT_EQ(d.data.size() * sizeof(float) + d.data_f64.size() * sizeof(double), b.size());
+  return {b.begin(), b.end()};
 }
 
 struct GoldenCase {

@@ -1,5 +1,6 @@
 #include "tools/cli.hh"
 
+#include <algorithm>
 #include <array>
 #include <cstdlib>
 #include <cstring>
@@ -237,22 +238,15 @@ StreamingConfig streaming_config(const Args& a) {
   return scfg;
 }
 
-template <typename T>
-std::vector<T> read_raw(const std::string& path) {
-  const auto bytes = read_bytes(path);
-  if (bytes.size() % sizeof(T) != 0) {
-    throw std::runtime_error(path + " is not a whole number of elements");
-  }
-  std::vector<T> data(bytes.size() / sizeof(T));
-  std::memcpy(data.data(), bytes.data(), bytes.size());
-  return data;
+/// Element type of the raw field files compress and verify read.
+DType field_dtype(const Args& a) {
+  return a.has_flag("--double") ? DType::kFloat64 : DType::kFloat32;
 }
 
 int cmd_compress(const Args& a, std::ostream& out) {
   const auto in_path = require_path(a, "-i", "--in");
   const auto out_path = require_path(a, "-o", "--out");
   const Extents ext = parse_dims(a.require("-d"));
-  const bool is_double = a.has_flag("--double");
 
   CompressConfig cfg;
   if (const auto psnr = a.get("--psnr")) {
@@ -282,8 +276,8 @@ int cmd_compress(const Args& a, std::ostream& out) {
     } else if (stream) {
       scfg.max_slab_elems = static_cast<std::size_t>(std::stoull(*stream));
     }
-    const auto stats = StreamingCompressor(scfg).compress_file(
-        in_path, out_path, ext, is_double ? DType::kFloat64 : DType::kFloat32);
+    const auto stats =
+        StreamingCompressor(scfg).compress_file(in_path, out_path, ext, field_dtype(a));
     out << "streamed " << stats.slabs.size() << " slabs (" << stats.workers_used
         << " workers) file-to-file\n";
     out << "peak resident: " << stats.peak_resident_bytes << " bytes (budget "
@@ -293,22 +287,18 @@ int cmd_compress(const Args& a, std::ostream& out) {
     return 0;
   }
 
-  const auto run = [&](auto data) -> std::pair<std::vector<std::uint8_t>, double> {
-    if (data.size() != ext.count()) {
-      throw std::runtime_error("file holds " + std::to_string(data.size()) +
-                               " elements but dims describe " + std::to_string(ext.count()));
-    }
-    auto c = Compressor(cfg).compress(data, ext);
-    out << "workflow: " << workflow_name(c.stats.workflow_used)
-        << "  outliers: " << c.stats.outlier_count << "\n";
-    return {std::move(c.bytes), c.stats.ratio};
-  };
-
-  const auto [bytes, ratio] =
-      is_double ? run(read_raw<double>(in_path)) : run(read_raw<float>(in_path));
-  write_bytes(out_path, bytes);
-  out << "compressed " << ext.count() << " values -> " << bytes.size() << " bytes (ratio "
-      << ratio << "x)\n";
+  const auto raw = read_bytes(in_path);
+  const FieldView field(raw, field_dtype(a));
+  if (field.size() != ext.count()) {
+    throw std::runtime_error("file holds " + std::to_string(field.size()) +
+                             " elements but dims describe " + std::to_string(ext.count()));
+  }
+  const auto c = Compressor(cfg).compress(field, ext);
+  out << "workflow: " << workflow_name(c.stats.workflow_used)
+      << "  outliers: " << c.stats.outlier_count << "\n";
+  write_bytes(out_path, c.bytes);
+  out << "compressed " << ext.count() << " values -> " << c.bytes.size() << " bytes (ratio "
+      << c.stats.ratio << "x)\n";
   return 0;
 }
 
@@ -337,14 +327,8 @@ int cmd_decompress(const Args& a, std::ostream& out) {
 
   const auto bytes = read_bytes(in_path);
   const auto d = Compressor::decompress(bytes);
-  const std::span<const std::uint8_t> raw =
-      d.dtype == DType::kFloat32
-          ? std::span(reinterpret_cast<const std::uint8_t*>(d.data.data()),
-                      d.data.size() * sizeof(float))
-          : std::span(reinterpret_cast<const std::uint8_t*>(d.data_f64.data()),
-                      d.data_f64.size() * sizeof(double));
-  write_bytes(out_path, raw);
-  out << "decompressed " << bytes.size() << " bytes -> " << raw.size() << " bytes\n";
+  write_bytes(out_path, d.bytes());
+  out << "decompressed " << bytes.size() << " bytes -> " << d.bytes().size() << " bytes\n";
   return 0;
 }
 
@@ -366,8 +350,7 @@ int cmd_info(const Args& a, std::ostream& out) {
       << ", quantizer capacity: " << info.capacity << "\n";
   out << "absolute error bound: " << info.eb_abs << "\n";
   out << "compressed size: " << bytes.size() << " bytes (ratio "
-      << static_cast<double>(info.extents.count() *
-                             (info.dtype == DType::kFloat32 ? 4 : 8)) /
+      << static_cast<double>(info.extents.count() * dtype_size(info.dtype)) /
              static_cast<double>(bytes.size())
       << "x)\n";
   return 0;
@@ -455,18 +438,17 @@ int cmd_fuzz(const Args& a, std::ostream& out) {
 }
 
 int cmd_verify(const Args& a, std::ostream& out) {
-  const bool is_double = a.has_flag("--double");
-  const auto run = [&](auto reader) {
-    const auto x = reader(a.require("-a"));
-    const auto y = reader(a.require("-b"));
-    if (x.size() != y.size()) {
-      throw std::runtime_error("files hold different element counts (" +
-                               std::to_string(x.size()) + " vs " + std::to_string(y.size()) + ")");
-    }
-    return compare_fields(x, y);
-  };
-  const auto m = is_double ? run([](const std::string& p) { return read_raw<double>(p); })
-                           : run([](const std::string& p) { return read_raw<float>(p); });
+  const auto a_bytes = read_bytes(a.require("-a"));
+  const auto b_bytes = read_bytes(a.require("-b"));
+  const FieldView x(a_bytes, field_dtype(a));
+  const FieldView y(b_bytes, field_dtype(a));
+  if (x.size() != y.size()) {
+    throw std::runtime_error("files hold different element counts (" + std::to_string(x.size()) +
+                             " vs " + std::to_string(y.size()) + ")");
+  }
+  const auto m = x.visit([&]<typename T>(std::span<const T> xs) {
+    return compare_fields(xs, std::span<const T>(static_cast<const T*>(y.data()), y.size()));
+  });
   out << "max |error|: " << m.max_abs_error << "\n";
   out << "MSE:         " << m.mse << "\n";
   out << "PSNR:        " << m.psnr_db << " dB\n";
@@ -606,7 +588,8 @@ void codec_score_tables(std::ostream& out) {
     }
     const auto d = select_workflow(freq, sizeof(float));
     out << "\n" << sc.name << "  (H=" << std::fixed << std::setprecision(3)
-        << d.stats.entropy_bits << " bits, huffman<b>=" << d.est_avg_bits << ")\n";
+        << d.stats.entropy_bits
+        << " bits, huffman<b>=" << std::max(1.0, d.stats.avg_bits_lower()) << ")\n";
     out << "  codec     <b>est   fixed_B   ratio_est   enc_ms    dec_ms    score\n";
     for (const auto& s : d.scores) {
       out << "  " << std::left << std::setw(9) << workflow_name(s.workflow) << std::right
