@@ -16,6 +16,7 @@
 
 #include "bench/bench_util.hh"
 #include "core/metrics.hh"
+#include "core/pipeline/registry.hh"
 #include "lossless/lzh.hh"
 #include "lossless/lzr.hh"
 #include "sim/timer.hh"
@@ -25,22 +26,8 @@ namespace {
 using namespace szp;
 using namespace szp::bench;
 
-constexpr Workflow kFixedCodecs[] = {Workflow::kHuffman, Workflow::kRle, Workflow::kRleVle,
-                                     Workflow::kRans,    Workflow::kLz77, Workflow::kLzh,
-                                     Workflow::kLzr};
-
 const char* codec_name(Workflow wf) {
-  switch (wf) {
-    case Workflow::kHuffman: return "huffman";
-    case Workflow::kRle: return "rle";
-    case Workflow::kRleVle: return "rle+vle";
-    case Workflow::kRans: return "rans";
-    case Workflow::kLz77: return "lz77";
-    case Workflow::kLzh: return "lzh";
-    case Workflow::kLzr: return "lzr";
-    case Workflow::kAuto: return "auto";
-  }
-  return "?";
+  return pipeline::StageRegistry::instance().codec(wf).name();
 }
 
 double modeled_encode_seconds(const WorkflowDecision& d, Workflow wf) {
@@ -161,14 +148,15 @@ int main(int argc, char** argv) {
     double best_measured = 0.0;
     Workflow best_fixed = Workflow::kHuffman;
     double pick_measured = 0.0;
-    for (const auto wf : kFixedCodecs) {
+    for (const auto& codec : pipeline::StageRegistry::instance().codecs()) {
+      const Workflow wf = codec->id();
       CompressConfig cfg4;
       cfg4.eb = ErrorBound::relative(sw.rel_eb);
       cfg4.workflow = wf;
       const auto c = Compressor(cfg4).compress(bf.values, bf.extents());
       const double enc_s = modeled_encode_seconds(auto_run.stats.decision, wf);
       const double gbps = enc_s > 0.0 ? orig_bytes / enc_s / 1e9 : 0.0;
-      println("%10s | %9.2f %14.1f %16.4f", codec_name(wf), c.stats.ratio, gbps, enc_s * 1e3);
+      println("%10s | %9.2f %14.1f %16.4f", codec->name(), c.stats.ratio, gbps, enc_s * 1e3);
       if (c.stats.ratio > best_measured) {
         best_measured = c.stats.ratio;
         best_fixed = wf;
@@ -176,7 +164,7 @@ int main(int argc, char** argv) {
       if (wf == pick) pick_measured = c.stats.ratio;
       entries += std::string(entries.empty() ? "" : ",\n") + "    {\"dataset\": \"" +
                  sw.dataset + "\", \"field\": \"" + sw.field + "\", \"rel_eb\": " +
-                 std::to_string(sw.rel_eb) + ", \"codec\": \"" + codec_name(wf) +
+                 std::to_string(sw.rel_eb) + ", \"codec\": \"" + codec->name() +
                  "\", \"measured_ratio\": " + std::to_string(c.stats.ratio) +
                  ", \"modeled_encode_seconds\": " + std::to_string(enc_s) +
                  ", \"modeled_encode_gbps\": " + std::to_string(gbps) +

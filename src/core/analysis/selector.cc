@@ -16,7 +16,7 @@ WorkflowDecision select_workflow(std::span<const std::uint64_t> freq,
   const double value_bits = static_cast<double>(bytes_per_value) * 8.0;
 
   // --- Rank every registered codec ----------------------------------------
-  const sim::DeviceSpec& dev = cfg.device != nullptr ? *cfg.device : sim::v100();
+  const sim::DeviceSpec& dev = sim::v100();
   const auto& registry = pipeline::StageRegistry::instance();
   const double n = std::max(1.0, static_cast<double>(d.stats.total));
 

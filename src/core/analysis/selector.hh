@@ -11,7 +11,7 @@
 // trial encode), its payload bits per symbol, its fixed section overhead,
 // and the analytic KernelCost of its encode/decode kernels.  The selector
 // turns those into an estimated compression ratio and a modeled encode time
-// on the configured DeviceSpec, normalizes both against the best candidate,
+// on the V100 model (sim::v100()), normalizes both against the best candidate,
 // and ranks by a user-weighted ratio/throughput objective:
 //
 //   score(c) = w_ratio * ratio(c)/max_ratio + w_tput * min_time/time(c)
@@ -27,10 +27,6 @@
 #include <vector>
 
 #include "core/analysis/entropy.hh"
-
-namespace szp::sim {
-struct DeviceSpec;
-}
 
 namespace szp {
 
@@ -59,9 +55,6 @@ struct SelectorConfig {
   /// the CR differences the selector exists to capture).
   double ratio_weight = 0.65;
   double throughput_weight = 0.35;
-  /// Device the throughput term is modeled on; nullptr means sim::v100()
-  /// (the paper's primary evaluation card).
-  const sim::DeviceSpec* device = nullptr;
 };
 
 /// One row of the selector's ranking: the per-codec evidence the decision

@@ -28,6 +28,30 @@ void write_header(ByteWriter& w, const ArchiveHeader& h) {
   w.put<std::uint8_t>(static_cast<std::uint8_t>(h.predictor));
 }
 
+DType check_shape(const Extents& ext, std::uint8_t dtype_tag) {
+  if (ext.rank < 1 || ext.rank > 3) {
+    throw DecodeError(DecodeErrorKind::kCorruptStream, "header",
+                      "rank " + std::to_string(ext.rank) + " outside [1, 3]");
+  }
+  const auto dtype = static_cast<DType>(dtype_tag);
+  if (dtype != DType::kFloat32 && dtype != DType::kFloat64) {
+    throw DecodeError(DecodeErrorKind::kCorruptStream, "header",
+                      "unknown element-type tag " + std::to_string(dtype_tag));
+  }
+  if (ext.nx == 0 || ext.ny == 0 || ext.nz == 0 || (ext.rank < 2 && ext.ny != 1) ||
+      (ext.rank < 3 && ext.nz != 1)) {
+    throw DecodeError(DecodeErrorKind::kCorruptStream, "header",
+                      "extents inconsistent with the declared rank");
+  }
+  std::uint64_t count = 0;
+  if (__builtin_mul_overflow(ext.nx, ext.ny, &count) ||
+      __builtin_mul_overflow(count, ext.nz, &count)) {
+    throw DecodeError(DecodeErrorKind::kLengthOverflow, "header",
+                      "extents overflow the element count");
+  }
+  return dtype;
+}
+
 ArchiveHeader read_header(ByteReader& r) {
   r.set_segment("header");
   if (r.get<std::uint32_t>() != kMagic) {
@@ -50,10 +74,6 @@ ArchiveHeader read_header(ByteReader& r) {
   h.capacity = r.get<std::uint32_t>();
   const auto pred = r.get<std::uint8_t>();
 
-  if (h.extents.rank < 1 || h.extents.rank > 3) {
-    throw DecodeError(DecodeErrorKind::kCorruptStream, "header",
-                      "rank " + std::to_string(h.extents.rank) + " outside [1, 3]");
-  }
   // v2 can only carry the original four workflow tags; v3 extends the slot
   // to the LZ codec family.  Anything else is a bad codec id.
   const auto max_wf = version == kVersion ? static_cast<std::uint8_t>(Workflow::kRans)
@@ -64,22 +84,7 @@ ArchiveHeader read_header(ByteReader& r) {
                           std::to_string(version));
   }
   h.workflow = static_cast<Workflow>(wf);
-  if (static_cast<DType>(dt) != DType::kFloat32 && static_cast<DType>(dt) != DType::kFloat64) {
-    throw DecodeError(DecodeErrorKind::kCorruptStream, "header",
-                      "unknown element-type tag " + std::to_string(dt));
-  }
-  h.dtype = static_cast<DType>(dt);
-  if (h.extents.nx == 0 || h.extents.ny == 0 || h.extents.nz == 0 ||
-      (h.extents.rank < 2 && h.extents.ny != 1) || (h.extents.rank < 3 && h.extents.nz != 1)) {
-    throw DecodeError(DecodeErrorKind::kCorruptStream, "header",
-                      "extents inconsistent with the declared rank");
-  }
-  std::uint64_t count = 0;
-  if (__builtin_mul_overflow(h.extents.nx, h.extents.ny, &count) ||
-      __builtin_mul_overflow(count, h.extents.nz, &count)) {
-    throw DecodeError(DecodeErrorKind::kLengthOverflow, "header",
-                      "extents overflow the element count");
-  }
+  h.dtype = check_shape(h.extents, dt);
   if (!(h.eb_abs > 0.0) || !std::isfinite(h.eb_abs)) {
     throw DecodeError(DecodeErrorKind::kCorruptStream, "header",
                       "error bound is not a finite positive value");

@@ -41,8 +41,16 @@ void write_header(ByteWriter& w, const ArchiveHeader& h);
 
 /// Parse and validate the header, leaving the reader positioned at the
 /// predictor aux payload.  Throws DecodeError on any inconsistency;
-/// every field is validated before it is trusted.
+/// every field is validated before it is trusted.  The workflow tag is
+/// checked first, then check_shape(), then bound, capacity and predictor.
 [[nodiscard]] ArchiveHeader read_header(ByteReader& r);
+
+/// The shape checks every szp header makes, for an archive (read_header)
+/// and a slab container (core/streaming.cc) alike, in this order: rank in
+/// [1, 3], a known element-type tag, extents consistent with the rank
+/// (corrupt-stream), and an element count that does not overflow
+/// (length-overflow) — all in segment "header".  Returns the dtype.
+[[nodiscard]] DType check_shape(const Extents& ext, std::uint8_t dtype_tag);
 
 /// Verify and strip the trailing CRC-32, returning the archive body.
 [[nodiscard]] std::span<const std::uint8_t> checked_body(std::span<const std::uint8_t> archive);

@@ -59,7 +59,6 @@ struct CompressConfig {
   /// fine-grained decoder of the paper's reference [15] (4 bytes metadata
   /// per sub-block).
   std::uint32_t huffman_gap_stride = 0;
-  ConstructVariant construct_variant = ConstructVariant::kOptimized;
   PredictorKind predictor = PredictorKind::kLorenzo;
 };
 

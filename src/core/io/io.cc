@@ -127,26 +127,18 @@ bool MmapFieldSource::supported() { return SZP_HAVE_POSIX_IO != 0; }
 
 std::unique_ptr<FieldSource> open_field_source(const std::filesystem::path& path,
                                                SourceMode mode) {
-  switch (mode) {
-    case SourceMode::kMmap:
-      return std::make_unique<MmapFieldSource>(path);
-    case SourceMode::kRead:
-      return std::make_unique<FileFieldSource>(path);
-    case SourceMode::kAuto:
-    default:
-      if (MmapFieldSource::supported()) {
-        std::error_code ec;
-        const auto sz = std::filesystem::file_size(path, ec);
-        if (!ec && sz > 0) {
-          try {
-            return std::make_unique<MmapFieldSource>(path);
-          } catch (const std::runtime_error&) {
-            // e.g. a filesystem that refuses mappings — degrade to reads
-          }
-        }
+  if (mode == SourceMode::kAuto && MmapFieldSource::supported()) {
+    std::error_code ec;
+    const auto sz = std::filesystem::file_size(path, ec);
+    if (!ec && sz > 0) {
+      try {
+        return std::make_unique<MmapFieldSource>(path);
+      } catch (const std::runtime_error&) {
+        // e.g. a filesystem that refuses mappings — degrade to reads
       }
-      return std::make_unique<FileFieldSource>(path);
+    }
   }
+  return std::make_unique<FileFieldSource>(path);
 }
 
 FileSink::FileSink(const std::filesystem::path& path)

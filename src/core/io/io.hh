@@ -154,12 +154,11 @@ class MmapFieldSource final : public FieldSource {
 /// How open_field_source() should back a file.
 enum class SourceMode {
   kAuto,  ///< mmap when supported and the file is non-empty, else pread
-  kMmap,  ///< mmap or throw
   kRead,  ///< positional reads only (bounded-residency ingest)
 };
 
 /// Open a file as a FieldSource.  Throws std::runtime_error when the file
-/// cannot be opened (or mapped, for kMmap).
+/// cannot be opened.
 [[nodiscard]] std::unique_ptr<FieldSource> open_field_source(
     const std::filesystem::path& path, SourceMode mode = SourceMode::kAuto);
 

@@ -94,7 +94,7 @@ class LorenzoStage final : public PredictStage {
   PredictProduct construct_impl(std::span<const T> data, const Extents& ext, double eb_kernel,
                                 const CompressConfig& cfg, Workspace& ws) const {
     lorenzo_construct_into(data, ext, eb_kernel, cfg.quant, OutlierScheme::kResidual,
-                           cfg.construct_variant, ws.lorenzo);
+                           ConstructVariant::kOptimized, ws.lorenzo);
     return {std::span<const quant_t>(ws.lorenzo.quant.data(), ws.lorenzo.quant.size()),
             std::span<const qdiff_t>(ws.lorenzo.outlier_dense.data(),
                                      ws.lorenzo.outlier_dense.size()),

@@ -16,6 +16,31 @@
 
 namespace szp {
 
+/// The two damage verdicts of every reader of untrusted bytes, shared by
+/// ByteReader and by readers that do not hold their bytes (the slab
+/// container's positional directory reader, core/streaming.cc), so the same
+/// bytes get the same verdict whichever reader parses them.
+///
+/// A fixed field of `n` bytes with fewer bytes `remaining` is truncated.
+inline void require_fixed(std::size_t n, std::size_t remaining, const char* segment) {
+  if (n > remaining) {
+    throw DecodeError(DecodeErrorKind::kTruncated, segment,
+                      "need " + std::to_string(n) + " bytes, have " + std::to_string(remaining));
+  }
+}
+
+/// A length field of `n` elements of `elem_size` bytes that the `remaining`
+/// bytes cannot hold overflows.  Divides instead of multiplying, so a
+/// crafted `n` close to UINT64_MAX cannot wrap the check.
+inline void require_length(std::uint64_t n, std::size_t elem_size, std::size_t remaining,
+                           const char* segment) {
+  if (n > remaining / elem_size) {
+    throw DecodeError(DecodeErrorKind::kLengthOverflow, segment,
+                      "length field " + std::to_string(n) + " x " + std::to_string(elem_size) +
+                          " bytes exceeds the " + std::to_string(remaining) + " remaining");
+  }
+}
+
 class ByteWriter {
  public:
   template <typename T>
@@ -105,25 +130,14 @@ class ByteReader {
   /// Overflow-safe: pos_ <= bytes_.size() is an invariant, so the
   /// subtraction cannot wrap — unlike the naive `pos_ + n > size()`, which a
   /// crafted n close to UINT64_MAX would defeat.
-  void require(std::size_t n) const {
-    if (n > bytes_.size() - pos_) {
-      throw DecodeError(DecodeErrorKind::kTruncated, segment_,
-                        "need " + std::to_string(n) + " bytes, have " +
-                            std::to_string(bytes_.size() - pos_));
-    }
-  }
+  void require(std::size_t n) const { require_fixed(n, remaining(), segment_); }
 
   /// Read a 64-bit element count and validate it against the remaining bytes
   /// *before* any multiplication or allocation, so a spliced length field
   /// can neither wrap the bounds check nor trigger a huge allocation.
   [[nodiscard]] std::uint64_t checked_count(std::size_t elem_size) {
     const auto n = get<std::uint64_t>();
-    if (n > remaining() / elem_size) {
-      throw DecodeError(DecodeErrorKind::kLengthOverflow, segment_,
-                        "length field " + std::to_string(n) + " x " +
-                            std::to_string(elem_size) + " bytes exceeds the " +
-                            std::to_string(remaining()) + " remaining");
-    }
+    require_length(n, elem_size, remaining(), segment_);
     return n;
   }
 

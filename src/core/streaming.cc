@@ -17,6 +17,7 @@
 #include <omp.h>
 #endif
 
+#include "core/archive.hh"
 #include "core/error.hh"
 #include "core/io/io.hh"
 #include "core/metrics.hh"
@@ -30,10 +31,6 @@ namespace {
 
 constexpr std::uint32_t kContainerMagic = 0x43505A53;  // "SZPC"
 constexpr std::uint16_t kContainerVersion = 1;
-
-/// Fixed container prefix: magic u32, version u16, rank u8, dtype u8,
-/// nx/ny/nz/slab-count u64 — what read_header() consumes.
-constexpr std::size_t kContainerHeaderBytes = 40;
 
 /// Planning allowance per parked slab archive beyond its input bytes
 /// (archive header, codebook, chunk metadata).  The budget model charges a
@@ -616,18 +613,67 @@ std::vector<StreamingCompressed> compress_many_impl(const StreamingConfig& cfg,
   return out;
 }
 
-struct ContainerHeader {
-  Extents extents;
-  DType dtype;
-  std::size_t slabs;
+/// Positional reads over a FieldSource with ByteReader's verdicts
+/// (require_fixed, require_length): one read_at per field, which is a
+/// memcpy on a span or mmap source and a pread on a file.
+class SourceReader {
+ public:
+  explicit SourceReader(const io::FieldSource& src) : src_(src), size_(src.size_bytes()) {}
+
+  void set_segment(const char* segment) { segment_ = segment; }
+
+  template <typename T>
+  T get() {
+    static_assert(std::is_trivially_copyable_v<T>);
+    require_fixed(sizeof(T), remaining(), segment_);
+    T v;
+    src_.read_at(pos_, std::span<std::uint8_t>(reinterpret_cast<std::uint8_t*>(&v), sizeof(T)));
+    pos_ += sizeof(T);
+    return v;
+  }
+
+  /// Step over a u64-length-prefixed byte run without reading it (the
+  /// positional ByteReader::get_bytes); returns the run's byte length.
+  std::size_t skip_bytes() {
+    const auto n = get<std::uint64_t>();
+    require_length(n, 1, remaining(), segment_);
+    pos_ += static_cast<std::size_t>(n);
+    return static_cast<std::size_t>(n);
+  }
+
+  [[nodiscard]] std::size_t remaining() const { return size_ - pos_; }
+  [[nodiscard]] std::size_t position() const { return pos_; }
+
+ private:
+  const io::FieldSource& src_;
+  std::size_t size_;
+  std::size_t pos_ = 0;
+  const char* segment_ = "header";
 };
 
-/// Parse and validate the fixed container prefix.  The slab-count bound is
-/// checked separately (check_slab_bound) so callers reading the header from
-/// a 40-byte staging buffer can bound against the *file's* remaining bytes
-/// rather than the buffer's.
-ContainerHeader read_header_fields(ByteReader& r) {
-  r.set_segment("header");
+/// One slab-directory entry: where the slab sits in the field and where its
+/// archive sits in the container.
+struct SlabEntry {
+  std::size_t offset = 0;  ///< element offset the directory declares
+  std::size_t pos = 0;     ///< byte position of the slab archive
+  std::size_t len = 0;     ///< byte length of the slab archive
+};
+
+/// What read_directory() returns: the container's shape and its entries.
+struct ContainerDirectory {
+  Extents extents;
+  DType dtype = DType::kFloat32;
+  std::vector<SlabEntry> slabs;
+};
+
+/// The one container reader: the header, then every directory entry, by
+/// positional reads that step over the slab archives themselves.  The
+/// header passes archive::check_shape, and its slab count must fit the
+/// bytes left at 16 per entry (a u64 offset and a u64 length).  Every
+/// route — index(), slab_count(), in-memory, mmap and viewless decode —
+/// parses a container here, so the same bytes get the same verdict on each.
+ContainerDirectory read_directory(const io::FieldSource& src) {
+  SourceReader r(src);
   if (r.get<std::uint32_t>() != kContainerMagic) {
     throw DecodeError(DecodeErrorKind::kBadMagic, "header", "not an SZPC container");
   }
@@ -637,144 +683,79 @@ ContainerHeader read_header_fields(ByteReader& r) {
                       "container version " + std::to_string(version) + ", expected " +
                           std::to_string(kContainerVersion));
   }
-  ContainerHeader h{};
-  h.extents.rank = r.get<std::uint8_t>();
-  const auto dt = r.get<std::uint8_t>();
-  h.extents.nx = r.get<std::uint64_t>();
-  h.extents.ny = r.get<std::uint64_t>();
-  h.extents.nz = r.get<std::uint64_t>();
-  h.slabs = r.get<std::uint64_t>();
-  if (h.extents.rank < 1 || h.extents.rank > 3) {
-    throw DecodeError(DecodeErrorKind::kCorruptStream, "header",
-                      "rank " + std::to_string(h.extents.rank) + " outside [1, 3]");
+  ContainerDirectory dir;
+  dir.extents.rank = r.get<std::uint8_t>();
+  const auto dtype_tag = r.get<std::uint8_t>();
+  dir.extents.nx = r.get<std::uint64_t>();
+  dir.extents.ny = r.get<std::uint64_t>();
+  dir.extents.nz = r.get<std::uint64_t>();
+  const auto slabs = r.get<std::uint64_t>();
+  dir.dtype = archive::check_shape(dir.extents, dtype_tag);
+  require_length(slabs, 16, r.remaining(), "header");
+
+  r.set_segment("slab directory");
+  dir.slabs.reserve(static_cast<std::size_t>(slabs));
+  for (std::size_t s = 0; s < slabs; ++s) {
+    SlabEntry e;
+    e.offset = static_cast<std::size_t>(r.get<std::uint64_t>());
+    e.len = r.skip_bytes();
+    e.pos = r.position() - e.len;
+    dir.slabs.push_back(e);
   }
-  if (static_cast<DType>(dt) != DType::kFloat32 && static_cast<DType>(dt) != DType::kFloat64) {
-    throw DecodeError(DecodeErrorKind::kCorruptStream, "header",
-                      "unknown element-type tag " + std::to_string(dt));
-  }
-  h.dtype = static_cast<DType>(dt);
-  if (h.extents.nx == 0 || h.extents.ny == 0 || h.extents.nz == 0 ||
-      (h.extents.rank < 2 && h.extents.ny != 1) || (h.extents.rank < 3 && h.extents.nz != 1)) {
-    throw DecodeError(DecodeErrorKind::kCorruptStream, "header",
-                      "extents inconsistent with the declared rank");
-  }
-  std::uint64_t count = 0;
-  if (__builtin_mul_overflow(h.extents.nx, h.extents.ny, &count) ||
-      __builtin_mul_overflow(count, h.extents.nz, &count)) {
-    throw DecodeError(DecodeErrorKind::kLengthOverflow, "header",
-                      "extents overflow the element count");
-  }
-  return h;
+  return dir;
 }
 
-/// Each slab entry is at least a u64 offset plus a u64 length prefix;
-/// `available` is whatever byte count follows the header (buffer remainder
-/// in memory, file size minus header on disk).
-void check_slab_bound(const ContainerHeader& h, std::size_t available) {
-  if (h.slabs > available / 16) {
-    throw DecodeError(DecodeErrorKind::kLengthOverflow, "header",
-                      "slab count " + std::to_string(h.slabs) + " exceeds what " +
-                          std::to_string(available) + " remaining bytes can hold");
-  }
-}
-
-ContainerHeader read_header(ByteReader& r) {
-  ContainerHeader h = read_header_fields(r);
-  check_slab_bound(h, r.remaining());
-  return h;
-}
-
-/// Walk the slab directory without decoding payloads: inspect each nested
-/// archive's header and require the slabs to tile the field back-to-back,
-/// exactly as the writer lays them out.  Runs *before* the output field is
-/// allocated, so spliced extents cannot drive a huge resize.
-ContainerIndex index_impl(std::span<const std::uint8_t> container) {
-  ByteReader r(container);
-  const ContainerHeader h = read_header(r);
-  ContainerIndex idx;
-  idx.extents = h.extents;
-  idx.dtype = h.dtype;
-  idx.slabs.reserve(h.slabs);
-  std::uint64_t covered = 0;
-  const std::uint64_t total = h.extents.count();
-  for (std::size_t s = 0; s < h.slabs; ++s) {
-    r.set_segment("slab directory");
-    ContainerSlab ref{};
-    ref.offset = r.get<std::uint64_t>();
-    ref.bytes = r.get_bytes();
-    const auto info = Compressor::inspect(ref.bytes);
-    if (info.dtype != h.dtype) {
-      throw DecodeError(DecodeErrorKind::kCorruptStream, "slab directory",
-                        "slab " + std::to_string(s) + " element type disagrees with the container");
-    }
-    ref.count = info.extents.count();
-    if (ref.offset != covered || covered + ref.count > total) {
-      throw DecodeError(DecodeErrorKind::kCorruptStream, "slab directory",
-                        "slab " + std::to_string(s) + " at offset " +
-                            std::to_string(ref.offset) + " does not tile the field");
-    }
-    covered += ref.count;
-    idx.slabs.push_back(ref);
-  }
-  if (covered != total) {
+/// Slab s's archive must hold the container's element type.
+void check_slab_dtype(std::size_t s, DType slab, DType container) {
+  if (slab != container) {
     throw DecodeError(DecodeErrorKind::kCorruptStream, "slab directory",
-                      "slabs cover " + std::to_string(covered) + " of " + std::to_string(total) +
-                          " elements");
+                      "slab " + std::to_string(s) + " element type disagrees with the container");
   }
-  return idx;
 }
 
-/// Structural map of a container read through a viewless source: header
-/// plus the byte position/length of every slab payload.  Bounds-checks the
-/// directory against the file size (so a spliced length cannot drive reads
-/// past the end) but defers tiling validation to the in-order consume pass
-/// — the out-of-core decode never allocates the whole field, so there is no
-/// huge-resize hazard to front-run.
-struct FileSlabRef {
-  std::size_t field_offset;
-  std::size_t payload_pos;
-  std::size_t payload_len;
-};
+/// The in-order tiling check: slab s must start where slab s-1 ended and
+/// stay inside the field, and the slabs together must cover all of it.
+struct TilingCursor {
+  std::size_t total;
+  std::size_t covered = 0;
 
-struct FileContainerMap {
-  ContainerHeader header{};
-  std::vector<FileSlabRef> slabs;
-  std::size_t max_payload = 0;
-};
-
-FileContainerMap walk_container(const io::FieldSource& src) {
-  const std::size_t fsize = src.size_bytes();
-  std::array<std::uint8_t, kContainerHeaderBytes> hb{};
-  const std::size_t hlen = std::min<std::size_t>(fsize, hb.size());
-  src.read_at(0, std::span<std::uint8_t>(hb.data(), hlen));
-  ByteReader r(std::span<const std::uint8_t>(hb.data(), hlen));
-  FileContainerMap map;
-  map.header = read_header_fields(r);  // throws kTruncated when hlen < header
-  check_slab_bound(map.header, fsize - kContainerHeaderBytes);
-  map.slabs.reserve(map.header.slabs);
-  std::size_t pos = kContainerHeaderBytes;
-  for (std::size_t s = 0; s < map.header.slabs; ++s) {
-    if (fsize - pos < 16) {
-      throw DecodeError(DecodeErrorKind::kTruncated, "slab directory",
-                        "need 16 bytes, have " + std::to_string(fsize - pos));
+  void advance(std::size_t s, std::size_t offset, std::size_t count) {
+    if (offset != covered || count > total - covered) {
+      throw DecodeError(DecodeErrorKind::kCorruptStream, "slab directory",
+                        "slab " + std::to_string(s) + " at offset " + std::to_string(offset) +
+                            " does not tile the field");
     }
-    std::array<std::uint8_t, 16> entry{};
-    src.read_at(pos, std::span<std::uint8_t>(entry.data(), entry.size()));
-    std::uint64_t off = 0;
-    std::uint64_t len = 0;
-    std::memcpy(&off, entry.data(), 8);
-    std::memcpy(&len, entry.data() + 8, 8);
-    if (len > fsize - pos - 16) {
-      throw DecodeError(DecodeErrorKind::kTruncated, "slab directory",
-                        "need " + std::to_string(len) + " bytes, have " +
-                            std::to_string(fsize - pos - 16));
-    }
-    map.slabs.push_back(FileSlabRef{static_cast<std::size_t>(off), pos + 16,
-                                    static_cast<std::size_t>(len)});
-    map.max_payload = std::max(map.max_payload, static_cast<std::size_t>(len));
-    pos += 16 + static_cast<std::size_t>(len);
+    covered += count;
   }
-  return map;
+  void finish() const {
+    if (covered != total) {
+      throw DecodeError(DecodeErrorKind::kCorruptStream, "slab directory",
+                        "slabs cover " + std::to_string(covered) + " of " +
+                            std::to_string(total) + " elements");
+    }
+  }
+};
+
+/// Validate every slab of a container that has a view, without decoding
+/// payloads: inspect each slab archive, then check its dtype against the
+/// container's and its tiling, then the total coverage.  Runs *before* the
+/// output field is allocated, so spliced extents cannot drive a huge
+/// resize.
+ContainerIndex validate_slabs(const ContainerDirectory& dir,
+                              std::span<const std::uint8_t> container) {
+  ContainerIndex idx{dir.extents, dir.dtype, {}};
+  idx.slabs.reserve(dir.slabs.size());
+  TilingCursor tiling{dir.extents.count()};
+  for (std::size_t s = 0; s < dir.slabs.size(); ++s) {
+    const SlabEntry& e = dir.slabs[s];
+    const std::span<const std::uint8_t> bytes = container.subspan(e.pos, e.len);
+    const auto info = Compressor::inspect(bytes);
+    check_slab_dtype(s, info.dtype, dir.dtype);
+    tiling.advance(s, e.offset, info.extents.count());
+    idx.slabs.push_back(ContainerSlab{e.offset, info.extents.count(), bytes});
+  }
+  tiling.finish();
+  return idx;
 }
 
 /// One decoded slab flowing through the decode pipeline.
@@ -851,8 +832,8 @@ void resolve_decode_budget(const StreamingConfig& cfg, std::size_t produce_cost,
 
 /// The one decode path: in memory (span source, FieldSink) and out of core
 /// (file source, FileSink) alike.  `out` is filled as the run goes — dtype
-/// and extents as soon as the directory pass has validated them, before the
-/// sink sees any byte — so a sink may consult it.
+/// and extents as soon as the directory is read, before the sink sees any
+/// byte — so a sink may consult it.
 void decompress_stream_impl(io::FieldSource& src, io::ContainerSink& sink,
                             const StreamingConfig& cfg, StreamingFileInfo& out) {
   const std::span<const std::uint8_t> view = src.view();
@@ -860,46 +841,37 @@ void decompress_stream_impl(io::FieldSource& src, io::ContainerSink& sink,
   PhaseClock clock;
   out.stats.compressed_bytes = src.size_bytes();
 
-  // Directory pass: zero-copy via the validated in-memory index when the
-  // source has a view (span, mmap); a structural walk with positional reads
-  // otherwise, with tiling validated incrementally by the in-order consume.
-  ContainerIndex idx;
-  FileContainerMap map;
-  const bool has_view = !view.empty();
-  std::size_t slab_count = 0;
-  std::size_t max_slab_elems_est = 0;
-  if (has_view) {
-    idx = index_impl(view);
-    out.dtype = idx.dtype;
-    out.extents = idx.extents;
-    slab_count = idx.slabs.size();
-    for (const ContainerSlab& ref : idx.slabs) {
-      max_slab_elems_est = std::max(max_slab_elems_est, ref.count);
-    }
-  } else {
-    map = walk_container(src);
-    out.dtype = map.header.dtype;
-    out.extents = map.header.extents;
-    slab_count = map.slabs.size();
-    // Uniform tiling (constant thickness, short last slab) makes the mean a
-    // tight estimate of the largest decoded slab for the budget model.
-    max_slab_elems_est = slab_count == 0
-                             ? 0
-                             : (out.extents.count() + slab_count - 1) / slab_count;
-  }
+  const ContainerDirectory dir = read_directory(src);
+  out.dtype = dir.dtype;
+  out.extents = dir.extents;
+  const std::size_t slab_count = dir.slabs.size();
   const std::size_t esize = dtype_size(out.dtype);
   const std::size_t total = out.extents.count();
 
+  // A source with a view validates every slab up front, so the budget model
+  // knows the largest slab.  A viewless one checks slabs as they arrive;
+  // uniform tiling (constant thickness, short last slab) makes the mean a
+  // tight estimate of the largest, and each worker stages one payload.
+  std::size_t max_slab_elems = 0;
+  std::size_t staging_cost = 0;
+  if (!view.empty()) {
+    for (const ContainerSlab& ref : validate_slabs(dir, view).slabs) {
+      max_slab_elems = std::max(max_slab_elems, ref.count);
+    }
+  } else {
+    max_slab_elems = slab_count == 0 ? 0 : (total + slab_count - 1) / slab_count;
+    for (const SlabEntry& e : dir.slabs) staging_cost = std::max(staging_cost, e.len);
+  }
+
   std::size_t workers = run_workers(cfg, std::min(resolve_workers(cfg), slab_count));
   std::size_t window = queue_window(cfg, workers);
-  const std::size_t park_cost = max_slab_elems_est * esize;
-  const std::size_t produce_cost = (has_view ? 0 : map.max_payload) + park_cost;
-  resolve_decode_budget(cfg, produce_cost, park_cost, workers, window);
+  const std::size_t park_cost = max_slab_elems * esize;
+  resolve_decode_budget(cfg, staging_cost + park_cost, park_cost, workers, window);
   out.stats.workers_used = workers;
   out.stats.eb_abs = 0.0;  // per-slab bounds live in the slab archives
-  // The validated index bounds the field, so a retaining sink may size for
-  // it up front; a walked directory is validated only as slabs arrive.
-  if (has_view) sink.reserve_hint(total * esize);
+  // Validated slabs bound the field, so a retaining sink may size for it up
+  // front; a viewless source's slabs are validated only as they arrive.
+  if (!view.empty()) sink.reserve_hint(total * esize);
 
   // Decode buffers live for this call only (DESIGN.md §2.3): each worker
   // leases one workspace for its codes, outliers, reconstruct scratch and
@@ -909,46 +881,26 @@ void decompress_stream_impl(io::FieldSource& src, io::ContainerSink& sink,
   const auto make_ctx = [&] { return WorkerCtx{pool.acquire(), 0}; };
 
   const auto produce = [&](WorkerCtx& ctx, std::size_t s) -> DecodedSlab {
+    const SlabEntry& e = dir.slabs[s];
     DecodedSlab item;
     item.d = buffers.take();
+    item.declared_offset = e.offset;
     const std::size_t held = item.d.held_bytes();
-    if (has_view) {
-      const ContainerSlab& ref = idx.slabs[s];
-      Compressor::decompress(ref.bytes, item.d, *ctx.lease);
-      item.declared_offset = ref.offset;
-      const std::size_t decoded = item.d.bytes().size() / esize;
-      if (decoded != ref.count) {
-        throw DecodeError(DecodeErrorKind::kCorruptStream, "slab directory",
-                          "slab decoded to " + std::to_string(decoded) +
-                              " elements, its header declared " + std::to_string(ref.count));
-      }
-    } else {
-      const FileSlabRef& ref = map.slabs[s];
-      Compressor::decompress(
-          stage_read(ctx, src, ref.payload_pos, ref.payload_len, meter, clock), item.d,
-          *ctx.lease);
-      item.declared_offset = ref.field_offset;
-      if (item.d.dtype != out.dtype) {
-        throw DecodeError(DecodeErrorKind::kCorruptStream, "slab directory",
-                          "slab " + std::to_string(s) +
-                              " element type disagrees with the container");
-      }
-    }
+    const std::span<const std::uint8_t> bytes =
+        !view.empty() ? view.subspan(e.pos, e.len)
+                      : stage_read(ctx, src, e.pos, e.len, meter, clock);
+    Compressor::decompress(bytes, item.d, *ctx.lease);
+    check_slab_dtype(s, item.d.dtype, out.dtype);
     // A buffer is charged when it is created or grows, and stays charged
     // while parked and while idle in `buffers` — until `buffers` frees it.
     meter.add(item.d.held_bytes() - held);
     return item;
   };
 
-  std::size_t covered = 0;  // touched only by the in-order packer role
+  TilingCursor tiling{total};  // touched only by the in-order packer role
   const auto consume = [&](std::size_t s, DecodedSlab&& item) {
     const std::span<const std::uint8_t> bytes = item.d.bytes();
-    const std::size_t n = bytes.size() / esize;
-    if (item.declared_offset != covered || covered + n > total) {
-      throw DecodeError(DecodeErrorKind::kCorruptStream, "slab directory",
-                        "slab " + std::to_string(s) + " at offset " +
-                            std::to_string(item.declared_offset) + " does not tile the field");
-    }
+    tiling.advance(s, item.declared_offset, bytes.size() / esize);
     SlabInfo info;
     info.extents = item.d.extents;
     info.offset = item.declared_offset;
@@ -957,18 +909,13 @@ void decompress_stream_impl(io::FieldSource& src, io::ContainerSink& sink,
     sink.write(bytes);
     clock.add_write(wt.seconds());
     if (sink.retains_bytes()) meter.add(bytes.size());
-    covered += n;
     const std::size_t held = item.d.held_bytes();
     if (!buffers.give(std::move(item.d))) meter.sub(held);
   };
 
   const PipelineSeconds t =
       run_ordered_pipeline<DecodedSlab>(slab_count, workers, window, make_ctx, produce, consume);
-  if (covered != total) {
-    throw DecodeError(DecodeErrorKind::kCorruptStream, "slab directory",
-                      "slabs cover " + std::to_string(covered) + " of " + std::to_string(total) +
-                          " elements");
-  }
+  tiling.finish();
   sink.finish();
   out.stats.original_bytes = sink.bytes_written();
   finish_stats(out.stats, t, clock, meter);
@@ -1094,13 +1041,14 @@ std::vector<StreamingCompressed> StreamingCompressor::compress_many(
 
 std::size_t StreamingCompressor::slab_count(std::span<const std::uint8_t> container) {
   return decode_guard("streaming container", [&] {
-    ByteReader r(container);
-    return read_header(r).slabs;
+    return read_directory(io::SpanFieldSource(container)).slabs.size();
   });
 }
 
 ContainerIndex StreamingCompressor::index(std::span<const std::uint8_t> container) {
-  return decode_guard("streaming container", [&] { return index_impl(container); });
+  return decode_guard("streaming container", [&] {
+    return validate_slabs(read_directory(io::SpanFieldSource(container)), container);
+  });
 }
 
 Decompressed StreamingCompressor::decompress(std::span<const std::uint8_t> container) {

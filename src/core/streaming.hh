@@ -53,9 +53,10 @@ struct StreamingConfig {
   bool parallel = true;
   /// Worker-thread count for the slab pipeline.  0 = auto: the SZP_WORKERS
   /// environment variable when set, otherwise the OpenMP thread budget.
-  /// The slab *plan* never depends on the worker count unless
-  /// auto_slab_thickness is set, so containers stay byte-stable across
-  /// machines.
+  /// The slab *plan* depends on the worker count when auto_slab_thickness
+  /// or memory_budget is set, whether or not the run is parallel, so such a
+  /// container is reproducible only with a pinned `workers` (or
+  /// SZP_WORKERS).  Otherwise containers stay byte-stable across machines.
   std::size_t workers = 0;
   /// Opt-in heuristic slab sizing: pick a thickness that yields ~3 slabs
   /// per worker (bounded above by max_slab_elems) so uneven per-slab
@@ -73,7 +74,8 @@ struct StreamingConfig {
   /// DESIGN.md §2.3), and compression refuses with std::invalid_argument
   /// when even a single one-plane slab cannot fit.  The budget shapes the
   /// slab plan, so it is part of the container bytes — the same config
-  /// yields byte-identical containers in memory and file-to-file.
+  /// yields byte-identical containers in memory and file-to-file, and the
+  /// worker count it is resolved with is part of that config (`workers`).
   std::size_t memory_budget = 0;
   /// File ingest mode for compress_file()/decompress_file(): mmap the input
   /// when the platform supports it (zero-copy slab spans, residency managed
@@ -244,7 +246,8 @@ class StreamingCompressor {
   [[nodiscard]] static Decompressed decompress(std::span<const std::uint8_t> container,
                                                const StreamingConfig& cfg);
 
-  /// Number of slabs in a container (without decompressing anything).
+  /// Number of slabs in a container: the directory is read and checked,
+  /// no slab archive is inspected or decoded.
   [[nodiscard]] static std::size_t slab_count(std::span<const std::uint8_t> container);
 
   /// Parse and validate the whole slab directory once (no payload decode).

@@ -106,9 +106,9 @@ struct Workspace {
 class WorkspacePool;
 class WorkspaceLease {
  public:
-  /// An empty lease: holds no workspace, releases nothing.  Lets callers
-  /// keep a "lease this worker may or may not hold" slot (e.g. the
-  /// single-worker streaming path leases only under a parallel config).
+  /// An empty lease: holds no workspace, releases nothing.  Only
+  /// compress_many's field workers hold one: each nested compress leases
+  /// its own workspaces.
   WorkspaceLease() = default;
   WorkspaceLease(WorkspaceLease&&) noexcept = default;
   WorkspaceLease(const WorkspaceLease&) = delete;
@@ -116,7 +116,6 @@ class WorkspaceLease {
   WorkspaceLease& operator=(WorkspaceLease&&) = delete;
   ~WorkspaceLease();
 
-  [[nodiscard]] explicit operator bool() const { return ws_ != nullptr; }
   [[nodiscard]] Workspace& operator*() { return *ws_; }
   [[nodiscard]] Workspace* operator->() { return ws_.get(); }
 

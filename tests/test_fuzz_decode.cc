@@ -20,6 +20,7 @@
 #include "core/huffman/codebook.hh"
 #include "core/huffman/codec.hh"
 #include "core/serialize.hh"
+#include "core/streaming.hh"
 #include "core/types.hh"
 #include "data/io.hh"
 #include "sim/launch.hh"
@@ -179,6 +180,68 @@ TEST(FuzzDecode, LzCodecIdRejectedInLegacyArchiveVersion) {
   archive[7] = static_cast<std::uint8_t>(Workflow::kLz77);
   restamp_crc(archive);
   expect_rejected(archive, DecodeErrorKind::kCorruptStream, "header");
+}
+
+TEST(FuzzDecode, ArchiveAndContainerHeadersShareOneShapeCheck) {
+  // archive::check_shape is the one rank / dtype-tag / extents / overflow
+  // check: a spliced shape gets the same error from an archive (rank at
+  // byte 6, dtype at 8, nx/ny/nz from 9) and from a slab container (rank at
+  // 6, dtype at 7, nx/ny/nz from 8).
+  std::vector<float> data(512);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = std::sin(static_cast<float>(i) * 0.01f);
+  }
+  StreamingConfig scfg;
+  scfg.base.eb = ErrorBound::absolute(1e-3);
+  scfg.max_slab_elems = 128;
+  const auto container = StreamingCompressor(scfg).compress(data, Extents::d1(512)).bytes;
+  const auto archive = spiked_archive();
+
+  struct Shape {
+    std::uint8_t rank, dtype;
+    std::uint64_t nx, ny, nz;
+  };
+  const auto splice = [](std::vector<std::uint8_t> bytes, std::size_t dims_at, const Shape& s) {
+    bytes[6] = s.rank;
+    bytes[dims_at - 1] = s.dtype;
+    std::memcpy(bytes.data() + dims_at, &s.nx, 8);
+    std::memcpy(bytes.data() + dims_at + 8, &s.ny, 8);
+    std::memcpy(bytes.data() + dims_at + 16, &s.nz, 8);
+    return bytes;
+  };
+  const std::uint64_t big = std::uint64_t{1} << 32;
+  const Shape shapes[] = {
+      {0, 0, 512, 1, 1},      // rank outside [1, 3]
+      {1, 7, 512, 1, 1},      // unknown element-type tag
+      {1, 0, 256, 2, 1},      // extents inconsistent with the rank
+      {3, 0, big, big, big},  // element count overflows
+  };
+  for (const Shape& s : shapes) {
+    auto a = splice(archive, 9, s);
+    restamp_crc(a);
+    const auto c = splice(container, 8, s);
+    std::string from_archive, from_container;
+    try {
+      (void)Compressor::decompress(a);
+    } catch (const DecodeError& e) {
+      from_archive = e.what();
+    }
+    try {
+      (void)StreamingCompressor::decompress(c);
+    } catch (const DecodeError& e) {
+      from_container = e.what();
+    }
+    EXPECT_NE(from_archive.find("in header: "), std::string::npos) << from_archive;
+    EXPECT_EQ(from_container, from_archive);
+  }
+
+  // The archive checks its workflow tag before the shared shape checks; a
+  // header bad in both still fails as corrupt-stream in header.
+  auto both = archive;
+  both[6] = 0;
+  both[7] = 200;
+  restamp_crc(both);
+  expect_rejected(both, DecodeErrorKind::kCorruptStream, "header");
 }
 
 TEST(FuzzDecode, SplicedOutlierCountOverflowIsNamed) {

@@ -16,6 +16,7 @@
 
 #include "core/error.hh"
 #include "core/io/io.hh"
+#include "core/serialize.hh"
 #include "core/streaming.hh"
 
 namespace {
@@ -224,6 +225,96 @@ TEST(OocoreFaults, TruncatedContainerFileIsACleanDecodeError) {
       }
     }
   }
+}
+
+/// "<kind> in <segment>" of the DecodeError `decode` throws, or "accepted".
+std::string verdict_of(const std::function<void()>& decode) {
+  try {
+    decode();
+  } catch (const DecodeError& e) {
+    return std::string(decode_error_kind_name(e.kind())) + " in " + e.segment();
+  }
+  return "accepted";
+}
+
+/// The verdicts of the three container decode routes on `bytes`: in memory,
+/// file through mmap, file through positional reads (`--no-mmap`).
+std::vector<std::string> route_verdicts(const TempDir& tmp, std::span<const std::uint8_t> bytes) {
+  write_file(tmp / "damaged.szpc", bytes);
+  std::vector<std::string> verdicts{
+      verdict_of([&] { (void)StreamingCompressor::decompress(bytes); })};
+  for (const bool mmap : {true, false}) {
+    StreamingConfig cfg;
+    cfg.use_mmap = mmap;
+    verdicts.push_back(verdict_of([&] {
+      (void)StreamingCompressor::decompress_file(tmp / "damaged.szpc", tmp / "out.f32", cfg);
+    }));
+  }
+  return verdicts;
+}
+
+/// A committed corpus artifact: the recorded verdict, target and mutant
+/// (layout: u32 magic, u8 version, u8 kind, str target, str segment,
+/// vec<u8> archive — tools/fuzz_decode.cc).
+struct Artifact {
+  std::string verdict;
+  std::string target;
+  std::vector<std::uint8_t> archive;
+};
+
+Artifact read_artifact(const fs::path& path) {
+  const auto bytes = read_file(path);
+  ByteReader r(bytes);
+  (void)r.get<std::uint32_t>();
+  (void)r.get<std::uint8_t>();
+  const auto kind = static_cast<DecodeErrorKind>(r.get<std::uint8_t>());
+  const auto target = r.get_vector<char>();
+  const auto segment = r.get_vector<char>();
+  Artifact a;
+  a.verdict = std::string(decode_error_kind_name(kind)) + " in " +
+              std::string(segment.begin(), segment.end());
+  a.target.assign(target.begin(), target.end());
+  a.archive = r.get_vector<std::uint8_t>();
+  return a;
+}
+
+TEST(OocoreFaults, DamagedContainerGetsOneVerdictOnEveryRoute) {
+  // Every route parses the container with one directory reader, so a cut
+  // gets one (kind, segment) whether the bytes are in memory, mapped, or
+  // read positionally — a length past the end is length-overflow on all.
+  TempDir tmp("one_verdict");
+  const Extents ext = Extents::d2(48, 128);
+  const auto container =
+      StreamingCompressor(oocore_cfg(2, 4 * 128)).compress(wave(ext.count()), ext).bytes;
+  std::vector<std::size_t> cuts{3, 39, 40, 47, 60};
+  for (const double frac : {0.1, 0.5, 0.9}) {
+    cuts.push_back(static_cast<std::size_t>(frac * static_cast<double>(container.size())));
+  }
+  for (const std::size_t keep : cuts) {
+    const auto v = route_verdicts(tmp, std::span<const std::uint8_t>(container.data(), keep));
+    EXPECT_NE(v[0], "accepted") << keep << " bytes";
+    EXPECT_EQ(v[1], v[0]) << "mmap route, " << keep << " bytes";
+    EXPECT_EQ(v[2], v[0]) << "viewless route, " << keep << " bytes";
+  }
+  EXPECT_EQ(route_verdicts(tmp, std::span<const std::uint8_t>(container.data(), 40))[2],
+            "length-overflow in header");  // the slab count outruns the bytes left
+
+  // Every committed streaming mutant reproduces its recorded verdict on all
+  // three routes, whichever route captured it.
+  std::size_t streaming_artifacts = 0;
+  for (const auto& entry : fs::directory_iterator(SZP_CORPUS_DIR)) {
+    const Artifact a = read_artifact(entry.path());
+    if (a.target.rfind("streaming", 0) != 0) continue;
+    ++streaming_artifacts;
+    for (const std::string& v : route_verdicts(tmp, a.archive)) {
+      EXPECT_EQ(v, a.verdict) << entry.path().filename();
+    }
+  }
+  EXPECT_GE(streaming_artifacts, 3u);
+  const Artifact cut =
+      read_artifact(fs::path(SZP_CORPUS_DIR) / "length-overflow__slab-directory__no-mmap.szpf");
+  EXPECT_EQ(route_verdicts(tmp, cut.archive),
+            std::vector<std::string>(3, "length-overflow in slab directory"));
 }
 
 // -- Byte identity: file path vs in-memory path -----------------------------

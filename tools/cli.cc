@@ -21,6 +21,7 @@
 #include "core/huffman/codec.hh"
 #include "core/metrics.hh"
 #include "core/bundle.hh"
+#include "core/pipeline/registry.hh"
 #include "core/predictor/lorenzo.hh"
 #include "core/predictor/regression.hh"
 #include "core/rle/rle.hh"
@@ -109,16 +110,18 @@ Extents parse_dims(const std::string& spec) {
   }
 }
 
+/// Codec names come from the registry (LosslessCodec::name()); "auto" is
+/// the one name the registry does not hold.
 Workflow parse_workflow(const std::string& s) {
   if (s == "auto") return Workflow::kAuto;
-  if (s == "huffman") return Workflow::kHuffman;
-  if (s == "rle") return Workflow::kRle;
-  if (s == "rle+vle") return Workflow::kRleVle;
-  if (s == "rans") return Workflow::kRans;
-  if (s == "lz77") return Workflow::kLz77;
-  if (s == "lzh") return Workflow::kLzh;
-  if (s == "lzr") return Workflow::kLzr;
+  for (const auto& codec : pipeline::StageRegistry::instance().codecs()) {
+    if (s == codec->name()) return codec->id();
+  }
   throw std::invalid_argument("unknown codec '" + s + "'");
+}
+
+const char* workflow_name(Workflow wf) {
+  return wf == Workflow::kAuto ? "auto" : pipeline::StageRegistry::instance().codec(wf).name();
 }
 
 PredictorKind parse_predictor(const std::string& s) {
@@ -126,20 +129,6 @@ PredictorKind parse_predictor(const std::string& s) {
   if (s == "regression") return PredictorKind::kRegression;
   if (s == "interpolation") return PredictorKind::kInterpolation;
   throw std::invalid_argument("unknown predictor '" + s + "'");
-}
-
-const char* workflow_name(Workflow wf) {
-  switch (wf) {
-    case Workflow::kHuffman: return "huffman";
-    case Workflow::kRle: return "rle";
-    case Workflow::kRleVle: return "rle+vle";
-    case Workflow::kRans: return "rans";
-    case Workflow::kLz77: return "lz77";
-    case Workflow::kLzh: return "lzh";
-    case Workflow::kLzr: return "lzr";
-    case Workflow::kAuto: return "auto";
-  }
-  return "?";
 }
 
 std::vector<std::uint8_t> read_bytes(const std::string& path) {
@@ -592,7 +581,7 @@ void codec_score_tables(std::ostream& out) {
         << " bits, huffman<b>=" << std::max(1.0, d.stats.avg_bits_lower()) << ")\n";
     out << "  codec     <b>est   fixed_B   ratio_est   enc_ms    dec_ms    score\n";
     for (const auto& s : d.scores) {
-      out << "  " << std::left << std::setw(9) << workflow_name(s.workflow) << std::right
+      out << "  " << std::left << std::setw(9) << s.name << std::right
           << std::setw(7) << std::setprecision(3) << s.est_bits_per_symbol << "  "
           << std::setw(8) << std::setprecision(0) << s.est_fixed_bytes << "  "
           << std::setw(10) << std::setprecision(2) << s.est_ratio << "  "
@@ -694,7 +683,9 @@ void usage(std::ostream& err) {
          "auto additionally sizes slabs to the worker pool); --serial-slabs\n"
          "forces one-at-a-time in both directions (the container bytes are\n"
          "identical either way).  --workers N (or the SZP_WORKERS environment\n"
-         "variable) sets the slab worker-pool size.  --memory-budget BYTES\n"
+         "variable) sets the slab worker-pool size; --memory-budget and\n"
+         "--stream auto size slabs to it, so pin it to reproduce such a\n"
+         "container on another machine.  --memory-budget BYTES\n"
          "(K/M/G suffixes accepted; --in/--out work as aliases for -i/-o)\n"
          "resolves slab thickness and queue window so peak residency stays\n"
          "within the budget (refused with a clear error when even one\n"
