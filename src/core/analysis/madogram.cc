@@ -3,6 +3,8 @@
 #include <cmath>
 #include <random>
 
+#include "sim/launch.hh"
+
 namespace szp {
 
 namespace {
@@ -67,12 +69,15 @@ MadogramResult madogram(std::span<const std::uint16_t> data, const MadogramConfi
 
 double adjacent_roughness(std::span<const std::uint16_t> data) {
   if (data.size() < 2) return 0.0;
-  std::uint64_t changes = 0;
-#pragma omp parallel for reduction(+ : changes)
-  for (long long i = 1; i < static_cast<long long>(data.size()); ++i) {
-    const auto k = static_cast<std::size_t>(i);
-    changes += data[k] != data[k - 1] ? 1u : 0u;
-  }
+  // Pair k compares data[k + 1] with data[k].
+  const std::uint64_t changes = sim::reduce_blocks(
+      data.size() - 1,
+      [data](std::size_t begin, std::size_t end) {
+        std::uint64_t part = 0;
+        for (std::size_t k = begin; k < end; ++k) part += data[k + 1] != data[k] ? 1u : 0u;
+        return part;
+      },
+      [](std::uint64_t a, std::uint64_t b) { return a + b; });
   return static_cast<double>(changes) / static_cast<double>(data.size() - 1);
 }
 

@@ -130,11 +130,11 @@ class HuffmanCodec final : public LosslessCodec {
     write_huffman_section(w, ws.book, ws.huffman);
   }
 
-  void decode(ByteReader& r, const DecodeContext& ctx, std::span<quant_t> out,
+  void decode(ByteReader& r, const DecodeContext& ctx, sim::device_vector<quant_t>& out,
               sim::PipelineReport& report) const override {
     sim::Timer t;
     const auto s = read_huffman_section(r);
-    const sim::KernelCost cost = huffman_decode_into(s.enc, s.book, out);
+    const sim::KernelCost cost = huffman_decode_into(s.enc, s.book, ctx.n, out);
     report.add({"huffman_decode", ctx.payload_bytes, t.seconds(), cost});
   }
 
@@ -171,14 +171,14 @@ class RleCodec final : public LosslessCodec {
     w.put_vector(rle.counts);
   }
 
-  void decode(ByteReader& r, const DecodeContext& ctx, std::span<quant_t> out,
+  void decode(ByteReader& r, const DecodeContext& ctx, sim::device_vector<quant_t>& out,
               sim::PipelineReport& report) const override {
     sim::Timer t;
     RleEncoded rle;
     rle.num_symbols = r.get<std::uint64_t>();
     rle.values = r.get_vector<quant_t>();
     rle.counts = r.get_vector<std::uint16_t>();
-    const sim::KernelCost cost = rle_decode_into(rle, out);
+    const sim::KernelCost cost = rle_decode_into(rle, ctx.n, out);
     report.add({"rle_decode", ctx.payload_bytes, t.seconds(), cost});
   }
 
@@ -240,7 +240,7 @@ class RleVleCodec final : public LosslessCodec {
     write_huffman_section(w, cbook, ws.huffman);
   }
 
-  void decode(ByteReader& r, const DecodeContext& ctx, std::span<quant_t> out,
+  void decode(ByteReader& r, const DecodeContext& ctx, sim::device_vector<quant_t>& out,
               sim::PipelineReport& report) const override {
     sim::Timer t;
     RleEncoded rle;
@@ -253,7 +253,7 @@ class RleVleCodec final : public LosslessCodec {
     rle.counts.assign(cdec.symbols.begin(), cdec.symbols.end());
     sim::KernelCost cost = vdec.cost;
     cost += cdec.cost;
-    cost += rle_decode_into(rle, out);
+    cost += rle_decode_into(rle, ctx.n, out);
     report.add({"rle_vle_decode", ctx.payload_bytes, t.seconds(), cost});
   }
 
@@ -325,7 +325,7 @@ class RansCodec final : public LosslessCodec {
     w.put_vector(enc);
   }
 
-  void decode(ByteReader& r, const DecodeContext& ctx, std::span<quant_t> out,
+  void decode(ByteReader& r, const DecodeContext& ctx, sim::device_vector<quant_t>& out,
               sim::PipelineReport& report) const override {
     sim::Timer t;
     const auto model = RansModel::deserialize(r);
@@ -338,6 +338,7 @@ class RansCodec final : public LosslessCodec {
                         "rans symbol count " + std::to_string(count) +
                             " does not match the " + std::to_string(ctx.n) + "-element grid");
     }
+    out.resize(ctx.n);
     const auto enc = r.get_bytes();
     rans_decode_into(enc, model, out);
     sim::KernelCost cost;

@@ -13,12 +13,14 @@
 // Contract highlights:
 //   * encode() serializes the codec's self-describing section directly
 //     after the outlier section; decode() must consume exactly those bytes
-//     and decode in place into the caller's n-element span — the decode
-//     workspace's quant-code buffer, with no intermediate symbol vector
-//     (throwing DecodeError with the taxonomy of core/error.hh on any
-//     inconsistency, always validating declared sizes *before* allocating,
-//     and running its own section checks before the symbol-count-vs-grid
-//     check, kCorruptStream in "quant-codes").
+//     and decode in place into the decode workspace's quant-code buffer,
+//     with no intermediate symbol vector (throwing DecodeError with the
+//     taxonomy of core/error.hh on any inconsistency, always validating
+//     declared sizes *before* allocating, and running its own section
+//     checks before the symbol-count-vs-grid check, kCorruptStream in
+//     "quant-codes").  The codec sizes that buffer to the grid's n only
+//     after the count check, so the header's element count alone never
+//     drives an allocation (DESIGN.md §9.2).
 //   * Kernels run as registered checked launches with footprint contracts,
 //     so `--check=word`, `szp analyze` and the traffic analyzer cover every
 //     codec equally.
@@ -87,11 +89,11 @@ class LosslessCodec {
   virtual void encode(std::span<const quant_t> quant, const EncodeContext& ctx, Workspace& ws,
                       ByteWriter& w, sim::PipelineReport& report) const = 0;
 
-  /// Mirror of encode(): parse the section and decode straight into all of
-  /// `out` (whose size is the header-validated element count).  Throws
-  /// DecodeError when the section is inconsistent or does not hold exactly
-  /// out.size() symbols.
-  virtual void decode(ByteReader& r, const DecodeContext& ctx, std::span<quant_t> out,
+  /// Mirror of encode(): parse the section, check that it holds exactly
+  /// ctx.n symbols, then size `out` to ctx.n and decode straight into it.
+  /// Throws DecodeError when the section is inconsistent or does not hold
+  /// exactly ctx.n symbols; the count check comes before the resize.
+  virtual void decode(ByteReader& r, const DecodeContext& ctx, sim::device_vector<quant_t>& out,
                       sim::PipelineReport& report) const = 0;
 
   /// Histogram-only projection of density and kernel cost (see CodecEstimate).

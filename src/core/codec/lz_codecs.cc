@@ -186,7 +186,7 @@ class Lz77Codec final : public LosslessCodec {
     }
   }
 
-  void decode(ByteReader& r, const DecodeContext& ctx, std::span<quant_t> out,
+  void decode(ByteReader& r, const DecodeContext& ctx, sim::device_vector<quant_t>& out,
               sim::PipelineReport& report) const override {
     sim::Timer t;
     r.set_segment("quant-codes");
@@ -200,9 +200,11 @@ class Lz77Codec final : public LosslessCodec {
                             std::to_string(kTokenBytes) + " bytes exceeds the " +
                             std::to_string(r.remaining()) + " remaining");
     }
-    const std::size_t packed = out.size() * sizeof(quant_t);
+    // A well-formed token expands to at most 258 bytes, so the reserve is
+    // bounded by the token count as well as by the grid.
+    const std::size_t packed = ctx.n * sizeof(quant_t);
     std::vector<std::uint8_t> bytes;
-    bytes.reserve(packed);
+    bytes.reserve(std::min<std::size_t>(packed, count * 258));
     sim::KernelCost cost;
     {
       sim::traffic::Scope scope;
@@ -223,11 +225,12 @@ class Lz77Codec final : public LosslessCodec {
         }
         if (bytes.size() > packed) {
           throw DecodeError(DecodeErrorKind::kCorruptStream, "quant-codes",
-                            "lz77 stream expands past the " + std::to_string(out.size()) +
+                            "lz77 stream expands past the " + std::to_string(ctx.n) +
                                 "-element grid");
         }
       }
-      require_packed_size(bytes.size(), out.size(), "lz77");
+      require_packed_size(bytes.size(), ctx.n, "lz77");
+      out.resize(ctx.n);
       quant_unpack(bytes, out);
       scope.apply(cost);
     }
@@ -275,7 +278,7 @@ class LzEntropyCodec : public LosslessCodec {
     w.put_vector(payload);
   }
 
-  void decode(ByteReader& r, const DecodeContext& ctx, std::span<quant_t> out,
+  void decode(ByteReader& r, const DecodeContext& ctx, sim::device_vector<quant_t>& out,
               sim::PipelineReport& report) const override {
     sim::Timer t;
     r.set_segment("quant-codes");
@@ -287,11 +290,12 @@ class LzEntropyCodec : public LosslessCodec {
     {
       sim::traffic::Scope scope;
       const auto bytes = Derived::decompress_bytes(payload);
-      require_packed_size(bytes.size(), out.size(), Derived::kName);
+      require_packed_size(bytes.size(), ctx.n, Derived::kName);
+      out.resize(ctx.n);
       quant_unpack(bytes, out);
       scope.apply(cost);
     }
-    cost.flops = out.size() * sizeof(quant_t) * 5;
+    cost.flops = ctx.n * sizeof(quant_t) * 5;
     cost.parallel_items = 1;
     report.add({Derived::kDecodeStage, ctx.payload_bytes, t.seconds(), cost});
   }

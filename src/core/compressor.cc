@@ -190,9 +190,8 @@ void Compressor::decompress(std::span<const std::uint8_t> archive, Decompressed&
     // --- Decode quant-codes -------------------------------------------------
     r.set_segment("quant-codes");
     const pipeline::DecodeContext dctx{n, payload_bytes};
-    // The codec fills exactly n symbols in place or throws; n was validated
-    // by read_header before this resize.
-    ws.decode_quant.resize(n);
+    // The codec sizes decode_quant to n only once its section holds exactly
+    // n symbols, so a spliced header count cannot drive the allocation.
     registry.codec(h.workflow).decode(r, dctx, ws.decode_quant, out.pipeline);
 
     // --- Scatter outliers + predictor reconstruction ------------------------

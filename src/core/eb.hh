@@ -12,6 +12,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "sim/launch.hh"
+
 namespace szp {
 
 enum class EbMode {
@@ -55,23 +57,29 @@ struct ValueRange {
   [[nodiscard]] double span() const { return max - min; }
   [[nodiscard]] double max_abs() const { return std::max(std::abs(min), std::abs(max)); }
 
+  /// Range of the union of two ranges (exact: min, max and && commute).
+  [[nodiscard]] static ValueRange merge(const ValueRange& a, const ValueRange& b) {
+    return {std::min(a.min, b.min), std::max(a.max, b.max), a.finite && b.finite};
+  }
+
+  /// A block-reduce (sim::reduce_blocks): parallel over fixed blocks, and
+  /// exact, so the range is the same at every thread count.
   template <typename T>
   static ValueRange of(std::span<const T> data) {
-    ValueRange r;
-    if (data.empty()) return r;
-    T lo = data[0], hi = data[0];
-    bool fin = true;
-#pragma omp parallel for reduction(min : lo) reduction(max : hi) reduction(&& : fin)
-    for (long long i = 0; i < static_cast<long long>(data.size()); ++i) {
-      const T v = data[static_cast<std::size_t>(i)];
-      fin = fin && std::isfinite(v);
-      lo = std::min(lo, v);
-      hi = std::max(hi, v);
-    }
-    r.min = lo;
-    r.max = hi;
-    r.finite = fin;
-    return r;
+    return sim::reduce_blocks(
+        data.size(),
+        [data](std::size_t begin, std::size_t end) {
+          T lo = data[begin], hi = data[begin];
+          bool fin = true;
+          for (std::size_t i = begin; i < end; ++i) {
+            const T v = data[i];
+            fin = fin && std::isfinite(v);
+            lo = std::min(lo, v);
+            hi = std::max(hi, v);
+          }
+          return ValueRange{static_cast<double>(lo), static_cast<double>(hi), fin};
+        },
+        merge);
   }
 
   template <typename T, typename Alloc>

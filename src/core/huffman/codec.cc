@@ -277,13 +277,14 @@ sim::KernelCost decode_chunks(const HuffmanEncoded& enc, const HuffmanCodebook& 
 }  // namespace
 
 sim::KernelCost huffman_decode_into(const HuffmanEncoded& enc, const HuffmanCodebook& book,
-                                    std::span<quant_t> out) {
+                                    std::size_t n, sim::device_vector<quant_t>& out) {
   check_decode_metadata(enc);
-  if (enc.num_symbols != out.size()) {
+  if (enc.num_symbols != n) {
     throw DecodeError(DecodeErrorKind::kCorruptStream, "quant-codes",
                       "huffman stream holds " + std::to_string(enc.num_symbols) +
-                          " symbols, the grid holds " + std::to_string(out.size()));
+                          " symbols, the grid holds " + std::to_string(n));
   }
+  out.resize(n);
   return decode_chunks(enc, book, out);
 }
 

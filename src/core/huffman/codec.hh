@@ -15,6 +15,7 @@
 
 #include "core/huffman/codebook.hh"
 #include "core/types.hh"
+#include "sim/aligned.hh"
 #include "sim/profile.hh"
 
 namespace szp {
@@ -73,10 +74,11 @@ struct HuffmanDecoded {
 /// carries a gap array, decoding enters each sub-block at its recorded bit
 /// offset instead, raising the decode parallelism from one-per-chunk to
 /// one-per-sub-block.  The metadata is validated first; then an encoding
-/// that does not hold exactly out.size() symbols throws DecodeError
-/// (kCorruptStream, "quant-codes").
+/// that does not hold exactly `n` symbols throws DecodeError
+/// (kCorruptStream, "quant-codes").  Only after both checks is `out` sized
+/// to n, so a spliced count never drives the allocation.
 sim::KernelCost huffman_decode_into(const HuffmanEncoded& enc, const HuffmanCodebook& book,
-                                    std::span<quant_t> out);
+                                    std::size_t n, sim::device_vector<quant_t>& out);
 
 /// huffman_decode_into() a new vector of enc.num_symbols symbols.
 [[nodiscard]] HuffmanDecoded huffman_decode(const HuffmanEncoded& enc,

@@ -103,13 +103,15 @@ sim::KernelCost expand_runs(const RleEncoded& enc, std::span<const std::uint64_t
 
 }  // namespace
 
-sim::KernelCost rle_decode_into(const RleEncoded& enc, std::span<quant_t> out) {
+sim::KernelCost rle_decode_into(const RleEncoded& enc, std::size_t n,
+                                sim::device_vector<quant_t>& out) {
   const auto offset = run_offsets(enc);
-  if (enc.num_symbols != out.size()) {
+  if (enc.num_symbols != n) {
     throw DecodeError(DecodeErrorKind::kCorruptStream, "quant-codes",
                       "rle runs expand to " + std::to_string(enc.num_symbols) +
-                          " symbols, the grid holds " + std::to_string(out.size()));
+                          " symbols, the grid holds " + std::to_string(n));
   }
+  out.resize(n);
   return expand_runs(enc, offset, out);
 }
 

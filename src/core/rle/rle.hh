@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/types.hh"
+#include "sim/aligned.hh"
 #include "sim/profile.hh"
 
 namespace szp {
@@ -37,9 +38,11 @@ struct RleDecoded {
 };
 
 /// Expand runs straight into `out` and return the kernel cost.  The run
-/// streams are validated first; then runs that do not expand to exactly
-/// out.size() symbols throw DecodeError (kCorruptStream, "quant-codes").
-sim::KernelCost rle_decode_into(const RleEncoded& enc, std::span<quant_t> out);
+/// streams are validated first; then runs that do not expand to exactly `n`
+/// symbols throw DecodeError (kCorruptStream, "quant-codes").  Only after
+/// both checks is `out` sized to n.
+sim::KernelCost rle_decode_into(const RleEncoded& enc, std::size_t n,
+                                sim::device_vector<quant_t>& out);
 
 /// Expand runs back to the flat symbol stream in a new vector.
 [[nodiscard]] RleDecoded rle_decode(const RleEncoded& enc);

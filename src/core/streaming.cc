@@ -13,10 +13,6 @@
 #include <stdexcept>
 #include <string>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "core/archive.hh"
 #include "core/error.hh"
 #include "core/io/io.hh"
@@ -39,7 +35,8 @@ constexpr std::uint16_t kContainerVersion = 1;
 constexpr std::size_t kSlabArchiveOverhead = 4096;
 
 /// Worker count for the slab pipeline: explicit config wins, then the
-/// SZP_WORKERS environment variable, then the OpenMP thread budget.
+/// SZP_WORKERS environment variable, then the launch substrate's default
+/// team (the OpenMP thread budget).
 /// Deliberately independent of cfg.parallel — the slab *plan* may consult
 /// the worker count (auto_slab_thickness, memory_budget), and the plan must
 /// not differ between a serial and a parallel run or their containers would
@@ -51,25 +48,15 @@ std::size_t resolve_workers(const StreamingConfig& cfg) {
     const unsigned long v = std::strtoul(env, &end, 10);
     if (end != env && *end == '\0' && v > 0 && v < 4096) return static_cast<std::size_t>(v);
   }
-#ifdef _OPENMP
-  return static_cast<std::size_t>(std::max(1, omp_get_max_threads()));
-#else
-  return 1;
-#endif
+  return sim::thread_budget();
 }
 
-/// Workers a pipeline run actually uses: `cap` (the plan's worker count,
-/// the item count) when the config is parallel, else one.  A run nested
-/// under an outer fan-out (compress_many) is always single-worker, so the
-/// fan-out stays explicitly one-level.
+/// Workers a pipeline run actually uses: the team a launch of `cap` (the
+/// plan's worker count, the item count) threads gets when the config is
+/// parallel, else one.  A run nested under an outer fan-out (compress_many)
+/// gets one, so the fan-out stays explicitly one-level.
 std::size_t run_workers(const StreamingConfig& cfg, std::size_t cap) {
-#ifdef _OPENMP
-  if (cfg.parallel && !sim::in_parallel_worker()) return std::max<std::size_t>(1, cap);
-#else
-  (void)cfg;
-  (void)cap;
-#endif
-  return 1;
+  return cfg.parallel ? sim::team_size(std::max<std::size_t>(1, cap)) : 1;
 }
 
 /// Queue window for `workers` pipeline workers: cfg.queue_window when set,
@@ -171,46 +158,6 @@ Extents slab_extents(const Extents& ext, std::size_t len) {
   }
 }
 
-/// min/max/finiteness of `n` contiguous elements (plain scalar code, no
-/// nested OpenMP pragma).
-template <typename T>
-ValueRange chunk_range(const T* p, std::size_t n) {
-  T lo = p[0];
-  T hi = p[0];
-  bool fin = true;
-  for (std::size_t i = 0; i < n; ++i) {
-    fin = fin && std::isfinite(p[i]);
-    lo = std::min(lo, p[i]);
-    hi = std::max(hi, p[i]);
-  }
-  return ValueRange{static_cast<double>(lo), static_cast<double>(hi), fin};
-}
-
-/// Fold a partial range into `r` (exact: min/max/and commute).
-void merge_range(ValueRange& r, const ValueRange& part) {
-  r.min = std::min(r.min, part.min);
-  r.max = std::max(r.max, part.max);
-  r.finite = r.finite && part.finite;
-}
-
-/// Whole-field min/max as a block-reduce over the launch substrate: the
-/// block partials merge exactly, so the resolved bound is identical to the
-/// single-pass ValueRange::of scan — but the scan parallelizes instead of
-/// running serially before any slab worker starts.
-template <typename T>
-ValueRange field_range_blocked(std::span<const T> data) {
-  constexpr std::size_t kBlock = std::size_t{1} << 16;
-  const std::size_t blocks = sim::div_ceil(data.size(), kBlock);
-  std::vector<ValueRange> partial(blocks);
-  sim::launch_blocks(blocks, [&](std::size_t b) {
-    const std::size_t begin = b * kBlock;
-    partial[b] = chunk_range(data.data() + begin, std::min(kBlock, data.size() - begin));
-  });
-  ValueRange r = partial[0];
-  for (std::size_t b = 1; b < blocks; ++b) merge_range(r, partial[b]);
-  return r;
-}
-
 /// min/max for a viewless source: one chunk-sized staging buffer, serial
 /// positional reads.  Costs a second pass over the file, which only a
 /// relative/PSNR bound pays — an absolute bound skips the scan entirely.
@@ -222,12 +169,9 @@ ValueRange field_range_streamed(const io::FieldSource& src, std::size_t count) {
   for (std::size_t begin = 0; begin < count; begin += kChunk) {
     const std::size_t n = std::min(kChunk, count - begin);
     src.read_at(begin * sizeof(T), std::span<std::uint8_t>(buf.data(), n * sizeof(T)));
-    const ValueRange part = chunk_range(reinterpret_cast<const T*>(buf.data()), n);
-    if (begin == 0) {
-      r = part;
-    } else {
-      merge_range(r, part);
-    }
+    const ValueRange part =
+        ValueRange::of(std::span<const T>(reinterpret_cast<const T*>(buf.data()), n));
+    r = begin == 0 ? part : ValueRange::merge(r, part);
   }
   return r;
 }
@@ -406,12 +350,7 @@ PipelineSeconds run_ordered_pipeline(std::size_t count, std::size_t workers, std
     }
   };
 
-  if (workers > 1) {
-#pragma omp parallel num_threads(static_cast<int>(workers))
-    { worker(); }
-  } else {
-    worker();
-  }
+  sim::launch_blocks(workers, [&](std::size_t) { worker(); }, workers);
 
   if (st.err) std::rethrow_exception(st.err);
   return {st.produce_seconds, st.consume_seconds};
@@ -488,7 +427,7 @@ StreamingStats compress_stream_impl(const StreamingConfig& cfg, const Compressor
   if (cfg.base.eb.mode != EbMode::kAbsolute) {
     const ValueRange range =
         !view.empty()
-            ? FieldView(view, dtype).visit([](auto elems) { return field_range_blocked(elems); })
+            ? FieldView(view, dtype).visit([](auto elems) { return ValueRange::of(elems); })
             : dispatch_dtype(dtype, [&](auto tag) {
                 return field_range_streamed<decltype(tag)>(src, total);
               });

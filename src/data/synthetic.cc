@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
+#include "core/eb.hh"
 #include "sim/launch.hh"
 
 namespace szp::data {
@@ -115,29 +117,32 @@ std::vector<float> generate_field(const FieldSpec& spec) {
 
   // Pass 1: base field + realized range (plateau threshold and impulse
   // magnitude are set off the realized span so no realization collapses).
-  double base_min = 1e30, base_max = -1e30;
-#pragma omp parallel for schedule(static) reduction(min : base_min) reduction(max : base_max)
-  for (long long i = 0; i < static_cast<long long>(n); ++i) {
-    const auto idx = static_cast<std::size_t>(i);
-    const std::size_t x = idx % ext.nx;
-    const std::size_t y = (idx / ext.nx) % ext.ny;
-    const std::size_t z = idx / (ext.nx * ext.ny);
-    const double v = structure.sample(z, y, x) + texture.sample(z, y, x);
-    base_min = std::min(base_min, v);
-    base_max = std::max(base_max, v);
-    out[idx] = static_cast<float>(v);
-  }
+  const ValueRange base = sim::reduce_blocks(
+      n,
+      [&](std::size_t begin, std::size_t end) {
+        ValueRange part{std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity()};
+        for (std::size_t idx = begin; idx < end; ++idx) {
+          const std::size_t x = idx % ext.nx;
+          const std::size_t y = (idx / ext.nx) % ext.ny;
+          const std::size_t z = idx / (ext.nx * ext.ny);
+          const double v = structure.sample(z, y, x) + texture.sample(z, y, x);
+          part.min = std::min(part.min, v);
+          part.max = std::max(part.max, v);
+          out[idx] = static_cast<float>(v);
+        }
+        return part;
+      },
+      ValueRange::merge);
 
-  const double base_span = std::max(base_max - base_min, 1e-9);
-  const double plateau_level = base_min + spec.plateau_fraction * base_span;
+  const double base_span = std::max(base.span(), 1e-9);
+  const double plateau_level = base.min + spec.plateau_fraction * base_span;
   const double impulse_abs = spec.impulse_scale * base_span;
 
   // Pass 2: localized jumps (fronts, shocks, point sources), then the
   // plateau clamp (after, so plateaus stay exactly constant, as real
   // land/ice masks are).
-#pragma omp parallel for schedule(static)
-  for (long long i = 0; i < static_cast<long long>(n); ++i) {
-    const auto idx = static_cast<std::size_t>(i);
+  sim::launch_blocks(n, [&](std::size_t idx) {
     double v = out[idx];
     if (spec.impulse_density > 0.0) {
       const std::uint64_t r = splitmix64(seed ^ (idx * 0x9e3779b97f4a7c15ull));
@@ -151,7 +156,7 @@ std::vector<float> generate_field(const FieldSpec& spec) {
     }
     if (spec.plateau_fraction > 0.0 && v < plateau_level) v = plateau_level;
     out[idx] = static_cast<float>(spec.value_offset + spec.value_scale * v);
-  }
+  });
   return out;
 }
 

@@ -19,10 +19,20 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 
 #include "sim/check.hh"
 
 namespace szp::sim {
+
+/// acc + v in the unsigned type of the integer T: partial sums of corrupt
+/// quant-codes can overflow, and the unsigned add gives the same bits as the
+/// signed one wherever that does not overflow.
+template <typename T>
+[[nodiscard]] T scan_add(T acc, T v) {
+  using U = std::make_unsigned_t<T>;
+  return static_cast<T>(static_cast<U>(acc) + static_cast<U>(v));
+}
 
 /// Inclusive scan of at(0..n) in place, organized as ceil(n/seq) virtual
 /// threads each owning `seq` consecutive elements.  Lane l = lane_base + f
@@ -42,7 +52,7 @@ void block_inclusive_scan_at(At&& at, std::size_t n, std::size_t seq = 8,
     const std::size_t end = frag + seq < n ? frag + seq : n;
     T acc = carry;
     for (std::size_t i = frag; i < end; ++i) {
-      acc = static_cast<T>(acc + at(i));
+      acc = scan_add<T>(acc, at(i));
       at(i) = acc;
     }
     carry = acc;
@@ -67,7 +77,7 @@ void block_inclusive_scan_strided_at(At&& at, std::size_t count, std::uint32_t l
   checked::this_thread(lane);
   T acc{};
   for (std::size_t i = 0; i < count; ++i) {
-    acc = static_cast<T>(acc + at(i));
+    acc = scan_add<T>(acc, at(i));
     at(i) = acc;
   }
 }

@@ -31,10 +31,6 @@
 
 namespace szp::sim::checked {
 
-namespace detail {
-thread_local LaneState t_lane;
-}  // namespace detail
-
 namespace {
 
 // -1: not yet latched from the environment; else a Mode value.
@@ -330,7 +326,9 @@ struct WordShadow::Impl {
 
   void flag_cross_block(const Rec& prev, std::uint32_t buf, std::uint64_t word, bool write) {
     if (races.size() >= kMaxRacesPerLaunch) return;
-    const auto p = std::minmax(prev.block(), block);
+    // The initializer-list form returns values: the pair form would keep a
+    // reference to the temporary prev.block().
+    const auto p = std::minmax({prev.block(), block});
     const std::tuple<std::uint32_t, std::size_t, std::size_t> key{buf, p.first, p.second};
     if (std::find(seen_races.begin(), seen_races.end(), key) != seen_races.end()) return;
     seen_races.push_back(key);

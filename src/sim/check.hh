@@ -40,7 +40,7 @@
 // Orthogonally, schedule fuzzing (set_fuzz_schedules(N) /
 // SZP_SIM_FUZZ_SCHEDULE=N / --fuzz-schedule[=N]) re-executes every
 // registered multi-block grid under N perturbed block orders — reversed,
-// strictly serial, and seeded shuffles under a dynamic OpenMP schedule —
+// strictly serial, and seeded shuffles run on the default team —
 // and diffs FNV-1a checksums of every writable buffer against the canonical
 // run.  Grids registered through launch_3d additionally replay under all
 // six z/y/x axis traversal orders (serially, so the permuted traversal is
@@ -141,7 +141,10 @@ struct LaneState {
   std::uint32_t lane = kBlockLane;
   std::uint32_t epoch = 0;
 };
-extern thread_local LaneState t_lane;
+// Defined inline with a constant initializer: an `extern thread_local`
+// is read through the compiler's TLS wrapper function, which UBSan reports
+// as a member access within a null pointer.
+inline constinit thread_local LaneState t_lane;
 }  // namespace detail
 
 /// Declare that the code until the next this_thread()/barrier() models the
@@ -724,8 +727,8 @@ decltype(auto) with_tracked_views(const Tuple& t, BlockLog* log, WordShadow* sha
 [[nodiscard]] std::uint64_t fnv1a(const void* p, std::size_t nbytes);
 
 /// Fill `order` for perturbed schedule `s` (1-based): 1 is reversed, 2 is
-/// strictly serial (identity order, no OpenMP), >=3 are seeded shuffles run
-/// under a dynamic schedule.  Deterministic for a given (s, n).
+/// strictly serial (identity order, one thread), >=3 are seeded shuffles run
+/// on the default team.  Deterministic for a given (s, n).
 void make_fuzz_order(int s, std::size_t n, std::vector<std::size_t>& order, bool* parallel,
                      std::string* name);
 

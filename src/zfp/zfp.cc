@@ -32,14 +32,23 @@ void fwd_lift(std::int32_t* p, std::size_t s) {
   p[0] = x; p[s] = y; p[2 * s] = z; p[3 * s] = w;
 }
 
-/// Exact inverse of fwd_lift.
+/// Exact inverse of fwd_lift.  The adds, subtracts and doublings wrap in
+/// uint32_t: corrupt coefficients can carry them past the int32 range, and
+/// the unsigned ops give the same bits wherever the signed ones do not
+/// overflow.
 void inv_lift(std::int32_t* p, std::size_t s) {
+  const auto add = [](std::int32_t a, std::int32_t b) {
+    return static_cast<std::int32_t>(static_cast<std::uint32_t>(a) + static_cast<std::uint32_t>(b));
+  };
+  const auto sub = [](std::int32_t a, std::int32_t b) {
+    return static_cast<std::int32_t>(static_cast<std::uint32_t>(a) - static_cast<std::uint32_t>(b));
+  };
   std::int32_t x = p[0], y = p[s], z = p[2 * s], w = p[3 * s];
-  y += w >> 1; w -= y >> 1;
-  y += w; w <<= 1; w -= y;
-  z += x; x <<= 1; x -= z;
-  y += z; z <<= 1; z -= y;
-  w += x; x <<= 1; x -= w;
+  y = add(y, w >> 1); w = sub(w, y >> 1);
+  y = add(y, w); w = add(w, w); w = sub(w, y);
+  z = add(z, x); x = add(x, x); x = sub(x, z);
+  y = add(y, z); z = add(z, z); z = sub(z, y);
+  w = add(w, x); x = add(x, x); x = sub(x, w);
   p[0] = x; p[s] = y; p[2 * s] = z; p[3 * s] = w;
 }
 

@@ -300,7 +300,8 @@ TEST(ContractFastpath, DisabledSwitchKeepsWordShadow) {
   std::vector<std::uint32_t> out(1024, 0);
   tiled_fill("fastpath_disabled", out, chk::Granularity::kDefault, true);
   EXPECT_GT(chk::current_report().shadow_words, 0u);
-  const auto* v = find_verdict(ctr::registry_snapshot(), "fastpath_disabled");
+  const auto snap = ctr::registry_snapshot();
+  const auto* v = find_verdict(snap, "fastpath_disabled");
   ASSERT_NE(v, nullptr);
   EXPECT_EQ(v->verdict, Verdict::kProved);
   EXPECT_EQ(v->word_fallback, 1u);
@@ -315,7 +316,8 @@ TEST(ContractFastpath, PerLaunchWordOptInKeepsShadow) {
   std::vector<std::uint32_t> out(1024, 0);
   tiled_fill("word_opt_in", out, chk::Granularity::kWord, true);
   EXPECT_GT(chk::current_report().shadow_words, 0u);
-  const auto* v = find_verdict(ctr::registry_snapshot(), "word_opt_in");
+  const auto snap = ctr::registry_snapshot();
+  const auto* v = find_verdict(snap, "word_opt_in");
   ASSERT_NE(v, nullptr);
   EXPECT_EQ(v->verdict, Verdict::kProved);
   EXPECT_EQ(v->word_fallback, 1u);

@@ -253,6 +253,33 @@ TEST(FuzzDecode, SplicedOutlierCountOverflowIsNamed) {
   expect_rejected(archive, DecodeErrorKind::kLengthOverflow, "outliers");
 }
 
+TEST(FuzzDecode, SplicedElementCountNeverSizesTheQuantBuffer) {
+  // Each codec sizes the workspace's quant-code buffer only once its own
+  // section holds the grid's n symbols, so a header element count spliced
+  // to 2^24 is refused without growing the buffer to that count.
+  std::vector<float> data(4096);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = std::sin(static_cast<float>(i) * 0.01f);
+  }
+  for (const Workflow wf : {Workflow::kHuffman, Workflow::kRle, Workflow::kRleVle, Workflow::kRans,
+                            Workflow::kLz77, Workflow::kLzh, Workflow::kLzr}) {
+    CompressConfig cfg;
+    cfg.eb = ErrorBound::absolute(1e-3);
+    cfg.workflow = wf;
+    const auto archive = Compressor(cfg).compress(data, Extents::d1(data.size())).bytes;
+    Workspace ws;
+    Decompressed out;
+    Compressor::decompress(archive, out, ws);
+    const std::size_t capacity = ws.decode_quant.capacity();
+    auto spliced = archive;
+    splice_u64(spliced, 9, std::uint64_t{1} << 24);  // nx of the 1-D grid
+    restamp_crc(spliced);
+    EXPECT_THROW(Compressor::decompress(spliced, out, ws), DecodeError)
+        << "workflow " << static_cast<int>(wf);
+    EXPECT_EQ(ws.decode_quant.capacity(), capacity) << "workflow " << static_cast<int>(wf);
+  }
+}
+
 TEST(FuzzDecode, OutOfRangeOutlierIndexIsNamed) {
   std::size_t outliers = 0;
   auto archive = spiked_archive(&outliers);

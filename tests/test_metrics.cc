@@ -2,8 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
+#include "core/analysis/madogram.hh"
 #include "core/eb.hh"
 #include "core/metrics.hh"
 
@@ -50,6 +56,65 @@ TEST(ValueRangeT, MinMax) {
   EXPECT_EQ(r.min, -1.0);
   EXPECT_EQ(r.max, 7.0);
   EXPECT_EQ(r.span(), 8.0);
+}
+
+/// Sets the OpenMP thread budget for one scope (a no-op without OpenMP).
+class ScopedThreads {
+ public:
+  explicit ScopedThreads([[maybe_unused]] int threads) {
+#ifdef _OPENMP
+    saved_ = omp_get_max_threads();
+    omp_set_num_threads(threads);
+#endif
+  }
+  ~ScopedThreads() {
+#ifdef _OPENMP
+    omp_set_num_threads(saved_);
+#endif
+  }
+  ScopedThreads(const ScopedThreads&) = delete;
+  ScopedThreads& operator=(const ScopedThreads&) = delete;
+
+ private:
+  int saved_ = 1;
+};
+
+TEST(BlockReduce, WholeFieldReductionsAreBitIdenticalAtEveryThreadCount) {
+  // Whole-field reductions run over fixed blocks and merge their partials
+  // in block order, so even the floating-point MSE sum does not depend on
+  // how many threads share the blocks.
+  constexpr std::size_t n = std::size_t{1} << 22;
+  std::vector<float> original(n);
+  std::vector<float> decompressed(n);
+  std::vector<std::uint16_t> codes(n);
+  std::uint64_t state = 0x9e3779b97f4a7c15ull;
+  for (std::size_t i = 0; i < n; ++i) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    original[i] = 100.0f * std::sin(static_cast<float>(i) * 1e-4f);
+    decompressed[i] = original[i] + static_cast<float>((state >> 40) % 2001) * 1e-6f - 1e-3f;
+    codes[i] = static_cast<std::uint16_t>(512 + (state >> 62));
+  }
+  struct Result {
+    szp::DistortionMetrics m;
+    ValueRange range;
+    double roughness = 0.0;
+  };
+  const auto run = [&](int threads) {
+    const ScopedThreads scoped(threads);
+    return Result{compare_fields(original, decompressed), ValueRange::of(decompressed),
+                  szp::adjacent_roughness(codes)};
+  };
+  const Result one = run(1);
+  for (const int threads : {2, 4}) {
+    const Result r = run(threads);
+    EXPECT_EQ(r.m.mse, one.m.mse) << threads << " threads";
+    EXPECT_EQ(r.m.psnr_db, one.m.psnr_db) << threads << " threads";
+    EXPECT_EQ(r.m.max_abs_error, one.m.max_abs_error) << threads << " threads";
+    EXPECT_EQ(r.m.value_range, one.m.value_range) << threads << " threads";
+    EXPECT_EQ(r.range.min, one.range.min) << threads << " threads";
+    EXPECT_EQ(r.range.max, one.range.max) << threads << " threads";
+    EXPECT_EQ(r.roughness, one.roughness) << threads << " threads";
+  }
 }
 
 TEST(ErrorBoundT, AbsoluteIgnoresRange) {

@@ -7,7 +7,10 @@
 # Three phases:
 #   1. Footprint-contract coverage: every chk::launch / checked::launch(_3d)
 #      call site in src/ must register a contract (a `contract` token inside
-#      the call's parenthesis extent).  Pure text check, no toolchain needed.
+#      the call's parenthesis extent).  And one OpenMP site: no OpenMP
+#      pragma, `omp.h`, `omp_` or `_OPENMP` in src/ outside
+#      src/sim/launch.hh, whose sim::launch_blocks is the one parallel loop.
+#      Pure text checks, no toolchain needed.
 #   2. Static traffic coverage: `szp analyze --traffic` must exit clean —
 #      every registered kernel carries contract-derived volumes in the
 #      traffic table.  Skipped when the build tree has no szp binary.
@@ -80,12 +83,29 @@ check_contracts() {
   return ${bad}
 }
 
+# --- Phase 1: OpenMP is named only by the launcher. -------------------------
+check_openmp_site() {
+  launcher="${repo_root}/src/sim/launch.hh:"
+  hits=$(grep -rnE '#[[:space:]]*pragma[[:space:]]+omp|omp\.h|(^|[^[:alnum:]_])omp_|_OPENMP' \
+           "${repo_root}/src" | grep -vF "${launcher}" || true)
+  [ -z "${hits}" ] && return 0
+  printf '%s\n' "${hits}" | sed 's/$/  <- OpenMP outside src\/sim\/launch.hh/'
+  return 1
+}
+
 echo "lint.sh: checking footprint-contract coverage of checked launches"
 check_contracts || {
   echo "lint.sh: contract coverage check FAILED" >&2
   exit 1
 }
 echo "lint.sh: contract coverage OK"
+
+echo "lint.sh: checking that OpenMP appears only in src/sim/launch.hh"
+check_openmp_site || {
+  echo "lint.sh: one-OpenMP-site check FAILED (route the loop through sim::launch_blocks)" >&2
+  exit 1
+}
+echo "lint.sh: one OpenMP site OK"
 
 if [ "${contracts_only}" = 1 ]; then
   exit 0
