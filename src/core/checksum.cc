@@ -6,25 +6,51 @@ namespace szp {
 
 namespace {
 
-constexpr std::array<std::uint32_t, 256> make_table() {
-  std::array<std::uint32_t, 256> table{};
+using Table = std::array<std::uint32_t, 256>;
+
+/// Slicing-by-8 tables: kTables[0] is the bytewise CRC table, and
+/// kTables[k][b] is the CRC contribution of byte b followed by k zero bytes,
+/// so eight table lookups advance the state by a whole 8-byte word.
+constexpr std::array<Table, 8> make_tables() {
+  std::array<Table, 8> t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) != 0 ? 0xedb88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
+    }
+  }
+  return t;
 }
 
-constexpr auto kTable = make_table();
+constexpr auto kTables = make_tables();
+
+/// Little-endian u32 assembled from bytes: no alignment or host-endianness
+/// assumption (compilers lower it to one load on little-endian hosts).
+std::uint32_t load_le32(const std::uint8_t* p) {
+  return std::uint32_t{p[0]} | (std::uint32_t{p[1]} << 8) | (std::uint32_t{p[2]} << 16) |
+         (std::uint32_t{p[3]} << 24);
+}
 
 }  // namespace
 
 std::uint32_t crc32_update(std::uint32_t state, std::span<const std::uint8_t> bytes) {
-  for (const std::uint8_t b : bytes) {
-    state = kTable[(state ^ b) & 0xffu] ^ (state >> 8);
+  const std::uint8_t* p = bytes.data();
+  std::size_t n = bytes.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = state ^ load_le32(p);
+    const std::uint32_t hi = load_le32(p + 4);
+    state = kTables[7][lo & 0xffu] ^ kTables[6][(lo >> 8) & 0xffu] ^
+            kTables[5][(lo >> 16) & 0xffu] ^ kTables[4][lo >> 24] ^ kTables[3][hi & 0xffu] ^
+            kTables[2][(hi >> 8) & 0xffu] ^ kTables[1][(hi >> 16) & 0xffu] ^ kTables[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    state = kTables[0][(state ^ *p) & 0xffu] ^ (state >> 8);
   }
   return state;
 }

@@ -34,9 +34,14 @@ void write_huffman_section(ByteWriter& w, const HuffmanCodebook& book,
   w.put_vector(enc.payload);
 }
 
+/// A Huffman section as read from an archive: the codebook, the stream
+/// metadata (enc.payload stays empty), and the payload as a view into the
+/// archive, decoded in place.  Offsets and gaps are copied: they are u64/u32
+/// values at arbitrary alignment in the archive.
 struct HuffmanSection {
   HuffmanCodebook book;
   HuffmanEncoded enc;
+  std::span<const std::uint8_t> payload;
 };
 
 HuffmanSection read_huffman_section(ByteReader& r) {
@@ -48,7 +53,7 @@ HuffmanSection read_huffman_section(ByteReader& r) {
   s.enc.gap_stride = r.get<std::uint32_t>();
   s.enc.chunk_offsets = r.get_vector<std::uint64_t>();
   if (s.enc.gap_stride > 0) s.enc.gaps = r.get_vector<std::uint32_t>();
-  s.enc.payload = r.get_vector<std::uint8_t>();
+  s.payload = r.get_bytes();
   return s;
 }
 
@@ -134,7 +139,7 @@ class HuffmanCodec final : public LosslessCodec {
               sim::PipelineReport& report) const override {
     sim::Timer t;
     const auto s = read_huffman_section(r);
-    const sim::KernelCost cost = huffman_decode_into(s.enc, s.book, ctx.n, out);
+    const sim::KernelCost cost = huffman_decode_into(s.enc, s.payload, s.book, ctx.n, out);
     report.add({"huffman_decode", ctx.payload_bytes, t.seconds(), cost});
   }
 
@@ -245,14 +250,14 @@ class RleVleCodec final : public LosslessCodec {
     sim::Timer t;
     RleEncoded rle;
     rle.num_symbols = r.get<std::uint64_t>();
-    auto vs = read_huffman_section(r);
-    auto cs = read_huffman_section(r);
-    auto vdec = huffman_decode(vs.enc, vs.book);
-    auto cdec = huffman_decode(cs.enc, cs.book);
-    rle.values = std::move(vdec.symbols);
-    rle.counts.assign(cdec.symbols.begin(), cdec.symbols.end());
-    sim::KernelCost cost = vdec.cost;
-    cost += cdec.cost;
+    const auto vs = read_huffman_section(r);
+    const auto cs = read_huffman_section(r);
+    sim::device_vector<quant_t> values, counts;
+    sim::KernelCost cost = huffman_decode_into(vs.enc, vs.payload, vs.book, vs.enc.num_symbols,
+                                               values);
+    cost += huffman_decode_into(cs.enc, cs.payload, cs.book, cs.enc.num_symbols, counts);
+    rle.values.assign(values.begin(), values.end());
+    rle.counts.assign(counts.begin(), counts.end());
     cost += rle_decode_into(rle, ctx.n, out);
     report.add({"rle_vle_decode", ctx.payload_bytes, t.seconds(), cost});
   }

@@ -1,48 +1,31 @@
-// szp — MSB-first bit stream I/O used by the Huffman codec.
+// szp — MSB-first bit stream I/O: the one writer and the one reader of every
+// bit-packed stream (the Huffman codec, the lzh bitstream, the lzr extra-bit
+// sidecar).
+//
+// Both work a word at a time.  BitWriter accumulates into a 64-bit register
+// and stores whole bytes into a caller-sized span.  BitReader peeks up to 57
+// bits with one 8-byte load, which feeds the Huffman decode table
+// (codebook.hh); get_bit() stays for the canonical-walk fallback.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <span>
-#include <vector>
+#include <string>
 
 #include "core/error.hh"
 
 namespace szp {
 
-/// Append-only MSB-first bit writer.
+/// MSB-first bit writer over a caller-owned byte range, accumulating into a
+/// 64-bit register and storing whole bytes.  The caller sizes the span
+/// exactly from a code-length pass (the Huffman deflate kernel writes each
+/// chunk straight into its scan-assigned slice of the pooled payload);
+/// flush() zero-pads and stores the last partial byte.
 class BitWriter {
  public:
-  /// Append the low `len` bits of `code`, most significant first.
-  void put(std::uint64_t code, unsigned len) {
-    for (unsigned i = len; i-- > 0;) {
-      const unsigned bit = static_cast<unsigned>((code >> i) & 1u);
-      if (fill_ == 0) buf_.push_back(0);
-      buf_.back() = static_cast<std::uint8_t>(buf_.back() | (bit << (7 - fill_)));
-      fill_ = (fill_ + 1) & 7;
-    }
-    bits_ += len;
-  }
-
-  [[nodiscard]] std::uint64_t bit_count() const { return bits_; }
-  [[nodiscard]] const std::vector<std::uint8_t>& bytes() const { return buf_; }
-  [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(buf_); }
-
- private:
-  std::vector<std::uint8_t> buf_;
-  unsigned fill_ = 0;
-  std::uint64_t bits_ = 0;
-};
-
-/// MSB-first bit writer over a caller-owned byte range, accumulating into a
-/// 64-bit register and storing whole bytes.  Produces the same bytes as
-/// BitWriter (trailing partial byte zero-padded) without growing a heap
-/// buffer per chunk — the Huffman deflate kernel writes each chunk directly
-/// into its scan-assigned slice of the pooled payload.  The caller sizes the
-/// span from the phase-1 byte counts; flush() pads and stores the last
-/// partial byte.
-class SpanBitWriter {
- public:
-  explicit SpanBitWriter(std::span<std::uint8_t> out) : out_(out) {}
+  explicit BitWriter(std::span<std::uint8_t> out) : out_(out) {}
 
   /// Append the low `len` bits of `code`, most significant first.
   void put(std::uint64_t code, unsigned len) {
@@ -61,7 +44,7 @@ class SpanBitWriter {
     }
   }
 
-  /// Store the trailing partial byte (zero-padded), as BitWriter does.
+  /// Store the trailing partial byte, zero-padded.
   void flush() {
     if (fill_ > 0) {
       out_[pos_++] = static_cast<std::uint8_t>(acc_ << (8 - fill_));
@@ -82,17 +65,51 @@ class SpanBitWriter {
 
 /// MSB-first bit reader over a byte span, optionally starting mid-stream
 /// (used by the gap-array decoder to enter a chunk at a recorded offset).
+/// No load ever touches a byte outside the span.
 class BitReader {
  public:
   explicit BitReader(std::span<const std::uint8_t> bytes, std::uint64_t start_bit = 0)
       : bytes_(bytes), pos_(start_bit) {}
 
-  [[nodiscard]] unsigned get_bit() {
-    const std::size_t byte = pos_ >> 3;
-    if (byte >= bytes_.size()) {
-      throw DecodeError(DecodeErrorKind::kTruncated, "bitstream",
-                        "read past end of a " + std::to_string(bytes_.size()) + "-byte stream");
+  /// The next `n` bits (1 <= n <= 57), MSB first, zero-padded past the end
+  /// of the span; does not advance.  One 8-byte load when all eight bytes
+  /// lie inside the span, else the word is assembled byte by byte.
+  [[nodiscard]] std::uint64_t peek(unsigned n) const {
+    const std::uint64_t byte = pos_ >> 3;
+    std::uint64_t word = 0;
+    if (byte + 8 <= bytes_.size()) {
+      std::memcpy(&word, bytes_.data() + byte, sizeof(word));
+      if constexpr (std::endian::native == std::endian::little) word = __builtin_bswap64(word);
+    } else {
+      for (std::uint64_t i = byte; i < bytes_.size(); ++i) {
+        word |= std::uint64_t{bytes_[i]} << (56 - 8 * (i - byte));
+      }
     }
+    return (word << (pos_ & 7)) >> (64 - n);
+  }
+
+  /// Bits left before the end of the span (0 once past it).
+  [[nodiscard]] std::uint64_t remaining() const {
+    const std::uint64_t total = std::uint64_t{bytes_.size()} * 8;
+    return pos_ < total ? total - pos_ : 0;
+  }
+
+  /// Advance by `n` bits the caller has already peeked and checked.
+  void skip(unsigned n) { pos_ += n; }
+
+  /// Read `n` bits (0 <= n <= 57), MSB first; get(0) is 0.  Throws the
+  /// get_bit() verdict when fewer than `n` bits are left.
+  [[nodiscard]] std::uint64_t get(unsigned n) {
+    if (n == 0) return 0;
+    if (remaining() < n) throw_past_end();
+    const std::uint64_t v = peek(n);
+    pos_ += n;
+    return v;
+  }
+
+  [[nodiscard]] unsigned get_bit() {
+    const std::uint64_t byte = pos_ >> 3;
+    if (byte >= bytes_.size()) throw_past_end();
     const unsigned bit = (bytes_[byte] >> (7 - (pos_ & 7))) & 1u;
     ++pos_;
     return bit;
@@ -101,6 +118,11 @@ class BitReader {
   [[nodiscard]] std::uint64_t bit_position() const { return pos_; }
 
  private:
+  [[noreturn]] void throw_past_end() const {
+    throw DecodeError(DecodeErrorKind::kTruncated, "bitstream",
+                      "read past end of a " + std::to_string(bytes_.size()) + "-byte stream");
+  }
+
   std::span<const std::uint8_t> bytes_;
   std::uint64_t pos_ = 0;
 };

@@ -117,6 +117,7 @@ void HuffmanCodebook::assign_canonical_codes() {
   }
 
   sorted_symbols_.resize(index);
+  lut_.fill(0);
   std::array<std::uint32_t, kMaxCodeLen + 1> next{};
   for (std::size_t s = 0; s < lengths_.size(); ++s) {
     const unsigned len = lengths_[s];
@@ -125,6 +126,13 @@ void HuffmanCodebook::assign_canonical_codes() {
     sorted_symbols_[pos] = static_cast<std::uint32_t>(s);
     codes_[s] = first_code_[len] + next[len];
     ++next[len];
+    // Every table index whose top `len` bits are this code.  The lengths
+    // satisfy Kraft (build() by construction, deserialize() by check), so
+    // codes_[s] < 2^len and the run stays inside the table.
+    if (len <= kLutBits) {
+      std::fill_n(lut_.begin() + static_cast<std::ptrdiff_t>(codes_[s] << (kLutBits - len)),
+                  std::size_t{1} << (kLutBits - len), (static_cast<std::uint32_t>(s) << 8) | len);
+    }
   }
 }
 

@@ -4,9 +4,14 @@
 //
 // The tree is built serially from the histogram — deliberately so: cuSZ/cuSZ+
 // build the codebook with a single GPU thread (paper §I), which is why the
-// codebook stage is a latency bottleneck on small fields.  The canonical
-// form makes the decoder table-driven (first_code/first_index per length),
-// matching cuSZ's canonical codebook design.
+// codebook stage is a latency bottleneck on small fields.
+//
+// Decoding is table-driven.  A 4096-entry lookup table resolves every code of
+// up to kLutBits = 12 bits with one peek of the bit reader; anything else
+// (longer codes, a code running past the end of the stream, a prefix no code
+// owns) falls back to the canonical walk over first_code/first_index per
+// length, cuSZ's canonical codebook design.  Both give the same symbol
+// wherever the table fires, so every decode verdict comes from the walk.
 #pragma once
 
 #include <array>
@@ -14,6 +19,7 @@
 #include <span>
 #include <vector>
 
+#include "core/huffman/bitio.hh"
 #include "core/serialize.hh"
 #include "sim/profile.hh"
 
@@ -22,6 +28,9 @@ namespace szp {
 class HuffmanCodebook {
  public:
   static constexpr unsigned kMaxCodeLen = 63;
+  /// Width of the decode table's index: codes of up to this many bits
+  /// decode with one lookup.
+  static constexpr unsigned kLutBits = 12;
 
   /// Build from symbol frequencies (the histogram).  Symbols with zero
   /// frequency get no code.  Degenerate alphabets (0 or 1 live symbols) are
@@ -36,9 +45,17 @@ class HuffmanCodebook {
   /// Average codeword bit length weighted by the given frequencies.
   [[nodiscard]] double average_bits(std::span<const std::uint64_t> freq) const;
 
-  /// Decode one symbol from the reader (canonical table walk).
-  template <typename Reader>
-  [[nodiscard]] std::uint32_t decode_one(Reader& reader) const {
+  /// Decode one symbol from the reader: one table lookup when the next
+  /// bits hold a complete code of at most kLutBits bits, else the canonical
+  /// walk, which throws DecodeError ("bitstream") on a truncated stream or
+  /// a prefix no code owns.
+  [[nodiscard]] std::uint32_t decode_one(BitReader& reader) const {
+    const std::uint32_t entry = lut_[reader.peek(kLutBits)];
+    const unsigned entry_len = entry & 0xffu;
+    if (entry != 0 && reader.remaining() >= entry_len) {
+      reader.skip(entry_len);
+      return entry >> 8;
+    }
     std::uint64_t code = 0;
     for (unsigned len = 1; len <= max_len_; ++len) {
       code = (code << 1) | reader.get_bit();
@@ -69,6 +86,10 @@ class HuffmanCodebook {
   std::array<std::uint32_t, kMaxCodeLen + 1> first_index_{};
   std::array<std::uint32_t, kMaxCodeLen + 1> count_{};
   std::vector<std::uint32_t> sorted_symbols_;  // symbols ordered by (length, value)
+  // Decode table indexed by the next kLutBits bits: (symbol << 8) | length
+  // for every code of length <= kLutBits, replicated over its suffixes; 0
+  // where no such code is a prefix.
+  std::array<std::uint32_t, std::size_t{1} << kLutBits> lut_{};
 };
 
 }  // namespace szp

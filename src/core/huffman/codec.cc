@@ -120,7 +120,7 @@ void huffman_encode_into(std::span<const quant_t> symbols, const HuffmanCodebook
     const auto off = static_cast<std::size_t>(voffsets[c]);
     const auto len = static_cast<std::size_t>(voffsets[c + 1]) - off;
     vpayload.note_write(off, len);
-    SpanBitWriter bw(std::span<std::uint8_t>(vpayload.data() + off, len));
+    BitWriter bw(std::span<std::uint8_t>(vpayload.data() + off, len));
     for (std::size_t i = lo; i < hi; ++i) {
       if (gap_stride > 0 && (i - lo) % gap_stride == 0) {
         vgaps[c * subblocks_per_chunk + (i - lo) / gap_stride] =
@@ -158,18 +158,18 @@ HuffmanEncoded huffman_encode(std::span<const quant_t> symbols, const HuffmanCod
 
 namespace {
 
-/// Validate every metadata field of an (untrusted) encoding before any
-/// output is sized or written.
-void check_decode_metadata(const HuffmanEncoded& enc) {
+/// Validate every metadata field of an (untrusted) encoding against its
+/// payload before any output is sized or written.
+void check_decode_metadata(const HuffmanEncoded& enc, std::span<const std::uint8_t> payload) {
   const std::size_t n = enc.num_symbols;
   if (n == 0) return;
   // Each encoded symbol costs at least one payload bit, so num_symbols is
   // bounded by the payload size — this also keeps the div_ceil below from
   // wrapping on a spliced count.
-  if (n > enc.payload.size() * 8) {
+  if (n > payload.size() * 8) {
     throw DecodeError(DecodeErrorKind::kCorruptStream, "huffman stream",
                       "symbol count " + std::to_string(n) + " exceeds the " +
-                          std::to_string(enc.payload.size() * 8) + " payload bits");
+                          std::to_string(payload.size() * 8) + " payload bits");
   }
   if (enc.chunk_size == 0 ||
       enc.chunk_offsets.size() != sim::div_ceil(n, enc.chunk_size) + 1) {
@@ -185,7 +185,7 @@ void check_decode_metadata(const HuffmanEncoded& enc) {
   // the payload's bounds.
   for (std::size_t c = 1; c < enc.chunk_offsets.size(); ++c) {
     if (enc.chunk_offsets[c] < enc.chunk_offsets[c - 1] ||
-        enc.chunk_offsets[c] > enc.payload.size()) {
+        enc.chunk_offsets[c] > payload.size()) {
       throw DecodeError(DecodeErrorKind::kCorruptStream, "huffman stream",
                         "corrupt chunk offsets");
     }
@@ -199,8 +199,8 @@ void check_decode_metadata(const HuffmanEncoded& enc) {
 
 /// The inflate launch over metadata check_decode_metadata() accepted;
 /// `symbols` holds exactly enc.num_symbols entries.
-sim::KernelCost decode_chunks(const HuffmanEncoded& enc, const HuffmanCodebook& book,
-                              std::span<quant_t> symbols) {
+sim::KernelCost decode_chunks(const HuffmanEncoded& enc, std::span<const std::uint8_t> payload,
+                              const HuffmanCodebook& book, std::span<quant_t> symbols) {
   sim::KernelCost cost;
   const std::size_t n = enc.num_symbols;
   if (n == 0) return cost;
@@ -224,12 +224,12 @@ sim::KernelCost decode_chunks(const HuffmanEncoded& enc, const HuffmanCodebook& 
   // re-reads that chunk's whole payload slice (sub-block units share the
   // slice), and each unit loads its chunk's two bounding offsets.
   decode_contract.clauses.push_back(ctr::reads_dyn(
-      "payload", static_cast<std::int64_t>(enc.payload.size() * subblocks_per_chunk)));
+      "payload", static_cast<std::int64_t>(payload.size() * subblocks_per_chunk)));
   decode_contract.clauses.push_back(ctr::reads_dyn(
       "offsets", static_cast<std::int64_t>(2 * nchunks * subblocks_per_chunk)));
   if (enc.gap_stride > 0) decode_contract.clauses.push_back(ctr::reads("gaps", ctr::b(), 1));
   chk::launch("huffman_decode", nchunks * subblocks_per_chunk,
-              chk::bufs(chk::in(std::span<const std::uint8_t>(enc.payload), "payload"),
+              chk::bufs(chk::in(payload, "payload"),
                         chk::in(std::span<const std::uint64_t>(enc.chunk_offsets), "offsets"),
                         chk::in(std::span<const std::uint32_t>(enc.gaps), "gaps"),
                         chk::out(symbols, "symbols")),
@@ -259,13 +259,14 @@ sim::KernelCost decode_chunks(const HuffmanEncoded& enc, const HuffmanCodebook& 
 
   traffic_scope.apply(cost);
   cost.bytes_read += book.alphabet_size() * 9;  // codebook is not a launch buffer
-  // The canonical decode is a dependent bit-serial table walk: latency/
-  // compute-bound, not bandwidth-bound — which is why the paper sees it
-  // stagnate from V100 to A100 (§V-C.2).  The per-symbol weight is
-  // calibrated to Table VII's ~40-50 GB/s V100 decode rows for the chunked
-  // decoder; gap-array decoding keeps warps converged over short chains,
-  // which reference [15] reports as a multi-x decode gain (weight
-  // calibrated accordingly).
+  // The modeled kernel is cuSZ's canonical decode, a dependent bit-serial
+  // table walk: latency/compute-bound, not bandwidth-bound — which is why
+  // the paper sees it stagnate from V100 to A100 (§V-C.2).  The host's
+  // table-driven decode_one does not change the model.  The per-symbol
+  // weight is calibrated to Table VII's ~40-50 GB/s V100 decode rows for
+  // the chunked decoder; gap-array decoding keeps warps converged over
+  // short chains, which reference [15] reports as a multi-x decode gain
+  // (weight calibrated accordingly).
   const std::size_t chain = enc.gap_stride > 0 ? enc.gap_stride : enc.chunk_size;
   cost.flops =
       n * (130 + 320 * std::min<std::size_t>(chain, 4096) / 4096);
@@ -276,23 +277,25 @@ sim::KernelCost decode_chunks(const HuffmanEncoded& enc, const HuffmanCodebook& 
 
 }  // namespace
 
-sim::KernelCost huffman_decode_into(const HuffmanEncoded& enc, const HuffmanCodebook& book,
-                                    std::size_t n, sim::device_vector<quant_t>& out) {
-  check_decode_metadata(enc);
+sim::KernelCost huffman_decode_into(const HuffmanEncoded& enc,
+                                    std::span<const std::uint8_t> payload,
+                                    const HuffmanCodebook& book, std::size_t n,
+                                    sim::device_vector<quant_t>& out) {
+  check_decode_metadata(enc, payload);
   if (enc.num_symbols != n) {
     throw DecodeError(DecodeErrorKind::kCorruptStream, "quant-codes",
                       "huffman stream holds " + std::to_string(enc.num_symbols) +
                           " symbols, the grid holds " + std::to_string(n));
   }
   out.resize(n);
-  return decode_chunks(enc, book, out);
+  return decode_chunks(enc, payload, book, out);
 }
 
 HuffmanDecoded huffman_decode(const HuffmanEncoded& enc, const HuffmanCodebook& book) {
-  check_decode_metadata(enc);  // before the output allocation
+  check_decode_metadata(enc, enc.payload);  // before the output allocation
   HuffmanDecoded dec;
   dec.symbols.resize(enc.num_symbols);
-  dec.cost = decode_chunks(enc, book, dec.symbols);
+  dec.cost = decode_chunks(enc, enc.payload, book, dec.symbols);
   return dec;
 }
 

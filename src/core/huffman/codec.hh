@@ -69,18 +69,22 @@ struct HuffmanDecoded {
   sim::KernelCost cost;
 };
 
-/// Decode all chunks (parallel over chunks, canonical table walk within)
-/// straight into `out` and return the kernel cost.  When the encoding
+/// Decode all chunks of `payload` (parallel over chunks, table-driven
+/// decode_one within) straight into `out` and return the kernel cost.
+/// `enc` supplies the metadata only: the payload is read in place, e.g.
+/// from the archive, and enc.payload is not consulted.  When the encoding
 /// carries a gap array, decoding enters each sub-block at its recorded bit
 /// offset instead, raising the decode parallelism from one-per-chunk to
 /// one-per-sub-block.  The metadata is validated first; then an encoding
 /// that does not hold exactly `n` symbols throws DecodeError
 /// (kCorruptStream, "quant-codes").  Only after both checks is `out` sized
 /// to n, so a spliced count never drives the allocation.
-sim::KernelCost huffman_decode_into(const HuffmanEncoded& enc, const HuffmanCodebook& book,
-                                    std::size_t n, sim::device_vector<quant_t>& out);
+sim::KernelCost huffman_decode_into(const HuffmanEncoded& enc,
+                                    std::span<const std::uint8_t> payload,
+                                    const HuffmanCodebook& book, std::size_t n,
+                                    sim::device_vector<quant_t>& out);
 
-/// huffman_decode_into() a new vector of enc.num_symbols symbols.
+/// Decode enc.payload into a new vector of enc.num_symbols symbols.
 [[nodiscard]] HuffmanDecoded huffman_decode(const HuffmanEncoded& enc,
                                             const HuffmanCodebook& book);
 

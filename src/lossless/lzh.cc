@@ -41,13 +41,23 @@ std::vector<std::uint8_t> lzh_compress(std::span<const std::uint8_t> input,
   dist_book.serialize(w);
 
   // Bit emission is serial (each token's offset depends on all earlier
-  // lengths), so one block; the BitWriter is block-owned heap state.  The
+  // lengths), so one block; the bitstream is block-owned heap state.  The
   // store side is still bounded: no token can emit more than both books'
   // longest codes plus the maximum extra bits (5 length + 13 distance).
   const std::uint64_t max_token_bits =
       lit_book.max_length() + 5ull + dist_book.max_length() + 13ull;
   const std::uint64_t sink_bytes = (tokens.size() * max_token_bits + 7) / 8;
-  BitWriter bw;
+  // One token's (code, length) fields in stream order; run once to size the
+  // bitstream exactly and once to write it.
+  const auto emit = [&](const Lz77Token& t, auto&& put) {
+    put(lit_book.code(t.litlen_sym), lit_book.length(t.litlen_sym));
+    if (t.litlen_sym >= 257) {
+      put(t.len_extra, kLenExtra[t.litlen_sym - 257u]);
+      put(dist_book.code(t.dist_sym), dist_book.length(t.dist_sym));
+      put(t.dist_extra, kDistExtra[t.dist_sym]);
+    }
+  };
+  std::vector<std::uint8_t> bits;
   namespace chk = sim::checked;
   namespace ctr = sim::contract;
   chk::launch("lzh/encode", 1,
@@ -56,18 +66,18 @@ std::vector<std::uint8_t> lzh_compress(std::span<const std::uint8_t> input,
                             ctr::host_sink("bitstream",
                                            static_cast<std::int64_t>(sink_bytes))),
               [&](std::size_t, const auto& vtok) {
+    std::uint64_t nbits = 0;
     for (std::size_t i = 0; i < vtok.size(); ++i) {
-      const Lz77Token t = vtok[i];
-      bw.put(lit_book.code(t.litlen_sym), lit_book.length(t.litlen_sym));
-      if (t.litlen_sym >= 257) {
-        const std::size_t lc = t.litlen_sym - 257u;
-        if (kLenExtra[lc] > 0) bw.put(t.len_extra, kLenExtra[lc]);
-        bw.put(dist_book.code(t.dist_sym), dist_book.length(t.dist_sym));
-        if (kDistExtra[t.dist_sym] > 0) bw.put(t.dist_extra, kDistExtra[t.dist_sym]);
-      }
+      emit(vtok[i], [&](std::uint64_t, unsigned len) { nbits += len; });
     }
+    bits.resize((nbits + 7) / 8);
+    BitWriter bw(bits);
+    for (std::size_t i = 0; i < vtok.size(); ++i) {
+      emit(vtok[i], [&](std::uint64_t code, unsigned len) { bw.put(code, len); });
+    }
+    bw.flush();
   });
-  w.put_vector(bw.take());
+  w.put_vector(bits);
   return w.take();
 }
 
@@ -111,16 +121,12 @@ std::vector<std::uint8_t> lzh_decompress(std::span<const std::uint8_t> input) {
         if (lc >= kLenBase.size()) {
           throw DecodeError(DecodeErrorKind::kCorruptStream, "bitstream", "bad length symbol");
         }
-        for (unsigned b = kLenExtra[lc]; b-- > 0;) {
-          t.len_extra = static_cast<std::uint16_t>(t.len_extra | (br.get_bit() << b));
-        }
+        t.len_extra = static_cast<std::uint16_t>(br.get(kLenExtra[lc]));
         t.dist_sym = static_cast<std::uint8_t>(dist_book.decode_one(br));
         if (t.dist_sym >= kDistBase.size()) {
           throw DecodeError(DecodeErrorKind::kCorruptStream, "bitstream", "bad distance symbol");
         }
-        for (unsigned b = kDistExtra[t.dist_sym]; b-- > 0;) {
-          t.dist_extra = static_cast<std::uint16_t>(t.dist_extra | (br.get_bit() << b));
-        }
+        t.dist_extra = static_cast<std::uint16_t>(br.get(kDistExtra[t.dist_sym]));
       }
       if (!lz77_expand(t, out)) break;
       if (out.size() > orig_size) {

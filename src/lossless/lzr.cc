@@ -33,7 +33,7 @@ std::vector<std::uint8_t> lzr_compress(std::span<const std::uint8_t> input,
   std::vector<std::uint16_t> lit_syms;
   std::vector<std::uint16_t> dist_syms;
   lit_syms.reserve(tokens.size());
-  BitWriter extras;
+  std::vector<std::uint8_t> extras;
   const auto n_tok = static_cast<std::int64_t>(tokens.size());
   namespace chk = sim::checked;
   namespace ctr = sim::contract;
@@ -44,16 +44,24 @@ std::vector<std::uint8_t> lzr_compress(std::span<const std::uint8_t> input,
                             ctr::host_sink("dist_syms", n_tok * 2),
                             ctr::host_sink("extras", (n_tok * 18 + 7) / 8)),
               [&](std::size_t, const auto& vtok) {
+    // Pass 1 sizes the sidecar exactly; pass 2 splits and writes.
+    std::uint64_t nbits = 0;
+    for (std::size_t i = 0; i < vtok.size(); ++i) {
+      const Lz77Token t = vtok[i];
+      if (t.litlen_sym >= 257) nbits += kLenExtra[t.litlen_sym - 257u] + kDistExtra[t.dist_sym];
+    }
+    extras.resize((nbits + 7) / 8);
+    BitWriter bw(extras);
     for (std::size_t i = 0; i < vtok.size(); ++i) {
       const Lz77Token t = vtok[i];
       lit_syms.push_back(t.litlen_sym);
       if (t.litlen_sym >= 257) {
-        const std::size_t lc = t.litlen_sym - 257u;
-        if (kLenExtra[lc] > 0) extras.put(t.len_extra, kLenExtra[lc]);
+        bw.put(t.len_extra, kLenExtra[t.litlen_sym - 257u]);
         dist_syms.push_back(t.dist_sym);
-        if (kDistExtra[t.dist_sym] > 0) extras.put(t.dist_extra, kDistExtra[t.dist_sym]);
+        bw.put(t.dist_extra, kDistExtra[t.dist_sym]);
       }
     }
+    bw.flush();
   });
 
   const auto lit_model = RansModel::build(lit_freq);
@@ -70,7 +78,7 @@ std::vector<std::uint8_t> lzr_compress(std::span<const std::uint8_t> input,
     dist_model.serialize(w);
     w.put_vector(rans_encode(dist_syms, dist_model));
   }
-  w.put_vector(extras.take());
+  w.put_vector(extras);
   return w.take();
 }
 
@@ -135,9 +143,7 @@ std::vector<std::uint8_t> lzr_decompress(std::span<const std::uint8_t> input) {
         if (lc >= kLenBase.size()) {
           throw DecodeError(DecodeErrorKind::kCorruptStream, "token streams", "bad length symbol");
         }
-        for (unsigned b = kLenExtra[lc]; b-- > 0;) {
-          t.len_extra = static_cast<std::uint16_t>(t.len_extra | (extras.get_bit() << b));
-        }
+        t.len_extra = static_cast<std::uint16_t>(extras.get(kLenExtra[lc]));
         if (match >= vdist.size()) {
           throw DecodeError(DecodeErrorKind::kCorruptStream, "token streams",
                             "match/distance stream mismatch");
@@ -148,9 +154,7 @@ std::vector<std::uint8_t> lzr_decompress(std::span<const std::uint8_t> input) {
                             "bad distance symbol");
         }
         t.dist_sym = static_cast<std::uint8_t>(ds);
-        for (unsigned b = kDistExtra[ds]; b-- > 0;) {
-          t.dist_extra = static_cast<std::uint16_t>(t.dist_extra | (extras.get_bit() << b));
-        }
+        t.dist_extra = static_cast<std::uint16_t>(extras.get(kDistExtra[ds]));
       }
       if (!lz77_expand(t, out)) break;
       if (out.size() > orig_size) {

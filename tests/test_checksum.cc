@@ -32,6 +32,41 @@ TEST(Crc32, IncrementalMatchesOneShot) {
   EXPECT_EQ(crc32_final(state), crc32(data));
 }
 
+/// CRC-32 one bit at a time (reflected polynomial 0xedb88320), with no
+/// table: the reference the slicing-by-8 implementation must match.
+std::uint32_t reference_crc32(std::span<const std::uint8_t> bytes) {
+  std::uint32_t c = 0xffffffffu;
+  for (const std::uint8_t b : bytes) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k) c = (c & 1u) != 0 ? 0xedb88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xffffffffu;
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  std::mt19937 rng(2);
+  std::vector<std::uint8_t> data(64 + 8);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const auto bytes = std::span<const std::uint8_t>(data).subspan(offset, len);
+      EXPECT_EQ(crc32(bytes), reference_crc32(bytes)) << "offset " << offset << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32, SplitAtEveryPointMatchesOneShot) {
+  std::mt19937 rng(3);
+  std::vector<std::uint8_t> data(100);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng());
+  const auto bytes = std::span<const std::uint8_t>(data);
+  const std::uint32_t whole = crc32(bytes);
+  for (std::size_t split = 0; split <= bytes.size(); ++split) {
+    const std::uint32_t state = crc32_update(crc32_init(), bytes.first(split));
+    EXPECT_EQ(crc32_final(crc32_update(state, bytes.subspan(split))), whole) << split;
+  }
+}
+
 TEST(Crc32, DetectsSingleBitFlips) {
   std::vector<std::uint8_t> data(256);
   for (std::size_t i = 0; i < data.size(); ++i) data[i] = static_cast<std::uint8_t>(i);

@@ -2,9 +2,12 @@
 // prefix-freedom invariants, round trips, serialization, corruption.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/analysis/entropy.hh"
@@ -35,17 +38,33 @@ std::vector<quant_t> skewed_symbols(std::size_t n, double p_top, std::size_t cap
   return v;
 }
 
+/// Run `fn` and return the (kind, segment) of the DecodeError it throws;
+/// fails the test if it throws nothing.
+template <typename Fn>
+std::pair<DecodeErrorKind, std::string> verdict_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const DecodeError& e) {
+    return {e.kind(), e.segment()};
+  }
+  ADD_FAILURE() << "no DecodeError thrown";
+  return {DecodeErrorKind::kBadMagic, "none"};
+}
+
 // ---- BitWriter / BitReader -----------------------------------------------
 
 TEST(BitIo, RoundTripAssortedWidths) {
-  BitWriter w;
+  std::vector<std::uint8_t> bytes(8);  // 60 bits
+  BitWriter w(bytes);
   w.put(0b101, 3);
   w.put(0xff, 8);
   w.put(0, 1);
   w.put(0x123456789abcull, 48);
   EXPECT_EQ(w.bit_count(), 60u);
+  w.flush();
+  EXPECT_EQ(w.byte_count(), bytes.size());
 
-  BitReader r(w.bytes());
+  BitReader r(bytes);
   auto read = [&r](unsigned len) {
     std::uint64_t v = 0;
     for (unsigned i = 0; i < len; ++i) v = (v << 1) | r.get_bit();
@@ -58,11 +77,246 @@ TEST(BitIo, RoundTripAssortedWidths) {
 }
 
 TEST(BitIo, ReadPastEndThrows) {
-  BitWriter w;
+  std::vector<std::uint8_t> bytes(1);
+  BitWriter w(bytes);
   w.put(1, 1);
-  BitReader r(w.bytes());
+  w.flush();
+  BitReader r(bytes);
   for (int i = 0; i < 8; ++i) (void)r.get_bit();  // the padded byte
   EXPECT_THROW((void)r.get_bit(), std::runtime_error);
+}
+
+TEST(BitIo, WordReadsMatchBitReads) {
+  std::mt19937 rng(11);
+  std::vector<std::uint8_t> bytes(64);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng());
+  BitReader bits(bytes);
+  BitReader words(bytes);
+  std::uniform_int_distribution<unsigned> width(0, 57);
+  while (words.remaining() > 0) {
+    const auto n = static_cast<unsigned>(
+        std::min<std::uint64_t>(width(rng), words.remaining()));
+    std::uint64_t expect = 0;
+    for (unsigned i = 0; i < n; ++i) expect = (expect << 1) | bits.get_bit();
+    if (n > 0) EXPECT_EQ(words.peek(n), expect);
+    EXPECT_EQ(words.get(n), expect);
+    EXPECT_EQ(words.bit_position(), bits.bit_position());
+  }
+  // get(0) reads nothing, even at the end; get(n) past the end throws the
+  // get_bit() verdict and does not move.
+  EXPECT_EQ(words.get(0), 0u);
+  BitReader tail(bytes, bytes.size() * 8 - 5);
+  const auto v = verdict_of([&] { (void)tail.get(6); });
+  EXPECT_EQ(v.first, DecodeErrorKind::kTruncated);
+  EXPECT_EQ(v.second, "bitstream");
+  EXPECT_EQ(tail.bit_position(), bytes.size() * 8 - 5);
+  EXPECT_EQ(tail.get(5), bytes.back() & 0x1fu);
+}
+
+TEST(BitIo, PeekNeverReadsPastTheSpan) {
+  // The stream's span is followed by 0xFF bytes it does not own: a peek
+  // near the end must return the span's remaining bits, then zeros.
+  std::mt19937 rng(12);
+  std::vector<std::uint8_t> buffer(24 + 16, 0xff);
+  for (std::size_t i = 0; i < 24; ++i) buffer[i] = static_cast<std::uint8_t>(rng());
+  const std::span<const std::uint8_t> span(buffer.data(), 24);
+  for (std::uint64_t pos = (24 - 8) * 8; pos <= 24 * 8; ++pos) {
+    std::uint64_t expect = 0;
+    for (std::uint64_t i = pos; i < pos + 57; ++i) {
+      const unsigned bit = i < 24 * 8 ? (span[i >> 3] >> (7 - (i & 7))) & 1u : 0u;
+      expect = (expect << 1) | bit;
+    }
+    EXPECT_EQ(BitReader(span, pos).peek(57), expect) << "bit " << pos;
+    EXPECT_EQ(BitReader(span, pos).remaining(), 24 * 8 - pos);
+  }
+}
+
+// ---- Table-driven decode against the canonical walk ----------------------
+
+/// A canonical decoder built only from the book's public code()/length():
+/// read one bit at a time until the bits read are some symbol's code.  The
+/// table decode must give the same symbols and the same verdicts.
+class ReferenceWalk {
+ public:
+  explicit ReferenceWalk(const HuffmanCodebook& book) : max_len_(book.max_length()) {
+    for (std::size_t s = 0; s < book.alphabet_size(); ++s) {
+      if (book.length(s) > 0) codes_[{book.length(s), book.code(s)}] = static_cast<std::uint32_t>(s);
+    }
+  }
+
+  [[nodiscard]] std::uint32_t decode_one(BitReader& r) const {
+    std::uint64_t code = 0;
+    for (unsigned len = 1; len <= max_len_; ++len) {
+      code = (code << 1) | r.get_bit();
+      const auto it = codes_.find({len, code});
+      if (it != codes_.end()) return it->second;
+    }
+    throw DecodeError(DecodeErrorKind::kCorruptStream, "bitstream", "no code matches");
+  }
+
+  /// Every chunk (and gap-array sub-block) of `payload`, in order.
+  [[nodiscard]] std::vector<quant_t> decode(const HuffmanEncoded& enc,
+                                            std::span<const std::uint8_t> payload) const {
+    std::vector<quant_t> out;
+    const std::size_t n = enc.num_symbols;
+    const std::size_t stride = enc.gap_stride > 0 ? enc.gap_stride : enc.chunk_size;
+    const std::size_t per_chunk = enc.chunk_size / stride;
+    for (std::size_t c = 0; c + 1 < enc.chunk_offsets.size(); ++c) {
+      const auto chunk = payload.subspan(enc.chunk_offsets[c],
+                                         enc.chunk_offsets[c + 1] - enc.chunk_offsets[c]);
+      for (std::size_t sub = 0; sub < per_chunk; ++sub) {
+        const std::size_t lo = c * enc.chunk_size + sub * stride;
+        const std::size_t hi = std::min(lo + stride, n);
+        BitReader r(chunk, enc.gap_stride > 0 ? enc.gaps[c * per_chunk + sub] : 0);
+        for (std::size_t i = lo; i < hi; ++i) out.push_back(static_cast<quant_t>(decode_one(r)));
+      }
+    }
+    return out;
+  }
+
+ private:
+  unsigned max_len_;
+  std::map<std::pair<unsigned, std::uint64_t>, std::uint32_t> codes_;
+};
+
+/// Frequencies F(1), F(2), ... over the first `live` symbols: the Huffman
+/// tree degenerates to a chain, so the longest code is live - 1 bits.
+std::vector<std::uint64_t> fibonacci_freq(std::size_t live, std::size_t alphabet) {
+  std::vector<std::uint64_t> freq(alphabet, 0);
+  std::uint64_t a = 1, b = 1;
+  for (std::size_t s = 0; s < live; ++s) {
+    freq[s] = a;
+    a = std::exchange(b, a + b);
+  }
+  return freq;
+}
+
+/// `n` symbols drawn uniformly from the book's live symbols, so the
+/// longest (rarest-by-design) codes appear as often as the shortest.
+std::vector<quant_t> uniform_live_symbols(std::span<const std::uint64_t> freq, std::size_t n,
+                                          std::uint32_t seed) {
+  std::vector<quant_t> live;
+  for (std::size_t s = 0; s < freq.size(); ++s) {
+    if (freq[s] > 0) live.push_back(static_cast<quant_t>(s));
+  }
+  std::mt19937 rng(seed);
+  std::uniform_int_distribution<std::size_t> pick(0, live.empty() ? 0 : live.size() - 1);
+  std::vector<quant_t> v(live.empty() ? 0 : n);
+  for (auto& s : v) s = live[pick(rng)];
+  return v;
+}
+
+TEST(HuffmanTableDecode, MatchesReferenceWalkOnEveryBookShape) {
+  struct Case {
+    const char* name;
+    std::vector<std::uint64_t> freq;
+    unsigned min_len, max_len;  // bounds on the book's longest code
+  };
+  std::vector<std::uint64_t> wide(65536, 0);
+  for (std::size_t i = 0; i < 3000; ++i) wide[(i * 7919) % 65536] = 1 + (3000 - i) * (3000 - i);
+  std::vector<std::uint64_t> one(16, 0);
+  one[5] = 1000;
+  std::vector<Case> cases{
+      {"short", histogram_of(skewed_symbols(20000, 0.3, 64, 21), 64), 1, 11},
+      {"exactly-12", fibonacci_freq(13, 1024), 12, 12},
+      {"13", fibonacci_freq(14, 1024), 13, 13},
+      {"beyond-32", fibonacci_freq(40, 1024), 33, 63},
+      {"one-symbol", one, 1, 1},
+      {"no-symbol", std::vector<std::uint64_t>(16, 0), 0, 0},
+      {"65536-alphabet", wide, 13, 63},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto book = HuffmanCodebook::build(c.freq);
+    EXPECT_GE(book.max_length(), c.min_len);
+    EXPECT_LE(book.max_length(), c.max_len);
+    const auto syms = uniform_live_symbols(c.freq, 20000, 22);
+    const ReferenceWalk walk(book);
+    for (const std::uint32_t gap : {0u, 256u}) {
+      SCOPED_TRACE(gap);
+      const auto enc = huffman_encode(syms, book, 4096, HuffmanEncVariant::kOptimized, gap);
+      EXPECT_EQ(huffman_decode(enc, book).symbols, syms);
+      EXPECT_EQ(walk.decode(enc, enc.payload), syms);
+      // The in-place entry point reads the same bits from a separate span.
+      const std::vector<std::uint8_t> payload = enc.payload;
+      HuffmanEncoded meta = enc;
+      meta.payload.clear();
+      sim::device_vector<quant_t> out;
+      (void)huffman_decode_into(meta, payload, book, syms.size(), out);
+      EXPECT_TRUE(std::equal(out.begin(), out.end(), syms.begin(), syms.end()));
+    }
+  }
+}
+
+TEST(HuffmanTableDecode, TruncationVerdictsMatchReferenceWalk) {
+  const auto syms = skewed_symbols(20000, 0.5, 1024, 23);
+  const auto book = HuffmanCodebook::build(histogram_of(syms, 1024));
+  const ReferenceWalk walk(book);
+  for (const std::uint32_t gap : {0u, 256u}) {
+    SCOPED_TRACE(gap);
+    const auto enc = huffman_encode(syms, book, 4096, HuffmanEncVariant::kOptimized, gap);
+    ASSERT_GT(enc.chunk_offsets.size(), 3u);
+    ASSERT_GT(enc.chunk_offsets.back() - enc.chunk_offsets[enc.chunk_offsets.size() - 2], 16u);
+    for (std::size_t cut = 1; cut <= 16; ++cut) {
+      SCOPED_TRACE(cut);
+      const auto payload =
+          std::span<const std::uint8_t>(enc.payload).first(enc.payload.size() - cut);
+      HuffmanEncoded meta = enc;
+      meta.payload.clear();
+      meta.chunk_offsets.back() = payload.size();
+      sim::device_vector<quant_t> out;
+      const auto table =
+          verdict_of([&] { (void)huffman_decode_into(meta, payload, book, syms.size(), out); });
+      const auto reference = verdict_of([&] { (void)walk.decode(meta, payload); });
+      EXPECT_EQ(table, reference);
+      EXPECT_EQ(table.first, DecodeErrorKind::kTruncated);
+      EXPECT_EQ(table.second, "bitstream");
+    }
+  }
+}
+
+TEST(HuffmanTableDecode, UnusedPrefixIsCorruptInBothDecoders) {
+  const auto expect_corrupt = [](const HuffmanCodebook& book,
+                                 std::span<const std::uint8_t> bytes) {
+    const ReferenceWalk walk(book);
+    BitReader a(bytes), b(bytes);
+    const auto table = verdict_of([&] { (void)book.decode_one(a); });
+    const auto reference = verdict_of([&] { (void)walk.decode_one(b); });
+    EXPECT_EQ(table, reference);
+    EXPECT_EQ(table.first, DecodeErrorKind::kCorruptStream);
+    EXPECT_EQ(table.second, "bitstream");
+  };
+  const std::vector<std::uint8_t> ones{0xff, 0xff, 0xff};
+
+  // One live symbol owns the 1-bit code 0; the prefix 1 is unused.
+  std::vector<std::uint64_t> one(16, 0);
+  one[5] = 1000;
+  expect_corrupt(HuffmanCodebook::build(one), ones);
+
+  // A deserialized book whose lengths under-fill the Kraft sum: codes 00,
+  // 01 and the 14-bit 10000000000000 leave every prefix 11 unused.
+  ByteWriter w;
+  w.put<std::uint32_t>(64);
+  w.put<std::uint32_t>(3);
+  for (const auto& [sym, len] : {std::pair<std::uint32_t, std::uint8_t>{3, 2}, {7, 2}, {9, 14}}) {
+    w.put<std::uint32_t>(sym);
+    w.put<std::uint8_t>(len);
+  }
+  const auto bytes = w.take();
+  ByteReader r(bytes);
+  const auto sparse = HuffmanCodebook::deserialize(r);
+  ASSERT_EQ(sparse.length(9), 14u);
+  expect_corrupt(sparse, ones);
+  // 14-bit codes bypass the table; one bit off is a prefix nobody owns.
+  const std::vector<std::uint8_t> long_code{0x80, 0x00};
+  const std::vector<std::uint8_t> long_miss{0x80, 0x04};
+  BitReader a(long_code), b(long_code);
+  EXPECT_EQ(sparse.decode_one(a), 9u);
+  EXPECT_EQ(ReferenceWalk(sparse).decode_one(b), 9u);
+  EXPECT_EQ(a.bit_position(), 14u);
+  expect_corrupt(sparse, long_miss);
+  // The empty book owns no prefix at all.
+  expect_corrupt(HuffmanCodebook::build(std::vector<std::uint64_t>(16, 0)), ones);
 }
 
 // ---- Codebook invariants ---------------------------------------------------

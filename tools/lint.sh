@@ -10,7 +10,10 @@
 #      the call's parenthesis extent).  And one OpenMP site: no OpenMP
 #      pragma, `omp.h`, `omp_` or `_OPENMP` in src/ outside
 #      src/sim/launch.hh, whose sim::launch_blocks is the one parallel loop.
-#      Pure text checks, no toolchain needed.
+#      And one bit reader and one bit writer: no class named *BitReader or
+#      *BitWriter in src/ outside src/core/huffman/bitio.hh, and the
+#      bit-at-a-time get_bit( only in bitio.hh and codebook.hh (the
+#      canonical-walk fallback).  Pure text checks, no toolchain needed.
 #   2. Static traffic coverage: `szp analyze --traffic` must exit clean —
 #      every registered kernel carries contract-derived volumes in the
 #      traffic table.  Skipped when the build tree has no szp binary.
@@ -93,6 +96,22 @@ check_openmp_site() {
   return 1
 }
 
+# --- Phase 1: one bit reader, one bit writer. -------------------------------
+check_bitio_site() {
+  bitio="${repo_root}/src/core/huffman/bitio.hh:"
+  codebook="${repo_root}/src/core/huffman/codebook.hh:"
+  classes=$(grep -rnE '(class|struct)[[:space:]]+[[:alnum:]_]*Bit(Reader|Writer)([^[:alnum:]_]|$)' \
+              "${repo_root}/src" | grep -vF "${bitio}" || true)
+  bit_reads=$(grep -rnF 'get_bit(' "${repo_root}/src" | grep -vF "${bitio}" |
+                grep -vF "${codebook}" || true)
+  [ -z "${classes}${bit_reads}" ] && return 0
+  [ -n "${classes}" ] && printf '%s\n' "${classes}" |
+    sed 's/$/  <- bit reader\/writer class outside src\/core\/huffman\/bitio.hh/'
+  [ -n "${bit_reads}" ] && printf '%s\n' "${bit_reads}" |
+    sed 's/$/  <- get_bit( outside bitio.hh\/codebook.hh (read words with get(n))/'
+  return 1
+}
+
 echo "lint.sh: checking footprint-contract coverage of checked launches"
 check_contracts || {
   echo "lint.sh: contract coverage check FAILED" >&2
@@ -106,6 +125,13 @@ check_openmp_site || {
   exit 1
 }
 echo "lint.sh: one OpenMP site OK"
+
+echo "lint.sh: checking for one bit reader and one bit writer"
+check_bitio_site || {
+  echo "lint.sh: one-bit-io check FAILED (use BitReader/BitWriter from src/core/huffman/bitio.hh)" >&2
+  exit 1
+}
+echo "lint.sh: one bit reader and writer OK"
 
 if [ "${contracts_only}" = 1 ]; then
   exit 0
