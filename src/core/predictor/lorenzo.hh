@@ -8,13 +8,16 @@
 //   * kNaivePartialSum    — proof-of-concept cuSZ+ kernel: chunk staged
 //     through "shared memory", one item per thread, N-pass partial sums.
 //   * kOptimizedPartialSum — the paper's optimized kernel: in-place fused
-//     passes with per-thread sequentiality (default 8), warp-shuffle style
-//     fragment propagation.
+//     passes over coalesced rows, the x-scan per chunk row and the y/z
+//     passes across a whole run of chunks.
 //
 // Construction is chunked (256 / 16x16 / 8x8x8) with a zero prediction
 // boundary per chunk, which removes inter-chunk dependencies and is exactly
 // the property that makes reconstruction a chunk-local inclusive partial
-// sum (the paper's §IV-B proof).
+// sum (the paper's §IV-B proof).  A host block of the construction and the
+// partial-sum kernels covers a run of kLorenzoRun chunks along x and walks
+// it row by row: the host form of the paper's coalesced access and thread
+// coarsening.  Chunk shapes and their zero boundary do not depend on it.
 #pragma once
 
 #include <span>
@@ -37,14 +40,19 @@ enum class OutlierScheme {
               ///< 0 is a placeholder that the serial decoder branches on.
 };
 
+/// Chunks per host block along x in the construction and partial-sum
+/// kernels (a compile-time constant, not an option: it moves host time and
+/// the coalescing estimate only, never a byte).
+inline constexpr std::size_t kLorenzoRun = 32;
+
 enum class ReconstructVariant {
-  kCoarseChunkSerial,
-  kNaivePartialSum,
-  kOptimizedPartialSum,
+  kCoarseChunkSerial,    ///< one chunk per block, serial raster order
+  kNaivePartialSum,      ///< each chunk staged through a thread-private copy
+  kOptimizedPartialSum,  ///< in-place passes over the block's rows (production)
 };
 
-/// Which construction kernel the cost model attributes (the host execution
-/// differs only in the staging copy; see lorenzo_construct.cc).
+/// Which construction kernel the cost model attributes.  Both run the same
+/// host code; only the modeled access pattern and calibration differ.
 enum class ConstructVariant {
   kBaseline,  ///< cuSZ: shared-memory staging, 1 item/thread
   kOptimized, ///< cuSZ+: register reuse via in-warp shuffle, coarsened threads
@@ -63,7 +71,8 @@ struct LorenzoConstructResult {
 /// T is float or double (the paper supports both; doubles raise the VLE
 /// compression-ratio ceiling from 32x to 64x).  Requires max|d|/(2*eb) <
 /// 2^27 so residual arithmetic stays exact in qdiff_t; the Compressor
-/// validates this before calling.
+/// validates this before calling.  Prequant values beyond it saturate at
+/// ±2^27 instead of overflowing.
 template <typename T>
 [[nodiscard]] LorenzoConstructResult lorenzo_construct(
     std::span<const T> data, const Extents& ext, double eb_abs,
@@ -80,7 +89,9 @@ void lorenzo_construct_into(std::span<const T> data, const Extents& ext, double 
 
 struct ReconstructConfig {
   ReconstructVariant variant = ReconstructVariant::kOptimizedPartialSum;
-  std::size_t sequentiality = 8;  ///< items per virtual thread in scan passes
+  /// Items per virtual thread of the x-scan in the word-granular checker's
+  /// lane model; the host result and host time do not depend on it.
+  std::size_t sequentiality = 8;
 };
 
 /// cuSZ+ fine-grained reconstruction (Algorithm 1, decompression half).

@@ -1,17 +1,17 @@
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <stdexcept>
 
 #include "core/predictor/lorenzo.hh"
+#include "core/predictor/lorenzo_grid.hh"
 #include "sim/check.hh"
-#include "sim/launch.hh"
 
 namespace szp {
 
 namespace {
 
-// Largest chunk across ranks: 256 (1D), 256 (2D 16x16), 512 (3D 8x8x8).
-constexpr std::size_t kMaxChunkElems = 512;
+using lorenzo_detail::Box;
 
 // Bandwidth derating factors calibrated against the construction
 // throughputs published for cuSZ (Table VI "cuSZ" column) and cuSZ+
@@ -19,17 +19,113 @@ constexpr std::size_t kMaxChunkElems = 512;
 constexpr std::array<double, 4> kBaselineFactor{0.0, 0.58, 0.70, 0.56};
 constexpr std::array<double, 4> kOptimizedFactor{0.0, 0.85, 0.76, 0.82};
 
-struct ChunkGeometry {
-  ChunkShape shape;
-  std::size_t gx, gy, gz;  // grid extents in chunks
+/// |d°| bound the Compressor enforces (validate_exactness).  It keeps the
+/// 3-D residual, a signed sum of eight prequant values, inside int32.
+constexpr double kPrequantLimit = 0x1p27;
+
+/// d° = round(v) half away from zero: std::llround for every |v| < 2^27,
+/// saturating at ±2^27 beyond (NaN, which callers reject, gives ±2^27), so
+/// the int32 conversion is defined for any input.  Adding and removing
+/// 1.5·2^52 rounds |v| to the nearest integer, ties to even, exactly for
+/// |v| < 2^51; |v| minus that integer is exact, and a remainder of one half
+/// (a tie rounded down) steps up.  Branch-free, with the clamp last and one
+/// conversion, so the row loop vectorizes: a truncating conversion ahead of
+/// the tie test, or a clamp ahead of the rounding, leaves a conversion
+/// conditional after jump threading, which GCC's default -ftrapping-math
+/// will not if-convert.
+inline qdiff_t prequant(double v) {
+  constexpr double kShift = 0x1.8p52;
+  const double mag = std::fabs(v);
+  const double even = (mag + kShift) - kShift;
+  double r = even + (mag - even >= 0.5 ? 1.0 : 0.0);
+  r = r < kPrequantLimit ? r : kPrequantLimit;
+  return static_cast<qdiff_t>(std::copysign(r, v));
+}
+
+/// Rank-R tile of prequant values for one block: the run width plus one
+/// leading zero word per row, a leading zero row per plane (2-D, 3-D) and a
+/// leading zero plane (3-D).  Those zeros are the chunk's prediction
+/// boundary along y and z; along x the boundary is a mask.
+template <int R>
+struct Tile {
+  static constexpr ChunkShape kShape = ChunkShape::for_rank(R);
+  static constexpr std::size_t kWidth = kLorenzoRun * kShape.cx;
+  static constexpr std::size_t kRow = kWidth + 1;
+  static constexpr std::size_t kRows = R >= 2 ? kShape.cy + 1 : 1;
+  static constexpr std::size_t kPlane = kRows * kRow;
+  static constexpr std::size_t kWords = (R == 3 ? kShape.cz + 1 : 1) * kPlane;
+
+  /// Offset of the leading zero word of block row (lz, ly).
+  static constexpr std::size_t row(std::size_t lz, std::size_t ly) {
+    return (lz + (R == 3 ? 1 : 0)) * kPlane + (ly + (R >= 2 ? 1 : 0)) * kRow;
+  }
 };
 
-ChunkGeometry make_grid(const Extents& ext) {
-  ChunkGeometry g{ChunkShape::for_rank(ext.rank), 0, 0, 0};
-  g.gx = sim::div_ceil(ext.nx, g.shape.cx);
-  g.gy = sim::div_ceil(ext.ny, g.shape.cy);
-  g.gz = sim::div_ceil(ext.nz, g.shape.cz);
-  return g;
+/// -1 inside a chunk and 0 on its first column (x % cx == 0), where the
+/// left neighbour is the zero boundary.  Shift arithmetic, not a compare:
+/// a compare of the 64-bit index keeps the int32 row loop from vectorizing.
+template <std::size_t cx>
+constexpr qdiff_t chunk_mask(std::size_t x) {
+  static_assert((cx & (cx - 1)) == 0, "chunk widths are powers of two");
+  return -static_cast<qdiff_t>(((x & (cx - 1)) + cx - 1) / cx);
+}
+
+/// Residuals of one row: δ = Dx(Dy(Dz d°)) with the differences taken
+/// against the chunk's zero boundary, which is the Lorenzo prediction
+/// error.  `c` points at the row's leading zero word; Dy/Dz read the tile's
+/// previous row and plane.
+template <int R>
+void predict_row(const qdiff_t* c, std::size_t w, qdiff_t r, bool value_scheme, quant_t* quant,
+                 qdiff_t* outlier) {
+  using Tl = Tile<R>;
+  const qdiff_t* up = R >= 2 ? c - Tl::kRow : c;
+  const qdiff_t* back = R == 3 ? c - Tl::kPlane : c;
+  const qdiff_t* back_up = R == 3 ? back - Tl::kRow : c;
+  const qdiff_t park = value_scheme ? 0 : r;
+  for (std::size_t x = 0; x < w; ++x) {
+    qdiff_t cur = c[x + 1], left = c[x];
+    if constexpr (R >= 2) {
+      cur -= up[x + 1];
+      left -= up[x];
+    }
+    if constexpr (R == 3) {
+      cur -= back[x + 1] - back_up[x + 1];
+      left -= back[x] - back_up[x];
+    }
+    const qdiff_t delta = cur - (left & chunk_mask<Tl::kShape.cx>(x));
+    const bool in = delta > -r && delta < r;
+    quant[x] = static_cast<quant_t>(in ? delta + r : park);
+    outlier[x] = in ? 0 : (value_scheme ? c[x + 1] : delta);
+  }
+}
+
+/// One block: prequantize each row of the box into the tile, then emit the
+/// row's codes and dense outliers.  Rows go in raster order, so the tile
+/// rows a residual reads are complete before it.
+template <int R, typename T, typename VD, typename VQ, typename VO>
+void construct_block(const VD& vdata, const VQ& vquant, const VO& voutlier, const Extents& ext,
+                     const Box& b, double inv2eb, qdiff_t r, bool value_scheme) {
+  using Tl = Tile<R>;
+  // Only the pads are zeroed: every other word a residual reads is a
+  // prequant value written earlier in raster order.
+  std::array<qdiff_t, Tl::kWords> tile;
+  if constexpr (R == 3) std::fill_n(tile.begin(), Tl::kPlane, 0);
+  for (std::size_t lz = 0; lz < b.d; ++lz) {
+    if constexpr (R >= 2) std::fill_n(tile.begin() + Tl::row(lz, 0) - Tl::kRow, b.w + 1, 0);
+    for (std::size_t ly = 0; ly < b.h; ++ly) {
+      qdiff_t* c = tile.data() + Tl::row(lz, ly);
+      const std::size_t gi = ext.index(b.z0 + lz, b.y0 + ly, b.x0);
+      vdata.note_read(gi, b.w);
+      const T* src = vdata.data() + gi;
+      c[0] = 0;
+      for (std::size_t x = 0; x < b.w; ++x) {
+        c[x + 1] = prequant(static_cast<double>(src[x]) * inv2eb);
+      }
+      vquant.note_write(gi, b.w);
+      voutlier.note_write(gi, b.w);
+      predict_row<R>(c, b.w, r, value_scheme, vquant.data() + gi, voutlier.data() + gi);
+    }
+  }
 }
 
 }  // namespace
@@ -48,126 +144,51 @@ void lorenzo_construct_into(std::span<const T> data, const Extents& ext, double 
 
   const std::size_t n = ext.count();
   res.cost = {};
-  res.quant.assign(n, 0);
-  res.outlier_dense.assign(n, 0);
+  res.quant.resize(n);  // the kernel writes every element of both
+  res.outlier_dense.resize(n);
 
   const double inv2eb = 1.0 / (2.0 * eb_abs);
-  const std::int64_t r = qcfg.radius();
-  const auto grid = make_grid(ext);
-  const ChunkShape cs = grid.shape;
-  const bool stage_copy = variant == ConstructVariant::kBaseline;
+  const qdiff_t r = qcfg.radius();
+  const bool value_scheme = scheme == OutlierScheme::kValue;
+  const auto grid = lorenzo_detail::block_grid(ext, kLorenzoRun);
 
   namespace chk = sim::checked;
   namespace ctr = sim::contract;
   sim::traffic::Scope traffic_scope;  // contract-derived volumes for res.cost
-  // Every block owns one chunk-shaped tile of the row-major field: the same
-  // box for the read of `data` and the writes of `quant`/`outlier`.
-  const auto tile_of = [&](ctr::AccessKind a, const char* buf) {
-    return ctr::box(a, buf, ctr::bx() * cs.cx, static_cast<std::int64_t>(cs.cx),
-                    ctr::by() * cs.cy, static_cast<std::int64_t>(cs.cy), ctr::bz() * cs.cz,
-                    static_cast<std::int64_t>(cs.cz), static_cast<std::int64_t>(ext.nx),
-                    static_cast<std::int64_t>(ext.ny), static_cast<std::int64_t>(ext.nz));
+  // Every block owns one box of the row-major field: the same box for the
+  // read of `data` and the writes of `quant`/`outlier`.
+  const auto box = [&](ctr::AccessKind a, const char* buf) {
+    return lorenzo_detail::box_clause(a, buf, grid, ext);
   };
-  chk::launch_3d("lorenzo_construct",
-                 {static_cast<std::uint32_t>(grid.gx), static_cast<std::uint32_t>(grid.gy),
-                  static_cast<std::uint32_t>(grid.gz)},
-                 chk::bufs(chk::in(data, "data"),
-                           chk::out(std::span<quant_t>(res.quant), "quant"),
-                           chk::out(std::span<qdiff_t>(res.outlier_dense), "outlier")),
-                 ctr::contract(tile_of(ctr::AccessKind::kRead, "data"),
-                               tile_of(ctr::AccessKind::kWrite, "quant"),
-                               tile_of(ctr::AccessKind::kWrite, "outlier")),
-                 [&](std::uint32_t bx, std::uint32_t by, std::uint32_t bz, const auto& vdata,
-                     const auto& vquant, const auto& voutlier) {
-    const std::size_t x0 = bx * cs.cx, y0 = by * cs.cy, z0 = bz * cs.cz;
-    const std::size_t w = std::min(cs.cx, ext.nx - x0);
-    const std::size_t h = std::min(cs.cy, ext.ny - y0);
-    const std::size_t d = std::min(cs.cz, ext.nz - z0);
+  const auto launch = [&](auto rank) {
+    chk::launch_3d("lorenzo_construct", grid.dim,
+                   chk::bufs(chk::in(data, "data"),
+                             chk::out(std::span<quant_t>(res.quant), "quant"),
+                             chk::out(std::span<qdiff_t>(res.outlier_dense), "outlier")),
+                   ctr::contract(box(ctr::AccessKind::kRead, "data"),
+                                 box(ctr::AccessKind::kWrite, "quant"),
+                                 box(ctr::AccessKind::kWrite, "outlier")),
+                   [&](std::uint32_t bx, std::uint32_t by, std::uint32_t bz, const auto& vdata,
+                       const auto& vquant, const auto& voutlier) {
+      construct_block<decltype(rank)::value, T>(vdata, vquant, voutlier, ext,
+                                                lorenzo_detail::box_of(grid, ext, bx, by, bz),
+                                                inv2eb, r, value_scheme);
+    });
+  };
+  lorenzo_detail::dispatch_rank(ext.rank, launch);
 
-    // "Shared memory": the prequantized chunk, needed by the prediction
-    // pass (prequant barrier in Algorithm 1 line 2).
-    std::array<std::int64_t, kMaxChunkElems> pq;
-    std::array<T, kMaxChunkElems> staged;  // baseline-variant staging
-
-    const auto lidx = [&](std::size_t lz, std::size_t ly, std::size_t lx) {
-      return (lz * h + ly) * w + lx;
-    };
-
-    if (stage_copy) {
-      // cuSZ-style: copy global -> shared first, then prequant from shared.
-      for (std::size_t lz = 0; lz < d; ++lz)
-        for (std::size_t ly = 0; ly < h; ++ly)
-          for (std::size_t lx = 0; lx < w; ++lx)
-            staged[lidx(lz, ly, lx)] =
-                vdata[ext.index(z0 + lz, y0 + ly, x0 + lx)];
-      for (std::size_t i = 0; i < w * h * d; ++i)
-        pq[i] = std::llround(static_cast<double>(staged[i]) * inv2eb);
-    } else {
-      // cuSZ+-style: prequant straight from global into registers/shared.
-      for (std::size_t lz = 0; lz < d; ++lz)
-        for (std::size_t ly = 0; ly < h; ++ly)
-          for (std::size_t lx = 0; lx < w; ++lx)
-            pq[lidx(lz, ly, lx)] = std::llround(
-                static_cast<double>(vdata[ext.index(z0 + lz, y0 + ly, x0 + lx)]) * inv2eb);
-    }
-
-    // Prediction + postquant.  Neighbors outside the chunk are zero, which
-    // is the convention that turns reconstruction into a partial sum.
-    const auto at = [&](std::ptrdiff_t lz, std::ptrdiff_t ly, std::ptrdiff_t lx) -> std::int64_t {
-      if (lx < 0 || ly < 0 || lz < 0) return 0;
-      return pq[lidx(static_cast<std::size_t>(lz), static_cast<std::size_t>(ly),
-                     static_cast<std::size_t>(lx))];
-    };
-
-    for (std::size_t lz = 0; lz < d; ++lz) {
-      for (std::size_t ly = 0; ly < h; ++ly) {
-        for (std::size_t lx = 0; lx < w; ++lx) {
-          const auto x = static_cast<std::ptrdiff_t>(lx);
-          const auto y = static_cast<std::ptrdiff_t>(ly);
-          const auto z = static_cast<std::ptrdiff_t>(lz);
-          std::int64_t pred = 0;
-          switch (ext.rank) {
-            case 1:
-              pred = at(0, 0, x - 1);
-              break;
-            case 2:
-              pred = at(0, y - 1, x) + at(0, y, x - 1) - at(0, y - 1, x - 1);
-              break;
-            case 3:
-              pred = at(z, y - 1, x) + at(z, y, x - 1) + at(z - 1, y, x)
-                   - at(z, y - 1, x - 1) - at(z - 1, y - 1, x) - at(z - 1, y, x - 1)
-                   + at(z - 1, y - 1, x - 1);
-              break;
-            default: break;
-          }
-          const std::int64_t delta = pq[lidx(lz, ly, lx)] - pred;
-          const std::size_t gi = ext.index(z0 + lz, y0 + ly, x0 + lx);
-          if (delta > -r && delta < r) {
-            vquant[gi] = static_cast<quant_t>(delta + r);
-          } else if (scheme == OutlierScheme::kResidual) {
-            // Modified quantization (cuSZ+): quant-code encodes δ'=0 and the
-            // true residual goes to the outlier stream.
-            vquant[gi] = static_cast<quant_t>(r);
-            voutlier[gi] = static_cast<qdiff_t>(delta);
-          } else {
-            // cuSZ: placeholder 0, outlier carries the prequantized value.
-            vquant[gi] = 0;
-            voutlier[gi] = static_cast<qdiff_t>(pq[lidx(lz, ly, lx)]);
-          }
-        }
-      }
-    }
-  });
-
-  // Traffic from the footprint contract (tile boxes over data/quant/outlier);
-  // arithmetic and calibration stay the wrapper's.
+  // Traffic from the footprint contract (box clauses over data/quant/outlier);
+  // arithmetic and calibration stay the wrapper's.  The variant picks only
+  // the modeled attribution: cuSZ's shared-memory staging or cuSZ+'s
+  // coalesced streaming.
+  const bool baseline = variant == ConstructVariant::kBaseline;
   traffic_scope.apply(res.cost);
   res.cost.flops = n * (2 + (std::size_t{1} << ext.rank));
   res.cost.parallel_items = n;
-  res.cost.pattern = stage_copy ? sim::AccessPattern::kTiledShared
-                                : sim::AccessPattern::kCoalescedStreaming;
-  res.cost.custom_factor = stage_copy ? kBaselineFactor[static_cast<std::size_t>(ext.rank)]
-                                      : kOptimizedFactor[static_cast<std::size_t>(ext.rank)];
+  res.cost.pattern =
+      baseline ? sim::AccessPattern::kTiledShared : sim::AccessPattern::kCoalescedStreaming;
+  res.cost.custom_factor = baseline ? kBaselineFactor[static_cast<std::size_t>(ext.rank)]
+                                    : kOptimizedFactor[static_cast<std::size_t>(ext.rank)];
 }
 
 template <typename T>

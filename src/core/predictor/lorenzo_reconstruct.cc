@@ -1,7 +1,9 @@
+#include <algorithm>
 #include <array>
 #include <stdexcept>
 
 #include "core/predictor/lorenzo.hh"
+#include "core/predictor/lorenzo_grid.hh"
 #include "sim/block_scan.hh"
 #include "sim/check.hh"
 #include "sim/launch.hh"
@@ -10,7 +12,7 @@ namespace szp {
 
 namespace {
 
-constexpr std::size_t kMaxChunkElems = 512;
+using lorenzo_detail::Box;
 
 // Bandwidth derating factors calibrated from Table II of the paper (V100
 // columns): coarse cuSZ kernel, naive shared-memory partial sum, and the
@@ -19,73 +21,132 @@ constexpr std::array<double, 4> kCoarseFactor{0.0, 0.037, 0.33, 0.066};
 constexpr std::array<double, 4> kNaiveFactor{0.0, 0.56, 0.44, 0.39};
 constexpr std::array<double, 4> kFusedFactor{0.0, 0.70, 0.57, 0.53};
 
-struct Grid {
-  ChunkShape cs;
-  std::size_t gx, gy, gz;
-};
-
-Grid make_grid(const Extents& ext) {
-  Grid g{ChunkShape::for_rank(ext.rank), 0, 0, 0};
-  g.gx = sim::div_ceil(ext.nx, g.cs.cx);
-  g.gy = sim::div_ceil(ext.ny, g.cs.cy);
-  g.gz = sim::div_ceil(ext.nz, g.cs.cz);
-  return g;
-}
-
-/// N-pass in-place partial sums over one chunk of the global q' array,
-/// through an accessor (`qat(gi)` -> qdiff_t& for global index gi).
-/// This is the paper's Algorithm 1 lines 10-12: x-pass, then y-pass, then
-/// z-pass, each an inclusive scan with the requested per-thread
-/// sequentiality.  Each scan is attributed to the virtual threads that run
-/// it on the GPU — per-fragment lanes along x, one lane per column/pillar
-/// for y/z — with a barrier between passes (the kernel's __syncthreads()),
-/// so word-granular checking sees the real cooperation structure.
-template <typename QAt>
-void chunk_partial_sums_at(QAt&& qat, const Extents& ext, std::size_t x0, std::size_t y0,
-                           std::size_t z0, std::size_t w, std::size_t h, std::size_t d,
-                           std::size_t seq) {
-  // x-pass: contiguous rows, div_ceil(w, seq) lanes per row.
-  const auto lanes_per_row = static_cast<std::uint32_t>(sim::div_ceil(w, seq == 0 ? 1 : seq));
-  std::uint32_t lane_base = 0;
-  for (std::size_t lz = 0; lz < d; ++lz) {
-    for (std::size_t ly = 0; ly < h; ++ly) {
-      const std::size_t base = ext.index(z0 + lz, y0 + ly, x0);
-      sim::block_inclusive_scan_at<qdiff_t>(
-          [&](std::size_t i) -> qdiff_t& { return qat(base + i); }, w, seq, lane_base);
-      lane_base += lanes_per_row;
-    }
-  }
-  sim::checked::barrier();
-  if (ext.rank < 2) return;
-  // y-pass: columns (stride nx), one lane per column.
+/// In-place partial sums over one box of q' through `at(gi)` -> qdiff_t&:
+/// Algorithm 1 lines 10-12.  First an inclusive x-scan of every chunk row,
+/// then y passes (each row adds the row before it) and z passes (each plane
+/// adds the plane before it) across the whole box width, all in uint32
+/// (scan_add), so wrapped sums of corrupt codes keep the same bits.
+///
+/// kLanes attributes every access to the virtual thread that owns it on the
+/// GPU, for the word-granular checker: `seq`-item fragment lanes along x,
+/// one lane per column for y and per pillar for z, a barrier between
+/// passes.  The unchecked instantiation carries none of it.
+template <int R, bool kLanes, typename At>
+void partial_sums(At&& at, const Extents& ext, const Box& b, std::size_t seq) {
+  constexpr std::size_t cx = ChunkShape::for_rank(R).cx;
+  const auto row = [&](std::size_t lz, std::size_t ly) {
+    return ext.index(b.z0 + lz, b.y0 + ly, b.x0);
+  };
   std::uint32_t lane = 0;
-  for (std::size_t lz = 0; lz < d; ++lz) {
-    for (std::size_t lx = 0; lx < w; ++lx) {
-      const std::size_t base = ext.index(z0 + lz, y0, x0 + lx);
-      sim::block_inclusive_scan_strided_at<qdiff_t>(
-          [&](std::size_t k) -> qdiff_t& { return qat(base + k * ext.nx); }, h, lane++);
+  for (std::size_t lz = 0; lz < b.d; ++lz) {
+    for (std::size_t ly = 0; ly < b.h; ++ly) {
+      const std::size_t base = row(lz, ly);
+      for (std::size_t c0 = 0; c0 < b.w; c0 += cx) {
+        const std::size_t len = std::min(cx, b.w - c0);
+        const auto elem = [&](std::size_t i) -> qdiff_t& { return at(base + c0 + i); };
+        if constexpr (kLanes) {
+          sim::block_inclusive_scan_at<qdiff_t>(elem, len, seq, lane);
+          lane += static_cast<std::uint32_t>(sim::div_ceil(len, seq));
+        } else {
+          qdiff_t acc = 0;
+          for (std::size_t i = 0; i < len; ++i) elem(i) = acc = sim::scan_add(acc, elem(i));
+        }
+      }
     }
   }
-  sim::checked::barrier();
-  if (ext.rank < 3) return;
-  // z-pass: pillars (stride nx*ny), one lane per pillar.
-  lane = 0;
-  for (std::size_t ly = 0; ly < h; ++ly) {
-    for (std::size_t lx = 0; lx < w; ++lx) {
-      const std::size_t base = ext.index(z0, y0 + ly, x0 + lx);
-      sim::block_inclusive_scan_strided_at<qdiff_t>(
-          [&](std::size_t k) -> qdiff_t& { return qat(base + k * ext.nx * ext.ny); }, d, lane++);
+  if constexpr (kLanes) sim::checked::barrier();
+  // Adds row `prev` into row `cur`, element x owned by lane lane0 + x.
+  const auto add_row = [&](std::size_t cur, std::size_t prev, std::size_t lane0) {
+    for (std::size_t x = 0; x < b.w; ++x) {
+      if constexpr (kLanes) sim::checked::this_thread(static_cast<std::uint32_t>(lane0 + x));
+      at(cur + x) = sim::scan_add(at(cur + x), at(prev + x));
     }
+  };
+  if constexpr (R >= 2) {
+    for (std::size_t lz = 0; lz < b.d; ++lz) {
+      for (std::size_t ly = 1; ly < b.h; ++ly) add_row(row(lz, ly), row(lz, ly - 1), lz * b.w);
+    }
+    if constexpr (kLanes) sim::checked::barrier();
   }
-  sim::checked::barrier();
+  if constexpr (R == 3) {
+    for (std::size_t lz = 1; lz < b.d; ++lz) {
+      for (std::size_t ly = 0; ly < b.h; ++ly) add_row(row(lz, ly), row(lz - 1, ly), ly * b.w);
+    }
+    if constexpr (kLanes) sim::checked::barrier();
+  }
 }
 
-/// Raw-pointer convenience wrapper (thread-private staging, interval mode).
-void chunk_partial_sums(qdiff_t* q, const Extents& ext, std::size_t x0, std::size_t y0,
-                        std::size_t z0, std::size_t w, std::size_t h, std::size_t d,
-                        std::size_t seq) {
-  chunk_partial_sums_at([q](std::size_t gi) -> qdiff_t& { return q[gi]; }, ext, x0, y0, z0, w,
-                        h, d, seq);
+/// kNaivePartialSum, the paper's proof-of-concept kernel: each chunk of the
+/// box is staged through a thread-private copy ("shared memory"), scanned
+/// there with one item per thread, and written back.
+template <int R, typename VQ>
+void naive_chunks(const VQ& vq, const Extents& ext, const Box& b) {
+  constexpr ChunkShape cs = ChunkShape::for_rank(R);
+  std::array<qdiff_t, cs.count()> shared;
+  for (std::size_t c0 = 0; c0 < b.w; c0 += cs.cx) {
+    const std::size_t w = std::min(cs.cx, b.w - c0);
+    const Extents local = R == 1   ? Extents::d1(w)
+                          : R == 2 ? Extents::d2(b.h, w)
+                                   : Extents::d3(b.d, b.h, w);
+    const auto copy = [&](bool stage_in) {
+      for (std::size_t lz = 0; lz < b.d; ++lz)
+        for (std::size_t ly = 0; ly < b.h; ++ly)
+          for (std::size_t lx = 0; lx < w; ++lx) {
+            qdiff_t& global = vq[ext.index(b.z0 + lz, b.y0 + ly, b.x0 + c0 + lx)];
+            qdiff_t& staged = shared[local.index(lz, ly, lx)];
+            if (stage_in) {
+              staged = global;
+            } else {
+              global = staged;
+            }
+          }
+    };
+    copy(true);
+    partial_sums<R, false>([&shared](std::size_t i) -> qdiff_t& { return shared[i]; }, local,
+                           Box{0, 0, 0, w, b.h, b.d}, 1);
+    copy(false);
+  }
+}
+
+/// One block of lorenzo_reconstruct_fused: the partial sums over its box of
+/// q', then the scale back to data units (Algorithm 1 line 13).
+template <int R, typename T, typename VQ, typename VO>
+void reconstruct_block(const VQ& vq, const VO& vout, const Extents& ext, const Box& b,
+                       bool naive, std::size_t seq, double eb2) {
+  bool word = false;  // word-granular checking: every access through the views
+  if constexpr (!sim::checked::is_raw_view<VQ>) word = vq.word_granular();
+  const auto each_row = [&](auto&& f) {
+    for (std::size_t lz = 0; lz < b.d; ++lz) {
+      for (std::size_t ly = 0; ly < b.h; ++ly) f(ext.index(b.z0 + lz, b.y0 + ly, b.x0));
+    }
+  };
+  if (naive) {
+    naive_chunks<R>(vq, ext, b);
+  } else if (word) {
+    if constexpr (!sim::checked::is_raw_view<VQ>) {
+      partial_sums<R, true>([&vq](std::size_t gi) -> qdiff_t& { return vq[gi]; }, ext, b, seq);
+    }
+  } else {
+    // The passes walk the box with raw pointers; declare its rows up front.
+    each_row([&](std::size_t gi) { vq.note_rw(gi, b.w); });
+    qdiff_t* q = vq.data();
+    partial_sums<R, false>([q](std::size_t gi) -> qdiff_t& { return q[gi]; }, ext, b, seq);
+  }
+  each_row([&](std::size_t gi) {
+    if (word) {
+      for (std::size_t x = 0; x < b.w; ++x) {
+        vout[gi + x] = static_cast<T>(static_cast<double>(vq[gi + x]) * eb2);
+      }
+      return;
+    }
+    vq.note_read(gi, b.w);
+    vout.note_write(gi, b.w);
+    const qdiff_t* src = vq.data() + gi;
+    T* dst = vout.data() + gi;
+    for (std::size_t x = 0; x < b.w; ++x) {
+      dst[x] = static_cast<T>(static_cast<double>(src[x]) * eb2);
+    }
+  });
 }
 
 }  // namespace
@@ -132,71 +193,29 @@ sim::KernelCost lorenzo_reconstruct_fused(std::span<qdiff_t> qprime, const Exten
         "lorenzo_reconstruct_fused: coarse variant needs lorenzo_reconstruct_coarse");
   }
   const bool naive = cfg.variant == ReconstructVariant::kNaivePartialSum;
-  const std::size_t seq = naive ? 1 : cfg.sequentiality;
+  const std::size_t seq = cfg.sequentiality == 0 ? 1 : cfg.sequentiality;
   const double eb2 = 2.0 * eb_abs;
-  const auto grid = make_grid(ext);
-  const ChunkShape cs = grid.cs;
+  const auto grid = lorenzo_detail::block_grid(ext, kLorenzoRun);
 
   namespace chk = sim::checked;
   namespace ctr = sim::contract;
   sim::traffic::Scope traffic_scope;  // contract-derived volumes for the cost
-  const auto tile_of = [&](ctr::AccessKind a, const char* buf) {
-    return ctr::box(a, buf, ctr::bx() * cs.cx, static_cast<std::int64_t>(cs.cx),
-                    ctr::by() * cs.cy, static_cast<std::int64_t>(cs.cy), ctr::bz() * cs.cz,
-                    static_cast<std::int64_t>(cs.cz), static_cast<std::int64_t>(ext.nx),
-                    static_cast<std::int64_t>(ext.ny), static_cast<std::int64_t>(ext.nz));
+  const auto box = [&](ctr::AccessKind a, const char* buf) {
+    return lorenzo_detail::box_clause(a, buf, grid, ext);
   };
-  chk::launch_3d("lorenzo_reconstruct_fused",
-                 {static_cast<std::uint32_t>(grid.gx), static_cast<std::uint32_t>(grid.gy),
-                  static_cast<std::uint32_t>(grid.gz)},
-                 chk::bufs(chk::inout(qprime, "qprime"), chk::out(out, "out")),
-                 ctr::contract(tile_of(ctr::AccessKind::kReadWrite, "qprime"),
-                               tile_of(ctr::AccessKind::kWrite, "out")),
-                 [&](std::uint32_t bx, std::uint32_t by, std::uint32_t bz, const auto& vqprime,
-                     const auto& vout) {
-    const std::size_t x0 = bx * cs.cx, y0 = by * cs.cy, z0 = bz * cs.cz;
-    const std::size_t w = std::min(cs.cx, ext.nx - x0);
-    const std::size_t h = std::min(cs.cy, ext.ny - y0);
-    const std::size_t d = std::min(cs.cz, ext.nz - z0);
-
-    if (naive) {
-      // Proof-of-concept kernel: stage the chunk through "shared memory",
-      // scan with 1 item per thread, write back.
-      std::array<qdiff_t, kMaxChunkElems> shared;
-      for (std::size_t lz = 0; lz < d; ++lz)
-        for (std::size_t ly = 0; ly < h; ++ly)
-          for (std::size_t lx = 0; lx < w; ++lx)
-            shared[(lz * h + ly) * w + lx] = vqprime[ext.index(z0 + lz, y0 + ly, x0 + lx)];
-      Extents local = ext.rank == 1   ? Extents::d1(w)
-                      : ext.rank == 2 ? Extents::d2(h, w)
-                                      : Extents::d3(d, h, w);
-      chunk_partial_sums(shared.data(), local, 0, 0, 0, w, h, d, 1);
-      for (std::size_t lz = 0; lz < d; ++lz)
-        for (std::size_t ly = 0; ly < h; ++ly)
-          for (std::size_t lx = 0; lx < w; ++lx)
-            vqprime[ext.index(z0 + lz, y0 + ly, x0 + lx)] = shared[(lz * h + ly) * w + lx];
-    } else if (vqprime.word_granular()) {
-      // Word mode: route every scan access through the view so the shadow
-      // sees each virtual thread's per-word footprint and barrier epochs.
-      chunk_partial_sums_at([&vqprime](std::size_t gi) -> qdiff_t& { return vqprime[gi]; },
-                            ext, x0, y0, z0, w, h, d, seq);
-    } else {
-      // The scan passes walk the chunk with raw strided pointers; declare
-      // the chunk's row footprint (the union of all three passes) up front.
-      for (std::size_t lz = 0; lz < d; ++lz)
-        for (std::size_t ly = 0; ly < h; ++ly)
-          vqprime.note_rw(ext.index(z0 + lz, y0 + ly, x0), w);
-      chunk_partial_sums(vqprime.data(), ext, x0, y0, z0, w, h, d, seq);
-    }
-
-    // Algorithm 1 line 13: scale back to data units.
-    for (std::size_t lz = 0; lz < d; ++lz)
-      for (std::size_t ly = 0; ly < h; ++ly)
-        for (std::size_t lx = 0; lx < w; ++lx) {
-          const std::size_t gi = ext.index(z0 + lz, y0 + ly, x0 + lx);
-          vout[gi] = static_cast<T>(static_cast<double>(vqprime[gi]) * eb2);
-        }
-  });
+  const auto launch = [&](auto rank) {
+    chk::launch_3d("lorenzo_reconstruct_fused", grid.dim,
+                   chk::bufs(chk::inout(qprime, "qprime"), chk::out(out, "out")),
+                   ctr::contract(box(ctr::AccessKind::kReadWrite, "qprime"),
+                                 box(ctr::AccessKind::kWrite, "out")),
+                   [&](std::uint32_t bx, std::uint32_t by, std::uint32_t bz, const auto& vqprime,
+                       const auto& vout) {
+      reconstruct_block<decltype(rank)::value, T>(vqprime, vout, ext,
+                                                  lorenzo_detail::box_of(grid, ext, bx, by, bz),
+                                                  naive, seq, eb2);
+    });
+  };
+  lorenzo_detail::dispatch_rank(ext.rank, launch);
 
   const std::size_t n = ext.count();
   sim::KernelCost c;
@@ -225,35 +244,26 @@ sim::KernelCost lorenzo_reconstruct_coarse(std::span<const quant_t> quant,
   }
   const double eb2 = 2.0 * eb_abs;
   const std::int64_t r = qcfg.radius();
-  const auto grid = make_grid(ext);
-  const ChunkShape cs = grid.cs;
+  const auto grid = lorenzo_detail::block_grid(ext, 1);
 
   namespace chk = sim::checked;
   namespace ctr = sim::contract;
   sim::traffic::Scope traffic_scope;  // contract-derived volumes for the cost
-  const auto tile_of = [&](ctr::AccessKind a, const char* buf) {
-    return ctr::box(a, buf, ctr::bx() * cs.cx, static_cast<std::int64_t>(cs.cx),
-                    ctr::by() * cs.cy, static_cast<std::int64_t>(cs.cy), ctr::bz() * cs.cz,
-                    static_cast<std::int64_t>(cs.cz), static_cast<std::int64_t>(ext.nx),
-                    static_cast<std::int64_t>(ext.ny), static_cast<std::int64_t>(ext.nz));
+  const auto box = [&](ctr::AccessKind a, const char* buf) {
+    return lorenzo_detail::box_clause(a, buf, grid, ext);
   };
-  chk::launch_3d("lorenzo_reconstruct_coarse",
-                 {static_cast<std::uint32_t>(grid.gx), static_cast<std::uint32_t>(grid.gy),
-                  static_cast<std::uint32_t>(grid.gz)},
+  chk::launch_3d("lorenzo_reconstruct_coarse", grid.dim,
                  chk::bufs(chk::in(quant, "quant"),
                            chk::in(outlier_value_dense, "outlier"),
                            chk::out(out, "out")),
-                 ctr::contract(tile_of(ctr::AccessKind::kRead, "quant"),
-                               tile_of(ctr::AccessKind::kRead, "outlier"),
-                               tile_of(ctr::AccessKind::kWrite, "out")),
+                 ctr::contract(box(ctr::AccessKind::kRead, "quant"),
+                               box(ctr::AccessKind::kRead, "outlier"),
+                               box(ctr::AccessKind::kWrite, "out")),
                  [&](std::uint32_t bx, std::uint32_t by, std::uint32_t bz, const auto& vquant,
                      const auto& voutlier, const auto& vout) {
-    const std::size_t x0 = bx * cs.cx, y0 = by * cs.cy, z0 = bz * cs.cz;
-    const std::size_t w = std::min(cs.cx, ext.nx - x0);
-    const std::size_t h = std::min(cs.cy, ext.ny - y0);
-    const std::size_t d = std::min(cs.cz, ext.nz - z0);
+    const auto [x0, y0, z0, w, h, d] = lorenzo_detail::box_of(grid, ext, bx, by, bz);
 
-    std::array<std::int64_t, kMaxChunkElems> pq;  // reconstructed prequant values
+    std::array<std::int64_t, ChunkShape::for_rank(3).count()> pq;  // reconstructed d°
     const auto lidx = [&](std::size_t lz, std::size_t ly, std::size_t lx) {
       return (lz * h + ly) * w + lx;
     };
@@ -298,7 +308,7 @@ sim::KernelCost lorenzo_reconstruct_coarse(std::span<const quant_t> quant,
   });
 
   const std::size_t n = ext.count();
-  const std::size_t chunks = grid.gx * grid.gy * grid.gz;
+  const std::size_t chunks = grid.dim.count();
   sim::KernelCost c;
   traffic_scope.apply(c);  // contract-derived: quant+outlier reads, out store
   c.flops = n * (2 * static_cast<std::size_t>(ext.rank) + 4);

@@ -146,7 +146,7 @@ struct ChunkShape {
   std::size_t cy = 1;
   std::size_t cz = 1;
 
-  static ChunkShape for_rank(int rank) {
+  static constexpr ChunkShape for_rank(int rank) {
     switch (rank) {
       case 1: return {256, 1, 1};
       case 2: return {16, 16, 1};
@@ -155,7 +155,7 @@ struct ChunkShape {
     }
   }
 
-  [[nodiscard]] std::size_t count() const { return cx * cy * cz; }
+  [[nodiscard]] constexpr std::size_t count() const { return cx * cy * cz; }
 };
 
 }  // namespace szp

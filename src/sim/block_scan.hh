@@ -6,8 +6,9 @@
 // (2-D/3-D).  Here the same structure is expressed as a tiled scan: each
 // virtual thread owns `seq` consecutive items (its thread-private tp[]
 // fragment), fragments are scanned trivially, and fragment totals are
-// propagated — exactly the three-phase scan the paper describes, so the
-// sequentiality ablation in bench/table2 exercises real code structure.
+// propagated — exactly the three-phase scan the paper describes.  The
+// Lorenzo partial sums use it for the lanes of their x-scan under
+// word-granular checking; the host passes walk plain rows.
 //
 // The `_at` variants take an accessor (`at(i)` -> T&) instead of a pointer
 // and attribute each fragment to its virtual thread via
@@ -66,28 +67,6 @@ void block_inclusive_scan(std::span<T> chunk, std::size_t seq = 8) {
   block_inclusive_scan_at<T>([p = chunk.data()](std::size_t i) -> T& { return p[i]; },
                              chunk.size(), seq);
   checked::barrier();
-}
-
-/// Inclusive scan over a strided sequence via an accessor (`at(k)` -> T& for
-/// the k-th *logical* element), used for the y/z passes of the 2-D/3-D
-/// partial sums where a "row" is a column of the chunk.  One virtual thread
-/// (`lane`) owns the whole sequence.
-template <typename T, typename At>
-void block_inclusive_scan_strided_at(At&& at, std::size_t count, std::uint32_t lane = 0) {
-  checked::this_thread(lane);
-  T acc{};
-  for (std::size_t i = 0; i < count; ++i) {
-    acc = scan_add<T>(acc, at(i));
-    at(i) = acc;
-  }
-}
-
-/// Inclusive scan over a strided sequence (stride in elements).  Equivalent
-/// to block_inclusive_scan on the gathered sequence.
-template <typename T>
-void block_inclusive_scan_strided(T* base, std::size_t count, std::size_t stride) {
-  block_inclusive_scan_strided_at<T>(
-      [base, stride](std::size_t k) -> T& { return base[k * stride]; }, count);
 }
 
 }  // namespace szp::sim

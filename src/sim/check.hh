@@ -488,6 +488,15 @@ struct raw_writer_view {
   void atomic_add(std::size_t i, T v) const { p[i] = static_cast<T>(p[i] + v); }
 };
 
+/// True for the unchecked views, so a kernel can compile lane attribution
+/// into its checked instantiation only.
+template <typename V>
+inline constexpr bool is_raw_view = false;
+template <typename T>
+inline constexpr bool is_raw_view<raw_reader_view<T>> = true;
+template <typename T>
+inline constexpr bool is_raw_view<raw_writer_view<T>> = true;
+
 // Tracking views.  operator[] records the touched byte range into the
 // block's interval log (tier 1) or the per-word shadow (tier 2);
 // out-of-range accesses are recorded and redirected to a sink so the kernel

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <random>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -222,6 +223,46 @@ TEST(Compressor, RejectsBadInput) {
   CompressConfig cfg;
   cfg.eb = ErrorBound::absolute(1e-6);
   EXPECT_THROW((void)Compressor(cfg).compress(wide, Extents::d1(10)), std::invalid_argument);
+}
+
+// The Lorenzo kernels hold prequant values in int32 and rely on max|d|/2eb
+// < 2^27 (validate_exactness): just under it a field round-trips within
+// eb, just over it the compress throws.  Only f64 can get there: f32 meets
+// the precision guard first, at max|d| >= 2^21 * eb.
+TEST(Compressor, ExactnessLimitIsPinned) {
+  const double eb = 1e-3;
+  for (const int rank : {1, 2, 3}) {
+    const Extents ext = rank == 1   ? Extents::d1(3000)
+                        : rank == 2 ? Extents::d2(40, 70)
+                                    : Extents::d3(9, 17, 20);
+    for (const double scale : {1.0 - 1e-6, 1.0 + 1e-6}) {
+      const double max_abs = 0x1p27 * scale * 2.0 * eb;
+      const auto base = smooth_field(ext, static_cast<std::uint32_t>(rank), 0.01f);
+      std::vector<double> data(base.begin(), base.end());
+      for (double& v : data) v *= 0.5 * max_abs;  // |v| stays well below max_abs
+      data[ext.count() / 2] = max_abs;
+      data[ext.count() / 3] = -max_abs;
+      CompressConfig cfg;
+      cfg.eb = ErrorBound::absolute(eb);
+      SCOPED_TRACE("rank " + std::to_string(rank) + " scale " + std::to_string(scale));
+      if (scale > 1.0) {
+        try {
+          (void)Compressor(cfg).compress(data, ext);
+          ADD_FAILURE() << "compressed past the exactness limit";
+        } catch (const std::invalid_argument& e) {
+          EXPECT_NE(std::string(e.what()).find("2^27"), std::string::npos) << e.what();
+        }
+        continue;
+      }
+      const auto c = Compressor(cfg).compress(data, ext);
+      const auto d = Compressor::decompress(c.bytes);
+      double max_err = 0.0;
+      for (std::size_t i = 0; i < data.size(); ++i) {
+        max_err = std::max(max_err, std::abs(data[i] - d.data_f64[i]));
+      }
+      EXPECT_LE(max_err, eb);
+    }
+  }
 }
 
 TEST(Compressor, RejectsCorruptArchives) {

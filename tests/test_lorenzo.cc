@@ -3,12 +3,16 @@
 // schemes, and chunk-boundary handling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <random>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "core/predictor/lorenzo.hh"
+#include "sim/check.hh"
 #include "sim/sparse.hh"
 
 namespace {
@@ -261,5 +265,248 @@ TEST(Lorenzo, MinimalSizes) {
     EXPECT_LE(max_error(data, out), 1e-4 + kFloatRounding);
   }
 }
+
+// ---- Differential kernel tests ---------------------------------------------
+//
+// The kernels walk runs of kLorenzoRun chunks row by row with int32
+// arithmetic.  These references are the per-element kernels they replaced:
+// std::llround prequant with int64 neighbours read through each chunk's zero
+// boundary, and per-chunk partial sums in the order the GPU lanes run them.
+// Every output must match bit for bit.
+
+template <typename T>
+void reference_construct(const std::vector<T>& data, const Extents& ext, double eb,
+                         const QuantConfig& qcfg, OutlierScheme scheme,
+                         std::vector<quant_t>& quant, std::vector<qdiff_t>& outlier) {
+  const ChunkShape cs = ChunkShape::for_rank(ext.rank);
+  const double inv2eb = 1.0 / (2.0 * eb);
+  const std::int64_t r = qcfg.radius();
+  quant.assign(ext.count(), 0);
+  outlier.assign(ext.count(), 0);
+  for (std::size_t z = 0; z < ext.nz; ++z) {
+    for (std::size_t y = 0; y < ext.ny; ++y) {
+      for (std::size_t x = 0; x < ext.nx; ++x) {
+        // Prequant of the neighbour (dz, dy, dx) back, 0 across the chunk origin.
+        const auto nb = [&](std::size_t dz, std::size_t dy, std::size_t dx) -> std::int64_t {
+          if (z % cs.cz < dz || y % cs.cy < dy || x % cs.cx < dx) return 0;
+          return std::llround(static_cast<double>(data[ext.index(z - dz, y - dy, x - dx)]) *
+                              inv2eb);
+        };
+        std::int64_t pred = 0;
+        if (ext.rank == 1) pred = nb(0, 0, 1);
+        if (ext.rank == 2) pred = nb(0, 1, 0) + nb(0, 0, 1) - nb(0, 1, 1);
+        if (ext.rank == 3) {
+          pred = nb(0, 1, 0) + nb(0, 0, 1) + nb(1, 0, 0) - nb(0, 1, 1) - nb(1, 1, 0) -
+                 nb(1, 0, 1) + nb(1, 1, 1);
+        }
+        const std::int64_t delta = nb(0, 0, 0) - pred;
+        const std::size_t i = ext.index(z, y, x);
+        if (delta > -r && delta < r) {
+          quant[i] = static_cast<quant_t>(delta + r);
+        } else if (scheme == OutlierScheme::kResidual) {
+          quant[i] = static_cast<quant_t>(r);
+          outlier[i] = static_cast<qdiff_t>(delta);
+        } else {
+          outlier[i] = static_cast<qdiff_t>(nb(0, 0, 0));
+        }
+      }
+    }
+  }
+}
+
+template <typename T>
+std::vector<T> reference_reconstruct(const std::vector<qdiff_t>& qprime, const Extents& ext,
+                                     double eb) {
+  const ChunkShape cs = ChunkShape::for_rank(ext.rank);
+  std::vector<std::uint32_t> u(qprime.begin(), qprime.end());  // sums wrap mod 2^32
+  for (std::size_t z0 = 0; z0 < ext.nz; z0 += cs.cz) {
+    for (std::size_t y0 = 0; y0 < ext.ny; y0 += cs.cy) {
+      for (std::size_t x0 = 0; x0 < ext.nx; x0 += cs.cx) {
+        const std::size_t z1 = std::min(z0 + cs.cz, ext.nz);
+        const std::size_t y1 = std::min(y0 + cs.cy, ext.ny);
+        const std::size_t x1 = std::min(x0 + cs.cx, ext.nx);
+        for (std::size_t z = z0; z < z1; ++z)  // x along every chunk row
+          for (std::size_t y = y0; y < y1; ++y)
+            for (std::size_t x = x0 + 1; x < x1; ++x)
+              u[ext.index(z, y, x)] += u[ext.index(z, y, x - 1)];
+        for (std::size_t z = z0; z < z1; ++z)  // y down every column
+          for (std::size_t x = x0; x < x1; ++x)
+            for (std::size_t y = y0 + 1; y < y1; ++y)
+              u[ext.index(z, y, x)] += u[ext.index(z, y - 1, x)];
+        for (std::size_t y = y0; y < y1; ++y)  // z along every pillar
+          for (std::size_t x = x0; x < x1; ++x)
+            for (std::size_t z = z0 + 1; z < z1; ++z)
+              u[ext.index(z, y, x)] += u[ext.index(z - 1, y, x)];
+      }
+    }
+  }
+  std::vector<T> out(u.size());
+  for (std::size_t i = 0; i < u.size(); ++i) {
+    out[i] = static_cast<T>(static_cast<double>(static_cast<qdiff_t>(u[i])) * (2.0 * eb));
+  }
+  return out;
+}
+
+template <typename V>
+bool same_bits(const V& a, const V& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(typename V::value_type)) == 0;
+}
+
+std::string describe(const Extents& e) {
+  return std::to_string(e.nz) + "x" + std::to_string(e.ny) + "x" + std::to_string(e.nx);
+}
+
+/// Extents that straddle the run width (run - 1, run, run + 1, 2 run + 3)
+/// and the chunk edges, plus a single element, a single row and a single
+/// plane.
+std::vector<Extents> straddling_extents(int rank) {
+  const ChunkShape cs = ChunkShape::for_rank(rank);
+  const std::size_t run = kLorenzoRun * cs.cx;
+  const auto make = [rank](std::size_t nz, std::size_t ny, std::size_t nx) {
+    return rank == 1 ? Extents::d1(nx) : rank == 2 ? Extents::d2(ny, nx) : Extents::d3(nz, ny, nx);
+  };
+  std::vector<Extents> out;
+  for (const std::size_t nx : {run - 1, run, run + 1, 2 * run + 3}) {
+    out.push_back(make(cs.cz + 2, cs.cy + 1, nx));
+  }
+  out.push_back(make(cs.cz - 1, cs.cy + 3, cs.cx + 1));  // chunk edges
+  out.push_back(make(1, 1, 1));                          // a single element
+  out.push_back(make(1, 1, run + 1));                    // a single row
+  out.push_back(make(1, cs.cy + 1, cs.cx * 3 + 5));      // a single plane
+  return out;
+}
+
+/// A rough random walk whose residuals land in and out of every capacity's
+/// range, with exact ±(k + 1/2)·2eb ties and values whose |d|/2eb sits just
+/// under 2^27 mixed in.
+template <typename T>
+std::vector<T> differential_field(const Extents& ext, double eb, std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<double> step(-1.0, 1.0);
+  std::uniform_int_distribution<int> k(-3000, 3000);
+  const double two_eb = 2.0 * eb;
+  std::vector<T> v(ext.count());
+  double acc = 0.0;
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    acc = 0.9 * acc + step(rng) * (i % 5 == 0 ? 4000.0 : 3.0) * two_eb;
+    v[i] = static_cast<T>(acc);
+    if (i % 7 == 3) v[i] = static_cast<T>((k(rng) + 0.5) * two_eb);  // an exact tie
+    if (i % 101 == 50) {
+      const double limit = 0x1p27 * two_eb;
+      const T under = std::nextafter(static_cast<T>(limit), T{0});
+      v[i] = (i / 101) % 2 == 0 ? under : -under;
+    }
+  }
+  return v;
+}
+
+class LorenzoDifferential : public ::testing::TestWithParam<int> {};
+
+template <typename T>
+void check_construct(int rank) {
+  const double eb = 0x1p-7;  // a power of two: d/2eb is exact, so ties stay ties
+  for (const Extents& ext : straddling_extents(rank)) {
+    const auto data = differential_field<T>(ext, eb, static_cast<std::uint32_t>(ext.count()));
+    for (const std::uint32_t cap : {4u, 16u, 1024u, 65536u}) {
+      for (const auto scheme : {OutlierScheme::kResidual, OutlierScheme::kValue}) {
+        std::vector<quant_t> quant;
+        std::vector<qdiff_t> outlier;
+        reference_construct(data, ext, eb, QuantConfig{cap}, scheme, quant, outlier);
+        for (const auto variant : {ConstructVariant::kBaseline, ConstructVariant::kOptimized}) {
+          SCOPED_TRACE(describe(ext) + " capacity " + std::to_string(cap) + " scheme " +
+                       std::to_string(static_cast<int>(scheme)) + " variant " +
+                       std::to_string(static_cast<int>(variant)));
+          const auto res = lorenzo_construct(data, ext, eb, QuantConfig{cap}, scheme, variant);
+          EXPECT_TRUE(same_bits(std::vector<quant_t>(res.quant.begin(), res.quant.end()), quant));
+          EXPECT_TRUE(same_bits(
+              std::vector<qdiff_t>(res.outlier_dense.begin(), res.outlier_dense.end()), outlier));
+        }
+      }
+    }
+  }
+}
+
+TEST_P(LorenzoDifferential, ConstructMatchesPerElementReferenceF32) {
+  check_construct<float>(GetParam());
+}
+
+TEST_P(LorenzoDifferential, ConstructMatchesPerElementReferenceF64) {
+  check_construct<double>(GetParam());
+}
+
+TEST_P(LorenzoDifferential, ReconstructMatchesPerChunkReference) {
+  const int rank = GetParam();
+  const double eb = 0x1p-7;
+  for (const Extents& ext : straddling_extents(rank)) {
+    std::mt19937 rng(static_cast<std::uint32_t>(ext.count()));
+    // Small residuals, and residuals near ±2^30 whose partial sums wrap int32.
+    for (const qdiff_t amp : {qdiff_t{40}, qdiff_t{1} << 30}) {
+      std::uniform_int_distribution<qdiff_t> dist(-amp, amp);
+      std::vector<qdiff_t> qprime(ext.count());
+      for (auto& q : qprime) q = dist(rng);
+      const auto want_f32 = reference_reconstruct<float>(qprime, ext, eb);
+      const auto want_f64 = reference_reconstruct<double>(qprime, ext, eb);
+      for (const ReconstructConfig rcfg :
+           {ReconstructConfig{ReconstructVariant::kOptimizedPartialSum, 8},
+            ReconstructConfig{ReconstructVariant::kOptimizedPartialSum, 0},
+            ReconstructConfig{ReconstructVariant::kNaivePartialSum, 1}}) {
+        SCOPED_TRACE(describe(ext) + " amplitude " + std::to_string(amp) + " variant " +
+                     std::to_string(static_cast<int>(rcfg.variant)) + " seq " +
+                     std::to_string(rcfg.sequentiality));
+        auto q32 = qprime;
+        std::vector<float> out32(ext.count());
+        lorenzo_reconstruct_fused(q32, ext, eb, out32, rcfg);
+        EXPECT_TRUE(same_bits(out32, want_f32));
+        auto q64 = qprime;
+        std::vector<double> out64(ext.count());
+        lorenzo_reconstruct_fused(q64, ext, eb, out64, rcfg);
+        EXPECT_TRUE(same_bits(out64, want_f64));
+      }
+    }
+  }
+}
+
+TEST_P(LorenzoDifferential, CheckedModesRunTheSameKernels) {
+  // Interval and word-granular checking run the same passes through the
+  // views; with the proof fast path off, word mode keeps the lane shadow
+  // on, so the lane model of the partial sums is checked too.
+  const int rank = GetParam();
+  const Extents ext = straddling_extents(rank)[3];  // 2 runs + 3 columns
+  const double eb = 0x1p-7;
+  const auto data = differential_field<float>(ext, eb, 7);
+  const auto run_all = [&](ReconstructVariant variant) {
+    const auto res = lorenzo_construct(data, ext, eb, QuantConfig{});
+    std::vector<qdiff_t> qprime(ext.count());
+    fuse_quant_codes(std::span<const quant_t>(res.quant.data(), res.quant.size()),
+                     QuantConfig{}.radius(), qprime);
+    std::vector<float> out(ext.count());
+    lorenzo_reconstruct_fused(qprime, ext, eb, out, {variant, 8});
+    return std::make_tuple(std::vector<quant_t>(res.quant.begin(), res.quant.end()),
+                           std::vector<qdiff_t>(res.outlier_dense.begin(), res.outlier_dense.end()),
+                           out);
+  };
+  for (const auto variant :
+       {ReconstructVariant::kOptimizedPartialSum, ReconstructVariant::kNaivePartialSum}) {
+    decltype(run_all(variant)) unchecked;
+    {
+      sim::checked::ScopedMode off(sim::checked::Mode::kOff);
+      unchecked = run_all(variant);
+    }
+    for (const auto mode : {sim::checked::Mode::kInterval, sim::checked::Mode::kWord}) {
+      SCOPED_TRACE("variant " + std::to_string(static_cast<int>(variant)) + " mode " +
+                   std::to_string(static_cast<int>(mode)));
+      sim::contract::ScopedFastpath no_fastpath(false);
+      sim::checked::ScopedMode checked(mode);
+      EXPECT_EQ(run_all(variant), unchecked);
+      const auto& report = sim::checked::current_report();
+      EXPECT_TRUE(report.clean()) << sim::checked::report_text();
+      EXPECT_GT(report.launches_checked, 0u);
+      if (mode == sim::checked::Mode::kWord) EXPECT_GT(report.shadow_words, 0u);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Ranks, LorenzoDifferential, ::testing::Values(1, 2, 3));
 
 }  // namespace

@@ -1,6 +1,6 @@
-// Unit tests for the substrate's scan primitives (block scan, strided scan,
-// device-wide scans) — the building blocks of partial-sum reconstruction
-// and Huffman deflating.
+// Unit tests for the substrate's scan primitives (block scan, device-wide
+// scans) — the building blocks of partial-sum reconstruction and Huffman
+// deflating.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -13,7 +13,6 @@
 namespace {
 
 using szp::sim::block_inclusive_scan;
-using szp::sim::block_inclusive_scan_strided;
 using szp::sim::device_exclusive_scan;
 using szp::sim::device_inclusive_scan;
 
@@ -67,24 +66,6 @@ TEST_P(BlockScanSeq, InvariantUnderSequentiality) {
 
 INSTANTIATE_TEST_SUITE_P(Sequentialities, BlockScanSeq,
                          ::testing::Values(1, 2, 4, 8, 16, 32, 1000));
-
-TEST(BlockScanStrided, MatchesGatheredScan) {
-  const std::size_t count = 16, stride = 5;
-  auto flat = random_ints(count * stride, 11);
-  auto copy = flat;
-
-  block_inclusive_scan_strided(flat.data(), count, stride);
-
-  int acc = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    acc += copy[i * stride];
-    EXPECT_EQ(flat[i * stride], acc) << "i=" << i;
-  }
-  // Off-stride elements untouched.
-  for (std::size_t i = 0; i < flat.size(); ++i) {
-    if (i % stride != 0) EXPECT_EQ(flat[i], copy[i]);
-  }
-}
 
 class DeviceScanSize : public ::testing::TestWithParam<std::size_t> {};
 
