@@ -146,9 +146,9 @@ int main(int argc, char** argv) {
   StreamingConfig serial_cfg;
   serial_cfg.base = cfg;
   serial_cfg.max_slab_elems = std::max<std::size_t>(1, elems / 16);
-  serial_cfg.parallel = false;
+  serial_cfg.workers = 1;
   StreamingConfig parallel_cfg = serial_cfg;
-  parallel_cfg.parallel = true;
+  parallel_cfg.workers = 0;  // the OpenMP thread budget
 
   // Both arms of a timing pair run through the SAME instance via the
   // per-call config override, so they share one workspace pool — where a

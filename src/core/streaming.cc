@@ -5,7 +5,6 @@
 #include <atomic>
 #include <cmath>
 #include <condition_variable>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <limits>
@@ -34,39 +33,26 @@ constexpr std::uint16_t kContainerVersion = 1;
 /// actually happened.
 constexpr std::size_t kSlabArchiveOverhead = 4096;
 
-/// Worker count for the slab pipeline: explicit config wins, then the
-/// SZP_WORKERS environment variable, then the launch substrate's default
-/// team (the OpenMP thread budget).
-/// Deliberately independent of cfg.parallel — the slab *plan* may consult
-/// the worker count (auto_slab_thickness, memory_budget), and the plan must
-/// not differ between a serial and a parallel run or their containers would
-/// diverge.
-std::size_t resolve_workers(const StreamingConfig& cfg) {
-  if (cfg.workers != 0) return cfg.workers;
-  if (const char* env = std::getenv("SZP_WORKERS")) {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0' && v > 0 && v < 4096) return static_cast<std::size_t>(v);
-  }
-  return sim::thread_budget();
+/// The worker count a memory budget sizes slabs for, whatever width the run
+/// has: the slab split is part of the container bytes, so it must not
+/// follow the host.  Four, because thinner slabs each carry their own
+/// codebook and tables: on a 43 MB Nyx f32 field under a 16 MiB budget the
+/// ratio was 51.1, 51.6, 52.1 and 49.5 for plans sized to 1, 2, 4 and 8
+/// workers.  A budget that fits this model fits every narrower run too.
+constexpr std::size_t kPlanWorkers = 4;
+
+/// Workers a run over `items` starts from: cfg.workers, or the launch
+/// substrate's default team (the OpenMP thread budget) when that is 0,
+/// capped by the item count.  A run nested under an outer fan-out
+/// (compress_many) gets one, so the fan-out stays explicitly one-level.
+std::size_t resolve_workers(const StreamingConfig& cfg, std::size_t items) {
+  const std::size_t want = cfg.workers != 0 ? cfg.workers : sim::thread_budget();
+  return sim::team_size(std::max<std::size_t>(1, std::min(want, items)));
 }
 
-/// Workers a pipeline run actually uses: the team a launch of `cap` (the
-/// plan's worker count, the item count) threads gets when the config is
-/// parallel, else one.  A run nested under an outer fan-out (compress_many)
-/// gets one, so the fan-out stays explicitly one-level.
-std::size_t run_workers(const StreamingConfig& cfg, std::size_t cap) {
-  return cfg.parallel ? sim::team_size(std::max<std::size_t>(1, cap)) : 1;
-}
-
-/// Queue window for `workers` pipeline workers: cfg.queue_window when set,
-/// else twice the workers, never below one item.
-std::size_t queue_window(const StreamingConfig& cfg, std::size_t workers) {
-  return std::max<std::size_t>(1, cfg.queue_window != 0 ? cfg.queue_window : 2 * workers);
-}
-
-/// Slab partition along the slowest axis: slab thickness chosen so each
-/// slab holds at most max_slab_elems.
+/// Slab partition along the slowest axis.  It depends on the field, its
+/// dtype, max_slab_elems and memory_budget only — never on the workers — so
+/// a container reproduces on any machine at any width.
 struct SlabPlan {
   std::size_t slow_extent;      ///< the slowest axis's length
   std::size_t plane_elems;      ///< elements per unit of the slowest axis
@@ -74,7 +60,14 @@ struct SlabPlan {
   std::size_t count;            ///< number of slabs
 };
 
-SlabPlan plan_slabs(const Extents& ext, const StreamingConfig& cfg, std::size_t workers) {
+/// Each slab holds at most max_slab_elems.  A budget also caps the slab
+/// bytes S = thickness · plane_bytes for kPlanWorkers workers, each staging
+/// one slab, and a window of 2·kPlanWorkers parked archives (DESIGN.md §2.3):
+///
+///   P·S + 2P·(S + overhead) <= budget,  P = kPlanWorkers
+///
+/// never below one plane; fit_run() refuses a budget that one plane misses.
+SlabPlan plan_slabs(const Extents& ext, const StreamingConfig& cfg, std::size_t elem_size) {
   SlabPlan p{};
   switch (ext.rank) {
     case 1: p.slow_extent = ext.nx; p.plane_elems = 1; break;
@@ -87,67 +80,48 @@ SlabPlan plan_slabs(const Extents& ext, const StreamingConfig& cfg, std::size_t 
         "StreamingCompressor: a single plane exceeds max_slab_elems; raise the limit");
   }
   p.thickness = std::max<std::size_t>(1, cfg.max_slab_elems / p.plane_elems);
-  if (cfg.auto_slab_thickness) {
-    // Aim for ~3 slabs per worker so slabs with uneven workflow-selection
-    // cost load-balance across the pool, without dropping below one slow-
-    // axis unit or exceeding the max_slab_elems memory cap.
-    const std::size_t target_slabs = std::max<std::size_t>(1, 3 * workers);
-    const std::size_t balanced =
-        std::max<std::size_t>(1, (p.slow_extent + target_slabs - 1) / target_slabs);
-    p.thickness = std::min(p.thickness, balanced);
+  if (cfg.memory_budget != 0) {
+    const std::size_t fixed = 2 * kPlanWorkers * kSlabArchiveOverhead;
+    const std::size_t room = cfg.memory_budget > fixed ? cfg.memory_budget - fixed : 0;
+    p.thickness = std::min(
+        p.thickness,
+        std::max<std::size_t>(1, room / (3 * kPlanWorkers * p.plane_elems * elem_size)));
   }
+  // A thickness past the slow extent is one slab; clamping first keeps the
+  // count below from wrapping (max_slab_elems near SIZE_MAX on a 1-D field).
+  p.thickness = std::min(p.thickness, p.slow_extent);
   p.count = (p.slow_extent + p.thickness - 1) / p.thickness;
   return p;
 }
 
-/// The full out-of-core plan: the slab split plus the worker count the
-/// memory budget admits.
-struct StreamPlan {
-  SlabPlan slabs;
-  std::size_t workers;  ///< cap on pipeline workers (== resolved when unbudgeted)
+/// A run's width: pipeline workers, and the window of finished items they
+/// may park ahead of the in-order consumer.
+struct RunWidth {
+  std::size_t workers;
+  std::size_t window;
 };
 
-/// Resolve slab thickness and worker count against
-/// cfg.memory_budget.  Residency model (DESIGN.md §2.3): W staging buffers
-/// of one slab each (viewless ingest) plus Q parked archives of at most
-/// slab_bytes + kSlabArchiveOverhead awaiting in-order packing:
+/// Fit a run over `items` to cfg.memory_budget, compress and decode alike:
+/// start from resolve_workers() with a window of 2W, and halve W until
 ///
-///   W·S + Q·(S + overhead) <= budget,  S = thickness · plane_bytes
+///   W·produce + 2W·park <= budget
 ///
-/// Workers halve until a plan fits; refuse when even one single-plane slab
-/// with one worker cannot.  Unbudgeted configs pass through plan_slabs()
-/// unchanged, so existing containers are byte-stable.
-StreamPlan plan_stream(const Extents& ext, const StreamingConfig& cfg, std::size_t plan_workers,
-                       std::size_t elem_size) {
-  StreamPlan p{};
-  p.slabs = plan_slabs(ext, cfg, plan_workers);
-  p.workers = plan_workers;
-  if (cfg.memory_budget == 0) return p;
-
+/// where `produce` bounds what one in-flight item holds and `park` what one
+/// finished item holds awaiting its turn.  The last resort is one worker
+/// with a window of one; a budget below even that is refused with a
+/// ConfigError (`for_what` names the direction).  An unbudgeted run keeps
+/// W and 2W.
+RunWidth fit_run(const StreamingConfig& cfg, std::size_t items, std::size_t produce,
+                 std::size_t park, const char* for_what) {
   const std::size_t budget = cfg.memory_budget;
-  const std::size_t plane_bytes = p.slabs.plane_elems * elem_size;
-  std::size_t w = std::max<std::size_t>(1, plan_workers);
-  for (;;) {
-    const std::size_t q = queue_window(cfg, w);
-    const std::size_t fixed = q * kSlabArchiveOverhead;
-    if (budget > fixed) {
-      const std::size_t max_slab_bytes = (budget - fixed) / (w + q);
-      const std::size_t t = max_slab_bytes / plane_bytes;
-      if (t >= 1) {
-        p.workers = w;
-        p.slabs.thickness = std::min(p.slabs.thickness, t);
-        p.slabs.count =
-            (p.slabs.slow_extent + p.slabs.thickness - 1) / p.slabs.thickness;
-        return p;
-      }
-    }
+  for (std::size_t w = resolve_workers(cfg, items);; w /= 2) {
+    if (budget == 0 || w * (produce + 2 * park) <= budget) return {w, 2 * w};
     if (w == 1) break;
-    w /= 2;
   }
-  throw ConfigError(
-      "StreamingCompressor: memory budget " + std::to_string(budget) +
-      " bytes is too small: one single-plane slab plus its packed archive needs about " +
-      std::to_string(2 * plane_bytes + kSlabArchiveOverhead) + " bytes");
+  if (produce + park <= budget) return {1, 1};
+  throw ConfigError("StreamingCompressor: memory budget " + std::to_string(budget) +
+                    " bytes is too small " + for_what + ": one slab in flight needs about " +
+                    std::to_string(produce + park) + " bytes");
 }
 
 Extents slab_extents(const Extents& ext, std::size_t len) {
@@ -407,10 +381,13 @@ StreamingStats compress_stream_impl(const StreamingConfig& cfg, const Compressor
                                 " holds " + std::to_string(src.size_bytes()) +
                                 " bytes, extents declare " + std::to_string(total * esize));
   }
-  const std::size_t plan_workers = resolve_workers(cfg);
-  const StreamPlan plan = plan_stream(ext, cfg, plan_workers, esize);
+  const SlabPlan plan = plan_slabs(ext, cfg, esize);
+  const std::size_t slab_bytes = plan.thickness * plan.plane_elems * esize;
+  const RunWidth run = fit_run(cfg, plan.count, slab_bytes, slab_bytes + kSlabArchiveOverhead,
+                               "to compress this field");
 
   StreamingStats stats;
+  stats.workers_used = run.workers;
   stats.original_bytes = src.size_bytes();
 
   const std::span<const std::uint8_t> view = src.view();
@@ -451,23 +428,20 @@ StreamingStats compress_stream_impl(const StreamingConfig& cfg, const Compressor
     w.put<std::uint64_t>(ext.nx);
     w.put<std::uint64_t>(ext.ny);
     w.put<std::uint64_t>(ext.nz);
-    w.put<std::uint64_t>(plan.slabs.count);
+    w.put<std::uint64_t>(plan.count);
     const auto header = w.take();
     sink.write(header);
     if (sink.retains_bytes()) meter.add(header.size());
   }
 
   const auto slab_at = [&](std::size_t s) {
-    const std::size_t begin = s * plan.slabs.thickness;
+    const std::size_t begin = s * plan.thickness;
     SlabInfo info;
     info.extents =
-        slab_extents(ext, std::min(plan.slabs.thickness, plan.slabs.slow_extent - begin));
-    info.offset = begin * plan.slabs.plane_elems;
+        slab_extents(ext, std::min(plan.thickness, plan.slow_extent - begin));
+    info.offset = begin * plan.plane_elems;
     return info;
   };
-
-  const std::size_t workers = run_workers(cfg, std::min(plan.workers, plan.slabs.count));
-  stats.workers_used = workers;
 
   // Every worker leases one workspace for its whole run.
   const auto make_ctx = [&] { return WorkerCtx{compressor.lease_workspace(), 0}; };
@@ -490,7 +464,7 @@ StreamingStats compress_stream_impl(const StreamingConfig& cfg, const Compressor
       // Size the container off the first slab (offset + length prefix +
       // payload per entry) so incremental packing does not pay repeated
       // reallocation-and-copy (retaining sinks) — streaming sinks ignore it.
-      sink.reserve_hint(plan.slabs.count * (slab.bytes.size() + 16));
+      sink.reserve_hint(plan.count * (slab.bytes.size() + 16));
     }
     info.ratio = slab.stats.ratio;
     info.workflow = slab.stats.workflow_used;
@@ -509,7 +483,7 @@ StreamingStats compress_stream_impl(const StreamingConfig& cfg, const Compressor
   };
 
   const PipelineSeconds t = run_ordered_pipeline<Compressed>(
-      plan.slabs.count, workers, queue_window(cfg, workers), make_ctx, produce, consume);
+      plan.count, run.workers, run.window, make_ctx, produce, consume);
   sink.finish();
   stats.compressed_bytes = sink.bytes_written();
   finish_stats(stats, t, clock, meter);
@@ -544,9 +518,8 @@ std::vector<StreamingCompressed> compress_many_impl(const StreamingConfig& cfg,
   // runtime's nesting default.  Every result is kept, so the window spans
   // the whole batch and never throttles claiming.
   std::vector<StreamingCompressed> out(fields.size());
-  const std::size_t workers = run_workers(cfg, std::min(resolve_workers(cfg), fields.size()));
   run_ordered_pipeline<StreamingCompressed>(
-      fields.size(), workers, fields.size(), [] { return WorkerCtx{}; },
+      fields.size(), resolve_workers(cfg, fields.size()), fields.size(), [] { return WorkerCtx{}; },
       [&](WorkerCtx&, std::size_t f) { return compress_impl(cfg, compressor, fields[f], exts[f]); },
       [&](std::size_t f, StreamingCompressed&& c) { out[f] = std::move(c); });
   return out;
@@ -736,39 +709,6 @@ class SlabBufferList {
   std::vector<Decompressed> idle_;
 };
 
-/// Cap decode workers/window so the budget model fits:
-///   W·produce_cost + Q·park_cost <= budget
-/// produce_cost bounds what one in-flight slab holds (payload staging plus
-/// its decoded elements), park_cost what a finished slab parks awaiting
-/// in-order emission (decoded elements only; the staging buffer is reused).
-void resolve_decode_budget(const StreamingConfig& cfg, std::size_t produce_cost,
-                           std::size_t park_cost, std::size_t& workers, std::size_t& window) {
-  const std::size_t budget = cfg.memory_budget;
-  if (budget == 0) return;
-  produce_cost = std::max<std::size_t>(1, produce_cost);
-  park_cost = std::max<std::size_t>(1, park_cost);
-  std::size_t w = std::max<std::size_t>(1, workers);
-  for (;;) {
-    const std::size_t q = queue_window(cfg, w);
-    if (w * produce_cost + q * park_cost <= budget) {
-      workers = w;
-      window = q;
-      return;
-    }
-    if (w == 1) break;
-    w /= 2;
-  }
-  if (produce_cost + park_cost <= budget) {
-    workers = 1;
-    window = 1;
-    return;
-  }
-  throw ConfigError(
-      "StreamingCompressor: memory budget " + std::to_string(budget) +
-      " bytes is too small to decode this container: one slab in flight needs about " +
-      std::to_string(produce_cost + park_cost) + " bytes");
-}
-
 /// The one decode path: in memory (span source, FieldSink) and out of core
 /// (file source, FileSink) alike.  `out` is filled as the run goes — dtype
 /// and extents as soon as the directory is read, before the sink sees any
@@ -802,11 +742,12 @@ void decompress_stream_impl(io::FieldSource& src, io::ContainerSink& sink,
     for (const SlabEntry& e : dir.slabs) staging_cost = std::max(staging_cost, e.len);
   }
 
-  std::size_t workers = run_workers(cfg, std::min(resolve_workers(cfg), slab_count));
-  std::size_t window = queue_window(cfg, workers);
+  // produce = payload staging + its decoded slab; park = the decoded slab
+  // (the staging buffer is reused).
   const std::size_t park_cost = max_slab_elems * esize;
-  resolve_decode_budget(cfg, staging_cost + park_cost, park_cost, workers, window);
-  out.stats.workers_used = workers;
+  const RunWidth run =
+      fit_run(cfg, slab_count, staging_cost + park_cost, park_cost, "to decode this container");
+  out.stats.workers_used = run.workers;
   out.stats.eb_abs = 0.0;  // per-slab bounds live in the slab archives
   // Validated slabs bound the field, so a retaining sink may size for it up
   // front; a viewless source's slabs are validated only as they arrive.
@@ -853,7 +794,8 @@ void decompress_stream_impl(io::FieldSource& src, io::ContainerSink& sink,
   };
 
   const PipelineSeconds t =
-      run_ordered_pipeline<DecodedSlab>(slab_count, workers, window, make_ctx, produce, consume);
+      run_ordered_pipeline<DecodedSlab>(slab_count, run.workers, run.window, make_ctx, produce,
+                                        consume);
   tiling.finish();
   sink.finish();
   out.stats.original_bytes = sink.bytes_written();

@@ -48,34 +48,22 @@ struct StreamingConfig {
   CompressConfig base;
   /// Maximum elements per slab (default 2^22 ~ 16 MB of float32).
   std::size_t max_slab_elems = std::size_t{1} << 22;
-  /// Compress slabs concurrently (the container bytes do not depend on
-  /// this: slab archives are packed in index order either way).
-  bool parallel = true;
-  /// Worker-thread count for the slab pipeline.  0 = auto: the SZP_WORKERS
-  /// environment variable when set, otherwise the OpenMP thread budget.
-  /// The slab *plan* depends on the worker count when auto_slab_thickness
-  /// or memory_budget is set, whether or not the run is parallel, so such a
-  /// container is reproducible only with a pinned `workers` (or
-  /// SZP_WORKERS).  Otherwise containers stay byte-stable across machines.
+  /// Worker threads for the slab pipeline, both directions (0 = the
+  /// OpenMP thread budget; 1 runs slabs one at a time on the calling
+  /// thread).  It sets how wide a run is and nothing else: slab archives are
+  /// packed in index order at every width, and the slab plan never consults
+  /// it, so the container bytes do not depend on it.
   std::size_t workers = 0;
-  /// Opt-in heuristic slab sizing: pick a thickness that yields ~3 slabs
-  /// per worker (bounded above by max_slab_elems) so uneven per-slab
-  /// workflow-selection cost load-balances across the pool.  Off by
-  /// default because the slab split is part of the container bytes.
-  bool auto_slab_thickness = false;
-  /// Bound on how far compression may run ahead of in-order packing, in
-  /// slabs (0 = auto: 2x the worker count).  Caps the number of finished
-  /// slab archives held in memory awaiting their turn in the container.
-  std::size_t queue_window = 0;
-  /// Hard cap on the pipeline's resident bytes (0 = unbudgeted).  The plan
-  /// resolves slab thickness, worker count, and queue window against the
-  /// model  W·slab + Q·(slab + overhead) ≤ budget  (W staging buffers in
-  /// flight, Q finished archives parked awaiting in-order packing; see
-  /// DESIGN.md §2.3), and compression refuses with std::invalid_argument
-  /// when even a single one-plane slab cannot fit.  The budget shapes the
-  /// slab plan, so it is part of the container bytes — the same config
-  /// yields byte-identical containers in memory and file-to-file, and the
-  /// worker count it is resolved with is part of that config (`workers`).
+  /// Hard cap on the pipeline's resident bytes (0 = unbudgeted).  The budget
+  /// sizes slabs for a fixed model of four workers, each staging one slab,
+  /// with a window of eight finished archives parked awaiting in-order
+  /// packing:  4·S + 8·(S + overhead) ≤ budget  (DESIGN.md §2.3).  So the
+  /// plan depends on the field, its dtype, max_slab_elems and the budget
+  /// only, and a budgeted container is byte-identical on any machine, at any
+  /// worker count, in memory and file to file.  Each run, compress or
+  /// decode, then narrows its own workers and window to fit (at worst one
+  /// worker with a window of one) and refuses with ConfigError when even
+  /// that cannot fit.
   std::size_t memory_budget = 0;
   /// File ingest mode for compress_file()/decompress_file(): mmap the input
   /// when the platform supports it (zero-copy slab spans, residency managed
@@ -111,8 +99,9 @@ struct StreamingStats {
   double eb_abs = 0.0;
   std::vector<SlabInfo> slabs;
   StreamingPhaseTimings phases;
-  /// Worker threads the slab pipeline actually ran with (1 when serial,
-  /// when nested under an outer fan-out, or when there is a single slab).
+  /// Worker threads the slab pipeline actually ran with: cfg.workers capped
+  /// by the item count, narrowed further by a memory budget, and 1 when
+  /// nested under an outer fan-out.
   std::size_t workers_used = 1;
   /// High-water mark of bytes the pipeline itself held resident: staging
   /// buffers for viewless sources, finished slabs parked awaiting in-order
@@ -174,9 +163,9 @@ class StreamingCompressor {
 
   /// Per-call config override: compress with `cfg` instead of the
   /// constructed config, reusing this instance's compressor and workspace
-  /// pool.  Lets one warm instance serve calls with different
-  /// parallel/worker/slab settings (and lets the bench compare serial vs
-  /// parallel through identical pooled buffers).
+  /// pool.  Lets one warm instance serve calls with different worker/slab
+  /// settings (and lets the bench compare serial vs parallel through
+  /// identical pooled buffers).
   [[nodiscard]] StreamingCompressed compress(FieldView data, const Extents& ext,
                                              const StreamingConfig& cfg) const;
 
@@ -184,7 +173,7 @@ class StreamingCompressor {
   /// FieldSource into a ContainerSink, so ingest (read), per-slab
   /// compression, in-order packing, and emission (write) all overlap in the
   /// same bounded producer/consumer queue — peak residency is bounded by
-  /// the worker count and queue window (or cfg.memory_budget), never by
+  /// the worker count and its window (or cfg.memory_budget), never by
   /// field size.  The container bytes are identical to the in-memory
   /// compress() of the same field under the same config, by construction.
   /// `dtype` declares the element type of the source bytes; the source size
@@ -225,9 +214,9 @@ class StreamingCompressor {
                                                          const StreamingConfig& cfg);
 
   /// Compress a batch of fields (fields[i] has extents exts[i]) on the slab
-  /// engine, one field per item, fanned out across workers when cfg.parallel
-  /// is set (each field then compresses single-worker, so the fan-out stays
-  /// one level).  Equivalent to calling compress() per field, in order.
+  /// engine, one field per item, fanned out across cfg.workers (each field
+  /// then compresses single-worker, so the fan-out stays one level).
+  /// Equivalent to calling compress() per field, in order.
   /// Typed per element because a span of spans does not convert to any one
   /// FieldView-based signature; both forward to one implementation.
   [[nodiscard]] std::vector<StreamingCompressed> compress_many(
@@ -238,10 +227,9 @@ class StreamingCompressor {
   /// Reassemble the whole field: the decompress_stream() path over the
   /// in-memory container, appending decoded slabs in field order into a
   /// result reserved once the directory is validated.  The config overload
-  /// honors cfg.parallel, cfg.workers, cfg.queue_window and
-  /// cfg.memory_budget exactly as decompress_stream() does (an undersized
-  /// budget is refused with ConfigError); the no-config overload decodes
-  /// with the default (parallel, unbudgeted) config.
+  /// honors cfg.workers and cfg.memory_budget exactly as decompress_stream()
+  /// does (an undersized budget is refused with ConfigError); the no-config
+  /// overload decodes with the default (all threads, unbudgeted) config.
   [[nodiscard]] static Decompressed decompress(std::span<const std::uint8_t> container);
   [[nodiscard]] static Decompressed decompress(std::span<const std::uint8_t> container,
                                                const StreamingConfig& cfg);

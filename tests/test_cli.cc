@@ -6,6 +6,8 @@
 #include <filesystem>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/eb.hh"
@@ -148,6 +150,61 @@ TEST_F(CliTest, StreamingContainer) {
 
   ASSERT_EQ(run({"decompress", "-i", arc, "-o", restored}).code, 0);
   EXPECT_EQ(szp::data::read_f32(restored).size(), szp::data::read_f32(raw).size());
+}
+
+TEST_F(CliTest, IntegerOptionsRejectSignsJunkAndOverflow) {
+  // Integer options take digits only, plus K/M/G on --memory-budget.  A
+  // sign, trailing text or a value past the type exits 1 with an error that
+  // names the option; none of them is wrapped or truncated into a run.
+  const auto raw = path("n.f32");
+  ASSERT_EQ(run({"gen", "-o", raw, "--dataset", "HACC", "--field", "vx", "--scale",
+                 "0.003"}).code, 0);  // 25166 elements: four slabs of 8192
+  const auto compress = [&](const std::vector<std::string>& extra) {
+    std::vector<std::string> args{"compress", "-i", raw, "-o", path("n.szpc"), "-d", "25166",
+                                  "--stream", "8192"};
+    args.insert(args.end(), extra.begin(), extra.end());  // a repeated option wins
+    return run(args);
+  };
+
+  auto r = compress({"--workers", "2", "--memory-budget", "1m"});
+  ASSERT_EQ(r.code, 0) << r.err;
+  EXPECT_NE(r.out.find("streamed 4 slabs (2 workers)"), std::string::npos) << r.out;
+  r = compress({"--stream", "18446744073709551615"});
+  ASSERT_EQ(r.code, 0) << r.err;
+  EXPECT_NE(r.out.find("streamed 1 slabs"), std::string::npos) << r.out;
+
+  const std::vector<std::pair<std::string, std::string>> bad{
+      {"--workers", "-1"},
+      {"--workers", "2x"},
+      {"--workers", "+2"},
+      {"--workers", ""},
+      {"--memory-budget", "-1K"},
+      {"--memory-budget", "1KB"},
+      {"--memory-budget", "18014398509481985K"},
+      {"--memory-budget", "18446744073709551616"},
+      {"--stream", "-8192"},
+      {"--stream", "auto"},
+      {"-d", "25166x"},
+      {"-d", "x25166"},
+      {"-d", "25166 "},
+  };
+  for (const auto& [option, value] : bad) {
+    r = compress({option, value});
+    EXPECT_EQ(r.code, 1) << option << " '" << value << "': " << r.out;
+    EXPECT_NE(r.err.find(option), std::string::npos) << option << " '" << value << "': " << r.err;
+  }
+  r = compress({"--fuzz-schedule=2x"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("--fuzz-schedule"), std::string::npos) << r.err;
+
+  for (const auto& args : std::vector<std::vector<std::string>>{
+           {"fuzz", "--rounds", "-1"},
+           {"fuzz", "--rounds", "4294967297"},
+           {"fuzz", "--rounds", "1", "--seed", "7x"}}) {
+    r = run(args);
+    EXPECT_EQ(r.code, 1) << args[2] << " " << args.back();
+    EXPECT_NE(r.err.find(args[args.size() - 2]), std::string::npos) << r.err;
+  }
 }
 
 TEST_F(CliTest, VerifyComparesRawFiles) {

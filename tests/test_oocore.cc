@@ -70,7 +70,6 @@ StreamingConfig oocore_cfg(std::size_t workers, std::size_t max_slab_elems) {
   cfg.base.eb = ErrorBound::absolute(1e-3);
   cfg.base.workflow = Workflow::kHuffman;
   cfg.max_slab_elems = max_slab_elems;
-  cfg.parallel = true;
   cfg.workers = workers;
   return cfg;
 }
@@ -404,6 +403,67 @@ TEST(OocoreBudget, LargerThanBudgetFieldRoundTripsWithinBudget) {
       max_err = std::max(max_err, std::abs(static_cast<double>(restored[i]) - data[i]));
     }
     EXPECT_LE(max_err, 1e-3 + 1e-12) << workers << " workers";
+  }
+}
+
+TEST(OocoreBudget, BudgetedContainerIgnoresWorkerCount) {
+  // The budget sizes slabs for a fixed worker model, so the worker count
+  // sets only how wide the run is: every width writes the same container,
+  // and a run wider than the model narrows to stay within the budget.
+  TempDir tmp("budget_widths");
+  const Extents ext = Extents::d2(256, 1024);
+  const auto data = wave(ext.count());
+  write_file(tmp / "field.f32", raw_bytes(data));
+
+  std::vector<std::uint8_t> reference;
+  for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
+    StreamingConfig cfg = oocore_cfg(workers, 16 * 1024);
+    cfg.memory_budget = std::size_t{256} << 10;
+    cfg.use_mmap = false;
+    const auto stats = StreamingCompressor(cfg).compress_file(tmp / "field.f32",
+                                                              tmp / "field.szpc", ext,
+                                                              DType::kFloat32);
+    EXPECT_LE(stats.peak_resident_bytes, cfg.memory_budget) << workers << " workers";
+    EXPECT_LE(stats.workers_used, std::min<std::size_t>(workers, 4)) << workers << " workers";
+    const auto bytes = read_file(tmp / "field.szpc");
+    if (reference.empty()) {
+      reference = bytes;
+      EXPECT_GT(stats.slabs.size(), 1u);
+    } else {
+      EXPECT_EQ(bytes, reference) << workers << " workers";
+    }
+  }
+}
+
+TEST(OocoreBudget, BudgetBelowTheDefaultWindowRunsOneSlabAtATime) {
+  // One single-plane slab in flight plus one parked slab fits this budget
+  // (about 400 KB to compress, 450 KB to decode), the default window of two
+  // parked slabs does not (about 600 KB): the run narrows to one worker with
+  // a window of one, compress and decode alike.
+  TempDir tmp("budget_window_one");
+  const Extents ext = Extents::d2(4, 50000);  // one plane is 200 KB
+  const auto data = wave(ext.count());
+  write_file(tmp / "field.f32", raw_bytes(data));
+
+  StreamingConfig cfg = oocore_cfg(4, ext.count());
+  cfg.memory_budget = std::size_t{500} << 10;
+  cfg.use_mmap = false;
+  const auto stats = StreamingCompressor(cfg).compress_file(tmp / "field.f32", tmp / "field.szpc",
+                                                            ext, DType::kFloat32);
+  EXPECT_EQ(stats.slabs.size(), 4u);
+  EXPECT_EQ(stats.workers_used, 1u);
+  EXPECT_LE(stats.peak_resident_bytes, cfg.memory_budget);
+
+  const auto info =
+      StreamingCompressor::decompress_file(tmp / "field.szpc", tmp / "restored.f32", cfg);
+  EXPECT_EQ(info.stats.workers_used, 1u);
+  EXPECT_LE(info.stats.peak_resident_bytes, cfg.memory_budget);
+  const auto restored = read_file(tmp / "restored.f32");
+  ASSERT_EQ(restored.size(), data.size() * sizeof(float));
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    float v = 0.0f;
+    std::memcpy(&v, restored.data() + i * sizeof(float), sizeof(float));
+    ASSERT_LE(std::abs(static_cast<double>(v) - data[i]), 1e-3 + 1e-12) << "element " << i;
   }
 }
 

@@ -346,9 +346,9 @@ TEST(StreamingParallel, ContainerMatchesSerialByteForByte) {
   scfg.base.eb = ErrorBound::absolute(1e-3);
   scfg.max_slab_elems = 3000;
 
-  scfg.parallel = false;
+  scfg.workers = 1;
   const auto serial = StreamingCompressor(scfg).compress(data, ext);
-  scfg.parallel = true;
+  scfg.workers = 4;
   const auto parallel = StreamingCompressor(scfg).compress(data, ext);
 
   ASSERT_GT(serial.stats.slabs.size(), 4u);

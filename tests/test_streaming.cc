@@ -40,16 +40,39 @@ StreamingConfig config_with(std::size_t max_slab, double eb = 1e-3) {
 
 class StreamingRanks : public ::testing::TestWithParam<int> {};
 
+Extents rank_extents(int rank) {
+  return rank == 1   ? Extents::d1(40000)
+         : rank == 2 ? Extents::d2(60, 500)
+                     : Extents::d3(24, 30, 40);
+}
+
 TEST_P(StreamingRanks, RoundTripAcrossSlabs) {
   const int rank = GetParam();
-  const Extents ext = rank == 1   ? Extents::d1(40000)
-                      : rank == 2 ? Extents::d2(60, 500)
-                                  : Extents::d3(24, 30, 40);
+  const Extents ext = rank_extents(rank);
   const auto data = field(ext, static_cast<std::uint32_t>(rank));
 
   const StreamingCompressor comp(config_with(5000));
   const auto c = comp.compress(data, ext);
   EXPECT_GT(c.stats.slabs.size(), 1u);  // actually partitioned
+
+  const auto d = StreamingCompressor::decompress(c.bytes);
+  EXPECT_EQ(d.extents, ext);
+  ASSERT_EQ(d.data.size(), data.size());
+  EXPECT_LT(compare_fields(data, d.data).max_abs_error, c.stats.eb_abs);
+}
+
+TEST_P(StreamingRanks, UnlimitedSlabSizeIsOneSlab) {
+  // A slab limit past the field is one slab, even a limit near SIZE_MAX on
+  // a 1-D field, where the ceiling division for the slab count would wrap
+  // to zero and write an empty container that every decode rejects.
+  const int rank = GetParam();
+  const Extents ext = rank_extents(rank);
+  const auto data = field(ext, static_cast<std::uint32_t>(rank));
+
+  const auto c = StreamingCompressor(config_with(std::numeric_limits<std::size_t>::max()))
+                     .compress(data, ext);
+  ASSERT_EQ(c.stats.slabs.size(), 1u);
+  EXPECT_EQ(StreamingCompressor::slab_count(c.bytes), 1u);
 
   const auto d = StreamingCompressor::decompress(c.bytes);
   EXPECT_EQ(d.extents, ext);
@@ -163,43 +186,25 @@ TEST(Streaming, PerSlabWorkflowSelection) {
 
 TEST(StreamingParallel, WorkerSweepKeepsContainersByteIdentical) {
   // The pipeline's worker count must never leak into the container: sweep
-  // 1, 2, and hardware_concurrency workers (plus a serial reference) and
-  // require identical bytes from all of them.
+  // 2, 4 and hardware_concurrency workers against a serial (one-worker)
+  // reference and require identical bytes from all of them.
   const Extents ext = Extents::d2(48, 400);
   const auto data = field(ext, 21);
   StreamingConfig cfg = config_with(2400);
 
-  cfg.parallel = false;
+  cfg.workers = 1;
   const auto reference = StreamingCompressor(cfg).compress(data, ext);
   ASSERT_GT(reference.stats.slabs.size(), 4u);
   EXPECT_EQ(reference.stats.workers_used, 1u);
 
-  cfg.parallel = true;
   const std::size_t hw = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, hw}) {
+  for (const std::size_t workers : {std::size_t{2}, std::size_t{4}, hw}) {
     cfg.workers = workers;
     const auto c = StreamingCompressor(cfg).compress(data, ext);
     EXPECT_EQ(c.bytes, reference.bytes) << workers << " workers";
     EXPECT_LE(c.stats.workers_used, workers);
     EXPECT_GE(c.stats.workers_used, 1u);
   }
-}
-
-TEST(StreamingParallel, QueueWindowOneStillPacksInOrder) {
-  // queue_window=1 forces the tightest compress/pack lockstep the engine
-  // supports — maximal contention on the claim throttle and the packer
-  // role — without changing a single container byte.
-  const Extents ext = Extents::d1(30000);
-  const auto data = field(ext, 22);
-  StreamingConfig cfg = config_with(2500);
-  cfg.parallel = false;
-  const auto reference = StreamingCompressor(cfg).compress(data, ext);
-
-  cfg.parallel = true;
-  cfg.workers = 4;
-  cfg.queue_window = 1;
-  const auto c = StreamingCompressor(cfg).compress(data, ext);
-  EXPECT_EQ(c.bytes, reference.bytes);
 }
 
 TEST(StreamingParallel, PerCallConfigOverrideMatchesConstructedConfig) {
@@ -210,9 +215,8 @@ TEST(StreamingParallel, PerCallConfigOverrideMatchesConstructedConfig) {
   const auto data = field(ext, 31);
 
   StreamingConfig serial_cfg = config_with(3000);
-  serial_cfg.parallel = false;
+  serial_cfg.workers = 1;
   StreamingConfig parallel_cfg = serial_cfg;
-  parallel_cfg.parallel = true;
   parallel_cfg.workers = 3;
 
   const StreamingCompressor shared(parallel_cfg);
@@ -225,18 +229,17 @@ TEST(StreamingParallel, PerCallConfigOverrideMatchesConstructedConfig) {
 }
 
 TEST(StreamingParallel, SerialAndParallelDecompressAgree) {
-  // cfg.parallel must genuinely serialize the read side too, and both modes
+  // One worker must genuinely serialize the read side too, and both widths
   // must reconstruct the identical field.
   const Extents ext = Extents::d1(25000);
   const auto data = field(ext, 23);
   const auto c = StreamingCompressor(config_with(3000)).compress(data, ext);
 
   StreamingConfig serial_cfg;
-  serial_cfg.parallel = false;
+  serial_cfg.workers = 1;
   const auto serial = StreamingCompressor::decompress(c.bytes, serial_cfg);
 
   StreamingConfig parallel_cfg;
-  parallel_cfg.parallel = true;
   parallel_cfg.workers = 4;
   const auto parallel = StreamingCompressor::decompress(c.bytes, parallel_cfg);
 
@@ -245,14 +248,12 @@ TEST(StreamingParallel, SerialAndParallelDecompressAgree) {
   EXPECT_LT(compare_fields(data, serial.data).max_abs_error, c.stats.eb_abs);
 }
 
-/// The schedules every fault-determinism test sweeps: serial, one worker
-/// through the parallel config, and four overlapping workers.
+/// The widths every fault-determinism test sweeps: serial, two workers,
+/// and four overlapping workers.
 std::vector<StreamingConfig> fault_schedules(const StreamingConfig& base) {
   std::vector<StreamingConfig> out(3, base);
-  out[0].parallel = false;
-  out[1].parallel = true;
-  out[1].workers = 1;
-  out[2].parallel = true;
+  out[0].workers = 1;
+  out[1].workers = 2;
   out[2].workers = 4;
   return out;
 }
@@ -283,7 +284,7 @@ TEST(StreamingParallel, MidSlabDecodeErrorIsDeterministic) {
           first_message = e.what();
         } else {
           EXPECT_EQ(first_message, std::string(e.what()))
-              << "run " << run << ", parallel " << cfg.parallel << ", workers " << cfg.workers;
+              << "run " << run << ", workers " << cfg.workers;
         }
       }
     }
@@ -315,7 +316,7 @@ TEST(StreamingParallel, MidSlabCompressFaultIsDeterministic) {
           first_message = e.what();
         } else {
           EXPECT_EQ(first_message, std::string(e.what()))
-              << "run " << run << ", parallel " << cfg.parallel << ", workers " << cfg.workers;
+              << "run " << run << ", workers " << cfg.workers;
         }
       }
     }
@@ -327,7 +328,6 @@ TEST(StreamingParallel, CompressManyFanOutStaysOneLevel) {
   // detect the outer region and run single-worker, keeping the fan-out
   // explicitly one-level (observable via stats.workers_used).
   StreamingConfig cfg = config_with(1000);
-  cfg.parallel = true;
   cfg.workers = 4;
   const StreamingCompressor comp(cfg);
 
@@ -342,7 +342,7 @@ TEST(StreamingParallel, CompressManyFanOutStaysOneLevel) {
 
   const auto batch = comp.compress_many(fields, exts);
   StreamingConfig serial_cfg = cfg;
-  serial_cfg.parallel = false;
+  serial_cfg.workers = 1;
   const auto serial = StreamingCompressor(serial_cfg).compress_many(fields, exts);
   ASSERT_EQ(batch.size(), exts.size());
   ASSERT_EQ(serial.size(), exts.size());
@@ -351,26 +351,6 @@ TEST(StreamingParallel, CompressManyFanOutStaysOneLevel) {
     EXPECT_EQ(batch[f].bytes, comp.compress(fields[f], exts[f]).bytes) << "field " << f;
     EXPECT_EQ(serial[f].bytes, batch[f].bytes) << "field " << f;
   }
-}
-
-TEST(StreamingParallel, AutoSlabThicknessTracksWorkers) {
-  // Opt-in heuristic sizing: with auto_slab_thickness the plan targets ~3
-  // slabs per worker (still capped by max_slab_elems), and serial/parallel
-  // plans stay identical because the worker count resolves independently
-  // of cfg.parallel.
-  const Extents ext = Extents::d1(60000);
-  const auto data = field(ext, 26);
-  StreamingConfig cfg = config_with(std::size_t{1} << 22);
-  cfg.auto_slab_thickness = true;
-  cfg.workers = 2;
-
-  cfg.parallel = true;
-  const auto parallel = StreamingCompressor(cfg).compress(data, ext);
-  EXPECT_EQ(parallel.stats.slabs.size(), 6u);  // 3 x 2 workers
-
-  cfg.parallel = false;
-  const auto serial = StreamingCompressor(cfg).compress(data, ext);
-  EXPECT_EQ(serial.bytes, parallel.bytes);
 }
 
 TEST(StreamingParallel, PhaseTimingsAreReported) {
@@ -395,12 +375,11 @@ TEST(StreamingParallel, NonFiniteRejectedInBothEbModes) {
   EXPECT_THROW((void)StreamingCompressor(rel).compress(data, ext), std::invalid_argument);
 
   // Absolute bound: the scan is skipped, but the slab's own compress pass
-  // still rejects it — in serial and parallel mode alike.
+  // still rejects it — on one worker and on two alike.
   StreamingConfig abs = config_with(1000);
   abs.base.eb = ErrorBound::absolute(1e-3);
-  abs.parallel = false;
+  abs.workers = 1;
   EXPECT_THROW((void)StreamingCompressor(abs).compress(data, ext), std::invalid_argument);
-  abs.parallel = true;
   abs.workers = 2;
   EXPECT_THROW((void)StreamingCompressor(abs).compress(data, ext), std::invalid_argument);
 }

@@ -2,14 +2,15 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdlib>
+#include <cctype>
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <functional>
 #include <iomanip>
+#include <limits>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 
 #include <cmath>
@@ -94,19 +95,46 @@ Args parse(const std::vector<std::string>& argv) {
   return a;
 }
 
+/// The one parser for integer options: decimal digits only — no sign, no
+/// space, no trailing text — plus one K/M/G (binary) suffix when
+/// `byte_size`, refused above `max`.  The error names the option.
+std::size_t parse_uint(const std::string& option, const std::string& s, bool byte_size = false,
+                       std::size_t max = std::numeric_limits<std::size_t>::max()) {
+  const char* const end = s.data() + s.size();
+  std::size_t v = 0;
+  auto [p, ec] = std::from_chars(s.data(), end, v);
+  unsigned shift = 0;
+  if (ec == std::errc() && byte_size && p + 1 == end) {
+    const int unit = std::toupper(static_cast<unsigned char>(*p));
+    shift = unit == 'K' ? 10 : unit == 'M' ? 20 : unit == 'G' ? 30 : 0;
+    if (shift != 0) ++p;
+  }
+  if (ec == std::errc::result_out_of_range || (ec == std::errc() && v > (max >> shift))) {
+    throw std::invalid_argument(option + " value '" + s + "' is out of range");
+  }
+  if (ec != std::errc() || p != end) {
+    throw std::invalid_argument(option + " takes a non-negative integer" +
+                                (byte_size ? " with an optional K/M/G suffix" : "") + ", not '" +
+                                s + "'");
+  }
+  return v << shift;
+}
+
 Extents parse_dims(const std::string& spec) {
   std::vector<std::size_t> dims;
-  std::stringstream ss(spec);
-  std::string part;
-  while (std::getline(ss, part, 'x')) {
-    if (part.empty()) throw std::invalid_argument("bad dimension spec '" + spec + "'");
-    dims.push_back(static_cast<std::size_t>(std::stoull(part)));
+  for (std::size_t begin = 0;;) {
+    const std::size_t x = spec.find('x', begin);
+    const std::string part = spec.substr(begin, x - begin);
+    if (part.empty()) throw std::invalid_argument("-d has an empty dimension: '" + spec + "'");
+    dims.push_back(parse_uint("-d", part));
+    if (x == std::string::npos) break;
+    begin = x + 1;
   }
   switch (dims.size()) {
     case 1: return Extents::d1(dims[0]);
     case 2: return Extents::d2(dims[0], dims[1]);
     case 3: return Extents::d3(dims[0], dims[1], dims[2]);
-    default: throw std::invalid_argument("dimension spec must have 1-3 parts: '" + spec + "'");
+    default: throw std::invalid_argument("-d takes 1-3 dimensions, not '" + spec + "'");
   }
 }
 
@@ -131,25 +159,6 @@ PredictorKind parse_predictor(const std::string& s) {
   throw std::invalid_argument("unknown predictor '" + s + "'");
 }
 
-std::vector<std::uint8_t> read_bytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  const auto size = static_cast<std::size_t>(in.tellg());
-  std::vector<std::uint8_t> bytes(size);
-  in.seekg(0);
-  in.read(reinterpret_cast<char*>(bytes.data()), static_cast<std::streamsize>(size));
-  if (!in) throw std::runtime_error("short read from " + path);
-  return bytes;
-}
-
-void write_bytes(const std::string& path, std::span<const std::uint8_t> bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw std::runtime_error("cannot open " + path);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  if (!out) throw std::runtime_error("short write to " + path);
-}
-
 /// Run `fn` with the simulated-GPU checker active when the user passed
 /// --check / --check=word (or enabled it via SZP_SIM_CHECK), and/or with
 /// schedule fuzzing when --fuzz-schedule[=N] was given (or
@@ -167,9 +176,10 @@ int maybe_checked(const Args& a, std::ostream& out, const std::function<int()>& 
   if (a.has_flag("--fuzz-schedule")) want_fuzz = 4;
   for (const std::string& f : a.flags) {
     if (f.rfind("--fuzz-schedule=", 0) == 0) {
-      const int n = std::stoi(f.substr(std::strlen("--fuzz-schedule=")));
-      if (n <= 0) throw std::invalid_argument("--fuzz-schedule needs a positive count");
-      want_fuzz = n;
+      const auto n = parse_uint("--fuzz-schedule", f.substr(std::strlen("--fuzz-schedule=")),
+                                false, std::numeric_limits<int>::max());
+      if (n == 0) throw std::invalid_argument("--fuzz-schedule needs a positive count");
+      want_fuzz = static_cast<int>(n);
     }
   }
 
@@ -195,34 +205,13 @@ std::string require_path(const Args& a, const char* short_opt, const char* long_
                               long_opt + ")");
 }
 
-/// Byte counts with optional K/M/G (binary) suffix: "64M" -> 67108864.
-std::size_t parse_byte_size(const std::string& s) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (end == s.c_str()) throw std::invalid_argument("bad byte count '" + s + "'");
-  std::size_t mult = 1;
-  if (*end != '\0') {
-    switch (*end) {
-      case 'k': case 'K': mult = std::size_t{1} << 10; break;
-      case 'm': case 'M': mult = std::size_t{1} << 20; break;
-      case 'g': case 'G': mult = std::size_t{1} << 30; break;
-      default: throw std::invalid_argument("bad byte count '" + s + "'");
-    }
-    if (*(end + 1) != '\0') throw std::invalid_argument("bad byte count '" + s + "'");
-  }
-  return static_cast<std::size_t>(v) * mult;
-}
-
 /// The streaming knobs shared by both directions of the out-of-core path.
 StreamingConfig streaming_config(const Args& a) {
   StreamingConfig scfg;
-  scfg.parallel = !a.has_flag("--serial-slabs");
   scfg.use_mmap = !a.has_flag("--no-mmap");
-  if (const auto workers = a.get("--workers")) {
-    scfg.workers = static_cast<std::size_t>(std::stoull(*workers));
-  }
+  if (const auto workers = a.get("--workers")) scfg.workers = parse_uint("--workers", *workers);
   if (const auto budget = a.get("--memory-budget")) {
-    scfg.memory_budget = parse_byte_size(*budget);
+    scfg.memory_budget = parse_uint("--memory-budget", *budget, true);
   }
   return scfg;
 }
@@ -258,13 +247,7 @@ int cmd_compress(const Args& a, std::ostream& out) {
     // --memory-budget when given).
     StreamingConfig scfg = streaming_config(a);
     scfg.base = cfg;
-    if (stream && *stream == "auto") {
-      // Keep the default memory cap but let the planner pick a slab
-      // thickness sized to the worker pool (~3 slabs per worker).
-      scfg.auto_slab_thickness = true;
-    } else if (stream) {
-      scfg.max_slab_elems = static_cast<std::size_t>(std::stoull(*stream));
-    }
+    if (stream) scfg.max_slab_elems = parse_uint("--stream", *stream);
     const auto stats =
         StreamingCompressor(scfg).compress_file(in_path, out_path, ext, field_dtype(a));
     out << "streamed " << stats.slabs.size() << " slabs (" << stats.workers_used
@@ -276,7 +259,7 @@ int cmd_compress(const Args& a, std::ostream& out) {
     return 0;
   }
 
-  const auto raw = read_bytes(in_path);
+  const auto raw = data::read_bytes(in_path);
   const FieldView field(raw, field_dtype(a));
   if (field.size() != ext.count()) {
     throw std::runtime_error("file holds " + std::to_string(field.size()) +
@@ -285,7 +268,7 @@ int cmd_compress(const Args& a, std::ostream& out) {
   const auto c = Compressor(cfg).compress(field, ext);
   out << "workflow: " << workflow_name(c.stats.workflow_used)
       << "  outliers: " << c.stats.outlier_count << "\n";
-  write_bytes(out_path, c.bytes);
+  data::write_bytes(out_path, c.bytes);
   out << "compressed " << ext.count() << " values -> " << c.bytes.size() << " bytes (ratio "
       << c.stats.ratio << "x)\n";
   return 0;
@@ -314,15 +297,15 @@ int cmd_decompress(const Args& a, std::ostream& out) {
   }
   if (a.get("--memory-budget")) out << "note: not an SZPC container; --memory-budget ignored\n";
 
-  const auto bytes = read_bytes(in_path);
+  const auto bytes = data::read_bytes(in_path);
   const auto d = Compressor::decompress(bytes);
-  write_bytes(out_path, d.bytes());
+  data::write_bytes(out_path, d.bytes());
   out << "decompressed " << bytes.size() << " bytes -> " << d.bytes().size() << " bytes\n";
   return 0;
 }
 
 int cmd_info(const Args& a, std::ostream& out) {
-  const auto bytes = read_bytes(a.require("-i"));
+  const auto bytes = data::read_bytes(a.require("-i"));
   if (bytes.size() >= 4 && std::memcmp(bytes.data(), "SZPC", 4) == 0) {
     out << "szp streaming container, " << StreamingCompressor::slab_count(bytes)
         << " slabs, " << bytes.size() << " bytes\n";
@@ -366,21 +349,21 @@ int cmd_gen(const Args& a, std::ostream& out) {
 int cmd_bundle_add(const Args& a, std::ostream& out) {
   const auto bundle_path = a.require("--bundle");
   const auto name = a.require("--name");
-  const auto archive = read_bytes(a.require("-i"));
+  const auto archive = data::read_bytes(a.require("-i"));
 
   Bundle bundle;
   if (std::ifstream probe(bundle_path, std::ios::binary); probe.good()) {
-    bundle = Bundle::deserialize(read_bytes(bundle_path));
+    bundle = Bundle::deserialize(data::read_bytes(bundle_path));
   }
   bundle.add(name, archive);
-  write_bytes(bundle_path, bundle.serialize());
+  data::write_bytes(bundle_path, bundle.serialize());
   out << "bundle " << bundle_path << ": " << bundle.size() << " field(s)\n";
   return 0;
 }
 
 /// Shared --tolerant loader: salvage what verifies, warn about the rest.
 Bundle load_bundle(const Args& a, std::ostream& out) {
-  const auto bytes = read_bytes(a.require("--bundle"));
+  const auto bytes = data::read_bytes(a.require("--bundle"));
   if (!a.has_flag("--tolerant")) {
     return Bundle::deserialize(bytes);
   }
@@ -406,7 +389,7 @@ int cmd_bundle_list(const Args& a, std::ostream& out) {
 int cmd_bundle_extract(const Args& a, std::ostream& out) {
   const auto bundle = load_bundle(a, out);
   const auto name = a.require("--name");
-  write_bytes(a.require("-o"), bundle.archive(name));
+  data::write_bytes(a.require("-o"), bundle.archive(name));
   out << "extracted '" << name << "' (" << bundle.archive(name).size() << " bytes)\n";
   return 0;
 }
@@ -417,8 +400,11 @@ int cmd_fuzz(const Args& a, std::ostream& out) {
     return res.ok() ? 0 : 1;
   }
   fuzz::FuzzConfig cfg;
-  if (const auto rounds = a.get("--rounds")) cfg.rounds = std::stoi(*rounds);
-  if (const auto seed = a.get("--seed")) cfg.seed = std::stoull(*seed);
+  if (const auto rounds = a.get("--rounds")) {
+    cfg.rounds = static_cast<int>(
+        parse_uint("--rounds", *rounds, false, std::numeric_limits<int>::max()));
+  }
+  if (const auto seed = a.get("--seed")) cfg.seed = parse_uint("--seed", *seed);
   if (const auto corpus = a.get("--corpus")) cfg.corpus_dir = *corpus;
   cfg.verbose = a.has_flag("-v") || a.has_flag("--verbose");
   if (cfg.rounds <= 0) throw std::invalid_argument("--rounds needs a positive count");
@@ -427,8 +413,8 @@ int cmd_fuzz(const Args& a, std::ostream& out) {
 }
 
 int cmd_verify(const Args& a, std::ostream& out) {
-  const auto a_bytes = read_bytes(a.require("-a"));
-  const auto b_bytes = read_bytes(a.require("-b"));
+  const auto a_bytes = data::read_bytes(a.require("-a"));
+  const auto b_bytes = data::read_bytes(a.require("-b"));
   const FieldView x(a_bytes, field_dtype(a));
   const FieldView y(b_bytes, field_dtype(a));
   if (x.size() != y.size()) {
@@ -649,10 +635,10 @@ void usage(std::ostream& err) {
          "  szp compress   -i in.f32 -o out.szp -d ZxYxX [--eb 1e-3] [--abs]\n"
          "                 [--codec auto|huffman|rle|rle+vle|rans|lz77|lzh|lzr]\n"
          "                 [--predictor lorenzo|regression|interpolation] [--double]\n"
-         "                 [--stream N|auto] [--serial-slabs] [--workers N]\n"
+         "                 [--stream N] [--workers N]\n"
          "                 [--memory-budget BYTES[K|M|G]] [--no-mmap]\n"
          "                 [--check | --check=word] [--fuzz-schedule[=N]]\n"
-         "  szp decompress -i in.szp -o out.f32 [--serial-slabs] [--workers N]\n"
+         "  szp decompress -i in.szp -o out.f32 [--workers N]\n"
          "                 [--memory-budget BYTES[K|M|G]] [--no-mmap]\n"
          "                 [--check | --check=word] [--fuzz-schedule[=N]]\n"
          "  szp info       -i in.szp\n"
@@ -676,23 +662,21 @@ void usage(std::ostream& err) {
          "smallest tail-truncated prefix that still reproduces the verdict (as\n"
          "KIND__SEGMENT__min.szpf); --replay DIR re-decodes a committed corpus and\n"
          "fails on any verdict drift.\n"
-         "A corrupt or truncated input archive exits with 4.  --stream (or\n"
-         "--memory-budget) writes a slab container, and decompress reads any\n"
-         "container, file to file through the slab pipeline: the field is never\n"
-         "materialized in memory.  Slabs run in parallel by default (--stream\n"
-         "auto additionally sizes slabs to the worker pool); --serial-slabs\n"
-         "forces one-at-a-time in both directions (the container bytes are\n"
-         "identical either way).  --workers N (or the SZP_WORKERS environment\n"
-         "variable) sets the slab worker-pool size; --memory-budget and\n"
-         "--stream auto size slabs to it, so pin it to reproduce such a\n"
-         "container on another machine.  --memory-budget BYTES\n"
-         "(K/M/G suffixes accepted; --in/--out work as aliases for -i/-o)\n"
-         "resolves slab thickness and queue window so peak residency stays\n"
-         "within the budget (refused with a clear error when even one\n"
-         "single-plane slab cannot fit); the container bytes are identical to\n"
-         "the in-memory API's under the same config.  Ingest uses mmap when\n"
-         "available; --no-mmap forces positional reads through budget-metered\n"
-         "staging buffers.\n"
+         "A corrupt or truncated input archive exits with 4.  --stream N (at\n"
+         "most N elements per slab) or --memory-budget writes a slab container,\n"
+         "and decompress reads any container, file to file through the slab\n"
+         "pipeline: the field is never materialized in memory.  --workers N\n"
+         "sets the slab worker-pool size in both directions (default: the\n"
+         "OpenMP thread budget; 1 runs slabs one at a time); the container\n"
+         "bytes never depend on it.  --memory-budget BYTES (K/M/G suffixes\n"
+         "accepted; --in/--out work as aliases for -i/-o) sizes slabs for a\n"
+         "fixed four-worker model, so a budgeted container is the same on any\n"
+         "machine, then narrows the run's workers and queue window so peak\n"
+         "residency stays within the budget (refused with a clear error when\n"
+         "even one single-plane slab cannot fit); the container bytes are\n"
+         "identical to the in-memory API's under the same config.  Ingest uses\n"
+         "mmap when available; --no-mmap forces positional reads through\n"
+         "budget-metered staging buffers.  Integer options take digits only.\n"
          "--check replays the run under the simulated-GPU race & bounds checker\n"
          "(exit 3 if violations are found); SZP_SIM_CHECK=1 enables it globally.\n"
          "--check=word upgrades to word-granular shadow memory (racecheck-style\n"
