@@ -5,7 +5,7 @@
 //   (2) Quantizer capacity: outlier rate vs codebook size/alphabet cost.
 //   (3) The final host lossless stage: LZ77+Huffman (gzip stand-in) vs
 //       LZ77+rANS (Zstd stand-in, cuSZ's actual Step-9 choice).
-//   (4) The pluggable codec tier: every registered quant-code codec swept
+//   (4) The codec tier: every quant-code codec in the codec table swept
 //       over representative fields, measured ratio vs the selector's modeled
 //       numbers, emitted as BENCH_codec.json — with a gate that kAuto's pick
 //       is never Pareto-dominated (both lower measured ratio AND >5% worse
@@ -16,7 +16,7 @@
 
 #include "bench/bench_util.hh"
 #include "core/metrics.hh"
-#include "core/pipeline/registry.hh"
+#include "core/codec/codec.hh"
 #include "lossless/lzh.hh"
 #include "lossless/lzr.hh"
 #include "sim/timer.hh"
@@ -27,7 +27,7 @@ using namespace szp;
 using namespace szp::bench;
 
 const char* codec_name(Workflow wf) {
-  return pipeline::StageRegistry::instance().codec(wf).name();
+  return pipeline::codec(wf).name();
 }
 
 double modeled_encode_seconds(const WorkflowDecision& d, Workflow wf) {
@@ -148,7 +148,7 @@ int main(int argc, char** argv) {
     double best_measured = 0.0;
     Workflow best_fixed = Workflow::kHuffman;
     double pick_measured = 0.0;
-    for (const auto& codec : pipeline::StageRegistry::instance().codecs()) {
+    for (const pipeline::LosslessCodec* codec : pipeline::codecs()) {
       const Workflow wf = codec->id();
       CompressConfig cfg4;
       cfg4.eb = ErrorBound::relative(sw.rel_eb);

@@ -6,8 +6,8 @@
 // The modified-quantization ablation (residual-space outliers = branch-free
 // fuse vs cuSZ's placeholder branch) is implicit in the coarse-vs-fine
 // comparison.  The paper's per-thread sequentiality (8, §IV-B.3b) is not
-// ablated here: the host partial sums walk whole rows whatever it is set to,
-// so it survives only as a parameter of the word-granular checker's lane
+// ablated here: the host partial sums walk whole rows, so it survives only
+// as the constant kLorenzoSequentiality of the word-granular checker's lane
 // model.
 //
 // Fields mirror the paper: HACC vx (1D), a CESM field (2D), Nyx
@@ -41,9 +41,9 @@ void run_case(const char* label, const BenchField& f, const PaperRow& paper) {
 
   const auto coarse_host = stage_of(baseline::CuszCompressor::decompress(base.bytes));
   const auto naive_host =
-      stage_of(Compressor::decompress(plus.bytes, {ReconstructVariant::kNaivePartialSum, 1}));
+      stage_of(Compressor::decompress(plus.bytes, {ReconstructVariant::kNaivePartialSum}));
   const auto opt_host =
-      stage_of(Compressor::decompress(plus.bytes, {ReconstructVariant::kOptimizedPartialSum, 8}));
+      stage_of(Compressor::decompress(plus.bytes, {ReconstructVariant::kOptimizedPartialSum}));
   // Modeled columns evaluate at the paper's full field size (the occupancy
   // and launch-overhead regime the published numbers were measured in).
   const auto coarse = at_paper_scale(coarse_host, f);

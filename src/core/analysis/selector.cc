@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/pipeline/registry.hh"
+#include "core/codec/codec.hh"
 #include "sim/device.hh"
 #include "sim/perf_model.hh"
 
@@ -15,9 +15,8 @@ WorkflowDecision select_workflow(std::span<const std::uint64_t> freq,
   d.stats = entropy_stats(freq);
   const double value_bits = static_cast<double>(bytes_per_value) * 8.0;
 
-  // --- Rank every registered codec ----------------------------------------
+  // --- Rank every codec ---------------------------------------------------
   const sim::DeviceSpec& dev = sim::v100();
-  const auto& registry = pipeline::StageRegistry::instance();
   const double n = std::max(1.0, static_cast<double>(d.stats.total));
 
   pipeline::CodecSignals sig;
@@ -26,8 +25,8 @@ WorkflowDecision select_workflow(std::span<const std::uint64_t> freq,
   sig.n = d.stats.total;
   sig.bytes_per_value = bytes_per_value;
 
-  d.scores.reserve(registry.codecs().size());
-  for (const auto& codec : registry.codecs()) {
+  d.scores.reserve(pipeline::codecs().size());
+  for (const pipeline::LosslessCodec* codec : pipeline::codecs()) {
     const pipeline::CodecEstimate est = codec->estimate(sig);
     CodecScore s;
     s.workflow = codec->id();

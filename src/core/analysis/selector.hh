@@ -5,11 +5,12 @@
 // symbol stream is dominated by one value (p1 near 1), so runs are long and
 // RLE beats or matches VLE while also breaking VLE's 32x ceiling for floats.
 //
-// This module generalizes that cutoff into a cost model over *every*
-// registered codec (per the synergistic-orchestration direction of arXiv
-// 2507.11165): each codec projects, from the quant-code histogram alone (no
-// trial encode), its payload bits per symbol, its fixed section overhead,
-// and the analytic KernelCost of its encode/decode kernels.  The selector
+// This module generalizes that cutoff into a cost model over *every* codec
+// in the codec table (core/codec/codec.hh; per the synergistic-orchestration
+// direction of arXiv 2507.11165): each codec projects, from the quant-code
+// histogram alone (no trial encode), its payload bits per symbol, its fixed
+// section overhead, and the analytic KernelCost of its encode/decode
+// kernels.  The selector
 // turns those into an estimated compression ratio and a modeled encode time
 // on the V100 model (sim::v100()), normalizes both against the best candidate,
 // and ranks by a user-weighted ratio/throughput objective:
@@ -43,7 +44,7 @@ enum class Workflow : std::uint8_t {
                  ///< bytes (the paper's `qg` gzip reference as a pipeline
                  ///< codec; archive format v3)
   kLzr = 6,      ///< LZ77 + rANS (the Zstd stand-in; archive format v3)
-  kAuto = 255,   ///< let the cost-model selector rank every registered codec
+  kAuto = 255,   ///< let the cost-model selector rank every codec
 };
 
 struct SelectorConfig {
@@ -61,7 +62,7 @@ struct SelectorConfig {
 /// was made from (also what `szp analyze --codecs` prints).
 struct CodecScore {
   Workflow workflow = Workflow::kHuffman;
-  const char* name = "";            ///< registry name of the codec
+  const char* name = "";            ///< LosslessCodec::name() of the codec
   double est_bits_per_symbol = 0.0; ///< projected payload ⟨b⟩
   double est_fixed_bytes = 0.0;     ///< projected section overhead (books,
                                     ///< tables, chunk metadata)
@@ -77,11 +78,11 @@ struct CodecScore {
 struct WorkflowDecision {
   Workflow workflow = Workflow::kHuffman;
   EntropyStats stats;              ///< the histogram evidence
-  std::vector<CodecScore> scores;  ///< every registered codec, best first
+  std::vector<CodecScore> scores;  ///< every codec in the table, best first
 };
 
 /// Decide the workflow from a quant-code histogram by ranking every codec
-/// in the StageRegistry under `cfg`'s objective.  `bytes_per_value` is the
+/// in the codec table under `cfg`'s objective.  `bytes_per_value` is the
 /// uncompressed element width (4 for float).
 [[nodiscard]] WorkflowDecision select_workflow(std::span<const std::uint64_t> freq,
                                                std::size_t bytes_per_value = 4,

@@ -6,10 +6,11 @@
 // read_header(), and both directions share checked_body()/append_crc32() for
 // the integrity seal — so a format change is a one-file edit and the three
 // consumers can never drift apart.  Predictor aux payloads (regression
-// coefficients, interpolation anchors) and workflow payloads are *not*
-// framed here: they belong to the registered pipeline stages
-// (core/pipeline/), which serialize directly after the header in
-// registration order.
+// coefficients, interpolation anchors) and codec payloads are *not* framed
+// here: they belong to the predictor stage and the codec the header's tags
+// pick from their fixed tables (core/pipeline/stage.hh,
+// core/codec/codec.hh), which serialize directly after the header — the
+// predictor's aux, then the outlier stream, then the codec section.
 #pragma once
 
 #include <cstdint>

@@ -1,11 +1,12 @@
-// szp — the built-in LosslessCodec implementations, one per Workflow:
-// chunked Huffman, RLE, RLE+VLE (Huffman over both run streams), and rANS.
-// Each transplants the corresponding EncodeStage/DecodeStage pair of the
-// former stage split; the section byte layouts and the PipelineReport stage
-// names are pinned by the golden-archive tests.  estimate() mirrors, per
-// codec, the analytic KernelCost formulas the real kernels report, so the
-// selector's modeled seconds agree with the PipelineReport of an actual run.
+// szp — the GPU-tier LosslessCodec implementations, one per Workflow:
+// chunked Huffman, RLE, RLE+VLE (Huffman over both run streams), and rANS;
+// and the codec table, which splices in the LZ family of lz_codecs.cc.  The
+// section byte layouts and the PipelineReport stage names are pinned by the
+// golden-archive tests.  estimate() mirrors, per codec, the analytic
+// KernelCost formulas the real kernels report, so the selector's modeled
+// seconds agree with the PipelineReport of an actual run.
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -13,7 +14,6 @@
 #include "core/codec/codec.hh"
 #include "core/error.hh"
 #include "core/huffman/codec.hh"
-#include "core/pipeline/builtin.hh"
 #include "core/rans.hh"
 #include "core/rle/rle.hh"
 #include "sim/histogram.hh"
@@ -385,10 +385,29 @@ class RansCodec final : public LosslessCodec {
 
 }  // namespace
 
-std::unique_ptr<LosslessCodec> make_huffman_codec() { return std::make_unique<HuffmanCodec>(); }
-std::unique_ptr<LosslessCodec> make_rle_codec() { return std::make_unique<RleCodec>(); }
-std::unique_ptr<LosslessCodec> make_rle_vle_codec() { return std::make_unique<RleVleCodec>(); }
-std::unique_ptr<LosslessCodec> make_rans_codec() { return std::make_unique<RansCodec>(); }
+/// The LZ-family rows of the table (kLz77, kLzh, kLzr), defined next to
+/// their classes in lz_codecs.cc.
+std::array<const LosslessCodec*, 3> lz_codecs();
+
+std::span<const LosslessCodec* const> codecs() {
+  static const HuffmanCodec huffman;
+  static const RleCodec rle;
+  static const RleVleCodec rle_vle;
+  static const RansCodec rans;
+  static const auto lz = lz_codecs();
+  static const std::array<const LosslessCodec*, 7> table{
+      &huffman, &rle, &rle_vle, &rans, lz[0], lz[1], lz[2]};
+  return table;
+}
+
+const LosslessCodec& codec(Workflow wf) {
+  const auto table = codecs();
+  const auto tag = static_cast<std::size_t>(wf);
+  if (tag >= table.size()) {  // kAuto (255) included
+    throw std::logic_error("no codec for workflow tag " + std::to_string(tag));
+  }
+  return *table[tag];
+}
 
 }  // namespace szp::pipeline
 

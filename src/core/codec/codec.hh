@@ -1,19 +1,20 @@
-// szp — the pluggable lossless codec tier.
+// szp — the lossless codec tier.
 //
 // Every quant-code payload format — chunked Huffman, RLE, RLE+VLE, rANS,
 // and the LZ77 family (lz77/lzh/lzr) — implements LosslessCodec: one object
 // owns both serialization directions of its section *and* a static cost
 // estimate the selector (core/analysis/selector.hh) ranks codecs with.
 // Compressor, streaming tier, CLI, fuzz harness, and benches all reach the
-// codecs through StageRegistry lookups (core/pipeline/registry.hh), so
-// adding a codec is: implement this interface, register it, allot the next
-// Workflow tag (the archive header stores it — tags are append-only, and
-// tags past kRans bump the archive format to version 3).
+// codecs through one fixed table in Workflow tag order (codecs() and
+// codec() below), so adding a codec is: implement this interface, allot the
+// next Workflow tag (the archive header stores it — tags are append-only,
+// and tags past kRans bump the archive format to version 3) and give it the
+// table's next row.
 //
 // Contract highlights:
 //   * encode() serializes the codec's self-describing section directly
 //     after the outlier section; decode() must consume exactly those bytes
-//     and decode in place into the decode workspace's quant-code buffer,
+//     and decode in place into the workspace product's quant-code buffer,
 //     with no intermediate symbol vector (throwing DecodeError with the
 //     taxonomy of core/error.hh on any inconsistency, always validating
 //     declared sizes *before* allocating, and running its own section
@@ -99,6 +100,14 @@ class LosslessCodec {
   /// Histogram-only projection of density and kernel cost (see CodecEstimate).
   [[nodiscard]] virtual CodecEstimate estimate(const CodecSignals& sig) const = 0;
 };
+
+/// Every codec, row i holding Workflow tag i: the selector ranks (and
+/// `analyze --codecs` prints) exactly this set, in this order.
+[[nodiscard]] std::span<const LosslessCodec* const> codecs();
+
+/// The codec for a Workflow tag; throws std::logic_error for an unknown tag
+/// and for Workflow::kAuto, which the selector must resolve first.
+[[nodiscard]] const LosslessCodec& codec(Workflow wf);
 
 }  // namespace szp::pipeline
 

@@ -12,12 +12,12 @@
 // LZ parse is serial (parallel_items = 1), and the cost model makes that
 // penalty visible instead of hiding it off-pipeline.
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <string>
 
 #include "core/codec/codec.hh"
 #include "core/error.hh"
-#include "core/pipeline/builtin.hh"
 #include "lossless/lz77.hh"
 #include "lossless/lzh.hh"
 #include "lossless/lzr.hh"
@@ -366,9 +366,13 @@ class LzrCodec final : public LzEntropyCodec<LzrCodec> {
 
 }  // namespace
 
-std::unique_ptr<LosslessCodec> make_lz77_codec() { return std::make_unique<Lz77Codec>(); }
-std::unique_ptr<LosslessCodec> make_lzh_codec() { return std::make_unique<LzhCodec>(); }
-std::unique_ptr<LosslessCodec> make_lzr_codec() { return std::make_unique<LzrCodec>(); }
+/// The table's rows kLz77, kLzh and kLzr (codecs() in builtin_codecs.cc).
+std::array<const LosslessCodec*, 3> lz_codecs() {
+  static const Lz77Codec lz77;
+  static const LzhCodec lzh;
+  static const LzrCodec lzr;
+  return {&lz77, &lzh, &lzr};
+}
 
 }  // namespace szp::pipeline
 

@@ -6,7 +6,8 @@
 #include "core/archive.hh"
 #include "core/error.hh"
 #include "core/metrics.hh"
-#include "core/pipeline/registry.hh"
+#include "core/codec/codec.hh"
+#include "core/pipeline/stage.hh"
 #include "core/serialize.hh"
 #include "sim/histogram.hh"
 #include "sim/sparse.hh"
@@ -61,21 +62,21 @@ Compressed compress_impl(const CompressConfig& cfg_, FieldView data, const Exten
   const double eb_kernel = eb_user - margin;
   validate_exactness(range, eb_kernel);
 
-  const auto& registry = pipeline::StageRegistry::instance();
-
   // --- Prediction + quantization -----------------------------------------
   sim::Timer t;
-  const pipeline::PredictStage& predictor = registry.predict(cfg_.predictor);
-  const pipeline::PredictProduct prod = predictor.construct(data, ext, eb_kernel, cfg_, ws);
+  const pipeline::PredictStage& predictor = pipeline::predict_stage(cfg_.predictor);
+  predictor.construct(data, ext, eb_kernel, cfg_.quant, ws);
+  const PredictorProduct& prod = ws.product;
   st.pipeline.add({predictor.construct_stage(), st.original_bytes, t.seconds(), prod.cost});
+  const std::span<const quant_t> quant(prod.quant);
 
   // --- Gather outliers (dense -> sparse) --------------------------------
   t.reset();
   sim::KernelCost gather_c;
   {
     sim::traffic::Scope gather_scope;  // contract-derived volumes
-    sim::dense_to_sparse_into(prod.outlier_dense, ws.outliers, ws.gather_tile_nnz,
-                              ws.gather_offsets);
+    sim::dense_to_sparse_into(std::span<const qdiff_t>(prod.outlier_dense), ws.outliers,
+                              ws.gather_tile_nnz, ws.gather_offsets);
     gather_c = sim::gather_cost(data.size(), sizeof(qdiff_t), ws.outliers.nnz(),
                                 sizeof(std::uint64_t));
     gather_scope.apply(gather_c);
@@ -88,7 +89,7 @@ Compressed compress_impl(const CompressConfig& cfg_, FieldView data, const Exten
   sim::KernelCost hist_c;
   {
     sim::traffic::Scope hist_scope;  // contract-derived volumes
-    sim::device_histogram_into(prod.quant, cfg_.quant.capacity, ws.freq, ws.hist_priv);
+    sim::device_histogram_into(quant, cfg_.quant.capacity, ws.freq, ws.hist_priv);
     hist_c = sim::histogram_cost(data.size(), sizeof(quant_t), cfg_.quant.capacity);
     hist_scope.apply(hist_c);
   }
@@ -115,7 +116,7 @@ Compressed compress_impl(const CompressConfig& cfg_, FieldView data, const Exten
 
   // --- Quant-code payload --------------------------------------------------
   const pipeline::EncodeContext ectx{cfg_, ws.freq, st.original_bytes};
-  registry.codec(wf).encode(prod.quant, ectx, ws, w, st.pipeline);
+  pipeline::codec(wf).encode(quant, ectx, ws, w, st.pipeline);
 
   out.bytes = w.take();
   // Trailing integrity checksum over everything above.
@@ -154,15 +155,10 @@ void Compressor::decompress(std::span<const std::uint8_t> archive, Decompressed&
   decode_guard("szp archive", [&] {
     ByteReader r(archive::checked_body(archive));
     const archive::ArchiveHeader h = archive::read_header(r);
-    const auto& registry = pipeline::StageRegistry::instance();
-    const pipeline::PredictStage& predictor = registry.predict(h.predictor);
-
-    pipeline::PredictorAux aux;
-    predictor.read_aux(r, aux);
+    const pipeline::PredictStage& predictor = pipeline::predict_stage(h.predictor);
+    predictor.read_aux(r, ws);
 
     const std::size_t n = h.extents.count();
-    const std::size_t payload_bytes = n * dtype_size(h.dtype);
-
     sim::SparseVector<qdiff_t>& outliers = ws.outliers;
     r.set_segment("outliers");
     r.get_vector_into(outliers.indices);
@@ -189,15 +185,14 @@ void Compressor::decompress(std::span<const std::uint8_t> archive, Decompressed&
 
     // --- Decode quant-codes -------------------------------------------------
     r.set_segment("quant-codes");
-    const pipeline::DecodeContext dctx{n, payload_bytes};
-    // The codec sizes decode_quant to n only once its section holds exactly
-    // n symbols, so a spliced header count cannot drive the allocation.
-    registry.codec(h.workflow).decode(r, dctx, ws.decode_quant, out.pipeline);
+    const pipeline::DecodeContext dctx{n, n * dtype_size(h.dtype)};
+    // The codec sizes the quant-codes to n only once its section holds
+    // exactly n symbols, so a spliced header count cannot drive the
+    // allocation.
+    pipeline::codec(h.workflow).decode(r, dctx, ws.product.quant, out.pipeline);
 
     // --- Scatter outliers + predictor reconstruction ------------------------
-    const QuantConfig qcfg{h.capacity};
-    predictor.reconstruct(ws.decode_quant, outliers, aux, h.extents, h.eb_abs, qcfg, recon,
-                          payload_bytes, ws.decode_scratch, out);
+    predictor.reconstruct(h, recon, ws, out);
   });
 }
 

@@ -1,13 +1,16 @@
 // szp — the public compression API (the paper's Fig 1 cuSZ+ pipeline).
 //
 // Compression:  prequant+predict construct → gather outliers → histogram →
-//               [selector] → {Huffman | RLE [+VLE] | rANS} encode
+//               [selector] → {Huffman | RLE [+VLE] | rANS | LZ family} encode
 // Decompression: decode quant-codes → scatter outliers →
 //               predictor reconstruction → scale by 2eb.
 //
 // The Compressor itself is thin: it validates inputs, resolves the error
-// bound, and assembles the pipeline by StageRegistry lookup
-// (core/pipeline/) around the shared archive framing (core/archive.hh).
+// bound, and runs the one fixed pipeline: the predictor stage and the codec
+// come from two fixed tables indexed by the tags the archive header stores
+// (pipeline::predict_stage in core/pipeline/stage.hh, pipeline::codec in
+// core/codec/codec.hh), around the shared archive framing
+// (core/archive.hh).
 // The API is dtype-generic: a field enters as one FieldView
 // (core/types.hh) whatever its element type, and comes back as one
 // Decompressed whose bytes()/write_field() are the only code that picks
@@ -16,7 +19,8 @@
 // Per-call scratch comes from a reusable WorkspacePool (core/workspace.hh),
 // so a reused Compressor performs zero steady-state allocations in the
 // compression hot path; decompression reaches the same steady state
-// through its explicit-workspace overload.
+// through its explicit-workspace overload, in the same predictor product
+// compression fills.
 //
 // Every stage is timed on the host and carries an analytic KernelCost so
 // benches can print both measured-CPU and modeled-V100/A100 throughputs
@@ -169,9 +173,10 @@ class Compressor {
 
   /// Decompress into caller-owned buffers, mirroring the explicit-workspace
   /// compress overloads: the codec decodes the quant-codes in place into
-  /// `ws`, reconstruction takes its scratch from `ws`, and `out`'s vectors
-  /// are resized in place — so a worker decoding many slabs through one
-  /// workspace and one `out` stops allocating after the first.  The result
+  /// ws.product, the predictor reads its aux into it and takes its
+  /// reconstruct scratch from it, and `out`'s vectors are resized in place
+  /// — so a worker decoding many slabs through one workspace and one `out`
+  /// stops allocating after the first.  The result
   /// equals the value-returning decompress() byte for byte, whatever `ws`
   /// and `out` held before.  On DecodeError `out`'s contents are
   /// unspecified.  The workspace must not be shared across concurrent calls.

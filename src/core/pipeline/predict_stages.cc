@@ -1,63 +1,66 @@
-// szp — the built-in PredictStage implementations: Lorenzo (dual
-// quantization + partial-sum reconstruction), block-wise linear regression,
-// and multi-level interpolation.  Each stage transplants the corresponding
-// branch of the former monolithic Compressor, byte-for-byte: the aux
-// payloads (nothing / coefficients / level + anchors) and the PipelineReport
-// stage names are pinned by the golden-archive tests.
-#include "core/pipeline/builtin.hh"
-
+// szp — the three PredictStage implementations and their table: Lorenzo
+// (dual quantization + partial-sum reconstruction), block-wise linear
+// regression, and multi-level interpolation.  The aux payloads (nothing /
+// coefficients / level + anchors) and the PipelineReport stage names are
+// pinned by the golden-archive tests.
+#include <array>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "core/pipeline/stage.hh"
 #include "core/predictor/interpolation.hh"
 #include "core/predictor/regression.hh"
+#include "sim/sparse.hh"
 #include "sim/timer.hh"
 
 namespace szp::pipeline {
 
 namespace {
 
+/// Uncompressed size of the field a header describes: the throughput
+/// denominator of the decode-side report entries.
+std::size_t payload_bytes(const Compressor::ArchiveInfo& h) {
+  return h.extents.count() * dtype_size(h.dtype);
+}
+
 /// Dense-outlier scatter shared by the regression and interpolation decode
 /// paths (Lorenzo scatters into the fused residual field instead): re-zero
-/// the n-element scratch, then add the outliers on top.
-std::span<const qdiff_t> scatter_dense(const sim::SparseVector<qdiff_t>& outliers,
-                                       std::size_t n, std::size_t payload_bytes,
-                                       sim::device_vector<qdiff_t>& scratch,
-                                       sim::PipelineReport& report) {
+/// the product's n-element outlier array, then add the outliers on top.
+void scatter_dense(const Compressor::ArchiveInfo& h, Workspace& ws, Decompressed& out) {
   sim::Timer t;
-  scratch.assign(n, 0);
+  ws.product.outlier_dense.assign(h.extents.count(), 0);
   sim::KernelCost cost;
   {
     sim::traffic::Scope scope;  // contract-derived volumes
-    sim::scatter_add(outliers, std::span<qdiff_t>(scratch));
-    cost = sim::scatter_cost(outliers.nnz(), sizeof(qdiff_t), sizeof(std::uint64_t));
+    sim::scatter_add(ws.outliers, std::span<qdiff_t>(ws.product.outlier_dense));
+    cost = sim::scatter_cost(ws.outliers.nnz(), sizeof(qdiff_t), sizeof(std::uint64_t));
     scope.apply(cost);
   }
-  report.add({"scatter_outlier", payload_bytes, t.seconds(), cost});
-  return scratch;
+  out.pipeline.add({"scatter_outlier", payload_bytes(h), t.seconds(), cost});
 }
 
 class LorenzoStage final : public PredictStage {
  public:
-  [[nodiscard]] PredictorKind kind() const override { return PredictorKind::kLorenzo; }
   [[nodiscard]] const char* construct_stage() const override { return "lorenzo_construct"; }
 
-  [[nodiscard]] PredictProduct construct(FieldView data, const Extents& ext, double eb_kernel,
-                                         const CompressConfig& cfg,
-                                         Workspace& ws) const override {
-    return data.visit([&](auto elems) { return construct_impl(elems, ext, eb_kernel, cfg, ws); });
+  void construct(FieldView data, const Extents& ext, double eb_kernel, const QuantConfig& quant,
+                 Workspace& ws) const override {
+    data.visit([&](auto elems) {
+      lorenzo_construct_into(elems, ext, eb_kernel, quant, OutlierScheme::kResidual,
+                             ConstructVariant::kOptimized, ws.product);
+    });
   }
 
   void write_aux(ByteWriter&, const Workspace&) const override {}  // no sidecar
-  void read_aux(ByteReader&, PredictorAux&) const override {}
+  void read_aux(ByteReader&, Workspace&) const override {}
 
-  void reconstruct(std::span<const quant_t> quant, const sim::SparseVector<qdiff_t>& outliers,
-                   const PredictorAux&, const Extents& ext, double eb_abs,
-                   const QuantConfig& qcfg, const ReconstructConfig& recon,
-                   std::size_t payload_bytes, sim::device_vector<qdiff_t>& qprime,
-                   Decompressed& out) const override {
-    const std::size_t n = ext.count();
-    const auto radius = static_cast<std::int32_t>(qcfg.capacity / 2);
+  void reconstruct(const Compressor::ArchiveInfo& h, const ReconstructConfig& recon,
+                   Workspace& ws, Decompressed& out) const override {
+    const std::size_t n = h.extents.count();
+    const std::int32_t radius = QuantConfig{h.capacity}.radius();
+    auto& qprime = ws.product.outlier_dense;
 
     // --- Fuse quant ⊕ outlier (Algorithm 1 line 9) -------------------------
     // The fuse overwrites all n residuals, so a resize is enough.
@@ -69,148 +72,114 @@ class LorenzoStage final : public PredictStage {
     sim::KernelCost fuse_cost;
     {
       sim::traffic::Scope scope;
-      fuse_quant_codes(quant, radius, qprime);
-      sim::scatter_add(outliers, std::span<qdiff_t>(qprime));
+      fuse_quant_codes(ws.product.quant, radius, qprime);
+      sim::scatter_add(ws.outliers, std::span<qdiff_t>(qprime));
       scope.apply(fuse_cost);
     }
-    fuse_cost.flops = n + outliers.nnz();
+    fuse_cost.flops = n + ws.outliers.nnz();
     fuse_cost.parallel_items = n;
     fuse_cost.pattern = sim::AccessPattern::kCoalescedStreaming;
     fuse_cost.launches = 2;
-    out.pipeline.add({"scatter_outlier", payload_bytes, t.seconds(), fuse_cost});
+    out.pipeline.add({"scatter_outlier", payload_bytes(h), t.seconds(), fuse_cost});
 
     // --- Partial-sum Lorenzo reconstruction --------------------------------
     t.reset();
     const sim::KernelCost recon_cost =
         out.write_field([&]<typename T>(std::vector<T>& field) {
           field.resize(n);
-          return lorenzo_reconstruct_fused<T>(qprime, ext, eb_abs, field, recon);
+          return lorenzo_reconstruct_fused<T>(qprime, h.extents, h.eb_abs, field, recon);
         });
-    out.pipeline.add({"lorenzo_reconstruct", payload_bytes, t.seconds(), recon_cost});
-  }
-
- private:
-  template <typename T>
-  PredictProduct construct_impl(std::span<const T> data, const Extents& ext, double eb_kernel,
-                                const CompressConfig& cfg, Workspace& ws) const {
-    lorenzo_construct_into(data, ext, eb_kernel, cfg.quant, OutlierScheme::kResidual,
-                           ConstructVariant::kOptimized, ws.lorenzo);
-    return {std::span<const quant_t>(ws.lorenzo.quant.data(), ws.lorenzo.quant.size()),
-            std::span<const qdiff_t>(ws.lorenzo.outlier_dense.data(),
-                                     ws.lorenzo.outlier_dense.size()),
-            ws.lorenzo.cost};
+    out.pipeline.add({"lorenzo_reconstruct", payload_bytes(h), t.seconds(), recon_cost});
   }
 };
 
 class RegressionStage final : public PredictStage {
  public:
-  [[nodiscard]] PredictorKind kind() const override { return PredictorKind::kRegression; }
   [[nodiscard]] const char* construct_stage() const override { return "regression_construct"; }
 
-  [[nodiscard]] PredictProduct construct(FieldView data, const Extents& ext, double eb_kernel,
-                                         const CompressConfig& cfg,
-                                         Workspace& ws) const override {
-    return data.visit([&](auto elems) { return construct_impl(elems, ext, eb_kernel, cfg, ws); });
+  void construct(FieldView data, const Extents& ext, double eb_kernel, const QuantConfig& quant,
+                 Workspace& ws) const override {
+    data.visit([&](auto elems) {
+      regression_construct_into(elems, ext, eb_kernel, quant, ws.product);
+    });
   }
 
   void write_aux(ByteWriter& w, const Workspace& ws) const override {
-    w.put_vector(ws.regression.coefficients);
+    w.put_vector(ws.product.coefficients);
   }
-  void read_aux(ByteReader& r, PredictorAux& aux) const override {
+  void read_aux(ByteReader& r, Workspace& ws) const override {
     r.set_segment("coefficients");
-    aux.coefficients = r.get_vector<float>();
+    r.get_vector_into(ws.product.coefficients);
   }
 
-  void reconstruct(std::span<const quant_t> quant, const sim::SparseVector<qdiff_t>& outliers,
-                   const PredictorAux& aux, const Extents& ext, double eb_abs,
-                   const QuantConfig& qcfg, const ReconstructConfig&,
-                   std::size_t payload_bytes, sim::device_vector<qdiff_t>& scratch,
+  void reconstruct(const Compressor::ArchiveInfo& h, const ReconstructConfig&, Workspace& ws,
                    Decompressed& out) const override {
-    const std::size_t n = ext.count();
-    const auto outlier_dense = scatter_dense(outliers, n, payload_bytes, scratch, out.pipeline);
+    scatter_dense(h, ws, out);
     sim::Timer t;
+    const PredictorProduct& p = ws.product;
     const sim::KernelCost recon_cost =
         out.write_field([&]<typename T>(std::vector<T>& field) {
-          field.resize(n);
-          return regression_reconstruct<T>(quant, outlier_dense, aux.coefficients, ext, eb_abs,
-                                           qcfg, field);
+          field.resize(h.extents.count());
+          return regression_reconstruct<T>(p.quant, p.outlier_dense, p.coefficients, h.extents,
+                                           h.eb_abs, QuantConfig{h.capacity}, field);
         });
-    out.pipeline.add({"regression_reconstruct", payload_bytes, t.seconds(), recon_cost});
-  }
-
- private:
-  template <typename T>
-  PredictProduct construct_impl(std::span<const T> data, const Extents& ext, double eb_kernel,
-                                const CompressConfig& cfg, Workspace& ws) const {
-    regression_construct_into(data, ext, eb_kernel, cfg.quant, ws.regression);
-    return {std::span<const quant_t>(ws.regression.quant.data(), ws.regression.quant.size()),
-            std::span<const qdiff_t>(ws.regression.outlier_dense.data(),
-                                     ws.regression.outlier_dense.size()),
-            ws.regression.cost};
+    out.pipeline.add({"regression_reconstruct", payload_bytes(h), t.seconds(), recon_cost});
   }
 };
 
 class InterpolationStage final : public PredictStage {
  public:
-  [[nodiscard]] PredictorKind kind() const override { return PredictorKind::kInterpolation; }
   [[nodiscard]] const char* construct_stage() const override {
     return "interpolation_construct";
   }
 
-  [[nodiscard]] PredictProduct construct(FieldView data, const Extents& ext, double eb_kernel,
-                                         const CompressConfig& cfg,
-                                         Workspace& ws) const override {
-    return data.visit([&](auto elems) { return construct_impl(elems, ext, eb_kernel, cfg, ws); });
+  void construct(FieldView data, const Extents& ext, double eb_kernel, const QuantConfig& quant,
+                 Workspace& ws) const override {
+    data.visit([&](auto elems) {
+      interpolation_construct_into(elems, ext, eb_kernel, quant, InterpolationConfig{},
+                                   ws.product);
+    });
   }
 
   void write_aux(ByteWriter& w, const Workspace& ws) const override {
-    w.put<std::uint8_t>(static_cast<std::uint8_t>(ws.interp.level));
-    w.put_vector(ws.interp.anchors);
+    w.put<std::uint8_t>(static_cast<std::uint8_t>(ws.product.level));
+    w.put_vector(ws.product.coefficients);
   }
-  void read_aux(ByteReader& r, PredictorAux& aux) const override {
+  void read_aux(ByteReader& r, Workspace& ws) const override {
     r.set_segment("coefficients");
-    aux.level = r.get<std::uint8_t>();
-    aux.coefficients = r.get_vector<float>();
+    ws.product.level = r.get<std::uint8_t>();
+    r.get_vector_into(ws.product.coefficients);
   }
 
-  void reconstruct(std::span<const quant_t> quant, const sim::SparseVector<qdiff_t>& outliers,
-                   const PredictorAux& aux, const Extents& ext, double eb_abs,
-                   const QuantConfig& qcfg, const ReconstructConfig&,
-                   std::size_t payload_bytes, sim::device_vector<qdiff_t>& scratch,
+  void reconstruct(const Compressor::ArchiveInfo& h, const ReconstructConfig&, Workspace& ws,
                    Decompressed& out) const override {
-    const std::size_t n = ext.count();
-    const auto outlier_dense = scatter_dense(outliers, n, payload_bytes, scratch, out.pipeline);
+    scatter_dense(h, ws, out);
     sim::Timer t;
+    const PredictorProduct& p = ws.product;
     const sim::KernelCost recon_cost =
         out.write_field([&]<typename T>(std::vector<T>& field) {
-          field.resize(n);
-          return interpolation_reconstruct<T>(quant, outlier_dense, aux.coefficients, aux.level,
-                                              true, ext, eb_abs, qcfg, field);
+          field.resize(h.extents.count());
+          return interpolation_reconstruct<T>(p.quant, p.outlier_dense, p.coefficients, p.level,
+                                              true, h.extents, h.eb_abs,
+                                              QuantConfig{h.capacity}, field);
         });
-    out.pipeline.add({"interpolation_reconstruct", payload_bytes, t.seconds(), recon_cost});
-  }
-
- private:
-  template <typename T>
-  PredictProduct construct_impl(std::span<const T> data, const Extents& ext, double eb_kernel,
-                                const CompressConfig& cfg, Workspace& ws) const {
-    interpolation_construct_into(data, ext, eb_kernel, cfg.quant, InterpolationConfig{},
-                                 ws.interp);
-    return {std::span<const quant_t>(ws.interp.quant.data(), ws.interp.quant.size()),
-            std::span<const qdiff_t>(ws.interp.outlier_dense.data(),
-                                     ws.interp.outlier_dense.size()),
-            ws.interp.cost};
+    out.pipeline.add({"interpolation_reconstruct", payload_bytes(h), t.seconds(), recon_cost});
   }
 };
 
 }  // namespace
 
-std::unique_ptr<PredictStage> make_lorenzo_stage() { return std::make_unique<LorenzoStage>(); }
-std::unique_ptr<PredictStage> make_regression_stage() {
-  return std::make_unique<RegressionStage>();
-}
-std::unique_ptr<PredictStage> make_interpolation_stage() {
-  return std::make_unique<InterpolationStage>();
+const PredictStage& predict_stage(PredictorKind kind) {
+  static const LorenzoStage lorenzo;
+  static const RegressionStage regression;
+  static const InterpolationStage interpolation;
+  // Rows in PredictorKind tag order.
+  static const std::array<const PredictStage*, 3> table{&lorenzo, &regression, &interpolation};
+  const auto tag = static_cast<std::size_t>(kind);
+  if (tag >= table.size()) {
+    throw std::logic_error("no predictor stage for tag " + std::to_string(tag));
+  }
+  return *table[tag];
 }
 
 }  // namespace szp::pipeline

@@ -142,7 +142,7 @@ std::size_t interpolation_anchor_count(const Extents& ext, int level) {
 template <typename T>
 void interpolation_construct_into(std::span<const T> data, const Extents& ext, double eb_abs,
                                   const QuantConfig& qcfg, const InterpolationConfig& cfg,
-                                  InterpolationResult& res) {
+                                  PredictorProduct& res) {
   qcfg.validate();
   if (data.size() != ext.count()) {
     throw std::invalid_argument("interpolation_construct: data size does not match extents");
@@ -165,14 +165,14 @@ void interpolation_construct_into(std::span<const T> data, const Extents& ext, d
   std::vector<float> rec(n);
 
   // Anchors: stored raw (float) on the 2^L lattice, raster order.
-  res.anchors.clear();
-  res.anchors.reserve(interpolation_anchor_count(ext, res.level));
+  res.coefficients.clear();
+  res.coefficients.reserve(interpolation_anchor_count(ext, res.level));
   for (std::size_t z = 0; z < ext.nz; z += (ext.rank >= 3 ? stride : ext.nz)) {
     for (std::size_t y = 0; y < ext.ny; y += (ext.rank >= 2 ? stride : ext.ny)) {
       for (std::size_t x = 0; x < ext.nx; x += stride) {
         const std::size_t gi = ext.index(z, y, x);
         const auto v = static_cast<float>(data[gi]);
-        res.anchors.push_back(v);
+        res.coefficients.push_back(v);
         rec[gi] = v;
       }
     }
@@ -191,10 +191,10 @@ void interpolation_construct_into(std::span<const T> data, const Extents& ext, d
 }
 
 template <typename T>
-InterpolationResult interpolation_construct(std::span<const T> data, const Extents& ext,
-                                            double eb_abs, const QuantConfig& qcfg,
-                                            const InterpolationConfig& cfg) {
-  InterpolationResult res;
+PredictorProduct interpolation_construct(std::span<const T> data, const Extents& ext,
+                                         double eb_abs, const QuantConfig& qcfg,
+                                         const InterpolationConfig& cfg) {
+  PredictorProduct res;
   interpolation_construct_into(data, ext, eb_abs, qcfg, cfg, res);
   return res;
 }
@@ -240,19 +240,19 @@ sim::KernelCost interpolation_reconstruct(std::span<const quant_t> quant,
 template void interpolation_construct_into<float>(std::span<const float>, const Extents&,
                                                   double, const QuantConfig&,
                                                   const InterpolationConfig&,
-                                                  InterpolationResult&);
+                                                  PredictorProduct&);
 template void interpolation_construct_into<double>(std::span<const double>, const Extents&,
                                                    double, const QuantConfig&,
                                                    const InterpolationConfig&,
-                                                   InterpolationResult&);
-template InterpolationResult interpolation_construct<float>(std::span<const float>,
-                                                            const Extents&, double,
-                                                            const QuantConfig&,
-                                                            const InterpolationConfig&);
-template InterpolationResult interpolation_construct<double>(std::span<const double>,
-                                                             const Extents&, double,
-                                                             const QuantConfig&,
-                                                             const InterpolationConfig&);
+                                                   PredictorProduct&);
+template PredictorProduct interpolation_construct<float>(std::span<const float>,
+                                                         const Extents&, double,
+                                                         const QuantConfig&,
+                                                         const InterpolationConfig&);
+template PredictorProduct interpolation_construct<double>(std::span<const double>,
+                                                          const Extents&, double,
+                                                          const QuantConfig&,
+                                                          const InterpolationConfig&);
 template sim::KernelCost interpolation_reconstruct<float>(std::span<const quant_t>,
                                                           std::span<const qdiff_t>,
                                                           std::span<const float>, int, bool,

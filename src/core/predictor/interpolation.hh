@@ -15,11 +15,10 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "core/eb.hh"
+#include "core/predictor/product.hh"
 #include "core/types.hh"
-#include "sim/aligned.hh"
 #include "sim/profile.hh"
 
 namespace szp {
@@ -29,26 +28,22 @@ struct InterpolationConfig {
   bool cubic = true;  ///< cubic where 4 neighbors exist, else linear
 };
 
-struct InterpolationResult {
-  sim::device_vector<quant_t> quant;          ///< one code per element (anchors = radius)
-  sim::device_vector<qdiff_t> outlier_dense;  ///< residual quanta beyond radius
-  std::vector<float> anchors;                 ///< raw values on the 2^L lattice
-  int level = 0;                              ///< the L actually used
-  sim::KernelCost cost;
-};
-
+/// Predict level by level and quantize the residuals.  In the product,
+/// anchor points carry the code `radius`, `coefficients` holds the raw
+/// anchor values on the 2^level lattice (raster order) and `level` the L
+/// actually used.
 template <typename T>
-[[nodiscard]] InterpolationResult interpolation_construct(std::span<const T> data,
-                                                          const Extents& ext, double eb_abs,
-                                                          const QuantConfig& quant,
-                                                          const InterpolationConfig& cfg = {});
+[[nodiscard]] PredictorProduct interpolation_construct(std::span<const T> data,
+                                                       const Extents& ext, double eb_abs,
+                                                       const QuantConfig& quant,
+                                                       const InterpolationConfig& cfg = {});
 
-/// Workspace-reuse variant: fills the caller's result struct with
+/// Workspace-reuse variant: fills the caller's product with
 /// capacity-preserving assigns (see core/workspace.hh).
 template <typename T>
 void interpolation_construct_into(std::span<const T> data, const Extents& ext, double eb_abs,
                                   const QuantConfig& quant, const InterpolationConfig& cfg,
-                                  InterpolationResult& res);
+                                  PredictorProduct& res);
 
 template <typename T>
 sim::KernelCost interpolation_reconstruct(std::span<const quant_t> quant,

@@ -24,8 +24,8 @@
 #include <vector>
 
 #include "core/eb.hh"
+#include "core/predictor/product.hh"
 #include "core/types.hh"
-#include "sim/aligned.hh"
 #include "sim/profile.hh"
 #include "sim/sparse.hh"
 
@@ -45,6 +45,11 @@ enum class OutlierScheme {
 /// the coalescing estimate only, never a byte).
 inline constexpr std::size_t kLorenzoRun = 32;
 
+/// Items per virtual thread of the partial-sum x-scan: the paper's tuned 8
+/// (§IV-B.3b).  Only the word-granular checker's lane model reads it; the
+/// host result and host time do not depend on it.
+inline constexpr std::size_t kLorenzoSequentiality = 8;
+
 enum class ReconstructVariant {
   kCoarseChunkSerial,    ///< one chunk per block, serial raster order
   kNaivePartialSum,      ///< each chunk staged through a thread-private copy
@@ -58,12 +63,6 @@ enum class ConstructVariant {
   kOptimized, ///< cuSZ+: register reuse via in-warp shuffle, coarsened threads
 };
 
-struct LorenzoConstructResult {
-  sim::device_vector<quant_t> quant;          ///< one code per element
-  sim::device_vector<qdiff_t> outlier_dense;  ///< zeros except out-of-range entries
-  sim::KernelCost cost;
-};
-
 /// Dual-quantized Lorenzo construction: prequant d° = round(d/2eb), predict
 /// within the chunk, emit quant-codes and a dense outlier array (gathered to
 /// sparse by a separate stage, as in the paper's pipeline).
@@ -74,24 +73,22 @@ struct LorenzoConstructResult {
 /// validates this before calling.  Prequant values beyond it saturate at
 /// ±2^27 instead of overflowing.
 template <typename T>
-[[nodiscard]] LorenzoConstructResult lorenzo_construct(
+[[nodiscard]] PredictorProduct lorenzo_construct(
     std::span<const T> data, const Extents& ext, double eb_abs,
     const QuantConfig& quant, OutlierScheme scheme = OutlierScheme::kResidual,
     ConstructVariant variant = ConstructVariant::kOptimized);
 
-/// Workspace-reuse variant: fills the caller's result struct with
+/// Workspace-reuse variant: fills the caller's product with
 /// capacity-preserving assigns, so a reused `res` allocates nothing once
 /// its buffers have grown to the field size (see core/workspace.hh).
+/// Leaves res.coefficients and res.level as they were.
 template <typename T>
 void lorenzo_construct_into(std::span<const T> data, const Extents& ext, double eb_abs,
                             const QuantConfig& quant, OutlierScheme scheme,
-                            ConstructVariant variant, LorenzoConstructResult& res);
+                            ConstructVariant variant, PredictorProduct& res);
 
 struct ReconstructConfig {
   ReconstructVariant variant = ReconstructVariant::kOptimizedPartialSum;
-  /// Items per virtual thread of the x-scan in the word-granular checker's
-  /// lane model; the host result and host time do not depend on it.
-  std::size_t sequentiality = 8;
 };
 
 /// cuSZ+ fine-grained reconstruction (Algorithm 1, decompression half).
@@ -121,7 +118,7 @@ sim::KernelCost fuse_quant_codes(std::span<const quant_t> quant, std::int32_t ra
 // --- Container conveniences (spans are not deduced from vectors) ----------
 
 template <typename T, typename A>
-[[nodiscard]] LorenzoConstructResult lorenzo_construct(
+[[nodiscard]] PredictorProduct lorenzo_construct(
     const std::vector<T, A>& data, const Extents& ext, double eb_abs,
     const QuantConfig& quant, OutlierScheme scheme = OutlierScheme::kResidual,
     ConstructVariant variant = ConstructVariant::kOptimized) {

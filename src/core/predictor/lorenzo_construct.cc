@@ -133,7 +133,7 @@ void construct_block(const VD& vdata, const VQ& vquant, const VO& voutlier, cons
 template <typename T>
 void lorenzo_construct_into(std::span<const T> data, const Extents& ext, double eb_abs,
                             const QuantConfig& qcfg, OutlierScheme scheme,
-                            ConstructVariant variant, LorenzoConstructResult& res) {
+                            ConstructVariant variant, PredictorProduct& res) {
   qcfg.validate();
   if (data.size() != ext.count()) {
     throw std::invalid_argument("lorenzo_construct: data size does not match extents");
@@ -192,25 +192,25 @@ void lorenzo_construct_into(std::span<const T> data, const Extents& ext, double 
 }
 
 template <typename T>
-LorenzoConstructResult lorenzo_construct(std::span<const T> data, const Extents& ext,
-                                         double eb_abs, const QuantConfig& qcfg,
-                                         OutlierScheme scheme, ConstructVariant variant) {
-  LorenzoConstructResult res;
+PredictorProduct lorenzo_construct(std::span<const T> data, const Extents& ext, double eb_abs,
+                                   const QuantConfig& qcfg, OutlierScheme scheme,
+                                   ConstructVariant variant) {
+  PredictorProduct res;
   lorenzo_construct_into(data, ext, eb_abs, qcfg, scheme, variant, res);
   return res;
 }
 
 template void lorenzo_construct_into<float>(std::span<const float>, const Extents&, double,
                                             const QuantConfig&, OutlierScheme, ConstructVariant,
-                                            LorenzoConstructResult&);
+                                            PredictorProduct&);
 template void lorenzo_construct_into<double>(std::span<const double>, const Extents&, double,
                                              const QuantConfig&, OutlierScheme, ConstructVariant,
-                                             LorenzoConstructResult&);
-template LorenzoConstructResult lorenzo_construct<float>(std::span<const float>, const Extents&,
-                                                         double, const QuantConfig&,
-                                                         OutlierScheme, ConstructVariant);
-template LorenzoConstructResult lorenzo_construct<double>(std::span<const double>, const Extents&,
-                                                          double, const QuantConfig&,
-                                                          OutlierScheme, ConstructVariant);
+                                             PredictorProduct&);
+template PredictorProduct lorenzo_construct<float>(std::span<const float>, const Extents&,
+                                                   double, const QuantConfig&, OutlierScheme,
+                                                   ConstructVariant);
+template PredictorProduct lorenzo_construct<double>(std::span<const double>, const Extents&,
+                                                    double, const QuantConfig&, OutlierScheme,
+                                                    ConstructVariant);
 
 }  // namespace szp

@@ -28,11 +28,11 @@ constexpr std::array<double, 4> kFusedFactor{0.0, 0.70, 0.57, 0.53};
 /// (scan_add), so wrapped sums of corrupt codes keep the same bits.
 ///
 /// kLanes attributes every access to the virtual thread that owns it on the
-/// GPU, for the word-granular checker: `seq`-item fragment lanes along x,
-/// one lane per column for y and per pillar for z, a barrier between
-/// passes.  The unchecked instantiation carries none of it.
+/// GPU, for the word-granular checker: kLorenzoSequentiality-item fragment
+/// lanes along x, one lane per column for y and per pillar for z, a barrier
+/// between passes.  The unchecked instantiation carries none of it.
 template <int R, bool kLanes, typename At>
-void partial_sums(At&& at, const Extents& ext, const Box& b, std::size_t seq) {
+void partial_sums(At&& at, const Extents& ext, const Box& b) {
   constexpr std::size_t cx = ChunkShape::for_rank(R).cx;
   const auto row = [&](std::size_t lz, std::size_t ly) {
     return ext.index(b.z0 + lz, b.y0 + ly, b.x0);
@@ -45,8 +45,8 @@ void partial_sums(At&& at, const Extents& ext, const Box& b, std::size_t seq) {
         const std::size_t len = std::min(cx, b.w - c0);
         const auto elem = [&](std::size_t i) -> qdiff_t& { return at(base + c0 + i); };
         if constexpr (kLanes) {
-          sim::block_inclusive_scan_at<qdiff_t>(elem, len, seq, lane);
-          lane += static_cast<std::uint32_t>(sim::div_ceil(len, seq));
+          sim::block_inclusive_scan_at<qdiff_t>(elem, len, kLorenzoSequentiality, lane);
+          lane += static_cast<std::uint32_t>(sim::div_ceil(len, kLorenzoSequentiality));
         } else {
           qdiff_t acc = 0;
           for (std::size_t i = 0; i < len; ++i) elem(i) = acc = sim::scan_add(acc, elem(i));
@@ -103,7 +103,7 @@ void naive_chunks(const VQ& vq, const Extents& ext, const Box& b) {
     };
     copy(true);
     partial_sums<R, false>([&shared](std::size_t i) -> qdiff_t& { return shared[i]; }, local,
-                           Box{0, 0, 0, w, b.h, b.d}, 1);
+                           Box{0, 0, 0, w, b.h, b.d});
     copy(false);
   }
 }
@@ -112,7 +112,7 @@ void naive_chunks(const VQ& vq, const Extents& ext, const Box& b) {
 /// q', then the scale back to data units (Algorithm 1 line 13).
 template <int R, typename T, typename VQ, typename VO>
 void reconstruct_block(const VQ& vq, const VO& vout, const Extents& ext, const Box& b,
-                       bool naive, std::size_t seq, double eb2) {
+                       bool naive, double eb2) {
   bool word = false;  // word-granular checking: every access through the views
   if constexpr (!sim::checked::is_raw_view<VQ>) word = vq.word_granular();
   const auto each_row = [&](auto&& f) {
@@ -124,13 +124,13 @@ void reconstruct_block(const VQ& vq, const VO& vout, const Extents& ext, const B
     naive_chunks<R>(vq, ext, b);
   } else if (word) {
     if constexpr (!sim::checked::is_raw_view<VQ>) {
-      partial_sums<R, true>([&vq](std::size_t gi) -> qdiff_t& { return vq[gi]; }, ext, b, seq);
+      partial_sums<R, true>([&vq](std::size_t gi) -> qdiff_t& { return vq[gi]; }, ext, b);
     }
   } else {
     // The passes walk the box with raw pointers; declare its rows up front.
     each_row([&](std::size_t gi) { vq.note_rw(gi, b.w); });
     qdiff_t* q = vq.data();
-    partial_sums<R, false>([q](std::size_t gi) -> qdiff_t& { return q[gi]; }, ext, b, seq);
+    partial_sums<R, false>([q](std::size_t gi) -> qdiff_t& { return q[gi]; }, ext, b);
   }
   each_row([&](std::size_t gi) {
     if (word) {
@@ -193,7 +193,6 @@ sim::KernelCost lorenzo_reconstruct_fused(std::span<qdiff_t> qprime, const Exten
         "lorenzo_reconstruct_fused: coarse variant needs lorenzo_reconstruct_coarse");
   }
   const bool naive = cfg.variant == ReconstructVariant::kNaivePartialSum;
-  const std::size_t seq = cfg.sequentiality == 0 ? 1 : cfg.sequentiality;
   const double eb2 = 2.0 * eb_abs;
   const auto grid = lorenzo_detail::block_grid(ext, kLorenzoRun);
 
@@ -212,7 +211,7 @@ sim::KernelCost lorenzo_reconstruct_fused(std::span<qdiff_t> qprime, const Exten
                        const auto& vout) {
       reconstruct_block<decltype(rank)::value, T>(vqprime, vout, ext,
                                                   lorenzo_detail::box_of(grid, ext, bx, by, bz),
-                                                  naive, seq, eb2);
+                                                  naive, eb2);
     });
   };
   lorenzo_detail::dispatch_rank(ext.rank, launch);

@@ -45,7 +45,7 @@ std::size_t regression_chunk_count(const Extents& ext) {
 
 template <typename T>
 void regression_construct_into(std::span<const T> data, const Extents& ext, double eb_abs,
-                               const QuantConfig& qcfg, RegressionResult& res) {
+                               const QuantConfig& qcfg, PredictorProduct& res) {
   qcfg.validate();
   if (data.size() != ext.count()) {
     throw std::invalid_argument("regression_construct: data size does not match extents");
@@ -170,9 +170,9 @@ void regression_construct_into(std::span<const T> data, const Extents& ext, doub
 }
 
 template <typename T>
-RegressionResult regression_construct(std::span<const T> data, const Extents& ext, double eb_abs,
+PredictorProduct regression_construct(std::span<const T> data, const Extents& ext, double eb_abs,
                                       const QuantConfig& qcfg) {
-  RegressionResult res;
+  PredictorProduct res;
   regression_construct_into(data, ext, eb_abs, qcfg, res);
   return res;
 }
@@ -255,12 +255,12 @@ sim::KernelCost regression_reconstruct(std::span<const quant_t> quant,
 }
 
 template void regression_construct_into<float>(std::span<const float>, const Extents&, double,
-                                               const QuantConfig&, RegressionResult&);
+                                               const QuantConfig&, PredictorProduct&);
 template void regression_construct_into<double>(std::span<const double>, const Extents&, double,
-                                                const QuantConfig&, RegressionResult&);
-template RegressionResult regression_construct<float>(std::span<const float>, const Extents&,
+                                                const QuantConfig&, PredictorProduct&);
+template PredictorProduct regression_construct<float>(std::span<const float>, const Extents&,
                                                       double, const QuantConfig&);
-template RegressionResult regression_construct<double>(std::span<const double>, const Extents&,
+template PredictorProduct regression_construct<double>(std::span<const double>, const Extents&,
                                                        double, const QuantConfig&);
 template sim::KernelCost regression_reconstruct<float>(std::span<const quant_t>,
                                                        std::span<const qdiff_t>,

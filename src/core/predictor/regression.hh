@@ -17,32 +17,25 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "core/eb.hh"
+#include "core/predictor/product.hh"
 #include "core/types.hh"
-#include "sim/aligned.hh"
 #include "sim/profile.hh"
 
 namespace szp {
 
-struct RegressionResult {
-  sim::device_vector<quant_t> quant;          ///< one code per element
-  sim::device_vector<qdiff_t> outlier_dense;  ///< residual quanta beyond radius
-  std::vector<float> coefficients;            ///< 4 per chunk: b0, b1, b2, b3
-  sim::KernelCost cost;
-};
-
-/// Fit per-chunk planes and quantize the residuals.
+/// Fit per-chunk planes and quantize the residuals; the product's
+/// coefficients hold 4 per chunk (b0, b1, b2, b3).
 template <typename T>
-[[nodiscard]] RegressionResult regression_construct(std::span<const T> data, const Extents& ext,
+[[nodiscard]] PredictorProduct regression_construct(std::span<const T> data, const Extents& ext,
                                                     double eb_abs, const QuantConfig& quant);
 
-/// Workspace-reuse variant: fills the caller's result struct with
+/// Workspace-reuse variant: fills the caller's product with
 /// capacity-preserving assigns (see core/workspace.hh).
 template <typename T>
 void regression_construct_into(std::span<const T> data, const Extents& ext, double eb_abs,
-                               const QuantConfig& quant, RegressionResult& res);
+                               const QuantConfig& quant, PredictorProduct& res);
 
 /// Reconstruct from codes + outliers + coefficients.  Fully parallel per
 /// element (no scan passes).

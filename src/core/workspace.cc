@@ -4,11 +4,8 @@ namespace szp {
 
 std::array<std::size_t, Workspace::kTrackedBuffers> Workspace::capacities() const {
   return {
-      lorenzo.quant.capacity(),     lorenzo.outlier_dense.capacity(),
-      regression.quant.capacity(),  regression.outlier_dense.capacity(),
-      regression.coefficients.capacity(),
-      interp.quant.capacity(),      interp.outlier_dense.capacity(),
-      interp.anchors.capacity(),
+      product.quant.capacity(),     product.outlier_dense.capacity(),
+      product.coefficients.capacity(),
       outliers.indices.capacity(),  outliers.values.capacity(),
       gather_tile_nnz.capacity(),   gather_offsets.capacity(),
       freq.capacity(),              hist_priv.capacity(),
@@ -16,7 +13,6 @@ std::array<std::size_t, Workspace::kTrackedBuffers> Workspace::capacities() cons
       huffman.gaps.capacity(),      huffman_chunk_bytes.capacity(),
       vle_freq.capacity(),          book_freq.capacity(),
       codec_bytes.capacity(),       slab_io.capacity(),
-      decode_quant.capacity(),      decode_scratch.capacity(),
   };
 }
 

@@ -5,7 +5,9 @@
 // their block-private replicas, the gathered outlier stream plus its tile
 // scratch, and the Huffman encoder's chunk metadata and payload.  Every
 // decompress() needs the mirror set: the outlier stream, the quant-codes
-// the codec decodes in place, and the predictor's reconstruct scratch.
+// the codec decodes in place, the predictor's aux payload and its
+// reconstruct scratch — the same predictor product compress fills, used
+// the other way round.
 // Allocating them per call makes repeated-field (and per-slab) work
 // malloc- and page-fault-bound; FZ-GPU makes the same observation for real
 // device buffers (HPDC'23).  A Workspace owns one instance of each buffer
@@ -33,9 +35,7 @@
 #include <vector>
 
 #include "core/huffman/codec.hh"
-#include "core/predictor/interpolation.hh"
-#include "core/predictor/lorenzo.hh"
-#include "core/predictor/regression.hh"
+#include "core/predictor/product.hh"
 #include "core/thread_safety.hh"
 #include "core/types.hh"
 #include "sim/aligned.hh"
@@ -47,10 +47,13 @@ namespace szp {
 /// them (see core/pipeline/stage.hh); unused slots stay empty and cost
 /// nothing.
 struct Workspace {
-  // --- Predictor products (one slot per registered predictor) -------------
-  LorenzoConstructResult lorenzo;
-  RegressionResult regression;
-  InterpolationResult interp;
+  // --- Predictor product, both directions ----------------------------------
+  /// Compress: every predictor's construct fills it.  Decode: the codec
+  /// decodes the quant-codes into `quant`, the stage reads its aux into
+  /// `coefficients`/`level`, and reconstruction takes `outlier_dense` as
+  /// scratch (Lorenzo's fused residuals, the dense outliers of regression
+  /// and interpolation).
+  PredictorProduct product;
 
   // --- Outlier gather (dense -> sparse); decode reads the stream into it ---
   sim::SparseVector<qdiff_t> outliers;
@@ -86,15 +89,8 @@ struct Workspace {
   /// streaming allocates no read buffers either.
   std::vector<std::uint8_t> slab_io;
 
-  // --- Decode ---------------------------------------------------------------
-  /// Quant-codes the codec decodes in place (core/codec/codec.hh).
-  sim::device_vector<quant_t> decode_quant;
-  /// PredictStage::reconstruct scratch: Lorenzo's fused residuals, the
-  /// dense outliers of regression and interpolation.
-  sim::device_vector<qdiff_t> decode_scratch;
-
   /// Number of tracked buffers in the capacity snapshot.
-  static constexpr std::size_t kTrackedBuffers = 24;
+  static constexpr std::size_t kTrackedBuffers = 17;
 
   /// Capacity snapshot of every tracked buffer, in a fixed order.  A fixed
   /// array (not a vector) so lease accounting itself never allocates —

@@ -207,6 +207,60 @@ TEST_F(CliTest, IntegerOptionsRejectSignsJunkAndOverflow) {
   }
 }
 
+TEST_F(CliTest, FloatingOptionsRejectJunkAndNonFiniteValues) {
+  // --eb, --psnr and --scale take one finite number and nothing after it;
+  // anything else exits 1 with an error that names the option, instead of
+  // running on a prefix of the value (1e-3abc as 1e-3).
+  const auto raw = path("e.f32");
+  ASSERT_EQ(run({"gen", "-o", raw, "--dataset", "HACC", "--field", "vx", "--scale",
+                 "0.003"}).code, 0);
+  const std::vector<std::pair<std::string, std::string>> bad{
+      {"--eb", "1e-3abc"}, {"--eb", ""},       {"--eb", " 1e-3"},    {"--eb", "inf"},
+      {"--eb", "nan"},     {"--psnr", "1e400"}, {"--psnr", "70dB"},
+  };
+  for (const auto& [option, value] : bad) {
+    const auto r =
+        run({"compress", "-i", raw, "-o", path("e.szp"), "-d", "25166", option, value});
+    EXPECT_EQ(r.code, 1) << option << " '" << value << "': " << r.out;
+    EXPECT_NE(r.err.find(option), std::string::npos) << option << " '" << value << "': " << r.err;
+  }
+  for (const std::string value : {"0.25x", "-", "1e999"}) {
+    const auto r = run({"gen", "-o", path("g.f32"), "--dataset", "HACC", "--field", "vx",
+                        "--scale", value});
+    EXPECT_EQ(r.code, 1) << value;
+    EXPECT_NE(r.err.find("--scale"), std::string::npos) << value << ": " << r.err;
+  }
+  EXPECT_EQ(run({"compress", "-i", raw, "-o", path("e.szp"), "-d", "25166", "--eb", "1E-3"}).code,
+            0);
+}
+
+TEST_F(CliTest, OptionsACommandDoesNotTakeAreRefused) {
+  // An unknown or inapplicable option exits 1 before the command runs, with
+  // an error that names the option and the command: a misspelled --double
+  // must not compress f64 bytes as floats.
+  const auto raw = path("u.f32");
+  const auto arc = path("u.szp");
+  ASSERT_EQ(run({"gen", "-o", raw, "--dataset", "HACC", "--field", "vx", "--scale",
+                 "0.003"}).code, 0);
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases{
+      {{"compress", "-i", raw, "-o", arc, "-d", "25166", "--dobule"}, "--dobule"},
+      {{"compress", "-i", raw, "-o", arc, "-d", "25166", "--serial-slabs"}, "--serial-slabs"},
+      {{"compress", "-i", raw, "-o", arc, "-d", "25166", "--check=words"}, "--check=words"},
+      {{"decompress", "-i", arc, "-o", path("u.out"), "--abs"}, "--abs"},
+      {{"info", "-i", arc, "--workers", "7"}, "--workers"},
+      {{"info", "-i", arc, "--bogus"}, "--bogus"},
+      {{"analyze", "--codec"}, "--codec"},
+      {{"verify", "-a", raw, "-b", raw, "--tolerant"}, "--tolerant"},
+  };
+  for (const auto& [args, option] : cases) {
+    const auto r = run(args);
+    EXPECT_EQ(r.code, 1) << args[0] << " " << option << ": " << r.out;
+    EXPECT_NE(r.err.find("'" + option + "'"), std::string::npos) << r.err;
+    EXPECT_NE(r.err.find("'" + args[0] + "'"), std::string::npos) << r.err;
+  }
+  EXPECT_FALSE(fs::exists(arc));
+}
+
 TEST_F(CliTest, VerifyComparesRawFiles) {
   const auto f1 = path("a.f32"), f2 = path("b.f32");
   szp::data::write_f32(f1, std::vector<float>{0.0f, 1.0f, 2.0f, 10.0f});

@@ -270,13 +270,13 @@ TEST(FuzzDecode, SplicedElementCountNeverSizesTheQuantBuffer) {
     Workspace ws;
     Decompressed out;
     Compressor::decompress(archive, out, ws);
-    const std::size_t capacity = ws.decode_quant.capacity();
+    const std::size_t capacity = ws.product.quant.capacity();
     auto spliced = archive;
     splice_u64(spliced, 9, std::uint64_t{1} << 24);  // nx of the 1-D grid
     restamp_crc(spliced);
     EXPECT_THROW(Compressor::decompress(spliced, out, ws), DecodeError)
         << "workflow " << static_cast<int>(wf);
-    EXPECT_EQ(ws.decode_quant.capacity(), capacity) << "workflow " << static_cast<int>(wf);
+    EXPECT_EQ(ws.product.quant.capacity(), capacity) << "workflow " << static_cast<int>(wf);
   }
 }
 

@@ -34,7 +34,7 @@ std::vector<float> roundtrip(std::span<const float> data, const Extents& ext, do
   interpolation_reconstruct<float>(
       std::span<const quant_t>(res.quant.data(), res.quant.size()),
       std::span<const qdiff_t>(res.outlier_dense.data(), res.outlier_dense.size()),
-      res.anchors, res.level, cfg.cubic, ext, eb, QuantConfig{}, out);
+      res.coefficients, res.level, cfg.cubic, ext, eb, QuantConfig{}, out);
   return out;
 }
 

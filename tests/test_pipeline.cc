@@ -1,9 +1,9 @@
 // Stage-pipeline architecture tests: golden archives pin the byte layout
-// across the registry/workspace refactor, the workspace pool is checked for
-// allocation-free steady state in both directions, decoding through a
-// reused workspace must match a fresh decode, parallel slab streaming must
-// produce the same container as serial, and the registry's lookup/override
-// contract is exercised end to end.
+// across the stage/workspace refactors, the workspace pool is checked for
+// allocation-free steady state in both directions, one workspace serving
+// decodes and compressions in any order must match fresh calls, parallel
+// slab streaming must produce the same container as serial, and the stage
+// and codec tables must follow the tags the archive header stores.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,10 +15,10 @@
 #include <vector>
 
 #include "core/archive.hh"
+#include "core/codec/codec.hh"
 #include "core/compressor.hh"
 #include "core/error.hh"
-#include "core/pipeline/builtin.hh"
-#include "core/pipeline/registry.hh"
+#include "core/pipeline/stage.hh"
 #include "core/streaming.hh"
 #include "data/io.hh"
 
@@ -226,6 +226,20 @@ TEST(DecodeReuse, OneWorkspaceDecodesAnySequenceLikeAFreshCall) {
     EXPECT_EQ(out.dtype, fresh.dtype) << "archive " << i;
     EXPECT_EQ(out.extents, fresh.extents) << "archive " << i;
     EXPECT_EQ(field_bytes(out), field_bytes(fresh)) << "archive " << i;
+
+    // Both directions share the workspace's predictor product: compressing
+    // the decoded field through `ws` under the archive's own settings must
+    // give a fresh compressor's archive, and leave `ws` for the next decode.
+    const auto info = Compressor::inspect(seq[i]);
+    CompressConfig cfg;
+    cfg.eb = ErrorBound::absolute(info.eb_abs);
+    cfg.quant.capacity = info.capacity;
+    cfg.predictor = info.predictor;
+    cfg.workflow = info.workflow;
+    const FieldView field(out.bytes(), out.dtype);
+    EXPECT_EQ(Compressor().compress(field, out.extents, cfg, ws).bytes,
+              Compressor(cfg).compress(field, out.extents).bytes)
+        << "archive " << i;
   }
 }
 
@@ -412,25 +426,33 @@ TEST(StreamingParallel, IndexMakesSlabAccessDirect) {
                std::out_of_range);
 }
 
-// --- Stage registry ---------------------------------------------------------
+// --- Stage and codec tables ------------------------------------------------
 
-TEST(StageRegistry, LookupsReturnMatchingStages) {
-  const auto& reg = pipeline::StageRegistry::instance();
-  for (const PredictorKind k : {PredictorKind::kLorenzo, PredictorKind::kRegression,
-                                PredictorKind::kInterpolation}) {
-    EXPECT_EQ(reg.predict(k).kind(), k);
+TEST(StageTable, CodecTableFollowsWorkflowTags) {
+  // Row i of the codec table is the codec the header's workflow tag i names.
+  const auto table = pipeline::codecs();
+  ASSERT_EQ(table.size(), 7u);
+  for (std::size_t tag = 0; tag < table.size(); ++tag) {
+    const auto wf = static_cast<Workflow>(tag);
+    EXPECT_EQ(table[tag]->id(), wf);
+    EXPECT_EQ(&pipeline::codec(wf), table[tag]);
   }
-  for (const Workflow wf : {Workflow::kHuffman, Workflow::kRle, Workflow::kRleVle,
-                            Workflow::kRans, Workflow::kLz77, Workflow::kLzh, Workflow::kLzr}) {
-    EXPECT_EQ(reg.codec(wf).id(), wf);
-  }
-  EXPECT_THROW((void)reg.codec(Workflow::kAuto), std::logic_error);
+  EXPECT_THROW((void)pipeline::codec(Workflow::kAuto), std::logic_error);
+  EXPECT_THROW((void)pipeline::codec(static_cast<Workflow>(7)), std::logic_error);
+
+  // Likewise the predictor tags, each stage known by its pinned report name.
+  EXPECT_STREQ(pipeline::predict_stage(PredictorKind::kLorenzo).construct_stage(),
+               "lorenzo_construct");
+  EXPECT_STREQ(pipeline::predict_stage(PredictorKind::kRegression).construct_stage(),
+               "regression_construct");
+  EXPECT_STREQ(pipeline::predict_stage(PredictorKind::kInterpolation).construct_stage(),
+               "interpolation_construct");
+  EXPECT_THROW((void)pipeline::predict_stage(static_cast<PredictorKind>(3)), std::logic_error);
 }
 
-TEST(StageRegistry, CodecNamesAreUniqueAndStable) {
-  const auto& reg = pipeline::StageRegistry::instance();
+TEST(StageTable, CodecNamesAreUniqueAndStable) {
   std::set<std::string> names;
-  for (const auto& codec : reg.codecs()) names.insert(codec->name());
+  for (const pipeline::LosslessCodec* codec : pipeline::codecs()) names.insert(codec->name());
   EXPECT_GE(names.size(), 7u);
   EXPECT_TRUE(names.count("huffman"));
   EXPECT_TRUE(names.count("rle"));
@@ -439,26 +461,6 @@ TEST(StageRegistry, CodecNamesAreUniqueAndStable) {
   EXPECT_TRUE(names.count("lz77"));
   EXPECT_TRUE(names.count("lzh"));
   EXPECT_TRUE(names.count("lzr"));
-}
-
-TEST(StageRegistry, LatestRegistrationWins) {
-  auto& reg = pipeline::StageRegistry::instance();
-  const pipeline::LosslessCodec* before = &reg.codec(Workflow::kHuffman);
-  // Register a second (functionally identical) Huffman codec; the lookup
-  // must now prefer it.  The override stays for the rest of the process,
-  // which is safe precisely because it is byte-compatible.
-  reg.add(pipeline::make_huffman_codec());
-  const pipeline::LosslessCodec* after = &reg.codec(Workflow::kHuffman);
-  EXPECT_NE(before, after);
-  EXPECT_EQ(after->id(), Workflow::kHuffman);
-
-  // The pipeline still assembles and round-trips through the override.
-  CompressConfig cfg;
-  cfg.eb = ErrorBound::absolute(1e-3);
-  cfg.workflow = Workflow::kHuffman;
-  const Extents ext = Extents::d2(24, 20);
-  const auto c = Compressor(cfg).compress(wave_f32(ext.count()), ext);
-  EXPECT_EQ(c.bytes, golden("lorenzo__huffman__f32.szp"));
 }
 
 }  // namespace

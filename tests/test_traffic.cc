@@ -187,7 +187,7 @@ TEST(TrafficKernels, Lorenzo3D) {
 
 TEST(TrafficKernels, RegressionConstruct) {
   const auto data = ramp(256);
-  RegressionResult res;
+  PredictorProduct res;
   const auto row = kernel_row("regression_construct", [&] {
     regression_construct_into<float>(data, Extents::d2(16, 16), 0.01, QuantConfig{}, res);
   });

@@ -4,6 +4,7 @@
 #include <array>
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <functional>
@@ -12,8 +13,7 @@
 #include <map>
 #include <optional>
 #include <stdexcept>
-
-#include <cmath>
+#include <string_view>
 
 #include "core/analysis/selector.hh"
 #include "core/compressor.hh"
@@ -22,7 +22,7 @@
 #include "core/huffman/codec.hh"
 #include "core/metrics.hh"
 #include "core/bundle.hh"
-#include "core/pipeline/registry.hh"
+#include "core/codec/codec.hh"
 #include "core/predictor/lorenzo.hh"
 #include "core/predictor/regression.hh"
 #include "core/rle/rle.hh"
@@ -63,36 +63,54 @@ struct Args {
   }
 };
 
-bool takes_value(const std::string& opt) {
-  static const std::vector<std::string> valued{"-i",          "-o",      "-d",     "--eb",
-                                               "--workflow",  "--codec", "--predictor", "--stream",
-                                               "--workers",   "--in",    "--out",
-                                               "--memory-budget",
-                                               "--dataset",   "--field", "--scale",
-                                               "--psnr",      "-a",      "-b",
-                                               "--name",      "--bundle",
-                                               "--rounds",    "--seed",
-                                               "--corpus",    "--replay"};
-  return std::find(valued.begin(), valued.end(), opt) != valued.end();
-}
+/// What one command accepts: options that take the next argument as their
+/// value, and bare flags.  A flag ending in '=' admits any text after it
+/// (--fuzz-schedule=N; the command parses the text).
+struct CommandOptions {
+  std::vector<std::string_view> valued;
+  std::vector<std::string_view> flags;
+};
 
-Args parse(const std::vector<std::string>& argv) {
+/// Parse `argv` (command first) against the command's table.  An option the
+/// command does not take is an error naming the option and the command.
+Args parse(const std::vector<std::string>& argv, const CommandOptions& accepts) {
   Args a;
-  if (argv.empty()) throw std::invalid_argument("no command given");
   a.command = argv[0];
+  const auto& valued = accepts.valued;
+  const auto& flags = accepts.flags;
   for (std::size_t i = 1; i < argv.size(); ++i) {
     const std::string& tok = argv[i];
     if (tok.empty() || tok[0] != '-') {
       throw std::invalid_argument("unexpected argument '" + tok + "'");
     }
-    if (takes_value(tok)) {
+    if (std::find(valued.begin(), valued.end(), tok) != valued.end()) {
       if (i + 1 >= argv.size()) throw std::invalid_argument("option " + tok + " needs a value");
       a.options[tok] = argv[++i];
-    } else {
-      a.flags.push_back(tok);
+      continue;
     }
+    if (std::none_of(flags.begin(), flags.end(), [&](std::string_view f) {
+          return f == tok || (f.ends_with('=') && tok.starts_with(f));
+        })) {
+      throw std::invalid_argument("unknown option '" + tok + "' for command '" + a.command + "'");
+    }
+    a.flags.push_back(tok);
   }
   return a;
+}
+
+/// The one parser for floating options: the whole value is one finite
+/// number (no trailing text, no inf or nan).  The error names the option.
+double parse_double(const std::string& option, const std::string& s) {
+  const char* const end = s.data() + s.size();
+  double v = 0.0;
+  const auto [p, ec] = std::from_chars(s.data(), end, v);
+  if (ec == std::errc::result_out_of_range) {
+    throw std::invalid_argument(option + " value '" + s + "' is out of range");
+  }
+  if (ec != std::errc() || p != end || !std::isfinite(v)) {
+    throw std::invalid_argument(option + " takes a finite number, not '" + s + "'");
+  }
+  return v;
 }
 
 /// The one parser for integer options: decimal digits only — no sign, no
@@ -138,18 +156,18 @@ Extents parse_dims(const std::string& spec) {
   }
 }
 
-/// Codec names come from the registry (LosslessCodec::name()); "auto" is
-/// the one name the registry does not hold.
+/// Codec names come from the codec table (LosslessCodec::name()); "auto"
+/// is the one name the table does not hold.
 Workflow parse_workflow(const std::string& s) {
   if (s == "auto") return Workflow::kAuto;
-  for (const auto& codec : pipeline::StageRegistry::instance().codecs()) {
+  for (const pipeline::LosslessCodec* codec : pipeline::codecs()) {
     if (s == codec->name()) return codec->id();
   }
   throw std::invalid_argument("unknown codec '" + s + "'");
 }
 
 const char* workflow_name(Workflow wf) {
-  return wf == Workflow::kAuto ? "auto" : pipeline::StageRegistry::instance().codec(wf).name();
+  return wf == Workflow::kAuto ? "auto" : pipeline::codec(wf).name();
 }
 
 PredictorKind parse_predictor(const std::string& s) {
@@ -228,9 +246,9 @@ int cmd_compress(const Args& a, std::ostream& out) {
 
   CompressConfig cfg;
   if (const auto psnr = a.get("--psnr")) {
-    cfg.eb = ErrorBound::psnr(std::stod(*psnr));
+    cfg.eb = ErrorBound::psnr(parse_double("--psnr", *psnr));
   } else {
-    const double eb = std::stod(a.get("--eb").value_or("1e-3"));
+    const double eb = parse_double("--eb", a.get("--eb").value_or("1e-3"));
     cfg.eb = a.has_flag("--abs") ? ErrorBound::absolute(eb) : ErrorBound::relative(eb);
   }
   // --codec is the canonical spelling now that the lossless tier is
@@ -332,7 +350,7 @@ int cmd_gen(const Args& a, std::ostream& out) {
   const auto out_path = a.require("-o");
   const auto dataset = a.require("--dataset");
   const auto field = a.require("--field");
-  const double scale = std::stod(a.get("--scale").value_or("0.25"));
+  const double scale = parse_double("--scale", a.get("--scale").value_or("0.25"));
 
   const auto ds = data::make_dataset(dataset, scale);
   const auto& f = data::find_field(ds, field);
@@ -458,7 +476,7 @@ void analyze_suite() {
                                     {lv.outlier_dense.data(), lv.outlier_dense.size()}, e3, eb,
                                     qcfg, std::span<float>(rec));
 
-  RegressionResult rg;
+  PredictorProduct rg;
   regression_construct_into<float>(field, e3, eb, qcfg, rg);
   regression_reconstruct<float>({rg.quant.data(), rg.quant.size()},
                                 {rg.outlier_dense.data(), rg.outlier_dense.size()},
@@ -536,7 +554,7 @@ void analyze_suite() {
 
 /// `szp analyze --codecs`: run the cost-model selector over canned quant-code
 /// histograms spanning the compressibility regimes and print the full score
-/// table — every registered codec, best first — for each.  The histograms are
+/// table — every codec, best first — for each.  The histograms are
 /// fixed, so the output is deterministic.
 void codec_score_tables(std::ostream& out) {
   struct Scenario {
@@ -652,7 +670,7 @@ void usage(std::ostream& err) {
          "  szp analyze    [--traffic] [--roofline] [--codecs]\n"
          "compress also accepts --psnr TARGET_DB in place of --eb, and\n"
          "--workflow as a historical alias for --codec.  --codec auto (the\n"
-         "default) ranks every registered lossless codec with the cost model\n"
+         "default) ranks every lossless codec with the cost model\n"
          "and picks the best under the ratio/throughput objective.\n"
          "--tolerant salvages the intact entries of a corrupt bundle (warnings list\n"
          "the damaged ones).  fuzz mutates round-trip archives of every format and\n"
@@ -676,7 +694,9 @@ void usage(std::ostream& err) {
          "even one single-plane slab cannot fit); the container bytes are\n"
          "identical to the in-memory API's under the same config.  Ingest uses\n"
          "mmap when available; --no-mmap forces positional reads through\n"
-         "budget-metered staging buffers.  Integer options take digits only.\n"
+         "budget-metered staging buffers.  Integer options take digits only;\n"
+         "--eb, --psnr and --scale take one finite number, nothing after it.  A\n"
+         "command exits 1 on an option it does not take.\n"
          "--check replays the run under the simulated-GPU race & bounds checker\n"
          "(exit 3 if violations are found); SZP_SIM_CHECK=1 enables it globally.\n"
          "--check=word upgrades to word-granular shadow memory (racecheck-style\n"
@@ -695,7 +715,7 @@ void usage(std::ostream& err) {
          "the V100 DeviceSpec.  Either flag also fails (exit 3) when a\n"
          "contract-carrying kernel has no nonzero derived volumes.\n"
          "analyze --codecs instead prints the selector's deterministic score\n"
-         "table — every registered lossless codec ranked by the cost model —\n"
+         "table — every lossless codec ranked by the cost model —\n"
          "over canned quant-code histograms spanning the compressibility\n"
          "regimes (rough through plateau).\n";
 }
@@ -703,27 +723,50 @@ void usage(std::ostream& err) {
 }  // namespace
 
 int run(const std::vector<std::string>& args, std::ostream& out, std::ostream& err) {
+  using Handler = int (*)(const Args&, std::ostream&);
+  struct Command {
+    std::string_view name;
+    Handler handler;
+    CommandOptions accepts;
+  };
+  const auto help = [](const Args&, std::ostream& o) {
+    usage(o);
+    return 0;
+  };
+  // compress and decompress run under maybe_checked(), so they take its flags.
+  const Command commands[] = {
+      {"compress",
+       [](const Args& a, std::ostream& o) {
+         return maybe_checked(a, o, [&] { return cmd_compress(a, o); });
+       },
+       {{"-i", "-o", "--in", "--out", "-d", "--eb", "--psnr", "--codec", "--workflow",
+         "--predictor", "--stream", "--workers", "--memory-budget"},
+        {"--abs", "--double", "--no-mmap", "--check", "--check=word", "--fuzz-schedule",
+         "--fuzz-schedule="}}},
+      {"decompress",
+       [](const Args& a, std::ostream& o) {
+         return maybe_checked(a, o, [&] { return cmd_decompress(a, o); });
+       },
+       {{"-i", "-o", "--in", "--out", "--workers", "--memory-budget"},
+        {"--no-mmap", "--check", "--check=word", "--fuzz-schedule", "--fuzz-schedule="}}},
+      {"analyze", cmd_analyze, {{}, {"--traffic", "--roofline", "--codecs"}}},
+      {"info", cmd_info, {{"-i"}, {}}},
+      {"gen", cmd_gen, {{"-o", "--dataset", "--field", "--scale"}, {}}},
+      {"verify", cmd_verify, {{"-a", "-b"}, {"--double"}}},
+      {"bundle-add", cmd_bundle_add, {{"--bundle", "--name", "-i"}, {}}},
+      {"bundle-list", cmd_bundle_list, {{"--bundle"}, {"--tolerant"}}},
+      {"bundle-extract", cmd_bundle_extract, {{"--bundle", "--name", "-o"}, {"--tolerant"}}},
+      {"fuzz", cmd_fuzz, {{"--rounds", "--seed", "--corpus", "--replay"}, {"-v", "--verbose"}}},
+      {"help", help, {}},
+      {"--help", help, {}},
+      {"-h", help, {}},
+  };
   try {
-    const Args a = parse(args);
-    if (a.command == "compress") {
-      return maybe_checked(a, out, [&] { return cmd_compress(a, out); });
+    if (args.empty()) throw std::invalid_argument("no command given");
+    for (const Command& c : commands) {
+      if (c.name == args[0]) return c.handler(parse(args, c.accepts), out);
     }
-    if (a.command == "decompress") {
-      return maybe_checked(a, out, [&] { return cmd_decompress(a, out); });
-    }
-    if (a.command == "analyze") return cmd_analyze(a, out);
-    if (a.command == "info") return cmd_info(a, out);
-    if (a.command == "gen") return cmd_gen(a, out);
-    if (a.command == "verify") return cmd_verify(a, out);
-    if (a.command == "bundle-add") return cmd_bundle_add(a, out);
-    if (a.command == "bundle-list") return cmd_bundle_list(a, out);
-    if (a.command == "bundle-extract") return cmd_bundle_extract(a, out);
-    if (a.command == "fuzz") return cmd_fuzz(a, out);
-    if (a.command == "help" || a.command == "--help" || a.command == "-h") {
-      usage(out);
-      return 0;
-    }
-    err << "unknown command '" << a.command << "'\n";
+    err << "unknown command '" << args[0] << "'\n";
     usage(err);
     return 2;
   } catch (const DecodeError& e) {
