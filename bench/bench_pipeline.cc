@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "bench/bench_util.hh"
+#include "core/io/io.hh"
 #include "core/streaming.hh"
 #include "sim/check.hh"
 #include "sim/perf_model.hh"
@@ -254,11 +255,8 @@ int main(int argc, char** argv) {
   const fs::path raw_path = oocore_dir / "field.f32";
   const fs::path cont_path = oocore_dir / "field.szpc";
   const fs::path dec_path = oocore_dir / "restored.f32";
-  {
-    std::ofstream f(raw_path, std::ios::binary | std::ios::trunc);
-    f.write(reinterpret_cast<const char*>(data.data()),
-            static_cast<std::streamsize>(data.size() * sizeof(float)));
-  }
+  io::write_file(raw_path, {reinterpret_cast<const std::uint8_t*>(data.data()),
+                            data.size() * sizeof(float)});
   StreamingConfig oocore_cfg = parallel_cfg;
   oocore_cfg.memory_budget = std::size_t{32} << 20;
   oocore_cfg.use_mmap = false;
@@ -268,15 +266,7 @@ int main(int argc, char** argv) {
   const auto oostats =
       streamers[0]->compress_file(raw_path, cont_path, ext, DType::kFloat32, oocore_cfg);
   const double oocore_file_s = seconds_since(t_oo);
-  std::vector<std::uint8_t> cont_bytes;
-  {
-    std::ifstream f(cont_path, std::ios::binary | std::ios::ate);
-    cont_bytes.resize(static_cast<std::size_t>(f.tellg()));
-    f.seekg(0);
-    f.read(reinterpret_cast<char*>(cont_bytes.data()),
-           static_cast<std::streamsize>(cont_bytes.size()));
-  }
-  const bool oocore_identical = cont_bytes == mem_oocore.bytes;
+  const bool oocore_identical = io::read_file(cont_path) == mem_oocore.bytes;
   const bool oocore_within_budget =
       oostats.peak_resident_bytes <= oocore_cfg.memory_budget;
 
@@ -286,9 +276,9 @@ int main(int argc, char** argv) {
   const auto fdec = StreamingCompressor::decompress_file(cont_path, dec_path, oocore_cfg);
   std::vector<float> dec_file(elems);
   {
-    std::ifstream f(dec_path, std::ios::binary);
-    f.read(reinterpret_cast<char*>(dec_file.data()),
-           static_cast<std::streamsize>(dec_file.size() * sizeof(float)));
+    const auto bytes = io::read_file(dec_path);
+    std::memcpy(dec_file.data(), bytes.data(),
+                std::min(bytes.size(), dec_file.size() * sizeof(float)));
   }
   const bool decode_identical =
       fdec.stats.original_bytes == mem_decoded.data.size() * sizeof(float) &&

@@ -121,18 +121,13 @@ class HuffmanCodec final : public LosslessCodec {
   void encode(std::span<const quant_t> quant, const EncodeContext& ctx, Workspace& ws,
               ByteWriter& w, sim::PipelineReport& report) const override {
     sim::Timer t;
-    const bool cached = ws.book_freq.size() == ctx.freq.size() &&
-                        std::equal(ws.book_freq.begin(), ws.book_freq.end(), ctx.freq.begin());
-    if (!cached) {
-      ws.book = HuffmanCodebook::build(ctx.freq);
-      ws.book_freq.assign(ctx.freq.begin(), ctx.freq.end());
-    }
-    report.add({"huffman_book", ctx.original_bytes, t.seconds(), ws.book.build_cost()});
+    const auto book = HuffmanCodebook::build(ctx.freq);
+    report.add({"huffman_book", ctx.original_bytes, t.seconds(), book.build_cost()});
     t.reset();
-    huffman_encode_into(quant, ws.book, ctx.cfg.huffman_chunk, HuffmanEncVariant::kOptimized,
+    huffman_encode_into(quant, book, ctx.cfg.huffman_chunk, HuffmanEncVariant::kOptimized,
                         ctx.cfg.huffman_gap_stride, ws.huffman, ws.huffman_chunk_bytes);
     report.add({"huffman_encode", ctx.original_bytes, t.seconds(), ws.huffman.cost});
-    write_huffman_section(w, ws.book, ws.huffman);
+    write_huffman_section(w, book, ws.huffman);
   }
 
   void decode(ByteReader& r, const DecodeContext& ctx, sim::device_vector<quant_t>& out,

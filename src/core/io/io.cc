@@ -1,19 +1,14 @@
 #include "core/io/io.hh"
 
-#include <cerrno>
-#include <cstring>
-#include <stdexcept>
-#include <system_error>
-
-#if defined(__unix__) || defined(__APPLE__)
-#define SZP_HAVE_POSIX_IO 1
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#else
-#define SZP_HAVE_POSIX_IO 0
-#endif
+
+#include <cerrno>
+#include <cstring>
+#include <stdexcept>
+#include <system_error>
 
 namespace szp::io {
 
@@ -42,26 +37,18 @@ FileFieldSource::FileFieldSource(const std::filesystem::path& path) : path_(path
   const auto sz = std::filesystem::file_size(path, ec);
   if (ec) fail("cannot stat file", path_);
   size_ = static_cast<std::size_t>(sz);
-#if SZP_HAVE_POSIX_IO
   fd_ = ::open(path_.c_str(), O_RDONLY);
   if (fd_ < 0) fail_errno("cannot open file", path_);
-#else
-  stream_.open(path, std::ios::binary);
-  if (!stream_) fail("cannot open file", path_);
-#endif
 }
 
 FileFieldSource::~FileFieldSource() {
-#if SZP_HAVE_POSIX_IO
   if (fd_ >= 0) ::close(fd_);
-#endif
 }
 
 void FileFieldSource::read_at(std::size_t offset, std::span<std::uint8_t> out) const {
   if (offset > size_ || out.size() > size_ - offset) {
     fail("read past end of file", name());
   }
-#if SZP_HAVE_POSIX_IO
   std::size_t got = 0;
   while (got < out.size()) {
     const ssize_t n = ::pread(fd_, out.data() + got, out.size() - got,
@@ -73,19 +60,9 @@ void FileFieldSource::read_at(std::size_t offset, std::span<std::uint8_t> out) c
     if (n == 0) fail("short read (file truncated underneath us?)", name());
     got += static_cast<std::size_t>(n);
   }
-#else
-  const std::lock_guard<std::mutex> lk(stream_mutex_);
-  stream_.clear();
-  stream_.seekg(static_cast<std::streamoff>(offset));
-  stream_.read(reinterpret_cast<char*>(out.data()), static_cast<std::streamsize>(out.size()));
-  if (stream_.gcount() != static_cast<std::streamsize>(out.size())) {
-    fail("short read", name());
-  }
-#endif
 }
 
 MmapFieldSource::MmapFieldSource(const std::filesystem::path& path) : path_(path.string()) {
-#if SZP_HAVE_POSIX_IO
   const int fd = ::open(path_.c_str(), O_RDONLY);
   if (fd < 0) fail_errno("cannot open file", path_);
   struct stat st{};
@@ -105,15 +82,10 @@ MmapFieldSource::MmapFieldSource(const std::filesystem::path& path) : path_(path
     map_ = nullptr;
     fail_errno("mmap failed", path_);
   }
-#else
-  fail("mmap is unavailable on this platform", path_);
-#endif
 }
 
 MmapFieldSource::~MmapFieldSource() {
-#if SZP_HAVE_POSIX_IO
   if (map_ != nullptr) ::munmap(map_, size_);
-#endif
 }
 
 void MmapFieldSource::read_at(std::size_t offset, std::span<std::uint8_t> out) const {
@@ -123,11 +95,9 @@ void MmapFieldSource::read_at(std::size_t offset, std::span<std::uint8_t> out) c
   std::memcpy(out.data(), static_cast<const std::uint8_t*>(map_) + offset, out.size());
 }
 
-bool MmapFieldSource::supported() { return SZP_HAVE_POSIX_IO != 0; }
-
 std::unique_ptr<FieldSource> open_field_source(const std::filesystem::path& path,
                                                SourceMode mode) {
-  if (mode == SourceMode::kAuto && MmapFieldSource::supported()) {
+  if (mode == SourceMode::kAuto) {
     std::error_code ec;
     const auto sz = std::filesystem::file_size(path, ec);
     if (!ec && sz > 0) {
@@ -156,6 +126,19 @@ void FileSink::write(std::span<const std::uint8_t> bytes) {
 void FileSink::finish() {
   out_.flush();
   if (!out_) fail("flush failed", path_);
+}
+
+std::vector<std::uint8_t> read_file(const std::filesystem::path& path) {
+  const FileFieldSource src(path);
+  std::vector<std::uint8_t> bytes(src.size_bytes());
+  src.read_at(0, bytes);
+  return bytes;
+}
+
+void write_file(const std::filesystem::path& path, std::span<const std::uint8_t> bytes) {
+  FileSink sink(path);
+  sink.write(bytes);
+  sink.finish();
 }
 
 }  // namespace szp::io

@@ -1,4 +1,5 @@
-// szp::io — the byte-source / byte-sink seam under out-of-core streaming.
+// szp::io — the one file layer: every file szplus reads or writes, and the
+// byte-source / byte-sink seam under out-of-core streaming.
 //
 // The slab pipeline (core/streaming.*) never touches files directly: it
 // reads its input through a FieldSource (positional, thread-safe reads so
@@ -10,26 +11,31 @@
 //   * SpanFieldSource — an in-memory field; view() exposes it zero-copy, so
 //     the classic compress(span) entry points lose nothing by routing
 //     through the seam.
-//   * FileFieldSource — a plain file read with positional pread(2)-style
-//     calls into caller-owned buffers; the only implementation whose
-//     resident cost is exactly the buffers the pipeline chooses to hold,
-//     so it is what the memory-budget tests meter.
+//   * FileFieldSource — a plain file read with pread(2) into caller-owned
+//     buffers; the only implementation whose resident cost is exactly the
+//     buffers the pipeline chooses to hold, so it is what the memory-budget
+//     tests meter.
 //   * MmapFieldSource — the file mapped read-only; view() exposes the
 //     mapping, giving zero-copy slab spans while the kernel's page cache
 //     handles residency (the huawei-competition repo's ingest idiom).
 //
 // Sinks mirror the split: VectorSink retains the container in memory (the
 // classic API), FileSink appends to disk so finished slabs leave RAM as
-// soon as they are packed.  Sources and sinks throw std::runtime_error on
-// I/O failure; the pipeline's ordered-drain engine turns a mid-slab fault
-// into the deterministic lowest-index error, same as a compute fault.
+// soon as they are packed.  Whole-file callers (the CLI, the fuzz corpus,
+// raw SDRBench fields) use read_file()/write_file(), which are one
+// FileFieldSource read and one FileSink write.  Sources and sinks throw
+// std::runtime_error on I/O failure, naming the path; the pipeline's
+// ordered-drain engine turns a mid-slab fault into the deterministic
+// lowest-index error, same as a compute fault.
+//
+// The layer is POSIX (pread, mmap); no other file in src/ or tools/ opens a
+// file stream (tools/lint.sh enforces it).
 #pragma once
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -107,9 +113,8 @@ class SpanFieldSource final : public FieldSource {
   std::span<const std::uint8_t> bytes_;
 };
 
-/// Plain-file source with positional reads (pread(2) where available, a
-/// mutex-serialized seek+read fallback elsewhere).  No view: every byte the
-/// pipeline holds is a buffer the pipeline chose to allocate.
+/// Plain-file source with positional pread(2) reads.  No view: every byte
+/// the pipeline holds is a buffer the pipeline chose to allocate.
 class FileFieldSource final : public FieldSource {
  public:
   explicit FileFieldSource(const std::filesystem::path& path);
@@ -122,14 +127,13 @@ class FileFieldSource final : public FieldSource {
  private:
   std::string path_;
   std::size_t size_ = 0;
-  int fd_ = -1;                    ///< POSIX descriptor (pread path)
-  mutable std::ifstream stream_;   ///< portable fallback
-  mutable std::mutex stream_mutex_;
+  int fd_ = -1;
 };
 
-/// Read-only mmap of a whole file; view() exposes the mapping.  Falls back
-/// is the caller's job: open_field_source() prefers mmap and degrades to
-/// FileFieldSource when mapping is unavailable.
+/// Read-only mmap of a whole non-empty file; view() exposes the mapping.
+/// Falling back is the caller's job: open_field_source() prefers mmap and
+/// degrades to FileFieldSource when a mapping fails (a filesystem may
+/// refuse one).
 class MmapFieldSource final : public FieldSource {
  public:
   explicit MmapFieldSource(const std::filesystem::path& path);
@@ -142,9 +146,6 @@ class MmapFieldSource final : public FieldSource {
   }
   [[nodiscard]] std::string name() const override { return path_; }
 
-  /// Whether this build can mmap at all (POSIX).
-  [[nodiscard]] static bool supported();
-
  private:
   std::string path_;
   std::size_t size_ = 0;
@@ -153,7 +154,7 @@ class MmapFieldSource final : public FieldSource {
 
 /// How open_field_source() should back a file.
 enum class SourceMode {
-  kAuto,  ///< mmap when supported and the file is non-empty, else pread
+  kAuto,  ///< mmap when the file is non-empty and maps, else pread
   kRead,  ///< positional reads only (bounded-residency ingest)
 };
 
@@ -194,5 +195,13 @@ class FileSink final : public ContainerSink {
   std::ofstream out_;
   std::size_t written_ = 0;
 };
+
+/// A whole file, read through FileFieldSource.  Throws std::runtime_error
+/// naming the path when it cannot be opened or read.
+[[nodiscard]] std::vector<std::uint8_t> read_file(const std::filesystem::path& path);
+
+/// Create or truncate `path` and write `bytes` through FileSink.  Throws
+/// std::runtime_error naming the path when it cannot be opened or written.
+void write_file(const std::filesystem::path& path, std::span<const std::uint8_t> bytes);
 
 }  // namespace szp::io

@@ -164,7 +164,10 @@ void interpolation_construct_into(std::span<const T> data, const Extents& ext, d
   // before any finer level reads it.
   std::vector<float> rec(n);
 
-  // Anchors: stored raw (float) on the 2^L lattice, raster order.
+  // Anchors: stored as float on the 2^L lattice, raster order.  The
+  // lattice keeps the float; the anchor's own code slot quantizes what the
+  // rounding to float lost (nothing for float32 fields), so double anchors
+  // decode within the bound too.
   res.coefficients.clear();
   res.coefficients.reserve(interpolation_anchor_count(ext, res.level));
   for (std::size_t z = 0; z < ext.nz; z += (ext.rank >= 3 ? stride : ext.nz)) {
@@ -173,6 +176,8 @@ void interpolation_construct_into(std::span<const T> data, const Extents& ext, d
         const std::size_t gi = ext.index(z, y, x);
         const auto v = static_cast<float>(data[gi]);
         res.coefficients.push_back(v);
+        (void)codec.encode(static_cast<double>(data[gi]), v, &res.quant[gi],
+                           &res.outlier_dense[gi]);
         rec[gi] = v;
       }
     }
@@ -216,24 +221,29 @@ sim::KernelCost interpolation_reconstruct(std::span<const quant_t> quant,
   const std::size_t stride = std::size_t{1} << lvl;
   const PointCodec codec{1.0 / (2.0 * eb_abs), 2.0 * eb_abs, qcfg.radius()};
 
+  // Every value is written to `out` before it is rounded into the float
+  // lattice the predictions read, so a double field keeps its precision.
   std::vector<float> rec(n);
   std::size_t a = 0;
   for (std::size_t z = 0; z < ext.nz; z += (ext.rank >= 3 ? stride : ext.nz)) {
     for (std::size_t y = 0; y < ext.ny; y += (ext.rank >= 2 ? stride : ext.ny)) {
       for (std::size_t x = 0; x < ext.nx; x += stride) {
-        rec[ext.index(z, y, x)] = anchors[a++];
+        const std::size_t gi = ext.index(z, y, x);
+        rec[gi] = anchors[a++];
+        out[gi] = static_cast<T>(codec.decode(quant[gi], outlier_dense[gi], rec[gi]));
       }
     }
   }
 
   for (std::size_t s = stride / 2; s >= 1; s /= 2) {
     sweep_level(ext, rec.data(), s, cubic, [&](std::size_t gi, double pred) {
-      rec[gi] = static_cast<float>(codec.decode(quant[gi], outlier_dense[gi], pred));
+      const double v = codec.decode(quant[gi], outlier_dense[gi], pred);
+      out[gi] = static_cast<T>(v);
+      rec[gi] = static_cast<float>(v);
     });
     if (s == 1) break;
   }
 
-  for (std::size_t i = 0; i < n; ++i) out[i] = static_cast<T>(rec[i]);
   return interpolation_cost(ext, lvl, sizeof(T));
 }
 

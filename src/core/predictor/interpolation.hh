@@ -2,7 +2,7 @@
 // ICDE'21 — the paper's reference [19], "dynamic spline interpolation").
 //
 // A dyadic hierarchy over the whole field: anchors on a coarse 2^L-stride
-// lattice are stored raw; every finer level predicts its new points by
+// lattice are stored as float; every finer level predicts its new points by
 // interpolating *reconstructed* values along one axis at a time (cubic
 // where four neighbors exist, linear at borders), and quantizes the
 // residuals like the other predictors.  Compression and decompression walk
@@ -29,9 +29,10 @@ struct InterpolationConfig {
 };
 
 /// Predict level by level and quantize the residuals.  In the product,
-/// anchor points carry the code `radius`, `coefficients` holds the raw
-/// anchor values on the 2^level lattice (raster order) and `level` the L
-/// actually used.
+/// `coefficients` holds the anchor values rounded to float on the 2^level
+/// lattice (raster order), each anchor point's code quantizes what that
+/// rounding lost (the code `radius`, a zero residual, for float32 fields),
+/// and `level` is the L actually used.
 template <typename T>
 [[nodiscard]] PredictorProduct interpolation_construct(std::span<const T> data,
                                                        const Extents& ext, double eb_abs,

@@ -69,14 +69,6 @@ struct Workspace {
   std::vector<std::uint64_t> huffman_chunk_bytes;
   std::vector<std::uint64_t> vle_freq;        ///< RLE+VLE stream histograms
 
-  /// Codebook memoization: the canonical book is a pure function of the
-  /// histogram, so a reused workspace skips the serial rebuild when the
-  /// histogram repeats (time-series snapshots of one field) — the build is
-  /// the latency bottleneck on small fields (codebook.hh).  Deterministic
-  /// construction keeps the cached and rebuilt books byte-identical.
-  HuffmanCodebook book;
-  std::vector<std::uint64_t> book_freq;  ///< histogram `book` was built from
-
   /// Packed little-endian quant-code bytes for the LZ codec family
   /// (core/codec/lz_codecs.cc): the pack kernel fills it in place, so
   /// repeated LZ compression allocates no staging buffer.
@@ -90,7 +82,7 @@ struct Workspace {
   std::vector<std::uint8_t> slab_io;
 
   /// Number of tracked buffers in the capacity snapshot.
-  static constexpr std::size_t kTrackedBuffers = 17;
+  static constexpr std::size_t kTrackedBuffers = 16;
 
   /// Capacity snapshot of every tracked buffer, in a fixed order.  A fixed
   /// array (not a vector) so lease accounting itself never allocates —

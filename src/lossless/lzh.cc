@@ -7,7 +7,6 @@
 #include "core/huffman/bitio.hh"
 #include "core/huffman/codebook.hh"
 #include "core/serialize.hh"
-#include "lossless/lz77.hh"
 #include "sim/check.hh"
 
 namespace szp::lossless {
@@ -19,13 +18,8 @@ constexpr std::uint32_t kMagic = 0x485A4C53;  // "SLZH"
 }  // namespace
 
 std::vector<std::uint8_t> lzh_compress(std::span<const std::uint8_t> input,
-                                       const LzhConfig& cfg) {
-  Lz77Config lzcfg;
-  lzcfg.window = cfg.window;
-  lzcfg.max_chain = cfg.max_chain;
-  lzcfg.min_match = cfg.min_match;
-  lzcfg.max_match = cfg.max_match;
-  const auto tokens = lz77_tokenize(input, lzcfg);
+                                       const Lz77Config& cfg) {
+  const auto tokens = lz77_tokenize(input, cfg);
 
   std::vector<std::uint64_t> lit_freq(kLitLenAlphabet, 0);
   std::vector<std::uint64_t> dist_freq(kDistAlphabet, 0);

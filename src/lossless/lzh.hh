@@ -13,19 +13,14 @@
 #include <span>
 #include <vector>
 
-namespace szp::lossless {
+#include "lossless/lz77.hh"
 
-struct LzhConfig {
-  std::size_t window = 32768;     ///< max match distance
-  std::size_t max_chain = 128;    ///< hash-chain search depth
-  std::size_t min_match = 3;
-  std::size_t max_match = 258;
-};
+namespace szp::lossless {
 
 /// Compress a byte stream.  Output is self-describing (original size and
 /// both codebooks are embedded).
 [[nodiscard]] std::vector<std::uint8_t> lzh_compress(std::span<const std::uint8_t> input,
-                                                     const LzhConfig& cfg = {});
+                                                     const Lz77Config& cfg = {});
 
 /// Inverse of lzh_compress.  Throws szp::DecodeError on malformed input.
 [[nodiscard]] std::vector<std::uint8_t> lzh_decompress(std::span<const std::uint8_t> input);

@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <sstream>
 #include <stdexcept>
@@ -11,8 +12,8 @@
 #include <vector>
 
 #include "core/eb.hh"
+#include "core/io/io.hh"
 #include "core/metrics.hh"
-#include "data/io.hh"
 #include "tools/cli.hh"
 
 namespace {
@@ -29,6 +30,19 @@ CliResult run(std::vector<std::string> args) {
   std::ostringstream out, err;
   const int code = szp::cli::run(args, out, err);
   return {code, out.str(), err.str()};
+}
+
+/// A raw float32 file, the format `szp gen` writes and `szp decompress`
+/// restores.
+std::vector<float> read_f32(const std::string& p) {
+  const auto bytes = szp::io::read_file(p);
+  std::vector<float> v(bytes.size() / sizeof(float));
+  std::memcpy(v.data(), bytes.data(), v.size() * sizeof(float));
+  return v;
+}
+void write_f32(const std::string& p, const std::vector<float>& v) {
+  szp::io::write_file(p, {reinterpret_cast<const std::uint8_t*>(v.data()),
+                          v.size() * sizeof(float)});
 }
 
 class CliTest : public ::testing::Test {
@@ -71,8 +85,8 @@ TEST_F(CliTest, GenCompressInfoDecompressRoundTrip) {
   r = run({"decompress", "-i", szp_file, "-o", restored});
   ASSERT_EQ(r.code, 0) << r.err;
 
-  const auto original = szp::data::read_f32(raw);
-  const auto roundtrip = szp::data::read_f32(restored);
+  const auto original = read_f32(raw);
+  const auto roundtrip = read_f32(restored);
   ASSERT_EQ(original.size(), roundtrip.size());
   const auto m = szp::compare_fields(original, roundtrip);
   const auto range = szp::ValueRange::of(original);
@@ -108,8 +122,8 @@ TEST_F(CliTest, CodecOptionSelectsLosslessTier) {
     r = run({"info", "-i", arc});
     EXPECT_NE(r.out.find(codec), std::string::npos) << codec;
     ASSERT_EQ(run({"decompress", "-i", arc, "-o", restored}).code, 0) << codec;
-    const auto original = szp::data::read_f32(raw);
-    const auto roundtrip = szp::data::read_f32(restored);
+    const auto original = read_f32(raw);
+    const auto roundtrip = read_f32(restored);
     ASSERT_EQ(original.size(), roundtrip.size()) << codec;
     const auto m = szp::compare_fields(original, roundtrip);
     const auto range = szp::ValueRange::of(original);
@@ -149,7 +163,7 @@ TEST_F(CliTest, StreamingContainer) {
   EXPECT_NE(r.out.find("streaming container"), std::string::npos);
 
   ASSERT_EQ(run({"decompress", "-i", arc, "-o", restored}).code, 0);
-  EXPECT_EQ(szp::data::read_f32(restored).size(), szp::data::read_f32(raw).size());
+  EXPECT_EQ(read_f32(restored).size(), read_f32(raw).size());
 }
 
 TEST_F(CliTest, IntegerOptionsRejectSignsJunkAndOverflow) {
@@ -263,14 +277,14 @@ TEST_F(CliTest, OptionsACommandDoesNotTakeAreRefused) {
 
 TEST_F(CliTest, VerifyComparesRawFiles) {
   const auto f1 = path("a.f32"), f2 = path("b.f32");
-  szp::data::write_f32(f1, std::vector<float>{0.0f, 1.0f, 2.0f, 10.0f});
-  szp::data::write_f32(f2, std::vector<float>{0.5f, 1.0f, 2.0f, 10.0f});
+  write_f32(f1, std::vector<float>{0.0f, 1.0f, 2.0f, 10.0f});
+  write_f32(f2, std::vector<float>{0.5f, 1.0f, 2.0f, 10.0f});
   const auto r = run({"verify", "-a", f1, "-b", f2});
   ASSERT_EQ(r.code, 0) << r.err;
   EXPECT_NE(r.out.find("max |error|: 0.5"), std::string::npos) << r.out;
   EXPECT_NE(r.out.find("PSNR"), std::string::npos);
 
-  szp::data::write_f32(f2, std::vector<float>{1.0f, 2.0f});
+  write_f32(f2, std::vector<float>{1.0f, 2.0f});
   EXPECT_EQ(run({"verify", "-a", f1, "-b", f2}).code, 1);
 }
 
@@ -282,7 +296,7 @@ TEST_F(CliTest, PsnrTargetOption) {
                  "0.06"}).code, 0);
   ASSERT_EQ(run({"compress", "-i", raw, "-o", arc, "-d", "15x23x23", "--psnr", "70"}).code, 0);
   ASSERT_EQ(run({"decompress", "-i", arc, "-o", restored}).code, 0);
-  const auto m = szp::compare_fields(szp::data::read_f32(raw), szp::data::read_f32(restored));
+  const auto m = szp::compare_fields(read_f32(raw), read_f32(restored));
   EXPECT_GT(m.psnr_db, 69.5);
 }
 
@@ -305,7 +319,7 @@ TEST_F(CliTest, BundleWorkflow) {
   ASSERT_EQ(run({"bundle-extract", "--bundle", bundle, "--name", "tight", "-o", out_arc}).code,
             0);
   ASSERT_EQ(run({"decompress", "-i", out_arc, "-o", restored}).code, 0);
-  EXPECT_EQ(szp::data::read_f32(restored).size(), szp::data::read_f32(raw).size());
+  EXPECT_EQ(read_f32(restored).size(), read_f32(raw).size());
 
   // Duplicate names and missing fields are reported as errors.
   EXPECT_EQ(run({"bundle-add", "--bundle", bundle, "--name", "loose", "-i", arc1}).code, 1);
@@ -321,10 +335,10 @@ TEST_F(CliTest, CorruptArchivesExitWithCodeFour) {
 
   // Truncate the archive in place: decode failures on damaged input are a
   // distinct exit code (4), separate from usage errors (1/2).
-  auto bytes = szp::data::read_bytes(arc);
+  auto bytes = szp::io::read_file(arc);
   ASSERT_GT(bytes.size(), 8u);
   bytes.resize(bytes.size() / 2);
-  szp::data::write_bytes(arc, bytes);
+  szp::io::write_file(arc, bytes);
 
   auto r = run({"decompress", "-i", arc, "-o", path("c_out.f32")});
   EXPECT_EQ(r.code, 4);
@@ -345,9 +359,9 @@ TEST_F(CliTest, TolerantBundleSalvage) {
   // Damage only the trailing whole-blob CRC: strict listing refuses with
   // exit 4; --tolerant warns and lists both fields (their per-entry CRCs
   // still verify).
-  auto bytes = szp::data::read_bytes(bundle);
+  auto bytes = szp::io::read_file(bundle);
   bytes.back() ^= 0xff;
-  szp::data::write_bytes(bundle, bytes);
+  szp::io::write_file(bundle, bytes);
 
   EXPECT_EQ(run({"bundle-list", "--bundle", bundle}).code, 4);
 
@@ -379,8 +393,8 @@ TEST_F(CliTest, DoubleFieldsRoundTripInMemoryAndStreamed) {
     const double x = static_cast<double>(i);
     field[i] = std::sin(0.01 * x) + 1e-3 * std::cos(0.37 * x);
   }
-  szp::data::write_bytes(raw, {reinterpret_cast<const std::uint8_t*>(field.data()),
-                               field.size() * sizeof(double)});
+  szp::io::write_file(raw, {reinterpret_cast<const std::uint8_t*>(field.data()),
+                            field.size() * sizeof(double)});
   const double eb = 1e-6;  // below float32 resolution of O(1) values
   for (const bool stream : {false, true}) {
     const std::string tag = stream ? "streamed" : "in-memory";
@@ -405,18 +419,28 @@ TEST_F(CliTest, DoubleFieldsRoundTripInMemoryAndStreamed) {
 
 TEST_F(CliTest, DoubleInputMustBeWholeElements) {
   const auto seven = path("seven.f64");
-  szp::data::write_bytes(seven, std::vector<std::uint8_t>(7, 0x3f));
+  szp::io::write_file(seven, std::vector<std::uint8_t>(7, 0x3f));
   auto r = run({"compress", "-i", seven, "-o", path("seven.szp"), "-d", "1", "--double"});
   EXPECT_EQ(r.code, 1);
   EXPECT_NE(r.err.find("not a whole number of elements"), std::string::npos) << r.err;
   r = run({"verify", "-a", seven, "-b", seven, "--double"});
   EXPECT_EQ(r.code, 1);
   EXPECT_NE(r.err.find("not a whole number of elements"), std::string::npos) << r.err;
+
+  // Five bytes are not whole float32 elements either.
+  const auto five = path("five.f32");
+  szp::io::write_file(five, std::vector<std::uint8_t>{'a', 'b', 'c', 'd', 'e'});
+  r = run({"compress", "-i", five, "-o", path("five.szp"), "-d", "1"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("not a whole number of elements"), std::string::npos) << r.err;
+  r = run({"verify", "-a", five, "-b", five});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("not a whole number of elements"), std::string::npos) << r.err;
 }
 
 TEST_F(CliTest, EmptyInputIsRejected) {
   const auto empty = path("empty.f32");
-  szp::data::write_bytes(empty, {});
+  szp::io::write_file(empty, {});
   EXPECT_EQ(run({"compress", "-i", empty, "-o", path("e.szp"), "-d", "10"}).code, 1);
   EXPECT_EQ(run({"compress", "-i", empty, "-o", path("e.szp"), "-d", "10", "--double"}).code, 1);
   // Two empty fields compare equal.
@@ -426,17 +450,35 @@ TEST_F(CliTest, EmptyInputIsRejected) {
 }
 
 TEST_F(CliTest, ErrorsAreReported) {
-  EXPECT_EQ(run({"compress", "-i", path("missing.f32"), "-o", path("x.szp"), "-d", "10"}).code, 1);
   EXPECT_EQ(run({"compress", "-o", path("x.szp"), "-d", "10"}).code, 1);  // no -i
-  EXPECT_EQ(run({"info", "-i", path("missing.szp")}).code, 1);
   EXPECT_EQ(run({"gen", "-o", path("g.f32"), "--dataset", "NOPE", "--field", "x"}).code, 1);
+
+  // A missing input exits 1 and the error names it.
+  const auto missing = path("missing.f32");
+  const std::vector<std::vector<std::string>> readers{
+      {"compress", "-i", missing, "-o", path("x.szp"), "-d", "10"},
+      {"decompress", "-i", missing, "-o", path("x.f32")},
+      {"info", "-i", missing},
+      {"verify", "-a", missing, "-b", missing},
+      {"bundle-list", "--bundle", missing}};
+  for (const auto& args : readers) {
+    const auto r = run(args);
+    EXPECT_EQ(r.code, 1) << args[0] << ": " << r.out;
+    EXPECT_NE(r.err.find(missing), std::string::npos) << args[0] << ": " << r.err;
+  }
 
   // Dim mismatch against the file size.
   const auto raw = path("tiny.f32");
-  szp::data::write_f32(raw, std::vector<float>{1, 2, 3, 4});
-  const auto r = run({"compress", "-i", raw, "-o", path("t.szp"), "-d", "5"});
+  write_f32(raw, std::vector<float>{1, 2, 3, 4});
+  auto r = run({"compress", "-i", raw, "-o", path("t.szp"), "-d", "5"});
   EXPECT_EQ(r.code, 1);
   EXPECT_NE(r.err.find("elements"), std::string::npos);
+
+  // So does an output that cannot be created.
+  const auto unwritable = path("no_such_dir/t.szp");
+  r = run({"compress", "-i", raw, "-o", unwritable, "-d", "4"});
+  EXPECT_EQ(r.code, 1) << r.out;
+  EXPECT_NE(r.err.find(unwritable), std::string::npos) << r.err;
 }
 
 }  // namespace

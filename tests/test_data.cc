@@ -1,14 +1,14 @@
 // Synthetic data substrate tests: determinism, knob behavior, catalog
-// integrity, raw I/O.
+// integrity, and the whole-file I/O raw fields load through.
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <random>
 
 #include "core/analysis/madogram.hh"
+#include "core/io/io.hh"
 #include "data/catalog.hh"
-#include "data/io.hh"
 #include "data/synthetic.hh"
 
 namespace {
@@ -157,25 +157,30 @@ TEST(Catalog, SmoothFieldsAreSmootherThanRoughOnes) {
 TEST(Io, F32RoundTrip) {
   const auto path = std::filesystem::temp_directory_path() / "szp_io_test.f32";
   const std::vector<float> data{1.0f, -2.5f, 3.25f, 0.0f};
-  write_f32(path, data);
-  EXPECT_EQ(read_f32(path), data);
+  io::write_file(path, {reinterpret_cast<const std::uint8_t*>(data.data()),
+                        data.size() * sizeof(float)});
+  const auto bytes = io::read_file(path);
+  ASSERT_EQ(bytes.size(), data.size() * sizeof(float));
+  EXPECT_EQ(std::memcmp(bytes.data(), data.data(), bytes.size()), 0);
+  // A raw SDRBench field is its bytes viewed as elements.
+  EXPECT_EQ(FieldView(bytes, DType::kFloat32).size(), data.size());
+
+  // Writing truncates, and an empty file reads back empty.
+  io::write_file(path, {});
+  EXPECT_EQ(std::filesystem::file_size(path), 0u);
+  EXPECT_TRUE(io::read_file(path).empty());
   std::filesystem::remove(path);
 }
 
 TEST(Io, MissingFileThrows) {
-  EXPECT_THROW((void)read_f32("/nonexistent/definitely/missing.f32"), std::runtime_error);
-}
-
-TEST(Io, NonWholeFloatCountThrows) {
-  const auto path = std::filesystem::temp_directory_path() / "szp_io_bad.bin";
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fputs("abcde", f);  // 5 bytes
-    std::fclose(f);
+  const std::string missing = "/nonexistent/definitely/missing.f32";
+  try {
+    (void)io::read_file(missing);
+    ADD_FAILURE() << "read_file returned for a missing file";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(missing), std::string::npos) << e.what();
   }
-  EXPECT_THROW((void)read_f32(path), std::runtime_error);
-  std::filesystem::remove(path);
+  EXPECT_THROW(io::write_file(missing, {}), std::runtime_error);
 }
 
 }  // namespace

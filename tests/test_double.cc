@@ -8,7 +8,9 @@
 #include <random>
 #include <span>
 #include <stdexcept>
+#include <tuple>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/compressor.hh"
@@ -35,22 +37,50 @@ std::vector<double> smooth_field_f64(const Extents& ext, std::uint32_t seed, dou
 
 class DoubleSweep : public ::testing::TestWithParam<std::tuple<int, double, Workflow>> {};
 
+/// Every predictor, on the smooth field at a relative bound and on the field
+/// offset by 1000 at the same absolute bound: near 1000 the float32 spacing
+/// (6.1e-5) is coarser than 1e-5, so nothing a predictor keeps as float may
+/// reach the output.  The offset field also goes through the 2-worker slab
+/// engine.
 TEST_P(DoubleSweep, RoundTripHonorsErrorBound) {
   const auto [rank, eb, wf] = GetParam();
   const Extents ext = rank == 1   ? Extents::d1(3000)
                       : rank == 2 ? Extents::d2(50, 60)
                                   : Extents::d3(14, 15, 16);
   const auto data = smooth_field_f64(ext, static_cast<std::uint32_t>(rank), 1e-3);
+  auto offset = data;
+  for (auto& x : offset) x += 1000.0;
 
-  CompressConfig cfg;
-  cfg.eb = ErrorBound::relative(eb);
-  cfg.workflow = wf;
-  const auto c = Compressor(cfg).compress(data, ext);
-  const auto d = Compressor::decompress(c.bytes);
-  ASSERT_EQ(d.dtype, DType::kFloat64);
-  EXPECT_TRUE(d.data.empty());
-  ASSERT_EQ(d.data_f64.size(), data.size());
-  EXPECT_LT(compare_fields(data, d.data_f64).max_abs_error, c.stats.eb_abs);
+  for (const PredictorKind pred :
+       {PredictorKind::kLorenzo, PredictorKind::kRegression, PredictorKind::kInterpolation}) {
+    SCOPED_TRACE(pred == PredictorKind::kLorenzo      ? "lorenzo"
+                 : pred == PredictorKind::kRegression ? "regression"
+                                                      : "interpolation");
+    CompressConfig cfg;
+    cfg.workflow = wf;
+    cfg.predictor = pred;
+    using Case = std::pair<const std::vector<double>*, ErrorBound>;
+    for (const auto& [field, bound] :
+         {Case{&data, ErrorBound::relative(eb)}, Case{&offset, ErrorBound::absolute(eb)}}) {
+      cfg.eb = bound;
+      const auto c = Compressor(cfg).compress(*field, ext);
+      const auto d = Compressor::decompress(c.bytes);
+      ASSERT_EQ(d.dtype, DType::kFloat64);
+      EXPECT_TRUE(d.data.empty());
+      ASSERT_EQ(d.data_f64.size(), field->size());
+      EXPECT_LT(compare_fields(*field, d.data_f64).max_abs_error, c.stats.eb_abs)
+          << (field == &data ? "relative" : "absolute, offset by 1000");
+    }
+
+    StreamingConfig scfg;
+    scfg.base = cfg;
+    scfg.workers = 2;
+    scfg.max_slab_elems = ext.count() / 4;
+    const auto container = StreamingCompressor(scfg).compress(offset, ext).bytes;
+    const auto d = StreamingCompressor::decompress(container);
+    ASSERT_EQ(d.data_f64.size(), offset.size());
+    EXPECT_LT(compare_fields(offset, d.data_f64).max_abs_error, eb) << "2-worker slabs";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -16,13 +16,13 @@
 #include "core/checksum.hh"
 #include "core/compressor.hh"
 #include "core/error.hh"
+#include "core/io/io.hh"
 #include "core/huffman/bitio.hh"
 #include "core/huffman/codebook.hh"
 #include "core/huffman/codec.hh"
 #include "core/serialize.hh"
 #include "core/streaming.hh"
 #include "core/types.hh"
-#include "data/io.hh"
 #include "sim/launch.hh"
 #include "tools/cli.hh"
 #include "tools/fuzz_decode.hh"
@@ -501,22 +501,22 @@ TEST(FuzzCorpus, ReplayFailsOnVerdictDrift) {
 
   // An artifact claiming a valid archive must be rejected: the decode
   // accepts it, which replay reports as drift.
-  data::write_bytes(dir / "accepts.szpf",
-                    make_artifact(DecodeErrorKind::kTruncated, "szp/huffman-1d-f32", "header",
-                                  valid));
+  io::write_file(dir / "accepts.szpf",
+                 make_artifact(DecodeErrorKind::kTruncated, "szp/huffman-1d-f32", "header",
+                               valid));
   // A truncated archive does throw (checksum-mismatch: the whole-archive
   // CRC is verified first), but the artifact recorded a different kind:
   // also drift.
   auto cut = valid;
   cut.resize(20);
-  data::write_bytes(dir / "wrong-kind.szpf",
-                    make_artifact(DecodeErrorKind::kBadVersion, "szp/huffman-1d-f32",
-                                  "archive", cut));
+  io::write_file(dir / "wrong-kind.szpf",
+                 make_artifact(DecodeErrorKind::kBadVersion, "szp/huffman-1d-f32", "archive",
+                               cut));
   // An unknown target name cannot be replayed at all.
-  data::write_bytes(dir / "unknown.szpf",
-                    make_artifact(DecodeErrorKind::kTruncated, "mystery/format", "header", cut));
+  io::write_file(dir / "unknown.szpf",
+                 make_artifact(DecodeErrorKind::kTruncated, "mystery/format", "header", cut));
   // A corrupt artifact file itself.
-  data::write_bytes(dir / "garbage.szpf", std::vector<std::uint8_t>{1, 2, 3});
+  io::write_file(dir / "garbage.szpf", std::vector<std::uint8_t>{1, 2, 3});
 
   std::ostringstream out;
   const auto rep = fuzz::replay(dir.string(), out);

@@ -12,7 +12,7 @@ namespace {
 using szp::lossless::lzh_compress;
 using szp::lossless::lzh_decompress;
 using szp::lossless::lzh_ratio;
-using szp::lossless::LzhConfig;
+using szp::lossless::Lz77Config;
 
 std::vector<std::uint8_t> bytes_of(const std::string& s) {
   return {s.begin(), s.end()};
@@ -88,7 +88,7 @@ TEST(Lzh, ConfigKnobsStillRoundTrip) {
   std::vector<std::uint8_t> input(30000);
   for (auto& b : input) b = static_cast<std::uint8_t>(rng() % 16);
   for (const std::size_t chain : {1u, 8u, 1024u}) {
-    LzhConfig cfg;
+    Lz77Config cfg;
     cfg.max_chain = chain;
     EXPECT_EQ(lzh_decompress(lzh_compress(input, cfg)), input) << "chain=" << chain;
   }

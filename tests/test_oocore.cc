@@ -7,7 +7,6 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <span>
 #include <stdexcept>
@@ -48,22 +47,6 @@ struct TempDir {
   ~TempDir() { fs::remove_all(dir); }
   [[nodiscard]] fs::path operator/(const std::string& leaf) const { return dir / leaf; }
 };
-
-void write_file(const fs::path& p, std::span<const std::uint8_t> bytes) {
-  std::ofstream f(p, std::ios::binary | std::ios::trunc);
-  f.write(reinterpret_cast<const char*>(bytes.data()),
-          static_cast<std::streamsize>(bytes.size()));
-  ASSERT_TRUE(f.good());
-}
-
-std::vector<std::uint8_t> read_file(const fs::path& p) {
-  std::ifstream f(p, std::ios::binary | std::ios::ate);
-  EXPECT_TRUE(f.good()) << p;
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(f.tellg()));
-  f.seekg(0);
-  f.read(reinterpret_cast<char*>(bytes.data()), static_cast<std::streamsize>(bytes.size()));
-  return bytes;
-}
 
 StreamingConfig oocore_cfg(std::size_t workers, std::size_t max_slab_elems) {
   StreamingConfig cfg;
@@ -184,7 +167,7 @@ TEST(OocoreFaults, MidSlabWriteErrorPropagatesDeterministically) {
 TEST(OocoreFaults, TruncatedRawFileIsRefusedUpFront) {
   TempDir tmp("truncated_raw");
   const auto data = wave(1000);
-  write_file(tmp / "short.f32", raw_bytes(data));  // 1000 floats on disk ...
+  io::write_file(tmp / "short.f32", raw_bytes(data));  // 1000 floats on disk ...
 
   StreamingCompressor sc(oocore_cfg(2, 512));
   for (const bool mmap : {true, false}) {
@@ -204,14 +187,14 @@ TEST(OocoreFaults, TruncatedContainerFileIsACleanDecodeError) {
   TempDir tmp("truncated_container");
   const Extents ext = Extents::d2(48, 128);
   const auto data = wave(ext.count());
-  write_file(tmp / "field.f32", raw_bytes(data));
+  io::write_file(tmp / "field.f32", raw_bytes(data));
   StreamingCompressor sc(oocore_cfg(2, 4 * 128));
   (void)sc.compress_file(tmp / "field.f32", tmp / "field.szpc", ext, DType::kFloat32);
 
-  const auto container = read_file(tmp / "field.szpc");
+  const auto container = io::read_file(tmp / "field.szpc");
   for (const double frac : {0.0, 0.1, 0.5, 0.9}) {
     const std::size_t keep = static_cast<std::size_t>(frac * static_cast<double>(container.size()));
-    write_file(tmp / "cut.szpc", std::span<const std::uint8_t>(container.data(), keep));
+    io::write_file(tmp / "cut.szpc", std::span<const std::uint8_t>(container.data(), keep));
     for (const bool mmap : {true, false}) {
       StreamingConfig cfg;
       cfg.use_mmap = mmap;
@@ -239,7 +222,7 @@ std::string verdict_of(const std::function<void()>& decode) {
 /// The verdicts of the three container decode routes on `bytes`: in memory,
 /// file through mmap, file through positional reads (`--no-mmap`).
 std::vector<std::string> route_verdicts(const TempDir& tmp, std::span<const std::uint8_t> bytes) {
-  write_file(tmp / "damaged.szpc", bytes);
+  io::write_file(tmp / "damaged.szpc", bytes);
   std::vector<std::string> verdicts{
       verdict_of([&] { (void)StreamingCompressor::decompress(bytes); })};
   for (const bool mmap : {true, false}) {
@@ -262,7 +245,7 @@ struct Artifact {
 };
 
 Artifact read_artifact(const fs::path& path) {
-  const auto bytes = read_file(path);
+  const auto bytes = io::read_file(path);
   ByteReader r(bytes);
   (void)r.get<std::uint32_t>();
   (void)r.get<std::uint8_t>();
@@ -322,7 +305,7 @@ TEST(OocoreIdentity, WorkerSweepFileMatchesMemory) {
   TempDir tmp("worker_sweep");
   const Extents ext = Extents::d2(96, 128);
   const auto data = wave(ext.count());
-  write_file(tmp / "field.f32", raw_bytes(data));
+  io::write_file(tmp / "field.f32", raw_bytes(data));
 
   for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
     const StreamingConfig cfg = oocore_cfg(workers, 8 * 128);
@@ -333,7 +316,7 @@ TEST(OocoreIdentity, WorkerSweepFileMatchesMemory) {
       fcfg.use_mmap = mmap;
       const auto stats = StreamingCompressor(fcfg).compress_file(
           tmp / "field.f32", tmp / "field.szpc", ext, DType::kFloat32);
-      EXPECT_EQ(read_file(tmp / "field.szpc"), memory.bytes)
+      EXPECT_EQ(io::read_file(tmp / "field.szpc"), memory.bytes)
           << workers << " workers, mmap=" << mmap;
       EXPECT_EQ(stats.compressed_bytes, memory.bytes.size());
 
@@ -341,7 +324,7 @@ TEST(OocoreIdentity, WorkerSweepFileMatchesMemory) {
           StreamingCompressor::decompress_file(tmp / "field.szpc", tmp / "out.f32", fcfg);
       EXPECT_EQ(info.extents.count(), ext.count());
       const auto reference = StreamingCompressor::decompress(memory.bytes, fcfg);
-      EXPECT_EQ(read_file(tmp / "out.f32"),
+      EXPECT_EQ(io::read_file(tmp / "out.f32"),
                 std::vector<std::uint8_t>(
                     reinterpret_cast<const std::uint8_t*>(reference.data.data()),
                     reinterpret_cast<const std::uint8_t*>(reference.data.data() +
@@ -357,7 +340,7 @@ TEST(OocoreBudget, LargerThanBudgetFieldRoundTripsWithinBudget) {
   TempDir tmp("budget_roundtrip");
   const Extents ext = Extents::d2(256, 1024);  // 1 MB of raw float32
   const auto data = wave(ext.count());
-  write_file(tmp / "field.f32", raw_bytes(data));
+  io::write_file(tmp / "field.f32", raw_bytes(data));
 
   StreamingConfig cfg = oocore_cfg(4, 16 * 1024);
   cfg.memory_budget = std::size_t{256} << 10;  // 256 KB — a quarter of the field
@@ -369,13 +352,13 @@ TEST(OocoreBudget, LargerThanBudgetFieldRoundTripsWithinBudget) {
                                       DType::kFloat32);
   EXPECT_GT(stats.peak_resident_bytes, 0u);
   EXPECT_LE(stats.peak_resident_bytes, cfg.memory_budget);
-  EXPECT_EQ(StreamingCompressor::slab_count(read_file(tmp / "field.szpc")),
+  EXPECT_EQ(StreamingCompressor::slab_count(io::read_file(tmp / "field.szpc")),
             stats.slabs.size());
 
   // The budgeted file container matches the in-memory compress under the
   // same config — the budget shapes the plan, not the bytes.
   const auto memory = sc.compress(data, ext);
-  EXPECT_EQ(read_file(tmp / "field.szpc"), memory.bytes);
+  EXPECT_EQ(io::read_file(tmp / "field.szpc"), memory.bytes);
 
   // Decoded-slab buffers are recycled within a run and stay on the
   // residency meter for as long as the run holds them, so the peak covers
@@ -394,7 +377,7 @@ TEST(OocoreBudget, LargerThanBudgetFieldRoundTripsWithinBudget) {
     EXPECT_LE(info.stats.peak_resident_bytes, cfg.memory_budget) << workers << " workers";
     EXPECT_GE(info.stats.peak_resident_bytes, largest_slab_bytes) << workers << " workers";
 
-    const auto restored_bytes = read_file(tmp / "restored.f32");
+    const auto restored_bytes = io::read_file(tmp / "restored.f32");
     ASSERT_EQ(restored_bytes.size(), data.size() * sizeof(float));
     std::vector<float> restored(data.size());
     std::memcpy(restored.data(), restored_bytes.data(), restored_bytes.size());
@@ -413,7 +396,7 @@ TEST(OocoreBudget, BudgetedContainerIgnoresWorkerCount) {
   TempDir tmp("budget_widths");
   const Extents ext = Extents::d2(256, 1024);
   const auto data = wave(ext.count());
-  write_file(tmp / "field.f32", raw_bytes(data));
+  io::write_file(tmp / "field.f32", raw_bytes(data));
 
   std::vector<std::uint8_t> reference;
   for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
@@ -425,7 +408,7 @@ TEST(OocoreBudget, BudgetedContainerIgnoresWorkerCount) {
                                                               DType::kFloat32);
     EXPECT_LE(stats.peak_resident_bytes, cfg.memory_budget) << workers << " workers";
     EXPECT_LE(stats.workers_used, std::min<std::size_t>(workers, 4)) << workers << " workers";
-    const auto bytes = read_file(tmp / "field.szpc");
+    const auto bytes = io::read_file(tmp / "field.szpc");
     if (reference.empty()) {
       reference = bytes;
       EXPECT_GT(stats.slabs.size(), 1u);
@@ -443,7 +426,7 @@ TEST(OocoreBudget, BudgetBelowTheDefaultWindowRunsOneSlabAtATime) {
   TempDir tmp("budget_window_one");
   const Extents ext = Extents::d2(4, 50000);  // one plane is 200 KB
   const auto data = wave(ext.count());
-  write_file(tmp / "field.f32", raw_bytes(data));
+  io::write_file(tmp / "field.f32", raw_bytes(data));
 
   StreamingConfig cfg = oocore_cfg(4, ext.count());
   cfg.memory_budget = std::size_t{500} << 10;
@@ -458,7 +441,7 @@ TEST(OocoreBudget, BudgetBelowTheDefaultWindowRunsOneSlabAtATime) {
       StreamingCompressor::decompress_file(tmp / "field.szpc", tmp / "restored.f32", cfg);
   EXPECT_EQ(info.stats.workers_used, 1u);
   EXPECT_LE(info.stats.peak_resident_bytes, cfg.memory_budget);
-  const auto restored = read_file(tmp / "restored.f32");
+  const auto restored = io::read_file(tmp / "restored.f32");
   ASSERT_EQ(restored.size(), data.size() * sizeof(float));
   for (std::size_t i = 0; i < data.size(); ++i) {
     float v = 0.0f;
@@ -471,7 +454,7 @@ TEST(OocoreBudget, TooSmallBudgetIsRefusedWithAClearError) {
   TempDir tmp("budget_refused");
   const Extents ext = Extents::d2(2, 50000);  // one plane alone is ~200 KB
   const auto data = wave(ext.count());
-  write_file(tmp / "field.f32", raw_bytes(data));
+  io::write_file(tmp / "field.f32", raw_bytes(data));
 
   StreamingConfig cfg = oocore_cfg(2, ext.count());
   cfg.memory_budget = std::size_t{100} << 10;
@@ -501,7 +484,7 @@ TEST(OocoreBudget, TooSmallBudgetIsRefusedWithAClearError) {
   }
   // In-memory decode runs the same engine, so the budget binds it too.
   try {
-    (void)StreamingCompressor::decompress(read_file(tmp / "field.szpc"), dec);
+    (void)StreamingCompressor::decompress(io::read_file(tmp / "field.szpc"), dec);
     FAIL() << "undersized in-memory decode budget accepted";
   } catch (const ConfigError& e) {
     EXPECT_NE(std::string(e.what()).find("too small to decode"), std::string::npos)

@@ -18,9 +18,9 @@
 #include "core/codec/codec.hh"
 #include "core/compressor.hh"
 #include "core/error.hh"
+#include "core/io/io.hh"
 #include "core/pipeline/stage.hh"
 #include "core/streaming.hh"
-#include "data/io.hh"
 
 namespace {
 
@@ -47,7 +47,7 @@ std::vector<double> wave_f64(std::size_t n) {
 }
 
 std::vector<std::uint8_t> golden(const std::string& name) {
-  return data::read_bytes(std::string(SZP_GOLDEN_DIR) + "/" + name);
+  return io::read_file(std::string(SZP_GOLDEN_DIR) + "/" + name);
 }
 
 /// A wave under uniform noise: with a 16-code quantizer and a 1e-3 bound

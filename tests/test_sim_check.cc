@@ -4,12 +4,12 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <random>
 #include <sstream>
 #include <vector>
 
 #include "core/compressor.hh"
+#include "core/io/io.hh"
 #include "core/metrics.hh"
 #include "sim/check.hh"
 #include "tools/cli.hh"
@@ -197,11 +197,8 @@ TEST(SimCheck, CliCheckFlagReportsClean) {
   fs::create_directories(dir);
   const Extents ext = Extents::d1(4096);
   const auto data = smooth_field(ext, 7);
-  {
-    std::ofstream f((dir / "in.f32").string(), std::ios::binary);
-    f.write(reinterpret_cast<const char*>(data.data()),
-            static_cast<std::streamsize>(data.size() * sizeof(float)));
-  }
+  io::write_file(dir / "in.f32", {reinterpret_cast<const std::uint8_t*>(data.data()),
+                                   data.size() * sizeof(float)});
   std::ostringstream out, err;
   const int rc = szp::cli::run({"compress", "-i", (dir / "in.f32").string(), "-o",
                                 (dir / "out.szp").string(), "-d", "4096", "--eb", "1e-3",

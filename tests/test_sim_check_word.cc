@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
 #include <random>
 #include <set>
 #include <sstream>
@@ -16,6 +15,7 @@
 #include "core/compressor.hh"
 #include "core/huffman/codebook.hh"
 #include "core/huffman/codec.hh"
+#include "core/io/io.hh"
 #include "core/metrics.hh"
 #include "lossless/lzh.hh"
 #include "lossless/lzr.hh"
@@ -588,11 +588,8 @@ TEST(SimCheckWordCli, WordAndFuzzFlagsReportClean) {
   fs::create_directories(dir);
   const Extents ext = Extents::d1(4096);
   const auto data = smooth_field(ext, 13);
-  {
-    std::ofstream f((dir / "in.f32").string(), std::ios::binary);
-    f.write(reinterpret_cast<const char*>(data.data()),
-            static_cast<std::streamsize>(data.size() * sizeof(float)));
-  }
+  io::write_file(dir / "in.f32", {reinterpret_cast<const std::uint8_t*>(data.data()),
+                                   data.size() * sizeof(float)});
   {
     std::ostringstream out, err;
     const int rc = szp::cli::run({"compress", "-i", (dir / "in.f32").string(), "-o",

@@ -6,7 +6,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstring>
-#include <fstream>
+#include <filesystem>
 #include <functional>
 #include <iomanip>
 #include <limits>
@@ -23,12 +23,12 @@
 #include "core/metrics.hh"
 #include "core/bundle.hh"
 #include "core/codec/codec.hh"
+#include "core/io/io.hh"
 #include "core/predictor/lorenzo.hh"
 #include "core/predictor/regression.hh"
 #include "core/rle/rle.hh"
 #include "core/streaming.hh"
 #include "data/catalog.hh"
-#include "data/io.hh"
 #include "data/synthetic.hh"
 #include "lossless/lzh.hh"
 #include "lossless/lzr.hh"
@@ -277,7 +277,7 @@ int cmd_compress(const Args& a, std::ostream& out) {
     return 0;
   }
 
-  const auto raw = data::read_bytes(in_path);
+  const auto raw = io::read_file(in_path);
   const FieldView field(raw, field_dtype(a));
   if (field.size() != ext.count()) {
     throw std::runtime_error("file holds " + std::to_string(field.size()) +
@@ -286,7 +286,7 @@ int cmd_compress(const Args& a, std::ostream& out) {
   const auto c = Compressor(cfg).compress(field, ext);
   out << "workflow: " << workflow_name(c.stats.workflow_used)
       << "  outliers: " << c.stats.outlier_count << "\n";
-  data::write_bytes(out_path, c.bytes);
+  io::write_file(out_path, c.bytes);
   out << "compressed " << ext.count() << " values -> " << c.bytes.size() << " bytes (ratio "
       << c.stats.ratio << "x)\n";
   return 0;
@@ -299,10 +299,11 @@ int cmd_decompress(const Args& a, std::ostream& out) {
   // Containers and single archives are distinguished by magic.  A container
   // streams slab by slab, file to file; a bare archive has no slab
   // structure to stream, so it decodes in memory.
-  std::array<char, 4> magic{};
-  std::ifstream probe(in_path, std::ios::binary);
-  probe.read(magic.data(), magic.size());
-  if (probe.gcount() == 4 && std::memcmp(magic.data(), "SZPC", 4) == 0) {
+  std::array<std::uint8_t, 4> magic{};
+  if (const io::FileFieldSource probe(in_path); probe.size_bytes() >= magic.size()) {
+    probe.read_at(0, magic);
+  }
+  if (std::memcmp(magic.data(), "SZPC", 4) == 0) {
     const StreamingConfig scfg = streaming_config(a);
     const auto info = StreamingCompressor::decompress_file(in_path, out_path, scfg);
     out << "streamed " << info.stats.slabs.size() << " slabs (" << info.stats.workers_used
@@ -315,15 +316,15 @@ int cmd_decompress(const Args& a, std::ostream& out) {
   }
   if (a.get("--memory-budget")) out << "note: not an SZPC container; --memory-budget ignored\n";
 
-  const auto bytes = data::read_bytes(in_path);
+  const auto bytes = io::read_file(in_path);
   const auto d = Compressor::decompress(bytes);
-  data::write_bytes(out_path, d.bytes());
+  io::write_file(out_path, d.bytes());
   out << "decompressed " << bytes.size() << " bytes -> " << d.bytes().size() << " bytes\n";
   return 0;
 }
 
 int cmd_info(const Args& a, std::ostream& out) {
-  const auto bytes = data::read_bytes(a.require("-i"));
+  const auto bytes = io::read_file(a.require("-i"));
   if (bytes.size() >= 4 && std::memcmp(bytes.data(), "SZPC", 4) == 0) {
     out << "szp streaming container, " << StreamingCompressor::slab_count(bytes)
         << " slabs, " << bytes.size() << " bytes\n";
@@ -355,7 +356,8 @@ int cmd_gen(const Args& a, std::ostream& out) {
   const auto ds = data::make_dataset(dataset, scale);
   const auto& f = data::find_field(ds, field);
   const auto values = data::generate_field(f.spec);
-  data::write_f32(out_path, values);
+  io::write_file(out_path, {reinterpret_cast<const std::uint8_t*>(values.data()),
+                            values.size() * sizeof(float)});
   const Extents& e = f.spec.extents;
   out << "generated " << dataset << "/" << field << ": dims " << e.nz << "x" << e.ny << "x"
       << e.nx << " (" << values.size() * 4 / (1 << 20) << " MB) -> " << out_path << "\n";
@@ -367,21 +369,21 @@ int cmd_gen(const Args& a, std::ostream& out) {
 int cmd_bundle_add(const Args& a, std::ostream& out) {
   const auto bundle_path = a.require("--bundle");
   const auto name = a.require("--name");
-  const auto archive = data::read_bytes(a.require("-i"));
+  const auto archive = io::read_file(a.require("-i"));
 
   Bundle bundle;
-  if (std::ifstream probe(bundle_path, std::ios::binary); probe.good()) {
-    bundle = Bundle::deserialize(data::read_bytes(bundle_path));
+  if (std::filesystem::exists(bundle_path)) {
+    bundle = Bundle::deserialize(io::read_file(bundle_path));
   }
   bundle.add(name, archive);
-  data::write_bytes(bundle_path, bundle.serialize());
+  io::write_file(bundle_path, bundle.serialize());
   out << "bundle " << bundle_path << ": " << bundle.size() << " field(s)\n";
   return 0;
 }
 
 /// Shared --tolerant loader: salvage what verifies, warn about the rest.
 Bundle load_bundle(const Args& a, std::ostream& out) {
-  const auto bytes = data::read_bytes(a.require("--bundle"));
+  const auto bytes = io::read_file(a.require("--bundle"));
   if (!a.has_flag("--tolerant")) {
     return Bundle::deserialize(bytes);
   }
@@ -407,7 +409,7 @@ int cmd_bundle_list(const Args& a, std::ostream& out) {
 int cmd_bundle_extract(const Args& a, std::ostream& out) {
   const auto bundle = load_bundle(a, out);
   const auto name = a.require("--name");
-  data::write_bytes(a.require("-o"), bundle.archive(name));
+  io::write_file(a.require("-o"), bundle.archive(name));
   out << "extracted '" << name << "' (" << bundle.archive(name).size() << " bytes)\n";
   return 0;
 }
@@ -431,8 +433,8 @@ int cmd_fuzz(const Args& a, std::ostream& out) {
 }
 
 int cmd_verify(const Args& a, std::ostream& out) {
-  const auto a_bytes = data::read_bytes(a.require("-a"));
-  const auto b_bytes = data::read_bytes(a.require("-b"));
+  const auto a_bytes = io::read_file(a.require("-a"));
+  const auto b_bytes = io::read_file(a.require("-b"));
   const FieldView x(a_bytes, field_dtype(a));
   const FieldView y(b_bytes, field_dtype(a));
   if (x.size() != y.size()) {

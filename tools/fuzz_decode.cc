@@ -19,9 +19,9 @@
 #include "core/bundle.hh"
 #include "core/checksum.hh"
 #include "core/compressor.hh"
+#include "core/io/io.hh"
 #include "core/serialize.hh"
 #include "core/streaming.hh"
-#include "data/io.hh"
 #include "lossless/lzh.hh"
 #include "lossless/lzr.hh"
 #include "zfp/zfp.hh"
@@ -42,12 +42,13 @@ struct Rng {
   std::size_t below(std::size_t n) { return n == 0 ? 0 : next() % n; }
 };
 
-/// One archive under test: how to decode it and whether its format carries a
-/// whole-archive CRC (which makes silent acceptance of a mutation a bug).
+/// One archive under test and whether its format carries a whole-archive
+/// CRC (which makes silent acceptance of a mutation a bug).  Its name picks
+/// the decoder (decoder_for), so the campaign and replay decode a target the
+/// same way.
 struct Target {
   std::string name;
   std::vector<std::uint8_t> archive;
-  std::function<void(std::span<const std::uint8_t>)> decode;
   bool whole_crc = false;  ///< trailing CRC-32 over everything before it
 };
 
@@ -93,7 +94,7 @@ void decode_via_file(std::span<const std::uint8_t> bytes) {
   const fs::path dir = fs::temp_directory_path() /
                        ("szp_fuzz_oocore." + std::to_string(::getpid()));
   fs::create_directories(dir);
-  data::write_bytes(dir / "mutant.szpc", bytes);
+  io::write_file(dir / "mutant.szpc", bytes);
   StreamingConfig cfg;
   cfg.use_mmap = false;
   (void)StreamingCompressor::decompress_file(dir / "mutant.szpc", dir / "mutant.raw", cfg);
@@ -109,7 +110,6 @@ Target szp_target(const std::string& name, Workflow wf, PredictorKind pred,
   t.name = name;
   t.archive = f64 ? Compressor(cfg).compress(wave_f64(ext.count()), ext).bytes
                   : Compressor(cfg).compress(wave_f32(ext.count()), ext).bytes;
-  t.decode = [](std::span<const std::uint8_t> b) { (void)Compressor::decompress(b); };
   t.whole_crc = true;
   return t;
 }
@@ -151,9 +151,6 @@ std::vector<Target> make_targets() {
     scfg.max_slab_elems = 512;
     const Extents ext = Extents::d1(2048);
     t.archive = StreamingCompressor(scfg).compress(wave_f32(ext.count()), ext).bytes;
-    t.decode = [](std::span<const std::uint8_t> b) {
-      (void)StreamingCompressor::decompress(b);
-    };
     // The container itself has no trailing CRC; its nested slabs do.
     targets.push_back(std::move(t));
   }
@@ -167,7 +164,6 @@ std::vector<Target> make_targets() {
     scfg.max_slab_elems = 512;
     const Extents ext = Extents::d1(2048);
     t.archive = StreamingCompressor(scfg).compress(wave_f32(ext.count()), ext).bytes;
-    t.decode = [](std::span<const std::uint8_t> b) { decode_via_file(b); };
     targets.push_back(std::move(t));
   }
 
@@ -181,7 +177,6 @@ std::vector<Target> make_targets() {
     b.add("alpha", Compressor(cfg).compress(wave_f32(ext.count()), ext).bytes);
     b.add("beta", Compressor(cfg).compress(wave_f64(ext.count()), ext).bytes);
     t.archive = b.serialize();
-    t.decode = [](std::span<const std::uint8_t> bytes) { (void)Bundle::deserialize(bytes); };
     t.whole_crc = true;
     targets.push_back(std::move(t));
   }
@@ -191,9 +186,6 @@ std::vector<Target> make_targets() {
     t.name = "baseline/cusz-2d-f32";
     const Extents ext = Extents::d2(48, 40);
     t.archive = baseline::CuszCompressor().compress(wave_f32(ext.count()), ext).bytes;
-    t.decode = [](std::span<const std::uint8_t> b) {
-      (void)baseline::CuszCompressor::decompress(b);
-    };
     targets.push_back(std::move(t));
   }
 
@@ -201,7 +193,6 @@ std::vector<Target> make_targets() {
     Target t;
     t.name = "lossless/lzh";
     t.archive = lossless::lzh_compress(sample_text(4096), {});
-    t.decode = [](std::span<const std::uint8_t> b) { (void)lossless::lzh_decompress(b); };
     targets.push_back(std::move(t));
   }
 
@@ -209,7 +200,6 @@ std::vector<Target> make_targets() {
     Target t;
     t.name = "lossless/lzr";
     t.archive = lossless::lzr_compress(sample_text(4096), {});
-    t.decode = [](std::span<const std::uint8_t> b) { (void)lossless::lzr_decompress(b); };
     targets.push_back(std::move(t));
   }
 
@@ -218,7 +208,6 @@ std::vector<Target> make_targets() {
     t.name = "zfp/2d-f32";
     const Extents ext = Extents::d2(40, 32);
     t.archive = zfp::zfp_compress(wave_f32(ext.count()), ext, {}).bytes;
-    t.decode = [](std::span<const std::uint8_t> b) { (void)zfp::zfp_decompress(b); };
     targets.push_back(std::move(t));
   }
 
@@ -300,9 +289,12 @@ CorpusEntry parse_entry(std::span<const std::uint8_t> bytes) {
   return e;
 }
 
+using Decoder = std::function<void(std::span<const std::uint8_t>)>;
+
 /// Stateless decoder dispatch by target-name prefix, shared by the live
-/// campaign (which owns Target closures) and replay (which has only names).
-std::function<void(std::span<const std::uint8_t>)> decoder_for(const std::string& name) {
+/// campaign and replay, so an artifact replays through the decoder that
+/// captured it.
+Decoder decoder_for(const std::string& name) {
   if (name.rfind("szp/", 0) == 0) {
     return [](std::span<const std::uint8_t> b) { (void)Compressor::decompress(b); };
   }
@@ -341,15 +333,12 @@ std::string sanitize_for_filename(const std::string& s) {
   return out;
 }
 
-std::function<void(std::span<const std::uint8_t>)> decoder_for(const std::string& name);
-
 /// Shrink a reproducer by greedy tail truncation: repeatedly drop the longest
 /// suffix that preserves the (kind × segment) verdict, halving the step until
 /// single bytes.  Tail cuts keep the artifact a *prefix* of the original
 /// mutant, so the shrunken archive still exercises the same parse path up to
 /// the rejection point.
-std::vector<std::uint8_t> shrink_reproducer(
-    const CorpusEntry& e, const std::function<void(std::span<const std::uint8_t>)>& decode) {
+std::vector<std::uint8_t> shrink_reproducer(const CorpusEntry& e, const Decoder& decode) {
   const auto verdict_holds = [&](std::span<const std::uint8_t> bytes) {
     try {
       decode(bytes);
@@ -384,7 +373,7 @@ class CorpusWriter {
     for (const auto& ent : std::filesystem::directory_iterator(dir_)) {
       if (ent.path().extension() != ".szpf") continue;
       try {
-        const CorpusEntry e = parse_entry(data::read_bytes(ent.path()));
+        const CorpusEntry e = parse_entry(io::read_file(ent.path()));
         seen_.emplace(e.kind, e.segment);
       } catch (const DecodeError&) {
         // Unreadable artifacts are replay's problem to report, not ours.
@@ -403,7 +392,7 @@ class CorpusWriter {
     e.archive.assign(mutated.begin(), mutated.end());
     const std::string stem = std::string(decode_error_kind_name(e.kind)) + "__" +
                              sanitize_for_filename(e.segment);
-    data::write_bytes(std::filesystem::path(dir_) / (stem + ".szpf"), serialize_entry(e));
+    io::write_file(std::filesystem::path(dir_) / (stem + ".szpf"), serialize_entry(e));
 
     // The min artifact replays through the same decoder as the original, so
     // it must carry an identical verdict — shrink_reproducer guarantees that.
@@ -411,8 +400,8 @@ class CorpusWriter {
       CorpusEntry m = e;
       m.archive = shrink_reproducer(e, decode);
       if (m.archive.size() < e.archive.size()) {
-        data::write_bytes(std::filesystem::path(dir_) / (stem + "__min.szpf"),
-                          serialize_entry(m));
+        io::write_file(std::filesystem::path(dir_) / (stem + "__min.szpf"),
+                       serialize_entry(m));
       }
     }
     return true;
@@ -430,13 +419,14 @@ struct Judge {
   FuzzResult& res;
   std::ostream& out;
   CorpusWriter* corpus = nullptr;
+  Decoder decode;  ///< decoder_for(the target's name)
 
   void operator()(const Target& t, const std::string& mutation,
                   std::vector<std::uint8_t> mutated, bool crc_fixed) {
     ++res.mutations;
     const bool changed = mutated != t.archive;
     try {
-      t.decode(mutated);
+      decode(mutated);
       ++res.accepted;
       if (t.whole_crc && changed && !crc_fixed) {
         res.failures.push_back(t.name + " [" + mutation +
@@ -545,7 +535,7 @@ FuzzResult run(const FuzzConfig& cfg, std::ostream& out) {
     const Target& t = targets[ti];
     // Per-target RNG stream: adding a target never reshuffles the others.
     Rng rng{cfg.seed ^ (0x100000001b3ull * (ti + 1))};
-    Judge judge{cfg, res, out, corpus ? &*corpus : nullptr};
+    Judge judge{cfg, res, out, corpus ? &*corpus : nullptr, decoder_for(t.name)};
     if (cfg.verbose) out << t.name << " (" << t.archive.size() << " bytes)\n";
     fuzz_target(t, cfg, judge, rng);
   }
@@ -573,7 +563,7 @@ ReplayResult replay(const std::string& dir, std::ostream& out) {
     ++res.artifacts;
     CorpusEntry e;
     try {
-      e = parse_entry(data::read_bytes(path));
+      e = parse_entry(io::read_file(path));
     } catch (const std::exception& ex) {
       res.failures.push_back(path.filename().string() + ": unreadable artifact: " + ex.what());
       continue;

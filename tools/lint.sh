@@ -13,7 +13,10 @@
 #      And one bit reader and one bit writer: no class named *BitReader or
 #      *BitWriter in src/ outside src/core/huffman/bitio.hh, and the
 #      bit-at-a-time get_bit( only in bitio.hh and codebook.hh (the
-#      canonical-walk fallback).  Pure text checks, no toolchain needed.
+#      canonical-walk fallback).  And one file layer: no file stream
+#      (`fstream`, `ifstream`, `ofstream`, `<fstream>`), `fopen(`, `pread(`
+#      or `mmap(` in the C++ sources of src/ or tools/ outside
+#      src/core/io/.  Pure text checks, no toolchain needed.
 #   2. Static traffic coverage: `szp analyze --traffic` must exit clean —
 #      every registered kernel carries contract-derived volumes in the
 #      traffic table.  Skipped when the build tree has no szp binary.
@@ -112,6 +115,17 @@ check_bitio_site() {
   return 1
 }
 
+# --- Phase 1: one file layer. -----------------------------------------------
+check_file_layer() {
+  io_dir="${repo_root}/src/core/io/"
+  hits=$(grep -rnE --include='*.cc' --include='*.hh' \
+           '(std::)?(i|o)?fstream|<fstream>|fopen\(|pread\(|mmap\(' \
+           "${repo_root}/src" "${repo_root}/tools" | grep -vF "${io_dir}" || true)
+  [ -z "${hits}" ] && return 0
+  printf '%s\n' "${hits}" | sed 's/$/  <- file I\/O outside src\/core\/io\//'
+  return 1
+}
+
 echo "lint.sh: checking footprint-contract coverage of checked launches"
 check_contracts || {
   echo "lint.sh: contract coverage check FAILED" >&2
@@ -132,6 +146,14 @@ check_bitio_site || {
   exit 1
 }
 echo "lint.sh: one bit reader and writer OK"
+
+echo "lint.sh: checking that files are opened only in src/core/io/"
+check_file_layer || {
+  echo "lint.sh: one-file-layer check FAILED (use io::read_file/io::write_file," \
+       "a FieldSource or FileSink from src/core/io/io.hh)" >&2
+  exit 1
+}
+echo "lint.sh: one file layer OK"
 
 if [ "${contracts_only}" = 1 ]; then
   exit 0
