@@ -35,15 +35,18 @@ enum class Workflow : std::uint8_t {
   kHuffman = 0,  ///< Lorenzo + multi-byte VLE (cuSZ default)
   kRle = 1,      ///< Lorenzo + RLE
   kRleVle = 2,   ///< Lorenzo + RLE + VLE over run values/lengths
-  kRans = 3,     ///< Lorenzo + rANS over quant-codes (extension: fractional-
-                 ///< bit entropy coding breaks Huffman's 1-bit floor without
-                 ///< the RLE metadata; not in the paper)
+  kRansOneLane = 3,  ///< one-lane rANS, the format kRans wrote before it
+                     ///< moved to eight lanes: decode only
   kLz77 = 4,     ///< LZ77 tokens over the packed quant-code bytes, stored raw
                  ///< (the fast dictionary tier; archive format v3)
   kLzh = 5,      ///< LZ77 + canonical Huffman over the packed quant-code
                  ///< bytes (the paper's `qg` gzip reference as a pipeline
                  ///< codec; archive format v3)
   kLzr = 6,      ///< LZ77 + rANS (the Zstd stand-in; archive format v3)
+  kRans = 7,     ///< Lorenzo + rANS over quant-codes in eight interleaved
+                 ///< lanes (extension: fractional-bit entropy coding breaks
+                 ///< Huffman's 1-bit floor without the RLE metadata; not in
+                 ///< the paper; archive format v3)
   kAuto = 255,   ///< let the cost-model selector rank every codec
 };
 

@@ -15,7 +15,7 @@ void write_header(ByteWriter& w, const ArchiveHeader& h) {
   // archives using the original four workflows stay byte-identical to
   // pre-v3 writers.
   const bool legacy = static_cast<std::uint8_t>(h.workflow) <=
-                      static_cast<std::uint8_t>(Workflow::kRans);
+                      static_cast<std::uint8_t>(Workflow::kRansOneLane);
   w.put(legacy ? kVersion : kVersionCodec);
   w.put<std::uint8_t>(static_cast<std::uint8_t>(h.extents.rank));
   w.put<std::uint8_t>(static_cast<std::uint8_t>(h.workflow));
@@ -75,9 +75,10 @@ ArchiveHeader read_header(ByteReader& r) {
   const auto pred = r.get<std::uint8_t>();
 
   // v2 can only carry the original four workflow tags; v3 extends the slot
-  // to the LZ codec family.  Anything else is a bad codec id.
-  const auto max_wf = version == kVersion ? static_cast<std::uint8_t>(Workflow::kRans)
-                                          : static_cast<std::uint8_t>(Workflow::kLzr);
+  // to the LZ codec family and eight-lane rANS.  Anything else is a bad
+  // codec id.
+  const auto max_wf = version == kVersion ? static_cast<std::uint8_t>(Workflow::kRansOneLane)
+                                          : static_cast<std::uint8_t>(Workflow::kRans);
   if (wf > max_wf || static_cast<Workflow>(wf) == Workflow::kAuto) {
     throw DecodeError(DecodeErrorKind::kCorruptStream, "header",
                       "unknown workflow tag " + std::to_string(wf) + " for archive version " +

@@ -23,13 +23,15 @@
 namespace szp::archive {
 
 inline constexpr std::uint32_t kMagic = 0x2B505A53;  // "SZP+"
-/// Format v2: the original four workflows (tags ≤ kRans).  Archives that
-/// use them keep writing v2 so every pre-codec-tier archive and golden
-/// stays byte-identical in both directions.
+/// Format v2: the original four workflow tags 0–3 (kHuffman, kRle,
+/// kRleVle and kRansOneLane, the one-lane rANS format tag 3 has always
+/// named).  Archives that use them keep writing v2 so every pre-codec-tier
+/// archive and golden stays byte-identical in both directions.
 inline constexpr std::uint16_t kVersion = 2;
-/// Format v3: identical layout, but the workflow slot may carry the LZ
-/// codec tags (kLz77/kLzh/kLzr).  Readers accept both versions; writers
-/// emit the lowest version that can express the archive.
+/// Format v3: identical layout, but the workflow slot may also carry the
+/// tags past kRansOneLane: the LZ codecs (kLz77/kLzh/kLzr) and eight-lane
+/// kRans.  Readers accept both versions; writers emit the lowest version
+/// that can express the archive.
 inline constexpr std::uint16_t kVersionCodec = 3;
 
 /// The fixed-size leading header of an SZP+ archive (everything before the

@@ -1,6 +1,7 @@
 // szp — the GPU-tier LosslessCodec implementations, one per Workflow:
-// chunked Huffman, RLE, RLE+VLE (Huffman over both run streams), and rANS;
-// and the codec table, which splices in the LZ family of lz_codecs.cc.  The
+// chunked Huffman, RLE, RLE+VLE (Huffman over both run streams), and rANS
+// (eight lanes, plus the decode-only one-lane format of tag 3); and the
+// codec table, which splices in the LZ family of lz_codecs.cc.  The
 // section byte layouts and the PipelineReport stage names are pinned by the
 // golden-archive tests.  estimate() mirrors, per codec, the analytic
 // KernelCost formulas the real kernels report, so the selector's modeled
@@ -300,17 +301,28 @@ class RleVleCodec final : public LosslessCodec {
   }
 };
 
+/// rANS over the quant codes in `lanes` interleaved states (core/rans.hh).
+/// Two instances: eight-lane kRans, the table row, and one-lane
+/// kRansOneLane, which decodes archives written before kRans moved to eight
+/// lanes and refuses to encode.
 class RansCodec final : public LosslessCodec {
  public:
-  [[nodiscard]] Workflow id() const override { return Workflow::kRans; }
-  [[nodiscard]] const char* name() const override { return "rans"; }
+  RansCodec(Workflow id, unsigned lanes, const char* name)
+      : id_(id), lanes_(lanes), name_(name) {}
+
+  [[nodiscard]] Workflow id() const override { return id_; }
+  [[nodiscard]] const char* name() const override { return name_; }
 
   void encode(std::span<const quant_t> quant, const EncodeContext& ctx, Workspace&,
               ByteWriter& w, sim::PipelineReport& report) const override {
+    if (id_ == Workflow::kRansOneLane) {
+      throw std::invalid_argument(
+          "workflow tag 3 (one-lane rans) is decode-only; encode with Workflow::kRans");
+    }
     sim::Timer t;
     const auto model = RansModel::build(ctx.freq);
     const auto enc =
-        rans_encode(std::span<const std::uint16_t>(quant.data(), quant.size()), model);
+        rans_encode(std::span<const std::uint16_t>(quant.data(), quant.size()), model, lanes_);
     sim::KernelCost cost;
     cost.bytes_read = quant.size_bytes();
     cost.bytes_written = enc.size();
@@ -339,8 +351,9 @@ class RansCodec final : public LosslessCodec {
                             " does not match the " + std::to_string(ctx.n) + "-element grid");
     }
     out.resize(ctx.n);
+    r.set_segment("rans stream");
     const auto enc = r.get_bytes();
-    rans_decode_into(enc, model, out);
+    rans_decode_into(enc, model, out, lanes_);
     sim::KernelCost cost;
     cost.bytes_read = enc.size();
     cost.bytes_written = count * sizeof(quant_t);
@@ -356,11 +369,14 @@ class RansCodec final : public LosslessCodec {
     CodecEstimate e;
     // Range-ANS codes at the entropy with no 1-bit floor; the 12-bit
     // quantized probabilities cost a small multiplicative excess, and the
-    // final state flush adds 4 bytes.
-    e.payload_bits_per_symbol = sig.stats.entropy_bits * 1.01 + 32.0 / std::max(1.0, n);
+    // final flush adds 4 bytes per lane.
+    e.payload_bits_per_symbol =
+        sig.stats.entropy_bits * 1.01 + 32.0 * lanes_ / std::max(1.0, n);
     // Sparse model table: alphabet u32 + live u32 + live × (sym u16 + freq
     // u16), plus symbol count and payload vector header.
     e.fixed_bytes = 8.0 + 4.0 * static_cast<double>(live) + 8.0 + 8.0;
+    // The modeled kernels are the paper-device costs of one rANS pass; the
+    // host's lanes do not change them.
     e.encode_cost.bytes_read = sig.n * sizeof(quant_t);
     e.encode_cost.bytes_written =
         static_cast<std::uint64_t>(n * e.payload_bits_per_symbol / 8.0);
@@ -376,6 +392,11 @@ class RansCodec final : public LosslessCodec {
     e.decode_cost.pattern = sim::AccessPattern::kCoalescedStreaming;
     return e;
   }
+
+ private:
+  Workflow id_;
+  unsigned lanes_;
+  const char* name_;
 };
 
 }  // namespace
@@ -388,7 +409,7 @@ std::span<const LosslessCodec* const> codecs() {
   static const HuffmanCodec huffman;
   static const RleCodec rle;
   static const RleVleCodec rle_vle;
-  static const RansCodec rans;
+  static const RansCodec rans(Workflow::kRans, kRansLanes, "rans");
   static const auto lz = lz_codecs();
   static const std::array<const LosslessCodec*, 7> table{
       &huffman, &rle, &rle_vle, &rans, lz[0], lz[1], lz[2]};
@@ -396,12 +417,13 @@ std::span<const LosslessCodec* const> codecs() {
 }
 
 const LosslessCodec& codec(Workflow wf) {
-  const auto table = codecs();
-  const auto tag = static_cast<std::size_t>(wf);
-  if (tag >= table.size()) {  // kAuto (255) included
-    throw std::logic_error("no codec for workflow tag " + std::to_string(tag));
+  static const RansCodec one_lane(Workflow::kRansOneLane, 1, "rans-one-lane");
+  if (wf == Workflow::kRansOneLane) return one_lane;
+  for (const LosslessCodec* c : codecs()) {
+    if (c->id() == wf) return *c;
   }
-  return *table[tag];
+  throw std::logic_error("no codec for workflow tag " +
+                         std::to_string(static_cast<unsigned>(wf)));  // kAuto (255) included
 }
 
 }  // namespace szp::pipeline

@@ -5,11 +5,13 @@
 // owns both serialization directions of its section *and* a static cost
 // estimate the selector (core/analysis/selector.hh) ranks codecs with.
 // Compressor, streaming tier, CLI, fuzz harness, and benches all reach the
-// codecs through one fixed table in Workflow tag order (codecs() and
-// codec() below), so adding a codec is: implement this interface, allot the
-// next Workflow tag (the archive header stores it — tags are append-only,
-// and tags past kRans bump the archive format to version 3) and give it the
-// table's next row.
+// codecs through one fixed table (codecs() and codec() below), so adding a
+// codec is: implement this interface, allot the next Workflow tag (the
+// archive header stores it — tags are append-only, and tags past
+// kRansOneLane, tag 3, bump the archive format to version 3) and give it the
+// table's next row.  A format change allots a new tag too: kRans moved from
+// one rANS lane to eight under tag 7, and tag 3 stays as the decode-only
+// one-lane codec, which codec() reaches but codecs() does not list.
 //
 // Contract highlights:
 //   * encode() serializes the codec's self-describing section directly
@@ -101,12 +103,15 @@ class LosslessCodec {
   [[nodiscard]] virtual CodecEstimate estimate(const CodecSignals& sig) const = 0;
 };
 
-/// Every codec, row i holding Workflow tag i: the selector ranks (and
-/// `analyze --codecs` prints) exactly this set, in this order.
+/// Every codec an archive can be written with: the selector ranks (and
+/// `analyze --codecs` prints) exactly this set, in this order.  Row i holds
+/// Workflow tag i, except row 3, which holds kRans (tag 7) where its
+/// one-lane predecessor sat.
 [[nodiscard]] std::span<const LosslessCodec* const> codecs();
 
-/// The codec for a Workflow tag; throws std::logic_error for an unknown tag
-/// and for Workflow::kAuto, which the selector must resolve first.
+/// The codec for a Workflow tag, the decode-only kRansOneLane included;
+/// throws std::logic_error for an unknown tag and for Workflow::kAuto,
+/// which the selector must resolve first.
 [[nodiscard]] const LosslessCodec& codec(Workflow wf);
 
 }  // namespace szp::pipeline

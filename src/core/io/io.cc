@@ -5,10 +5,13 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <system_error>
+#include <utility>
 
 namespace szp::io {
 
@@ -111,21 +114,70 @@ std::unique_ptr<FieldSource> open_field_source(const std::filesystem::path& path
   return std::make_unique<FileFieldSource>(path);
 }
 
-FileSink::FileSink(const std::filesystem::path& path)
-    : path_(path.string()), out_(path, std::ios::binary | std::ios::trunc) {
-  if (!out_) fail("cannot open output file", path_);
+FileSink::FileSink(const std::filesystem::path& path) : path_(path.string()), target_(path_) {
+  struct stat st{};
+  const bool exists = ::stat(path_.c_str(), &st) == 0;
+  if (exists && !S_ISREG(st.st_mode)) {
+    // A device or a FIFO has no bytes to keep and cannot be renamed over.
+    fd_ = ::open(path_.c_str(), O_WRONLY | O_CLOEXEC);
+    if (fd_ < 0) fail("cannot open output file", path_);
+    return;
+  }
+  if (exists) {
+    std::error_code ec;
+    const auto resolved = std::filesystem::canonical(path, ec);
+    if (!ec) target_ = resolved.string();
+  }
+  // A sibling, so the rename stays within one filesystem; O_EXCL and a
+  // per-process counter keep concurrent sinks on distinct names.
+  static std::atomic<unsigned> serial{0};
+  const std::filesystem::path target(target_);
+  std::string name(".");
+  name += target.filename().string();
+  name += ".tmp.";
+  name += std::to_string(::getpid());
+  name += '.';
+  const std::string prefix = (target.parent_path() / name).string();
+  for (;;) {
+    temp_ = prefix;
+    temp_ += std::to_string(serial.fetch_add(1));
+    fd_ = ::open(temp_.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+    if (fd_ >= 0) break;
+    if (errno != EEXIST) {
+      temp_.clear();
+      fail("cannot open output file", path_);
+    }
+  }
+  if (exists) (void)::fchmod(fd_, st.st_mode & 07777);
+}
+
+FileSink::~FileSink() {
+  if (fd_ >= 0) ::close(fd_);
+  if (!temp_.empty()) ::unlink(temp_.c_str());
 }
 
 void FileSink::write(std::span<const std::uint8_t> bytes) {
-  out_.write(reinterpret_cast<const char*>(bytes.data()),
-             static_cast<std::streamsize>(bytes.size()));
-  if (!out_) fail("write failed", path_);
+  std::size_t done = 0;
+  while (done < bytes.size()) {
+    const ssize_t n = ::write(fd_, bytes.data() + done, bytes.size() - done);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      fail_errno("write failed", path_);
+    }
+    done += static_cast<std::size_t>(n);
+  }
   written_ += bytes.size();
 }
 
 void FileSink::finish() {
-  out_.flush();
-  if (!out_) fail("flush failed", path_);
+  if (fd_ < 0) return;
+  const int fd = std::exchange(fd_, -1);
+  if (::close(fd) != 0) fail_errno("write failed", path_);
+  if (temp_.empty()) return;
+  if (::rename(temp_.c_str(), target_.c_str()) != 0) {
+    fail_errno("cannot replace output file", path_);  // the destructor removes temp_
+  }
+  temp_.clear();
 }
 
 std::vector<std::uint8_t> read_file(const std::filesystem::path& path) {

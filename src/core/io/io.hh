@@ -34,7 +34,6 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <span>
 #include <string>
@@ -180,10 +179,16 @@ class VectorSink final : public ContainerSink {
   std::vector<std::uint8_t> buf_;
 };
 
-/// Streaming file sink: packed bytes leave host memory immediately.
+/// Streaming file sink: packed bytes leave host memory immediately.  The
+/// bytes go to a temporary file beside the output, which finish() renames
+/// over it; a sink destroyed before finish() removes the temporary.  So a
+/// run that fails leaves the output path as it was: an existing file keeps
+/// its bytes and a fresh path gets no file.  An output that exists and is
+/// not a regular file (/dev/null, a FIFO) is written in place.
 class FileSink final : public ContainerSink {
  public:
   explicit FileSink(const std::filesystem::path& path);
+  ~FileSink() override;
 
   void write(std::span<const std::uint8_t> bytes) override;
   [[nodiscard]] std::size_t bytes_written() const override { return written_; }
@@ -191,8 +196,10 @@ class FileSink final : public ContainerSink {
   [[nodiscard]] std::string name() const override { return path_; }
 
  private:
-  std::string path_;
-  std::ofstream out_;
+  std::string path_;    ///< the output as named, for messages
+  std::string target_;  ///< the file finish() replaces (symlinks resolved)
+  std::string temp_;    ///< the file being written; empty when in place
+  int fd_ = -1;
   std::size_t written_ = 0;
 };
 
@@ -200,8 +207,9 @@ class FileSink final : public ContainerSink {
 /// naming the path when it cannot be opened or read.
 [[nodiscard]] std::vector<std::uint8_t> read_file(const std::filesystem::path& path);
 
-/// Create or truncate `path` and write `bytes` through FileSink.  Throws
-/// std::runtime_error naming the path when it cannot be opened or written.
+/// Write `bytes` to `path` through FileSink, replacing any file there.
+/// Throws std::runtime_error naming the path when it cannot be opened or
+/// written, and then leaves the path as it was.
 void write_file(const std::filesystem::path& path, std::span<const std::uint8_t> bytes);
 
 }  // namespace szp::io

@@ -1,7 +1,12 @@
 #include "core/rans.hh"
 
 #include <algorithm>
+#include <array>
+#include <memory>
 #include <stdexcept>
+#include <string>
+
+#include "core/error.hh"
 
 namespace szp {
 
@@ -10,6 +15,160 @@ namespace {
 // Standard 32-bit byte-wise rANS constants (ryg_rans layout): state stays
 // in [kLow, kLow << 8) between symbols.
 constexpr std::uint32_t kLow = 1u << 23;
+constexpr std::uint32_t kMask = RansModel::kProbScale - 1;
+
+/// Encoder entry of one symbol (ryg_rans RansEncSymbol).  Encoding s into
+/// x is x' = (x / f) * M + cum + x % f with M = kProbScale; with the
+/// quotient q = mulhi(x, rcp_freq) >> rcp_shift that is x + bias +
+/// q * cmpl_freq, exact for every x < 2^31.  x_max = 0 marks a symbol the
+/// model does not hold.
+struct EncSymbol {
+  std::uint32_t x_max = 0;  ///< renormalize while x >= x_max
+  std::uint32_t rcp_freq = 0;
+  std::uint32_t bias = 0;
+  std::uint16_t cmpl_freq = 0;  ///< M - f
+  std::uint16_t rcp_shift = 0;
+};
+
+std::vector<EncSymbol> encode_table(const RansModel& model) {
+  constexpr std::uint32_t kM = RansModel::kProbScale;
+  std::vector<EncSymbol> table(model.alphabet_size());
+  for (std::size_t s = 0; s < table.size(); ++s) {
+    const std::uint32_t f = model.freq(s);
+    if (f == 0) continue;
+    EncSymbol& e = table[s];
+    e.x_max = ((kLow >> RansModel::kProbBits) << 8) * f;
+    e.cmpl_freq = static_cast<std::uint16_t>(kM - f);
+    if (f == 1) {
+      // The reciprocal of 1 does not fit the fixed-point form; with
+      // rcp_freq = 2^32 - 1 and no shift, q = x - 1 for every x >= 1, and
+      // x + bias + (x - 1)(M - 1) = x * M + cum needs bias = cum + M - 1.
+      e.rcp_freq = ~0u;
+      e.rcp_shift = 0;
+      e.bias = model.cum(s) + kM - 1;
+    } else {
+      // Alverson, "Integer division using reciprocals": shift = ceil(log2 f).
+      std::uint32_t shift = 0;
+      while (f > (1u << shift)) ++shift;
+      e.rcp_freq = static_cast<std::uint32_t>(((1ull << (shift + 31)) + f - 1) / f);
+      e.rcp_shift = static_cast<std::uint16_t>(shift - 1);
+      e.bias = model.cum(s);
+    }
+  }
+  return table;
+}
+
+template <unsigned L>
+std::vector<std::uint8_t> encode_lanes(std::span<const std::uint16_t> symbols,
+                                       std::span<const EncSymbol> table) {
+  // A step emits at most two bytes (x < 2^31 renormalizes below x_max >=
+  // 2^19), so 2n bytes plus the flush always suffice.  The buffer is left
+  // uninitialized and filled from the end: only the tail the stream
+  // occupies is ever touched.
+  const std::size_t cap = 2 * symbols.size() + 4 * L;
+  const auto buf = std::make_unique_for_overwrite<std::uint8_t[]>(cap);
+  std::uint8_t* const end = buf.get() + cap;
+  std::uint8_t* ptr = end;
+
+  std::array<std::uint32_t, L> x{};
+  x.fill(kLow);
+  const auto put = [&](std::uint32_t& state, std::uint16_t s) {
+    if (s >= table.size() || table[s].x_max == 0) {
+      throw std::invalid_argument("rans_encode: symbol not in model");
+    }
+    const EncSymbol& e = table[s];
+    std::uint32_t v = state;
+    while (v >= e.x_max) {
+      *--ptr = static_cast<std::uint8_t>(v);
+      v >>= 8;
+    }
+    const auto q = static_cast<std::uint32_t>((std::uint64_t{v} * e.rcp_freq) >> 32) >> e.rcp_shift;
+    state = v + e.bias + q * e.cmpl_freq;
+  };
+
+  // Encode in reverse so decoding streams forward; symbol i goes to lane
+  // i mod L, so the partial last group comes first.
+  std::size_t i = symbols.size();
+  while (i % L != 0) {
+    --i;
+    put(x[i % L], symbols[i]);
+  }
+  while (i > 0) {
+    i -= L;
+#pragma GCC unroll 8
+    for (unsigned j = 1; j <= L; ++j) put(x[L - j], symbols[i + L - j]);
+  }
+  // Flush the states big-endian, lane 0 last so it leads the stream.
+  for (unsigned k = L; k-- > 0;) {
+    for (int b = 0; b < 4; ++b) {
+      *--ptr = static_cast<std::uint8_t>(x[k]);
+      x[k] >>= 8;
+    }
+  }
+  return {ptr, end};
+}
+
+[[noreturn]] void stream_truncated(std::size_t size) {
+  throw DecodeError(DecodeErrorKind::kTruncated, "rans stream",
+                    "state renormalization ran past the " + std::to_string(size) +
+                        "-byte stream");
+}
+
+template <unsigned L>
+void decode_lanes(std::span<const std::uint8_t> bytes, const RansModel& model,
+                  std::span<std::uint16_t> out) {
+  const RansModel::Slot* const slots = &model.slot(0);
+  const std::uint8_t* const b = bytes.data();
+  const std::size_t size = bytes.size();
+  if (size < 4 * L) stream_truncated(size);
+  std::array<std::uint32_t, L> x{};
+  bool in_range = true;
+  for (unsigned k = 0; k < L; ++k) {
+    x[k] = std::uint32_t{b[4 * k]} << 24 | std::uint32_t{b[4 * k + 1]} << 16 |
+           std::uint32_t{b[4 * k + 2]} << 8 | b[4 * k + 3];
+    in_range = in_range && x[k] >= kLow;
+  }
+  std::size_t pos = 4 * L;
+
+  const std::size_t n = out.size();
+  std::size_t i = 0;
+  if (in_range) {
+    // A step from x >= kLow leaves x >= f * 2^11 >= 2^11, so it
+    // renormalizes with at most two bytes and a group of L symbols reads at
+    // most 2L: one bounds check per group, unchecked reads inside it.
+    for (; n - i >= L && size - pos >= 2 * L; i += L) {
+#pragma GCC unroll 8
+      for (unsigned k = 0; k < L; ++k) {
+        const RansModel::Slot e = slots[x[k] & kMask];
+        out[i + k] = e.symbol;
+        std::uint32_t v = e.freq * (x[k] >> RansModel::kProbBits) + e.offset;
+        if (v < kLow) {
+          v = (v << 8) | b[pos++];
+          if (v < kLow) v = (v << 8) | b[pos++];
+        }
+        x[k] = v;
+      }
+    }
+  }
+  // The tail (and a stream whose flushed states are out of range) reads
+  // byte by byte, each read checked.
+  for (; i < n; ++i) {
+    std::uint32_t& v = x[i % L];
+    const RansModel::Slot e = slots[v & kMask];
+    out[i] = e.symbol;
+    v = e.freq * (v >> RansModel::kProbBits) + e.offset;
+    while (v < kLow) {
+      if (pos >= size) stream_truncated(size);
+      v = (v << 8) | b[pos++];
+    }
+  }
+  for (unsigned k = 0; k < L; ++k) {
+    if (x[k] != kLow) {
+      throw DecodeError(DecodeErrorKind::kCorruptStream, "rans stream",
+                        "final decoder state mismatch in lane " + std::to_string(k));
+    }
+  }
+}
 
 }  // namespace
 
@@ -88,10 +247,11 @@ void RansModel::finalize() {
   if (cum_.back() != kProbScale) {
     throw std::logic_error("RansModel: frequencies do not sum to the probability scale");
   }
-  slot_to_symbol_.assign(kProbScale, 0);
+  slots_.resize(kProbScale);
   for (std::size_t s = 0; s < freq_.size(); ++s) {
     for (std::uint32_t k = cum_[s]; k < cum_[s + 1]; ++k) {
-      slot_to_symbol_[k] = static_cast<std::uint16_t>(s);
+      slots_[k] = Slot{static_cast<std::uint16_t>(s), static_cast<std::uint16_t>(freq_[s]),
+                       k - cum_[s]};
     }
   }
 }
@@ -141,66 +301,36 @@ RansModel RansModel::deserialize(ByteReader& r) {
 }
 
 std::vector<std::uint8_t> rans_encode(std::span<const std::uint16_t> symbols,
-                                      const RansModel& model) {
-  // Encode in reverse so decoding streams forward.
-  std::vector<std::uint8_t> reversed;
-  reversed.reserve(symbols.size() / 2 + 8);
-  std::uint32_t x = kLow;
-  for (std::size_t i = symbols.size(); i-- > 0;) {
-    const std::uint16_t s = symbols[i];
-    if (s >= model.alphabet_size() || model.freq(s) == 0) {
-      throw std::invalid_argument("rans_encode: symbol not in model");
-    }
-    const std::uint32_t f = model.freq(s);
-    // Renormalize: keep x below the point where the update would overflow.
-    const std::uint32_t x_max = ((kLow >> RansModel::kProbBits) << 8) * f;
-    while (x >= x_max) {
-      reversed.push_back(static_cast<std::uint8_t>(x & 0xff));
-      x >>= 8;
-    }
-    x = ((x / f) << RansModel::kProbBits) + (x % f) + model.cum(s);
+                                      const RansModel& model, unsigned lanes) {
+  const auto table = encode_table(model);
+  switch (lanes) {
+    case 1:
+      return encode_lanes<1>(symbols, table);
+    case kRansLanes:
+      return encode_lanes<kRansLanes>(symbols, table);
+    default:
+      throw std::invalid_argument("rans_encode: unsupported lane count " +
+                                  std::to_string(lanes));
   }
-  // Flush the 32-bit state.
-  for (int k = 0; k < 4; ++k) {
-    reversed.push_back(static_cast<std::uint8_t>(x & 0xff));
-    x >>= 8;
-  }
-  return {reversed.rbegin(), reversed.rend()};
 }
 
 void rans_decode_into(std::span<const std::uint8_t> bytes, const RansModel& model,
-                      std::span<std::uint16_t> out) {
-  std::size_t pos = 0;
-  const auto next_byte = [&]() -> std::uint32_t {
-    if (pos >= bytes.size()) {
-      throw DecodeError(DecodeErrorKind::kTruncated, "rans stream",
-                        "state renormalization ran past the " + std::to_string(bytes.size()) +
-                            "-byte stream");
-    }
-    return bytes[pos++];
-  };
-
-  std::uint32_t x = 0;
-  for (int k = 0; k < 4; ++k) x = (x << 8) | next_byte();
-
-  constexpr std::uint32_t kMask = RansModel::kProbScale - 1;
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    const std::uint32_t slot = x & kMask;
-    const std::uint16_t s = model.symbol_at(slot);
-    out[i] = s;
-    x = model.freq(s) * (x >> RansModel::kProbBits) + slot - model.cum(s);
-    while (x < kLow) x = (x << 8) | next_byte();
-  }
-  if (x != kLow) {
-    throw DecodeError(DecodeErrorKind::kCorruptStream, "rans stream",
-                      "final decoder state mismatch");
+                      std::span<std::uint16_t> out, unsigned lanes) {
+  switch (lanes) {
+    case 1:
+      return decode_lanes<1>(bytes, model, out);
+    case kRansLanes:
+      return decode_lanes<kRansLanes>(bytes, model, out);
+    default:
+      throw std::invalid_argument("rans_decode: unsupported lane count " +
+                                  std::to_string(lanes));
   }
 }
 
 std::vector<std::uint16_t> rans_decode(std::span<const std::uint8_t> bytes, std::size_t count,
-                                       const RansModel& model) {
+                                       const RansModel& model, unsigned lanes) {
   std::vector<std::uint16_t> out(count);
-  rans_decode_into(bytes, model, out);
+  rans_decode_into(bytes, model, out, lanes);
   return out;
 }
 

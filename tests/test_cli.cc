@@ -1,8 +1,10 @@
 // CLI tests: the `szp` tool driven in-process over temp files.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <sstream>
@@ -370,6 +372,76 @@ TEST_F(CliTest, TolerantBundleSalvage) {
   EXPECT_NE(r.out.find("warning: bundle checksum mismatch"), std::string::npos) << r.out;
   EXPECT_NE(r.out.find("p"), std::string::npos);
   EXPECT_NE(r.out.find("q"), std::string::npos);
+}
+
+/// The names in `dir`, so a test can require that a failed run left nothing
+/// behind (no output, no temporary beside it).
+std::vector<std::string> names_in(const fs::path& dir) {
+  std::vector<std::string> names;
+  for (const auto& ent : fs::directory_iterator(dir)) names.push_back(ent.path().filename());
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+TEST_F(CliTest, FailedFileRunsLeaveTheOutputAsItWas) {
+  const auto raw = path("f.f32");
+  ASSERT_EQ(run({"gen", "-o", raw, "--dataset", "CESM-ATM", "--field", "FSDSC", "--scale",
+                 "0.05"}).code, 0);  // 90x180
+  const auto container = path("f.szpc");
+  ASSERT_EQ(run({"compress", "-i", raw, "-o", container, "-d", "90x180", "--eb", "1e-3",
+                 "--stream", "3600"}).code, 0);
+  auto cut = szp::io::read_file(container);
+  ASSERT_GT(cut.size(), 64u);
+  cut.resize(cut.size() / 2);
+  const auto cut_path = path("cut.szpc");
+  szp::io::write_file(cut_path, cut);
+
+  std::vector<std::uint8_t> old_bytes(1000);
+  for (std::size_t i = 0; i < old_bytes.size(); ++i) old_bytes[i] = static_cast<std::uint8_t>(i);
+  const auto existing = path("existing.out");
+  szp::io::write_file(existing, old_bytes);
+  const auto before = names_in(dir_);
+
+  // Wrong dims (exit 1) and a truncated container (exit 4), each into an
+  // existing file and into a fresh path.
+  const std::vector<std::pair<std::vector<std::string>, int>> failing{
+      {{"compress", "-i", raw, "-d", "90x181", "--eb", "1e-3", "--stream", "3600"}, 1},
+      {{"decompress", "-i", cut_path}, 4},
+      {{"decompress", "-i", cut_path, "--no-mmap"}, 4}};
+  for (const auto& [args, code] : failing) {
+    for (const auto& out : {existing, path("fresh.out")}) {
+      auto full = args;
+      full.insert(full.end(), {"-o", out});
+      const auto r = run(full);
+      EXPECT_EQ(r.code, code) << args[0] << " -> " << out << ": " << r.err;
+      EXPECT_EQ(szp::io::read_file(existing), old_bytes) << args[0] << " -> " << out;
+      EXPECT_EQ(names_in(dir_), before) << args[0] << " -> " << out;
+    }
+  }
+
+  // A successful run replaces the existing file.
+  ASSERT_EQ(run({"decompress", "-i", container, "-o", existing}).code, 0);
+  EXPECT_EQ(fs::file_size(existing), fs::file_size(raw));
+  EXPECT_EQ(names_in(dir_), before);
+}
+
+TEST_F(CliTest, FuzzReplayLeavesTheTempDirectoryEmpty) {
+  // The streaming-file artifacts decode through files in a scratch
+  // directory under the temp directory; the replay must remove it.
+  const fs::path tmp = dir_ / "tmp";
+  fs::create_directories(tmp);
+  const char* const old_tmpdir = std::getenv("TMPDIR");
+  const std::string saved = old_tmpdir != nullptr ? old_tmpdir : "";
+  ::setenv("TMPDIR", tmp.c_str(), 1);
+  const auto r = run({"fuzz", "--replay", SZP_CORPUS_DIR});
+  if (old_tmpdir != nullptr) {
+    ::setenv("TMPDIR", saved.c_str(), 1);
+  } else {
+    ::unsetenv("TMPDIR");
+  }
+  EXPECT_EQ(r.code, 0) << r.out << r.err;
+  EXPECT_NE(r.out.find("replay:"), std::string::npos) << r.out;
+  EXPECT_EQ(names_in(tmp), std::vector<std::string>{});
 }
 
 TEST_F(CliTest, FuzzSubcommandReportsACleanCampaign) {

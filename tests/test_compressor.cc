@@ -11,6 +11,7 @@
 
 #include "core/compressor.hh"
 #include "core/metrics.hh"
+#include "one_lane_archive.hh"
 
 namespace {
 
@@ -44,9 +45,12 @@ TEST_P(CompressorSweep, RoundTripHonorsErrorBound) {
   const Extents ext = extents_for(rank);
   const auto data = smooth_field(ext, static_cast<std::uint32_t>(rank), 0.001f);
 
+  // The one-lane rANS format (tag 3) is decode-only: its archive is the
+  // eight-lane one with the stream re-encoded at one lane.
+  const bool one_lane = wf == Workflow::kRansOneLane;
   CompressConfig cfg;
   cfg.eb = ErrorBound::relative(eb);
-  cfg.workflow = wf;
+  cfg.workflow = one_lane ? Workflow::kRans : wf;
   const Compressor comp(cfg);
   const auto compressed = comp.compress(data, ext);
   // Plain RLE legitimately drops below 1x on rough data at tight bounds —
@@ -55,7 +59,12 @@ TEST_P(CompressorSweep, RoundTripHonorsErrorBound) {
   EXPECT_EQ(compressed.stats.original_bytes, data.size() * 4);
   EXPECT_EQ(compressed.stats.compressed_bytes, compressed.bytes.size());
 
-  const auto restored = Compressor::decompress(compressed.bytes);
+  const auto archive = one_lane ? test::one_lane_archive(compressed.bytes) : compressed.bytes;
+  const auto restored = Compressor::decompress(archive);
+  if (one_lane) {
+    EXPECT_EQ(Compressor::inspect(archive).workflow, Workflow::kRansOneLane);
+    EXPECT_EQ(restored.data, Compressor::decompress(compressed.bytes).data);
+  }
   EXPECT_EQ(restored.extents, ext);
   const auto m = compare_fields(data, restored.data);
   EXPECT_LT(m.max_abs_error, compressed.stats.eb_abs)
@@ -66,8 +75,8 @@ INSTANTIATE_TEST_SUITE_P(
     RankEbWorkflow, CompressorSweep,
     ::testing::Combine(::testing::Values(1, 2, 3), ::testing::Values(1e-2, 1e-3, 1e-4),
                        ::testing::Values(Workflow::kHuffman, Workflow::kRle,
-                                         Workflow::kRleVle, Workflow::kRans,
-                                         Workflow::kAuto)));
+                                         Workflow::kRleVle, Workflow::kRansOneLane,
+                                         Workflow::kRans, Workflow::kAuto)));
 
 TEST(Compressor, Psnr85DbAtRelEb1em4) {
   // The paper reports PSNR > 85 dB at rel-eb 1e-4 (§V-C.2).  The analytic

@@ -167,19 +167,23 @@ TEST(FuzzDecode, BadCodecIdIsNamed) {
   cfg.eb = ErrorBound::absolute(1e-3);
   cfg.workflow = Workflow::kLzh;  // v3 archive: widest legal codec range
   auto archive = Compressor(cfg).compress(data, Extents::d1(data.size())).bytes;
-  archive[7] = 9;  // one past kLzr, not kAuto
+  archive[7] = 9;  // past kRans (7), not kAuto
   restamp_crc(archive);
   expect_rejected(archive, DecodeErrorKind::kCorruptStream, "header");
 }
 
 TEST(FuzzDecode, LzCodecIdRejectedInLegacyArchiveVersion) {
-  // A v2 header can only carry the original four workflow tags; an LZ id
-  // spliced into one must be rejected even though v3 readers accept it.
-  auto archive = spiked_archive();  // kHuffman -> written as v2
-  ASSERT_EQ(archive[4], 2);         // version u16 low byte
-  archive[7] = static_cast<std::uint8_t>(Workflow::kLz77);
-  restamp_crc(archive);
-  expect_rejected(archive, DecodeErrorKind::kCorruptStream, "header");
+  // A v2 header can only carry the original four workflow tags; an LZ id or
+  // eight-lane rANS spliced into one must be rejected even though v3
+  // readers accept them.
+  for (const Workflow wf : {Workflow::kLz77, Workflow::kRans}) {
+    SCOPED_TRACE("workflow tag " + std::to_string(static_cast<int>(wf)));
+    auto archive = spiked_archive();  // kHuffman -> written as v2
+    ASSERT_EQ(archive[4], 2);         // version u16 low byte
+    archive[7] = static_cast<std::uint8_t>(wf);
+    restamp_crc(archive);
+    expect_rejected(archive, DecodeErrorKind::kCorruptStream, "header");
+  }
 }
 
 TEST(FuzzDecode, ArchiveAndContainerHeadersShareOneShapeCheck) {

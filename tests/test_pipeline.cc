@@ -21,6 +21,7 @@
 #include "core/io/io.hh"
 #include "core/pipeline/stage.hh"
 #include "core/streaming.hh"
+#include "one_lane_archive.hh"
 
 namespace {
 
@@ -103,17 +104,25 @@ class GoldenArchive : public ::testing::TestWithParam<GoldenCase> {};
 
 TEST_P(GoldenArchive, BitIdenticalAcrossRefactor) {
   const GoldenCase& gc = GetParam();
+  // The one-lane rANS format (tag 3) has no encoder: its goldens, written
+  // before kRans moved to eight lanes, are rebuilt from the eight-lane
+  // archive with the stream re-encoded at one lane, byte for byte.
+  const bool one_lane = gc.workflow == Workflow::kRansOneLane;
   CompressConfig cfg;
   cfg.eb = ErrorBound::absolute(1e-3);
-  cfg.workflow = gc.workflow;
+  cfg.workflow = one_lane ? Workflow::kRans : gc.workflow;
   cfg.predictor = gc.predictor;
   const Extents ext = Extents::d2(24, 20);
   const Compressor comp(cfg);
+  const auto written = [&](FieldView field) {
+    const auto bytes = comp.compress(field, ext).bytes;
+    return one_lane ? test::one_lane_archive(bytes) : bytes;
+  };
 
   const std::string stem =
       std::string(gc.predictor_name) + "__" + gc.workflow_name;
-  EXPECT_EQ(comp.compress(wave_f32(ext.count()), ext).bytes, golden(stem + "__f32.szp"));
-  EXPECT_EQ(comp.compress(wave_f64(ext.count()), ext).bytes, golden(stem + "__f64.szp"));
+  EXPECT_EQ(written(wave_f32(ext.count())), golden(stem + "__f32.szp"));
+  EXPECT_EQ(written(wave_f64(ext.count())), golden(stem + "__f64.szp"));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -122,18 +131,21 @@ INSTANTIATE_TEST_SUITE_P(
         GoldenCase{"lorenzo", PredictorKind::kLorenzo, "huffman", Workflow::kHuffman},
         GoldenCase{"lorenzo", PredictorKind::kLorenzo, "rle", Workflow::kRle},
         GoldenCase{"lorenzo", PredictorKind::kLorenzo, "rlevle", Workflow::kRleVle},
-        GoldenCase{"lorenzo", PredictorKind::kLorenzo, "rans", Workflow::kRans},
+        GoldenCase{"lorenzo", PredictorKind::kLorenzo, "rans", Workflow::kRansOneLane},
+        GoldenCase{"lorenzo", PredictorKind::kLorenzo, "rans8", Workflow::kRans},
         GoldenCase{"lorenzo", PredictorKind::kLorenzo, "lz77", Workflow::kLz77},
         GoldenCase{"lorenzo", PredictorKind::kLorenzo, "lzh", Workflow::kLzh},
         GoldenCase{"lorenzo", PredictorKind::kLorenzo, "lzr", Workflow::kLzr},
         GoldenCase{"regression", PredictorKind::kRegression, "huffman", Workflow::kHuffman},
         GoldenCase{"regression", PredictorKind::kRegression, "rle", Workflow::kRle},
         GoldenCase{"regression", PredictorKind::kRegression, "rlevle", Workflow::kRleVle},
-        GoldenCase{"regression", PredictorKind::kRegression, "rans", Workflow::kRans},
+        GoldenCase{"regression", PredictorKind::kRegression, "rans", Workflow::kRansOneLane},
+        GoldenCase{"regression", PredictorKind::kRegression, "rans8", Workflow::kRans},
         GoldenCase{"interp", PredictorKind::kInterpolation, "huffman", Workflow::kHuffman},
         GoldenCase{"interp", PredictorKind::kInterpolation, "rle", Workflow::kRle},
         GoldenCase{"interp", PredictorKind::kInterpolation, "rlevle", Workflow::kRleVle},
-        GoldenCase{"interp", PredictorKind::kInterpolation, "rans", Workflow::kRans}),
+        GoldenCase{"interp", PredictorKind::kInterpolation, "rans", Workflow::kRansOneLane},
+        GoldenCase{"interp", PredictorKind::kInterpolation, "rans8", Workflow::kRans}),
     [](const auto& info) {
       return std::string(info.param.predictor_name) + "_" + info.param.workflow_name;
     });
@@ -145,6 +157,39 @@ TEST(GoldenArchive, StreamingContainerBitIdentical) {
   const Extents ext = Extents::d1(2048);
   const auto c = StreamingCompressor(scfg).compress(wave_f32(ext.count()), ext);
   EXPECT_EQ(c.bytes, golden("streaming__auto__f32.szpc"));
+}
+
+// The goldens written before kRans moved from one rANS lane (tag 3) to
+// eight (tag 7) stay as decode-only fixtures: the quant codes are the same,
+// so each must decode to exactly the bytes of its eight-lane re-baseline.
+TEST(GoldenArchive, OneLaneFixturesDecodeLikeTheirRebaselines) {
+  for (const char* predictor : {"lorenzo", "regression", "interp"}) {
+    for (const char* dtype : {"f32", "f64"}) {
+      const std::string one = std::string(predictor) + "__rans__" + dtype + ".szp";
+      const std::string eight = std::string(predictor) + "__rans8__" + dtype + ".szp";
+      const auto fixture = golden(one);
+      const auto rebaseline = golden(eight);
+      EXPECT_EQ(Compressor::inspect(fixture).workflow, Workflow::kRansOneLane) << one;
+      EXPECT_EQ(Compressor::inspect(rebaseline).workflow, Workflow::kRans) << eight;
+      EXPECT_EQ(field_bytes(Compressor::decompress(fixture)),
+                field_bytes(Compressor::decompress(rebaseline)))
+          << one;
+    }
+  }
+  const auto old_container = golden("streaming__auto__f32__one_lane.szpc");
+  const auto container = golden("streaming__auto__f32.szpc");
+  EXPECT_NE(old_container, container);
+  EXPECT_EQ(StreamingCompressor::decompress(old_container).data,
+            StreamingCompressor::decompress(container).data);
+}
+
+TEST(GoldenArchive, OneLaneTagIsDecodeOnly) {
+  CompressConfig cfg;
+  cfg.eb = ErrorBound::absolute(1e-3);
+  cfg.workflow = Workflow::kRansOneLane;
+  const Extents ext = Extents::d1(256);
+  EXPECT_THROW((void)Compressor(cfg).compress(wave_f32(ext.count()), ext),
+               std::invalid_argument);
 }
 
 TEST(GoldenArchive, GoldenStillDecodesWithinBound) {
@@ -160,17 +205,18 @@ TEST(GoldenArchive, GoldenStillDecodesWithinBound) {
 
 TEST(DecodeReuse, OneWorkspaceDecodesAnySequenceLikeAFreshCall) {
   // Every golden, ordered so that predictor, codec and element type all
-  // change between neighbours.
+  // change between neighbours; the rANS entries alternate between one-lane
+  // fixtures and eight-lane goldens.
   const char* const kGoldens[] = {
       "lorenzo__huffman__f32",  "regression__rle__f64",    "lorenzo__rlevle__f32",
       "interp__huffman__f64",   "lorenzo__rle__f32",       "regression__huffman__f64",
-      "lorenzo__rans__f32",     "interp__rle__f64",        "lorenzo__lz77__f32",
+      "lorenzo__rans8__f32",    "interp__rle__f64",        "lorenzo__lz77__f32",
       "regression__rlevle__f64", "lorenzo__lzh__f32",      "interp__rlevle__f64",
       "lorenzo__lzr__f32",      "regression__rans__f64",   "interp__huffman__f32",
       "lorenzo__rle__f64",      "regression__huffman__f32", "lorenzo__rlevle__f64",
       "interp__rle__f32",       "lorenzo__huffman__f64",   "regression__rle__f32",
       "lorenzo__rans__f64",     "interp__rlevle__f32",     "lorenzo__lz77__f64",
-      "regression__rans__f32",  "lorenzo__lzh__f64",       "interp__rans__f32",
+      "regression__rans8__f32", "lorenzo__lzh__f64",       "interp__rans8__f32",
       "lorenzo__lzr__f64",      "regression__rlevle__f32", "interp__rans__f64",
   };
   std::vector<std::vector<std::uint8_t>> seq;
@@ -230,12 +276,14 @@ TEST(DecodeReuse, OneWorkspaceDecodesAnySequenceLikeAFreshCall) {
     // Both directions share the workspace's predictor product: compressing
     // the decoded field through `ws` under the archive's own settings must
     // give a fresh compressor's archive, and leave `ws` for the next decode.
+    // The one-lane tag has no encoder, so its fixtures re-encode as kRans.
     const auto info = Compressor::inspect(seq[i]);
     CompressConfig cfg;
     cfg.eb = ErrorBound::absolute(info.eb_abs);
     cfg.quant.capacity = info.capacity;
     cfg.predictor = info.predictor;
-    cfg.workflow = info.workflow;
+    cfg.workflow =
+        info.workflow == Workflow::kRansOneLane ? Workflow::kRans : info.workflow;
     const FieldView field(out.bytes(), out.dtype);
     EXPECT_EQ(Compressor().compress(field, out.extents, cfg, ws).bytes,
               Compressor(cfg).compress(field, out.extents).bytes)
@@ -429,16 +477,21 @@ TEST(StreamingParallel, IndexMakesSlabAccessDirect) {
 // --- Stage and codec tables ------------------------------------------------
 
 TEST(StageTable, CodecTableFollowsWorkflowTags) {
-  // Row i of the codec table is the codec the header's workflow tag i names.
+  // Row i of the codec table is the codec the header's workflow tag i
+  // names, except row 3: eight-lane kRans (tag 7) sits where one-lane rANS
+  // did, and tag 3 names the decode-only one-lane codec outside the table.
   const auto table = pipeline::codecs();
   ASSERT_EQ(table.size(), 7u);
-  for (std::size_t tag = 0; tag < table.size(); ++tag) {
-    const auto wf = static_cast<Workflow>(tag);
-    EXPECT_EQ(table[tag]->id(), wf);
-    EXPECT_EQ(&pipeline::codec(wf), table[tag]);
+  for (std::size_t row = 0; row < table.size(); ++row) {
+    const auto wf = row == 3 ? Workflow::kRans : static_cast<Workflow>(row);
+    EXPECT_EQ(table[row]->id(), wf);
+    EXPECT_EQ(&pipeline::codec(wf), table[row]);
   }
+  const auto& one_lane = pipeline::codec(Workflow::kRansOneLane);
+  EXPECT_EQ(one_lane.id(), Workflow::kRansOneLane);
+  for (const pipeline::LosslessCodec* row : table) EXPECT_NE(row, &one_lane);
   EXPECT_THROW((void)pipeline::codec(Workflow::kAuto), std::logic_error);
-  EXPECT_THROW((void)pipeline::codec(static_cast<Workflow>(7)), std::logic_error);
+  EXPECT_THROW((void)pipeline::codec(static_cast<Workflow>(8)), std::logic_error);
 
   // Likewise the predictor tags, each stage known by its pinned report name.
   EXPECT_STREQ(pipeline::predict_stage(PredictorKind::kLorenzo).construct_stage(),

@@ -94,6 +94,15 @@ void decode_via_file(std::span<const std::uint8_t> bytes) {
   const fs::path dir = fs::temp_directory_path() /
                        ("szp_fuzz_oocore." + std::to_string(::getpid()));
   fs::create_directories(dir);
+  // Removed on return and on throw; the error_code form never throws into
+  // the judge, which must see only the decoder's verdict.
+  struct RemoveOnExit {
+    const fs::path& dir;
+    ~RemoveOnExit() {
+      std::error_code ec;
+      fs::remove_all(dir, ec);
+    }
+  } remove_on_exit{dir};
   io::write_file(dir / "mutant.szpc", bytes);
   StreamingConfig cfg;
   cfg.use_mmap = false;
@@ -208,6 +217,21 @@ std::vector<Target> make_targets() {
     t.name = "zfp/2d-f32";
     const Extents ext = Extents::d2(40, 32);
     t.archive = zfp::zfp_compress(wave_f32(ext.count()), ext, {}).bytes;
+    targets.push_back(std::move(t));
+  }
+
+  {
+    // Tag 3 (one-lane rANS) has no encoder, so this target is seeded from a
+    // kept fixture, tests/golden/lorenzo__rans__f32.szp, whose bytes the
+    // build compiles in.  Appended last, so the other targets keep their
+    // mutation streams.
+    static constexpr std::uint8_t kOneLaneFixture[] = {
+#include "one_lane_fixture.inc"
+    };
+    Target t;
+    t.name = "szp/rans-one-lane-2d-f32";
+    t.archive.assign(std::begin(kOneLaneFixture), std::end(kOneLaneFixture));
+    t.whole_crc = true;
     targets.push_back(std::move(t));
   }
 
