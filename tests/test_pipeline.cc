@@ -8,12 +8,15 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <ostream>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "baseline/cusz_ref.hh"
 #include "core/archive.hh"
 #include "core/codec/codec.hh"
 #include "core/compressor.hh"
@@ -157,6 +160,272 @@ TEST(GoldenArchive, StreamingContainerBitIdentical) {
   const Extents ext = Extents::d1(2048);
   const auto c = StreamingCompressor(scfg).compress(wave_f32(ext.count()), ext);
   EXPECT_EQ(c.bytes, golden("streaming__auto__f32.szpc"));
+}
+
+// --- Multi-block outlier streams ---------------------------------------------
+//
+// Every axis of these fields spans several Lorenzo blocks plus a clamped
+// edge block, and about one element in ten falls outside the 64-code
+// quantizer's radius, so the outlier section interleaves the outliers of
+// every block of a block row in index order.
+
+/// A smooth wave in every axis under uniform noise of amplitude `amp`.
+template <typename T>
+std::vector<T> rough_field(const Extents& ext, double amp) {
+  std::vector<T> v(ext.count());
+  std::uint32_t s = 12345;
+  for (std::size_t z = 0; z < ext.nz; ++z) {
+    for (std::size_t y = 0; y < ext.ny; ++y) {
+      for (std::size_t x = 0; x < ext.nx; ++x) {
+        s = s * 1664525u + 1013904223u;
+        const double u = static_cast<double>(s >> 8) / static_cast<double>(1u << 24);
+        const auto fx = static_cast<double>(x), fy = static_cast<double>(y);
+        const auto fz = static_cast<double>(z);
+        v[ext.index(z, y, x)] = static_cast<T>(std::sin(0.05 * fx) + 0.5 * std::cos(0.07 * fy) +
+                                               0.3 * std::sin(0.09 * fz) + amp * (u - 0.5));
+      }
+    }
+  }
+  return v;
+}
+
+std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::uint8_t b : bytes) h = (h ^ b) * 0x100000001b3ull;
+  return h;
+}
+
+struct OutlierGolden {
+  const char* stem;
+  Extents ext;
+  double amp;
+  std::uint64_t decoded_f32;  ///< FNV-1a of the decoded field, pinned at the first build
+  std::uint64_t decoded_f64;
+};
+
+const OutlierGolden kOutlierGoldens[] = {
+    {"outliers__1d", Extents::d1(16387), 0.045,
+     0x4c336c77a5122cc6ull, 0xa0164017f2754a08ull},
+    {"outliers__2d", Extents::d2(21, 1027), 0.065,
+     0x827e3274ff64ef03ull, 0x4b2d2476e6d5bb1bull},
+    {"outliers__3d", Extents::d3(10, 11, 515), 0.047,
+     0xf55acc53c3630e50ull, 0x44914f7d6e9d67d2ull},
+};
+
+CompressConfig outlier_config(std::uint32_t capacity) {
+  CompressConfig cfg;
+  cfg.eb = ErrorBound::absolute(1e-3);
+  cfg.quant.capacity = capacity;
+  cfg.workflow = Workflow::kHuffman;
+  return cfg;
+}
+
+TEST(GoldenArchive, MultiBlockOutlierStreamsBitIdentical) {
+  const Compressor comp(outlier_config(64));
+  for (const OutlierGolden& g : kOutlierGoldens) {
+    const auto check = [&](FieldView field, const char* dtype, std::uint64_t decoded) {
+      SCOPED_TRACE(std::string(g.stem) + " " + dtype);
+      const auto c = comp.compress(field, g.ext);
+      const double frac =
+          static_cast<double>(c.stats.outlier_count) / static_cast<double>(g.ext.count());
+      EXPECT_GT(frac, 0.05);
+      EXPECT_LT(frac, 0.15);
+      EXPECT_EQ(c.bytes, golden(std::string(g.stem) + "__" + dtype + ".szp"));
+      EXPECT_EQ(fnv1a(Compressor::decompress(c.bytes).bytes()), decoded);
+    };
+    check(rough_field<float>(g.ext, g.amp), "f32", g.decoded_f32);
+    check(rough_field<double>(g.ext, g.amp), "f64", g.decoded_f64);
+  }
+}
+
+// --- The modeled clock of the Lorenzo path ------------------------------------
+//
+// Every cost field the Lorenzo-path stages report, pinned as literals: the
+// modeled V100/A100 figures derive from nothing else.
+
+std::string cost_row(const std::string& label, const sim::PipelineReport& report,
+                     const char* stage) {
+  const sim::StageReport* s = report.find(stage);
+  if (s == nullptr) return label + " " + stage + " missing";
+  const sim::KernelCost& c = s->cost;
+  char buf[256];
+  std::snprintf(buf, sizeof buf, " br=%llu bw=%llu fl=%llu la=%d pi=%llu pat=%d cf=%a",
+                static_cast<unsigned long long>(c.bytes_read),
+                static_cast<unsigned long long>(c.bytes_written),
+                static_cast<unsigned long long>(c.flops), c.launches,
+                static_cast<unsigned long long>(c.parallel_items), static_cast<int>(c.pattern),
+                c.custom_factor);
+  return label + " " + stage + buf;
+}
+
+std::vector<std::string> lorenzo_cost_rows() {
+  std::vector<std::string> rows;
+  const auto add = [&](const std::string& label, const sim::PipelineReport& compress,
+                       const sim::PipelineReport& decompress) {
+    for (const char* stage : {"lorenzo_construct", "gather_outlier"}) {
+      rows.push_back(cost_row(label, compress, stage));
+    }
+    for (const char* stage : {"scatter_outlier", "lorenzo_reconstruct"}) {
+      rows.push_back(cost_row(label, decompress, stage));
+    }
+  };
+  for (const OutlierGolden& g : kOutlierGoldens) {
+    // Capacity 64 leaves about one element in ten an outlier; at 65536 the
+    // same field has none.
+    for (const std::uint32_t capacity : {64u, 65536u}) {
+      const std::string field = std::string(g.stem) + " cap" + std::to_string(capacity);
+      const Compressor comp(outlier_config(capacity));
+      const auto ours = [&](FieldView data, const char* dtype) {
+        const auto c = comp.compress(data, g.ext);
+        EXPECT_EQ(c.stats.outlier_count == 0, capacity == 65536u) << field;
+        for (const auto variant :
+             {ReconstructVariant::kOptimizedPartialSum, ReconstructVariant::kNaivePartialSum}) {
+          const auto d = Compressor::decompress(c.bytes, ReconstructConfig{variant});
+          add(field + " " + dtype + " v" + std::to_string(static_cast<int>(variant)),
+              c.stats.pipeline, d.pipeline);
+        }
+      };
+      ours(rough_field<float>(g.ext, g.amp), "f32");
+      ours(rough_field<double>(g.ext, g.amp), "f64");
+
+      baseline::CuszConfig bcfg;
+      bcfg.eb = ErrorBound::absolute(1e-3);
+      bcfg.quant.capacity = capacity;
+      const auto data = rough_field<float>(g.ext, g.amp);
+      const auto c = baseline::CuszCompressor(bcfg).compress(data, g.ext);
+      add(field + " cusz", c.stats.pipeline,
+          baseline::CuszCompressor::decompress(c.bytes).pipeline);
+    }
+  }
+  return rows;
+}
+
+TEST(ModeledClock, LorenzoPathCostsArePinned) {
+  const char* const kWant[] = {
+      "outliers__1d cap64 f32 v2 lorenzo_construct br=65548 bw=98322 fl=65548 la=1 pi=16387 pat=0 cf=0x1.b333333333333p-1",
+      "outliers__1d cap64 f32 v2 gather_outlier br=131112 bw=20768 fl=16387 la=2 pi=16387 pat=3 cf=0x0p+0",
+      "outliers__1d cap64 f32 v2 scatter_outlier br=60454 bw=72468 fl=18117 la=2 pi=16387 pat=0 cf=0x0p+0",
+      "outliers__1d cap64 f32 v2 lorenzo_reconstruct br=65548 bw=131096 fl=65548 la=1 pi=16387 pat=0 cf=0x1.6666666666666p-1",
+      "outliers__1d cap64 f32 v1 lorenzo_construct br=65548 bw=98322 fl=65548 la=1 pi=16387 pat=0 cf=0x1.b333333333333p-1",
+      "outliers__1d cap64 f32 v1 gather_outlier br=131112 bw=20768 fl=16387 la=2 pi=16387 pat=3 cf=0x0p+0",
+      "outliers__1d cap64 f32 v1 scatter_outlier br=60454 bw=72468 fl=18117 la=2 pi=16387 pat=0 cf=0x0p+0",
+      "outliers__1d cap64 f32 v1 lorenzo_reconstruct br=65548 bw=131096 fl=65548 la=1 pi=16387 pat=1 cf=0x1.1eb851eb851ecp-1",
+      "outliers__1d cap64 f64 v2 lorenzo_construct br=131096 bw=98322 fl=65548 la=1 pi=16387 pat=0 cf=0x1.b333333333333p-1",
+      "outliers__1d cap64 f64 v2 gather_outlier br=131112 bw=20792 fl=16387 la=2 pi=16387 pat=3 cf=0x0p+0",
+      "outliers__1d cap64 f64 v2 scatter_outlier br=60486 bw=72476 fl=18119 la=2 pi=16387 pat=0 cf=0x0p+0",
+      "outliers__1d cap64 f64 v2 lorenzo_reconstruct br=65548 bw=196644 fl=65548 la=1 pi=16387 pat=0 cf=0x1.6666666666666p-1",
+      "outliers__1d cap64 f64 v1 lorenzo_construct br=131096 bw=98322 fl=65548 la=1 pi=16387 pat=0 cf=0x1.b333333333333p-1",
+      "outliers__1d cap64 f64 v1 gather_outlier br=131112 bw=20792 fl=16387 la=2 pi=16387 pat=3 cf=0x0p+0",
+      "outliers__1d cap64 f64 v1 scatter_outlier br=60486 bw=72476 fl=18119 la=2 pi=16387 pat=0 cf=0x0p+0",
+      "outliers__1d cap64 f64 v1 lorenzo_reconstruct br=65548 bw=196644 fl=65548 la=1 pi=16387 pat=1 cf=0x1.1eb851eb851ecp-1",
+      "outliers__1d cap64 cusz lorenzo_construct br=65548 bw=98322 fl=65548 la=1 pi=16387 pat=1 cf=0x1.28f5c28f5c28fp-1",
+      "outliers__1d cap64 cusz gather_outlier br=65548 bw=20748 fl=16387 la=3 pi=16387 pat=3 cf=0x0p+0",
+      "outliers__1d cap64 cusz scatter_outlier br=20748 bw=6916 fl=1729 la=1 pi=1729 pat=3 cf=0x0p+0",
+      "outliers__1d cap64 cusz lorenzo_reconstruct br=98322 bw=65548 fl=98322 la=1 pi=65 pat=2 cf=0x1.2f1a9fbe76c8bp-5",
+      "outliers__1d cap65536 f32 v2 lorenzo_construct br=65548 bw=98322 fl=65548 la=1 pi=16387 pat=0 cf=0x1.b333333333333p-1",
+      "outliers__1d cap65536 f32 v2 gather_outlier br=131112 bw=8 fl=16387 la=2 pi=16387 pat=3 cf=0x0p+0",
+      "outliers__1d cap65536 f32 v2 scatter_outlier br=32774 bw=65548 fl=16387 la=2 pi=16387 pat=0 cf=0x0p+0",
+      "outliers__1d cap65536 f32 v2 lorenzo_reconstruct br=65548 bw=131096 fl=65548 la=1 pi=16387 pat=0 cf=0x1.6666666666666p-1",
+      "outliers__1d cap65536 f32 v1 lorenzo_construct br=65548 bw=98322 fl=65548 la=1 pi=16387 pat=0 cf=0x1.b333333333333p-1",
+      "outliers__1d cap65536 f32 v1 gather_outlier br=131112 bw=8 fl=16387 la=2 pi=16387 pat=3 cf=0x0p+0",
+      "outliers__1d cap65536 f32 v1 scatter_outlier br=32774 bw=65548 fl=16387 la=2 pi=16387 pat=0 cf=0x0p+0",
+      "outliers__1d cap65536 f32 v1 lorenzo_reconstruct br=65548 bw=131096 fl=65548 la=1 pi=16387 pat=1 cf=0x1.1eb851eb851ecp-1",
+      "outliers__1d cap65536 f64 v2 lorenzo_construct br=131096 bw=98322 fl=65548 la=1 pi=16387 pat=0 cf=0x1.b333333333333p-1",
+      "outliers__1d cap65536 f64 v2 gather_outlier br=131112 bw=8 fl=16387 la=2 pi=16387 pat=3 cf=0x0p+0",
+      "outliers__1d cap65536 f64 v2 scatter_outlier br=32774 bw=65548 fl=16387 la=2 pi=16387 pat=0 cf=0x0p+0",
+      "outliers__1d cap65536 f64 v2 lorenzo_reconstruct br=65548 bw=196644 fl=65548 la=1 pi=16387 pat=0 cf=0x1.6666666666666p-1",
+      "outliers__1d cap65536 f64 v1 lorenzo_construct br=131096 bw=98322 fl=65548 la=1 pi=16387 pat=0 cf=0x1.b333333333333p-1",
+      "outliers__1d cap65536 f64 v1 gather_outlier br=131112 bw=8 fl=16387 la=2 pi=16387 pat=3 cf=0x0p+0",
+      "outliers__1d cap65536 f64 v1 scatter_outlier br=32774 bw=65548 fl=16387 la=2 pi=16387 pat=0 cf=0x0p+0",
+      "outliers__1d cap65536 f64 v1 lorenzo_reconstruct br=65548 bw=196644 fl=65548 la=1 pi=16387 pat=1 cf=0x1.1eb851eb851ecp-1",
+      "outliers__1d cap65536 cusz lorenzo_construct br=65548 bw=98322 fl=65548 la=1 pi=16387 pat=1 cf=0x1.28f5c28f5c28fp-1",
+      "outliers__1d cap65536 cusz gather_outlier br=65548 bw=0 fl=16387 la=3 pi=16387 pat=3 cf=0x0p+0",
+      "outliers__1d cap65536 cusz scatter_outlier br=0 bw=0 fl=0 la=1 pi=1 pat=3 cf=0x0p+0",
+      "outliers__1d cap65536 cusz lorenzo_reconstruct br=98322 bw=65548 fl=98322 la=1 pi=65 pat=2 cf=0x1.2f1a9fbe76c8bp-5",
+      "outliers__2d cap64 f32 v2 lorenzo_construct br=86268 bw=129402 fl=129402 la=1 pi=21567 pat=0 cf=0x1.851eb851eb852p-1",
+      "outliers__2d cap64 f32 v2 gather_outlier br=172552 bw=27140 fl=21567 la=2 pi=21567 pat=3 cf=0x0p+0",
+      "outliers__2d cap64 f32 v2 scatter_outlier br=79310 bw=95312 fl=23828 la=2 pi=21567 pat=0 cf=0x0p+0",
+      "outliers__2d cap64 f32 v2 lorenzo_reconstruct br=86268 bw=172536 fl=129402 la=2 pi=21567 pat=0 cf=0x1.23d70a3d70a3dp-1",
+      "outliers__2d cap64 f32 v1 lorenzo_construct br=86268 bw=129402 fl=129402 la=1 pi=21567 pat=0 cf=0x1.851eb851eb852p-1",
+      "outliers__2d cap64 f32 v1 gather_outlier br=172552 bw=27140 fl=21567 la=2 pi=21567 pat=3 cf=0x0p+0",
+      "outliers__2d cap64 f32 v1 scatter_outlier br=79310 bw=95312 fl=23828 la=2 pi=21567 pat=0 cf=0x0p+0",
+      "outliers__2d cap64 f32 v1 lorenzo_reconstruct br=86268 bw=172536 fl=129402 la=2 pi=21567 pat=1 cf=0x1.c28f5c28f5c29p-2",
+      "outliers__2d cap64 f64 v2 lorenzo_construct br=172536 bw=129402 fl=129402 la=1 pi=21567 pat=0 cf=0x1.851eb851eb852p-1",
+      "outliers__2d cap64 f64 v2 gather_outlier br=172552 bw=27116 fl=21567 la=2 pi=21567 pat=3 cf=0x0p+0",
+      "outliers__2d cap64 f64 v2 scatter_outlier br=79278 bw=95304 fl=23826 la=2 pi=21567 pat=0 cf=0x0p+0",
+      "outliers__2d cap64 f64 v2 lorenzo_reconstruct br=86268 bw=258804 fl=129402 la=2 pi=21567 pat=0 cf=0x1.23d70a3d70a3dp-1",
+      "outliers__2d cap64 f64 v1 lorenzo_construct br=172536 bw=129402 fl=129402 la=1 pi=21567 pat=0 cf=0x1.851eb851eb852p-1",
+      "outliers__2d cap64 f64 v1 gather_outlier br=172552 bw=27116 fl=21567 la=2 pi=21567 pat=3 cf=0x0p+0",
+      "outliers__2d cap64 f64 v1 scatter_outlier br=79278 bw=95304 fl=23826 la=2 pi=21567 pat=0 cf=0x0p+0",
+      "outliers__2d cap64 f64 v1 lorenzo_reconstruct br=86268 bw=258804 fl=129402 la=2 pi=21567 pat=1 cf=0x1.c28f5c28f5c29p-2",
+      "outliers__2d cap64 cusz lorenzo_construct br=86268 bw=129402 fl=129402 la=1 pi=21567 pat=1 cf=0x1.6666666666666p-1",
+      "outliers__2d cap64 cusz gather_outlier br=86268 bw=27096 fl=21567 la=3 pi=21567 pat=3 cf=0x0p+0",
+      "outliers__2d cap64 cusz scatter_outlier br=27096 bw=9032 fl=2258 la=1 pi=2258 pat=3 cf=0x0p+0",
+      "outliers__2d cap64 cusz lorenzo_reconstruct br=129402 bw=86268 fl=172536 la=1 pi=130 pat=2 cf=0x1.51eb851eb851fp-2",
+      "outliers__2d cap65536 f32 v2 lorenzo_construct br=86268 bw=129402 fl=129402 la=1 pi=21567 pat=0 cf=0x1.851eb851eb852p-1",
+      "outliers__2d cap65536 f32 v2 gather_outlier br=172552 bw=8 fl=21567 la=2 pi=21567 pat=3 cf=0x0p+0",
+      "outliers__2d cap65536 f32 v2 scatter_outlier br=43134 bw=86268 fl=21567 la=2 pi=21567 pat=0 cf=0x0p+0",
+      "outliers__2d cap65536 f32 v2 lorenzo_reconstruct br=86268 bw=172536 fl=129402 la=2 pi=21567 pat=0 cf=0x1.23d70a3d70a3dp-1",
+      "outliers__2d cap65536 f32 v1 lorenzo_construct br=86268 bw=129402 fl=129402 la=1 pi=21567 pat=0 cf=0x1.851eb851eb852p-1",
+      "outliers__2d cap65536 f32 v1 gather_outlier br=172552 bw=8 fl=21567 la=2 pi=21567 pat=3 cf=0x0p+0",
+      "outliers__2d cap65536 f32 v1 scatter_outlier br=43134 bw=86268 fl=21567 la=2 pi=21567 pat=0 cf=0x0p+0",
+      "outliers__2d cap65536 f32 v1 lorenzo_reconstruct br=86268 bw=172536 fl=129402 la=2 pi=21567 pat=1 cf=0x1.c28f5c28f5c29p-2",
+      "outliers__2d cap65536 f64 v2 lorenzo_construct br=172536 bw=129402 fl=129402 la=1 pi=21567 pat=0 cf=0x1.851eb851eb852p-1",
+      "outliers__2d cap65536 f64 v2 gather_outlier br=172552 bw=8 fl=21567 la=2 pi=21567 pat=3 cf=0x0p+0",
+      "outliers__2d cap65536 f64 v2 scatter_outlier br=43134 bw=86268 fl=21567 la=2 pi=21567 pat=0 cf=0x0p+0",
+      "outliers__2d cap65536 f64 v2 lorenzo_reconstruct br=86268 bw=258804 fl=129402 la=2 pi=21567 pat=0 cf=0x1.23d70a3d70a3dp-1",
+      "outliers__2d cap65536 f64 v1 lorenzo_construct br=172536 bw=129402 fl=129402 la=1 pi=21567 pat=0 cf=0x1.851eb851eb852p-1",
+      "outliers__2d cap65536 f64 v1 gather_outlier br=172552 bw=8 fl=21567 la=2 pi=21567 pat=3 cf=0x0p+0",
+      "outliers__2d cap65536 f64 v1 scatter_outlier br=43134 bw=86268 fl=21567 la=2 pi=21567 pat=0 cf=0x0p+0",
+      "outliers__2d cap65536 f64 v1 lorenzo_reconstruct br=86268 bw=258804 fl=129402 la=2 pi=21567 pat=1 cf=0x1.c28f5c28f5c29p-2",
+      "outliers__2d cap65536 cusz lorenzo_construct br=86268 bw=129402 fl=129402 la=1 pi=21567 pat=1 cf=0x1.6666666666666p-1",
+      "outliers__2d cap65536 cusz gather_outlier br=86268 bw=0 fl=21567 la=3 pi=21567 pat=3 cf=0x0p+0",
+      "outliers__2d cap65536 cusz scatter_outlier br=0 bw=0 fl=0 la=1 pi=1 pat=3 cf=0x0p+0",
+      "outliers__2d cap65536 cusz lorenzo_reconstruct br=129402 bw=86268 fl=172536 la=1 pi=130 pat=2 cf=0x1.51eb851eb851fp-2",
+      "outliers__3d cap64 f32 v2 lorenzo_construct br=226600 bw=339900 fl=566500 la=1 pi=56650 pat=0 cf=0x1.a3d70a3d70a3dp-1",
+      "outliers__3d cap64 f32 v2 gather_outlier br=453216 bw=48776 fl=56650 la=2 pi=56650 pat=3 cf=0x0p+0",
+      "outliers__3d cap64 f32 v2 scatter_outlier br=178324 bw=242856 fl=60714 la=2 pi=56650 pat=0 cf=0x0p+0",
+      "outliers__3d cap64 f32 v2 lorenzo_reconstruct br=226600 bw=453200 fl=453200 la=3 pi=56650 pat=0 cf=0x1.0f5c28f5c28f6p-1",
+      "outliers__3d cap64 f32 v1 lorenzo_construct br=226600 bw=339900 fl=566500 la=1 pi=56650 pat=0 cf=0x1.a3d70a3d70a3dp-1",
+      "outliers__3d cap64 f32 v1 gather_outlier br=453216 bw=48776 fl=56650 la=2 pi=56650 pat=3 cf=0x0p+0",
+      "outliers__3d cap64 f32 v1 scatter_outlier br=178324 bw=242856 fl=60714 la=2 pi=56650 pat=0 cf=0x0p+0",
+      "outliers__3d cap64 f32 v1 lorenzo_reconstruct br=226600 bw=453200 fl=453200 la=3 pi=56650 pat=1 cf=0x1.8f5c28f5c28f6p-2",
+      "outliers__3d cap64 f64 v2 lorenzo_construct br=453200 bw=339900 fl=566500 la=1 pi=56650 pat=0 cf=0x1.a3d70a3d70a3dp-1",
+      "outliers__3d cap64 f64 v2 gather_outlier br=453216 bw=48728 fl=56650 la=2 pi=56650 pat=3 cf=0x0p+0",
+      "outliers__3d cap64 f64 v2 scatter_outlier br=178260 bw=242840 fl=60710 la=2 pi=56650 pat=0 cf=0x0p+0",
+      "outliers__3d cap64 f64 v2 lorenzo_reconstruct br=226600 bw=679800 fl=453200 la=3 pi=56650 pat=0 cf=0x1.0f5c28f5c28f6p-1",
+      "outliers__3d cap64 f64 v1 lorenzo_construct br=453200 bw=339900 fl=566500 la=1 pi=56650 pat=0 cf=0x1.a3d70a3d70a3dp-1",
+      "outliers__3d cap64 f64 v1 gather_outlier br=453216 bw=48728 fl=56650 la=2 pi=56650 pat=3 cf=0x0p+0",
+      "outliers__3d cap64 f64 v1 scatter_outlier br=178260 bw=242840 fl=60710 la=2 pi=56650 pat=0 cf=0x0p+0",
+      "outliers__3d cap64 f64 v1 lorenzo_reconstruct br=226600 bw=679800 fl=453200 la=3 pi=56650 pat=1 cf=0x1.8f5c28f5c28f6p-2",
+      "outliers__3d cap64 cusz lorenzo_construct br=226600 bw=339900 fl=566500 la=1 pi=56650 pat=1 cf=0x1.1eb851eb851ecp-1",
+      "outliers__3d cap64 cusz gather_outlier br=226600 bw=48732 fl=56650 la=3 pi=56650 pat=3 cf=0x0p+0",
+      "outliers__3d cap64 cusz scatter_outlier br=48732 bw=16244 fl=4061 la=1 pi=4061 pat=3 cf=0x0p+0",
+      "outliers__3d cap64 cusz lorenzo_reconstruct br=339900 bw=226600 fl=566500 la=1 pi=260 pat=2 cf=0x1.0e5604189374cp-4",
+      "outliers__3d cap65536 f32 v2 lorenzo_construct br=226600 bw=339900 fl=566500 la=1 pi=56650 pat=0 cf=0x1.a3d70a3d70a3dp-1",
+      "outliers__3d cap65536 f32 v2 gather_outlier br=453216 bw=8 fl=56650 la=2 pi=56650 pat=3 cf=0x0p+0",
+      "outliers__3d cap65536 f32 v2 scatter_outlier br=113300 bw=226600 fl=56650 la=2 pi=56650 pat=0 cf=0x0p+0",
+      "outliers__3d cap65536 f32 v2 lorenzo_reconstruct br=226600 bw=453200 fl=453200 la=3 pi=56650 pat=0 cf=0x1.0f5c28f5c28f6p-1",
+      "outliers__3d cap65536 f32 v1 lorenzo_construct br=226600 bw=339900 fl=566500 la=1 pi=56650 pat=0 cf=0x1.a3d70a3d70a3dp-1",
+      "outliers__3d cap65536 f32 v1 gather_outlier br=453216 bw=8 fl=56650 la=2 pi=56650 pat=3 cf=0x0p+0",
+      "outliers__3d cap65536 f32 v1 scatter_outlier br=113300 bw=226600 fl=56650 la=2 pi=56650 pat=0 cf=0x0p+0",
+      "outliers__3d cap65536 f32 v1 lorenzo_reconstruct br=226600 bw=453200 fl=453200 la=3 pi=56650 pat=1 cf=0x1.8f5c28f5c28f6p-2",
+      "outliers__3d cap65536 f64 v2 lorenzo_construct br=453200 bw=339900 fl=566500 la=1 pi=56650 pat=0 cf=0x1.a3d70a3d70a3dp-1",
+      "outliers__3d cap65536 f64 v2 gather_outlier br=453216 bw=8 fl=56650 la=2 pi=56650 pat=3 cf=0x0p+0",
+      "outliers__3d cap65536 f64 v2 scatter_outlier br=113300 bw=226600 fl=56650 la=2 pi=56650 pat=0 cf=0x0p+0",
+      "outliers__3d cap65536 f64 v2 lorenzo_reconstruct br=226600 bw=679800 fl=453200 la=3 pi=56650 pat=0 cf=0x1.0f5c28f5c28f6p-1",
+      "outliers__3d cap65536 f64 v1 lorenzo_construct br=453200 bw=339900 fl=566500 la=1 pi=56650 pat=0 cf=0x1.a3d70a3d70a3dp-1",
+      "outliers__3d cap65536 f64 v1 gather_outlier br=453216 bw=8 fl=56650 la=2 pi=56650 pat=3 cf=0x0p+0",
+      "outliers__3d cap65536 f64 v1 scatter_outlier br=113300 bw=226600 fl=56650 la=2 pi=56650 pat=0 cf=0x0p+0",
+      "outliers__3d cap65536 f64 v1 lorenzo_reconstruct br=226600 bw=679800 fl=453200 la=3 pi=56650 pat=1 cf=0x1.8f5c28f5c28f6p-2",
+      "outliers__3d cap65536 cusz lorenzo_construct br=226600 bw=339900 fl=566500 la=1 pi=56650 pat=1 cf=0x1.1eb851eb851ecp-1",
+      "outliers__3d cap65536 cusz gather_outlier br=226600 bw=0 fl=56650 la=3 pi=56650 pat=3 cf=0x0p+0",
+      "outliers__3d cap65536 cusz scatter_outlier br=0 bw=0 fl=0 la=1 pi=1 pat=3 cf=0x0p+0",
+      "outliers__3d cap65536 cusz lorenzo_reconstruct br=339900 bw=226600 fl=566500 la=1 pi=260 pat=2 cf=0x1.0e5604189374cp-4",
+  };
+  const auto rows = lorenzo_cost_rows();
+  ASSERT_EQ(rows.size(), std::size(kWant));
+  for (std::size_t i = 0; i < rows.size(); ++i) EXPECT_EQ(rows[i], kWant[i]) << "row " << i;
 }
 
 // The goldens written before kRans moved from one rANS lane (tag 3) to
