@@ -93,25 +93,22 @@ BENCHMARK(BM_LorenzoConstruct<2>)->Arg(1 << 21);
 BENCHMARK(BM_LorenzoConstruct<3>)->Arg(1 << 21);
 
 template <int Rank>
-void BM_LorenzoReconstructFused(benchmark::State& state) {
+void BM_LorenzoReconstruct(benchmark::State& state) {
   const Extents ext = extents_of<Rank>(static_cast<std::size_t>(state.range(0)));
   const auto data = bench_field(ext.count());
-  auto lorenzo = lorenzo_construct(data, ext, 1e-3, QuantConfig{});
-  std::vector<qdiff_t> qprime(ext.count());
-  fuse_quant_codes(std::span<const quant_t>(lorenzo.quant.data(), lorenzo.quant.size()),
-                   QuantConfig{}.radius(), qprime);
+  const auto lorenzo = lorenzo_construct(data, ext, 1e-3, QuantConfig{});
+  const std::span<const quant_t> quant(lorenzo.quant.data(), lorenzo.quant.size());
   std::vector<float> out(ext.count());
   for (auto _ : state) {
-    auto work = qprime;  // partial sums consume the buffer
-    lorenzo_reconstruct_fused(work, ext, 1e-3, out, {});
+    lorenzo_reconstruct<float>(quant, lorenzo.outliers, ext, 1e-3, QuantConfig{}.radius(), out);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetBytesProcessed(
       static_cast<std::int64_t>(state.iterations() * ext.count() * sizeof(float)));
 }
-BENCHMARK(BM_LorenzoReconstructFused<1>)->Arg(1 << 21);
-BENCHMARK(BM_LorenzoReconstructFused<2>)->Arg(1 << 21);
-BENCHMARK(BM_LorenzoReconstructFused<3>)->Arg(1 << 21);
+BENCHMARK(BM_LorenzoReconstruct<1>)->Arg(1 << 21);
+BENCHMARK(BM_LorenzoReconstruct<2>)->Arg(1 << 21);
+BENCHMARK(BM_LorenzoReconstruct<3>)->Arg(1 << 21);
 
 void BM_HuffmanEncode(benchmark::State& state) {
   const auto codes = bench_codes(static_cast<std::size_t>(state.range(0)));

@@ -54,8 +54,7 @@ SchemeRatios measure(const BenchField& f, double eb_rel) {
   const auto* qbytes = reinterpret_cast<const std::uint8_t*>(lorenzo.quant.data());
   const auto qg = lossless::lzh_compress(
       std::span<const std::uint8_t>(qbytes, lorenzo.quant.size() * sizeof(quant_t)));
-  std::size_t outlier_bytes = 0;
-  for (const auto v : lorenzo.outlier_dense) outlier_bytes += v != 0 ? 12u : 0u;
+  const std::size_t outlier_bytes = lorenzo.outliers.nnz() * 12u;
   r.qg = orig_bytes / static_cast<double>(qg.size() + outlier_bytes);
   return r;
 }

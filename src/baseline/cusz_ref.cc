@@ -43,13 +43,18 @@ Compressed CuszCompressor::compress(std::span<const float> data, const Extents& 
   const double eb_kernel = eb_user - margin;
 
   sim::Timer t;
-  auto lorenzo = lorenzo_construct(data, ext, eb_kernel, cfg_.quant, OutlierScheme::kValue,
-                                   ConstructVariant::kBaseline);
+  PredictorProduct lorenzo;
+  lorenzo_construct_into(data, ext, eb_kernel, cfg_.quant, OutlierScheme::kValue,
+                         ConstructVariant::kBaseline, lorenzo);
   st.pipeline.add({"lorenzo_construct", st.original_bytes, t.seconds(), lorenzo.cost});
 
   t.reset();
-  auto outliers = sim::dense_to_sparse<qdiff_t>(
-      std::span<const qdiff_t>(lorenzo.outlier_dense.data(), lorenzo.outlier_dense.size()));
+  (void)lorenzo_gather_outliers(ext, lorenzo);
+
+  // The construct kernel compacts value-space outliers per block and the
+  // merge writes them in index order: cuSZ's dense-to-sparse gather,
+  // modeled as such.
+  const auto& outliers = lorenzo.outliers;
   st.outlier_count = outliers.nnz();
   st.pipeline.add({"gather_outlier", st.original_bytes, t.seconds(),
                    sim::gather_cost(data.size(), sizeof(qdiff_t), outliers.nnz(),

@@ -62,30 +62,15 @@ Compressed compress_impl(const CompressConfig& cfg_, FieldView data, const Exten
   const double eb_kernel = eb_user - margin;
   validate_exactness(range, eb_kernel);
 
-  // --- Prediction + quantization -----------------------------------------
-  sim::Timer t;
+  // --- Prediction + quantization, outlier gather --------------------------
   const pipeline::PredictStage& predictor = pipeline::predict_stage(cfg_.predictor);
-  predictor.construct(data, ext, eb_kernel, cfg_.quant, ws);
+  predictor.construct(data, ext, eb_kernel, cfg_.quant, ws, st.pipeline);
   const PredictorProduct& prod = ws.product;
-  st.pipeline.add({predictor.construct_stage(), st.original_bytes, t.seconds(), prod.cost});
   const std::span<const quant_t> quant(prod.quant);
-
-  // --- Gather outliers (dense -> sparse) --------------------------------
-  t.reset();
-  sim::KernelCost gather_c;
-  {
-    sim::traffic::Scope gather_scope;  // contract-derived volumes
-    sim::dense_to_sparse_into(std::span<const qdiff_t>(prod.outlier_dense), ws.outliers,
-                              ws.gather_tile_nnz, ws.gather_offsets);
-    gather_c = sim::gather_cost(data.size(), sizeof(qdiff_t), ws.outliers.nnz(),
-                                sizeof(std::uint64_t));
-    gather_scope.apply(gather_c);
-  }
-  st.outlier_count = ws.outliers.nnz();
-  st.pipeline.add({"gather_outlier", st.original_bytes, t.seconds(), gather_c});
+  st.outlier_count = prod.outliers.nnz();
 
   // --- Histogram ---------------------------------------------------------
-  t.reset();
+  sim::Timer t;
   sim::KernelCost hist_c;
   {
     sim::traffic::Scope hist_scope;  // contract-derived volumes
@@ -111,8 +96,8 @@ Compressed compress_impl(const CompressConfig& cfg_, FieldView data, const Exten
   predictor.write_aux(w, ws);
 
   // --- Outlier section ----------------------------------------------------
-  w.put_vector(ws.outliers.indices);
-  w.put_vector(ws.outliers.values);
+  w.put_vector(prod.outliers.indices);
+  w.put_vector(prod.outliers.values);
 
   // --- Quant-code payload --------------------------------------------------
   const pipeline::EncodeContext ectx{cfg_, ws.freq, st.original_bytes};
@@ -159,7 +144,7 @@ void Compressor::decompress(std::span<const std::uint8_t> archive, Decompressed&
     predictor.read_aux(r, ws);
 
     const std::size_t n = h.extents.count();
-    sim::SparseVector<qdiff_t>& outliers = ws.outliers;
+    sim::SparseVector<qdiff_t>& outliers = ws.product.outliers;
     r.set_segment("outliers");
     r.get_vector_into(outliers.indices);
     r.get_vector_into(outliers.values);
@@ -169,14 +154,24 @@ void Compressor::decompress(std::span<const std::uint8_t> archive, Decompressed&
                             std::to_string(outliers.indices.size()) + " vs " +
                             std::to_string(outliers.values.size()) + ")");
     }
-    // Every outlier index feeds a scatter write; validate against the element
-    // count so a corrupt index cannot write outside the output buffer.
+    // Every outlier index feeds a write into the field; validate against the
+    // element count so a corrupt index cannot write outside the output
+    // buffer, and require strictly increasing indices, as compression writes
+    // them: reconstruction finds each row's outliers by search, and a
+    // repeated index would add its residual twice.
+    std::uint64_t next = 0;  // the smallest index the next entry may take
     for (const auto idx : outliers.indices) {
       if (idx >= n) {
         throw DecodeError(DecodeErrorKind::kCorruptStream, "outliers",
                           "outlier index " + std::to_string(idx) + " outside the " +
                               std::to_string(n) + "-element grid");
       }
+      if (idx < next) {
+        throw DecodeError(DecodeErrorKind::kCorruptStream, "outliers",
+                          "outlier index " + std::to_string(idx) +
+                              " does not follow the one before it");
+      }
+      next = idx + 1;
     }
 
     out.extents = h.extents;
@@ -191,7 +186,7 @@ void Compressor::decompress(std::span<const std::uint8_t> archive, Decompressed&
     // allocation.
     pipeline::codec(h.workflow).decode(r, dctx, ws.product.quant, out.pipeline);
 
-    // --- Scatter outliers + predictor reconstruction ------------------------
+    // --- Outliers + predictor reconstruction ---------------------------------
     predictor.reconstruct(h, recon, ws, out);
   });
 }

@@ -25,17 +25,37 @@ std::size_t payload_bytes(const Compressor::ArchiveInfo& h) {
   return h.extents.count() * dtype_size(h.dtype);
 }
 
-/// Dense-outlier scatter shared by the regression and interpolation decode
-/// paths (Lorenzo scatters into the fused residual field instead): re-zero
-/// the product's n-element outlier array, then add the outliers on top.
-void scatter_dense(const Compressor::ArchiveInfo& h, Workspace& ws, Decompressed& out) {
+/// Dense-to-sparse gather shared by the regression and interpolation
+/// construct paths: compact the product's dense outlier array into its
+/// outlier section.
+void gather_dense(std::size_t payload, Workspace& ws, sim::PipelineReport& report) {
   sim::Timer t;
-  ws.product.outlier_dense.assign(h.extents.count(), 0);
+  PredictorProduct& p = ws.product;
   sim::KernelCost cost;
   {
     sim::traffic::Scope scope;  // contract-derived volumes
-    sim::scatter_add(ws.outliers, std::span<qdiff_t>(ws.product.outlier_dense));
-    cost = sim::scatter_cost(ws.outliers.nnz(), sizeof(qdiff_t), sizeof(std::uint64_t));
+    sim::dense_to_sparse_into(std::span<const qdiff_t>(p.outlier_dense), p.outliers,
+                              ws.gather_tile_nnz, ws.gather_offsets);
+    cost = sim::gather_cost(p.outlier_dense.size(), sizeof(qdiff_t), p.outliers.nnz(),
+                            sizeof(std::uint64_t));
+    scope.apply(cost);
+  }
+  report.add({"gather_outlier", payload, t.seconds(), cost});
+}
+
+/// Dense-outlier scatter shared by the regression and interpolation decode
+/// paths (Lorenzo adds the outliers inside its reconstruct blocks instead):
+/// re-zero the product's n-element outlier array, then add the outliers on
+/// top.
+void scatter_dense(const Compressor::ArchiveInfo& h, Workspace& ws, Decompressed& out) {
+  sim::Timer t;
+  PredictorProduct& p = ws.product;
+  p.outlier_dense.assign(h.extents.count(), 0);
+  sim::KernelCost cost;
+  {
+    sim::traffic::Scope scope;  // contract-derived volumes
+    sim::scatter_add(p.outliers, std::span<qdiff_t>(p.outlier_dense));
+    cost = sim::scatter_cost(p.outliers.nnz(), sizeof(qdiff_t), sizeof(std::uint64_t));
     scope.apply(cost);
   }
   out.pipeline.add({"scatter_outlier", payload_bytes(h), t.seconds(), cost});
@@ -46,11 +66,16 @@ class LorenzoStage final : public PredictStage {
   [[nodiscard]] const char* construct_stage() const override { return "lorenzo_construct"; }
 
   void construct(FieldView data, const Extents& ext, double eb_kernel, const QuantConfig& quant,
-                 Workspace& ws) const override {
+                 Workspace& ws, sim::PipelineReport& report) const override {
+    sim::Timer t;
     data.visit([&](auto elems) {
       lorenzo_construct_into(elems, ext, eb_kernel, quant, OutlierScheme::kResidual,
                              ConstructVariant::kOptimized, ws.product);
     });
+    report.add({construct_stage(), data.size_bytes(), t.seconds(), ws.product.cost});
+    t.reset();
+    const sim::KernelCost gather_cost = lorenzo_gather_outliers(ext, ws.product);
+    report.add({"gather_outlier", data.size_bytes(), t.seconds(), gather_cost});
   }
 
   void write_aux(ByteWriter&, const Workspace&) const override {}  // no sidecar
@@ -58,36 +83,17 @@ class LorenzoStage final : public PredictStage {
 
   void reconstruct(const Compressor::ArchiveInfo& h, const ReconstructConfig& recon,
                    Workspace& ws, Decompressed& out) const override {
-    const std::size_t n = h.extents.count();
-    const std::int32_t radius = QuantConfig{h.capacity}.radius();
-    auto& qprime = ws.product.outlier_dense;
-
-    // --- Fuse quant ⊕ outlier (Algorithm 1 line 9) -------------------------
-    // The fuse overwrites all n residuals, so a resize is enough.
+    const PredictorProduct& p = ws.product;
+    // The outliers are added inside the reconstruct blocks, so this entry
+    // carries only the modeled cost of the paper's fuse + scatter pair.
+    out.pipeline.add({"scatter_outlier", payload_bytes(h), 0.0,
+                      lorenzo_fuse_cost(h.extents.count(), p.outliers.nnz())});
     sim::Timer t;
-    qprime.resize(n);
-    // The streaming fuse dominates the traffic; the sparse scatter rides
-    // along (outliers are rare), so the stage keeps the streaming access
-    // profile.  Volumes for both launches come from their contracts.
-    sim::KernelCost fuse_cost;
-    {
-      sim::traffic::Scope scope;
-      fuse_quant_codes(ws.product.quant, radius, qprime);
-      sim::scatter_add(ws.outliers, std::span<qdiff_t>(qprime));
-      scope.apply(fuse_cost);
-    }
-    fuse_cost.flops = n + ws.outliers.nnz();
-    fuse_cost.parallel_items = n;
-    fuse_cost.pattern = sim::AccessPattern::kCoalescedStreaming;
-    fuse_cost.launches = 2;
-    out.pipeline.add({"scatter_outlier", payload_bytes(h), t.seconds(), fuse_cost});
-
-    // --- Partial-sum Lorenzo reconstruction --------------------------------
-    t.reset();
     const sim::KernelCost recon_cost =
         out.write_field([&]<typename T>(std::vector<T>& field) {
-          field.resize(n);
-          return lorenzo_reconstruct_fused<T>(qprime, h.extents, h.eb_abs, field, recon);
+          field.resize(h.extents.count());
+          return lorenzo_reconstruct<T>(p.quant, p.outliers, h.extents, h.eb_abs,
+                                        QuantConfig{h.capacity}.radius(), field, recon);
         });
     out.pipeline.add({"lorenzo_reconstruct", payload_bytes(h), t.seconds(), recon_cost});
   }
@@ -98,10 +104,13 @@ class RegressionStage final : public PredictStage {
   [[nodiscard]] const char* construct_stage() const override { return "regression_construct"; }
 
   void construct(FieldView data, const Extents& ext, double eb_kernel, const QuantConfig& quant,
-                 Workspace& ws) const override {
+                 Workspace& ws, sim::PipelineReport& report) const override {
+    sim::Timer t;
     data.visit([&](auto elems) {
       regression_construct_into(elems, ext, eb_kernel, quant, ws.product);
     });
+    report.add({construct_stage(), data.size_bytes(), t.seconds(), ws.product.cost});
+    gather_dense(data.size_bytes(), ws, report);
   }
 
   void write_aux(ByteWriter& w, const Workspace& ws) const override {
@@ -134,11 +143,14 @@ class InterpolationStage final : public PredictStage {
   }
 
   void construct(FieldView data, const Extents& ext, double eb_kernel, const QuantConfig& quant,
-                 Workspace& ws) const override {
+                 Workspace& ws, sim::PipelineReport& report) const override {
+    sim::Timer t;
     data.visit([&](auto elems) {
       interpolation_construct_into(elems, ext, eb_kernel, quant, InterpolationConfig{},
                                    ws.product);
     });
+    report.add({construct_stage(), data.size_bytes(), t.seconds(), ws.product.cost});
+    gather_dense(data.size_bytes(), ws, report);
   }
 
   void write_aux(ByteWriter& w, const Workspace& ws) const override {

@@ -46,11 +46,13 @@ class PredictStage {
   /// PipelineReport entry name of the construct pass (pinned by tests).
   [[nodiscard]] virtual const char* construct_stage() const = 0;
 
-  /// Fill ws.product with quant-codes, the dense outlier array, the aux
-  /// payload and the kernel cost for `data` (either element type: a stage
-  /// visits the view once into its typed kernel).
+  /// Fill ws.product with quant-codes, the outlier section (in index
+  /// order) and the aux payload for `data` (either element type: a stage
+  /// visits the view once into its typed kernel), and append the
+  /// construct_stage() and "gather_outlier" report entries.
   virtual void construct(FieldView data, const Extents& ext, double eb_kernel,
-                         const QuantConfig& quant, Workspace& ws) const = 0;
+                         const QuantConfig& quant, Workspace& ws,
+                         sim::PipelineReport& report) const = 0;
 
   /// Serialize the aux payload construct() left in ws.product (nothing for
   /// Lorenzo).
@@ -59,12 +61,13 @@ class PredictStage {
   virtual void read_aux(ByteReader& r, Workspace& ws) const = 0;
 
   /// Rebuild the field the header `h` describes from the quant-codes the
-  /// codec decoded into ws.product.quant, the outlier stream in
-  /// ws.outliers and the aux read_aux() left in ws.product.  Takes
-  /// ws.product.outlier_dense as scratch whatever it held (a stage that
-  /// scatters outliers into it re-zeroes it first), appends its own
-  /// PipelineReport entries (scatter + reconstruct), and sizes and fills
-  /// the field through out.write_field() (out.dtype is already set).
+  /// codec decoded into ws.product.quant, the outlier section in
+  /// ws.product.outliers (strictly increasing indices below n) and the aux
+  /// read_aux() left in ws.product.  A stage that scatters the outliers
+  /// into ws.product.outlier_dense re-zeroes it first, whatever it held.
+  /// Appends its own PipelineReport entries (scatter + reconstruct), and
+  /// sizes and fills the field through out.write_field() (out.dtype is
+  /// already set).
   virtual void reconstruct(const Compressor::ArchiveInfo& h, const ReconstructConfig& recon,
                            Workspace& ws, Decompressed& out) const = 0;
 };

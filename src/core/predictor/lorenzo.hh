@@ -11,6 +11,13 @@
 //     passes over coalesced rows, the x-scan per chunk row and the y/z
 //     passes across a whole run of chunks.
 //
+// The host kernels fuse more than the paper's (DESIGN.md §2).  Construct
+// compacts each block's outliers as it predicts them instead of writing a
+// dense outlier array for a separate gather, and reconstruction rebuilds
+// each block in a box-sized tile from its quant-codes and the sparse
+// outliers instead of fusing them into an n-element residual field first.
+// The modeled costs they report stay the paper's kernels'.
+//
 // Construction is chunked (256 / 16x16 / 8x8x8) with a zero prediction
 // boundary per chunk, which removes inter-chunk dependencies and is exactly
 // the property that makes reconstruction a chunk-local inclusive partial
@@ -64,42 +71,63 @@ enum class ConstructVariant {
 };
 
 /// Dual-quantized Lorenzo construction: prequant d° = round(d/2eb), predict
-/// within the chunk, emit quant-codes and a dense outlier array (gathered to
-/// sparse by a separate stage, as in the paper's pipeline).
+/// within the chunk, emit quant-codes, and the outliers compacted per block
+/// (gathered into the archive's section by lorenzo_gather_outliers).
 ///
 /// T is float or double (the paper supports both; doubles raise the VLE
 /// compression-ratio ceiling from 32x to 64x).  Requires max|d|/(2*eb) <
 /// 2^27 so residual arithmetic stays exact in qdiff_t; the Compressor
 /// validates this before calling.  Prequant values beyond it saturate at
 /// ±2^27 instead of overflowing.
+///
+/// Returns the product with quant-codes and the gathered outlier section.
 template <typename T>
 [[nodiscard]] PredictorProduct lorenzo_construct(
     std::span<const T> data, const Extents& ext, double eb_abs,
     const QuantConfig& quant, OutlierScheme scheme = OutlierScheme::kResidual,
     ConstructVariant variant = ConstructVariant::kOptimized);
 
-/// Workspace-reuse variant: fills the caller's product with
-/// capacity-preserving assigns, so a reused `res` allocates nothing once
-/// its buffers have grown to the field size (see core/workspace.hh).
-/// Leaves res.coefficients and res.level as they were.
+/// The construct launch alone, into the caller's product with
+/// capacity-preserving fills, so a reused `res` allocates nothing once its
+/// buffers have grown to the field size (see core/workspace.hh).  Writes
+/// res.quant; the outliers of each box row, compacted into the first slots
+/// of that row's own range of res.outlier_slots (which is never
+/// zero-filled), with their count in res.row_outliers; and res.cost: the
+/// modeled cost of the paper's kernel, which writes a dense outlier array.
+/// Leaves res.outliers, res.outlier_dense, res.coefficients and res.level
+/// as they were.
 template <typename T>
 void lorenzo_construct_into(std::span<const T> data, const Extents& ext, double eb_abs,
                             const QuantConfig& quant, OutlierScheme scheme,
                             ConstructVariant variant, PredictorProduct& res);
+
+/// Merge the compacted box rows into res.outliers in index order, with no
+/// sort: box rows in field order are index order, so this is
+/// O(outliers + n / block width).  Returns the modeled cost of the paper's
+/// dense-to-sparse gather over n residuals (count + fill).
+sim::KernelCost lorenzo_gather_outliers(const Extents& ext, PredictorProduct& res);
 
 struct ReconstructConfig {
   ReconstructVariant variant = ReconstructVariant::kOptimizedPartialSum;
 };
 
 /// cuSZ+ fine-grained reconstruction (Algorithm 1, decompression half).
-/// `qprime` is the *fused* residual field: (quant - radius) with sparse
-/// outliers already scattered in; it is consumed in place (the partial sums
-/// overwrite it with the reconstructed prequant values).
-/// Writes d = partial_sum * 2eb into `out`.
+/// Each block rebuilds its box in a box-sized tile: q' = quant - radius,
+/// plus the outliers that fall in the box (`outliers` holds strictly
+/// increasing indices below n), then the partial sums, then d = sum * 2eb
+/// into `out`.  Returns the modeled cost of the paper's in-place partial
+/// sums over a fused n-element residual field.
 template <typename T>
-sim::KernelCost lorenzo_reconstruct_fused(std::span<qdiff_t> qprime, const Extents& ext,
-                                          double eb_abs, std::span<T> out,
-                                          const ReconstructConfig& cfg = {});
+sim::KernelCost lorenzo_reconstruct(std::span<const quant_t> quant,
+                                    const sim::SparseVector<qdiff_t>& outliers,
+                                    const Extents& ext, double eb_abs, std::int32_t radius,
+                                    std::span<T> out, const ReconstructConfig& cfg = {});
+
+/// Modeled cost of the paper's decode-side outlier fusion: the fuse pass
+/// (q' = quant - radius into an n-element residual field) and the scatter
+/// of `nnz` outliers on top.  lorenzo_reconstruct does both inside its
+/// blocks on the host.
+[[nodiscard]] sim::KernelCost lorenzo_fuse_cost(std::size_t n, std::size_t nnz);
 
 /// cuSZ baseline coarse-grained reconstruction: quant-codes plus a dense
 /// value-space outlier array (placeholder code 0), one virtual thread per
@@ -110,11 +138,6 @@ sim::KernelCost lorenzo_reconstruct_coarse(std::span<const quant_t> quant,
                                            const Extents& ext, double eb_abs,
                                            const QuantConfig& qcfg, std::span<T> out);
 
-/// Helper shared by the decompressor: q' = (quant - radius), then callers
-/// scatter outliers on top.  Returns the kernel cost of the fuse pass.
-sim::KernelCost fuse_quant_codes(std::span<const quant_t> quant, std::int32_t radius,
-                                 std::span<qdiff_t> qprime_out);
-
 // --- Container conveniences (spans are not deduced from vectors) ----------
 
 template <typename T, typename A>
@@ -124,14 +147,6 @@ template <typename T, typename A>
     ConstructVariant variant = ConstructVariant::kOptimized) {
   return lorenzo_construct(std::span<const T>(data.data(), data.size()), ext, eb_abs, quant,
                            scheme, variant);
-}
-
-template <typename T, typename Aq, typename Ao>
-sim::KernelCost lorenzo_reconstruct_fused(std::vector<qdiff_t, Aq>& qprime, const Extents& ext,
-                                          double eb_abs, std::vector<T, Ao>& out,
-                                          const ReconstructConfig& cfg = {}) {
-  return lorenzo_reconstruct_fused(std::span<qdiff_t>(qprime.data(), qprime.size()), ext,
-                                   eb_abs, std::span<T>(out.data(), out.size()), cfg);
 }
 
 template <typename T, typename A>

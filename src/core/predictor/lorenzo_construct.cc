@@ -73,7 +73,8 @@ constexpr qdiff_t chunk_mask(std::size_t x) {
 /// Residuals of one row: δ = Dx(Dy(Dz d°)) with the differences taken
 /// against the chunk's zero boundary, which is the Lorenzo prediction
 /// error.  `c` points at the row's leading zero word; Dy/Dz read the tile's
-/// previous row and plane.
+/// previous row and plane.  `outlier` receives the row's dense outlier
+/// values (0 where the code holds the residual).
 template <int R>
 void predict_row(const qdiff_t* c, std::size_t w, qdiff_t r, bool value_scheme, quant_t* quant,
                  qdiff_t* outlier) {
@@ -99,22 +100,28 @@ void predict_row(const qdiff_t* c, std::size_t w, qdiff_t r, bool value_scheme, 
   }
 }
 
-/// One block: prequantize each row of the box into the tile, then emit the
-/// row's codes and dense outliers.  Rows go in raster order, so the tile
-/// rows a residual reads are complete before it.
-template <int R, typename T, typename VD, typename VQ, typename VO>
-void construct_block(const VD& vdata, const VQ& vquant, const VO& voutlier, const Extents& ext,
-                     const Box& b, double inv2eb, qdiff_t r, bool value_scheme) {
+/// One block (column `bx` of a grid `grid_x` blocks wide): prequantize each
+/// row of the box into the tile, emit the row's codes, and compact the
+/// row's outliers into the first slots of the row's own range of the slot
+/// buffer, with their count in the row's entry of the count buffer.  Rows
+/// go in raster order, so the tile rows a residual reads are complete
+/// before it.
+template <int R, typename T, typename VD, typename VQ, typename VS, typename VC>
+void construct_block(const VD& vdata, const VQ& vquant, const VS& vslots, const VC& vcount,
+                     const Extents& ext, const Box& b, std::size_t bx, std::size_t grid_x,
+                     double inv2eb, qdiff_t r, bool value_scheme) {
   using Tl = Tile<R>;
   // Only the pads are zeroed: every other word a residual reads is a
   // prequant value written earlier in raster order.
   std::array<qdiff_t, Tl::kWords> tile;
+  std::array<qdiff_t, Tl::kWidth> outlier;
   if constexpr (R == 3) std::fill_n(tile.begin(), Tl::kPlane, 0);
   for (std::size_t lz = 0; lz < b.d; ++lz) {
     if constexpr (R >= 2) std::fill_n(tile.begin() + Tl::row(lz, 0) - Tl::kRow, b.w + 1, 0);
     for (std::size_t ly = 0; ly < b.h; ++ly) {
       qdiff_t* c = tile.data() + Tl::row(lz, ly);
-      const std::size_t gi = ext.index(b.z0 + lz, b.y0 + ly, b.x0);
+      const std::size_t field_row = (b.z0 + lz) * ext.ny + b.y0 + ly;
+      const std::size_t gi = field_row * ext.nx + b.x0;
       vdata.note_read(gi, b.w);
       const T* src = vdata.data() + gi;
       c[0] = 0;
@@ -122,10 +129,31 @@ void construct_block(const VD& vdata, const VQ& vquant, const VO& voutlier, cons
         c[x + 1] = prequant(static_cast<double>(src[x]) * inv2eb);
       }
       vquant.note_write(gi, b.w);
-      voutlier.note_write(gi, b.w);
-      predict_row<R>(c, b.w, r, value_scheme, vquant.data() + gi, voutlier.data() + gi);
+      predict_row<R>(c, b.w, r, value_scheme, vquant.data() + gi, outlier.data());
+      qdiff_t any = 0;
+      for (std::size_t x = 0; x < b.w; ++x) any |= outlier[x];
+      std::uint16_t count = 0;
+      if (any != 0) {
+        // Exactly the nonzeros the dense-to-sparse gather keeps: in the
+        // value scheme a zero prequant value is not stored.
+        for (std::size_t x = 0; x < b.w; ++x) {
+          if (outlier[x] == 0) continue;
+          vslots[gi + count] = OutlierSlot(static_cast<std::uint32_t>(x), outlier[x]);
+          ++count;
+        }
+      }
+      vcount[field_row * grid_x + bx] = count;
     }
   }
+}
+
+/// Bytes of the paper's construct kernel, which writes a dense outlier
+/// array beside the codes: data read, codes and outliers written once.
+template <typename T>
+void paper_construct_traffic(std::size_t n, sim::KernelCost& c) {
+  c.bytes_read = n * sizeof(T);
+  c.bytes_written = n * (sizeof(quant_t) + sizeof(qdiff_t));
+  c.launches = 1;
 }
 
 }  // namespace
@@ -143,20 +171,21 @@ void lorenzo_construct_into(std::span<const T> data, const Extents& ext, double 
   }
 
   const std::size_t n = ext.count();
+  const auto grid = lorenzo_detail::block_grid(ext, kLorenzoRun);
   res.cost = {};
-  res.quant.resize(n);  // the kernel writes every element of both
-  res.outlier_dense.resize(n);
+  res.quant.resize(n);          // the kernel writes every code
+  res.outlier_slots.resize(n);  // OutlierSlot() writes nothing: no fill
+  res.row_outliers.resize(ext.nz * ext.ny * grid.dim.x);
 
   const double inv2eb = 1.0 / (2.0 * eb_abs);
   const qdiff_t r = qcfg.radius();
   const bool value_scheme = scheme == OutlierScheme::kValue;
-  const auto grid = lorenzo_detail::block_grid(ext, kLorenzoRun);
 
   namespace chk = sim::checked;
   namespace ctr = sim::contract;
-  sim::traffic::Scope traffic_scope;  // contract-derived volumes for res.cost
   // Every block owns one box of the row-major field: the same box for the
-  // read of `data` and the writes of `quant`/`outlier`.
+  // read of `data` and the writes of `quant` and the outlier slots, and
+  // the matching box of the per-row counts, one column of them per block.
   const auto box = [&](ctr::AccessKind a, const char* buf) {
     return lorenzo_detail::box_clause(a, buf, grid, ext);
   };
@@ -164,25 +193,33 @@ void lorenzo_construct_into(std::span<const T> data, const Extents& ext, double 
     chk::launch_3d("lorenzo_construct", grid.dim,
                    chk::bufs(chk::in(data, "data"),
                              chk::out(std::span<quant_t>(res.quant), "quant"),
-                             chk::out(std::span<qdiff_t>(res.outlier_dense), "outlier")),
+                             chk::out(std::span<OutlierSlot>(res.outlier_slots), "slots"),
+                             chk::out(std::span<std::uint16_t>(res.row_outliers), "counts")),
                    ctr::contract(box(ctr::AccessKind::kRead, "data"),
                                  box(ctr::AccessKind::kWrite, "quant"),
-                                 box(ctr::AccessKind::kWrite, "outlier")),
+                                 box(ctr::AccessKind::kWrite, "slots"),
+                                 ctr::writes_box("counts", ctr::bx(), 1, ctr::by() * grid.cs.cy,
+                                                 static_cast<std::int64_t>(grid.cs.cy),
+                                                 ctr::bz() * grid.cs.cz,
+                                                 static_cast<std::int64_t>(grid.cs.cz),
+                                                 grid.dim.x, static_cast<std::int64_t>(ext.ny),
+                                                 static_cast<std::int64_t>(ext.nz))),
                    [&](std::uint32_t bx, std::uint32_t by, std::uint32_t bz, const auto& vdata,
-                       const auto& vquant, const auto& voutlier) {
-      construct_block<decltype(rank)::value, T>(vdata, vquant, voutlier, ext,
-                                                lorenzo_detail::box_of(grid, ext, bx, by, bz),
-                                                inv2eb, r, value_scheme);
+                       const auto& vquant, const auto& vslots, const auto& vcount) {
+      construct_block<decltype(rank)::value, T>(
+          vdata, vquant, vslots, vcount, ext, lorenzo_detail::box_of(grid, ext, bx, by, bz), bx,
+          grid.dim.x, inv2eb, r, value_scheme);
     });
   };
   lorenzo_detail::dispatch_rank(ext.rank, launch);
 
-  // Traffic from the footprint contract (box clauses over data/quant/outlier);
-  // arithmetic and calibration stay the wrapper's.  The variant picks only
+  // The modeled cost is the paper's kernel: its traffic includes the dense
+  // outlier write this host kernel replaces by per-block compaction.
+  // Arithmetic and calibration are the wrapper's.  The variant picks only
   // the modeled attribution: cuSZ's shared-memory staging or cuSZ+'s
   // coalesced streaming.
   const bool baseline = variant == ConstructVariant::kBaseline;
-  traffic_scope.apply(res.cost);
+  paper_construct_traffic<T>(n, res.cost);
   res.cost.flops = n * (2 + (std::size_t{1} << ext.rank));
   res.cost.parallel_items = n;
   res.cost.pattern =
@@ -191,12 +228,45 @@ void lorenzo_construct_into(std::span<const T> data, const Extents& ext, double 
                                     : kOptimizedFactor[static_cast<std::size_t>(ext.rank)];
 }
 
+sim::KernelCost lorenzo_gather_outliers(const Extents& ext, PredictorProduct& res) {
+  const auto grid = lorenzo_detail::block_grid(ext, kLorenzoRun);
+  const std::vector<std::uint16_t>& counts = res.row_outliers;
+  std::size_t nnz = 0;
+  for (const std::uint16_t c : counts) nnz += c;
+  auto& out = res.outliers;
+  out.indices.resize(nnz);
+  out.values.resize(nnz);
+  // Box rows in field order, each block's piece of a field row in turn, are
+  // index order: each row's slots go out as they are.
+  const OutlierSlot* slots = res.outlier_slots.data();
+  std::size_t k = 0;
+  for (std::size_t row = 0, seg = 0; row < ext.nz * ext.ny; ++row) {
+    for (std::size_t x0 = 0; x0 < ext.nx; x0 += grid.bw, ++seg) {
+      const std::size_t base = row * ext.nx + x0;
+      for (std::size_t j = 0; j < counts[seg]; ++j, ++k) {
+        out.indices[k] = base + slots[base + j].col;
+        out.values[k] = slots[base + j].value;
+      }
+    }
+  }
+  // The paper's gather: a dense-to-sparse count and fill over the n
+  // residuals the construct kernel wrote, in 64 Ki-element tiles.
+  const std::size_t n = ext.count();
+  const std::size_t tiles = sim::div_ceil(n, std::size_t{1} << 16);
+  sim::KernelCost c = sim::gather_cost(n, sizeof(qdiff_t), nnz, sizeof(std::uint64_t));
+  c.bytes_read = 2 * n * sizeof(qdiff_t) + tiles * 2 * sizeof(std::size_t);
+  c.bytes_written = tiles * sizeof(std::size_t) + nnz * (sizeof(qdiff_t) + sizeof(std::uint64_t));
+  c.launches = 2;
+  return c;
+}
+
 template <typename T>
 PredictorProduct lorenzo_construct(std::span<const T> data, const Extents& ext, double eb_abs,
                                    const QuantConfig& qcfg, OutlierScheme scheme,
                                    ConstructVariant variant) {
   PredictorProduct res;
   lorenzo_construct_into(data, ext, eb_abs, qcfg, scheme, variant, res);
+  (void)lorenzo_gather_outliers(ext, res);
   return res;
 }
 

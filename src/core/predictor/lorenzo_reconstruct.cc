@@ -78,9 +78,10 @@ void partial_sums(At&& at, const Extents& ext, const Box& b) {
 
 /// kNaivePartialSum, the paper's proof-of-concept kernel: each chunk of the
 /// box is staged through a thread-private copy ("shared memory"), scanned
-/// there with one item per thread, and written back.
-template <int R, typename VQ>
-void naive_chunks(const VQ& vq, const Extents& ext, const Box& b) {
+/// there with one item per thread, and written back.  `at(i)` addresses
+/// the tile by offsets of `text`.
+template <int R, typename At>
+void naive_chunks(At&& at, const Extents& text, const Box& b) {
   constexpr ChunkShape cs = ChunkShape::for_rank(R);
   std::array<qdiff_t, cs.count()> shared;
   for (std::size_t c0 = 0; c0 < b.w; c0 += cs.cx) {
@@ -92,12 +93,12 @@ void naive_chunks(const VQ& vq, const Extents& ext, const Box& b) {
       for (std::size_t lz = 0; lz < b.d; ++lz)
         for (std::size_t ly = 0; ly < b.h; ++ly)
           for (std::size_t lx = 0; lx < w; ++lx) {
-            qdiff_t& global = vq[ext.index(b.z0 + lz, b.y0 + ly, b.x0 + c0 + lx)];
+            qdiff_t& tile = at(text.index(b.z0 + lz, b.y0 + ly, b.x0 + c0 + lx));
             qdiff_t& staged = shared[local.index(lz, ly, lx)];
             if (stage_in) {
-              staged = global;
+              staged = tile;
             } else {
-              global = staged;
+              tile = staged;
             }
           }
     };
@@ -108,89 +109,143 @@ void naive_chunks(const VQ& vq, const Extents& ext, const Box& b) {
   }
 }
 
-/// One block of lorenzo_reconstruct_fused: the partial sums over its box of
-/// q', then the scale back to data units (Algorithm 1 line 13).
-template <int R, typename T, typename VQ, typename VO>
-void reconstruct_block(const VQ& vq, const VO& vout, const Extents& ext, const Box& b,
-                       bool naive, double eb2) {
-  bool word = false;  // word-granular checking: every access through the views
-  if constexpr (!sim::checked::is_raw_view<VQ>) word = vq.word_granular();
+/// Offsets of a block's tile: rows of the run width, one block row per
+/// plane, so it holds any box (at most 8192, 8192 or 16384 words).
+template <int R>
+struct Tile {
+  static constexpr ChunkShape kShape = ChunkShape::for_rank(R);
+  static constexpr std::size_t kWidth = kLorenzoRun * kShape.cx;
+  static constexpr std::size_t kWords = kWidth * kShape.cy * kShape.cz;
+  static Extents extents() {
+    return R == 1   ? Extents::d1(kWidth)
+           : R == 2 ? Extents::d2(kShape.cy, kWidth)
+                    : Extents::d3(kShape.cz, kShape.cy, kWidth);
+  }
+};
+
+/// One block of lorenzo_reconstruct, in a tile addressed through `at` by
+/// offsets of `text` with the box at `tb`: load each row as quant - radius
+/// and add the outliers that fall in it, run the partial sums, and scale
+/// into `out` (Algorithm 1 lines 9-13).  The tile is the block's stack
+/// array, or under word-granular checking the registered scratch at the
+/// field's own offsets, read and written through its view.
+template <int R, typename T, bool kLanes, typename At, typename VQ, typename VI, typename VV,
+          typename VO>
+void rebuild_box(At&& at, const Extents& text, const Box& tb, const VQ& vquant, const VI& vidx,
+                 const VV& vval, const VO& vout, const Extents& ext, const Box& b, qdiff_t r,
+                 bool naive, double eb2) {
+  const std::size_t nnz = vidx.size();
+  std::size_t cur = 0;  // first outlier at or after the current row
   const auto each_row = [&](auto&& f) {
     for (std::size_t lz = 0; lz < b.d; ++lz) {
-      for (std::size_t ly = 0; ly < b.h; ++ly) f(ext.index(b.z0 + lz, b.y0 + ly, b.x0));
+      for (std::size_t ly = 0; ly < b.h; ++ly) {
+        f(ext.index(b.z0 + lz, b.y0 + ly, b.x0), text.index(tb.z0 + lz, tb.y0 + ly, tb.x0));
+      }
     }
   };
-  if (naive) {
-    naive_chunks<R>(vq, ext, b);
-  } else if (word) {
-    if constexpr (!sim::checked::is_raw_view<VQ>) {
-      partial_sums<R, true>([&vq](std::size_t gi) -> qdiff_t& { return vq[gi]; }, ext, b);
+  each_row([&](std::size_t gi, std::size_t ti) {
+    if constexpr (kLanes) {
+      for (std::size_t x = 0; x < b.w; ++x) at(ti + x) = static_cast<qdiff_t>(vquant[gi + x]) - r;
+    } else {
+      vquant.note_read(gi, b.w);
+      const quant_t* q = vquant.data() + gi;
+      qdiff_t* t = &at(ti);
+      for (std::size_t x = 0; x < b.w; ++x) t[x] = static_cast<qdiff_t>(q[x]) - r;
     }
-  } else {
-    // The passes walk the box with raw pointers; declare its rows up front.
-    each_row([&](std::size_t gi) { vq.note_rw(gi, b.w); });
-    qdiff_t* q = vq.data();
-    partial_sums<R, false>([q](std::size_t gi) -> qdiff_t& { return q[gi]; }, ext, b);
-  }
-  each_row([&](std::size_t gi) {
-    if (word) {
-      for (std::size_t x = 0; x < b.w; ++x) {
-        vout[gi + x] = static_cast<T>(static_cast<double>(vq[gi + x]) * eb2);
+    // The indices strictly increase: binary-search the row's first one,
+    // then add every outlier up to the row's end.  scan_add wraps a corrupt
+    // residual instead of overflowing.
+    std::size_t lo = cur, hi = nnz;
+    while (lo < hi) {
+      const std::size_t mid = lo + (hi - lo) / 2;
+      if (vidx[mid] < gi) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
       }
-      return;
     }
-    vq.note_read(gi, b.w);
-    vout.note_write(gi, b.w);
-    const qdiff_t* src = vq.data() + gi;
-    T* dst = vout.data() + gi;
-    for (std::size_t x = 0; x < b.w; ++x) {
-      dst[x] = static_cast<T>(static_cast<double>(src[x]) * eb2);
+    for (cur = lo; cur < nnz && vidx[cur] < gi + b.w; ++cur) {
+      qdiff_t& v = at(ti + (static_cast<std::size_t>(vidx[cur]) - gi));
+      v = sim::scan_add(v, vval[cur]);
     }
   });
+  if constexpr (kLanes) sim::checked::barrier();  // the tile is loaded
+  if (naive) {
+    naive_chunks<R>(at, text, tb);
+  } else {
+    partial_sums<R, kLanes>(at, text, tb);
+  }
+  each_row([&](std::size_t gi, std::size_t ti) {
+    if constexpr (kLanes) {
+      for (std::size_t x = 0; x < b.w; ++x) {
+        vout[gi + x] = static_cast<T>(static_cast<double>(at(ti + x)) * eb2);
+      }
+    } else {
+      vout.note_write(gi, b.w);
+      const qdiff_t* src = &at(ti);
+      T* dst = vout.data() + gi;
+      for (std::size_t x = 0; x < b.w; ++x) {
+        dst[x] = static_cast<T>(static_cast<double>(src[x]) * eb2);
+      }
+    }
+  });
+}
+
+/// One block: in the stack tile, or in the registered scratch when its view
+/// is word-granular (`vtile` is null when no scratch is registered).
+template <int R, typename T, typename VQ, typename VI, typename VV, typename VT, typename VO>
+void reconstruct_block(const VQ& vquant, const VI& vidx, const VV& vval, const VT* vtile,
+                       const VO& vout, const Extents& ext, const Box& b, qdiff_t r, bool naive,
+                       double eb2) {
+  if constexpr (!sim::checked::is_raw_view<VT>) {
+    if (vtile != nullptr && vtile->word_granular()) {
+      rebuild_box<R, T, true>([vtile](std::size_t gi) -> qdiff_t& { return (*vtile)[gi]; }, ext,
+                              b, vquant, vidx, vval, vout, ext, b, r, naive, eb2);
+      return;
+    }
+  }
+  std::array<qdiff_t, Tile<R>::kWords> tile;
+  qdiff_t* t = tile.data();
+  rebuild_box<R, T, false>([t](std::size_t i) -> qdiff_t& { return t[i]; },
+                           Tile<R>::extents(), Box{0, 0, 0, b.w, b.h, b.d}, vquant, vidx, vval,
+                           vout, ext, b, r, naive, eb2);
+}
+
+/// Bytes of the paper's in-place partial sums over the fused residual
+/// field: q' read and written once, the output stored once.
+template <typename T>
+void paper_reconstruct_traffic(std::size_t n, sim::KernelCost& c) {
+  c.bytes_read = n * sizeof(qdiff_t);
+  c.bytes_written = n * (sizeof(qdiff_t) + sizeof(T));
 }
 
 }  // namespace
 
-sim::KernelCost fuse_quant_codes(std::span<const quant_t> quant, std::int32_t radius,
-                                 std::span<qdiff_t> qprime_out) {
-  if (quant.size() != qprime_out.size()) {
-    throw std::invalid_argument("fuse_quant_codes: size mismatch");
-  }
-  const std::size_t n = quant.size();
-  const std::size_t tiles = sim::div_ceil(n, std::size_t{1} << 16);
-  namespace chk = sim::checked;
-  namespace ctr = sim::contract;
-  sim::traffic::Scope traffic_scope;  // contract-derived volumes for the cost
-  constexpr std::int64_t kTile = std::int64_t{1} << 16;
-  chk::launch("fuse_quant_codes", tiles,
-              chk::bufs(chk::in(quant, "quant"), chk::out(qprime_out, "qprime")),
-              ctr::contract(ctr::reads("quant", ctr::b() * kTile, kTile).clamp(),
-                            ctr::writes("qprime", ctr::b() * kTile, kTile).clamp()),
-              [&, n, radius](std::size_t t, const auto& vquant, const auto& vqprime) {
-    const std::size_t lo = t << 16;
-    const std::size_t hi = std::min(lo + (std::size_t{1} << 16), n);
-    for (std::size_t i = lo; i < hi; ++i) {
-      vqprime[i] = static_cast<qdiff_t>(vquant[i]) - radius;
-    }
-  });
+sim::KernelCost lorenzo_fuse_cost(std::size_t n, std::size_t nnz) {
+  // The fuse streams the codes in and q' out; the scatter reads each
+  // outlier's index and value and updates its q' word.
   sim::KernelCost c;
-  traffic_scope.apply(c);  // contract-derived: quant read + qprime write
-  c.flops = n;
+  c.bytes_read = n * sizeof(quant_t) + nnz * (sizeof(std::uint64_t) + 2 * sizeof(qdiff_t));
+  c.bytes_written = n * sizeof(qdiff_t) + nnz * sizeof(qdiff_t);
+  c.flops = n + nnz;
   c.parallel_items = n;
   c.pattern = sim::AccessPattern::kCoalescedStreaming;
+  c.launches = 2;
   return c;
 }
 
 template <typename T>
-sim::KernelCost lorenzo_reconstruct_fused(std::span<qdiff_t> qprime, const Extents& ext,
-                                          double eb_abs, std::span<T> out,
-                                          const ReconstructConfig& cfg) {
-  if (qprime.size() != ext.count() || out.size() != ext.count()) {
-    throw std::invalid_argument("lorenzo_reconstruct_fused: size mismatch");
+sim::KernelCost lorenzo_reconstruct(std::span<const quant_t> quant,
+                                    const sim::SparseVector<qdiff_t>& outliers,
+                                    const Extents& ext, double eb_abs, std::int32_t radius,
+                                    std::span<T> out, const ReconstructConfig& cfg) {
+  const std::size_t n = ext.count();
+  if (quant.size() != n || out.size() != n || outliers.values.size() != outliers.nnz()) {
+    throw std::invalid_argument("lorenzo_reconstruct: size mismatch");
   }
   if (cfg.variant == ReconstructVariant::kCoarseChunkSerial) {
     throw std::invalid_argument(
-        "lorenzo_reconstruct_fused: coarse variant needs lorenzo_reconstruct_coarse");
+        "lorenzo_reconstruct: coarse variant needs lorenzo_reconstruct_coarse");
   }
   const bool naive = cfg.variant == ReconstructVariant::kNaivePartialSum;
   const double eb2 = 2.0 * eb_abs;
@@ -198,37 +253,62 @@ sim::KernelCost lorenzo_reconstruct_fused(std::span<qdiff_t> qprime, const Exten
 
   namespace chk = sim::checked;
   namespace ctr = sim::contract;
-  sim::traffic::Scope traffic_scope;  // contract-derived volumes for the cost
   const auto box = [&](ctr::AccessKind a, const char* buf) {
     return lorenzo_detail::box_clause(a, buf, grid, ext);
   };
+  const std::span<const std::uint64_t> idx(outliers.indices);
+  const std::span<const qdiff_t> val(outliers.values);
+  // A block reads the outliers of its rows after a binary search: a
+  // data-dependent read of the whole stream.
   const auto launch = [&](auto rank) {
-    chk::launch_3d("lorenzo_reconstruct_fused", grid.dim,
-                   chk::bufs(chk::inout(qprime, "qprime"), chk::out(out, "out")),
-                   ctr::contract(box(ctr::AccessKind::kReadWrite, "qprime"),
-                                 box(ctr::AccessKind::kWrite, "out")),
-                   [&](std::uint32_t bx, std::uint32_t by, std::uint32_t bz, const auto& vqprime,
-                       const auto& vout) {
-      reconstruct_block<decltype(rank)::value, T>(vqprime, vout, ext,
-                                                  lorenzo_detail::box_of(grid, ext, bx, by, bz),
-                                                  naive, eb2);
+    constexpr int R = decltype(rank)::value;
+    const auto place = [&](std::uint32_t bx, std::uint32_t by, std::uint32_t bz) {
+      return lorenzo_detail::box_of(grid, ext, bx, by, bz);
+    };
+    if (chk::mode() == chk::Mode::kWord) {
+      // Word-granular checking keeps the partial sums' lane model on a
+      // registered n-element scratch, one box per block.
+      sim::device_vector<qdiff_t> scratch(n);
+      chk::launch_3d("lorenzo_reconstruct", grid.dim,
+                     chk::bufs(chk::in(quant, "quant"), chk::in(idx, "indices"),
+                               chk::in(val, "values"),
+                               chk::inout(std::span<qdiff_t>(scratch), "tile"),
+                               chk::out(out, "out")),
+                     ctr::contract(box(ctr::AccessKind::kRead, "quant"),
+                                   ctr::reads_dyn("indices"), ctr::reads_dyn("values"),
+                                   box(ctr::AccessKind::kReadWrite, "tile"),
+                                   box(ctr::AccessKind::kWrite, "out")),
+                     [&](std::uint32_t bx, std::uint32_t by, std::uint32_t bz, const auto& vq,
+                         const auto& vi, const auto& vv, const auto& vt, const auto& vo) {
+        reconstruct_block<R, T>(vq, vi, vv, &vt, vo, ext, place(bx, by, bz), radius, naive, eb2);
+      });
+      return;
+    }
+    chk::launch_3d("lorenzo_reconstruct", grid.dim,
+                   chk::bufs(chk::in(quant, "quant"), chk::in(idx, "indices"),
+                             chk::in(val, "values"), chk::out(out, "out")),
+                   ctr::contract(box(ctr::AccessKind::kRead, "quant"), ctr::reads_dyn("indices"),
+                                 ctr::reads_dyn("values"), box(ctr::AccessKind::kWrite, "out")),
+                   [&](std::uint32_t bx, std::uint32_t by, std::uint32_t bz, const auto& vq,
+                       const auto& vi, const auto& vv, const auto& vo) {
+      const chk::raw_writer_view<qdiff_t>* no_scratch = nullptr;
+      reconstruct_block<R, T>(vq, vi, vv, no_scratch, vo, ext, place(bx, by, bz), radius, naive,
+                              eb2);
     });
   };
   lorenzo_detail::dispatch_rank(ext.rank, launch);
 
-  const std::size_t n = ext.count();
+  // The modeled cost is the paper's kernel: in-place partial sums over the
+  // fused residual field, one launch per scan direction.
   sim::KernelCost c;
-  // Contract-derived traffic (qprime is read+written in place, out stored);
-  // the simulated fused launch stands in for one launch per scan direction
-  // on the device, so the modeled launch count stays ext.rank.
-  traffic_scope.apply(c);
+  paper_reconstruct_traffic<T>(n, c);
   c.flops = n * (2 * static_cast<std::size_t>(ext.rank) + 2);
   c.parallel_items = n;
   c.pattern = naive ? sim::AccessPattern::kTiledShared
                     : sim::AccessPattern::kCoalescedStreaming;
   const auto& table = naive ? kNaiveFactor : kFusedFactor;
   c.custom_factor = table[static_cast<std::size_t>(ext.rank)];
-  c.launches = ext.rank;  // one fused launch per scan direction
+  c.launches = ext.rank;
   return c;
 }
 
@@ -317,12 +397,14 @@ sim::KernelCost lorenzo_reconstruct_coarse(std::span<const quant_t> quant,
   return c;
 }
 
-template sim::KernelCost lorenzo_reconstruct_fused<float>(std::span<qdiff_t>, const Extents&,
-                                                          double, std::span<float>,
-                                                          const ReconstructConfig&);
-template sim::KernelCost lorenzo_reconstruct_fused<double>(std::span<qdiff_t>, const Extents&,
-                                                           double, std::span<double>,
-                                                           const ReconstructConfig&);
+template sim::KernelCost lorenzo_reconstruct<float>(std::span<const quant_t>,
+                                                    const sim::SparseVector<qdiff_t>&,
+                                                    const Extents&, double, std::int32_t,
+                                                    std::span<float>, const ReconstructConfig&);
+template sim::KernelCost lorenzo_reconstruct<double>(std::span<const quant_t>,
+                                                     const sim::SparseVector<qdiff_t>&,
+                                                     const Extents&, double, std::int32_t,
+                                                     std::span<double>, const ReconstructConfig&);
 template sim::KernelCost lorenzo_reconstruct_coarse<float>(std::span<const quant_t>,
                                                            std::span<const qdiff_t>,
                                                            const Extents&, double,

@@ -4,9 +4,10 @@ namespace szp {
 
 std::array<std::size_t, Workspace::kTrackedBuffers> Workspace::capacities() const {
   return {
-      product.quant.capacity(),     product.outlier_dense.capacity(),
+      product.quant.capacity(),           product.outliers.indices.capacity(),
+      product.outliers.values.capacity(), product.outlier_dense.capacity(),
+      product.outlier_slots.capacity(),   product.row_outliers.capacity(),
       product.coefficients.capacity(),
-      outliers.indices.capacity(),  outliers.values.capacity(),
       gather_tile_nnz.capacity(),   gather_offsets.capacity(),
       freq.capacity(),              hist_priv.capacity(),
       huffman.payload.capacity(),   huffman.chunk_offsets.capacity(),

@@ -1,12 +1,14 @@
 // szp — reusable per-call scratch for the compression pipeline, both ways.
 //
 // Every compress() call needs the same family of O(n) buffers: the
-// predictor's quant-code and dense-outlier arrays, the histogram bins and
-// their block-private replicas, the gathered outlier stream plus its tile
-// scratch, and the Huffman encoder's chunk metadata and payload.  Every
-// decompress() needs the mirror set: the outlier stream, the quant-codes
-// the codec decodes in place, the predictor's aux payload and its
-// reconstruct scratch — the same predictor product compress fills, used
+// predictor's quant-codes and outlier section (plus Lorenzo's per-block
+// outlier windows, or the dense outlier array of regression and
+// interpolation with its gather's tile scratch), the histogram bins and
+// their block-private replicas, and the Huffman encoder's chunk metadata
+// and payload.  Every decompress() needs the mirror set: the outlier
+// section, the quant-codes the codec decodes in place, the predictor's aux
+// payload and, for regression and interpolation, the dense array the
+// outliers scatter into — the same predictor product compress fills, used
 // the other way round.
 // Allocating them per call makes repeated-field (and per-slab) work
 // malloc- and page-fault-bound; FZ-GPU makes the same observation for real
@@ -48,15 +50,14 @@ namespace szp {
 /// nothing.
 struct Workspace {
   // --- Predictor product, both directions ----------------------------------
-  /// Compress: every predictor's construct fills it.  Decode: the codec
-  /// decodes the quant-codes into `quant`, the stage reads its aux into
-  /// `coefficients`/`level`, and reconstruction takes `outlier_dense` as
-  /// scratch (Lorenzo's fused residuals, the dense outliers of regression
-  /// and interpolation).
+  /// Compress: every predictor's construct fills it, the outlier section
+  /// included.  Decode: the outlier section is read into `outliers`, the
+  /// codec decodes the quant-codes into `quant`, the stage reads its aux
+  /// into `coefficients`/`level`, and regression and interpolation scatter
+  /// the outliers into `outlier_dense`.
   PredictorProduct product;
 
-  // --- Outlier gather (dense -> sparse); decode reads the stream into it ---
-  sim::SparseVector<qdiff_t> outliers;
+  // --- Dense -> sparse gather of regression and interpolation --------------
   std::vector<std::size_t> gather_tile_nnz;
   std::vector<std::size_t> gather_offsets;
 
@@ -82,7 +83,7 @@ struct Workspace {
   std::vector<std::uint8_t> slab_io;
 
   /// Number of tracked buffers in the capacity snapshot.
-  static constexpr std::size_t kTrackedBuffers = 16;
+  static constexpr std::size_t kTrackedBuffers = 18;
 
   /// Capacity snapshot of every tracked buffer, in a fixed order.  A fixed
   /// array (not a vector) so lease accounting itself never allocates —

@@ -137,15 +137,14 @@ constexpr IntensityEntry kIntensity[] = {
     {"dense_to_sparse/fill", 0.3},
     {"device_scan/tile_reduce", 0.25},
     {"device_scan/tile_scan", 0.25},
-    {"fuse_quant_codes", 0.1},
     {"histogram/merge", 0.25},
     {"histogram/tile_bins", 1.0},
     {"huffman_decode", 60.0},
     {"huffman_encode/chunk_sizes", 1.0},
     {"huffman_encode/deflate", 2.5},
     {"lorenzo_construct", 0.6},
+    {"lorenzo_reconstruct", 0.5},
     {"lorenzo_reconstruct_coarse", 0.7},
-    {"lorenzo_reconstruct_fused", 0.5},
     {"lz77/freq_merge", 0.25},
     {"lz77/token_freq", 1.0},
     {"lz77/tokenize", 20.0},

@@ -26,8 +26,8 @@ inline std::vector<std::uint8_t> one_lane_archive(std::span<const std::uint8_t> 
   }
   Workspace ws;
   pipeline::predict_stage(h.predictor).read_aux(r, ws);
-  r.get_vector_into(ws.outliers.indices);
-  r.get_vector_into(ws.outliers.values);
+  r.get_vector_into(ws.product.outliers.indices);
+  r.get_vector_into(ws.product.outliers.values);
   std::vector<std::uint8_t> out(eight_lane.begin(),
                                 eight_lane.begin() + static_cast<std::ptrdiff_t>(r.position()));
   out[4] = static_cast<std::uint8_t>(archive::kVersion);  // low byte of the u16 version

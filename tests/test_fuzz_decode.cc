@@ -11,6 +11,7 @@
 #include <numeric>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/checksum.hh"
@@ -293,6 +294,39 @@ TEST(FuzzDecode, OutOfRangeOutlierIndexIsNamed) {
   splice_u64(archive, kFirstOutlierOffset, 0xffffffffffull);
   restamp_crc(archive);
   expect_rejected(archive, DecodeErrorKind::kCorruptStream, "outliers");
+}
+
+// Compression writes outlier indices strictly increasing; decode rejects a
+// stream that is not, since reconstruction finds each row's outliers by
+// search and a repeated index would add its residual twice.
+/// The spiked archive with its first two outlier indices (a, b) replaced
+/// by pick(a, b).
+template <typename Pick>
+std::vector<std::uint8_t> with_outlier_indices(Pick pick) {
+  std::size_t outliers = 0;
+  auto archive = spiked_archive(&outliers);
+  EXPECT_GE(outliers, 2u);
+  std::uint64_t a = 0, b = 0;
+  std::memcpy(&a, archive.data() + kFirstOutlierOffset, 8);
+  std::memcpy(&b, archive.data() + kFirstOutlierOffset + 8, 8);
+  EXPECT_LT(a, b);
+  const auto [first, second] = pick(a, b);
+  splice_u64(archive, kFirstOutlierOffset, first);
+  splice_u64(archive, kFirstOutlierOffset + 8, second);
+  restamp_crc(archive);
+  return archive;
+}
+
+TEST(FuzzDecode, SwappedOutlierIndicesAreNamed) {
+  const auto swapped = with_outlier_indices(
+      [](std::uint64_t a, std::uint64_t b) { return std::make_pair(b, a); });
+  expect_rejected(swapped, DecodeErrorKind::kCorruptStream, "outliers");
+}
+
+TEST(FuzzDecode, DuplicatedOutlierIndexIsNamed) {
+  const auto duplicated = with_outlier_indices(
+      [](std::uint64_t a, std::uint64_t) { return std::make_pair(a, a); });
+  expect_rejected(duplicated, DecodeErrorKind::kCorruptStream, "outliers");
 }
 
 TEST(FuzzDecode, ChecksumMismatchIsNamed) {

@@ -9,7 +9,12 @@
 #include <random>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "core/predictor/lorenzo.hh"
 #include "sim/check.hh"
@@ -32,21 +37,29 @@ std::vector<float> random_field(const Extents& ext, std::uint32_t seed, float am
   return v;
 }
 
+/// The outlier section as a dense array: zero except at its indices.
+std::vector<qdiff_t> dense_outliers(const PredictorProduct& res, std::size_t n) {
+  std::vector<qdiff_t> dense(n, 0);
+  for (std::size_t k = 0; k < res.outliers.nnz(); ++k) {
+    dense[res.outliers.indices[k]] = res.outliers.values[k];
+  }
+  return dense;
+}
+
 /// Full fine-grained round trip through the cuSZ+ residual scheme.
-std::vector<float> roundtrip_fine(std::span<const float> data, const Extents& ext, double eb,
-                                  const QuantConfig& qcfg, const ReconstructConfig& rcfg) {
-  auto res = lorenzo_construct(data, ext, eb, qcfg, OutlierScheme::kResidual);
-  auto sparse = sim::dense_to_sparse<qdiff_t>(
-      std::span<const qdiff_t>(res.outlier_dense.data(), res.outlier_dense.size()));
-
-  std::vector<qdiff_t> qprime(ext.count());
-  fuse_quant_codes(std::span<const quant_t>(res.quant.data(), res.quant.size()),
-                   qcfg.radius(), qprime);
-  sim::scatter_add(sparse, std::span<qdiff_t>(qprime));
-
-  std::vector<float> out(ext.count());
-  lorenzo_reconstruct_fused(qprime, ext, eb, out, rcfg);
+template <typename T>
+std::vector<T> roundtrip_fine(std::span<const T> data, const Extents& ext, double eb,
+                              const QuantConfig& qcfg, const ReconstructConfig& rcfg) {
+  const auto res = lorenzo_construct(data, ext, eb, qcfg, OutlierScheme::kResidual);
+  std::vector<T> out(ext.count());
+  lorenzo_reconstruct<T>(std::span<const quant_t>(res.quant.data(), res.quant.size()),
+                         res.outliers, ext, eb, qcfg.radius(), out, rcfg);
   return out;
+}
+
+std::vector<float> roundtrip_fine(const std::vector<float>& data, const Extents& ext, double eb,
+                                  const QuantConfig& qcfg, const ReconstructConfig& rcfg) {
+  return roundtrip_fine<float>(std::span<const float>(data), ext, eb, qcfg, rcfg);
 }
 
 /// Round trip through the cuSZ value scheme + coarse reconstruction.
@@ -54,12 +67,28 @@ std::vector<float> roundtrip_coarse(std::span<const float> data, const Extents& 
                                     const QuantConfig& qcfg) {
   auto res = lorenzo_construct(data, ext, eb, qcfg, OutlierScheme::kValue,
                                ConstructVariant::kBaseline);
+  const auto dense = dense_outliers(res, ext.count());
   std::vector<float> out(ext.count());
   lorenzo_reconstruct_coarse(std::span<const quant_t>(res.quant.data(), res.quant.size()),
-                             std::span<const qdiff_t>(res.outlier_dense.data(),
-                                                      res.outlier_dense.size()),
-                             ext, eb, qcfg, out);
+                             std::span<const qdiff_t>(dense), ext, eb, qcfg, out);
   return out;
+}
+
+/// Split fused residuals into what an archive carries: quant-codes
+/// q' + radius where |q'| < radius, the radius and a sparse outlier
+/// elsewhere.
+void split_residuals(const std::vector<qdiff_t>& qprime, std::int32_t radius,
+                     std::vector<quant_t>& quant, sim::SparseVector<qdiff_t>& outliers) {
+  quant.assign(qprime.size(), 0);
+  outliers = {};
+  for (std::size_t i = 0; i < qprime.size(); ++i) {
+    const bool in = qprime[i] > -radius && qprime[i] < radius;
+    quant[i] = static_cast<quant_t>(in ? qprime[i] + radius : radius);
+    if (!in) {
+      outliers.indices.push_back(i);
+      outliers.values.push_back(qprime[i]);
+    }
+  }
 }
 
 double max_error(std::span<const float> a, std::span<const float> b) {
@@ -153,10 +182,14 @@ TEST(Lorenzo, PartialSumEqualsSerialReconstruction2D) {
   // 4x4 single chunk; quant residuals chosen by hand.  The paper's theorem:
   // d[y,x] = sum_{j<=y} sum_{i<=x} q'[j,i].
   const Extents ext = Extents::d2(4, 4);
-  std::vector<qdiff_t> qprime{1, 0, 2, -1, 0, 3, 0, 0, -2, 0, 1, 0, 0, 0, 0, 4};
-  const auto q0 = qprime;  // keep a copy
+  const std::vector<qdiff_t> q0{1, 0, 2, -1, 0, 3, 0, 0, -2, 0, 1, 0, 0, 0, 0, 4};
+  // Radius 2 sends the residuals 2, -2, 3 and 4 to the outlier stream.
+  std::vector<quant_t> quant;
+  sim::SparseVector<qdiff_t> outliers;
+  split_residuals(q0, 2, quant, outliers);
+  ASSERT_EQ(outliers.nnz(), 4u);
   std::vector<float> out(16);
-  lorenzo_reconstruct_fused(qprime, ext, 0.5, out, {});  // 2eb = 1 => out == sums
+  lorenzo_reconstruct<float>(quant, outliers, ext, 0.5, 2, out);  // 2eb = 1 => out == sums
 
   for (std::size_t y = 0; y < 4; ++y) {
     for (std::size_t x = 0; x < 4; ++x) {
@@ -195,9 +228,10 @@ TEST(Lorenzo, OutliersUseResidualSpaceInPlusScheme) {
   const auto r = static_cast<quant_t>(QuantConfig{}.radius());
 
   EXPECT_EQ(res.quant[100], r);
-  EXPECT_EQ(res.outlier_dense[100], 50000);   // round(1000/0.02) - 0
   EXPECT_EQ(res.quant[101], r);
-  EXPECT_EQ(res.outlier_dense[101], -50000);  // back down
+  ASSERT_EQ(res.outliers.nnz(), 2u);
+  EXPECT_EQ(res.outliers.indices, (std::vector<std::uint64_t>{100, 101}));
+  EXPECT_EQ(res.outliers.values, (std::vector<qdiff_t>{50000, -50000}));  // round(1000/0.02), back down
   // And the round trip still honors the bound.
   const auto out = roundtrip_fine(data, ext, eb, QuantConfig{}, {});
   EXPECT_LE(max_error(data, out), eb + kFloatRounding);
@@ -209,7 +243,9 @@ TEST(Lorenzo, ValueSchemeUsesPlaceholderZero) {
   data[100] = 1000.0f;
   auto res = lorenzo_construct(data, ext, 0.01, QuantConfig{}, OutlierScheme::kValue);
   EXPECT_EQ(res.quant[100], 0);
-  EXPECT_EQ(res.outlier_dense[100], 50000);  // prequantized *value*
+  ASSERT_EQ(res.outliers.nnz(), 1u);  // the value at 101 is 0: a zero is not stored
+  EXPECT_EQ(res.outliers.indices[0], 100u);
+  EXPECT_EQ(res.outliers.values[0], 50000);  // prequantized *value*
 }
 
 TEST(Lorenzo, ChunksAreIndependent) {
@@ -230,13 +266,8 @@ TEST(Lorenzo, SmallerCapacityProducesMoreOutliers) {
   const double eb = 1e-4;
   auto big = lorenzo_construct(data, ext, eb, QuantConfig{4096});
   auto small = lorenzo_construct(data, ext, eb, QuantConfig{16});
-  const auto nnz = [](const PredictorProduct& r) {
-    std::size_t c = 0;
-    for (const auto v : r.outlier_dense) c += v != 0 ? 1u : 0u;
-    return c;
-  };
-  EXPECT_GE(nnz(small), nnz(big));
-  EXPECT_GT(nnz(small), 0u);
+  EXPECT_GE(small.outliers.nnz(), big.outliers.nnz());
+  EXPECT_GT(small.outliers.nnz(), 0u);
   // Both still reconstruct within bound.
   for (const auto cap : {std::uint32_t{16}, std::uint32_t{4096}}) {
     const auto out = roundtrip_fine(data, ext, eb, QuantConfig{cap}, {});
@@ -253,9 +284,11 @@ TEST(Lorenzo, InvalidArgumentsThrow) {
   EXPECT_THROW((void)lorenzo_construct(ok, ext, -1.0, QuantConfig{}), std::invalid_argument);
   EXPECT_THROW((void)lorenzo_construct(ok, ext, 1e-3, QuantConfig{7}), std::invalid_argument);
 
-  std::vector<qdiff_t> q(100);
+  std::vector<quant_t> q(100);
   std::vector<float> out(99);
-  EXPECT_THROW((void)lorenzo_reconstruct_fused(q, ext, 1e-3, out, {}), std::invalid_argument);
+  const sim::SparseVector<qdiff_t> none;
+  EXPECT_THROW((void)lorenzo_reconstruct<float>(q, none, ext, 1e-3, 512, out),
+               std::invalid_argument);
 }
 
 TEST(Lorenzo, MinimalSizes) {
@@ -420,8 +453,28 @@ void check_construct(int rank) {
                        std::to_string(static_cast<int>(variant)));
           const auto res = lorenzo_construct(data, ext, eb, QuantConfig{cap}, scheme, variant);
           EXPECT_TRUE(same_bits(std::vector<quant_t>(res.quant.begin(), res.quant.end()), quant));
-          EXPECT_TRUE(same_bits(
-              std::vector<qdiff_t>(res.outlier_dense.begin(), res.outlier_dense.end()), outlier));
+          // The section holds exactly the reference's nonzeros, in index order.
+          sim::SparseVector<qdiff_t> want;
+          for (std::size_t i = 0; i < outlier.size(); ++i) {
+            if (outlier[i] == 0) continue;
+            want.indices.push_back(i);
+            want.values.push_back(outlier[i]);
+          }
+          EXPECT_EQ(res.outliers.indices, want.indices);
+          EXPECT_EQ(res.outliers.values, want.values);
+          if (scheme == OutlierScheme::kValue) continue;
+          // The reconstruct from those codes and outliers is the reference's.
+          for (const ReconstructVariant rv :
+               {ReconstructVariant::kOptimizedPartialSum, ReconstructVariant::kNaivePartialSum}) {
+            std::vector<qdiff_t> qprime(ext.count());
+            for (std::size_t i = 0; i < qprime.size(); ++i) {
+              qprime[i] = static_cast<qdiff_t>(quant[i]) - QuantConfig{cap}.radius() + outlier[i];
+            }
+            std::vector<T> got(ext.count());
+            lorenzo_reconstruct<T>(std::span<const quant_t>(res.quant.data(), res.quant.size()),
+                                   res.outliers, ext, eb, QuantConfig{cap}.radius(), got, {rv});
+            EXPECT_TRUE(same_bits(got, reference_reconstruct<T>(qprime, ext, eb)));
+          }
         }
       }
     }
@@ -453,14 +506,17 @@ TEST_P(LorenzoDifferential, ReconstructMatchesPerChunkReference) {
             ReconstructConfig{ReconstructVariant::kNaivePartialSum}}) {
         SCOPED_TRACE(describe(ext) + " amplitude " + std::to_string(amp) + " variant " +
                      std::to_string(static_cast<int>(rcfg.variant)));
-        auto q32 = qprime;
-        std::vector<float> out32(ext.count());
-        lorenzo_reconstruct_fused(q32, ext, eb, out32, rcfg);
-        EXPECT_TRUE(same_bits(out32, want_f32));
-        auto q64 = qprime;
-        std::vector<double> out64(ext.count());
-        lorenzo_reconstruct_fused(q64, ext, eb, out64, rcfg);
-        EXPECT_TRUE(same_bits(out64, want_f64));
+        for (const std::int32_t radius : {2, 512, 32768}) {
+          std::vector<quant_t> quant;
+          sim::SparseVector<qdiff_t> outliers;
+          split_residuals(qprime, radius, quant, outliers);
+          std::vector<float> out32(ext.count());
+          lorenzo_reconstruct<float>(quant, outliers, ext, eb, radius, out32, rcfg);
+          EXPECT_TRUE(same_bits(out32, want_f32)) << "radius " << radius;
+          std::vector<double> out64(ext.count());
+          lorenzo_reconstruct<double>(quant, outliers, ext, eb, radius, out64, rcfg);
+          EXPECT_TRUE(same_bits(out64, want_f64)) << "radius " << radius;
+        }
       }
     }
   }
@@ -476,14 +532,11 @@ TEST_P(LorenzoDifferential, CheckedModesRunTheSameKernels) {
   const auto data = differential_field<float>(ext, eb, 7);
   const auto run_all = [&](ReconstructVariant variant) {
     const auto res = lorenzo_construct(data, ext, eb, QuantConfig{});
-    std::vector<qdiff_t> qprime(ext.count());
-    fuse_quant_codes(std::span<const quant_t>(res.quant.data(), res.quant.size()),
-                     QuantConfig{}.radius(), qprime);
     std::vector<float> out(ext.count());
-    lorenzo_reconstruct_fused(qprime, ext, eb, out, {variant});
+    lorenzo_reconstruct<float>(std::span<const quant_t>(res.quant.data(), res.quant.size()),
+                               res.outliers, ext, eb, QuantConfig{}.radius(), out, {variant});
     return std::make_tuple(std::vector<quant_t>(res.quant.begin(), res.quant.end()),
-                           std::vector<qdiff_t>(res.outlier_dense.begin(), res.outlier_dense.end()),
-                           out);
+                           res.outliers.indices, res.outliers.values, out);
   };
   for (const auto variant :
        {ReconstructVariant::kOptimizedPartialSum, ReconstructVariant::kNaivePartialSum}) {
@@ -504,6 +557,29 @@ TEST_P(LorenzoDifferential, CheckedModesRunTheSameKernels) {
       if (mode == sim::checked::Mode::kWord) EXPECT_GT(report.shadow_words, 0u);
     }
   }
+}
+
+TEST_P(LorenzoDifferential, SectionDoesNotDependOnTheThreadCount) {
+  // Blocks compact into their own windows and the merge walks them in
+  // index order, so the team size cannot reorder the section.
+  const int rank = GetParam();
+  const Extents ext = straddling_extents(rank)[3];
+  const double eb = 0x1p-7;
+  const auto data = differential_field<float>(ext, eb, 11);
+  const auto run = [&]([[maybe_unused]] int threads) {
+#ifdef _OPENMP
+    const int saved = omp_get_max_threads();
+    omp_set_num_threads(threads);
+#endif
+    const auto res = lorenzo_construct(data, ext, eb, QuantConfig{16});
+#ifdef _OPENMP
+    omp_set_num_threads(saved);
+#endif
+    return std::make_pair(res.outliers.indices, res.outliers.values);
+  };
+  const auto one = run(1);
+  EXPECT_GT(one.first.size(), ext.count() / 10);
+  EXPECT_EQ(run(4), one);
 }
 
 INSTANTIATE_TEST_SUITE_P(Ranks, LorenzoDifferential, ::testing::Values(1, 2, 3));

@@ -14,6 +14,7 @@
 #include <ostream>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "baseline/cusz_ref.hh"
@@ -563,25 +564,33 @@ TEST(DecodeReuse, OneWorkspaceDecodesAnySequenceLikeAFreshCall) {
 // --- Workspace pool ---------------------------------------------------------
 
 TEST(WorkspacePool, SteadyStateStopsAllocating) {
-  CompressConfig cfg;
-  cfg.eb = ErrorBound::absolute(1e-3);
-  const Extents ext = Extents::d2(64, 50);
-  const auto data = wave_f32(ext.count());
-  const Compressor comp(cfg);
+  // A smooth field, and a multi-block 3-D field with about one element in
+  // ten an outlier, so Lorenzo's outlier windows and section are in play.
+  const Extents wave_ext = Extents::d2(64, 50);
+  const OutlierGolden& rough = kOutlierGoldens[2];
+  const auto wave = wave_f32(wave_ext.count());
+  const auto noisy_field = rough_field<float>(rough.ext, rough.amp);
+  CompressConfig smooth_cfg;
+  smooth_cfg.eb = ErrorBound::absolute(1e-3);
+  for (const auto& [cfg, data, ext] :
+       {std::make_tuple(smooth_cfg, &wave, wave_ext),
+        std::make_tuple(outlier_config(64), &noisy_field, rough.ext)}) {
+    const Compressor comp(cfg);
 
-  // Warm-up: the pool creates its one workspace and the buffers grow to
-  // their steady-state capacity.
-  (void)comp.compress(data, ext);
-  (void)comp.compress(data, ext);
-  const auto warm = comp.workspace_stats();
-  EXPECT_EQ(warm.created, 1u);
+    // Warm-up: the pool creates its one workspace and the buffers grow to
+    // their steady-state capacity.
+    (void)comp.compress(*data, ext);
+    (void)comp.compress(*data, ext);
+    const auto warm = comp.workspace_stats();
+    EXPECT_EQ(warm.created, 1u);
 
-  for (int i = 0; i < 8; ++i) (void)comp.compress(data, ext);
-  const auto steady = comp.workspace_stats();
-  EXPECT_EQ(steady.created, warm.created) << "steady-state compress created a new workspace";
-  EXPECT_EQ(steady.grow_events, warm.grow_events)
-      << "steady-state compress grew a pooled buffer";
-  EXPECT_EQ(steady.leases, warm.leases + 8);
+    for (int i = 0; i < 8; ++i) (void)comp.compress(*data, ext);
+    const auto steady = comp.workspace_stats();
+    EXPECT_EQ(steady.created, warm.created) << "steady-state compress created a new workspace";
+    EXPECT_EQ(steady.grow_events, warm.grow_events)
+        << "steady-state compress grew a pooled buffer";
+    EXPECT_EQ(steady.leases, warm.leases + 8);
+  }
 }
 
 TEST(WorkspacePool, GrowEventsSettleAcrossWorkflowsAndSizes) {
@@ -653,6 +662,19 @@ TEST(WorkspacePool, RepeatDecodeThroughOneWorkspaceGrowsNothing) {
       const auto other = noisy_archive<float>(p, wf, ext, 8);
       Compressor::decompress(other, out, ws);
       EXPECT_EQ(field_bytes(out), field_bytes(Compressor::decompress(other))) << label;
+    }
+  }
+  // The multi-block outlier goldens: each decode after the first grows
+  // nothing.
+  for (const OutlierGolden& g : kOutlierGoldens) {
+    for (const char* dtype : {"f32", "f64"}) {
+      const auto archive = golden(std::string(g.stem) + "__" + dtype + ".szp");
+      Workspace ws;
+      Decompressed out;
+      Compressor::decompress(archive, out, ws);
+      const auto caps = ws.capacities();
+      Compressor::decompress(archive, out, ws);
+      EXPECT_EQ(ws.capacities(), caps) << g.stem << " " << dtype;
     }
   }
 }

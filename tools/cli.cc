@@ -466,17 +466,17 @@ void analyze_suite() {
     field[i] = std::sin(0.05f * static_cast<float>(i));
   }
   const auto lc = lorenzo_construct<float>(field, e3, eb, qcfg);
-  std::vector<qdiff_t> qprime(e3.count());
-  fuse_quant_codes({lc.quant.data(), lc.quant.size()}, qcfg.radius(),
-                   std::span<qdiff_t>(qprime));
   std::vector<float> rec(e3.count());
-  lorenzo_reconstruct_fused<float>(std::span<qdiff_t>(qprime), e3, eb, std::span<float>(rec));
+  lorenzo_reconstruct<float>({lc.quant.data(), lc.quant.size()}, lc.outliers, e3, eb,
+                             qcfg.radius(), std::span<float>(rec));
   const auto lv =
       lorenzo_construct<float>(field, e3, eb, qcfg, OutlierScheme::kValue,
                                ConstructVariant::kBaseline);
+  std::vector<qdiff_t> lv_dense(e3.count(), 0);
+  sim::scatter_add(lv.outliers, std::span<qdiff_t>(lv_dense));
   lorenzo_reconstruct_coarse<float>({lv.quant.data(), lv.quant.size()},
-                                    {lv.outlier_dense.data(), lv.outlier_dense.size()}, e3, eb,
-                                    qcfg, std::span<float>(rec));
+                                    {lv_dense.data(), lv_dense.size()}, e3, eb, qcfg,
+                                    std::span<float>(rec));
 
   PredictorProduct rg;
   regression_construct_into<float>(field, e3, eb, qcfg, rg);
