@@ -147,15 +147,6 @@ void construct_block(const VD& vdata, const VQ& vquant, const VS& vslots, const 
   }
 }
 
-/// Bytes of the paper's construct kernel, which writes a dense outlier
-/// array beside the codes: data read, codes and outliers written once.
-template <typename T>
-void paper_construct_traffic(std::size_t n, sim::KernelCost& c) {
-  c.bytes_read = n * sizeof(T);
-  c.bytes_written = n * (sizeof(quant_t) + sizeof(qdiff_t));
-  c.launches = 1;
-}
-
 }  // namespace
 
 template <typename T>
@@ -213,13 +204,15 @@ void lorenzo_construct_into(std::span<const T> data, const Extents& ext, double 
   };
   lorenzo_detail::dispatch_rank(ext.rank, launch);
 
-  // The modeled cost is the paper's kernel: its traffic includes the dense
-  // outlier write this host kernel replaces by per-block compaction.
-  // Arithmetic and calibration are the wrapper's.  The variant picks only
-  // the modeled attribution: cuSZ's shared-memory staging or cuSZ+'s
+  // The modeled cost is the paper's kernel, which reads the data once and
+  // writes the codes and a dense outlier array once; this host kernel
+  // compacts the outliers per row instead.  The variant picks only the
+  // modeled attribution: cuSZ's shared-memory staging or cuSZ+'s
   // coalesced streaming.
   const bool baseline = variant == ConstructVariant::kBaseline;
-  paper_construct_traffic<T>(n, res.cost);
+  res.cost.bytes_read = n * sizeof(T);
+  res.cost.bytes_written = n * (sizeof(quant_t) + sizeof(qdiff_t));
+  res.cost.launches = 1;
   res.cost.flops = n * (2 + (std::size_t{1} << ext.rank));
   res.cost.parallel_items = n;
   res.cost.pattern =

@@ -211,14 +211,6 @@ void reconstruct_block(const VQ& vquant, const VI& vidx, const VV& vval, const V
                            vout, ext, b, r, naive, eb2);
 }
 
-/// Bytes of the paper's in-place partial sums over the fused residual
-/// field: q' read and written once, the output stored once.
-template <typename T>
-void paper_reconstruct_traffic(std::size_t n, sim::KernelCost& c) {
-  c.bytes_read = n * sizeof(qdiff_t);
-  c.bytes_written = n * (sizeof(qdiff_t) + sizeof(T));
-}
-
 }  // namespace
 
 sim::KernelCost lorenzo_fuse_cost(std::size_t n, std::size_t nnz) {
@@ -299,9 +291,11 @@ sim::KernelCost lorenzo_reconstruct(std::span<const quant_t> quant,
   lorenzo_detail::dispatch_rank(ext.rank, launch);
 
   // The modeled cost is the paper's kernel: in-place partial sums over the
-  // fused residual field, one launch per scan direction.
+  // fused residual field (q' read and written once, the output stored
+  // once), one launch per scan direction.
   sim::KernelCost c;
-  paper_reconstruct_traffic<T>(n, c);
+  c.bytes_read = n * sizeof(qdiff_t);
+  c.bytes_written = n * (sizeof(qdiff_t) + sizeof(T));
   c.flops = n * (2 * static_cast<std::size_t>(ext.rank) + 2);
   c.parallel_items = n;
   c.pattern = naive ? sim::AccessPattern::kTiledShared
