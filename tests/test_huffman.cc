@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <map>
 #include <random>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -15,6 +17,7 @@
 #include "core/huffman/codebook.hh"
 #include "core/compressor.hh"
 #include "core/huffman/codec.hh"
+#include "scoped_threads.hh"
 
 namespace {
 
@@ -133,6 +136,28 @@ TEST(BitIo, PeekNeverReadsPastTheSpan) {
 
 // ---- Table-driven decode against the canonical walk ----------------------
 
+/// Every chunk (and gap-array sub-block) of `payload` in unit order, each
+/// symbol from `decode_one(BitReader&)`: the first unit to fault throws.
+template <typename DecodeOne>
+std::vector<quant_t> decode_units(const HuffmanEncoded& enc, std::span<const std::uint8_t> payload,
+                                  const DecodeOne& decode_one) {
+  std::vector<quant_t> out;
+  const std::size_t n = enc.num_symbols;
+  const std::size_t stride = enc.gap_stride > 0 ? enc.gap_stride : enc.chunk_size;
+  const std::size_t per_chunk = enc.chunk_size / stride;
+  for (std::size_t c = 0; c + 1 < enc.chunk_offsets.size(); ++c) {
+    const auto chunk = payload.subspan(enc.chunk_offsets[c],
+                                       enc.chunk_offsets[c + 1] - enc.chunk_offsets[c]);
+    for (std::size_t sub = 0; sub < per_chunk; ++sub) {
+      const std::size_t lo = c * enc.chunk_size + sub * stride;
+      const std::size_t hi = std::min(lo + stride, n);
+      BitReader r(chunk, enc.gap_stride > 0 ? enc.gaps[c * per_chunk + sub] : 0);
+      for (std::size_t i = lo; i < hi; ++i) out.push_back(static_cast<quant_t>(decode_one(r)));
+    }
+  }
+  return out;
+}
+
 /// A canonical decoder built only from the book's public code()/length():
 /// read one bit at a time until the bits read are some symbol's code.  The
 /// table decode must give the same symbols and the same verdicts.
@@ -157,21 +182,7 @@ class ReferenceWalk {
   /// Every chunk (and gap-array sub-block) of `payload`, in order.
   [[nodiscard]] std::vector<quant_t> decode(const HuffmanEncoded& enc,
                                             std::span<const std::uint8_t> payload) const {
-    std::vector<quant_t> out;
-    const std::size_t n = enc.num_symbols;
-    const std::size_t stride = enc.gap_stride > 0 ? enc.gap_stride : enc.chunk_size;
-    const std::size_t per_chunk = enc.chunk_size / stride;
-    for (std::size_t c = 0; c + 1 < enc.chunk_offsets.size(); ++c) {
-      const auto chunk = payload.subspan(enc.chunk_offsets[c],
-                                         enc.chunk_offsets[c + 1] - enc.chunk_offsets[c]);
-      for (std::size_t sub = 0; sub < per_chunk; ++sub) {
-        const std::size_t lo = c * enc.chunk_size + sub * stride;
-        const std::size_t hi = std::min(lo + stride, n);
-        BitReader r(chunk, enc.gap_stride > 0 ? enc.gaps[c * per_chunk + sub] : 0);
-        for (std::size_t i = lo; i < hi; ++i) out.push_back(static_cast<quant_t>(decode_one(r)));
-      }
-    }
-    return out;
+    return decode_units(enc, payload, [this](BitReader& r) { return decode_one(r); });
   }
 
  private:
@@ -275,6 +286,22 @@ TEST(HuffmanTableDecode, TruncationVerdictsMatchReferenceWalk) {
   }
 }
 
+/// A deserialized book whose lengths under-fill the Kraft sum: codes 00,
+/// 01 (symbols 3 and 7) and the 14-bit 10000000000000 (symbol 9) leave
+/// every prefix 11 unused.
+HuffmanCodebook underfull_book() {
+  ByteWriter w;
+  w.put<std::uint32_t>(64);
+  w.put<std::uint32_t>(3);
+  for (const auto& [sym, len] : {std::pair<std::uint32_t, std::uint8_t>{3, 2}, {7, 2}, {9, 14}}) {
+    w.put<std::uint32_t>(sym);
+    w.put<std::uint8_t>(len);
+  }
+  const auto bytes = w.take();
+  ByteReader r(bytes);
+  return HuffmanCodebook::deserialize(r);
+}
+
 TEST(HuffmanTableDecode, UnusedPrefixIsCorruptInBothDecoders) {
   const auto expect_corrupt = [](const HuffmanCodebook& book,
                                  std::span<const std::uint8_t> bytes) {
@@ -293,18 +320,8 @@ TEST(HuffmanTableDecode, UnusedPrefixIsCorruptInBothDecoders) {
   one[5] = 1000;
   expect_corrupt(HuffmanCodebook::build(one), ones);
 
-  // A deserialized book whose lengths under-fill the Kraft sum: codes 00,
-  // 01 and the 14-bit 10000000000000 leave every prefix 11 unused.
-  ByteWriter w;
-  w.put<std::uint32_t>(64);
-  w.put<std::uint32_t>(3);
-  for (const auto& [sym, len] : {std::pair<std::uint32_t, std::uint8_t>{3, 2}, {7, 2}, {9, 14}}) {
-    w.put<std::uint32_t>(sym);
-    w.put<std::uint8_t>(len);
-  }
-  const auto bytes = w.take();
-  ByteReader r(bytes);
-  const auto sparse = HuffmanCodebook::deserialize(r);
+  // An under-full deserialized book leaves every prefix 11 unused.
+  const auto sparse = underfull_book();
   ASSERT_EQ(sparse.length(9), 14u);
   expect_corrupt(sparse, ones);
   // 14-bit codes bypass the table; one bit off is a prefix nobody owns.
@@ -317,6 +334,170 @@ TEST(HuffmanTableDecode, UnusedPrefixIsCorruptInBothDecoders) {
   expect_corrupt(sparse, long_miss);
   // The empty book owns no prefix at all.
   expect_corrupt(HuffmanCodebook::build(std::vector<std::uint64_t>(16, 0)), ones);
+}
+
+// ---- Decode units in groups ------------------------------------------------
+//
+// One inflate launch block may own several consecutive decode units
+// (chunks, or gap-array sub-blocks).  These cases cover groups of one to
+// four units, a short last chunk, every gap stride, books on both sides of
+// the decode table's width and of the 57-bit window, and the verdict when
+// two units of one group are damaged in different ways.
+
+/// Decode through the in-place entry point from a separate copy of the
+/// payload, as the codecs decode an archive's bytes.
+std::vector<quant_t> decode_in_place(const HuffmanEncoded& meta,
+                                     std::span<const std::uint8_t> payload,
+                                     const HuffmanCodebook& book) {
+  sim::device_vector<quant_t> out;
+  (void)huffman_decode_into(meta, payload, book, meta.num_symbols, out);
+  return {out.begin(), out.end()};
+}
+
+TEST(HuffmanGroupDecode, MatchesReferenceWalkOnEveryGroupShape) {
+  struct Book {
+    const char* name;
+    std::vector<std::uint64_t> freq;
+    unsigned max_len;  // the book's longest code; 0 for "at most 11"
+  };
+  const std::vector<Book> books{
+      {"11", histogram_of(skewed_symbols(20000, 0.3, 64, 21), 64), 0},
+      {"12", fibonacci_freq(13, 1024), 12},
+      {"13", fibonacci_freq(14, 1024), 13},
+      {"57", fibonacci_freq(58, 1024), 57},
+      {"59", fibonacci_freq(60, 1024), 59},
+  };
+  // One to three units, exact full groups, and a short last chunk.
+  const std::size_t counts[] = {4096,         3 * 4096 + 17, 4 * 4096,
+                                4 * 4096 + 1, 8 * 4096 - 1,  9 * 4096 + 5};
+  for (const Book& b : books) {
+    SCOPED_TRACE(b.name);
+    const auto book = HuffmanCodebook::build(b.freq);
+    if (b.max_len == 0) {
+      EXPECT_LE(book.max_length(), 11u);
+    } else {
+      EXPECT_EQ(book.max_length(), b.max_len);
+    }
+    const ReferenceWalk walk(book);
+    for (const std::size_t n : counts) {
+      SCOPED_TRACE(n);
+      const auto syms = uniform_live_symbols(b.freq, n, static_cast<std::uint32_t>(n));
+      for (const std::uint32_t gap : {0u, 128u, 256u, 4096u}) {
+        SCOPED_TRACE(gap);
+        HuffmanEncoded meta = huffman_encode(syms, book, 4096, HuffmanEncVariant::kOptimized, gap);
+        const std::vector<std::uint8_t> payload = std::move(meta.payload);
+        meta.payload.clear();
+        // Every gap stride writes the same bits, so one walk covers them.
+        if (gap == 0) EXPECT_EQ(walk.decode(meta, payload), syms);
+        for (const int threads : {1, 4}) {
+          const test::ScopedThreads scoped(threads);
+          EXPECT_EQ(decode_in_place(meta, payload, book), syms) << threads << " threads";
+        }
+      }
+    }
+  }
+}
+
+/// (kind, segment, message) of the DecodeError `fn` throws.
+template <typename Fn>
+std::tuple<DecodeErrorKind, std::string, std::string> full_verdict_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const DecodeError& e) {
+    return {e.kind(), e.segment(), e.what()};
+  }
+  ADD_FAILURE() << "no DecodeError thrown";
+  return {DecodeErrorKind::kBadMagic, "none", ""};
+}
+
+TEST(HuffmanGroupDecode, LowestFaultingUnitGivesTheVerdict) {
+  // 5 * 4096 symbols over the under-full book's three codes: one full group
+  // of four chunks, then a group of one.
+  const auto book = underfull_book();
+  std::vector<quant_t> syms(5 * 4096);
+  std::mt19937 rng(31);
+  for (auto& s : syms) s = std::array<quant_t, 3>{3, 7, 9}[rng() % 3];
+  const ReferenceWalk walk(book);
+
+  // Damage, applied to a fresh encoding's metadata and payload: a unit that
+  // runs past its slice is truncated, and an 0xff byte a few bytes into a
+  // unit's bits is a prefix 11 no code owns.
+  struct Edit {
+    HuffmanEncoded& meta;
+    std::vector<std::uint8_t>& payload;
+    /// Chunk c loses its last 3 bytes; chunk c + 1 starts 3 bytes early.
+    void cut(std::size_t c) const { meta.chunk_offsets[c + 1] -= 3; }
+    /// Byte 3 of the bits of unit `sub` of chunk c becomes 0xff.
+    void unowned(std::size_t c, std::size_t sub = 0) const {
+      const std::size_t per_chunk = meta.gap_stride > 0 ? meta.chunk_size / meta.gap_stride : 1;
+      const std::size_t bit = meta.gap_stride > 0 ? meta.gaps[c * per_chunk + sub] : 0;
+      payload[meta.chunk_offsets[c] + bit / 8 + 3] = 0xff;
+    }
+    /// Sub-block `sub` of chunk 0 starts where its last sub-block does, so
+    /// with cut(0) it too runs past the end of the slice.
+    void reenter_last(std::size_t sub) const {
+      meta.gaps[sub] = meta.gaps[meta.chunk_size / meta.gap_stride - 1];
+    }
+  };
+  struct Case {
+    const char* name;
+    std::uint32_t gap;
+    void (*damage)(const Edit&);
+    DecodeErrorKind want;
+  };
+  const Case cases[] = {
+      // The lower unit is truncated near its end; the higher one meets an
+      // unowned prefix within a few symbols, long before.
+      {"truncated 0, unowned 2", 0,
+       [](const Edit& e) {
+         e.cut(0);
+         e.unowned(2);
+       },
+       DecodeErrorKind::kTruncated},
+      {"unowned 0, truncated 2", 0,
+       [](const Edit& e) {
+         e.unowned(0);
+         e.cut(2);
+       },
+       DecodeErrorKind::kCorruptStream},
+      // The same pairs inside the gap-array sub-blocks of chunk 0.
+      {"gap: truncated 1, unowned 2", 256,
+       [](const Edit& e) {
+         e.unowned(0, 2);
+         e.cut(0);
+         e.reenter_last(1);
+       },
+       DecodeErrorKind::kTruncated},
+      {"gap: unowned 1, truncated 2", 256,
+       [](const Edit& e) {
+         e.unowned(0, 1);
+         e.cut(0);
+         e.reenter_last(2);
+       },
+       DecodeErrorKind::kCorruptStream},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    HuffmanEncoded meta = huffman_encode(syms, book, 4096, HuffmanEncVariant::kOptimized, c.gap);
+    std::vector<std::uint8_t> payload = std::move(meta.payload);
+    meta.payload.clear();
+    ASSERT_EQ(meta.chunk_offsets.size(), 6u);
+    c.damage(Edit{meta, payload});
+    // Unit by unit with decode_one: what a grid of one unit per block
+    // reports, since a launch ranks faults by block.
+    const auto serial = full_verdict_of([&] {
+      (void)decode_units(meta, payload, [&](BitReader& r) { return book.decode_one(r); });
+    });
+    EXPECT_EQ(std::get<0>(serial), c.want);
+    EXPECT_EQ(std::get<1>(serial), "bitstream");
+    const auto reference = verdict_of([&] { (void)walk.decode(meta, payload); });
+    EXPECT_EQ(reference, std::make_pair(std::get<0>(serial), std::get<1>(serial)));
+    for (const int threads : {1, 4}) {
+      const test::ScopedThreads scoped(threads);
+      EXPECT_EQ(full_verdict_of([&] { (void)decode_in_place(meta, payload, book); }), serial)
+          << threads << " threads";
+    }
+  }
 }
 
 // ---- Codebook invariants ---------------------------------------------------

@@ -5,13 +5,10 @@
 #include <cstdint>
 #include <vector>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "core/analysis/madogram.hh"
 #include "core/eb.hh"
 #include "core/metrics.hh"
+#include "scoped_threads.hh"
 
 namespace {
 
@@ -19,6 +16,7 @@ using szp::compare_fields;
 using szp::compression_ratio;
 using szp::ErrorBound;
 using szp::ValueRange;
+using szp::test::ScopedThreads;
 
 TEST(Metrics, IdenticalFieldsHaveInfinitePsnr) {
   const std::vector<float> a{0.0f, 1.0f, 2.0f, 3.0f};
@@ -57,27 +55,6 @@ TEST(ValueRangeT, MinMax) {
   EXPECT_EQ(r.max, 7.0);
   EXPECT_EQ(r.span(), 8.0);
 }
-
-/// Sets the OpenMP thread budget for one scope (a no-op without OpenMP).
-class ScopedThreads {
- public:
-  explicit ScopedThreads([[maybe_unused]] int threads) {
-#ifdef _OPENMP
-    saved_ = omp_get_max_threads();
-    omp_set_num_threads(threads);
-#endif
-  }
-  ~ScopedThreads() {
-#ifdef _OPENMP
-    omp_set_num_threads(saved_);
-#endif
-  }
-  ScopedThreads(const ScopedThreads&) = delete;
-  ScopedThreads& operator=(const ScopedThreads&) = delete;
-
- private:
-  int saved_ = 1;
-};
 
 TEST(BlockReduce, WholeFieldReductionsAreBitIdenticalAtEveryThreadCount) {
   // Whole-field reductions run over fixed blocks and merge their partials

@@ -22,6 +22,8 @@
 #include "core/codec/codec.hh"
 #include "core/compressor.hh"
 #include "core/error.hh"
+#include "core/huffman/codebook.hh"
+#include "core/huffman/codec.hh"
 #include "core/io/io.hh"
 #include "core/pipeline/stage.hh"
 #include "core/streaming.hh"
@@ -244,11 +246,7 @@ TEST(GoldenArchive, MultiBlockOutlierStreamsBitIdentical) {
 // Every cost field the Lorenzo-path stages report, pinned as literals: the
 // modeled V100/A100 figures derive from nothing else.
 
-std::string cost_row(const std::string& label, const sim::PipelineReport& report,
-                     const char* stage) {
-  const sim::StageReport* s = report.find(stage);
-  if (s == nullptr) return label + " " + stage + " missing";
-  const sim::KernelCost& c = s->cost;
+std::string cost_fields(const sim::KernelCost& c) {
   char buf[256];
   std::snprintf(buf, sizeof buf, " br=%llu bw=%llu fl=%llu la=%d pi=%llu pat=%d cf=%a",
                 static_cast<unsigned long long>(c.bytes_read),
@@ -256,7 +254,14 @@ std::string cost_row(const std::string& label, const sim::PipelineReport& report
                 static_cast<unsigned long long>(c.flops), c.launches,
                 static_cast<unsigned long long>(c.parallel_items), static_cast<int>(c.pattern),
                 c.custom_factor);
-  return label + " " + stage + buf;
+  return buf;
+}
+
+std::string cost_row(const std::string& label, const sim::PipelineReport& report,
+                     const char* stage) {
+  const sim::StageReport* s = report.find(stage);
+  if (s == nullptr) return label + " " + stage + " missing";
+  return label + " " + stage + cost_fields(s->cost);
 }
 
 std::vector<std::string> lorenzo_cost_rows() {
@@ -425,6 +430,57 @@ TEST(ModeledClock, LorenzoPathCostsArePinned) {
       "outliers__3d cap65536 cusz lorenzo_reconstruct br=339900 bw=226600 fl=566500 la=1 pi=260 pat=2 cf=0x1.0e5604189374cp-4",
   };
   const auto rows = lorenzo_cost_rows();
+  ASSERT_EQ(rows.size(), std::size(kWant));
+  for (std::size_t i = 0; i < rows.size(); ++i) EXPECT_EQ(rows[i], kWant[i]) << "row " << i;
+}
+
+// --- The modeled clock of the Huffman decode -----------------------------------
+//
+// Every cost field huffman_decode_into() returns, for plain and gap-array
+// streams whose last chunk is short, and the decode stage of an rle+vle
+// archive, whose two run streams decode through it.
+
+std::vector<std::string> huffman_decode_cost_rows() {
+  std::vector<std::string> rows;
+  for (const std::size_t chunks : {1, 5, 17}) {
+    const std::size_t n = 4096 * (chunks - 1) + 3000;
+    std::vector<quant_t> syms(n);
+    std::uint32_t s = 777;
+    for (auto& q : syms) {
+      s = s * 1664525u + 1013904223u;
+      const std::uint32_t u = s >> 24;
+      q = static_cast<quant_t>(512 + ((u * u) >> 11));  // 512..543, most near 512
+    }
+    std::vector<std::uint64_t> freq(1024, 0);
+    for (const quant_t q : syms) ++freq[q];
+    const auto book = HuffmanCodebook::build(freq);
+    for (const std::uint32_t gap : {0u, 256u}) {
+      const auto enc = huffman_encode(syms, book, 4096, HuffmanEncVariant::kOptimized, gap);
+      sim::device_vector<quant_t> out;
+      const auto cost = huffman_decode_into(enc, enc.payload, book, n, out);
+      rows.push_back("chunks=" + std::to_string(chunks) + " gap=" + std::to_string(gap) +
+                     cost_fields(cost));
+    }
+  }
+  CompressConfig cfg = outlier_config(64);
+  cfg.workflow = Workflow::kRleVle;
+  const Extents ext = Extents::d1(40000);
+  const auto c = Compressor(cfg).compress(rough_field<float>(ext, 0.045), ext);
+  rows.push_back(cost_row("rle+vle", Compressor::decompress(c.bytes).pipeline, "rle_vle_decode"));
+  return rows;
+}
+
+TEST(ModeledClock, HuffmanDecodeCostsArePinned) {
+  const char* const kWant[] = {
+      "chunks=1 gap=0 br=10987 bw=6000 fl=1350000 la=1 pi=3000 pat=0 cf=0x0p+0",
+      "chunks=1 gap=256 br=37616 bw=6000 fl=450000 la=1 pi=3000 pat=0 cf=0x0p+0",
+      "chunks=5 gap=0 br=20606 bw=38768 fl=8722800 la=1 pi=19384 pat=0 cf=0x0p+0",
+      "chunks=5 gap=256 br=191776 bw=38768 fl=2907600 la=1 pi=19384 pat=0 cf=0x0p+0",
+      "chunks=17 gap=0 br=49488 bw=137072 fl=30841200 la=1 pi=68536 pat=0 cf=0x0p+0",
+      "chunks=17 gap=256 br=654656 bw=137072 fl=10280400 la=1 pi=68536 pat=0 cf=0x0p+0",
+      "rle+vle rle_vle_decode br=1324762 bw=235760 fl=35086000 la=3 pi=38940 pat=0 cf=0x0p+0",
+  };
+  const auto rows = huffman_decode_cost_rows();
   ASSERT_EQ(rows.size(), std::size(kWant));
   for (std::size_t i = 0; i < rows.size(); ++i) EXPECT_EQ(rows[i], kWant[i]) << "row " << i;
 }
