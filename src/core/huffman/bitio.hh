@@ -5,7 +5,9 @@
 // Both work a word at a time.  BitWriter accumulates into a 64-bit register
 // and stores whole bytes into a caller-sized span.  BitReader peeks up to 57
 // bits with one 8-byte load, which feeds the Huffman decode table
-// (codebook.hh); get_bit() stays for the canonical-walk fallback.
+// (codebook.hh); get_bit() stays for the canonical-walk fallback.  The
+// Huffman inflate kernel's unchecked phase (codec.cc) makes the same 8-byte
+// load, load_be64(), where it has proved the bytes lie inside the stream.
 #pragma once
 
 #include <bit>
@@ -17,6 +19,14 @@
 #include "core/error.hh"
 
 namespace szp {
+
+/// The eight bytes at `p` as one word, the first byte most significant.
+[[nodiscard]] inline std::uint64_t load_be64(const std::uint8_t* p) {
+  std::uint64_t word = 0;
+  std::memcpy(&word, p, sizeof(word));
+  if constexpr (std::endian::native == std::endian::little) word = __builtin_bswap64(word);
+  return word;
+}
 
 /// MSB-first bit writer over a caller-owned byte range, accumulating into a
 /// 64-bit register and storing whole bytes.  The caller sizes the span
@@ -78,8 +88,7 @@ class BitReader {
     const std::uint64_t byte = pos_ >> 3;
     std::uint64_t word = 0;
     if (byte + 8 <= bytes_.size()) {
-      std::memcpy(&word, bytes_.data() + byte, sizeof(word));
-      if constexpr (std::endian::native == std::endian::little) word = __builtin_bswap64(word);
+      word = load_be64(bytes_.data() + byte);
     } else {
       for (std::uint64_t i = byte; i < bytes_.size(); ++i) {
         word |= std::uint64_t{bytes_[i]} << (56 - 8 * (i - byte));

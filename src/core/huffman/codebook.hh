@@ -12,6 +12,13 @@
 // owns) falls back to the canonical walk over first_code/first_index per
 // length, cuSZ's canonical codebook design.  Both give the same symbol
 // wherever the table fires, so every decode verdict comes from the walk.
+//
+// decode_window() is the same lookup over a 64-bit window of the stream the
+// caller has already loaded: the table, else the canonical tables over the
+// window for codes of up to kWindowBits bits, else 0.  It never reads the
+// stream and never throws; the Huffman inflate kernel (codec.cc) calls it
+// only where every bit a code can span lies inside the stream, and leaves
+// everything else, each verdict included, to decode_one().
 #pragma once
 
 #include <array>
@@ -31,6 +38,9 @@ class HuffmanCodebook {
   /// Width of the decode table's index: codes of up to this many bits
   /// decode with one lookup.
   static constexpr unsigned kLutBits = 12;
+  /// Longest code decode_window() resolves: an 8-byte load shifted left by
+  /// a bit offset of up to 7 keeps 57 stream bits.
+  static constexpr unsigned kWindowBits = 57;
 
   /// Build from symbol frequencies (the histogram).  Symbols with zero
   /// frequency get no code.  Degenerate alphabets (0 or 1 live symbols) are
@@ -66,6 +76,24 @@ class HuffmanCodebook {
     throw DecodeError(DecodeErrorKind::kCorruptStream, "bitstream",
                       "no canonical Huffman code matches the next " +
                           std::to_string(max_len_) + " bits");
+  }
+
+  /// Decode the code at the top of `window`, the stream's next bits MSB
+  /// first: (symbol << 8) | length, or 0 when no code of up to
+  /// min(max_length(), kWindowBits) bits owns the prefix.  Where the window
+  /// holds at least max_length() bits of the stream, a nonzero result is
+  /// exactly what decode_one() returns and skips.
+  [[nodiscard]] std::uint32_t decode_window(std::uint64_t window) const {
+    const std::uint32_t entry = lut_[window >> (64 - kLutBits)];
+    if (entry != 0) return entry;
+    const unsigned longest = max_len_ < kWindowBits ? max_len_ : kWindowBits;
+    for (unsigned len = kLutBits + 1; len <= longest; ++len) {
+      const std::uint64_t rank = (window >> (64 - len)) - first_code_[len];
+      if (rank < count_[len]) {
+        return (sorted_symbols_[first_index_[len] + static_cast<std::uint32_t>(rank)] << 8) | len;
+      }
+    }
+    return 0;
   }
 
   /// Analytic GPU cost of the (single-threaded) codebook construction.

@@ -1,6 +1,7 @@
 #include "core/huffman/codec.hh"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <stdexcept>
 
@@ -197,6 +198,22 @@ void check_decode_metadata(const HuffmanEncoded& enc, std::span<const std::uint8
   }
 }
 
+/// Decode units per inflate launch block: the block advances one reader per
+/// unit in turn, so the table walks of independent units overlap instead of
+/// each waiting on its previous symbol's length (Rivera et al.'s latency
+/// hiding, as kRansLanes does for rANS).  A compile-time constant, not an
+/// option: it moves host time and the coalescing estimate, never a byte or
+/// a verdict.
+constexpr std::size_t kHuffmanGroup = 4;
+
+/// Symbols a reader at bit `pos` of a `size`-byte slice can decode, at most
+/// `max_len` bits each, before an 8-byte load at its position would leave
+/// the slice.
+std::size_t safe_steps(std::size_t size, std::uint64_t pos, unsigned max_len) {
+  if (size < 8 || pos > (size - 8) * std::uint64_t{8}) return 0;
+  return static_cast<std::size_t>(((size - 8) * std::uint64_t{8} - pos) / max_len + 1);
+}
+
 /// The inflate launch over metadata check_decode_metadata() accepted;
 /// `symbols` holds exactly enc.num_symbols entries.
 sim::KernelCost decode_chunks(const HuffmanEncoded& enc, std::span<const std::uint8_t> payload,
@@ -207,19 +224,23 @@ sim::KernelCost decode_chunks(const HuffmanEncoded& enc, std::span<const std::ui
   const std::size_t nchunks = enc.chunk_offsets.size() - 1;
   const std::size_t subblocks_per_chunk =
       enc.gap_stride > 0 ? enc.chunk_size / enc.gap_stride : 1;
+  const std::size_t units = nchunks * subblocks_per_chunk;
+  const std::size_t stride = enc.gap_stride > 0 ? enc.gap_stride : enc.chunk_size;
   namespace chk = sim::checked;
   namespace ctr = sim::contract;
   sim::traffic::Scope traffic_scope;  // contract-derived volumes for `cost`
   // Decode unit `u` covers symbols [u*stride, u*stride + stride) ∩ [0, n):
   // with chunk_size = subblocks_per_chunk * stride, the chunk/sub-block
-  // decomposition collapses to one affine window per unit.  The payload
+  // decomposition collapses to one affine window per unit, and block b's
+  // kHuffmanGroup consecutive units to one window per block.  The payload
   // range each unit reads comes from the (data-dependent) offset table, so
   // that read is declared dynamic; reads never impede the disjointness
   // proof for the symbol writes.
-  const auto stride64 = static_cast<std::int64_t>(
-      enc.gap_stride > 0 ? enc.gap_stride : enc.chunk_size);
+  const auto group_syms = static_cast<std::int64_t>(kHuffmanGroup * stride);
+  const auto group64 = static_cast<std::int64_t>(kHuffmanGroup);
   ctr::Contract decode_contract;
-  decode_contract.clauses.push_back(ctr::writes("symbols", ctr::b() * stride64, stride64).clamp());
+  decode_contract.clauses.push_back(
+      ctr::writes("symbols", ctr::b() * group_syms, group_syms).clamp());
   // Worst-case read volumes across the launch: every unit of a chunk
   // re-reads that chunk's whole payload slice (sub-block units share the
   // slice), and each unit loads its chunk's two bounding offsets.
@@ -227,46 +248,107 @@ sim::KernelCost decode_chunks(const HuffmanEncoded& enc, std::span<const std::ui
       "payload", static_cast<std::int64_t>(payload.size() * subblocks_per_chunk)));
   decode_contract.clauses.push_back(ctr::reads_dyn(
       "offsets", static_cast<std::int64_t>(2 * nchunks * subblocks_per_chunk)));
-  if (enc.gap_stride > 0) decode_contract.clauses.push_back(ctr::reads("gaps", ctr::b(), 1));
-  chk::launch("huffman_decode", nchunks * subblocks_per_chunk,
+  if (enc.gap_stride > 0) {
+    decode_contract.clauses.push_back(ctr::reads("gaps", ctr::b() * group64, group64).clamp());
+  }
+  chk::launch("huffman_decode", sim::div_ceil(units, kHuffmanGroup),
               chk::bufs(chk::in(payload, "payload"),
                         chk::in(std::span<const std::uint64_t>(enc.chunk_offsets), "offsets"),
                         chk::in(std::span<const std::uint32_t>(enc.gaps), "gaps"),
                         chk::out(symbols, "symbols")),
               decode_contract,
-              [&, n, subblocks_per_chunk](std::size_t unit, const auto& vpayload,
-                                          const auto& voffsets, const auto& vgaps,
-                                          const auto& vsym) {
-    const std::size_t c = unit / subblocks_per_chunk;
-    const std::size_t sub = unit % subblocks_per_chunk;
-    const std::size_t stride = enc.gap_stride > 0 ? enc.gap_stride : enc.chunk_size;
-    const std::size_t lo = c * enc.chunk_size + sub * stride;
-    if (lo >= n) return;
-    const std::size_t hi =
-        std::min(std::min(lo + stride, (c + 1) * static_cast<std::size_t>(enc.chunk_size)), n);
-    const auto off = static_cast<std::size_t>(voffsets[c]);
-    const auto end = static_cast<std::size_t>(voffsets[c + 1]);
-    const std::uint64_t start_bit = enc.gap_stride > 0 ? vgaps[unit] : 0;
-    vpayload.note_read(off, end - off);
-    BitReader br(std::span<const std::uint8_t>(vpayload.data() + off, end - off), start_bit);
-    // A corrupt bitstream (invalid code, or a spliced gap offset pointing
-    // past the chunk) throws DecodeError right here, inside the grid; the
-    // exception-safe launch drains the remaining blocks and rethrows it.
-    for (std::size_t i = lo; i < hi; ++i) {
-      vsym[i] = static_cast<quant_t>(book.decode_one(br));
+              [&, n, units, subblocks_per_chunk, stride](std::size_t block, const auto& vpayload,
+                                                         const auto& voffsets, const auto& vgaps,
+                                                         const auto& vsym) {
+    // This block's units that hold symbols (units start in symbol order,
+    // so only a group's tail can lie past n), each with its chunk's slice,
+    // its reader position and its next symbol.
+    struct Unit {
+      const std::uint8_t* bytes;
+      std::size_t size;
+      std::uint64_t pos;
+      std::size_t next, hi;
+    };
+    std::array<Unit, kHuffmanGroup> group{};
+    std::size_t count = 0;
+    for (std::size_t u = block * kHuffmanGroup;
+         u < std::min(units, (block + 1) * kHuffmanGroup) && u * stride < n; ++u) {
+      const std::size_t c = u / subblocks_per_chunk;
+      const auto off = static_cast<std::size_t>(voffsets[c]);
+      const auto end = static_cast<std::size_t>(voffsets[c + 1]);
+      vpayload.note_read(off, end - off);
+      group[count++] = {vpayload.data() + off, end - off, enc.gap_stride > 0 ? vgaps[u] : 0,
+                        u * stride, std::min(u * stride + stride, n)};
+    }
+
+    // Interleaved phase, for a group of full-length units whose codes fit
+    // one window: step j decodes symbol j of every unit in turn.  Each step
+    // runs unchecked while every unit's next load stays inside its slice —
+    // a code takes at most max_len bits, so safe_steps() bounds how many
+    // steps may run before the bound is recomputed.
+    const unsigned max_len = book.max_length();
+    if (count == kHuffmanGroup && group[count - 1].hi - group[count - 1].next == stride &&
+        max_len >= 1 && max_len <= HuffmanCodebook::kWindowBits) {
+      // Reader positions in a local array, which the unrolled steps keep in
+      // registers.
+      std::array<std::uint64_t, kHuffmanGroup> pos{};
+      for (std::size_t k = 0; k < kHuffmanGroup; ++k) pos[k] = group[k].pos;
+      std::size_t j = 0;
+      std::size_t faulted = kHuffmanGroup;  // the unit whose window no code owns
+      while (faulted == kHuffmanGroup) {
+        std::size_t steps = stride - j;
+        for (std::size_t k = 0; k < kHuffmanGroup; ++k) {
+          steps = std::min(steps, safe_steps(group[k].size, pos[k], max_len));
+        }
+        if (steps == 0) break;
+        for (const std::size_t stop = j + steps; j < stop && faulted == kHuffmanGroup; ++j) {
+#pragma GCC unroll 4
+          for (std::size_t k = 0; k < kHuffmanGroup; ++k) {
+            const std::uint32_t e =
+                book.decode_window(load_be64(group[k].bytes + (pos[k] >> 3)) << (pos[k] & 7));
+            if (e == 0) {
+              faulted = k;
+              break;
+            }
+            vsym[group[k].next + j] = static_cast<quant_t>(e >> 8);
+            pos[k] += e & 0xffu;
+          }
+        }
+      }
+      // On a fault, j has moved past the faulting step, which only the
+      // units before the faulting one completed.
+      for (std::size_t k = 0; k < kHuffmanGroup; ++k) {
+        group[k].pos = pos[k];
+        group[k].next += faulted == kHuffmanGroup || k < faulted ? j : j - 1;
+      }
+    }
+
+    // Checked tail, one unit at a time in unit order: each unit's last
+    // symbols, groups that skip the interleave, and a unit whose window no
+    // code owns.  A corrupt bitstream (invalid code, or a spliced gap
+    // offset pointing past the chunk) throws DecodeError here, from the
+    // lowest faulting unit of the block, as a grid of one unit per block
+    // reports it; the exception-safe launch drains the remaining blocks and
+    // rethrows the lowest block's.
+    for (std::size_t k = 0; k < count; ++k) {
+      const Unit& g = group[k];
+      BitReader br(std::span<const std::uint8_t>(g.bytes, g.size), g.pos);
+      for (std::size_t i = g.next; i < g.hi; ++i) {
+        vsym[i] = static_cast<quant_t>(book.decode_one(br));
+      }
     }
   });
 
   traffic_scope.apply(cost);
   cost.bytes_read += book.alphabet_size() * 9;  // codebook is not a launch buffer
-  // The modeled kernel is cuSZ's canonical decode, a dependent bit-serial
-  // table walk: latency/compute-bound, not bandwidth-bound — which is why
-  // the paper sees it stagnate from V100 to A100 (§V-C.2).  The host's
-  // table-driven decode_one does not change the model.  The per-symbol
-  // weight is calibrated to Table VII's ~40-50 GB/s V100 decode rows for
-  // the chunked decoder; gap-array decoding keeps warps converged over
-  // short chains, which reference [15] reports as a multi-x decode gain
-  // (weight calibrated accordingly).
+  // The modeled kernel is cuSZ's canonical decode, one dependent bit-serial
+  // table walk per chunk: latency/compute-bound, not bandwidth-bound —
+  // which is why the paper sees it stagnate from V100 to A100 (§V-C.2).
+  // The host's interleaved units and table-driven lookups do not change the
+  // model.  The per-symbol weight is calibrated to Table VII's ~40-50 GB/s
+  // V100 decode rows for the chunked decoder; gap-array decoding keeps
+  // warps converged over short chains, which reference [15] reports as a
+  // multi-x decode gain (weight calibrated accordingly).
   const std::size_t chain = enc.gap_stride > 0 ? enc.gap_stride : enc.chunk_size;
   cost.flops =
       n * (130 + 320 * std::min<std::size_t>(chain, 4096) / 4096);

@@ -7,6 +7,12 @@
 // padding per 4096-symbol chunk (<0.03%), which keeps the concatenation a
 // race-free parallel copy; this is the chunkwise metadata overhead the
 // paper notes for CUSZ-VLE.
+//
+// Decoding starts every chunk (or gap-array sub-block) at its stored offset.
+// One inflate block decodes four consecutive such units, a symbol of each in
+// turn, so the dependent table walks of independent units overlap; while
+// every unit has room it loads each symbol's 8-byte window unchecked, and
+// the rest goes through the bounds-checked BitReader.
 #pragma once
 
 #include <cstdint>
@@ -69,16 +75,17 @@ struct HuffmanDecoded {
   sim::KernelCost cost;
 };
 
-/// Decode all chunks of `payload` (parallel over chunks, table-driven
-/// decode_one within) straight into `out` and return the kernel cost.
-/// `enc` supplies the metadata only: the payload is read in place, e.g.
-/// from the archive, and enc.payload is not consulted.  When the encoding
-/// carries a gap array, decoding enters each sub-block at its recorded bit
-/// offset instead, raising the decode parallelism from one-per-chunk to
-/// one-per-sub-block.  The metadata is validated first; then an encoding
-/// that does not hold exactly `n` symbols throws DecodeError
-/// (kCorruptStream, "quant-codes").  Only after both checks is `out` sized
-/// to n, so a spliced count never drives the allocation.
+/// Decode all chunks of `payload` (parallel over groups of four chunks,
+/// interleaved table lookups within) straight into `out` and return the
+/// kernel cost.  `enc` supplies the metadata only: the payload is read in
+/// place, e.g. from the archive, and enc.payload is not consulted.  When
+/// the encoding carries a gap array, decoding enters each sub-block at its
+/// recorded bit offset instead, and the groups are of four sub-blocks.  The
+/// metadata is validated first; then an encoding that does not hold exactly
+/// `n` symbols throws DecodeError (kCorruptStream, "quant-codes").  Only
+/// after both checks is `out` sized to n, so a spliced count never drives
+/// the allocation.  A damaged stream throws the DecodeError of its lowest
+/// faulting chunk or sub-block.
 sim::KernelCost huffman_decode_into(const HuffmanEncoded& enc,
                                     std::span<const std::uint8_t> payload,
                                     const HuffmanCodebook& book, std::size_t n,
