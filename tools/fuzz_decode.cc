@@ -110,11 +110,12 @@ void decode_via_file(std::span<const std::uint8_t> bytes) {
 }
 
 Target szp_target(const std::string& name, Workflow wf, PredictorKind pred,
-                  const Extents& ext, bool f64) {
+                  const Extents& ext, bool f64, std::uint32_t huffman_gap_stride = 0) {
   CompressConfig cfg;
   cfg.eb = ErrorBound::absolute(1e-3);
   cfg.workflow = wf;
   cfg.predictor = pred;
+  cfg.huffman_gap_stride = huffman_gap_stride;
   Target t;
   t.name = name;
   t.archive = f64 ? Compressor(cfg).compress(wave_f64(ext.count()), ext).bytes
@@ -234,6 +235,16 @@ std::vector<Target> make_targets() {
     t.whole_crc = true;
     targets.push_back(std::move(t));
   }
+
+  // Every target above holds at most one 4096-symbol Huffman chunk.  These
+  // hold six, so the first four form a full group of the inflate kernel
+  // and mutations reach its unchecked window loads, in chunks and in
+  // gap-array sub-blocks.
+  const Extents groups = Extents::d1(5 * 4096 + 1000);
+  targets.push_back(szp_target("szp/huffman-groups-1d-f32", Workflow::kHuffman,
+                               PredictorKind::kLorenzo, groups, false));
+  targets.push_back(szp_target("szp/huffman-groups-gap256-1d-f32", Workflow::kHuffman,
+                               PredictorKind::kLorenzo, groups, false, 256));
 
   return targets;
 }
