@@ -319,7 +319,7 @@ sim::KernelCost decode_chunks(const HuffmanEncoded& enc, std::span<const std::ui
       // units before the faulting one completed.
       for (std::size_t k = 0; k < kHuffmanGroup; ++k) {
         group[k].pos = pos[k];
-        group[k].next += faulted == kHuffmanGroup || k < faulted ? j : j - 1;
+        group[k].next += k < faulted ? j : j - 1;
       }
     }
 
@@ -349,9 +349,7 @@ sim::KernelCost decode_chunks(const HuffmanEncoded& enc, std::span<const std::ui
   // V100 decode rows for the chunked decoder; gap-array decoding keeps
   // warps converged over short chains, which reference [15] reports as a
   // multi-x decode gain (weight calibrated accordingly).
-  const std::size_t chain = enc.gap_stride > 0 ? enc.gap_stride : enc.chunk_size;
-  cost.flops =
-      n * (130 + 320 * std::min<std::size_t>(chain, 4096) / 4096);
+  cost.flops = n * (130 + 320 * std::min<std::size_t>(stride, 4096) / 4096);
   cost.parallel_items = n;
   cost.pattern = sim::AccessPattern::kCoalescedStreaming;
   return cost;

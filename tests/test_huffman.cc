@@ -41,17 +41,24 @@ std::vector<quant_t> skewed_symbols(std::size_t n, double p_top, std::size_t cap
   return v;
 }
 
-/// Run `fn` and return the (kind, segment) of the DecodeError it throws;
-/// fails the test if it throws nothing.
+/// Run `fn` and return the (kind, segment, message) of the DecodeError it
+/// throws; fails the test if it throws nothing.
 template <typename Fn>
-std::pair<DecodeErrorKind, std::string> verdict_of(Fn&& fn) {
+std::tuple<DecodeErrorKind, std::string, std::string> full_verdict_of(Fn&& fn) {
   try {
     fn();
   } catch (const DecodeError& e) {
-    return {e.kind(), e.segment()};
+    return {e.kind(), e.segment(), e.what()};
   }
   ADD_FAILURE() << "no DecodeError thrown";
-  return {DecodeErrorKind::kBadMagic, "none"};
+  return {DecodeErrorKind::kBadMagic, "none", ""};
+}
+
+/// The (kind, segment) of full_verdict_of(fn).
+template <typename Fn>
+std::pair<DecodeErrorKind, std::string> verdict_of(Fn&& fn) {
+  auto [kind, segment, message] = full_verdict_of(fn);
+  return {kind, std::move(segment)};
 }
 
 // ---- BitWriter / BitReader -----------------------------------------------
@@ -363,18 +370,6 @@ TEST(HuffmanTableDecode, UnusedPrefixIsCorruptInBothDecoders) {
 // One inflate launch block owns several consecutive decode units (chunks,
 // or gap-array sub-blocks).  When two units of one group are damaged in
 // different ways, the verdict is the lower unit's.
-
-/// (kind, segment, message) of the DecodeError `fn` throws.
-template <typename Fn>
-std::tuple<DecodeErrorKind, std::string, std::string> full_verdict_of(Fn&& fn) {
-  try {
-    fn();
-  } catch (const DecodeError& e) {
-    return {e.kind(), e.segment(), e.what()};
-  }
-  ADD_FAILURE() << "no DecodeError thrown";
-  return {DecodeErrorKind::kBadMagic, "none", ""};
-}
 
 TEST(HuffmanGroupDecode, LowestFaultingUnitGivesTheVerdict) {
   // 5 * 4096 symbols over the under-full book's three codes: one full group
