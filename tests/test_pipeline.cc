@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <iterator>
 #include <ostream>
 #include <set>
@@ -163,6 +164,65 @@ TEST(GoldenArchive, StreamingContainerBitIdentical) {
   const Extents ext = Extents::d1(2048);
   const auto c = StreamingCompressor(scfg).compress(wave_f32(ext.count()), ext);
   EXPECT_EQ(c.bytes, golden("streaming__auto__f32.szpc"));
+}
+
+// --- Relative-bound containers -------------------------------------------------
+//
+// A relative bound resolves against the whole field's range, and each slab
+// then tightens it by a margin of its own: max(eb·1e-6, max|slab|·ulp).  So
+// a field whose slabs sit decades apart in magnitude stores a different
+// kernel bound in each slab's header.  (In float64 the eb·1e-6 term always
+// wins once the exactness check passes, so there only the resolved bound
+// itself is pinned.)
+
+/// 8 planes of 24x40: four two-plane slabs, slab k around 10^k.
+template <typename T>
+std::vector<T> decades_field(const Extents& ext) {
+  std::vector<T> v(ext.count());
+  for (std::size_t z = 0; z < ext.nz; ++z) {
+    const double scale = std::pow(10.0, static_cast<double>(z / 2));
+    for (std::size_t y = 0; y < ext.ny; ++y) {
+      for (std::size_t x = 0; x < ext.nx; ++x) {
+        const auto fx = static_cast<double>(x), fy = static_cast<double>(y);
+        v[ext.index(z, y, x)] = static_cast<T>(
+            scale * (1.5 + std::sin(0.3 * fx) * std::cos(0.2 * fy) + 0.05 * static_cast<double>(z)));
+      }
+    }
+  }
+  return v;
+}
+
+TEST(GoldenArchive, RelativeBoundContainersBitIdentical) {
+  const Extents ext = Extents::d3(8, 24, 40);
+  StreamingConfig scfg;
+  scfg.base.eb = ErrorBound::relative(1e-3);
+  scfg.max_slab_elems = 2 * ext.ny * ext.nx;
+  scfg.memory_budget = std::size_t{256} << 10;
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "szp_golden_relative_bound";
+  std::filesystem::create_directories(dir);
+  const auto check = [&](FieldView field, const char* dtype) {
+    SCOPED_TRACE(dtype);
+    const auto want = golden(std::string("streaming__rel__") + dtype + ".szpc");
+    for (const std::size_t workers : {1u, 4u}) {
+      StreamingConfig cfg = scfg;
+      cfg.workers = workers;
+      const auto c = StreamingCompressor(cfg).compress(field, ext);
+      EXPECT_EQ(c.stats.slabs.size(), 4u);
+      EXPECT_EQ(c.bytes, want) << workers << " workers";
+    }
+    io::write_file(dir / "field.raw", field.bytes());
+    for (const bool mmap : {false, true}) {
+      StreamingConfig cfg = scfg;
+      cfg.use_mmap = mmap;
+      (void)StreamingCompressor(cfg).compress_file(dir / "field.raw", dir / "field.szpc", ext,
+                                                   field.dtype());
+      EXPECT_EQ(io::read_file(dir / "field.szpc"), want) << "mmap " << mmap;
+    }
+  };
+  check(decades_field<float>(ext), "f32");
+  check(decades_field<double>(ext), "f64");
+  std::filesystem::remove_all(dir);
 }
 
 // --- Multi-block outlier streams ---------------------------------------------
@@ -481,6 +541,50 @@ TEST(ModeledClock, HuffmanDecodeCostsArePinned) {
       "rle+vle rle_vle_decode br=1324762 bw=235760 fl=35086000 la=3 pi=38940 pat=0 cf=0x0p+0",
   };
   const auto rows = huffman_decode_cost_rows();
+  ASSERT_EQ(rows.size(), std::size(kWant));
+  for (std::size_t i = 0; i < rows.size(); ++i) EXPECT_EQ(rows[i], kWant[i]) << "row " << i;
+}
+
+// --- The modeled clock of the histogram ----------------------------------------
+//
+// Every cost field of the compressor's histogram stage over 1, 5 and 17
+// tiles of 2^16 codes at three capacities, and the rle_vle encode stage,
+// whose two run streams are binned by the same kernel.
+
+std::vector<std::string> histogram_cost_rows() {
+  std::vector<std::string> rows;
+  for (const std::size_t tiles : {1, 5, 17}) {
+    const Extents ext = Extents::d1(65536 * (tiles - 1) + 3000);
+    const auto data = rough_field<float>(ext, 0.045);
+    for (const std::uint32_t capacity : {64u, 1024u, 65536u}) {
+      const auto c = Compressor(outlier_config(capacity)).compress(data, ext);
+      rows.push_back(cost_row("tiles=" + std::to_string(tiles) + " cap=" +
+                                  std::to_string(capacity),
+                              c.stats.pipeline, "histogram"));
+    }
+  }
+  CompressConfig cfg = outlier_config(64);
+  cfg.workflow = Workflow::kRleVle;
+  const Extents ext = Extents::d1(40000);
+  const auto c = Compressor(cfg).compress(rough_field<float>(ext, 0.045), ext);
+  rows.push_back(cost_row("rle+vle", c.stats.pipeline, "rle_vle"));
+  return rows;
+}
+
+TEST(ModeledClock, HistogramCostsArePinned) {
+  const char* const kWant[] = {
+      "tiles=1 cap=64 histogram br=7024 bw=1024 fl=3000 la=2 pi=3000 pat=4 cf=0x0p+0",
+      "tiles=1 cap=1024 histogram br=22384 bw=16384 fl=3000 la=2 pi=3000 pat=4 cf=0x0p+0",
+      "tiles=1 cap=65536 histogram br=1054576 bw=1048576 fl=3000 la=2 pi=3000 pat=4 cf=0x0p+0",
+      "tiles=5 cap=64 histogram br=540016 bw=3072 fl=265144 la=2 pi=265144 pat=4 cf=0x0p+0",
+      "tiles=5 cap=1024 histogram br=612208 bw=49152 fl=265144 la=2 pi=265144 pat=4 cf=0x0p+0",
+      "tiles=5 cap=65536 histogram br=5773168 bw=3145728 fl=265144 la=2 pi=265144 pat=4 cf=0x0p+0",
+      "tiles=17 cap=64 histogram br=2143600 bw=9216 fl=1051576 la=2 pi=1051576 pat=4 cf=0x0p+0",
+      "tiles=17 cap=1024 histogram br=2381680 bw=147456 fl=1051576 la=2 pi=1051576 pat=4 cf=0x0p+0",
+      "tiles=17 cap=65536 histogram br=19928944 bw=9437184 fl=1051576 la=2 pi=1051576 pat=4 cf=0x0p+0",
+      "rle+vle rle_vle br=902576 bw=33458 fl=623040 la=8 pi=38940 pat=3 cf=0x1.70a3d70a3d70ap-4",
+  };
+  const auto rows = histogram_cost_rows();
   ASSERT_EQ(rows.size(), std::size(kWant));
   for (std::size_t i = 0; i < rows.size(); ++i) EXPECT_EQ(rows[i], kWant[i]) << "row " << i;
 }

@@ -2,9 +2,13 @@
 // conversion in the simulated-GPU substrate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <string>
 #include <vector>
 
+#include "scoped_threads.hh"
+#include "sim/check.hh"
 #include "sim/histogram.hh"
 #include "sim/launch.hh"
 #include "sim/reduce_by_key.hh"
@@ -40,6 +44,70 @@ TEST(DeviceHistogram, IgnoresOutOfRangeAndHandlesEmpty) {
 
   const auto empty = device_histogram<std::uint16_t>(std::vector<std::uint16_t>{}, 4);
   EXPECT_EQ(empty, std::vector<std::uint64_t>(4, 0));
+}
+
+// Codes where one bin dominates, the shape of a smooth field's quant-codes:
+// a `share` of them in bin capacity/2, the rest uniform over a range a
+// quarter wider than the capacity, so some fall past it and are dropped.
+std::vector<std::uint16_t> skewed_codes(std::size_t n, std::uint32_t capacity, double share) {
+  std::mt19937 rng(static_cast<std::uint32_t>(n + capacity));
+  std::uniform_real_distribution<double> coin(0.0, 1.0);
+  const std::uint32_t spread = std::min<std::uint32_t>(capacity + capacity / 4 + 1, 65536);
+  std::vector<std::uint16_t> codes(n);
+  for (auto& c : codes) {
+    c = static_cast<std::uint16_t>(coin(rng) < share ? capacity / 2 : rng() % spread);
+  }
+  return codes;
+}
+
+std::vector<std::uint64_t> naive_bins(const std::vector<std::uint16_t>& codes,
+                                      std::size_t capacity) {
+  std::vector<std::uint64_t> bins(capacity, 0);
+  for (const auto c : codes) {
+    if (c < capacity) ++bins[c];
+  }
+  return bins;
+}
+
+/// Every size around the 2^16-code tile at every capacity, for codes 95% in
+/// one bin and for codes all in one bin: `check` gets the codes, the
+/// capacity and the expected bins.
+template <typename Check>
+void for_each_histogram_case(const Check& check) {
+  for (const std::uint32_t capacity : {2u, 1024u, 65536u}) {
+    for (const std::size_t n : {std::size_t{1}, std::size_t{65535}, std::size_t{65536},
+                                std::size_t{65537}, std::size_t{4 * 65536 + 3}}) {
+      SCOPED_TRACE("capacity " + std::to_string(capacity) + ", " + std::to_string(n) + " codes");
+      const auto skewed = skewed_codes(n, capacity, 0.95);
+      check(skewed, capacity, naive_bins(skewed, capacity));
+      const std::vector<std::uint16_t> equal(n, static_cast<std::uint16_t>(capacity / 2));
+      check(equal, capacity, naive_bins(equal, capacity));
+    }
+  }
+}
+
+TEST(DeviceHistogram, OneDominantBinMatchesNaiveCountAtEveryThreadCount) {
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    const szp::test::ScopedThreads team(threads);
+    for_each_histogram_case([](const std::vector<std::uint16_t>& codes, std::uint32_t capacity,
+                               const std::vector<std::uint64_t>& want) {
+      EXPECT_EQ(device_histogram<std::uint16_t>(codes, capacity), want);
+    });
+  }
+}
+
+TEST(DeviceHistogram, WordCheckedRunIsClean) {
+  // Word granularity models each lane of a tile: the private-bin updates
+  // must stay atomics from their own lanes, and the merge must read only
+  // what its contract declares.
+  const szp::sim::checked::ScopedMode guard(szp::sim::checked::Mode::kWord);
+  for_each_histogram_case([](const std::vector<std::uint16_t>& codes, std::uint32_t capacity,
+                             const std::vector<std::uint64_t>& want) {
+    EXPECT_EQ(device_histogram<std::uint16_t>(codes, capacity), want);
+  });
+  EXPECT_TRUE(szp::sim::checked::current_report().clean()) << szp::sim::checked::report_text();
+  EXPECT_GT(szp::sim::checked::current_report().launches_checked, 0u);
 }
 
 std::vector<std::uint16_t> runs_sequence(std::uint32_t seed, std::size_t nruns,
