@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "core/archive.hh"
+#include "core/compressor_detail.hh"
 #include "core/error.hh"
 #include "core/metrics.hh"
 #include "core/codec/codec.hh"
@@ -29,8 +30,10 @@ void validate_exactness(const ValueRange& range, double eb_abs) {
   }
 }
 
-Compressed compress_impl(const CompressConfig& cfg_, FieldView data, const Extents& ext,
-                         Workspace& ws) {
+}  // namespace
+
+Compressed detail::compress(const CompressConfig& cfg_, FieldView data, const Extents& ext,
+                            Workspace& ws, const ValueRange* range_in) {
   if (data.empty() || data.size() != ext.count()) {
     throw std::invalid_argument("Compressor::compress: data must be non-empty and match extents");
   }
@@ -43,7 +46,9 @@ Compressed compress_impl(const CompressConfig& cfg_, FieldView data, const Exten
   CompressStats& st = out.stats;
   st.original_bytes = data.size_bytes();
 
-  const ValueRange range = data.visit([](auto elems) { return ValueRange::of(elems); });
+  const ValueRange range = range_in != nullptr
+                               ? *range_in
+                               : data.visit([](auto elems) { return ValueRange::of(elems); });
   if (!range.finite) {
     throw std::invalid_argument("Compressor::compress: data contains non-finite values");
   }
@@ -71,14 +76,9 @@ Compressed compress_impl(const CompressConfig& cfg_, FieldView data, const Exten
 
   // --- Histogram ---------------------------------------------------------
   sim::Timer t;
-  sim::KernelCost hist_c;
-  {
-    sim::traffic::Scope hist_scope;  // contract-derived volumes
-    sim::device_histogram_into(quant, cfg_.quant.capacity, ws.freq, ws.hist_priv);
-    hist_c = sim::histogram_cost(data.size(), sizeof(quant_t), cfg_.quant.capacity);
-    hist_scope.apply(hist_c);
-  }
-  st.pipeline.add({"histogram", st.original_bytes, t.seconds(), hist_c});
+  sim::device_histogram_into(quant, cfg_.quant.capacity, ws.freq, ws.hist_priv);
+  st.pipeline.add({"histogram", st.original_bytes, t.seconds(),
+                   sim::histogram_stage_cost(data.size(), sizeof(quant_t), cfg_.quant.capacity)});
 
   // --- Workflow selection -------------------------------------------------
   Workflow wf = cfg_.workflow;
@@ -111,8 +111,6 @@ Compressed compress_impl(const CompressConfig& cfg_, FieldView data, const Exten
   return out;
 }
 
-}  // namespace
-
 Compressed Compressor::compress(FieldView data, const Extents& ext) const {
   return compress(data, ext, cfg_);
 }
@@ -120,12 +118,12 @@ Compressed Compressor::compress(FieldView data, const Extents& ext) const {
 Compressed Compressor::compress(FieldView data, const Extents& ext,
                                 const CompressConfig& cfg) const {
   auto lease = pool_.acquire();
-  return compress_impl(cfg, data, ext, *lease);
+  return detail::compress(cfg, data, ext, *lease, nullptr);
 }
 
 Compressed Compressor::compress(FieldView data, const Extents& ext, const CompressConfig& cfg,
                                 Workspace& ws) const {
-  return compress_impl(cfg, data, ext, ws);
+  return detail::compress(cfg, data, ext, ws, nullptr);
 }
 
 Compressor::ArchiveInfo Compressor::inspect(std::span<const std::uint8_t> archive) {

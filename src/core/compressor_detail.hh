@@ -1,0 +1,23 @@
+// szp — the compressor's one implementation, library-internal.
+//
+// Every public Compressor::compress overload runs detail::compress with no
+// range, so the field's min, max and finiteness come from its own scan.
+// The slab engine (core/streaming.cc) is the only other caller: its
+// relative-bound pre-pass has already scanned each slab, and it hands that
+// slab's range in so the slab is not scanned twice.  This is deliberately
+// not public API: a range that does not cover the data would void the
+// error bound.
+#pragma once
+
+#include "core/compressor.hh"
+#include "core/eb.hh"
+
+namespace szp::detail {
+
+/// Compressor::compress(data, ext, cfg, ws).  When `range` is not null it
+/// stands in for ValueRange::of(data) and must equal it: the merge of the
+/// ranges of any partition of `data` does.
+[[nodiscard]] Compressed compress(const CompressConfig& cfg, FieldView data, const Extents& ext,
+                                  Workspace& ws, const ValueRange* range);
+
+}  // namespace szp::detail

@@ -13,6 +13,7 @@
 #include <string>
 
 #include "core/archive.hh"
+#include "core/compressor_detail.hh"
 #include "core/error.hh"
 #include "core/io/io.hh"
 #include "core/metrics.hh"
@@ -130,24 +131,6 @@ Extents slab_extents(const Extents& ext, std::size_t len) {
     case 2: return Extents::d2(len, ext.nx);
     default: return Extents::d3(len, ext.ny, ext.nx);
   }
-}
-
-/// min/max for a viewless source: one chunk-sized staging buffer, serial
-/// positional reads.  Costs a second pass over the file, which only a
-/// relative/PSNR bound pays — an absolute bound skips the scan entirely.
-template <typename T>
-ValueRange field_range_streamed(const io::FieldSource& src, std::size_t count) {
-  constexpr std::size_t kChunk = std::size_t{1} << 16;
-  std::vector<std::uint8_t> buf(std::min(count, kChunk) * sizeof(T));
-  ValueRange r{};
-  for (std::size_t begin = 0; begin < count; begin += kChunk) {
-    const std::size_t n = std::min(kChunk, count - begin);
-    src.read_at(begin * sizeof(T), std::span<std::uint8_t>(buf.data(), n * sizeof(T)));
-    const ValueRange part =
-        ValueRange::of(std::span<const T>(reinterpret_cast<const T*>(buf.data()), n));
-    r = begin == 0 ? part : ValueRange::merge(r, part);
-  }
-  return r;
 }
 
 /// High-water accounting for bytes the pipeline itself holds resident:
@@ -394,20 +377,48 @@ StreamingStats compress_stream_impl(const StreamingConfig& cfg, const Compressor
   ResidencyMeter meter;
   PhaseClock clock;
 
+  const auto slab_at = [&](std::size_t s) {
+    const std::size_t begin = s * plan.thickness;
+    SlabInfo info;
+    info.extents =
+        slab_extents(ext, std::min(plan.thickness, plan.slow_extent - begin));
+    info.offset = begin * plan.plane_elems;
+    return info;
+  };
+  // Slab s's bytes: a span of the source's view, or else read into the
+  // worker's metered staging buffer, the read timed on `reads`.
+  const auto slab_bytes_at = [&](WorkerCtx& ctx, std::size_t s, PhaseClock& reads) {
+    const SlabInfo at = slab_at(s);
+    const std::size_t pos = at.offset * esize;
+    const std::size_t len = at.extents.count() * esize;
+    return !view.empty() ? view.subspan(pos, len) : stage_read(ctx, src, pos, len, meter, reads);
+  };
+
   // Resolve a relative/PSNR bound against the whole field once, so every
-  // slab carries the same absolute bound.  An absolute bound needs no field
-  // scan at all — finiteness is re-validated by each slab's own compress
-  // pass — which removes the serial whole-field read that used to run
-  // before any worker could start.
+  // slab carries the same absolute bound.  The pre-pass scans slab by slab
+  // (a viewless source through the staging buffer, one slab resident at a
+  // time) and keeps each slab's range, which that slab's compress takes in
+  // place of a scan of its own: min and max are exact under any partition,
+  // so the bytes are those of a slab that scanned itself.  An absolute
+  // bound needs no pre-pass — each slab scans itself for its margin and
+  // finiteness — so no serial read runs before the workers start.
   sim::Timer phase_timer;
   CompressConfig slab_cfg = cfg.base;
+  std::vector<ValueRange> slab_ranges;
   if (cfg.base.eb.mode != EbMode::kAbsolute) {
-    const ValueRange range =
-        !view.empty()
-            ? FieldView(view, dtype).visit([](auto elems) { return ValueRange::of(elems); })
-            : dispatch_dtype(dtype, [&](auto tag) {
-                return field_range_streamed<decltype(tag)>(src, total);
-              });
+    slab_ranges.resize(plan.count);
+    {
+      WorkerCtx ctx{view.empty() ? compressor.lease_workspace() : WorkspaceLease{}, 0};
+      PhaseClock scan_reads;  // the pre-pass's reads count as range time, not io
+      for (std::size_t s = 0; s < plan.count; ++s) {
+        slab_ranges[s] = FieldView(slab_bytes_at(ctx, s, scan_reads), dtype).visit([](auto elems) {
+          return ValueRange::of(elems);
+        });
+      }
+      meter.sub(ctx.charged);  // the staging buffer goes back to the pool
+    }
+    ValueRange range = slab_ranges[0];
+    for (const ValueRange& r : slab_ranges) range = ValueRange::merge(range, r);
     if (!range.finite) {
       throw std::invalid_argument("StreamingCompressor::compress: non-finite values");
     }
@@ -434,26 +445,14 @@ StreamingStats compress_stream_impl(const StreamingConfig& cfg, const Compressor
     if (sink.retains_bytes()) meter.add(header.size());
   }
 
-  const auto slab_at = [&](std::size_t s) {
-    const std::size_t begin = s * plan.thickness;
-    SlabInfo info;
-    info.extents =
-        slab_extents(ext, std::min(plan.thickness, plan.slow_extent - begin));
-    info.offset = begin * plan.plane_elems;
-    return info;
-  };
-
   // Every worker leases one workspace for its whole run.
   const auto make_ctx = [&] { return WorkerCtx{compressor.lease_workspace(), 0}; };
 
   const auto produce = [&](WorkerCtx& ctx, std::size_t s) -> Compressed {
-    const SlabInfo at = slab_at(s);
-    const std::size_t pos = at.offset * esize;
-    const std::size_t len = at.extents.count() * esize;
-    const std::span<const std::uint8_t> bytes =
-        !view.empty() ? view.subspan(pos, len) : stage_read(ctx, src, pos, len, meter, clock);
     Compressed slab =
-        compressor.compress(FieldView(bytes, dtype), at.extents, slab_cfg, *ctx.lease);
+        detail::compress(slab_cfg, FieldView(slab_bytes_at(ctx, s, clock), dtype),
+                         slab_at(s).extents, *ctx.lease,
+                         slab_ranges.empty() ? nullptr : &slab_ranges[s]);
     meter.add(slab.bytes.size());  // parked until the packer drains it
     return slab;
   };

@@ -63,7 +63,7 @@ struct Workspace {
 
   // --- Histogram -----------------------------------------------------------
   std::vector<std::uint64_t> freq;       ///< quant-code histogram
-  std::vector<std::uint64_t> hist_priv;  ///< block-private bin replicas
+  std::vector<std::uint32_t> hist_priv;  ///< block-private bin replicas
 
   // --- Codec scratch -------------------------------------------------------
   HuffmanEncoded huffman;                     ///< reused encode product

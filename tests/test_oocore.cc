@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
@@ -79,6 +80,27 @@ class ShortReadSource final : public io::FieldSource {
  private:
   std::span<const std::uint8_t> bytes_;
   std::size_t fail_from_;
+};
+
+/// In-memory source with no view that records the longest read_at() it
+/// served, so a test can see how much one read stages.
+class RecordingSource final : public io::FieldSource {
+ public:
+  explicit RecordingSource(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
+
+  [[nodiscard]] std::size_t size_bytes() const override { return bytes_.size(); }
+  void read_at(std::size_t offset, std::span<std::uint8_t> out) const override {
+    std::size_t seen = longest_.load();
+    while (out.size() > seen && !longest_.compare_exchange_weak(seen, out.size())) {
+    }
+    std::memcpy(out.data(), bytes_.data() + offset, out.size());
+  }
+  [[nodiscard]] std::string name() const override { return "<recording>"; }
+  [[nodiscard]] std::size_t longest_read() const { return longest_.load(); }
+
+ private:
+  std::span<const std::uint8_t> bytes_;
+  mutable std::atomic<std::size_t> longest_{0};
 };
 
 /// Sink that fails on the Nth write() call — a mid-container disk-full.
@@ -415,6 +437,36 @@ TEST(OocoreBudget, BudgetedContainerIgnoresWorkerCount) {
     } else {
       EXPECT_EQ(bytes, reference) << workers << " workers";
     }
+  }
+}
+
+TEST(OocoreBudget, RelativeBoundScanReadsOneSlabAtATimeWithinBudget) {
+  // A relative bound is resolved from the field's range before any slab
+  // compresses.  From a source with no view, that scan reads the field slab
+  // by slab into the metered staging buffer: no read is longer than one
+  // slab, and the run stays within its budget at every width.
+  TempDir tmp("budget_relative");
+  const Extents ext = Extents::d2(256, 1024);  // 1 MB of raw float32
+  const auto data = wave(ext.count());
+  for (const std::size_t workers : {1u, 4u}) {
+    StreamingConfig cfg = oocore_cfg(workers, 16 * 1024);
+    cfg.base.eb = ErrorBound::relative(1e-3);
+    cfg.memory_budget = std::size_t{128} << 10;
+    RecordingSource src(raw_bytes(data));
+    std::size_t slab_bytes = 0;
+    {
+      io::FileSink sink(tmp / "field.szpc");
+      const auto stats =
+          StreamingCompressor(cfg).compress_stream(src, DType::kFloat32, ext, sink);
+      ASSERT_GT(stats.slabs.size(), 1u);
+      for (const SlabInfo& slab : stats.slabs) {
+        slab_bytes = std::max(slab_bytes, slab.extents.count() * sizeof(float));
+      }
+      EXPECT_LE(stats.peak_resident_bytes, cfg.memory_budget) << workers << " workers";
+    }
+    EXPECT_LE(src.longest_read(), slab_bytes) << workers << " workers";
+    EXPECT_EQ(io::read_file(tmp / "field.szpc"), StreamingCompressor(cfg).compress(data, ext).bytes)
+        << workers << " workers";
   }
 }
 
