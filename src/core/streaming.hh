@@ -21,7 +21,9 @@
 //
 // A relative error bound is resolved against the *whole field's* range
 // before slabbing, so every slab honors the same absolute bound and the
-// result is identical in quality to single-shot compression.
+// result is identical in quality to single-shot compression.  That scan
+// keeps each slab's own range, which the slab's compress then uses instead
+// of scanning the slab again.
 //
 // Like Compressor, the engine is dtype-generic: an in-memory field enters
 // as a FieldView, a streamed one as raw bytes plus a DType, and each slab
