@@ -168,12 +168,15 @@ std::vector<std::uint64_t> device_histogram(std::span<const T> data,
   const std::size_t tiles = div_ceil(n, tile);
   const std::size_t rows = tiles * num_bins;
   // A merge block reads its window of every row, clamped only at the end
-  // of the rows, so on a narrow alphabet it reads into the rows after.
+  // of the rows, so on a narrow alphabet it reads into the rows after: the
+  // window starting u rows from the end holds min(width, u·num_bins − b0)
+  // bins, short for the last `short_rows` rows.
   std::size_t merged = 0;
   for (std::size_t b0 = 0; b0 < num_bins; b0 += kHistogramMergeBins) {
-    for (std::size_t t = 0; t < tiles; ++t) {
-      merged += std::min(kHistogramMergeBins, (tiles - t) * num_bins - b0);
-    }
+    const std::size_t short_rows =
+        std::min(tiles, div_ceil(kHistogramMergeBins + b0, num_bins) - 1);
+    merged += (tiles - short_rows) * kHistogramMergeBins +
+              num_bins * short_rows * (short_rows + 1) / 2 - b0 * short_rows;
   }
   constexpr std::size_t kBin = sizeof(std::uint64_t);
   c.bytes_read = n * elem_bytes + (rows + merged) * kBin;  // codes, row updates, merge
