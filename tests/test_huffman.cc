@@ -641,6 +641,104 @@ TEST_P(HuffmanGapParam, GapDecodingMatchesChunkDecoding) {
 
 INSTANTIATE_TEST_SUITE_P(GapStrides, HuffmanGapParam, ::testing::Values(128, 256, 1024, 4096));
 
+// --- Deflate against one BitWriter per chunk -----------------------------------
+
+/// What the deflate kernel must produce: every chunk through one BitWriter
+/// from its first symbol, sized from its code lengths and flushed, the gap
+/// array holding the writer's bit count at each sub-block start.
+struct ReferenceDeflate {
+  std::vector<std::uint8_t> payload;
+  std::vector<std::uint64_t> offsets{0};
+  std::vector<std::uint32_t> gaps;
+};
+
+ReferenceDeflate reference_deflate(std::span<const quant_t> syms, const HuffmanCodebook& book,
+                                   std::size_t chunk, std::uint32_t gap) {
+  ReferenceDeflate ref;
+  for (std::size_t lo = 0; lo < syms.size(); lo += chunk) {
+    const std::size_t hi = std::min(lo + chunk, syms.size());
+    std::uint64_t bits = 0;
+    for (std::size_t i = lo; i < hi; ++i) bits += book.length(syms[i]);
+    std::vector<std::uint8_t> bytes((bits + 7) / 8);
+    BitWriter bw(bytes);
+    for (std::size_t i = lo; i < hi; ++i) {
+      if (gap > 0 && (i - lo) % gap == 0) {
+        ref.gaps.push_back(static_cast<std::uint32_t>(bw.bit_count()));
+      }
+      bw.put(book.code(syms[i]), book.length(syms[i]));
+    }
+    bw.flush();
+    EXPECT_EQ(bw.byte_count(), bytes.size());
+    ref.payload.insert(ref.payload.end(), bytes.begin(), bytes.end());
+    ref.offsets.push_back(ref.payload.size());
+  }
+  // A short last chunk's gap array is padded with zeros to whole chunks.
+  if (gap > 0) ref.gaps.resize((ref.offsets.size() - 1) * (chunk / gap), 0);
+  return ref;
+}
+
+/// Books whose longest code is 1, 12, 56, 57 and 63 bits: the word store
+/// takes codes of up to 56 bits, and longer books take the BitWriter path.
+std::vector<std::pair<unsigned, std::vector<std::uint64_t>>> deflate_books() {
+  std::vector<std::uint64_t> two(1024, 0);
+  two[3] = 5;
+  two[700] = 2;
+  return {{1, two},
+          {12, fibonacci_freq(13, 1024)},
+          {56, fibonacci_freq(57, 1024)},
+          {57, fibonacci_freq(58, 1024)},
+          {63, fibonacci_freq(64, 1024)}};
+}
+
+void expect_deflate_matches_reference(std::span<const quant_t> syms,
+                                      const HuffmanCodebook& book, std::uint32_t chunk,
+                                      std::uint32_t gap) {
+  const ReferenceDeflate ref = reference_deflate(syms, book, chunk, gap);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    const test::ScopedThreads scoped(threads);
+    const auto enc = huffman_encode(syms, book, chunk, HuffmanEncVariant::kOptimized, gap);
+    EXPECT_EQ(enc.payload, ref.payload);
+    EXPECT_EQ(enc.chunk_offsets, ref.offsets);
+    EXPECT_EQ(enc.gaps, ref.gaps);
+  }
+}
+
+TEST(HuffmanDeflate, MatchesOneBitWriterPerChunk) {
+  for (const auto& [longest, freq] : deflate_books()) {
+    SCOPED_TRACE("longest code " + std::to_string(longest));
+    const auto book = HuffmanCodebook::build(freq);
+    ASSERT_EQ(book.max_length(), longest);
+    for (const std::uint32_t chunk : {1u, 7u, 8u, 9u, 64u, 4096u}) {
+      // Two full chunks, then a last chunk of 1 to 9 symbols (never more
+      // than a whole chunk).
+      for (std::uint32_t last = 1; last <= std::min(9u, chunk); ++last) {
+        const std::size_t n = 2 * std::size_t{chunk} + last;
+        SCOPED_TRACE("chunk " + std::to_string(chunk) + ", n " + std::to_string(n));
+        const auto syms = uniform_live_symbols(freq, n, chunk * 16 + last);
+        for (const std::uint32_t gap : {0u, 1u, 256u}) {
+          if (gap > 0 && chunk % gap != 0) continue;
+          SCOPED_TRACE("gap " + std::to_string(gap));
+          expect_deflate_matches_reference(syms, book, chunk, gap);
+        }
+      }
+    }
+  }
+}
+
+TEST(HuffmanDeflate, ManyChunksMatchOneBitWriterPerChunk) {
+  // Enough chunks that four threads each take several, with the same books.
+  for (const auto& [longest, freq] : deflate_books()) {
+    SCOPED_TRACE("longest code " + std::to_string(longest));
+    const auto book = HuffmanCodebook::build(freq);
+    const auto syms = uniform_live_symbols(freq, 9 * 4096 + 5, longest);
+    for (const std::uint32_t gap : {0u, 1u, 256u}) {
+      SCOPED_TRACE("gap " + std::to_string(gap));
+      expect_deflate_matches_reference(syms, book, 4096, gap);
+    }
+  }
+}
+
 TEST(HuffmanGap, StrideMustDivideChunk) {
   const auto syms = skewed_symbols(1000, 0.5, 64, 3);
   const auto freq = histogram_of(syms, 64);

@@ -545,6 +545,50 @@ TEST(ModeledClock, HuffmanDecodeCostsArePinned) {
   for (std::size_t i = 0; i < rows.size(); ++i) EXPECT_EQ(rows[i], kWant[i]) << "row " << i;
 }
 
+// --- The modeled clock of the Huffman encode -----------------------------------
+//
+// Every cost field of the codebook and encode stages a Huffman archive
+// reports, for plain and gap-array streams whose last chunk is short.
+
+std::vector<std::string> huffman_encode_cost_rows() {
+  std::vector<std::string> rows;
+  for (const std::size_t chunks : {1, 5, 17}) {
+    const Extents ext = Extents::d1(4096 * (chunks - 1) + 3000);
+    const auto data = rough_field<float>(ext, 0.045);
+    for (const std::uint32_t gap : {0u, 256u}) {
+      CompressConfig cfg = outlier_config(1024);
+      cfg.huffman_gap_stride = gap;
+      const auto c = Compressor(cfg).compress(data, ext);
+      const std::string label =
+          "chunks=" + std::to_string(chunks) + " gap=" + std::to_string(gap);
+      for (const char* stage : {"huffman_book", "huffman_encode"}) {
+        rows.push_back(cost_row(label, c.stats.pipeline, stage));
+      }
+    }
+  }
+  return rows;
+}
+
+TEST(ModeledClock, HuffmanEncodeCostsArePinned) {
+  const char* const kWant[] = {
+      "chunks=1 gap=0 huffman_book br=8192 bw=9216 fl=65536 la=40 pi=1 pat=2 cf=0x0p+0",
+      "chunks=1 gap=0 huffman_encode br=21256 bw=2388 fl=24000 la=4 pi=3000 pat=3 cf=0x1.70a3d70a3d70ap-4",
+      "chunks=1 gap=256 huffman_book br=8192 bw=9216 fl=65536 la=40 pi=1 pat=2 cf=0x0p+0",
+      "chunks=1 gap=256 huffman_encode br=21256 bw=2452 fl=24000 la=4 pi=3000 pat=3 cf=0x1.70a3d70a3d70ap-4",
+      "chunks=5 gap=0 huffman_book br=8192 bw=9216 fl=65536 la=40 pi=1 pat=2 cf=0x0p+0",
+      "chunks=5 gap=0 huffman_encode br=86920 bw=15402 fl=155072 la=4 pi=19384 pat=3 cf=0x1.70a3d70a3d70ap-4",
+      "chunks=5 gap=256 huffman_book br=8192 bw=9216 fl=65536 la=40 pi=1 pat=2 cf=0x0p+0",
+      "chunks=5 gap=256 huffman_encode br=86920 bw=15722 fl=155072 la=4 pi=19384 pat=3 cf=0x1.70a3d70a3d70ap-4",
+      "chunks=17 gap=0 huffman_book br=8192 bw=9216 fl=65536 la=40 pi=1 pat=2 cf=0x0p+0",
+      "chunks=17 gap=0 huffman_encode br=283912 bw=54444 fl=548288 la=4 pi=68536 pat=3 cf=0x1.70a3d70a3d70ap-4",
+      "chunks=17 gap=256 huffman_book br=8192 bw=9216 fl=65536 la=40 pi=1 pat=2 cf=0x0p+0",
+      "chunks=17 gap=256 huffman_encode br=283912 bw=55532 fl=548288 la=4 pi=68536 pat=3 cf=0x1.70a3d70a3d70ap-4",
+  };
+  const auto rows = huffman_encode_cost_rows();
+  ASSERT_EQ(rows.size(), std::size(kWant));
+  for (std::size_t i = 0; i < rows.size(); ++i) EXPECT_EQ(rows[i], kWant[i]) << "row " << i;
+}
+
 // --- The modeled clock of the histogram ----------------------------------------
 //
 // Every cost field of the compressor's histogram stage over 1, 5 and 17
