@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 
 #include "core/checksum.hh"
@@ -103,13 +104,13 @@ ArchiveHeader read_header(ByteReader& r) {
 }
 
 std::span<const std::uint8_t> checked_body(std::span<const std::uint8_t> archive) {
-  if (archive.size() < 4) {
+  if (archive.size() < kCrcBytes) {
     throw DecodeError(DecodeErrorKind::kTruncated, "archive",
                       "too small to hold the trailing checksum");
   }
-  const auto body = archive.subspan(0, archive.size() - 4);
+  const auto body = archive.first(archive.size() - kCrcBytes);
   std::uint32_t stored = 0;
-  std::memcpy(&stored, archive.data() + archive.size() - 4, 4);
+  std::memcpy(&stored, archive.data() + body.size(), kCrcBytes);
   if (crc32(body) != stored) {
     throw DecodeError(DecodeErrorKind::kChecksumMismatch, "archive",
                       "trailing CRC-32 does not match the archive body");
@@ -117,12 +118,10 @@ std::span<const std::uint8_t> checked_body(std::span<const std::uint8_t> archive
   return body;
 }
 
-void append_crc32(std::vector<std::uint8_t>& bytes) {
-  const std::uint32_t crc = crc32(bytes);
-  ByteWriter tail;
-  tail.put(crc);
-  const auto tail_bytes = tail.take();
-  bytes.insert(bytes.end(), tail_bytes.begin(), tail_bytes.end());
+void seal_crc32(std::span<std::uint8_t> sealed) {
+  if (sealed.size() < kCrcBytes) throw std::logic_error("seal_crc32: no room for the CRC tail");
+  const std::size_t body = sealed.size() - kCrcBytes;
+  ByteWriter(sealed.last(kCrcBytes)).put(crc32(sealed.first(body)));
 }
 
 }  // namespace szp::archive

@@ -3,7 +3,7 @@
 //
 // Exactly one module owns the byte layout.  Compression writes the header
 // through write_header(), decompression and inspect() parse it through
-// read_header(), and both directions share checked_body()/append_crc32() for
+// read_header(), and both directions share checked_body()/seal_crc32() for
 // the integrity seal — so a format change is a one-file edit and the three
 // consumers can never drift apart.  Predictor aux payloads (regression
 // coefficients, interpolation anchors) and codec payloads are *not* framed
@@ -55,10 +55,14 @@ void write_header(ByteWriter& w, const ArchiveHeader& h);
 /// (length-overflow) — all in segment "header".  Returns the dtype.
 [[nodiscard]] DType check_shape(const Extents& ext, std::uint8_t dtype_tag);
 
+/// Bytes of the trailing CRC-32 that seals an archive (and a bundle).
+inline constexpr std::size_t kCrcBytes = 4;
+
 /// Verify and strip the trailing CRC-32, returning the archive body.
 [[nodiscard]] std::span<const std::uint8_t> checked_body(std::span<const std::uint8_t> archive);
 
-/// Seal a finished archive body with its trailing CRC-32.
-void append_crc32(std::vector<std::uint8_t>& bytes);
+/// Seal bytes allocated with their CRC tail: store the CRC-32 of all but
+/// the last kCrcBytes bytes, little-endian, in those bytes.
+void seal_crc32(std::span<std::uint8_t> sealed);
 
 }  // namespace szp::archive

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/archive.hh"
 #include "core/checksum.hh"
 #include "core/error.hh"
 #include "core/serialize.hh"
@@ -108,21 +109,24 @@ const std::vector<std::uint8_t>& Bundle::archive(const std::string& name) const 
 }
 
 std::vector<std::uint8_t> Bundle::serialize() const {
-  ByteWriter w;
-  w.put(kMagic);
-  w.put(kVersion);
-  w.put<std::uint64_t>(names_.size());
-  for (std::size_t i = 0; i < names_.size(); ++i) {
-    w.put_span(std::span<const char>(names_[i].data(), names_[i].size()));
-    w.put_vector(archives_[i]);
-    w.put(entry_crc(names_[i], archives_[i]));
-  }
-  auto bytes = w.take();
-  const std::uint32_t crc = crc32(bytes);
-  ByteWriter tail;
-  tail.put(crc);
-  const auto tail_bytes = tail.take();
-  bytes.insert(bytes.end(), tail_bytes.begin(), tail_bytes.end());
+  std::vector<std::uint32_t> crcs;
+  crcs.reserve(names_.size());
+  for (std::size_t i = 0; i < names_.size(); ++i) crcs.push_back(entry_crc(names_[i], archives_[i]));
+  const auto body = [&](ByteWriter& w) {
+    w.put(kMagic);
+    w.put(kVersion);
+    w.put<std::uint64_t>(names_.size());
+    for (std::size_t i = 0; i < names_.size(); ++i) {
+      w.put_span(std::span<const char>(names_[i].data(), names_[i].size()));
+      w.put_vector(archives_[i]);
+      w.put(crcs[i]);
+    }
+  };
+  // One allocation at the exact size, with the container CRC in its tail.
+  std::vector<std::uint8_t> bytes(counted_size(body) + archive::kCrcBytes);
+  ByteWriter w(std::span<std::uint8_t>(bytes).first(bytes.size() - archive::kCrcBytes));
+  body(w);
+  archive::seal_crc32(bytes);
   return bytes;
 }
 

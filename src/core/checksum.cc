@@ -37,18 +37,75 @@ std::uint32_t load_le32(const std::uint8_t* p) {
          (std::uint32_t{p[3]} << 24);
 }
 
+/// The state after the eight bytes at `p`: one slicing-by-8 step.
+std::uint32_t step8(std::uint32_t state, const std::uint8_t* p) {
+  const std::uint32_t lo = state ^ load_le32(p);
+  const std::uint32_t hi = load_le32(p + 4);
+  return kTables[7][lo & 0xffu] ^ kTables[6][(lo >> 8) & 0xffu] ^
+         kTables[5][(lo >> 16) & 0xffu] ^ kTables[4][lo >> 24] ^ kTables[3][hi & 0xffu] ^
+         kTables[2][(hi >> 8) & 0xffu] ^ kTables[1][(hi >> 16) & 0xffu] ^ kTables[0][hi >> 24];
+}
+
+// --- The GF(2) shift that joins streams (zlib's crc32_combine) -----------
+//
+// A CRC state is a polynomial over GF(2), bit 31 holding x^0 (the reflected
+// order).  Feeding k zero bytes multiplies it by x^(8k) modulo the CRC
+// polynomial, and the update is linear in state and data together, so
+//   update(s, A || B) = update(s, A) * x^(8|B|)  xor  update(0, B).
+
+/// a * b modulo the CRC polynomial.
+constexpr std::uint32_t mult_mod_p(std::uint32_t a, std::uint32_t b) {
+  std::uint32_t product = 0;
+  for (std::uint32_t m = 1u << 31; m != 0; m >>= 1) {
+    if ((a & m) != 0) product ^= b;
+    b = (b & 1u) != 0 ? (b >> 1) ^ 0xedb88320u : b >> 1;
+  }
+  return product;
+}
+
+/// kPow2[k] = x^(2^k) modulo the CRC polynomial.
+constexpr std::array<std::uint32_t, 64> make_pow2() {
+  std::array<std::uint32_t, 64> t{};
+  t[0] = 1u << 30;  // x^1
+  for (std::size_t k = 1; k < t.size(); ++k) t[k] = mult_mod_p(t[k - 1], t[k - 1]);
+  return t;
+}
+
+constexpr auto kPow2 = make_pow2();
+
+/// x^(8 * bytes) modulo the CRC polynomial: the factor that moves a state
+/// past `bytes` zero bytes.
+std::uint32_t zero_bytes_factor(std::uint64_t bytes) {
+  std::uint32_t factor = 1u << 31;  // x^0
+  for (std::size_t k = 3; bytes != 0; bytes >>= 1, ++k) {
+    if ((bytes & 1u) != 0) factor = mult_mod_p(kPow2[k], factor);
+  }
+  return factor;
+}
+
 }  // namespace
 
 std::uint32_t crc32_update(std::uint32_t state, std::span<const std::uint8_t> bytes) {
   const std::uint8_t* p = bytes.data();
   std::size_t n = bytes.size();
-  for (; n >= 8; p += 8, n -= 8) {
-    const std::uint32_t lo = state ^ load_le32(p);
-    const std::uint32_t hi = load_le32(p + 4);
-    state = kTables[7][lo & 0xffu] ^ kTables[6][(lo >> 8) & 0xffu] ^
-            kTables[5][(lo >> 16) & 0xffu] ^ kTables[4][lo >> 24] ^ kTables[3][hi & 0xffu] ^
-            kTables[2][(hi >> 8) & 0xffu] ^ kTables[1][(hi >> 16) & 0xffu] ^ kTables[0][hi >> 24];
+  if (n >= kCrc32StreamBytes) {
+    // Four streams over four quarters of whole 8-byte words: independent
+    // table walks overlap instead of each step waiting on the last.  The
+    // later quarters start from state 0 and are joined in by the shift.
+    const std::size_t quarter = n / 4 / 8 * 8;
+    std::uint32_t s0 = state, s1 = 0, s2 = 0, s3 = 0;
+    for (std::size_t i = 0; i < quarter; i += 8) {
+      s0 = step8(s0, p + i);
+      s1 = step8(s1, p + quarter + i);
+      s2 = step8(s2, p + 2 * quarter + i);
+      s3 = step8(s3, p + 3 * quarter + i);
+    }
+    const std::uint32_t shift = zero_bytes_factor(quarter);
+    state = mult_mod_p(shift, mult_mod_p(shift, mult_mod_p(shift, s0) ^ s1) ^ s2) ^ s3;
+    p += 4 * quarter;
+    n -= 4 * quarter;
   }
+  for (; n >= 8; p += 8, n -= 8) state = step8(state, p);
   for (; n > 0; ++p, --n) {
     state = kTables[0][(state ^ *p) & 0xffu] ^ (state >> 8);
   }

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -24,15 +25,46 @@ namespace szp::pipeline {
 
 namespace {
 
-void write_huffman_section(ByteWriter& w, const HuffmanCodebook& book,
-                           const HuffmanEncoded& enc) {
+/// The bytes of a Huffman section that the deflate fills: the gap array's
+/// and the payload's.
+struct HuffmanSlots {
+  std::span<std::uint8_t> gaps;
+  std::span<std::uint8_t> payload;
+};
+
+/// Write a Huffman section for `book` and the stream huffman_size_into()
+/// sized into `enc`, all but the gap array's and the payload's bytes, which
+/// come back for the caller to fill (empty when `w` counts).
+HuffmanSlots write_huffman_head(ByteWriter& w, const HuffmanCodebook& book,
+                                const HuffmanEncoded& enc) {
   book.serialize(w);
   w.put<std::uint64_t>(enc.num_symbols);
   w.put<std::uint32_t>(enc.chunk_size);
   w.put<std::uint32_t>(enc.gap_stride);
   w.put_vector(enc.chunk_offsets);
-  if (enc.gap_stride > 0) w.put_vector(enc.gaps);
-  w.put_vector(enc.payload);
+  HuffmanSlots slots;
+  if (enc.gap_stride > 0) {
+    w.put<std::uint64_t>(enc.gaps.size());
+    slots.gaps = w.claim(enc.gaps.size() * sizeof(std::uint32_t));
+  }
+  w.put<std::uint64_t>(enc.chunk_offsets.back());
+  slots.payload = w.claim(enc.chunk_offsets.back());
+  return slots;
+}
+
+/// Copy `src` into a slot write_huffman_head() returned (nothing when it
+/// counted).
+void fill_slot(std::span<std::uint8_t> slot, const void* src) {
+  if (!slot.empty()) std::memcpy(slot.data(), src, slot.size());
+}
+
+/// A whole Huffman section of an encoding huffman_encode_into() deflated
+/// into enc.payload.
+void write_huffman_section(ByteWriter& w, const HuffmanCodebook& book,
+                           const HuffmanEncoded& enc) {
+  const HuffmanSlots slots = write_huffman_head(w, book, enc);
+  fill_slot(slots.gaps, enc.gaps.data());
+  fill_slot(slots.payload, enc.payload.data());
 }
 
 /// A Huffman section as read from an archive: the codebook, the stream
@@ -120,15 +152,26 @@ class HuffmanCodec final : public LosslessCodec {
   [[nodiscard]] const char* name() const override { return "huffman"; }
 
   void encode(std::span<const quant_t> quant, const EncodeContext& ctx, Workspace& ws,
-              ByteWriter& w, sim::PipelineReport& report) const override {
+              SectionSink& sink, sim::PipelineReport& report) const override {
     sim::Timer t;
     const auto book = HuffmanCodebook::build(ctx.freq);
     report.add({"huffman_book", ctx.original_bytes, t.seconds(), book.build_cost()});
+    // The chunk sizes give the section's size, so the archive is allocated
+    // before the deflate, which writes straight into it.  The encode stage
+    // times the sizing and the deflate, not the archive writes between.
     t.reset();
-    huffman_encode_into(quant, book, ctx.cfg.huffman_chunk, HuffmanEncVariant::kOptimized,
-                        ctx.cfg.huffman_gap_stride, ws.huffman, ws.huffman_chunk_bytes);
-    report.add({"huffman_encode", ctx.original_bytes, t.seconds(), ws.huffman.cost});
-    write_huffman_section(w, book, ws.huffman);
+    HuffmanEncoded& enc = ws.huffman;
+    (void)huffman_size_into(quant, book, ctx.cfg.huffman_chunk, ctx.cfg.huffman_gap_stride, enc,
+                            ws.huffman_chunk_bytes);
+    double seconds = t.seconds();
+    ByteWriter& w = sink.open(
+        counted_size([&](ByteWriter& count) { (void)write_huffman_head(count, book, enc); }));
+    const HuffmanSlots slots = write_huffman_head(w, book, enc);
+    t.reset();
+    huffman_deflate_into(quant, book, HuffmanEncVariant::kOptimized, enc, slots.payload);
+    seconds += t.seconds();
+    fill_slot(slots.gaps, enc.gaps.data());
+    report.add({"huffman_encode", ctx.original_bytes, seconds, enc.cost});
   }
 
   void decode(ByteReader& r, const DecodeContext& ctx, sim::device_vector<quant_t>& out,
@@ -163,13 +206,15 @@ class RleCodec final : public LosslessCodec {
   [[nodiscard]] const char* name() const override { return "rle"; }
 
   void encode(std::span<const quant_t> quant, const EncodeContext& ctx, Workspace&,
-              ByteWriter& w, sim::PipelineReport& report) const override {
+              SectionSink& sink, sim::PipelineReport& report) const override {
     sim::Timer t;
     const auto rle = rle_encode(quant);
     report.add({"rle_encode", ctx.original_bytes, t.seconds(), rle.cost});
-    w.put<std::uint64_t>(rle.num_symbols);
-    w.put_vector(rle.values);
-    w.put_vector(rle.counts);
+    sink.write([&](ByteWriter& w) {
+      w.put<std::uint64_t>(rle.num_symbols);
+      w.put_vector(rle.values);
+      w.put_vector(rle.counts);
+    });
   }
 
   void decode(ByteReader& r, const DecodeContext& ctx, sim::device_vector<quant_t>& out,
@@ -211,24 +256,23 @@ class RleVleCodec final : public LosslessCodec {
   [[nodiscard]] const char* name() const override { return "rle+vle"; }
 
   void encode(std::span<const quant_t> quant, const EncodeContext& ctx, Workspace& ws,
-              ByteWriter& w, sim::PipelineReport& report) const override {
+              SectionSink& sink, sim::PipelineReport& report) const override {
     sim::Timer t;
     const auto rle = rle_encode(quant);
     report.add({"rle_encode", ctx.original_bytes, t.seconds(), rle.cost});
     t.reset();
     // VLE over both run streams (values and lengths), each with its own
-    // codebook built from its own histogram.  The streams go through the
-    // workspace's codec scratch back to back, so the value section is
-    // serialized before the scratch is reused for the count stream.
+    // codebook built from its own histogram.  The two short streams deflate
+    // into scratch, the value stream into an encoding of its own and the
+    // count stream into the workspace's, and the section copies both.
     sim::device_histogram_into<quant_t>(
         std::span<const quant_t>(rle.values.data(), rle.values.size()),
         ctx.cfg.quant.capacity, ws.vle_freq, ws.hist_priv);
     const auto vbook = HuffmanCodebook::build(ws.vle_freq);
+    HuffmanEncoded values;
     huffman_encode_into(rle.values, vbook, ctx.cfg.huffman_chunk,
-                        HuffmanEncVariant::kOptimized, 0, ws.huffman, ws.huffman_chunk_bytes);
-    sim::KernelCost vle_cost = ws.huffman.cost;
-    w.put<std::uint64_t>(rle.num_symbols);
-    write_huffman_section(w, vbook, ws.huffman);
+                        HuffmanEncVariant::kOptimized, 0, values, ws.huffman_chunk_bytes);
+    sim::KernelCost vle_cost = values.cost;
     sim::device_histogram_into<std::uint16_t>(
         std::span<const std::uint16_t>(rle.counts.data(), rle.counts.size()), 65536,
         ws.vle_freq, ws.hist_priv);
@@ -238,7 +282,11 @@ class RleVleCodec final : public LosslessCodec {
                         ws.huffman_chunk_bytes);
     vle_cost += ws.huffman.cost;
     report.add({"rle_vle", ctx.original_bytes, t.seconds(), vle_cost});
-    write_huffman_section(w, cbook, ws.huffman);
+    sink.write([&](ByteWriter& w) {
+      w.put<std::uint64_t>(rle.num_symbols);
+      write_huffman_section(w, vbook, values);
+      write_huffman_section(w, cbook, ws.huffman);
+    });
   }
 
   void decode(ByteReader& r, const DecodeContext& ctx, sim::device_vector<quant_t>& out,
@@ -313,16 +361,17 @@ class RansCodec final : public LosslessCodec {
   [[nodiscard]] Workflow id() const override { return id_; }
   [[nodiscard]] const char* name() const override { return name_; }
 
-  void encode(std::span<const quant_t> quant, const EncodeContext& ctx, Workspace&,
-              ByteWriter& w, sim::PipelineReport& report) const override {
+  void encode(std::span<const quant_t> quant, const EncodeContext& ctx, Workspace& ws,
+              SectionSink& sink, sim::PipelineReport& report) const override {
     if (id_ == Workflow::kRansOneLane) {
       throw std::invalid_argument(
           "workflow tag 3 (one-lane rans) is decode-only; encode with Workflow::kRans");
     }
     sim::Timer t;
     const auto model = RansModel::build(ctx.freq);
-    const auto enc =
-        rans_encode(std::span<const std::uint16_t>(quant.data(), quant.size()), model, lanes_);
+    const std::span<const std::uint8_t> enc = rans_encode_into(
+        std::span<const std::uint16_t>(quant.data(), quant.size()), model, lanes_,
+        ws.rans_stream);
     sim::KernelCost cost;
     cost.bytes_read = quant.size_bytes();
     cost.bytes_written = enc.size();
@@ -332,9 +381,11 @@ class RansCodec final : public LosslessCodec {
     cost.custom_factor = 0.06;  // ANS is heavier per symbol than Huffman
     cost.launches = 3;          // model build + reverse-order encode + concat
     report.add({"rans_encode", ctx.original_bytes, t.seconds(), cost});
-    model.serialize(w);
-    w.put<std::uint64_t>(quant.size());
-    w.put_vector(enc);
+    sink.write([&](ByteWriter& w) {
+      model.serialize(w);
+      w.put<std::uint64_t>(quant.size());
+      w.put_span(enc);
+    });
   }
 
   void decode(ByteReader& r, const DecodeContext& ctx, sim::device_vector<quant_t>& out,

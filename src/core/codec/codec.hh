@@ -14,8 +14,11 @@
 // one-lane codec, which codec() reaches but codecs() does not list.
 //
 // Contract highlights:
-//   * encode() serializes the codec's self-describing section directly
-//     after the outlier section; decode() must consume exactly those bytes
+//   * encode() writes the codec's self-describing section directly after
+//     the outlier section, in place: once it knows the section's exact
+//     size it opens the section in the archive (SectionSink), which is
+//     allocated then, once, at its exact size, and fills it.  decode() must
+//     consume exactly those bytes
 //     and decode in place into the workspace product's quant-code buffer,
 //     with no intermediate symbol vector (throwing DecodeError with the
 //     taxonomy of core/error.hh on any inconsistency, always validating
@@ -76,6 +79,28 @@ struct CodecEstimate {
   sim::KernelCost decode_cost;
 };
 
+/// Where a codec's section goes: the archive being written, which is
+/// allocated once, at its exact size, when the codec opens the section.
+class SectionSink {
+ public:
+  /// Allocate the archive with exactly `section_bytes` for the codec's
+  /// section, write everything before the section, and return a writer at
+  /// its first byte with exactly that much room.  A codec calls it once per
+  /// encode(), when it knows the size, and fills the section completely.
+  virtual ByteWriter& open(std::size_t section_bytes) = 0;
+
+  /// Size the section with a counting run of `fill(ByteWriter&)`, then
+  /// open() it and run `fill` into it: for a section that copies products
+  /// the codec already holds.
+  template <typename Fill>
+  void write(Fill&& fill) {
+    fill(open(counted_size(fill)));
+  }
+
+ protected:
+  ~SectionSink() = default;
+};
+
 /// One lossless quant-code codec: both serialization directions of its
 /// archive section plus the static cost estimate the selector ranks.
 class LosslessCodec {
@@ -87,10 +112,11 @@ class LosslessCodec {
   /// Stable display name (CLI `--codec` values, `analyze --codecs` rows).
   [[nodiscard]] virtual const char* name() const = 0;
 
-  /// Serialize the quant-code section into `w`, reporting kernels into
-  /// `report` (stage names are pinned by tests and benches).
+  /// Encode the quant-codes and write their section through `sink`,
+  /// reporting kernels into `report` (stage names are pinned by tests and
+  /// benches).
   virtual void encode(std::span<const quant_t> quant, const EncodeContext& ctx, Workspace& ws,
-                      ByteWriter& w, sim::PipelineReport& report) const = 0;
+                      SectionSink& sink, sim::PipelineReport& report) const = 0;
 
   /// Mirror of encode(): parse the section, check that it holds exactly
   /// ctx.n symbols, then size `out` to ctx.n and decode straight into it.

@@ -163,7 +163,7 @@ class Lz77Codec final : public LosslessCodec {
   [[nodiscard]] const char* name() const override { return "lz77"; }
 
   void encode(std::span<const quant_t> quant, const EncodeContext& ctx, Workspace& ws,
-              ByteWriter& w, sim::PipelineReport& report) const override {
+              SectionSink& sink, sim::PipelineReport& report) const override {
     sim::Timer t;
     sim::KernelCost cost = pack_cost(quant.size());
     std::vector<lossless::Lz77Token> tokens;
@@ -177,13 +177,15 @@ class Lz77Codec final : public LosslessCodec {
     cost.parallel_items = 1;  // greedy parse is serial
     cost.pattern = sim::AccessPattern::kScattered;
     report.add({"lz77_encode", ctx.original_bytes, t.seconds(), cost});
-    w.put<std::uint64_t>(tokens.size());
-    for (const auto& tok : tokens) {
-      w.put<std::uint16_t>(tok.litlen_sym);
-      w.put<std::uint16_t>(tok.len_extra);
-      w.put<std::uint8_t>(tok.dist_sym);
-      w.put<std::uint16_t>(tok.dist_extra);
-    }
+    sink.write([&](ByteWriter& w) {
+      w.put<std::uint64_t>(tokens.size());
+      for (const auto& tok : tokens) {
+        w.put<std::uint16_t>(tok.litlen_sym);
+        w.put<std::uint16_t>(tok.len_extra);
+        w.put<std::uint8_t>(tok.dist_sym);
+        w.put<std::uint16_t>(tok.dist_extra);
+      }
+    });
   }
 
   void decode(ByteReader& r, const DecodeContext& ctx, sim::device_vector<quant_t>& out,
@@ -261,7 +263,7 @@ template <typename Derived>
 class LzEntropyCodec : public LosslessCodec {
  public:
   void encode(std::span<const quant_t> quant, const EncodeContext& ctx, Workspace& ws,
-              ByteWriter& w, sim::PipelineReport& report) const override {
+              SectionSink& sink, sim::PipelineReport& report) const override {
     sim::Timer t;
     sim::KernelCost cost = pack_cost(quant.size());
     std::vector<std::uint8_t> payload;
@@ -275,7 +277,7 @@ class LzEntropyCodec : public LosslessCodec {
     cost.parallel_items = 1;  // greedy parse is serial
     cost.pattern = sim::AccessPattern::kScattered;
     report.add({Derived::kEncodeStage, ctx.original_bytes, t.seconds(), cost});
-    w.put_vector(payload);
+    sink.write([&](ByteWriter& w) { w.put_vector(payload); });
   }
 
   void decode(ByteReader& r, const DecodeContext& ctx, sim::device_vector<quant_t>& out,

@@ -30,6 +30,54 @@ void validate_exactness(const ValueRange& range, double eb_abs) {
   }
 }
 
+/// The archive of one compress() call.  The codec opens its section once
+/// it knows the section's exact size; the archive is allocated then, once,
+/// at its exact size — header, predictor aux, outlier section, the
+/// section, and the CRC-32 tail — and everything before the section is
+/// written.  seal() checks that the codec filled its section and stores the
+/// CRC.
+class ArchiveSink final : public pipeline::SectionSink {
+ public:
+  ArchiveSink(const archive::ArchiveHeader& header, const pipeline::PredictStage& predictor,
+              const Workspace& ws, std::vector<std::uint8_t>& bytes)
+      : header_(header), predictor_(predictor), ws_(ws), bytes_(bytes) {}
+
+  ByteWriter& open(std::size_t section_bytes) override {
+    if (opened_) throw std::logic_error("Compressor: a codec opened its section twice");
+    const auto prefix = [&](ByteWriter& w) {
+      archive::write_header(w, header_);
+      predictor_.write_aux(w, ws_);
+      w.put_vector(ws_.product.outliers.indices);
+      w.put_vector(ws_.product.outliers.values);
+    };
+    const std::size_t prefix_bytes = counted_size(prefix);
+    bytes_.resize(prefix_bytes + section_bytes + archive::kCrcBytes);
+    const std::span<std::uint8_t> all(bytes_);
+    ByteWriter head(all.first(prefix_bytes));
+    prefix(head);
+    section_ = ByteWriter(all.subspan(prefix_bytes, section_bytes));
+    section_bytes_ = section_bytes;
+    opened_ = true;
+    return section_;
+  }
+
+  void seal() {
+    if (!opened_ || section_.size() != section_bytes_) {
+      throw std::logic_error("Compressor: a codec did not fill the section it opened");
+    }
+    archive::seal_crc32(bytes_);
+  }
+
+ private:
+  const archive::ArchiveHeader& header_;
+  const pipeline::PredictStage& predictor_;
+  const Workspace& ws_;
+  std::vector<std::uint8_t>& bytes_;
+  ByteWriter section_{std::span<std::uint8_t>{}};
+  std::size_t section_bytes_ = 0;
+  bool opened_ = false;
+};
+
 }  // namespace
 
 Compressed detail::compress(const CompressConfig& cfg_, FieldView data, const Extents& ext,
@@ -89,23 +137,15 @@ Compressed detail::compress(const CompressConfig& cfg_, FieldView data, const Ex
     throw std::logic_error("Compressor::compress: unresolved kAuto workflow");
   }
 
-  // --- Header + predictor aux payload -------------------------------------
-  ByteWriter w;
-  archive::write_header(
-      w, {wf, data.dtype(), ext, eb_kernel, cfg_.quant.capacity, cfg_.predictor});
-  predictor.write_aux(w, ws);
-
-  // --- Outlier section ----------------------------------------------------
-  w.put_vector(prod.outliers.indices);
-  w.put_vector(prod.outliers.values);
-
-  // --- Quant-code payload --------------------------------------------------
+  // --- Archive: header, predictor aux, outliers, codec section, CRC -------
+  // The codec encodes, then opens its section at its exact size, which
+  // allocates the whole archive once; it writes its section in place.
+  const archive::ArchiveHeader header{
+      wf, data.dtype(), ext, eb_kernel, cfg_.quant.capacity, cfg_.predictor};
+  ArchiveSink sink(header, predictor, ws, out.bytes);
   const pipeline::EncodeContext ectx{cfg_, ws.freq, st.original_bytes};
-  pipeline::codec(wf).encode(quant, ectx, ws, w, st.pipeline);
-
-  out.bytes = w.take();
-  // Trailing integrity checksum over everything above.
-  archive::append_crc32(out.bytes);
+  pipeline::codec(wf).encode(quant, ectx, ws, sink, st.pipeline);
+  sink.seal();
   st.compressed_bytes = out.bytes.size();
   st.ratio = compression_ratio(st.original_bytes, st.compressed_bytes);
   return out;
@@ -133,10 +173,14 @@ Compressor::ArchiveInfo Compressor::inspect(std::span<const std::uint8_t> archiv
   });
 }
 
-void Compressor::decompress(std::span<const std::uint8_t> archive, Decompressed& out,
-                            Workspace& ws, const ReconstructConfig& recon) {
+namespace {
+
+/// Compressor::decompress over the body of an archive whose CRC-32 has
+/// been verified.
+void decompress_body(std::span<const std::uint8_t> body, Decompressed& out, Workspace& ws,
+                     const ReconstructConfig& recon) {
   decode_guard("szp archive", [&] {
-    ByteReader r(archive::checked_body(archive));
+    ByteReader r(body);
     const archive::ArchiveHeader h = archive::read_header(r);
     const pipeline::PredictStage& predictor = pipeline::predict_stage(h.predictor);
     predictor.read_aux(r, ws);
@@ -187,6 +231,18 @@ void Compressor::decompress(std::span<const std::uint8_t> archive, Decompressed&
     // --- Outliers + predictor reconstruction ---------------------------------
     predictor.reconstruct(h, recon, ws, out);
   });
+}
+
+}  // namespace
+
+void Compressor::decompress(std::span<const std::uint8_t> archive, Decompressed& out,
+                            Workspace& ws, const ReconstructConfig& recon) {
+  decompress_body(archive::checked_body(archive), out, ws, recon);
+}
+
+void detail::decompress_verified(std::span<const std::uint8_t> archive, Decompressed& out,
+                                 Workspace& ws) {
+  decompress_body(archive.first(archive.size() - archive::kCrcBytes), out, ws, {});
 }
 
 Decompressed Compressor::decompress(std::span<const std::uint8_t> archive,

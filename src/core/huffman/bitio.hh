@@ -6,8 +6,12 @@
 // and stores whole bytes into a caller-sized span.  BitReader peeks up to 57
 // bits with one 8-byte load, which feeds the Huffman decode table
 // (codebook.hh); get_bit() stays for the canonical-walk fallback.  The
-// Huffman inflate kernel's unchecked phase (codec.cc) makes the same 8-byte
-// load, load_be64(), where it has proved the bytes lie inside the stream.
+// Huffman kernels (codec.cc) keep their fast loops outside these classes,
+// as a per-call room check would cost them their gain: the inflate's
+// unchecked phase makes the same 8-byte load, load_be64(), where it has
+// proved the bytes lie inside the stream, and the deflate stores whole
+// words, store_be64(), while they lie inside its chunk, then resumes a
+// BitWriter from the same state for the chunk's tail.
 #pragma once
 
 #include <bit>
@@ -28,14 +32,26 @@ namespace szp {
   return word;
 }
 
+/// Store `word` at `p`, its most significant byte first.
+inline void store_be64(std::uint8_t* p, std::uint64_t word) {
+  if constexpr (std::endian::native == std::endian::little) word = __builtin_bswap64(word);
+  std::memcpy(p, &word, sizeof(word));
+}
+
 /// MSB-first bit writer over a caller-owned byte range, accumulating into a
 /// 64-bit register and storing whole bytes.  The caller sizes the span
 /// exactly from a code-length pass (the Huffman deflate kernel writes each
-/// chunk straight into its scan-assigned slice of the pooled payload);
-/// flush() zero-pads and stores the last partial byte.
+/// chunk straight into its scan-assigned slice of the payload); flush()
+/// zero-pads and stores the last partial byte.
 class BitWriter {
  public:
   explicit BitWriter(std::span<std::uint8_t> out) : out_(out) {}
+
+  /// Resume a stream whose first `pos` bytes are stored and whose next
+  /// `fill` (< 8) bits are the low bits of `acc` (bits above them are
+  /// ignored): the Huffman deflate's word loop hands its state over here.
+  BitWriter(std::span<std::uint8_t> out, std::size_t pos, std::uint64_t acc, unsigned fill)
+      : out_(out), pos_(pos), acc_(acc), fill_(fill), bits_(pos * std::uint64_t{8} + fill) {}
 
   /// Append the low `len` bits of `code`, most significant first.
   void put(std::uint64_t code, unsigned len) {

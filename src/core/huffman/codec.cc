@@ -12,10 +12,9 @@
 
 namespace szp {
 
-void huffman_encode_into(std::span<const quant_t> symbols, const HuffmanCodebook& book,
-                         std::uint32_t chunk_size, HuffmanEncVariant variant,
-                         std::uint32_t gap_stride, HuffmanEncoded& enc,
-                         std::vector<std::uint64_t>& chunk_bytes) {
+std::uint64_t huffman_size_into(std::span<const quant_t> symbols, const HuffmanCodebook& book,
+                                std::uint32_t chunk_size, std::uint32_t gap_stride,
+                                HuffmanEncoded& enc, std::vector<std::uint64_t>& chunk_bytes) {
   if (chunk_size == 0) throw std::invalid_argument("huffman_encode: chunk_size must be > 0");
   if (gap_stride != 0 && chunk_size % gap_stride != 0) {
     throw std::invalid_argument("huffman_encode: gap_stride must divide chunk_size");
@@ -31,12 +30,9 @@ void huffman_encode_into(std::span<const quant_t> symbols, const HuffmanCodebook
   enc.chunk_offsets.assign(nchunks + 1, 0);
   const std::size_t subblocks_per_chunk = gap_stride > 0 ? chunk_size / gap_stride : 0;
   enc.gaps.assign(gap_stride > 0 ? nchunks * subblocks_per_chunk : 0, 0);
-  if (n == 0) {
-    enc.payload.clear();
-    return;
-  }
+  if (n == 0) return 0;
 
-  // Phase 1: per-chunk encoded byte size (code lengths only; parallel).
+  // Per-chunk encoded byte size (code lengths only; parallel).
   // Exceptions must not escape the parallel region, so uncodable symbols
   // are flagged and reported afterwards.
   // The bad_symbol flag is an intentionally shared atomic, so it stays
@@ -85,33 +81,62 @@ void huffman_encode_into(std::span<const quant_t> symbols, const HuffmanCodebook
       std::span<const std::uint64_t>(chunk_bytes),
       std::span<std::uint64_t>(enc.chunk_offsets.data(), nchunks));
   enc.chunk_offsets[nchunks] = total;
-  enc.payload.assign(total, 0);
+  traffic_scope.apply(enc.cost);
+  return total;
+}
 
-  // Phase 2: each chunk writes its own byte range (race-free, parallel),
-  // recording sub-block bit offsets when a gap array was requested.
-  // The payload slice each chunk writes comes out of the offset scan — a
-  // data-dependent footprint the affine prover cannot discharge, so the
-  // deflate kernel honestly stays on dynamic (word-shadow) checking.
+namespace {
+
+/// Longest code the deflate's word loop stores: the accumulator holds up to
+/// 7 pending bits plus one code, and a 64-bit store keeps 63 of them.
+constexpr unsigned kWordCodeBits = 56;
+
+}  // namespace
+
+void huffman_deflate_into(std::span<const quant_t> symbols, const HuffmanCodebook& book,
+                          HuffmanEncVariant variant, HuffmanEncoded& enc,
+                          std::span<std::uint8_t> payload) {
+  const std::size_t n = symbols.size();
+  if (n == 0) return;
+  const std::uint32_t chunk_size = enc.chunk_size;
+  const std::uint32_t gap_stride = enc.gap_stride;
+  const std::size_t nchunks = enc.chunk_offsets.size() - 1;
+  const std::size_t subblocks_per_chunk = gap_stride > 0 ? chunk_size / gap_stride : 0;
+  const std::uint64_t total = enc.chunk_offsets[nchunks];
+  if (payload.size() != total) {
+    throw std::logic_error("huffman_deflate_into: the payload span does not match the sizing");
+  }
+
+  // Each chunk writes its own byte range (race-free, parallel), recording
+  // sub-block bit offsets when a gap array was requested.  The payload
+  // slice each chunk writes comes out of the offset scan — a data-dependent
+  // footprint the affine prover cannot discharge, so the deflate kernel
+  // honestly stays on dynamic (word-shadow) checking.
+  namespace chk = sim::checked;
+  namespace ctr = sim::contract;
+  sim::traffic::Scope traffic_scope;
+  const auto csz = static_cast<std::int64_t>(chunk_size);
   ctr::Contract deflate_contract;
   deflate_contract.clauses.push_back(ctr::reads("symbols", ctr::b() * csz, csz).clamp());
   deflate_contract.clauses.push_back(ctr::reads("offsets", ctr::b(), 2));
   // The scan total is the exact payload volume — declare it as the dynamic
   // clause's upper bound so the traffic analyzer (and the checked cross-
   // validation of observed bytes) has a real ceiling instead of the whole
-  // pre-sized buffer.
+  // buffer.
   deflate_contract.clauses.push_back(
       ctr::writes_dyn("payload", static_cast<std::int64_t>(total)));
   if (gap_stride > 0) {
     const auto spc = static_cast<std::int64_t>(subblocks_per_chunk);
     deflate_contract.clauses.push_back(ctr::writes("gaps", ctr::b() * spc, spc));
   }
+  const bool word_stores = book.max_length() <= kWordCodeBits;
   chk::launch("huffman_encode/deflate", nchunks,
               chk::bufs(chk::in(symbols, "symbols"),
                         chk::in(std::span<const std::uint64_t>(enc.chunk_offsets), "offsets"),
-                        chk::out(std::span<std::uint8_t>(enc.payload), "payload"),
+                        chk::out(payload, "payload"),
                         chk::out(std::span<std::uint32_t>(enc.gaps), "gaps")),
               deflate_contract,
-              [&, n, chunk_size, gap_stride, subblocks_per_chunk](
+              [&, n, chunk_size, gap_stride, subblocks_per_chunk, word_stores](
                   std::size_t c, const auto& vsym, const auto& voffsets, const auto& vpayload,
                   const auto& vgaps) {
     const std::size_t lo = c * chunk_size;
@@ -121,11 +146,44 @@ void huffman_encode_into(std::span<const quant_t> symbols, const HuffmanCodebook
     const auto off = static_cast<std::size_t>(voffsets[c]);
     const auto len = static_cast<std::size_t>(voffsets[c + 1]) - off;
     vpayload.note_write(off, len);
-    BitWriter bw(std::span<std::uint8_t>(vpayload.data() + off, len));
-    for (std::size_t i = lo; i < hi; ++i) {
-      if (gap_stride > 0 && (i - lo) % gap_stride == 0) {
-        vgaps[c * subblocks_per_chunk + (i - lo) / gap_stride] =
-            static_cast<std::uint32_t>(bw.bit_count());
+    std::uint8_t* const dst = vpayload.data() + off;
+    // Sub-block g of the chunk starts at symbol lo + g * gap_stride; its gap
+    // entry is the bit count written before it.
+    std::size_t next_gap = gap_stride > 0 ? lo : hi;
+    std::size_t gap = c * subblocks_per_chunk;
+
+    // Word loop, with the writer's state in registers: append the code to
+    // the accumulator, store the pending bits as one big-endian word at the
+    // byte position, then advance past the whole bytes.  The store's bytes
+    // past the last whole one hold the partial byte's bits and zeros, which
+    // the next store overwrites; it runs only while all eight bytes lie in
+    // the chunk's slice, so no store reaches a neighbor's.
+    std::size_t i = lo;
+    std::size_t pos = 0;
+    std::uint64_t acc = 0;
+    unsigned fill = 0;
+    if (word_stores) {
+      for (; i < hi && pos + 8 <= len; ++i) {
+        if (i == next_gap) {
+          vgaps[gap++] = static_cast<std::uint32_t>(pos * 8 + fill);
+          next_gap += gap_stride;
+        }
+        const quant_t s = vsym[i];
+        const unsigned code_len = book.length(s);
+        acc = (acc << code_len) | book.code(s);
+        fill += code_len;
+        store_be64(dst + pos, acc << (64 - fill));
+        pos += fill >> 3;
+        fill &= 7;
+      }
+    }
+    // The chunk's tail (and a book with longer codes) goes through the
+    // bounds-checked writer, resumed from the same state.
+    BitWriter bw(std::span<std::uint8_t>(dst, len), pos, acc, fill);
+    for (; i < hi; ++i) {
+      if (i == next_gap) {
+        vgaps[gap++] = static_cast<std::uint32_t>(bw.bit_count());
+        next_gap += gap_stride;
       }
       bw.put(book.code(vsym[i]), book.length(vsym[i]));
     }
@@ -136,9 +194,14 @@ void huffman_encode_into(std::span<const quant_t> symbols, const HuffmanCodebook
   // (chunk_sizes + scan + deflate, including the scan-bounded payload
   // volume); the baseline variant additionally stores a full word per
   // thread before compaction, which no contract of the optimized kernels
-  // models — add that delta on top of the derived stores.
-  traffic_scope.apply(enc.cost);
-  enc.cost.bytes_read += book.alphabet_size() * 9;
+  // models — add that delta on top of the derived stores.  The host's word
+  // stores do not change the model: the optimized encoder stores when a
+  // unit fills.
+  sim::KernelCost deflate;
+  traffic_scope.apply(deflate);
+  enc.cost.bytes_read += deflate.bytes_read + book.alphabet_size() * 9;
+  enc.cost.bytes_written += deflate.bytes_written;
+  enc.cost.launches += deflate.launches;
   if (variant == HuffmanEncVariant::kBaseline && n * sizeof(std::uint32_t) > total) {
     enc.cost.bytes_written += n * sizeof(std::uint32_t) - total;
   }
@@ -146,6 +209,16 @@ void huffman_encode_into(std::span<const quant_t> symbols, const HuffmanCodebook
   enc.cost.parallel_items = n;
   enc.cost.pattern = sim::AccessPattern::kScattered;
   enc.cost.custom_factor = 0.09;  // calibrated to Table VI Huffman rows
+}
+
+void huffman_encode_into(std::span<const quant_t> symbols, const HuffmanCodebook& book,
+                         std::uint32_t chunk_size, HuffmanEncVariant variant,
+                         std::uint32_t gap_stride, HuffmanEncoded& enc,
+                         std::vector<std::uint64_t>& chunk_bytes) {
+  const std::uint64_t total =
+      huffman_size_into(symbols, book, chunk_size, gap_stride, enc, chunk_bytes);
+  enc.payload.resize(total);
+  huffman_deflate_into(symbols, book, variant, enc, enc.payload);
 }
 
 HuffmanEncoded huffman_encode(std::span<const quant_t> symbols, const HuffmanCodebook& book,

@@ -4,9 +4,13 @@
 // Symbols are encoded in independent chunks of `chunk_size`; chunk output
 // offsets come from a device-wide exclusive scan of the per-chunk encoded
 // sizes (the "deflating" step).  Chunks start byte-aligned — at most 7 bits
-// padding per 4096-symbol chunk (<0.03%), which keeps the concatenation a
-// race-free parallel copy; this is the chunkwise metadata overhead the
-// paper notes for CUSZ-VLE.
+// padding per 4096-symbol chunk (<0.03%), which keeps the concatenation
+// race-free: each chunk writes only its own scanned slice, one 8-byte word
+// per symbol while the word fits the slice, then byte by byte; this is the
+// chunkwise metadata overhead the paper notes for CUSZ-VLE.  The two
+// halves are separate calls (huffman_size_into, huffman_deflate_into), so
+// the Huffman codec can size the archive first and deflate straight into
+// it.
 //
 // Decoding starts every chunk (or gap-array sub-block) at its stored offset.
 // One inflate block decodes four consecutive such units, a symbol of each in
@@ -65,10 +69,29 @@ struct HuffmanEncoded {
 /// Workspace-reuse variant: fills `enc` (and uses `chunk_bytes` as the
 /// per-chunk size scratch) with capacity-preserving assigns, so repeated
 /// calls at the same size allocate nothing (see core/workspace.hh).
+/// huffman_size_into() followed by huffman_deflate_into() into enc.payload.
 void huffman_encode_into(std::span<const quant_t> symbols, const HuffmanCodebook& book,
                          std::uint32_t chunk_size, HuffmanEncVariant variant,
                          std::uint32_t gap_stride, HuffmanEncoded& enc,
                          std::vector<std::uint64_t>& chunk_bytes);
+
+/// The encode's first half: sizes every chunk from its code lengths and
+/// scans the sizes into enc.chunk_offsets, filling every field of `enc` but
+/// the payload and the gap values (enc.gaps is sized and zeroed) and
+/// setting enc.cost to these launches' traffic.  Returns the payload's byte
+/// count.  Throws std::invalid_argument on a bad chunk size or gap stride,
+/// or on a symbol the book has no code for.
+std::uint64_t huffman_size_into(std::span<const quant_t> symbols, const HuffmanCodebook& book,
+                                std::uint32_t chunk_size, std::uint32_t gap_stride,
+                                HuffmanEncoded& enc, std::vector<std::uint64_t>& chunk_bytes);
+
+/// The encode's second half: deflates the symbols huffman_size_into() sized
+/// into `payload` (exactly its byte count; the Huffman codec passes the
+/// archive's own bytes), records the gap array in enc.gaps and completes
+/// enc.cost.  Each chunk writes only its own scanned slice of `payload`.
+void huffman_deflate_into(std::span<const quant_t> symbols, const HuffmanCodebook& book,
+                          HuffmanEncVariant variant, HuffmanEncoded& enc,
+                          std::span<std::uint8_t> payload);
 
 struct HuffmanDecoded {
   std::vector<quant_t> symbols;

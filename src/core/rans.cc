@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -59,15 +58,20 @@ std::vector<EncSymbol> encode_table(const RansModel& model) {
 }
 
 template <unsigned L>
-std::vector<std::uint8_t> encode_lanes(std::span<const std::uint16_t> symbols,
-                                       std::span<const EncSymbol> table) {
+std::span<const std::uint8_t> encode_lanes(std::span<const std::uint16_t> symbols,
+                                           std::span<const EncSymbol> table,
+                                           sim::uninit_vector<std::uint8_t>& buf) {
   // A step emits at most two bytes (x < 2^31 renormalizes below x_max >=
-  // 2^19), so 2n bytes plus the flush always suffice.  The buffer is left
-  // uninitialized and filled from the end: only the tail the stream
+  // 2^19), so 2n bytes plus the flush always suffice.  The stream fills the
+  // buffer's first `cap` bytes from the end.  The buffer only grows, and
+  // growing neither copies nor zeroes it, so only the tail the stream
   // occupies is ever touched.
   const std::size_t cap = 2 * symbols.size() + 4 * L;
-  const auto buf = std::make_unique_for_overwrite<std::uint8_t[]>(cap);
-  std::uint8_t* const end = buf.get() + cap;
+  if (buf.size() < cap) {
+    buf.clear();
+    buf.resize(cap);
+  }
+  std::uint8_t* const end = buf.data() + cap;
   std::uint8_t* ptr = end;
 
   std::array<std::uint32_t, L> x{};
@@ -300,18 +304,26 @@ RansModel RansModel::deserialize(ByteReader& r) {
   return m;
 }
 
-std::vector<std::uint8_t> rans_encode(std::span<const std::uint16_t> symbols,
-                                      const RansModel& model, unsigned lanes) {
+std::span<const std::uint8_t> rans_encode_into(std::span<const std::uint16_t> symbols,
+                                               const RansModel& model, unsigned lanes,
+                                               sim::uninit_vector<std::uint8_t>& buf) {
   const auto table = encode_table(model);
   switch (lanes) {
     case 1:
-      return encode_lanes<1>(symbols, table);
+      return encode_lanes<1>(symbols, table, buf);
     case kRansLanes:
-      return encode_lanes<kRansLanes>(symbols, table);
+      return encode_lanes<kRansLanes>(symbols, table, buf);
     default:
       throw std::invalid_argument("rans_encode: unsupported lane count " +
                                   std::to_string(lanes));
   }
+}
+
+std::vector<std::uint8_t> rans_encode(std::span<const std::uint16_t> symbols,
+                                      const RansModel& model, unsigned lanes) {
+  sim::uninit_vector<std::uint8_t> buf;
+  const auto stream = rans_encode_into(symbols, model, lanes, buf);
+  return {stream.begin(), stream.end()};
 }
 
 void rans_decode_into(std::span<const std::uint8_t> bytes, const RansModel& model,

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "core/serialize.hh"
+#include "sim/aligned.hh"
 
 namespace szp {
 
@@ -73,10 +74,19 @@ class RansModel {
 };
 
 /// Encode a symbol stream over `lanes` (1 or kRansLanes) interleaved
-/// states.  Output is just the byte stream (the caller stores the symbol
-/// count, the model and, through its format, the lane count).  Throws
-/// std::invalid_argument on a symbol the model does not hold or an
+/// states, backwards into `buf`, and return the stream: the tail of `buf`'s
+/// first 2n + 4 * lanes bytes.  `buf` grows to that size when it is
+/// smaller, unzeroed, so a reused buffer (Workspace::rans_stream) allocates
+/// nothing and only the stream's bytes are touched.  The caller stores the
+/// symbol count, the model and, through its format, the lane count.
+/// Throws std::invalid_argument on a symbol the model does not hold or an
 /// unsupported lane count.
+[[nodiscard]] std::span<const std::uint8_t> rans_encode_into(
+    std::span<const std::uint16_t> symbols, const RansModel& model, unsigned lanes,
+    sim::uninit_vector<std::uint8_t>& buf);
+
+/// rans_encode_into() through a buffer of its own; returns a copy of the
+/// stream.
 [[nodiscard]] std::vector<std::uint8_t> rans_encode(std::span<const std::uint16_t> symbols,
                                                     const RansModel& model, unsigned lanes = 1);
 

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -41,26 +42,62 @@ inline void require_length(std::uint64_t n, std::size_t elem_size, std::size_t r
   }
 }
 
+/// Little-endian writer, in one of three modes:
+///   * growing (the default): appends to a buffer of its own, which take()
+///     hands over;
+///   * in place, over a caller's span: writes from the span's first byte and
+///     never past its end.  The span was sized for exactly these writes (an
+///     archive, core/compressor.cc, or a bundle, core/bundle.cc, allocated
+///     once), so a write that does not fit is a std::logic_error;
+///   * counting (counting()): stores nothing, so its size() after the same
+///     calls is the size of that span.
 class ByteWriter {
  public:
+  ByteWriter() = default;
+  explicit ByteWriter(std::span<std::uint8_t> out) : mode_(Mode::kInPlace), out_(out) {}
+
+  [[nodiscard]] static ByteWriter counting() {
+    ByteWriter w;
+    w.mode_ = Mode::kCounting;
+    return w;
+  }
+
   template <typename T>
   void put(const T& v) {
     static_assert(std::is_trivially_copyable_v<T>);
-    const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-    buf_.insert(buf_.end(), p, p + sizeof(T));
+    write(&v, sizeof(T));
   }
 
   template <typename T>
   void put_span(std::span<const T> v) {
     static_assert(std::is_trivially_copyable_v<T>);
     put<std::uint64_t>(v.size());
-    const auto* p = reinterpret_cast<const std::uint8_t*>(v.data());
-    buf_.insert(buf_.end(), p, p + v.size_bytes());
+    write(v.data(), v.size_bytes());
   }
 
   template <typename T, typename Alloc>
   void put_vector(const std::vector<T, Alloc>& v) {
     put_span(std::span<const T>(v.data(), v.size()));
+  }
+
+  /// The next `n` bytes, for the caller to fill in place (the Huffman codec
+  /// deflates its payload straight into the archive): empty when counting,
+  /// and in growing mode valid until the next write.
+  [[nodiscard]] std::span<std::uint8_t> claim(std::size_t n) {
+    if (mode_ == Mode::kGrowing) {
+      buf_.resize(buf_.size() + n);
+      return std::span<std::uint8_t>(buf_).last(n);
+    }
+    if (mode_ == Mode::kCounting) {
+      pos_ += n;
+      return {};
+    }
+    if (n > out_.size() - pos_) {
+      throw std::logic_error("ByteWriter: " + std::to_string(n) + " bytes do not fit the " +
+                             std::to_string(out_.size() - pos_) + " left of an exact-size span");
+    }
+    pos_ += n;
+    return out_.subspan(pos_ - n, n);
   }
 
   /// Pre-size the underlying buffer (capacity hint, e.g. a streaming
@@ -69,11 +106,31 @@ class ByteWriter {
   void reserve(std::size_t bytes) { buf_.reserve(bytes); }
 
   [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(buf_); }
-  [[nodiscard]] std::size_t size() const { return buf_.size(); }
+  /// Bytes written (or counted) so far.
+  [[nodiscard]] std::size_t size() const { return mode_ == Mode::kGrowing ? buf_.size() : pos_; }
 
  private:
-  std::vector<std::uint8_t> buf_;
+  enum class Mode : std::uint8_t { kGrowing, kInPlace, kCounting };
+
+  void write(const void* p, std::size_t n) {
+    const std::span<std::uint8_t> to = claim(n);
+    if (!to.empty()) std::memcpy(to.data(), p, n);
+  }
+
+  Mode mode_ = Mode::kGrowing;
+  std::vector<std::uint8_t> buf_;  ///< growing mode's buffer
+  std::span<std::uint8_t> out_;    ///< in-place mode's span
+  std::size_t pos_ = 0;            ///< bytes written in place, or counted
 };
+
+/// The bytes `write(ByteWriter&)` writes, counted without storing any: the
+/// size to allocate before running it again over ByteWriter(span).
+template <typename Write>
+[[nodiscard]] std::size_t counted_size(Write&& write) {
+  ByteWriter w = ByteWriter::counting();
+  write(w);
+  return w.size();
+}
 
 class ByteReader {
  public:

@@ -765,10 +765,13 @@ void decompress_stream_impl(io::FieldSource& src, io::ContainerSink& sink,
     item.d = buffers.take();
     item.declared_offset = e.offset;
     const std::size_t held = item.d.held_bytes();
-    const std::span<const std::uint8_t> bytes =
-        !view.empty() ? view.subspan(e.pos, e.len)
-                      : stage_read(ctx, src, e.pos, e.len, meter, clock);
-    Compressor::decompress(bytes, item.d, *ctx.lease);
+    if (!view.empty()) {
+      // validate_slabs() has checked this slab's CRC-32.
+      detail::decompress_verified(view.subspan(e.pos, e.len), item.d, *ctx.lease);
+    } else {
+      Compressor::decompress(stage_read(ctx, src, e.pos, e.len, meter, clock), item.d,
+                             *ctx.lease);
+    }
     check_slab_dtype(s, item.d.dtype, out.dtype);
     // A buffer is charged when it is created or grows, and stays charged
     // while parked and while idle in `buffers` — until `buffers` frees it.

@@ -12,8 +12,8 @@ std::array<std::size_t, Workspace::kTrackedBuffers> Workspace::capacities() cons
       freq.capacity(),              hist_priv.capacity(),
       huffman.payload.capacity(),   huffman.chunk_offsets.capacity(),
       huffman.gaps.capacity(),      huffman_chunk_bytes.capacity(),
-      vle_freq.capacity(),          codec_bytes.capacity(),
-      slab_io.capacity(),
+      vle_freq.capacity(),          rans_stream.capacity(),
+      codec_bytes.capacity(),       slab_io.capacity(),
   };
 }
 

@@ -4,8 +4,10 @@
 // predictor's quant-codes and outlier section (plus Lorenzo's per-block
 // outlier windows, or the dense outlier array of regression and
 // interpolation with its gather's tile scratch), the histogram bins and
-// their block-private replicas, and the Huffman encoder's chunk metadata
-// and payload.  Every decompress() needs the mirror set: the outlier
+// their block-private replicas, the Huffman encoder's chunk metadata and
+// the rANS coder's backward stream.  (The Huffman codec deflates straight
+// into the archive; only RLE+VLE's run streams deflate into a payload
+// here.)  Every decompress() needs the mirror set: the outlier
 // section, the quant-codes the codec decodes in place, the predictor's aux
 // payload and, for regression and interpolation, the dense array the
 // outliers scatter into — the same predictor product compress fills, used
@@ -70,6 +72,11 @@ struct Workspace {
   std::vector<std::uint64_t> huffman_chunk_bytes;
   std::vector<std::uint64_t> vle_freq;        ///< RLE+VLE stream histograms
 
+  /// The rANS coder's backward buffer (rans_encode_into): the stream is its
+  /// tail, copied once into the archive.  Never zeroed, so only the tails
+  /// the streams fill are resident.
+  sim::uninit_vector<std::uint8_t> rans_stream;
+
   /// Packed little-endian quant-code bytes for the LZ codec family
   /// (core/codec/lz_codecs.cc): the pack kernel fills it in place, so
   /// repeated LZ compression allocates no staging buffer.
@@ -83,7 +90,7 @@ struct Workspace {
   std::vector<std::uint8_t> slab_io;
 
   /// Number of tracked buffers in the capacity snapshot.
-  static constexpr std::size_t kTrackedBuffers = 18;
+  static constexpr std::size_t kTrackedBuffers = 19;
 
   /// Capacity snapshot of every tracked buffer, in a fixed order.  A fixed
   /// array (not a vector) so lease accounting itself never allocates —

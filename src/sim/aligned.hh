@@ -1,9 +1,13 @@
-// szp::sim — cache-line-aligned storage for kernel buffers.
+// szp::sim — storage for kernel buffers: cache-line-aligned, or left
+// unwritten until the kernel fills it.
 #pragma once
 
 #include <cstddef>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace szp::sim {
@@ -36,5 +40,34 @@ struct AlignedAllocator {
 /// global memory, aligned so streaming kernels vectorize.
 template <typename T>
 using device_vector = std::vector<T, AlignedAllocator<T>>;
+
+/// std::allocator whose argument-less construct() default-initializes, so
+/// resize() leaves new trivial elements unwritten, like cudaMalloc: a
+/// buffer filled from its end (the rANS coder's, Workspace::rans_stream)
+/// touches only the pages it fills.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+
+  DefaultInitAllocator() noexcept = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+/// A vector whose resize() does not zero what it adds.
+template <typename T>
+using uninit_vector = std::vector<T, DefaultInitAllocator<T>>;
 
 }  // namespace szp::sim

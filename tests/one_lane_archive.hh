@@ -28,21 +28,23 @@ inline std::vector<std::uint8_t> one_lane_archive(std::span<const std::uint8_t> 
   pipeline::predict_stage(h.predictor).read_aux(r, ws);
   r.get_vector_into(ws.product.outliers.indices);
   r.get_vector_into(ws.product.outliers.values);
-  std::vector<std::uint8_t> out(eight_lane.begin(),
-                                eight_lane.begin() + static_cast<std::ptrdiff_t>(r.position()));
-  out[4] = static_cast<std::uint8_t>(archive::kVersion);  // low byte of the u16 version
-  out[7] = static_cast<std::uint8_t>(Workflow::kRansOneLane);
+  const std::size_t prefix = r.position();
 
   const RansModel model = RansModel::deserialize(r);
   const auto count = r.get<std::uint64_t>();
-  const auto symbols = rans_decode(r.get_bytes(), count, model, kRansLanes);
-  ByteWriter w;
-  model.serialize(w);
-  w.put<std::uint64_t>(count);
-  w.put_vector(rans_encode(symbols, model, 1));
-  const auto section = w.take();
-  out.insert(out.end(), section.begin(), section.end());
-  archive::append_crc32(out);
+  const auto stream = rans_encode(rans_decode(r.get_bytes(), count, model, kRansLanes), model, 1);
+  const auto section = [&](ByteWriter& w) {
+    model.serialize(w);
+    w.put<std::uint64_t>(count);
+    w.put_vector(stream);
+  };
+  std::vector<std::uint8_t> out(prefix + counted_size(section) + archive::kCrcBytes);
+  std::copy_n(eight_lane.begin(), prefix, out.begin());
+  out[4] = static_cast<std::uint8_t>(archive::kVersion);  // low byte of the u16 version
+  out[7] = static_cast<std::uint8_t>(Workflow::kRansOneLane);
+  ByteWriter w(std::span<std::uint8_t>(out).subspan(prefix, out.size() - prefix - archive::kCrcBytes));
+  section(w);
+  archive::seal_crc32(out);
   return out;
 }
 

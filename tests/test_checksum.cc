@@ -1,7 +1,9 @@
 // CRC-32 and archive-integrity tests.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <random>
+#include <span>
 #include <vector>
 
 #include "core/checksum.hh"
@@ -51,6 +53,43 @@ TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
     for (std::size_t len = 0; len <= 64; ++len) {
       const auto bytes = std::span<const std::uint8_t>(data).subspan(offset, len);
       EXPECT_EQ(crc32(bytes), reference_crc32(bytes)) << "offset " << offset << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32, StreamedLengthsMatchBytewiseReference) {
+  // Lengths around the four-stream threshold and one past four of it, whose
+  // quarters are not whole words and leave a tail, at every alignment.
+  std::mt19937 rng(4);
+  std::vector<std::uint8_t> data(4 * kCrc32StreamBytes + 3 + 8);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng());
+  std::vector<std::size_t> lengths;
+  for (std::size_t len = kCrc32StreamBytes - 1; len <= kCrc32StreamBytes + 8; ++len) {
+    lengths.push_back(len);
+  }
+  lengths.push_back(4 * kCrc32StreamBytes + 3);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (const std::size_t len : lengths) {
+      const auto bytes = std::span<const std::uint8_t>(data).subspan(offset, len);
+      EXPECT_EQ(crc32(bytes), reference_crc32(bytes)) << "offset " << offset << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32, SplitAtQuarterBoundariesMatchesReference) {
+  // Either side of a split may run as four streams, the second from a
+  // nonzero state; split at each quarter boundary of the whole and one
+  // byte either side of it.
+  std::mt19937 rng(5);
+  std::vector<std::uint8_t> data(4 * kCrc32StreamBytes + 3);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng());
+  const auto bytes = std::span<const std::uint8_t>(data);
+  const std::uint32_t whole = reference_crc32(bytes);
+  const std::size_t quarter = bytes.size() / 4 / 8 * 8;
+  for (std::size_t k = 1; k <= 4; ++k) {
+    for (const std::size_t split : {k * quarter - 1, k * quarter, k * quarter + 1}) {
+      const std::uint32_t state = crc32_update(crc32_init(), bytes.first(split));
+      EXPECT_EQ(crc32_final(crc32_update(state, bytes.subspan(split))), whole) << split;
     }
   }
 }

@@ -9,6 +9,7 @@
 #include <tuple>
 #include <vector>
 
+#include "core/codec/codec.hh"
 #include "core/compressor.hh"
 #include "core/metrics.hh"
 #include "one_lane_archive.hh"
@@ -306,6 +307,54 @@ TEST(Compressor, NegativeValuesAndOffsets) {
   const auto c = Compressor(cfg).compress(data, ext);
   const auto d = Compressor::decompress(c.bytes);
   EXPECT_LT(compare_fields(data, d.data).max_abs_error, c.stats.eb_abs);
+}
+
+TEST(Compressor, ArchiveIsAllocatedOnce) {
+  // Every codec writes its section into an archive allocated once at its
+  // exact size, so nothing is left over: capacity equals size.  Spikes on
+  // every seventh element of a smooth field leave a 64-code quantizer as
+  // outliers; a flat field leaves the outlier section empty, and one
+  // element is the smallest field there is.
+  struct Field {
+    const char* name;
+    Extents ext;
+    float spike;  ///< 0: a flat field
+  };
+  const Field fields[] = {{"1-d spikes", Extents::d1(5000), 50.0f},
+                          {"3-d spikes", Extents::d3(9, 10, 11), 50.0f},
+                          {"1-d flat", Extents::d1(5000), 0.0f},
+                          {"3-d flat", Extents::d3(9, 10, 11), 0.0f},
+                          {"one element", Extents::d1(1), 0.0f}};
+  for (const pipeline::LosslessCodec* codec : pipeline::codecs()) {
+    for (const Field& f : fields) {
+      SCOPED_TRACE(std::string(codec->name()) + ", " + f.name);
+      std::vector<float> data(f.ext.count(), 0.01f);
+      if (f.spike != 0.0f) {
+        data = smooth_field(f.ext, 7, 0.001f);
+        for (std::size_t i = 0; i < data.size(); i += 7) data[i] += f.spike;
+      }
+      const std::vector<double> data64(data.begin(), data.end());
+      CompressConfig cfg;
+      cfg.eb = ErrorBound::absolute(1e-3);
+      cfg.quant.capacity = 64;
+      cfg.workflow = codec->id();
+      const Compressor comp(cfg);
+      const auto check = [&](const Compressed& c) {
+        EXPECT_EQ(c.bytes.capacity(), c.bytes.size());
+        EXPECT_EQ(c.stats.compressed_bytes, c.bytes.size());
+        if (f.spike == 0.0f) EXPECT_EQ(c.stats.outlier_count, 0u);
+        if (f.spike != 0.0f) EXPECT_GT(c.stats.outlier_count, 0u);
+        EXPECT_EQ(Compressor::inspect(c.bytes).workflow, codec->id());
+        return Compressor::decompress(c.bytes);
+      };
+      const auto d32 = check(comp.compress(data, f.ext));
+      EXPECT_EQ(d32.extents, f.ext);
+      EXPECT_LT(compare_fields(data, d32.data).max_abs_error, 1e-3);
+      const auto d64 = check(comp.compress(data64, f.ext));
+      EXPECT_EQ(d64.extents, f.ext);
+      EXPECT_LT(compare_fields(data64, d64.data_f64).max_abs_error, 1e-3);
+    }
+  }
 }
 
 TEST(Compressor, OutlierHeavyFieldStaysBounded) {

@@ -719,9 +719,9 @@ TEST(DecodeReuse, OneWorkspaceDecodesAnySequenceLikeAFreshCall) {
   // after the outlier stream and the output metadata were written.
   auto corrupt = noisy_archive<float>(PredictorKind::kRegression, Workflow::kRle,
                                       Extents::d1(1500), 5);
-  corrupt.resize(corrupt.size() - 4);  // drop the CRC
-  corrupt[corrupt.size() - 2] ^= 1;    // low byte of the last u16 run length
-  archive::append_crc32(corrupt);
+  // Flip the low byte of the last u16 run length, then re-seal the body.
+  corrupt[corrupt.size() - archive::kCrcBytes - 2] ^= 1;
+  archive::seal_crc32(corrupt);
   const std::size_t corrupt_at = 14;
   seq.insert(seq.begin() + static_cast<std::ptrdiff_t>(corrupt_at), corrupt);
 
