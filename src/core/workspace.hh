@@ -6,7 +6,7 @@
 // interpolation with its gather's tile scratch), the histogram bins and
 // their block-private replicas, the Huffman encoder's chunk metadata and
 // the rANS coder's backward stream.  (The Huffman codec deflates straight
-// into the archive; only RLE+VLE's run streams deflate into a payload
+// into the archive; only RLE+VLE's count stream deflates into a payload
 // here.)  Every decompress() needs the mirror set: the outlier
 // section, the quant-codes the codec decodes in place, the predictor's aux
 // payload and, for regression and interpolation, the dense array the
