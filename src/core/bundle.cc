@@ -111,7 +111,9 @@ const std::vector<std::uint8_t>& Bundle::archive(const std::string& name) const 
 std::vector<std::uint8_t> Bundle::serialize() const {
   std::vector<std::uint32_t> crcs;
   crcs.reserve(names_.size());
-  for (std::size_t i = 0; i < names_.size(); ++i) crcs.push_back(entry_crc(names_[i], archives_[i]));
+  for (std::size_t i = 0; i < names_.size(); ++i) {
+    crcs.push_back(entry_crc(names_[i], archives_[i]));
+  }
   const auto body = [&](ByteWriter& w) {
     w.put(kMagic);
     w.put(kVersion);

@@ -5,6 +5,7 @@
 // predictor aux and outliers, and the rANS stream re-encoded at one lane.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -42,7 +43,7 @@ inline std::vector<std::uint8_t> one_lane_archive(std::span<const std::uint8_t> 
   std::copy_n(eight_lane.begin(), prefix, out.begin());
   out[4] = static_cast<std::uint8_t>(archive::kVersion);  // low byte of the u16 version
   out[7] = static_cast<std::uint8_t>(Workflow::kRansOneLane);
-  ByteWriter w(std::span<std::uint8_t>(out).subspan(prefix, out.size() - prefix - archive::kCrcBytes));
+  ByteWriter w(std::span<std::uint8_t>(out).first(out.size() - archive::kCrcBytes).subspan(prefix));
   section(w);
   archive::seal_crc32(out);
   return out;
