@@ -633,6 +633,269 @@ TEST(ModeledClock, HistogramCostsArePinned) {
   for (std::size_t i = 0; i < rows.size(); ++i) EXPECT_EQ(rows[i], kWant[i]) << "row " << i;
 }
 
+// --- Regression and interpolation: bytes and modeled clock ------------------
+//
+// Both predictors on the multi-block outlier fields above and on a ragged
+// 3-D field whose interpolation level clamps to 3, each at a noise
+// amplitude that leaves 5-25% of the elements outliers.  Regression's 1-D
+// chunks are 256 wide and cannot follow two periods of the wave with a
+// line (at capacity 64 almost every element is an outlier), so it runs at
+// capacity 1024 there.
+
+struct SparseCase {
+  const char* stem;
+  PredictorKind predictor;
+  Extents ext;
+  double amp;
+  std::uint32_t capacity;
+};
+
+const SparseCase kSparseCases[] = {
+    {"regression 1d", PredictorKind::kRegression, Extents::d1(16387), 0.14, 1024},
+    {"regression 2d", PredictorKind::kRegression, Extents::d2(21, 1027), 0.14, 64},
+    {"regression 3d", PredictorKind::kRegression, Extents::d3(10, 11, 515), 0.14, 64},
+    {"regression ragged", PredictorKind::kRegression, Extents::d3(5, 7, 13), 0.14, 64},
+    {"interp 1d", PredictorKind::kInterpolation, Extents::d1(16387), 0.1, 64},
+    {"interp 2d", PredictorKind::kInterpolation, Extents::d2(21, 1027), 0.1, 64},
+    {"interp 3d", PredictorKind::kInterpolation, Extents::d3(10, 11, 515), 0.1, 64},
+    {"interp ragged", PredictorKind::kInterpolation, Extents::d3(5, 7, 13), 0.1, 64},
+};
+
+std::string fnv_row(const std::string& label, const Compressed& c) {
+  char buf[96];
+  std::snprintf(buf, sizeof buf, " archive=%016llx decoded=%016llx",
+                static_cast<unsigned long long>(fnv1a(c.bytes)),
+                static_cast<unsigned long long>(fnv1a(Compressor::decompress(c.bytes).bytes())));
+  return label + buf;
+}
+
+std::vector<std::string> sparse_path_byte_rows() {
+  std::vector<std::string> rows;
+  for (const SparseCase& sc : kSparseCases) {
+    CompressConfig cfg = outlier_config(sc.capacity);
+    cfg.predictor = sc.predictor;
+    const auto add = [&](FieldView field, const char* dtype) {
+      const auto c = Compressor(cfg).compress(field, sc.ext);
+      const double frac =
+          static_cast<double>(c.stats.outlier_count) / static_cast<double>(sc.ext.count());
+      EXPECT_GT(frac, 0.05) << sc.stem << " " << dtype;
+      EXPECT_LT(frac, 0.25) << sc.stem << " " << dtype;
+      rows.push_back(fnv_row(std::string(sc.stem) + " " + dtype, c));
+    };
+    add(rough_field<float>(sc.ext, sc.amp), "f32");
+    add(rough_field<double>(sc.ext, sc.amp), "f64");
+  }
+  // A 16-code quantizer under unit noise: almost every element an outlier.
+  const Extents ext = Extents::d3(11, 19, 21);
+  for (const PredictorKind predictor : {PredictorKind::kRegression, PredictorKind::kInterpolation}) {
+    const char* stem =
+        predictor == PredictorKind::kRegression ? "regression noisy" : "interp noisy";
+    CompressConfig cfg = outlier_config(16);
+    cfg.predictor = predictor;
+    const auto add = [&](FieldView field, const char* dtype) {
+      const auto c = Compressor(cfg).compress(field, ext);
+      EXPECT_GT(c.stats.outlier_count, ext.count() * 9 / 10) << stem << " " << dtype;
+      rows.push_back(fnv_row(std::string(stem) + " " + dtype, c));
+    };
+    add(noisy<float>(ext.count(), 7), "f32");
+    add(noisy<double>(ext.count(), 7), "f64");
+  }
+  return rows;
+}
+
+TEST(GoldenArchive, RegressionInterpolationBytesArePinned) {
+  const char* const kWant[] = {
+      "regression 1d f32 archive=e6739419b62628c8 decoded=6c896fcea8d1a461",
+      "regression 1d f64 archive=349fb959714e6a4e decoded=750879b33da8e642",
+      "regression 2d f32 archive=53c06179b71bdde9 decoded=bedaa47273439e37",
+      "regression 2d f64 archive=65a929c13ecef242 decoded=1bc94778bde277ce",
+      "regression 3d f32 archive=a2d870ff9213bc80 decoded=83b3ac10afe786c7",
+      "regression 3d f64 archive=af58216e0c1c6963 decoded=2875e1af1a1f05b0",
+      "regression ragged f32 archive=e81381f7cc3b6be8 decoded=395e887aa9603b49",
+      "regression ragged f64 archive=459d37ae80a51ba1 decoded=1b12f1313d377cf0",
+      "interp 1d f32 archive=bb16903cd4311fe9 decoded=63dc4cc291620b39",
+      "interp 1d f64 archive=fbab14aab5526df2 decoded=a72b9d55578947d7",
+      "interp 2d f32 archive=844235501759fe28 decoded=5136a01330b4abbb",
+      "interp 2d f64 archive=4cd3d7f391d01e41 decoded=2c51606f7f1338ee",
+      "interp 3d f32 archive=061e288034b3ff9f decoded=72e3b22505eb9cd0",
+      "interp 3d f64 archive=9b42cad96a664f28 decoded=cb081b2e96936c76",
+      "interp ragged f32 archive=9812dae8d3374f17 decoded=278f2009c1c71985",
+      "interp ragged f64 archive=2a9d25979629ee0f decoded=91442450ae7f98a5",
+      "regression noisy f32 archive=1c250dd0dcda85ad decoded=31c92f36940d0e34",
+      "regression noisy f64 archive=f6847c83b57320a1 decoded=ec46c865ae083989",
+      "interp noisy f32 archive=bc979fd678eafedd decoded=a752d00c38843eef",
+      "interp noisy f64 archive=375e46c81fa023cd decoded=2f7964e5475235a8",
+  };
+  const auto rows = sparse_path_byte_rows();
+  ASSERT_EQ(rows.size(), std::size(kWant));
+  for (std::size_t i = 0; i < rows.size(); ++i) EXPECT_EQ(rows[i], kWant[i]) << "row " << i;
+}
+
+std::vector<std::string> sparse_path_cost_rows() {
+  std::vector<std::string> rows;
+  for (const SparseCase& sc : kSparseCases) {
+    const bool regression = sc.predictor == PredictorKind::kRegression;
+    const char* construct = regression ? "regression_construct" : "interpolation_construct";
+    const char* reconstruct = regression ? "regression_reconstruct" : "interpolation_reconstruct";
+    for (const std::uint32_t capacity : {sc.capacity, 65536u}) {
+      CompressConfig cfg = outlier_config(capacity);
+      cfg.predictor = sc.predictor;
+      const auto add = [&](FieldView field, const char* dtype) {
+        const auto c = Compressor(cfg).compress(field, sc.ext);
+        EXPECT_EQ(c.stats.outlier_count == 0, capacity == 65536u) << sc.stem;
+        const auto d = Compressor::decompress(c.bytes);
+        const std::string label =
+            std::string(sc.stem) + " cap" + std::to_string(capacity) + " " + dtype;
+        for (const char* stage : {construct, "gather_outlier"}) {
+          rows.push_back(cost_row(label, c.stats.pipeline, stage));
+        }
+        for (const char* stage : {"scatter_outlier", reconstruct}) {
+          rows.push_back(cost_row(label, d.pipeline, stage));
+        }
+      };
+      add(rough_field<float>(sc.ext, sc.amp), "f32");
+      add(rough_field<double>(sc.ext, sc.amp), "f64");
+    }
+  }
+  return rows;
+}
+
+TEST(ModeledClock, RegressionInterpolationCostsArePinned) {
+  const char* const kWant[] = {
+      "regression 1d cap1024 f32 regression_construct br=66588 bw=99362 fl=229418 la=2 pi=16387 pat=0 cf=0x1.199999999999ap-1",
+      "regression 1d cap1024 f32 gather_outlier br=131112 bw=19664 fl=16387 la=2 pi=16387 pat=3 cf=0x0p+0",
+      "regression 1d cap1024 f32 scatter_outlier br=26208 bw=6552 fl=1638 la=1 pi=1638 pat=3 cf=0x0p+0",
+      "regression 1d cap1024 f32 regression_reconstruct br=99362 bw=65548 fl=131096 la=1 pi=16387 pat=0 cf=0x1.4cccccccccccdp-1",
+      "regression 1d cap1024 f64 regression_construct br=132136 bw=99362 fl=229418 la=2 pi=16387 pat=0 cf=0x1.199999999999ap-1",
+      "regression 1d cap1024 f64 gather_outlier br=131112 bw=19628 fl=16387 la=2 pi=16387 pat=3 cf=0x0p+0",
+      "regression 1d cap1024 f64 scatter_outlier br=26160 bw=6540 fl=1635 la=1 pi=1635 pat=3 cf=0x0p+0",
+      "regression 1d cap1024 f64 regression_reconstruct br=99362 bw=131096 fl=131096 la=1 pi=16387 pat=0 cf=0x1.4cccccccccccdp-1",
+      "regression 1d cap65536 f32 regression_construct br=66588 bw=99362 fl=229418 la=2 pi=16387 pat=0 cf=0x1.199999999999ap-1",
+      "regression 1d cap65536 f32 gather_outlier br=131112 bw=8 fl=16387 la=2 pi=16387 pat=3 cf=0x0p+0",
+      "regression 1d cap65536 f32 scatter_outlier br=0 bw=0 fl=0 la=1 pi=1 pat=3 cf=0x0p+0",
+      "regression 1d cap65536 f32 regression_reconstruct br=99362 bw=65548 fl=131096 la=1 pi=16387 pat=0 cf=0x1.4cccccccccccdp-1",
+      "regression 1d cap65536 f64 regression_construct br=132136 bw=99362 fl=229418 la=2 pi=16387 pat=0 cf=0x1.199999999999ap-1",
+      "regression 1d cap65536 f64 gather_outlier br=131112 bw=8 fl=16387 la=2 pi=16387 pat=3 cf=0x0p+0",
+      "regression 1d cap65536 f64 scatter_outlier br=0 bw=0 fl=0 la=1 pi=1 pat=3 cf=0x0p+0",
+      "regression 1d cap65536 f64 regression_reconstruct br=99362 bw=131096 fl=131096 la=1 pi=16387 pat=0 cf=0x1.4cccccccccccdp-1",
+      "regression 2d cap64 f32 regression_construct br=88348 bw=131482 fl=301938 la=2 pi=21567 pat=0 cf=0x1.199999999999ap-1",
+      "regression 2d cap64 f32 gather_outlier br=172552 bw=48788 fl=21567 la=2 pi=21567 pat=3 cf=0x0p+0",
+      "regression 2d cap64 f32 scatter_outlier br=65040 bw=16260 fl=4065 la=1 pi=4065 pat=3 cf=0x0p+0",
+      "regression 2d cap64 f32 regression_reconstruct br=131482 bw=86268 fl=172536 la=1 pi=21567 pat=0 cf=0x1.4cccccccccccdp-1",
+      "regression 2d cap64 f64 regression_construct br=174616 bw=131482 fl=301938 la=2 pi=21567 pat=0 cf=0x1.199999999999ap-1",
+      "regression 2d cap64 f64 gather_outlier br=172552 bw=48752 fl=21567 la=2 pi=21567 pat=3 cf=0x0p+0",
+      "regression 2d cap64 f64 scatter_outlier br=64992 bw=16248 fl=4062 la=1 pi=4062 pat=3 cf=0x0p+0",
+      "regression 2d cap64 f64 regression_reconstruct br=131482 bw=172536 fl=172536 la=1 pi=21567 pat=0 cf=0x1.4cccccccccccdp-1",
+      "regression 2d cap65536 f32 regression_construct br=88348 bw=131482 fl=301938 la=2 pi=21567 pat=0 cf=0x1.199999999999ap-1",
+      "regression 2d cap65536 f32 gather_outlier br=172552 bw=8 fl=21567 la=2 pi=21567 pat=3 cf=0x0p+0",
+      "regression 2d cap65536 f32 scatter_outlier br=0 bw=0 fl=0 la=1 pi=1 pat=3 cf=0x0p+0",
+      "regression 2d cap65536 f32 regression_reconstruct br=131482 bw=86268 fl=172536 la=1 pi=21567 pat=0 cf=0x1.4cccccccccccdp-1",
+      "regression 2d cap65536 f64 regression_construct br=174616 bw=131482 fl=301938 la=2 pi=21567 pat=0 cf=0x1.199999999999ap-1",
+      "regression 2d cap65536 f64 gather_outlier br=172552 bw=8 fl=21567 la=2 pi=21567 pat=3 cf=0x0p+0",
+      "regression 2d cap65536 f64 scatter_outlier br=0 bw=0 fl=0 la=1 pi=1 pat=3 cf=0x0p+0",
+      "regression 2d cap65536 f64 regression_reconstruct br=131482 bw=172536 fl=172536 la=1 pi=21567 pat=0 cf=0x1.4cccccccccccdp-1",
+      "regression 3d cap64 f32 regression_construct br=230760 bw=344060 fl=793100 la=2 pi=56650 pat=0 cf=0x1.199999999999ap-1",
+      "regression 3d cap64 f32 gather_outlier br=453216 bw=68648 fl=56650 la=2 pi=56650 pat=3 cf=0x0p+0",
+      "regression 3d cap64 f32 scatter_outlier br=91520 bw=22880 fl=5720 la=1 pi=5720 pat=3 cf=0x0p+0",
+      "regression 3d cap64 f32 regression_reconstruct br=344060 bw=226600 fl=453200 la=1 pi=56650 pat=0 cf=0x1.4cccccccccccdp-1",
+      "regression 3d cap64 f64 regression_construct br=457360 bw=344060 fl=793100 la=2 pi=56650 pat=0 cf=0x1.199999999999ap-1",
+      "regression 3d cap64 f64 gather_outlier br=453216 bw=68468 fl=56650 la=2 pi=56650 pat=3 cf=0x0p+0",
+      "regression 3d cap64 f64 scatter_outlier br=91280 bw=22820 fl=5705 la=1 pi=5705 pat=3 cf=0x0p+0",
+      "regression 3d cap64 f64 regression_reconstruct br=344060 bw=453200 fl=453200 la=1 pi=56650 pat=0 cf=0x1.4cccccccccccdp-1",
+      "regression 3d cap65536 f32 regression_construct br=230760 bw=344060 fl=793100 la=2 pi=56650 pat=0 cf=0x1.199999999999ap-1",
+      "regression 3d cap65536 f32 gather_outlier br=453216 bw=8 fl=56650 la=2 pi=56650 pat=3 cf=0x0p+0",
+      "regression 3d cap65536 f32 scatter_outlier br=0 bw=0 fl=0 la=1 pi=1 pat=3 cf=0x0p+0",
+      "regression 3d cap65536 f32 regression_reconstruct br=344060 bw=226600 fl=453200 la=1 pi=56650 pat=0 cf=0x1.4cccccccccccdp-1",
+      "regression 3d cap65536 f64 regression_construct br=457360 bw=344060 fl=793100 la=2 pi=56650 pat=0 cf=0x1.199999999999ap-1",
+      "regression 3d cap65536 f64 gather_outlier br=453216 bw=8 fl=56650 la=2 pi=56650 pat=3 cf=0x0p+0",
+      "regression 3d cap65536 f64 scatter_outlier br=0 bw=0 fl=0 la=1 pi=1 pat=3 cf=0x0p+0",
+      "regression 3d cap65536 f64 regression_reconstruct br=344060 bw=453200 fl=453200 la=1 pi=56650 pat=0 cf=0x1.4cccccccccccdp-1",
+      "regression ragged cap64 f32 regression_construct br=1852 bw=2762 fl=6370 la=2 pi=455 pat=0 cf=0x1.199999999999ap-1",
+      "regression ragged cap64 f32 gather_outlier br=3656 bw=476 fl=455 la=2 pi=455 pat=3 cf=0x0p+0",
+      "regression ragged cap64 f32 scatter_outlier br=624 bw=156 fl=39 la=1 pi=39 pat=3 cf=0x0p+0",
+      "regression ragged cap64 f32 regression_reconstruct br=2762 bw=1820 fl=3640 la=1 pi=455 pat=0 cf=0x1.4cccccccccccdp-1",
+      "regression ragged cap64 f64 regression_construct br=3672 bw=2762 fl=6370 la=2 pi=455 pat=0 cf=0x1.199999999999ap-1",
+      "regression ragged cap64 f64 gather_outlier br=3656 bw=476 fl=455 la=2 pi=455 pat=3 cf=0x0p+0",
+      "regression ragged cap64 f64 scatter_outlier br=624 bw=156 fl=39 la=1 pi=39 pat=3 cf=0x0p+0",
+      "regression ragged cap64 f64 regression_reconstruct br=2762 bw=3640 fl=3640 la=1 pi=455 pat=0 cf=0x1.4cccccccccccdp-1",
+      "regression ragged cap65536 f32 regression_construct br=1852 bw=2762 fl=6370 la=2 pi=455 pat=0 cf=0x1.199999999999ap-1",
+      "regression ragged cap65536 f32 gather_outlier br=3656 bw=8 fl=455 la=2 pi=455 pat=3 cf=0x0p+0",
+      "regression ragged cap65536 f32 scatter_outlier br=0 bw=0 fl=0 la=1 pi=1 pat=3 cf=0x0p+0",
+      "regression ragged cap65536 f32 regression_reconstruct br=2762 bw=1820 fl=3640 la=1 pi=455 pat=0 cf=0x1.4cccccccccccdp-1",
+      "regression ragged cap65536 f64 regression_construct br=3672 bw=2762 fl=6370 la=2 pi=455 pat=0 cf=0x1.199999999999ap-1",
+      "regression ragged cap65536 f64 gather_outlier br=3656 bw=8 fl=455 la=2 pi=455 pat=3 cf=0x0p+0",
+      "regression ragged cap65536 f64 scatter_outlier br=0 bw=0 fl=0 la=1 pi=1 pat=3 cf=0x0p+0",
+      "regression ragged cap65536 f64 regression_reconstruct br=2762 bw=3640 fl=3640 la=1 pi=455 pat=0 cf=0x1.4cccccccccccdp-1",
+      "interp 1d cap64 f32 interpolation_construct br=262192 bw=98322 fl=163870 la=15 pi=8193 pat=2 cf=0x1.3333333333333p-2",
+      "interp 1d cap64 f32 gather_outlier br=131112 bw=20360 fl=16387 la=2 pi=16387 pat=3 cf=0x0p+0",
+      "interp 1d cap64 f32 scatter_outlier br=27136 bw=6784 fl=1696 la=1 pi=1696 pat=3 cf=0x0p+0",
+      "interp 1d cap64 f32 interpolation_reconstruct br=262192 bw=98322 fl=163870 la=15 pi=8193 pat=2 cf=0x1.3333333333333p-2",
+      "interp 1d cap64 f64 interpolation_construct br=327740 bw=98322 fl=163870 la=15 pi=8193 pat=2 cf=0x1.3333333333333p-2",
+      "interp 1d cap64 f64 gather_outlier br=131112 bw=20336 fl=16387 la=2 pi=16387 pat=3 cf=0x0p+0",
+      "interp 1d cap64 f64 scatter_outlier br=27104 bw=6776 fl=1694 la=1 pi=1694 pat=3 cf=0x0p+0",
+      "interp 1d cap64 f64 interpolation_reconstruct br=327740 bw=98322 fl=163870 la=15 pi=8193 pat=2 cf=0x1.3333333333333p-2",
+      "interp 1d cap65536 f32 interpolation_construct br=262192 bw=98322 fl=163870 la=15 pi=8193 pat=2 cf=0x1.3333333333333p-2",
+      "interp 1d cap65536 f32 gather_outlier br=131112 bw=8 fl=16387 la=2 pi=16387 pat=3 cf=0x0p+0",
+      "interp 1d cap65536 f32 scatter_outlier br=0 bw=0 fl=0 la=1 pi=1 pat=3 cf=0x0p+0",
+      "interp 1d cap65536 f32 interpolation_reconstruct br=262192 bw=98322 fl=163870 la=15 pi=8193 pat=2 cf=0x1.3333333333333p-2",
+      "interp 1d cap65536 f64 interpolation_construct br=327740 bw=98322 fl=163870 la=15 pi=8193 pat=2 cf=0x1.3333333333333p-2",
+      "interp 1d cap65536 f64 gather_outlier br=131112 bw=8 fl=16387 la=2 pi=16387 pat=3 cf=0x0p+0",
+      "interp 1d cap65536 f64 scatter_outlier br=0 bw=0 fl=0 la=1 pi=1 pat=3 cf=0x0p+0",
+      "interp 1d cap65536 f64 interpolation_reconstruct br=327740 bw=98322 fl=163870 la=15 pi=8193 pat=2 cf=0x1.3333333333333p-2",
+      "interp 2d cap64 f32 interpolation_construct br=345072 bw=129402 fl=215670 la=15 pi=10783 pat=2 cf=0x1.3333333333333p-2",
+      "interp 2d cap64 f32 gather_outlier br=172552 bw=26156 fl=21567 la=2 pi=21567 pat=3 cf=0x0p+0",
+      "interp 2d cap64 f32 scatter_outlier br=34864 bw=8716 fl=2179 la=1 pi=2179 pat=3 cf=0x0p+0",
+      "interp 2d cap64 f32 interpolation_reconstruct br=345072 bw=129402 fl=215670 la=15 pi=10783 pat=2 cf=0x1.3333333333333p-2",
+      "interp 2d cap64 f64 interpolation_construct br=431340 bw=129402 fl=215670 la=15 pi=10783 pat=2 cf=0x1.3333333333333p-2",
+      "interp 2d cap64 f64 gather_outlier br=172552 bw=26036 fl=21567 la=2 pi=21567 pat=3 cf=0x0p+0",
+      "interp 2d cap64 f64 scatter_outlier br=34704 bw=8676 fl=2169 la=1 pi=2169 pat=3 cf=0x0p+0",
+      "interp 2d cap64 f64 interpolation_reconstruct br=431340 bw=129402 fl=215670 la=15 pi=10783 pat=2 cf=0x1.3333333333333p-2",
+      "interp 2d cap65536 f32 interpolation_construct br=345072 bw=129402 fl=215670 la=15 pi=10783 pat=2 cf=0x1.3333333333333p-2",
+      "interp 2d cap65536 f32 gather_outlier br=172552 bw=8 fl=21567 la=2 pi=21567 pat=3 cf=0x0p+0",
+      "interp 2d cap65536 f32 scatter_outlier br=0 bw=0 fl=0 la=1 pi=1 pat=3 cf=0x0p+0",
+      "interp 2d cap65536 f32 interpolation_reconstruct br=345072 bw=129402 fl=215670 la=15 pi=10783 pat=2 cf=0x1.3333333333333p-2",
+      "interp 2d cap65536 f64 interpolation_construct br=431340 bw=129402 fl=215670 la=15 pi=10783 pat=2 cf=0x1.3333333333333p-2",
+      "interp 2d cap65536 f64 gather_outlier br=172552 bw=8 fl=21567 la=2 pi=21567 pat=3 cf=0x0p+0",
+      "interp 2d cap65536 f64 scatter_outlier br=0 bw=0 fl=0 la=1 pi=1 pat=3 cf=0x0p+0",
+      "interp 2d cap65536 f64 interpolation_reconstruct br=431340 bw=129402 fl=215670 la=15 pi=10783 pat=2 cf=0x1.3333333333333p-2",
+      "interp 3d cap64 f32 interpolation_construct br=906400 bw=339900 fl=566500 la=15 pi=28325 pat=2 cf=0x1.3333333333333p-2",
+      "interp 3d cap64 f32 gather_outlier br=453216 bw=63488 fl=56650 la=2 pi=56650 pat=3 cf=0x0p+0",
+      "interp 3d cap64 f32 scatter_outlier br=84640 bw=21160 fl=5290 la=1 pi=5290 pat=3 cf=0x0p+0",
+      "interp 3d cap64 f32 interpolation_reconstruct br=906400 bw=339900 fl=566500 la=15 pi=28325 pat=2 cf=0x1.3333333333333p-2",
+      "interp 3d cap64 f64 interpolation_construct br=1133000 bw=339900 fl=566500 la=15 pi=28325 pat=2 cf=0x1.3333333333333p-2",
+      "interp 3d cap64 f64 gather_outlier br=453216 bw=63272 fl=56650 la=2 pi=56650 pat=3 cf=0x0p+0",
+      "interp 3d cap64 f64 scatter_outlier br=84352 bw=21088 fl=5272 la=1 pi=5272 pat=3 cf=0x0p+0",
+      "interp 3d cap64 f64 interpolation_reconstruct br=1133000 bw=339900 fl=566500 la=15 pi=28325 pat=2 cf=0x1.3333333333333p-2",
+      "interp 3d cap65536 f32 interpolation_construct br=906400 bw=339900 fl=566500 la=15 pi=28325 pat=2 cf=0x1.3333333333333p-2",
+      "interp 3d cap65536 f32 gather_outlier br=453216 bw=8 fl=56650 la=2 pi=56650 pat=3 cf=0x0p+0",
+      "interp 3d cap65536 f32 scatter_outlier br=0 bw=0 fl=0 la=1 pi=1 pat=3 cf=0x0p+0",
+      "interp 3d cap65536 f32 interpolation_reconstruct br=906400 bw=339900 fl=566500 la=15 pi=28325 pat=2 cf=0x1.3333333333333p-2",
+      "interp 3d cap65536 f64 interpolation_construct br=1133000 bw=339900 fl=566500 la=15 pi=28325 pat=2 cf=0x1.3333333333333p-2",
+      "interp 3d cap65536 f64 gather_outlier br=453216 bw=8 fl=56650 la=2 pi=56650 pat=3 cf=0x0p+0",
+      "interp 3d cap65536 f64 scatter_outlier br=0 bw=0 fl=0 la=1 pi=1 pat=3 cf=0x0p+0",
+      "interp 3d cap65536 f64 interpolation_reconstruct br=1133000 bw=339900 fl=566500 la=15 pi=28325 pat=2 cf=0x1.3333333333333p-2",
+      "interp ragged cap64 f32 interpolation_construct br=7280 bw=2730 fl=4550 la=9 pi=227 pat=2 cf=0x1.3333333333333p-2",
+      "interp ragged cap64 f32 gather_outlier br=3656 bw=488 fl=455 la=2 pi=455 pat=3 cf=0x0p+0",
+      "interp ragged cap64 f32 scatter_outlier br=640 bw=160 fl=40 la=1 pi=40 pat=3 cf=0x0p+0",
+      "interp ragged cap64 f32 interpolation_reconstruct br=7280 bw=2730 fl=4550 la=9 pi=227 pat=2 cf=0x1.3333333333333p-2",
+      "interp ragged cap64 f64 interpolation_construct br=9100 bw=2730 fl=4550 la=9 pi=227 pat=2 cf=0x1.3333333333333p-2",
+      "interp ragged cap64 f64 gather_outlier br=3656 bw=488 fl=455 la=2 pi=455 pat=3 cf=0x0p+0",
+      "interp ragged cap64 f64 scatter_outlier br=640 bw=160 fl=40 la=1 pi=40 pat=3 cf=0x0p+0",
+      "interp ragged cap64 f64 interpolation_reconstruct br=9100 bw=2730 fl=4550 la=9 pi=227 pat=2 cf=0x1.3333333333333p-2",
+      "interp ragged cap65536 f32 interpolation_construct br=7280 bw=2730 fl=4550 la=9 pi=227 pat=2 cf=0x1.3333333333333p-2",
+      "interp ragged cap65536 f32 gather_outlier br=3656 bw=8 fl=455 la=2 pi=455 pat=3 cf=0x0p+0",
+      "interp ragged cap65536 f32 scatter_outlier br=0 bw=0 fl=0 la=1 pi=1 pat=3 cf=0x0p+0",
+      "interp ragged cap65536 f32 interpolation_reconstruct br=7280 bw=2730 fl=4550 la=9 pi=227 pat=2 cf=0x1.3333333333333p-2",
+      "interp ragged cap65536 f64 interpolation_construct br=9100 bw=2730 fl=4550 la=9 pi=227 pat=2 cf=0x1.3333333333333p-2",
+      "interp ragged cap65536 f64 gather_outlier br=3656 bw=8 fl=455 la=2 pi=455 pat=3 cf=0x0p+0",
+      "interp ragged cap65536 f64 scatter_outlier br=0 bw=0 fl=0 la=1 pi=1 pat=3 cf=0x0p+0",
+      "interp ragged cap65536 f64 interpolation_reconstruct br=9100 bw=2730 fl=4550 la=9 pi=227 pat=2 cf=0x1.3333333333333p-2",
+  };
+  const auto rows = sparse_path_cost_rows();
+  ASSERT_EQ(rows.size(), std::size(kWant));
+  for (std::size_t i = 0; i < rows.size(); ++i) EXPECT_EQ(rows[i], kWant[i]) << "row " << i;
+}
+
 // The goldens written before kRans moved from one rANS lane (tag 3) to
 // eight (tag 7) stay as decode-only fixtures: the quant codes are the same,
 // so each must decode to exactly the bytes of its eight-lane re-baseline.
