@@ -125,9 +125,9 @@ class FirstBlockError {
 };
 
 /// The one parallel loop: run(i) for every i in [0, n) on team_size(threads)
-/// threads under a static schedule.  A fault in run(i) is ranked by key(i).
-/// Grids of 0 and 1 blocks run inline: no team to spin up, and a single
-/// block's exception propagates directly.
+/// threads, but never more threads than blocks, under a static schedule.  A
+/// fault in run(i) is ranked by key(i).  Grids of 0 and 1 blocks run inline:
+/// no team to spin up, and a single block's exception propagates directly.
 template <typename Key, typename Run>
 void launch_keyed(std::size_t n, std::size_t threads, const Key& key, Run&& run) {
   if (n == 0) return;
@@ -143,7 +143,7 @@ void launch_keyed(std::size_t n, std::size_t threads, const Key& key, Run&& run)
       err.note(key(i));
     }
   };
-  const std::size_t team = team_size(threads);
+  const std::size_t team = std::min(team_size(threads), n);
   if (team == 1) {
     for (std::size_t i = 0; i < n; ++i) block(i);
   } else {

@@ -7,6 +7,10 @@
 #include <string>
 #include <vector>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 #include "scoped_threads.hh"
 #include "sim/check.hh"
 #include "sim/histogram.hh"
@@ -184,6 +188,21 @@ TEST(LaunchBlocks, NestedLaunchRunsInlineOneLevel) {
     EXPECT_EQ(outer_seen[b], 1);
     EXPECT_EQ(inner_total[b], 8);
   }
+}
+
+TEST(LaunchBlocks, TeamNeverExceedsTheGrid) {
+#ifdef _OPENMP
+  // A grid of n blocks runs on at most n threads: a wider team would only
+  // fork threads that find no block to run.
+  const szp::test::ScopedThreads threads(4);
+  for (const std::size_t grid : {2u, 3u}) {
+    std::vector<int> team(grid, 0);
+    szp::sim::launch_blocks(grid, [&](std::size_t b) { team[b] = omp_get_num_threads(); });
+    for (const int t : team) EXPECT_LE(static_cast<std::size_t>(t), grid) << grid << " blocks";
+  }
+#else
+  GTEST_SKIP() << "built without OpenMP: every launch runs on one thread";
+#endif
 }
 
 TEST(ReduceByKey, SingleRunAcrossAllTiles) {
