@@ -49,7 +49,7 @@ Compressed CuszCompressor::compress(std::span<const float> data, const Extents& 
   st.pipeline.add({"lorenzo_construct", st.original_bytes, t.seconds(), lorenzo.cost});
 
   t.reset();
-  (void)lorenzo_gather_outliers(ext, lorenzo);
+  (void)lorenzo_gather_outliers(ext, kLorenzoRun, lorenzo);
 
   // The construct kernel compacts value-space outliers per block and the
   // merge writes them in index order: cuSZ's dense-to-sparse gather,
@@ -179,8 +179,8 @@ Decompressed CuszCompressor::decompress(std::span<const std::uint8_t> archive) {
   // Scatter value-space outliers into a dense array for the coarse kernel's
   // placeholder branch (cuSZ keeps them separate; the branch is the point).
   t.reset();
-  std::vector<qdiff_t> outlier_dense(n, 0);
-  sim::scatter_add(outliers, std::span<qdiff_t>(outlier_dense));
+  std::vector<qdiff_t> dense_values(n, 0);
+  sim::scatter_add(outliers, std::span<qdiff_t>(dense_values));
   out.pipeline.add({"scatter_outlier", payload_bytes, t.seconds(),
                     sim::scatter_cost(outliers.nnz(), sizeof(qdiff_t), sizeof(std::uint64_t))});
 
@@ -188,7 +188,7 @@ Decompressed CuszCompressor::decompress(std::span<const std::uint8_t> archive) {
   out.data.resize(n);
   const auto cost = lorenzo_reconstruct_coarse<float>(
       std::span<const quant_t>(dec.symbols.data(), dec.symbols.size()),
-      std::span<const qdiff_t>(outlier_dense.data(), outlier_dense.size()), ext, eb_abs, qcfg,
+      std::span<const qdiff_t>(dense_values.data(), dense_values.size()), ext, eb_abs, qcfg,
       std::span<float>(out.data.data(), out.data.size()));
   out.pipeline.add({"lorenzo_reconstruct", payload_bytes, t.seconds(), cost});
   return out;

@@ -12,7 +12,6 @@
 #include "core/pipeline/stage.hh"
 #include "core/predictor/interpolation.hh"
 #include "core/predictor/regression.hh"
-#include "sim/sparse.hh"
 #include "sim/timer.hh"
 
 namespace szp::pipeline {
@@ -25,40 +24,12 @@ std::size_t payload_bytes(const Compressor::ArchiveInfo& h) {
   return h.extents.count() * dtype_size(h.dtype);
 }
 
-/// Dense-to-sparse gather shared by the regression and interpolation
-/// construct paths: compact the product's dense outlier array into its
-/// outlier section.
-void gather_dense(std::size_t payload, Workspace& ws, sim::PipelineReport& report) {
-  sim::Timer t;
-  PredictorProduct& p = ws.product;
-  sim::KernelCost cost;
-  {
-    sim::traffic::Scope scope;  // contract-derived volumes
-    sim::dense_to_sparse_into(std::span<const qdiff_t>(p.outlier_dense), p.outliers,
-                              ws.gather_tile_nnz, ws.gather_offsets);
-    cost = sim::gather_cost(p.outlier_dense.size(), sizeof(qdiff_t), p.outliers.nnz(),
-                            sizeof(std::uint64_t));
-    scope.apply(cost);
-  }
-  report.add({"gather_outlier", payload, t.seconds(), cost});
-}
-
-/// Dense-outlier scatter shared by the regression and interpolation decode
-/// paths (Lorenzo adds the outliers inside its reconstruct blocks instead):
-/// re-zero the product's n-element outlier array, then add the outliers on
-/// top.
-void scatter_dense(const Compressor::ArchiveInfo& h, Workspace& ws, Decompressed& out) {
-  sim::Timer t;
-  PredictorProduct& p = ws.product;
-  p.outlier_dense.assign(h.extents.count(), 0);
-  sim::KernelCost cost;
-  {
-    sim::traffic::Scope scope;  // contract-derived volumes
-    sim::scatter_add(p.outliers, std::span<qdiff_t>(p.outlier_dense));
-    cost = sim::scatter_cost(p.outliers.nnz(), sizeof(qdiff_t), sizeof(std::uint64_t));
-    scope.apply(cost);
-  }
-  out.pipeline.add({"scatter_outlier", payload_bytes(h), t.seconds(), cost});
+/// The decode-side scatter entry of regression and interpolation: their
+/// reconstruct kernels add the outliers as they rebuild each value, so it
+/// carries only the modeled cost of the paper's scatter.
+void report_scatter(const Compressor::ArchiveInfo& h, const Workspace& ws, Decompressed& out) {
+  out.pipeline.add({"scatter_outlier", payload_bytes(h), 0.0,
+                    outlier_scatter_cost(ws.product.outliers.nnz())});
 }
 
 class LorenzoStage final : public PredictStage {
@@ -74,7 +45,7 @@ class LorenzoStage final : public PredictStage {
     });
     report.add({construct_stage(), data.size_bytes(), t.seconds(), ws.product.cost});
     t.reset();
-    const sim::KernelCost gather_cost = lorenzo_gather_outliers(ext, ws.product);
+    const sim::KernelCost gather_cost = lorenzo_gather_outliers(ext, kLorenzoRun, ws.product);
     report.add({"gather_outlier", data.size_bytes(), t.seconds(), gather_cost});
   }
 
@@ -110,7 +81,9 @@ class RegressionStage final : public PredictStage {
       regression_construct_into(elems, ext, eb_kernel, quant, ws.product);
     });
     report.add({construct_stage(), data.size_bytes(), t.seconds(), ws.product.cost});
-    gather_dense(data.size_bytes(), ws, report);
+    t.reset();
+    const sim::KernelCost gather_cost = lorenzo_gather_outliers(ext, 1, ws.product);
+    report.add({"gather_outlier", data.size_bytes(), t.seconds(), gather_cost});
   }
 
   void write_aux(ByteWriter& w, const Workspace& ws) const override {
@@ -123,13 +96,13 @@ class RegressionStage final : public PredictStage {
 
   void reconstruct(const Compressor::ArchiveInfo& h, const ReconstructConfig&, Workspace& ws,
                    Decompressed& out) const override {
-    scatter_dense(h, ws, out);
+    report_scatter(h, ws, out);
     sim::Timer t;
     const PredictorProduct& p = ws.product;
     const sim::KernelCost recon_cost =
         out.write_field([&]<typename T>(std::vector<T>& field) {
           field.resize(h.extents.count());
-          return regression_reconstruct<T>(p.quant, p.outlier_dense, p.coefficients, h.extents,
+          return regression_reconstruct<T>(p.quant, p.outliers, p.coefficients, h.extents,
                                            h.eb_abs, QuantConfig{h.capacity}, field);
         });
     out.pipeline.add({"regression_reconstruct", payload_bytes(h), t.seconds(), recon_cost});
@@ -146,11 +119,13 @@ class InterpolationStage final : public PredictStage {
                  Workspace& ws, sim::PipelineReport& report) const override {
     sim::Timer t;
     data.visit([&](auto elems) {
-      interpolation_construct_into(elems, ext, eb_kernel, quant, InterpolationConfig{},
-                                   ws.product);
+      interpolation_construct_into(elems, ext, eb_kernel, quant, ws.product);
     });
     report.add({construct_stage(), data.size_bytes(), t.seconds(), ws.product.cost});
-    gather_dense(data.size_bytes(), ws, report);
+    // The construct collects the section itself, so this entry carries only
+    // the modeled cost of the paper's gather.
+    report.add({"gather_outlier", data.size_bytes(), 0.0,
+                outlier_gather_cost(ext.count(), ws.product.outliers.nnz())});
   }
 
   void write_aux(ByteWriter& w, const Workspace& ws) const override {
@@ -165,15 +140,15 @@ class InterpolationStage final : public PredictStage {
 
   void reconstruct(const Compressor::ArchiveInfo& h, const ReconstructConfig&, Workspace& ws,
                    Decompressed& out) const override {
-    scatter_dense(h, ws, out);
+    report_scatter(h, ws, out);
     sim::Timer t;
     const PredictorProduct& p = ws.product;
     const sim::KernelCost recon_cost =
         out.write_field([&]<typename T>(std::vector<T>& field) {
           field.resize(h.extents.count());
-          return interpolation_reconstruct<T>(p.quant, p.outlier_dense, p.coefficients, p.level,
-                                              true, h.extents, h.eb_abs,
-                                              QuantConfig{h.capacity}, field);
+          return interpolation_reconstruct<T>(p.quant, p.outliers, p.coefficients, p.level,
+                                              h.extents, h.eb_abs, QuantConfig{h.capacity},
+                                              field);
         });
     out.pipeline.add({"interpolation_reconstruct", payload_bytes(h), t.seconds(), recon_cost});
   }

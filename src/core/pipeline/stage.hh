@@ -27,8 +27,10 @@
 //     benches pin.
 //   * Both directions work in the Workspace's one predictor product
 //     (Workspace::product, core/predictor/product.hh) through
-//     capacity-preserving fills, never fresh allocations, so repeated
-//     compression and decompression are allocation-free at steady state.
+//     capacity-preserving fills, so repeated compression and decompression
+//     through Lorenzo or regression are allocation-free at steady state.
+//     Interpolation still allocates its n-float lattice of reconstructed
+//     values, and its visit-ordered outlier list, on every call.
 #pragma once
 
 #include "core/compressor.hh"
@@ -63,8 +65,8 @@ class PredictStage {
   /// Rebuild the field the header `h` describes from the quant-codes the
   /// codec decoded into ws.product.quant, the outlier section in
   /// ws.product.outliers (strictly increasing indices below n) and the aux
-  /// read_aux() left in ws.product.  A stage that scatters the outliers
-  /// into ws.product.outlier_dense re-zeroes it first, whatever it held.
+  /// read_aux() left in ws.product; every stage adds the outliers as it
+  /// rebuilds the values.
   /// Appends its own PipelineReport entries (scatter + reconstruct), and
   /// sizes and fills the field through out.write_field() (out.dtype is
   /// already set).

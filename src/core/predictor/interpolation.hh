@@ -8,6 +8,12 @@
 // residuals like the other predictors.  Compression and decompression walk
 // the identical level/pass/point order, so predictions match exactly.
 //
+// That visit order follows from a point's coordinates alone, so the outlier
+// section needs no dense array either way: compression collects the
+// outliers in visit order and sorts them by index once, and decompression
+// puts the section back in visit order with one counting pass over the
+// 3L + 1 (level, pass) buckets and consumes it with one cursor.
+//
 // Compared to Lorenzo: interpolation sees neighbors on both sides, which
 // wins on very smooth fields at loose bounds, but each level depends on the
 // previous one, so reconstruction is level-synchronous rather than a single
@@ -23,34 +29,33 @@
 
 namespace szp {
 
-struct InterpolationConfig {
-  int max_level = 5;  ///< anchor stride = 2^max_level (clamped to the field)
-  bool cubic = true;  ///< cubic where 4 neighbors exist, else linear
-};
+/// Anchor level compression asks for: a stride of 2^5, clamped to the
+/// field.  The archive stores the level it used, and decode reads that.
+inline constexpr int kInterpolationLevel = 5;
 
 /// Predict level by level and quantize the residuals.  In the product,
 /// `coefficients` holds the anchor values rounded to float on the 2^level
 /// lattice (raster order), each anchor point's code quantizes what that
 /// rounding lost (the code `radius`, a zero residual, for float32 fields),
-/// and `level` is the L actually used.
+/// `level` is the L actually used, and `outliers` is the section.
 template <typename T>
 [[nodiscard]] PredictorProduct interpolation_construct(std::span<const T> data,
                                                        const Extents& ext, double eb_abs,
-                                                       const QuantConfig& quant,
-                                                       const InterpolationConfig& cfg = {});
+                                                       const QuantConfig& quant);
 
 /// Workspace-reuse variant: fills the caller's product with
 /// capacity-preserving assigns (see core/workspace.hh).
 template <typename T>
 void interpolation_construct_into(std::span<const T> data, const Extents& ext, double eb_abs,
-                                  const QuantConfig& quant, const InterpolationConfig& cfg,
-                                  PredictorProduct& res);
+                                  const QuantConfig& quant, PredictorProduct& res);
 
+/// Rebuild the field from codes, the outlier section (strictly increasing
+/// indices below n) and the anchors of the stored level.
 template <typename T>
 sim::KernelCost interpolation_reconstruct(std::span<const quant_t> quant,
-                                          std::span<const qdiff_t> outlier_dense,
+                                          const sim::SparseVector<qdiff_t>& outliers,
                                           std::span<const float> anchors, int level,
-                                          bool cubic, const Extents& ext, double eb_abs,
+                                          const Extents& ext, double eb_abs,
                                           const QuantConfig& qcfg, std::span<T> out);
 
 /// Number of anchor values for a field at the given level.

@@ -94,18 +94,20 @@ template <typename T>
 /// of that row's own range of res.outlier_slots (which is never
 /// zero-filled), with their count in res.row_outliers; and res.cost: the
 /// modeled cost of the paper's kernel, which writes a dense outlier array.
-/// Leaves res.outliers, res.outlier_dense, res.coefficients and res.level
-/// as they were.
+/// Leaves res.outliers, res.coefficients and res.level as they were.
 template <typename T>
 void lorenzo_construct_into(std::span<const T> data, const Extents& ext, double eb_abs,
                             const QuantConfig& quant, OutlierScheme scheme,
                             ConstructVariant variant, PredictorProduct& res);
 
-/// Merge the compacted box rows into res.outliers in index order, with no
-/// sort: box rows in field order are index order, so this is
-/// O(outliers + n / block width).  Returns the modeled cost of the paper's
-/// dense-to-sparse gather over n residuals (count + fill).
-sim::KernelCost lorenzo_gather_outliers(const Extents& ext, PredictorProduct& res);
+/// Merge the box rows a construct of blocks `run` chunks wide compacted
+/// (kLorenzoRun for lorenzo_construct_into, 1 for regression_construct_into)
+/// into res.outliers in index order, with no sort: box rows in field order
+/// are index order, so this is O(outliers + n / block width).  Returns the
+/// modeled cost of the paper's gather over n residuals
+/// (outlier_gather_cost).
+sim::KernelCost lorenzo_gather_outliers(const Extents& ext, std::size_t run,
+                                        PredictorProduct& res);
 
 struct ReconstructConfig {
   ReconstructVariant variant = ReconstructVariant::kOptimizedPartialSum;

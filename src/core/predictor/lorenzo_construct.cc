@@ -221,8 +221,9 @@ void lorenzo_construct_into(std::span<const T> data, const Extents& ext, double 
                                     : kOptimizedFactor[static_cast<std::size_t>(ext.rank)];
 }
 
-sim::KernelCost lorenzo_gather_outliers(const Extents& ext, PredictorProduct& res) {
-  const auto grid = lorenzo_detail::block_grid(ext, kLorenzoRun);
+sim::KernelCost lorenzo_gather_outliers(const Extents& ext, std::size_t run,
+                                        PredictorProduct& res) {
+  const auto grid = lorenzo_detail::block_grid(ext, run);
   const std::vector<std::uint16_t>& counts = res.row_outliers;
   std::size_t nnz = 0;
   for (const std::uint16_t c : counts) nnz += c;
@@ -242,15 +243,7 @@ sim::KernelCost lorenzo_gather_outliers(const Extents& ext, PredictorProduct& re
       }
     }
   }
-  // The paper's gather: a dense-to-sparse count and fill over the n
-  // residuals the construct kernel wrote, in 64 Ki-element tiles.
-  const std::size_t n = ext.count();
-  const std::size_t tiles = sim::div_ceil(n, std::size_t{1} << 16);
-  sim::KernelCost c = sim::gather_cost(n, sizeof(qdiff_t), nnz, sizeof(std::uint64_t));
-  c.bytes_read = 2 * n * sizeof(qdiff_t) + tiles * 2 * sizeof(std::size_t);
-  c.bytes_written = tiles * sizeof(std::size_t) + nnz * (sizeof(qdiff_t) + sizeof(std::uint64_t));
-  c.launches = 2;
-  return c;
+  return outlier_gather_cost(ext.count(), nnz);
 }
 
 template <typename T>
@@ -259,7 +252,7 @@ PredictorProduct lorenzo_construct(std::span<const T> data, const Extents& ext, 
                                    ConstructVariant variant) {
   PredictorProduct res;
   lorenzo_construct_into(data, ext, eb_abs, qcfg, scheme, variant, res);
-  (void)lorenzo_gather_outliers(ext, res);
+  (void)lorenzo_gather_outliers(ext, kLorenzoRun, res);
   return res;
 }
 

@@ -1,8 +1,8 @@
-// szp — launch geometry of the Lorenzo kernels (internal header).  A block
-// owns a box of `run` consecutive chunks along x and one chunk along y and
-// z, clamped to the field, and touches nothing outside it: construction and
-// the partial sums use runs of kLorenzoRun chunks, the coarse cuSZ kernel
-// one chunk per block.
+// szp — launch geometry of the chunked predictor kernels (internal header).
+// A block owns a box of `run` consecutive chunks along x and one chunk
+// along y and z, clamped to the field, and touches nothing outside it:
+// Lorenzo's construction and partial sums use runs of kLorenzoRun chunks,
+// the coarse cuSZ kernel and both regression kernels one chunk per block.
 #pragma once
 
 #include <algorithm>
@@ -64,6 +64,24 @@ struct Box {
                   ctr::by() * g.cs.cy, static_cast<std::int64_t>(g.cs.cy), ctr::bz() * g.cs.cz,
                   static_cast<std::int64_t>(g.cs.cz), static_cast<std::int64_t>(ext.nx),
                   static_cast<std::int64_t>(ext.ny), static_cast<std::int64_t>(ext.nz));
+}
+
+/// First position in [from, nnz) whose outlier index is at least `gi`, by
+/// binary search over the strictly increasing indices of `vidx`: where the
+/// outliers of the box row starting at field index `gi` begin.
+template <typename VI>
+[[nodiscard]] std::size_t first_outlier(const VI& vidx, std::size_t from, std::size_t nnz,
+                                        std::size_t gi) {
+  std::size_t lo = from, hi = nnz;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (vidx[mid] < gi) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
 }
 
 }  // namespace szp::lorenzo_detail

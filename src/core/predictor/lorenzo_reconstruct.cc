@@ -155,16 +155,8 @@ void rebuild_box(At&& at, const Extents& text, const Box& tb, const VQ& vquant, 
     // The indices strictly increase: binary-search the row's first one,
     // then add every outlier up to the row's end.  scan_add wraps a corrupt
     // residual instead of overflowing.
-    std::size_t lo = cur, hi = nnz;
-    while (lo < hi) {
-      const std::size_t mid = lo + (hi - lo) / 2;
-      if (vidx[mid] < gi) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    for (cur = lo; cur < nnz && vidx[cur] < gi + b.w; ++cur) {
+    cur = lorenzo_detail::first_outlier(vidx, cur, nnz, gi);
+    for (; cur < nnz && vidx[cur] < gi + b.w; ++cur) {
       qdiff_t& v = at(ti + (static_cast<std::size_t>(vidx[cur]) - gi));
       v = sim::scan_add(v, vval[cur]);
     }

@@ -3,25 +3,13 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/predictor/lorenzo.hh"
+#include "core/predictor/lorenzo_grid.hh"
 #include "sim/check.hh"
-#include "sim/launch.hh"
 
 namespace szp {
 
 namespace {
-
-struct Grid {
-  ChunkShape cs;
-  std::size_t gx, gy, gz;
-};
-
-Grid make_grid(const Extents& ext) {
-  Grid g{ChunkShape::for_rank(ext.rank), 0, 0, 0};
-  g.gx = sim::div_ceil(ext.nx, g.cs.cx);
-  g.gy = sim::div_ceil(ext.ny, g.cs.cy);
-  g.gz = sim::div_ceil(ext.nz, g.cs.cz);
-  return g;
-}
 
 /// Closed-form least squares on a regular grid: with centered coordinates
 /// u = pos - mean(pos) per axis, the design matrix is orthogonal, so
@@ -39,8 +27,7 @@ struct PlaneFit {
 }  // namespace
 
 std::size_t regression_chunk_count(const Extents& ext) {
-  const Grid g = make_grid(ext);
-  return g.gx * g.gy * g.gz;
+  return lorenzo_detail::block_grid(ext, 1).dim.count();
 }
 
 template <typename T>
@@ -55,46 +42,46 @@ void regression_construct_into(std::span<const T> data, const Extents& ext, doub
   }
 
   const std::size_t n = ext.count();
+  // One chunk per block, the grid and chunk ids of Lorenzo's coarse kernel.
+  const auto grid = lorenzo_detail::block_grid(ext, 1);
+  const std::size_t nchunks = grid.dim.count();
   res.cost = {};
-  res.quant.assign(n, 0);
-  res.outlier_dense.assign(n, 0);
-  const Grid grid = make_grid(ext);
-  const std::size_t nchunks = grid.gx * grid.gy * grid.gz;
+  res.quant.resize(n);          // the kernel writes every code
+  res.outlier_slots.resize(n);  // OutlierSlot() writes nothing: no fill
+  res.row_outliers.resize(ext.nz * ext.ny * grid.dim.x);
   res.coefficients.assign(nchunks * 4, 0.0f);
 
   const double inv2eb = 1.0 / (2.0 * eb_abs);
   const std::int64_t r = qcfg.radius();
-  const ChunkShape cs = grid.cs;
 
   namespace chk = sim::checked;
   namespace ctr = sim::contract;
-  sim::traffic::Scope traffic_scope;  // contract-derived volumes for res.cost
-  const auto tile_of = [&](ctr::AccessKind a, const char* buf) {
-    return ctr::box(a, buf, ctr::bx() * cs.cx, static_cast<std::int64_t>(cs.cx),
-                    ctr::by() * cs.cy, static_cast<std::int64_t>(cs.cy), ctr::bz() * cs.cz,
-                    static_cast<std::int64_t>(cs.cz), static_cast<std::int64_t>(ext.nx),
-                    static_cast<std::int64_t>(ext.ny), static_cast<std::int64_t>(ext.nz));
+  const auto box = [&](ctr::AccessKind a, const char* buf) {
+    return lorenzo_detail::box_clause(a, buf, grid, ext);
   };
   // coefficients[4 * chunk_id .. +4) with chunk_id = (bz*gy + by)*gx + bx.
   const ctr::Term coef_base =
-      ctr::bx() * 4 + ctr::by() * (4 * grid.gx) + ctr::bz() * (4 * grid.gx * grid.gy);
-  chk::launch_3d("regression_construct",
-                 {static_cast<std::uint32_t>(grid.gx), static_cast<std::uint32_t>(grid.gy),
-                  static_cast<std::uint32_t>(grid.gz)},
+      ctr::bx() * 4 + ctr::by() * (4 * grid.dim.x) + ctr::bz() * (4 * grid.dim.x * grid.dim.y);
+  chk::launch_3d("regression_construct", grid.dim,
                  chk::bufs(chk::in(data, "data"),
                            chk::out(std::span<quant_t>(res.quant), "quant"),
-                           chk::out(std::span<qdiff_t>(res.outlier_dense), "outlier"),
+                           chk::out(std::span<OutlierSlot>(res.outlier_slots), "slots"),
+                           chk::out(std::span<std::uint16_t>(res.row_outliers), "counts"),
                            chk::inout(std::span<float>(res.coefficients), "coefficients")),
-                 ctr::contract(tile_of(ctr::AccessKind::kRead, "data"),
-                               tile_of(ctr::AccessKind::kWrite, "quant"),
-                               tile_of(ctr::AccessKind::kWrite, "outlier"),
+                 ctr::contract(box(ctr::AccessKind::kRead, "data"),
+                               box(ctr::AccessKind::kWrite, "quant"),
+                               box(ctr::AccessKind::kWrite, "slots"),
+                               ctr::writes_box("counts", ctr::bx(), 1, ctr::by() * grid.cs.cy,
+                                               static_cast<std::int64_t>(grid.cs.cy),
+                                               ctr::bz() * grid.cs.cz,
+                                               static_cast<std::int64_t>(grid.cs.cz),
+                                               grid.dim.x, static_cast<std::int64_t>(ext.ny),
+                                               static_cast<std::int64_t>(ext.nz)),
                                ctr::updates("coefficients", coef_base, 4)),
                  [&](std::uint32_t bx, std::uint32_t by, std::uint32_t bz, const auto& vdata,
-                     const auto& vquant, const auto& voutlier, const auto& vcoef) {
-    const std::size_t x0 = bx * cs.cx, y0 = by * cs.cy, z0 = bz * cs.cz;
-    const std::size_t w = std::min(cs.cx, ext.nx - x0);
-    const std::size_t h = std::min(cs.cy, ext.ny - y0);
-    const std::size_t d = std::min(cs.cz, ext.nz - z0);
+                     const auto& vquant, const auto& vslots, const auto& vcount,
+                     const auto& vcoef) {
+    const auto [x0, y0, z0, w, h, d] = lorenzo_detail::box_of(grid, ext, bx, by, bz);
 
     // Pass 1: accumulate the orthogonal least-squares sums.
     PlaneFit fit;
@@ -130,7 +117,7 @@ void regression_construct_into(std::span<const T> data, const Extents& ext, doub
     // Store coefficients as float32 (they are reread in this exact
     // precision during reconstruction, so the bound is unaffected).
     const std::size_t chunk_id =
-        (static_cast<std::size_t>(bz) * grid.gy + by) * grid.gx + bx;
+        (static_cast<std::size_t>(bz) * grid.dim.y + by) * grid.dim.x + bx;
     vcoef[chunk_id * 4 + 0] = static_cast<float>(fit.b0);
     vcoef[chunk_id * 4 + 1] = static_cast<float>(fit.bx);
     vcoef[chunk_id * 4 + 2] = static_cast<float>(fit.by);
@@ -140,28 +127,38 @@ void regression_construct_into(std::span<const T> data, const Extents& ext, doub
     fit.by = vcoef[chunk_id * 4 + 2];
     fit.bz = vcoef[chunk_id * 4 + 3];
 
-    // Pass 2: quantize residuals against the (rounded) fit.
+    // Pass 2: quantize residuals against the (rounded) fit, and compact
+    // each row's outliers into the first slots of the row's own range.  A
+    // row holds at most 256 elements, so its count fits in 16 bits.
     for (std::size_t lz = 0; lz < d; ++lz) {
       for (std::size_t ly = 0; ly < h; ++ly) {
+        const std::size_t field_row = (z0 + lz) * ext.ny + y0 + ly;
+        const std::size_t row = field_row * ext.nx + x0;
+        std::uint16_t outliers = 0;
         for (std::size_t lx = 0; lx < w; ++lx) {
-          const std::size_t gi = ext.index(z0 + lz, y0 + ly, x0 + lx);
-          const double resid = static_cast<double>(vdata[gi]) - fit.at(lz, ly, lx);
+          const double resid = static_cast<double>(vdata[row + lx]) - fit.at(lz, ly, lx);
           const std::int64_t k = std::llround(resid * inv2eb);
           if (k > -r && k < r) {
-            vquant[gi] = static_cast<quant_t>(k + r);
+            vquant[row + lx] = static_cast<quant_t>(k + r);
           } else {
-            vquant[gi] = static_cast<quant_t>(r);
-            voutlier[gi] = static_cast<qdiff_t>(k);
+            vquant[row + lx] = static_cast<quant_t>(r);
+            vslots[row + outliers] =
+                OutlierSlot(static_cast<std::uint32_t>(lx), static_cast<qdiff_t>(k));
+            ++outliers;
           }
         }
+        vcount[field_row * grid.dim.x + bx] = outliers;
       }
     }
   });
 
-  // Traffic from the footprint contract (the residual pass re-reads the
-  // chunk it just fitted, which the per-block footprint model treats as
-  // cached); arithmetic and calibration stay hand-written.
-  traffic_scope.apply(res.cost);
+  // The modeled cost is a kernel that reads the data and each chunk's
+  // coefficients, and writes the coefficients, the codes and a dense
+  // outlier array once; this host kernel compacts the outliers per row
+  // instead.
+  const std::size_t coef_bytes = nchunks * 4 * sizeof(float);
+  res.cost.bytes_read = n * sizeof(T) + coef_bytes;
+  res.cost.bytes_written = n * (sizeof(quant_t) + sizeof(qdiff_t)) + coef_bytes;
   res.cost.flops = n * 14;
   res.cost.parallel_items = n;
   res.cost.pattern = sim::AccessPattern::kCoalescedStreaming;
@@ -174,56 +171,53 @@ PredictorProduct regression_construct(std::span<const T> data, const Extents& ex
                                       const QuantConfig& qcfg) {
   PredictorProduct res;
   regression_construct_into(data, ext, eb_abs, qcfg, res);
+  (void)lorenzo_gather_outliers(ext, 1, res);
   return res;
 }
 
 template <typename T>
 sim::KernelCost regression_reconstruct(std::span<const quant_t> quant,
-                                       std::span<const qdiff_t> outlier_dense,
+                                       const sim::SparseVector<qdiff_t>& outliers,
                                        std::span<const float> coefficients, const Extents& ext,
                                        double eb_abs, const QuantConfig& qcfg,
                                        std::span<T> out) {
   const std::size_t n = ext.count();
-  if (quant.size() != n || outlier_dense.size() != n || out.size() != n) {
+  if (quant.size() != n || outliers.values.size() != outliers.nnz() || out.size() != n) {
     throw std::invalid_argument("regression_reconstruct: size mismatch");
   }
-  const Grid grid = make_grid(ext);
-  if (coefficients.size() != grid.gx * grid.gy * grid.gz * 4) {
+  const auto grid = lorenzo_detail::block_grid(ext, 1);
+  const std::size_t nchunks = grid.dim.count();
+  if (coefficients.size() != nchunks * 4) {
     throw std::invalid_argument("regression_reconstruct: coefficient count mismatch");
   }
   const double eb2 = 2.0 * eb_abs;
   const std::int64_t r = qcfg.radius();
-  const ChunkShape cs = grid.cs;
 
   namespace chk = sim::checked;
   namespace ctr = sim::contract;
-  sim::traffic::Scope traffic_scope;  // contract-derived volumes for the cost
-  const auto tile_of = [&](ctr::AccessKind a, const char* buf) {
-    return ctr::box(a, buf, ctr::bx() * cs.cx, static_cast<std::int64_t>(cs.cx),
-                    ctr::by() * cs.cy, static_cast<std::int64_t>(cs.cy), ctr::bz() * cs.cz,
-                    static_cast<std::int64_t>(cs.cz), static_cast<std::int64_t>(ext.nx),
-                    static_cast<std::int64_t>(ext.ny), static_cast<std::int64_t>(ext.nz));
+  const auto box = [&](ctr::AccessKind a, const char* buf) {
+    return lorenzo_detail::box_clause(a, buf, grid, ext);
   };
-  chk::launch_3d("regression_reconstruct",
-                 {static_cast<std::uint32_t>(grid.gx), static_cast<std::uint32_t>(grid.gy),
-                  static_cast<std::uint32_t>(grid.gz)},
-                 chk::bufs(chk::in(quant, "quant"), chk::in(outlier_dense, "outlier"),
-                           chk::in(coefficients, "coefficients"), chk::out(out, "out")),
-                 ctr::contract(tile_of(ctr::AccessKind::kRead, "quant"),
-                               tile_of(ctr::AccessKind::kRead, "outlier"),
+  const std::span<const std::uint64_t> idx(outliers.indices);
+  const std::span<const qdiff_t> val(outliers.values);
+  // A block reads the outliers of its rows after a binary search: a
+  // data-dependent read of the whole stream.
+  chk::launch_3d("regression_reconstruct", grid.dim,
+                 chk::bufs(chk::in(quant, "quant"), chk::in(idx, "indices"),
+                           chk::in(val, "values"), chk::in(coefficients, "coefficients"),
+                           chk::out(out, "out")),
+                 ctr::contract(box(ctr::AccessKind::kRead, "quant"), ctr::reads_dyn("indices"),
+                               ctr::reads_dyn("values"),
                                ctr::reads("coefficients",
-                                          ctr::bx() * 4 + ctr::by() * (4 * grid.gx) +
-                                              ctr::bz() * (4 * grid.gx * grid.gy),
+                                          ctr::bx() * 4 + ctr::by() * (4 * grid.dim.x) +
+                                              ctr::bz() * (4 * grid.dim.x * grid.dim.y),
                                           4),
-                               tile_of(ctr::AccessKind::kWrite, "out")),
+                               box(ctr::AccessKind::kWrite, "out")),
                  [&](std::uint32_t bx, std::uint32_t by, std::uint32_t bz, const auto& vquant,
-                     const auto& voutlier, const auto& vcoef, const auto& vout) {
-    const std::size_t x0 = bx * cs.cx, y0 = by * cs.cy, z0 = bz * cs.cz;
-    const std::size_t w = std::min(cs.cx, ext.nx - x0);
-    const std::size_t h = std::min(cs.cy, ext.ny - y0);
-    const std::size_t d = std::min(cs.cz, ext.nz - z0);
+                     const auto& vidx, const auto& vval, const auto& vcoef, const auto& vout) {
+    const auto [x0, y0, z0, w, h, d] = lorenzo_detail::box_of(grid, ext, bx, by, bz);
     const std::size_t chunk_id =
-        (static_cast<std::size_t>(bz) * grid.gy + by) * grid.gx + bx;
+        (static_cast<std::size_t>(bz) * grid.dim.y + by) * grid.dim.x + bx;
     PlaneFit fit;
     fit.b0 = vcoef[chunk_id * 4 + 0];
     fit.bx = vcoef[chunk_id * 4 + 1];
@@ -233,20 +227,26 @@ sim::KernelCost regression_reconstruct(std::span<const quant_t> quant,
     fit.my = (static_cast<double>(h) - 1.0) / 2.0;
     fit.mz = (static_cast<double>(d) - 1.0) / 2.0;
 
+    const std::size_t nnz = vidx.size();
+    std::size_t cur = 0;  // the next outlier at or after the current element
     for (std::size_t lz = 0; lz < d; ++lz) {
       for (std::size_t ly = 0; ly < h; ++ly) {
+        const std::size_t row = ext.index(z0 + lz, y0 + ly, x0);
+        cur = lorenzo_detail::first_outlier(vidx, cur, nnz, row);
         for (std::size_t lx = 0; lx < w; ++lx) {
-          const std::size_t gi = ext.index(z0 + lz, y0 + ly, x0 + lx);
-          const std::int64_t k =
-              static_cast<std::int64_t>(vquant[gi]) - r + voutlier[gi];
-          vout[gi] = static_cast<T>(fit.at(lz, ly, lx) + static_cast<double>(k) * eb2);
+          std::int64_t k = static_cast<std::int64_t>(vquant[row + lx]) - r;
+          if (cur < nnz && vidx[cur] == row + lx) k += vval[cur++];
+          vout[row + lx] = static_cast<T>(fit.at(lz, ly, lx) + static_cast<double>(k) * eb2);
         }
       }
     }
   });
 
+  // The modeled cost is a kernel that reads the codes, a dense outlier
+  // array and each chunk's coefficients, and stores the output once.
   sim::KernelCost c;
-  traffic_scope.apply(c);  // contract-derived: quant+outlier+coef reads, out store
+  c.bytes_read = n * (sizeof(quant_t) + sizeof(qdiff_t)) + nchunks * 4 * sizeof(float);
+  c.bytes_written = n * sizeof(T);
   c.flops = n * 8;
   c.parallel_items = n;
   c.pattern = sim::AccessPattern::kCoalescedStreaming;
@@ -263,12 +263,12 @@ template PredictorProduct regression_construct<float>(std::span<const float>, co
 template PredictorProduct regression_construct<double>(std::span<const double>, const Extents&,
                                                        double, const QuantConfig&);
 template sim::KernelCost regression_reconstruct<float>(std::span<const quant_t>,
-                                                       std::span<const qdiff_t>,
+                                                       const sim::SparseVector<qdiff_t>&,
                                                        std::span<const float>, const Extents&,
                                                        double, const QuantConfig&,
                                                        std::span<float>);
 template sim::KernelCost regression_reconstruct<double>(std::span<const quant_t>,
-                                                        std::span<const qdiff_t>,
+                                                        const sim::SparseVector<qdiff_t>&,
                                                         std::span<const float>, const Extents&,
                                                         double, const QuantConfig&,
                                                         std::span<double>);

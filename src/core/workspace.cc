@@ -5,10 +5,8 @@ namespace szp {
 std::array<std::size_t, Workspace::kTrackedBuffers> Workspace::capacities() const {
   return {
       product.quant.capacity(),           product.outliers.indices.capacity(),
-      product.outliers.values.capacity(), product.outlier_dense.capacity(),
-      product.outlier_slots.capacity(),   product.row_outliers.capacity(),
-      product.coefficients.capacity(),
-      gather_tile_nnz.capacity(),   gather_offsets.capacity(),
+      product.outliers.values.capacity(), product.outlier_slots.capacity(),
+      product.row_outliers.capacity(),    product.coefficients.capacity(),
       freq.capacity(),              hist_priv.capacity(),
       huffman.payload.capacity(),   huffman.chunk_offsets.capacity(),
       huffman.gaps.capacity(),      huffman_chunk_bytes.capacity(),

@@ -1,23 +1,22 @@
 // szp — reusable per-call scratch for the compression pipeline, both ways.
 //
 // Every compress() call needs the same family of O(n) buffers: the
-// predictor's quant-codes and outlier section (plus Lorenzo's per-block
-// outlier windows, or the dense outlier array of regression and
-// interpolation with its gather's tile scratch), the histogram bins and
-// their block-private replicas, the Huffman encoder's chunk metadata and
-// the rANS coder's backward stream.  (The Huffman codec deflates straight
-// into the archive; only RLE+VLE's count stream deflates into a payload
-// here.)  Every decompress() needs the mirror set: the outlier
-// section, the quant-codes the codec decodes in place, the predictor's aux
-// payload and, for regression and interpolation, the dense array the
-// outliers scatter into — the same predictor product compress fills, used
-// the other way round.
+// predictor's quant-codes and outlier section (plus the per-row outlier
+// slots of Lorenzo and regression), the histogram bins and their
+// block-private replicas, the Huffman encoder's chunk metadata and the rANS
+// coder's backward stream.  (The Huffman codec deflates straight into the
+// archive; only RLE+VLE's count stream deflates into a payload here.)
+// Every decompress() needs the mirror set: the outlier section, the
+// quant-codes the codec decodes in place and the predictor's aux payload —
+// the same predictor product compress fills, used the other way round.
 // Allocating them per call makes repeated-field (and per-slab) work
 // malloc- and page-fault-bound; FZ-GPU makes the same observation for real
 // device buffers (HPDC'23).  A Workspace owns one instance of each buffer
 // and the pipeline stages fill them with capacity-preserving
 // assign()/resize() calls, so a reused workspace reaches a steady state
-// where no pipeline buffer grows at all.
+// where no pipeline buffer grows at all.  Interpolation's n-float lattice
+// and its visit-ordered outlier list are the per-call allocations left
+// outside the workspace.
 //
 // Concurrency: a Workspace is single-threaded state.  WorkspacePool hands
 // out exclusive leases from a mutex-protected free list — parallel slab
@@ -54,14 +53,9 @@ struct Workspace {
   // --- Predictor product, both directions ----------------------------------
   /// Compress: every predictor's construct fills it, the outlier section
   /// included.  Decode: the outlier section is read into `outliers`, the
-  /// codec decodes the quant-codes into `quant`, the stage reads its aux
-  /// into `coefficients`/`level`, and regression and interpolation scatter
-  /// the outliers into `outlier_dense`.
+  /// codec decodes the quant-codes into `quant`, and the stage reads its
+  /// aux into `coefficients`/`level`.
   PredictorProduct product;
-
-  // --- Dense -> sparse gather of regression and interpolation --------------
-  std::vector<std::size_t> gather_tile_nnz;
-  std::vector<std::size_t> gather_offsets;
 
   // --- Histogram -----------------------------------------------------------
   std::vector<std::uint64_t> freq;       ///< quant-code histogram
@@ -90,7 +84,7 @@ struct Workspace {
   std::vector<std::uint8_t> slab_io;
 
   /// Number of tracked buffers in the capacity snapshot.
-  static constexpr std::size_t kTrackedBuffers = 19;
+  static constexpr std::size_t kTrackedBuffers = 16;
 
   /// Capacity snapshot of every tracked buffer, in a fixed order.  A fixed
   /// array (not a vector) so lease accounting itself never allocates —

@@ -1,6 +1,10 @@
-// szp::sim — dense↔sparse conversion, mirroring the cuSPARSE dense-to-sparse
-// kernel cuSZ+ uses to gather outliers (paper §V-C.2) and the trivial
-// scatter kernel used on the decompression side.
+// szp::sim — the sparse outlier section and its kernels' costs.  cuSZ+
+// gathers outliers with the cuSPARSE dense-to-sparse kernel (paper §V-C.2)
+// and scatters them back on decode; gather_cost and scatter_cost model
+// those two kernels.  On the host every predictor writes the section
+// without a dense array (core/predictor/product.hh), and only the cuSZ
+// baseline's coarse reconstruction still scatters it into one
+// (scatter_add).
 #pragma once
 
 #include <cstdint>
@@ -20,83 +24,6 @@ struct SparseVector {
 
   [[nodiscard]] std::size_t nnz() const { return indices.size(); }
 };
-
-/// Gather all entries with dense[i] != T{} into (index, value) pairs.
-/// Tile-parallel count + offset scan + fill, the canonical GPU stream
-/// compaction structure.
-///
-/// Workspace-reuse variant: `out`, `tile_nnz`, and `offset` are filled with
-/// capacity-preserving assigns/resizes, so repeated calls at the same size
-/// allocate nothing (see core/workspace.hh).
-template <typename T, typename Index = std::uint64_t>
-void dense_to_sparse_into(std::span<const T> dense, SparseVector<T, Index>& out,
-                          std::vector<std::size_t>& tile_nnz, std::vector<std::size_t>& offset,
-                          std::size_t tile = 1 << 16) {
-  const std::size_t n = dense.size();
-  const std::size_t tiles = div_ceil(n, tile);
-  tile_nnz.assign(tiles, 0);
-
-  checked::launch("dense_to_sparse/count", tiles,
-                  checked::bufs(checked::in(dense, "dense"),
-                                checked::out(std::span<std::size_t>(tile_nnz), "tile_nnz")),
-                  contract::contract(
-                      contract::reads("dense", contract::b() * tile,
-                                      static_cast<std::int64_t>(tile)).clamp(),
-                      contract::writes("tile_nnz", contract::b(), 1)),
-                  [&, n, tile](std::size_t t, const auto& vdense, const auto& vnnz) {
-    const std::size_t lo = t * tile, hi = lo + tile < n ? lo + tile : n;
-    std::size_t c = 0;
-    for (std::size_t i = lo; i < hi; ++i) c += vdense[i] != T{} ? 1u : 0u;
-    vnnz[t] = c;
-  });
-
-  offset.assign(tiles + 1, 0);
-  for (std::size_t t = 0; t < tiles; ++t) offset[t + 1] = offset[t] + tile_nnz[t];
-
-  out.indices.resize(offset[tiles]);
-  out.values.resize(offset[tiles]);
-
-  // The compacted output positions come from the offset scan — a
-  // data-dependent footprint the affine prover cannot discharge, so the
-  // fill kernel honestly stays on dynamic checking.
-  checked::launch("dense_to_sparse/fill", tiles,
-                  checked::bufs(checked::in(dense, "dense"),
-                                checked::in(std::span<const std::size_t>(offset), "offset"),
-                                checked::out(std::span<Index>(out.indices), "indices"),
-                                checked::out(std::span<T>(out.values), "values")),
-                  contract::contract(
-                      contract::reads("dense", contract::b() * tile,
-                                      static_cast<std::int64_t>(tile)).clamp(),
-                      contract::reads("offset", contract::b(), 2),
-                      // The offset scan's grand total is the exact number
-                      // of compacted entries: the dynamic clauses' bound.
-                      contract::writes_dyn("indices",
-                                           static_cast<std::int64_t>(offset[tiles])),
-                      contract::writes_dyn("values",
-                                           static_cast<std::int64_t>(offset[tiles]))),
-                  [&, n, tile](std::size_t t, const auto& vdense, const auto& voffset,
-                               const auto& vidx, const auto& vval) {
-    const std::size_t lo = t * tile, hi = lo + tile < n ? lo + tile : n;
-    std::size_t w = voffset[t];
-    for (std::size_t i = lo; i < hi; ++i) {
-      if (vdense[i] != T{}) {
-        vidx[w] = static_cast<Index>(i);
-        vval[w] = vdense[i];
-        ++w;
-      }
-    }
-  });
-}
-
-template <typename T, typename Index = std::uint64_t>
-SparseVector<T, Index> dense_to_sparse(std::span<const T> dense,
-                                       std::size_t tile = 1 << 16) {
-  SparseVector<T, Index> out;
-  std::vector<std::size_t> tile_nnz;
-  std::vector<std::size_t> offset;
-  dense_to_sparse_into(dense, out, tile_nnz, offset, tile);
-  return out;
-}
 
 /// Scatter-add sparse values into a dense array (the decompression-side
 /// outlier fusion: quant-code residuals ⊕ outlier residuals).

@@ -133,8 +133,6 @@ struct IntensityEntry {
 /// the gap-array decode work exists; everything else is left of it, which
 /// is the paper's bandwidth-bound claim.
 constexpr IntensityEntry kIntensity[] = {
-    {"dense_to_sparse/count", 0.5},
-    {"dense_to_sparse/fill", 0.3},
     {"device_scan/tile_reduce", 0.25},
     {"device_scan/tile_scan", 0.25},
     {"histogram/merge", 0.25},

@@ -640,7 +640,9 @@ TEST(ModeledClock, HistogramCostsArePinned) {
 // amplitude that leaves 5-25% of the elements outliers.  Regression's 1-D
 // chunks are 256 wide and cannot follow two periods of the wave with a
 // line (at capacity 64 almost every element is an outlier), so it runs at
-// capacity 1024 there.
+// capacity 1024 there.  Each archive and its decoded field are pinned as
+// FNV-1a literals, and so is every cost field of the construct,
+// gather_outlier, scatter_outlier and reconstruct stages.
 
 struct SparseCase {
   const char* stem;

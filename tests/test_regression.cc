@@ -29,10 +29,8 @@ std::vector<float> random_field(const Extents& ext, std::uint32_t seed) {
 std::vector<float> roundtrip(std::span<const float> data, const Extents& ext, double eb) {
   auto res = regression_construct(data, ext, eb, QuantConfig{});
   std::vector<float> out(ext.count());
-  regression_reconstruct<float>(
-      std::span<const quant_t>(res.quant.data(), res.quant.size()),
-      std::span<const qdiff_t>(res.outlier_dense.data(), res.outlier_dense.size()),
-      res.coefficients, ext, eb, QuantConfig{}, out);
+  regression_reconstruct<float>(std::span<const quant_t>(res.quant.data(), res.quant.size()),
+                                res.outliers, res.coefficients, ext, eb, QuantConfig{}, out);
   return out;
 }
 
@@ -72,10 +70,8 @@ TEST(Regression, ExactPlaneNeedsOnlyZeroCodes) {
 
   auto res = regression_construct<float>(data, ext, 1e-3, QuantConfig{});
   const auto r = static_cast<quant_t>(QuantConfig{}.radius());
-  for (std::size_t i = 0; i < 256; ++i) {
-    EXPECT_EQ(res.quant[i], r) << i;
-    EXPECT_EQ(res.outlier_dense[i], 0) << i;
-  }
+  for (std::size_t i = 0; i < 256; ++i) EXPECT_EQ(res.quant[i], r) << i;
+  EXPECT_EQ(res.outliers.nnz(), 0u);
   // And the recovered coefficients match the construction.
   EXPECT_NEAR(res.coefficients[1], 0.125f, 1e-5);   // bx
   EXPECT_NEAR(res.coefficients[2], -0.0625f, 1e-5); // by
@@ -102,7 +98,7 @@ TEST(Regression, MismatchedInputsThrow) {
   EXPECT_THROW((void)regression_construct<float>(data, Extents::d1(101), 1e-3, QuantConfig{}),
                std::invalid_argument);
   std::vector<quant_t> q(100);
-  std::vector<qdiff_t> o(100);
+  const sim::SparseVector<qdiff_t> o;
   std::vector<float> coeffs(3);  // wrong count
   std::vector<float> out(100);
   EXPECT_THROW((void)regression_reconstruct<float>(q, o, coeffs, Extents::d1(100), 1e-3,

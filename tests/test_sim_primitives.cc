@@ -1,5 +1,5 @@
-// Unit tests for histogram, reduce_by_key (RLE backend), and dense/sparse
-// conversion in the simulated-GPU substrate.
+// Unit tests for histogram, reduce_by_key (RLE backend), the launcher and
+// the sparse scatter in the simulated-GPU substrate.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +20,6 @@
 
 namespace {
 
-using szp::sim::dense_to_sparse;
 using szp::sim::device_histogram;
 using szp::sim::expand_runs;
 using szp::sim::reduce_by_key;
@@ -219,48 +218,21 @@ TEST(ReduceByKey, EmptyInput) {
   EXPECT_TRUE(runs.counts.empty());
 }
 
-TEST(DenseToSparse, GathersExactlyTheNonzeros) {
-  std::mt19937 rng(3);
-  std::vector<std::int32_t> dense(50000, 0);
-  std::size_t nnz = 0;
-  for (auto& x : dense) {
-    if (rng() % 100 < 3) {
-      x = static_cast<std::int32_t>(rng() % 1000) - 500;
-      if (x == 0) x = 1;
-      ++nnz;
-    }
-  }
-
-  const auto sparse = dense_to_sparse<std::int32_t>(dense, 777);
-  EXPECT_EQ(sparse.nnz(), nnz);
-  // Indices strictly increasing, values match.
-  for (std::size_t i = 0; i < sparse.nnz(); ++i) {
-    if (i > 0) EXPECT_LT(sparse.indices[i - 1], sparse.indices[i]);
-    EXPECT_EQ(sparse.values[i], dense[sparse.indices[i]]);
-    EXPECT_NE(sparse.values[i], 0);
-  }
-}
-
 TEST(DenseToSparse, ScatterAddRoundTrips) {
   std::mt19937 rng(4);
   std::vector<std::int32_t> dense(10000, 0);
-  for (auto& x : dense) {
-    if (rng() % 50 == 0) x = static_cast<std::int32_t>(rng() % 2000) - 1000;
+  szp::sim::SparseVector<std::int32_t> sparse;
+  for (std::size_t i = 0; i < dense.size(); ++i) {
+    if (rng() % 50 == 0) {
+      dense[i] = static_cast<std::int32_t>(rng() % 2000) - 1000;
+      sparse.indices.push_back(i);
+      sparse.values.push_back(dense[i]);
+    }
   }
-  const auto sparse = dense_to_sparse<std::int32_t>(dense);
 
   std::vector<std::int32_t> rebuilt(dense.size(), 0);
   scatter_add(sparse, std::span<std::int32_t>(rebuilt));
   EXPECT_EQ(rebuilt, dense);
-}
-
-TEST(DenseToSparse, AllZeroAndAllNonzero) {
-  std::vector<std::int32_t> zeros(100, 0);
-  EXPECT_EQ(dense_to_sparse<std::int32_t>(zeros).nnz(), 0u);
-
-  std::vector<std::int32_t> ones(100, 1);
-  const auto sparse = dense_to_sparse<std::int32_t>(ones);
-  EXPECT_EQ(sparse.nnz(), 100u);
 }
 
 }  // namespace

@@ -478,15 +478,13 @@ void analyze_suite() {
                                     {lv_dense.data(), lv_dense.size()}, e3, eb, qcfg,
                                     std::span<float>(rec));
 
-  PredictorProduct rg;
-  regression_construct_into<float>(field, e3, eb, qcfg, rg);
-  regression_reconstruct<float>({rg.quant.data(), rg.quant.size()},
-                                {rg.outlier_dense.data(), rg.outlier_dense.size()},
+  const auto rg = regression_construct<float>(field, e3, eb, qcfg);
+  regression_reconstruct<float>({rg.quant.data(), rg.quant.size()}, rg.outliers,
                                 rg.coefficients, e3, eb, qcfg, std::span<float>(rec));
 
   // --- 1-D symbol pipeline: histogram, Huffman (gap-strided and plain),
-  // scans, RLE / reduce_by_key, dense<->sparse.  Small tiles keep every
-  // grid multi-block without a large workload.
+  // scans, RLE / reduce_by_key.  Small tiles keep every grid multi-block
+  // without a large workload.
   const std::size_t n = 20000;
   std::vector<quant_t> syms(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -510,12 +508,6 @@ void analyze_suite() {
   for (std::size_t i = 0; i < lens.size(); ++i) lens[i] = i % 13;
   sim::device_exclusive_scan(std::span<const std::uint64_t>(lens),
                              std::span<std::uint64_t>(offs), 512);
-
-  std::vector<qdiff_t> dense(n, 0);
-  for (std::size_t i = 0; i < n; i += 37) dense[i] = static_cast<qdiff_t>(i);
-  const auto sparse = sim::dense_to_sparse(std::span<const qdiff_t>(dense), 4096);
-  std::vector<std::int64_t> acc(n, 0);
-  sim::scatter_add(sparse, std::span<std::int64_t>(acc));
 
   // --- ZFP at both grid shapes (1-D linear-ish and genuinely 3-D).
   const Extents z3 = Extents::d3(9, 9, 9);
