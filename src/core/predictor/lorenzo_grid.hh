@@ -66,6 +66,18 @@ struct Box {
                   static_cast<std::int64_t>(ext.ny), static_cast<std::int64_t>(ext.nz));
 }
 
+/// Footprint clause of a construct block's per-row outlier counts, `buf`
+/// holding one count per (z, y, block column): the block's column, over
+/// the rows of its box.
+[[nodiscard]] inline sim::contract::Clause row_count_clause(const char* buf, const BlockGrid& g,
+                                                            const Extents& ext) {
+  namespace ctr = sim::contract;
+  return ctr::writes_box(buf, ctr::bx(), 1, ctr::by() * g.cs.cy,
+                         static_cast<std::int64_t>(g.cs.cy), ctr::bz() * g.cs.cz,
+                         static_cast<std::int64_t>(g.cs.cz), g.dim.x,
+                         static_cast<std::int64_t>(ext.ny), static_cast<std::int64_t>(ext.nz));
+}
+
 /// First position in [from, nnz) whose outlier index is at least `gi`, by
 /// binary search over the strictly increasing indices of `vidx`: where the
 /// outliers of the box row starting at field index `gi` begin.

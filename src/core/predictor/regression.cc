@@ -71,12 +71,7 @@ void regression_construct_into(std::span<const T> data, const Extents& ext, doub
                  ctr::contract(box(ctr::AccessKind::kRead, "data"),
                                box(ctr::AccessKind::kWrite, "quant"),
                                box(ctr::AccessKind::kWrite, "slots"),
-                               ctr::writes_box("counts", ctr::bx(), 1, ctr::by() * grid.cs.cy,
-                                               static_cast<std::int64_t>(grid.cs.cy),
-                                               ctr::bz() * grid.cs.cz,
-                                               static_cast<std::int64_t>(grid.cs.cz),
-                                               grid.dim.x, static_cast<std::int64_t>(ext.ny),
-                                               static_cast<std::int64_t>(ext.nz)),
+                               lorenzo_detail::row_count_clause("counts", grid, ext),
                                ctr::updates("coefficients", coef_base, 4)),
                  [&](std::uint32_t bx, std::uint32_t by, std::uint32_t bz, const auto& vdata,
                      const auto& vquant, const auto& vslots, const auto& vcount,

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "sim/check.hh"
-#include "sim/launch.hh"
 #include "sim/profile.hh"
 
 namespace szp::sim {
