@@ -150,6 +150,69 @@ TEST_F(CliTest, AnalyzeCodecsPrintsDeterministicScoreTable) {
   EXPECT_EQ(a.out, b.out);
 }
 
+TEST(CliAnalyze, VerdictTableIsPinned) {
+  // One row per kernel the canned workload launches: name, verdict, and the
+  // first proof obstacle of an unproved contract.
+  struct Row {
+    std::string kernel, verdict, reason;
+  };
+  const std::string kProved = "proved";
+  const std::string kUnproved = "unproved-fallback-dynamic";
+  const std::vector<Row> expected = {
+      {"codec/quant_pack", kProved, ""},
+      {"codec/quant_unpack", kProved, ""},
+      {"device_scan/tile_reduce", kProved, ""},
+      {"device_scan/tile_scan", kProved, ""},
+      {"histogram/merge", kProved, ""},
+      {"histogram/tile_bins", kProved, ""},
+      {"huffman_decode", kProved, ""},
+      {"huffman_encode/chunk_sizes", kProved, ""},
+      {"huffman_encode/deflate", kUnproved, "payload: data-dependent write footprint"},
+      {"lorenzo_construct", kProved, ""},
+      {"lorenzo_reconstruct", kProved, ""},
+      {"lorenzo_reconstruct_coarse", kProved, ""},
+      {"lz77/freq_merge", kProved, ""},
+      {"lz77/token_freq", kProved, ""},
+      {"lz77/tokenize", kProved, ""},
+      {"lzh/decode", kProved, ""},
+      {"lzh/encode", kProved, ""},
+      {"lzr/expand", kProved, ""},
+      {"lzr/token_split", kProved, ""},
+      {"reduce_by_key/tile_runs", kProved, ""},
+      {"regression_construct", kProved, ""},
+      {"regression_reconstruct", kProved, ""},
+      {"rle_decode/expand", kUnproved, "symbols: data-dependent write footprint"},
+      {"scatter_add", kUnproved, "dense: data-dependent write footprint"},
+      {"zfp_compress", kProved, ""},
+      {"zfp_decompress", kProved, ""},
+  };
+
+  const auto r = run({"analyze"});
+  ASSERT_EQ(r.code, 0) << r.out << r.err;
+  std::istringstream text(r.out);
+  std::string line;
+  ASSERT_TRUE(std::getline(text, line));
+  EXPECT_EQ(line.rfind("contract-analyze: 26 kernel(s): 23 proved, 3 unproved-fallback-dynamic", 0),
+            0u)
+      << line;
+  for (const Row& want : expected) {
+    ASSERT_TRUE(std::getline(text, line)) << "missing row for " << want.kernel;
+    std::istringstream fields(line);
+    Row got;
+    fields >> got.kernel >> got.verdict;
+    std::getline(fields >> std::ws, got.reason);
+    if (got.reason.size() >= 2 && got.reason.front() == '(' && got.reason.back() == ')') {
+      got.reason = got.reason.substr(1, got.reason.size() - 2);
+    }
+    EXPECT_EQ(got.kernel, want.kernel) << line;
+    EXPECT_EQ(got.verdict, want.verdict) << line;
+    EXPECT_EQ(got.reason, want.reason) << line;
+  }
+  // The checker's summary follows the last kernel row.
+  ASSERT_TRUE(std::getline(text, line));
+  EXPECT_EQ(line.rfind("sim-check:", 0), 0u) << line;
+}
+
 TEST_F(CliTest, StreamingContainer) {
   const auto raw = path("s.f32");
   const auto arc = path("s.szpc");
