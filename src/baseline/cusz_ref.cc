@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/archive.hh"
 #include "core/error.hh"
 #include "core/huffman/codec.hh"
 #include "core/metrics.hh"
@@ -137,22 +138,9 @@ Decompressed CuszCompressor::decompress(std::span<const std::uint8_t> archive) {
   }
   QuantConfig qcfg{capacity};
 
-  sim::SparseVector<qdiff_t> outliers;
-  r.set_segment("outliers");
-  outliers.indices = r.get_vector<std::uint64_t>();
-  outliers.values = r.get_vector<qdiff_t>();
   const std::size_t n = count;
-  if (outliers.indices.size() != outliers.values.size()) {
-    throw DecodeError(DecodeErrorKind::kCorruptStream, "outliers",
-                      "index/value stream size mismatch");
-  }
-  for (const auto idx : outliers.indices) {
-    if (idx >= n) {
-      throw DecodeError(DecodeErrorKind::kCorruptStream, "outliers",
-                        "outlier index " + std::to_string(idx) + " outside the " +
-                            std::to_string(n) + "-element grid");
-    }
-  }
+  sim::SparseVector<qdiff_t> outliers;
+  archive::read_outliers(r, n, outliers);
 
   HuffmanEncoded enc;
   const auto book = HuffmanCodebook::deserialize(r);

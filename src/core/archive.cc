@@ -103,6 +103,31 @@ ArchiveHeader read_header(ByteReader& r) {
   return h;
 }
 
+void read_outliers(ByteReader& r, std::size_t n, sim::SparseVector<qdiff_t>& out) {
+  r.set_segment("outliers");
+  r.get_vector_into(out.indices);
+  r.get_vector_into(out.values);
+  if (out.indices.size() != out.values.size()) {
+    throw DecodeError(DecodeErrorKind::kCorruptStream, "outliers",
+                      "index/value stream size mismatch (" + std::to_string(out.indices.size()) +
+                          " vs " + std::to_string(out.values.size()) + ")");
+  }
+  std::uint64_t next = 0;  // the smallest index the next entry may take
+  for (const auto idx : out.indices) {
+    if (idx >= n) {
+      throw DecodeError(DecodeErrorKind::kCorruptStream, "outliers",
+                        "outlier index " + std::to_string(idx) + " outside the " +
+                            std::to_string(n) + "-element grid");
+    }
+    if (idx < next) {
+      throw DecodeError(DecodeErrorKind::kCorruptStream, "outliers",
+                        "outlier index " + std::to_string(idx) +
+                            " does not follow the one before it");
+    }
+    next = idx + 1;
+  }
+}
+
 std::span<const std::uint8_t> checked_body(std::span<const std::uint8_t> archive) {
   if (archive.size() < kCrcBytes) {
     throw DecodeError(DecodeErrorKind::kTruncated, "archive",

@@ -19,6 +19,7 @@
 
 #include "core/compressor.hh"
 #include "core/serialize.hh"
+#include "sim/sparse.hh"
 
 namespace szp::archive {
 
@@ -54,6 +55,15 @@ void write_header(ByteWriter& w, const ArchiveHeader& h);
 /// (corrupt-stream), and an element count that does not overflow
 /// (length-overflow) — all in segment "header".  Returns the dtype.
 [[nodiscard]] DType check_shape(const Extents& ext, std::uint8_t dtype_tag);
+
+/// Read the outlier section (the index vector, then the value vector) into
+/// `out`, reusing its capacity, and check it against an n-element field:
+/// as many values as indices, every index below n, and the indices strictly
+/// increasing, as compression writes them.  Decode adds each outlier into
+/// one element of the field, so an index past n would write outside it and
+/// a repeated index would add its residual twice.  Throws DecodeError in
+/// segment "outliers".  The SZP+ and the cuSZ baseline decoders share it.
+void read_outliers(ByteReader& r, std::size_t n, sim::SparseVector<qdiff_t>& out);
 
 /// Bytes of the trailing CRC-32 that seals an archive (and a bundle).
 inline constexpr std::size_t kCrcBytes = 4;

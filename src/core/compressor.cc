@@ -186,35 +186,7 @@ void decompress_body(std::span<const std::uint8_t> body, Decompressed& out, Work
     predictor.read_aux(r, ws);
 
     const std::size_t n = h.extents.count();
-    sim::SparseVector<qdiff_t>& outliers = ws.product.outliers;
-    r.set_segment("outliers");
-    r.get_vector_into(outliers.indices);
-    r.get_vector_into(outliers.values);
-    if (outliers.indices.size() != outliers.values.size()) {
-      throw DecodeError(DecodeErrorKind::kCorruptStream, "outliers",
-                        "index/value stream size mismatch (" +
-                            std::to_string(outliers.indices.size()) + " vs " +
-                            std::to_string(outliers.values.size()) + ")");
-    }
-    // Every outlier index feeds a write into the field; validate against the
-    // element count so a corrupt index cannot write outside the output
-    // buffer, and require strictly increasing indices, as compression writes
-    // them: reconstruction finds each row's outliers by search, and a
-    // repeated index would add its residual twice.
-    std::uint64_t next = 0;  // the smallest index the next entry may take
-    for (const auto idx : outliers.indices) {
-      if (idx >= n) {
-        throw DecodeError(DecodeErrorKind::kCorruptStream, "outliers",
-                          "outlier index " + std::to_string(idx) + " outside the " +
-                              std::to_string(n) + "-element grid");
-      }
-      if (idx < next) {
-        throw DecodeError(DecodeErrorKind::kCorruptStream, "outliers",
-                          "outlier index " + std::to_string(idx) +
-                              " does not follow the one before it");
-      }
-      next = idx + 1;
-    }
+    archive::read_outliers(r, n, ws.product.outliers);
 
     out.extents = h.extents;
     out.dtype = h.dtype;

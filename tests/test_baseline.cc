@@ -2,11 +2,16 @@
 // compares against it on equal quality terms), just a slower one.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <random>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "baseline/cusz_ref.hh"
 #include "core/compressor.hh"
+#include "core/error.hh"
 #include "core/metrics.hh"
 
 namespace {
@@ -99,6 +104,60 @@ TEST(Baseline, PipelineStagesPresent) {
 TEST(Baseline, RejectsBadArchive) {
   std::vector<std::uint8_t> junk{1, 2, 3, 4, 5, 6, 7, 8};
   EXPECT_THROW((void)CuszCompressor::decompress(junk), std::runtime_error);
+}
+
+// Decode scatters each outlier into a dense array, one block per index, so
+// two equal indices would be two blocks adding into one word.  The outlier
+// section must be strictly increasing, as compression writes it.
+
+/// Byte offset of the first outlier index in a CSZ0 archive: magic, rank,
+/// three extents, bound, capacity, then the index count.
+constexpr std::size_t kFirstOutlierOffset = 4 + 1 + 3 * 8 + 8 + 4 + 8;
+
+/// A CSZ0 archive of a noise field at quantizer capacity 16 (most elements
+/// are outliers) with its first two outlier indices (a, b) replaced by
+/// pick(a, b).
+template <typename Pick>
+std::vector<std::uint8_t> with_outlier_indices(Pick pick) {
+  const Extents ext = Extents::d2(48, 40);
+  std::mt19937 rng(5);
+  std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
+  std::vector<float> data(ext.count());
+  for (auto& x : data) x = dist(rng);
+  CuszConfig cfg;
+  cfg.eb = ErrorBound::absolute(1e-3);
+  cfg.quant.capacity = 16;
+  auto compressed = CuszCompressor(cfg).compress(data, ext);
+  EXPECT_GE(compressed.stats.outlier_count, 2u);
+  auto archive = std::move(compressed.bytes);
+  std::uint64_t a = 0, b = 0;
+  std::memcpy(&a, archive.data() + kFirstOutlierOffset, 8);
+  std::memcpy(&b, archive.data() + kFirstOutlierOffset + 8, 8);
+  EXPECT_LT(a, b);
+  const auto [first, second] = pick(a, b);
+  std::memcpy(archive.data() + kFirstOutlierOffset, &first, 8);
+  std::memcpy(archive.data() + kFirstOutlierOffset + 8, &second, 8);
+  return archive;
+}
+
+void expect_outliers_rejected(std::span<const std::uint8_t> archive) {
+  try {
+    (void)CuszCompressor::decompress(archive);
+    FAIL() << "decode accepted an out-of-order outlier section";
+  } catch (const DecodeError& e) {
+    EXPECT_EQ(e.kind(), DecodeErrorKind::kCorruptStream) << e.what();
+    EXPECT_EQ(e.segment(), "outliers") << e.what();
+  }
+}
+
+TEST(Baseline, DuplicatedOutlierIndexIsRejected) {
+  expect_outliers_rejected(with_outlier_indices(
+      [](std::uint64_t a, std::uint64_t) { return std::make_pair(a, a); }));
+}
+
+TEST(Baseline, SwappedOutlierIndicesAreRejected) {
+  expect_outliers_rejected(with_outlier_indices(
+      [](std::uint64_t a, std::uint64_t b) { return std::make_pair(b, a); }));
 }
 
 }  // namespace
