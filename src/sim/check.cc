@@ -150,14 +150,6 @@ void set_mode(Mode m) { g_mode.store(static_cast<int>(m), std::memory_order_rela
 
 bool enabled() { return mode() != Mode::kOff; }
 
-void set_enabled(bool on) {
-  if (on) {
-    if (mode() != Mode::kWord) set_mode(Mode::kInterval);
-  } else {
-    set_mode(Mode::kOff);
-  }
-}
-
 int fuzz_schedules() {
   int n = g_fuzz.load(std::memory_order_relaxed);
   if (n < 0) {

@@ -19,16 +19,15 @@
 //           races that would be real on a GPU regardless of how OpenMP
 //           happened to schedule them, and
 //       (b) accesses outside the registered buffer extents;
-//   * tier 2 (Mode::kWord, via SZP_SIM_CHECK=word / --check=word, or per
-//     launch with Granularity::kWord): each registered buffer additionally
-//     gets a word-granular shadow array in the style of compute-sanitizer's
-//     racecheck — per-word last-writer and recent-reader records carrying
-//     (block, lane, barrier epoch).  Kernels that model their cooperating
-//     threads explicitly (chk::this_thread(tid) to switch lanes,
-//     chk::barrier() to close an epoch — see block_scan.hh, histogram.hh)
-//     get *intra-block* hazard detection: two lanes of the same block
-//     touching the same word in the same epoch, at least one a write and not
-//     both atomic, is reported with kernel, block, both lanes, buffer, and
+//   * tier 2 (Mode::kWord, via SZP_SIM_CHECK=word / --check=word): each
+//     registered buffer additionally gets a word-granular shadow array in the
+//     style of compute-sanitizer's racecheck — per-word last-writer and
+//     recent-reader records carrying (block, lane, barrier epoch).  Kernels
+//     that model their cooperating threads explicitly (chk::this_thread(tid)
+//     to switch lanes, chk::barrier() to close an epoch — see block_scan.hh,
+//     histogram.hh) get *intra-block* hazard detection: two lanes of the same
+//     block touching the same word in the same epoch, at least one a write and
+//     not both atomic, is reported with kernel, block, both lanes, buffer, and
 //     word.  Benign striding (lanes on disjoint words) and barrier-ordered
 //     reuse are not flagged.  Word mode serializes block execution so the
 //     shadow needs no synchronization and reports are deterministic.  The
@@ -52,14 +51,16 @@
 // See DESIGN.md §"Checked-launch mode" for the mapping to compute-sanitizer.
 //
 // Static footprint contracts (sim/contract.hh, sim/prove.hh) layer on top:
-// a launch may declare each block's read/write footprint as affine
-// expressions over the block index, and then
+// every launch declares each block's read/write footprint as affine
+// expressions over the block index (a launch without one does not
+// compile), and then
 //   * the interval tier cross-validates every observed footprint against
 //     the declaration (observed ⊆ declared → ContractFinding on mismatch),
 //   * launches whose contracts the prover discharges (cross-block
-//     disjointness + bounds) skip word-shadow instrumentation under a
-//     process-wide kWord mode (per-launch Granularity::kWord opt-ins keep
-//     the shadow: contracts say nothing about intra-block lanes), and
+//     disjointness + bounds) skip word-shadow instrumentation under kWord
+//     mode (a proof says nothing about intra-block lanes: a lane model that
+//     must run under the shadow does so with contract::ScopedFastpath(false)
+//     or an unproved contract), and
 //   * `szp analyze` renders the per-kernel verdict registry.
 #pragma once
 
@@ -99,9 +100,6 @@ void set_mode(Mode m);
 
 /// True when access tracking is active (mode() != kOff).
 [[nodiscard]] bool enabled();
-/// Compatibility switch: on selects kInterval unless the mode is already
-/// kWord; off selects kOff.
-void set_enabled(bool on);
 
 /// Number of perturbed block schedules every multi-block launch is replayed
 /// under (0: fuzzing off).  First call latches SZP_SIM_FUZZ_SCHEDULE.
@@ -124,10 +122,6 @@ void set_word_sample(int n);
 /// allocated on first touch, so a launch registering a huge buffer only
 /// pays shadow memory for the pages its kernel actually visits.
 inline constexpr std::size_t kShadowPageWords = 1024;
-
-/// Per-launch granularity override: kWord upgrades this launch to tier 2
-/// whenever checking is enabled at all.
-enum class Granularity { kDefault, kWord };
 
 /// Lane id meaning "the whole block" — accesses not attributed to a modeled
 /// thread.  Such accesses never produce intra-block hazards.
@@ -292,16 +286,6 @@ class ScopedMode {
   Mode prev_;
 };
 
-/// RAII enable/reset for tests: enables tier-1 checking and clears findings
-/// on construction, restores the previous switch state on destruction.
-class ScopedEnable {
- public:
-  ScopedEnable() : scoped_(Mode::kInterval) {}
-
- private:
-  ScopedMode scoped_;
-};
-
 /// RAII word-shadow sampling override for tests.
 class ScopedWordSample {
  public:
@@ -373,12 +357,9 @@ struct BlockLog {
   }
 };
 
-/// Registered extent of one buffer, for analysis and reporting.
-struct BufMeta {
-  const char* name = "?";
-  std::uint64_t elems = 0;
-  std::uint32_t elem_bytes = 1;
-};
+/// Registered extent of one buffer, for analysis and reporting (the one
+/// descriptor the prover, the traffic analyzer and the checker share).
+using contract::BufMeta;
 
 /// Sweep all block footprints of one completed launch for cross-block
 /// overlaps and OOB hits; append findings to the global report.
@@ -657,39 +638,13 @@ writer_view<T> make_tracked(const WriteBuf<T>& b, BlockLog* log, std::uint32_t i
   return {b.p, b.n, log, id, b.read_write, shadow};
 }
 
-template <typename T>
-BufMeta meta_of(const ReadBuf<T>& b) {
-  return {b.name, b.n, sizeof(T)};
-}
-template <typename T>
-BufMeta meta_of(const WriteBuf<T>& b) {
-  return {b.name, b.n, sizeof(T)};
-}
-
 template <typename... B>
 std::vector<BufMeta> metas(const std::tuple<B...>& t) {
-  return std::apply([](const auto&... b) { return std::vector<BufMeta>{meta_of(b)...}; }, t);
-}
-
-template <typename... B>
-std::vector<contract::BufExtent> extents(const std::tuple<B...>& t) {
   return std::apply(
-      [](const auto&... b) { return std::vector<contract::BufExtent>{{b.name, b.n}...}; }, t);
-}
-
-template <typename T>
-traffic::BufShape shape_of(const ReadBuf<T>& b) {
-  return {b.name, b.n, sizeof(T)};
-}
-template <typename T>
-traffic::BufShape shape_of(const WriteBuf<T>& b) {
-  return {b.name, b.n, sizeof(T)};
-}
-
-template <typename... B>
-std::vector<traffic::BufShape> shapes(const std::tuple<B...>& t) {
-  return std::apply(
-      [](const auto&... b) { return std::vector<traffic::BufShape>{shape_of(b)...}; }, t);
+      [](const auto&... b) {
+        return std::vector<BufMeta>{{b.name, b.n, sizeof(*b.p)}...};
+      },
+      t);
 }
 
 /// Append one contract-mismatch finding to the process-global report
@@ -804,7 +759,8 @@ std::vector<std::uint64_t> checksum_writable(const std::tuple<B...>& t) {
 }
 
 /// Replay the grid under `schedules` perturbed block orders, diffing every
-/// writable buffer's checksum against the canonical result.  `pre` is the
+/// writable buffer's checksum against the canonical result.  `meta` is the
+/// launch's descriptor list (it names a diverging buffer) and `pre` the
 /// snapshot taken before the canonical run; the canonical post-state is
 /// restored before returning so the pipeline continues deterministically.
 /// `invoke(order, parallel)` must execute the whole grid with raw views.
@@ -812,10 +768,10 @@ std::vector<std::uint64_t> checksum_writable(const std::tuple<B...>& t) {
 /// 3-D schedule repertoire: z/y/x axis traversal orders first.
 template <typename... B, typename InvokeRaw>
 void run_schedule_fuzz(const char* kernel, const std::tuple<B...>& registered,
-                       std::size_t grid_count, int schedules, Dim3 grid3,
-                       const std::vector<std::vector<std::uint8_t>>& pre, InvokeRaw&& invoke) {
+                       const std::vector<BufMeta>& meta, std::size_t grid_count, int schedules,
+                       Dim3 grid3, const std::vector<std::vector<std::uint8_t>>& pre,
+                       InvokeRaw&& invoke) {
   const bool axis_aware = grid3.count() == grid_count && (grid3.y > 1 || grid3.z > 1);
-  const std::vector<BufMeta> meta = metas(registered);
   const std::vector<std::uint64_t> ref = checksum_writable(registered);
   const std::vector<std::vector<std::uint8_t>> post = snapshot_writable(registered);
   std::vector<std::size_t> order(grid_count);
@@ -848,16 +804,15 @@ void run_schedule_fuzz(const char* kernel, const std::tuple<B...>& registered,
 
 namespace detail {
 
-/// Shared implementation behind every public launch overload.  `con` is the
-/// launch's footprint contract, or nullptr when the call site declared none
-/// (registered as a no-contract kernel whenever checking is enabled).
+/// Shared implementation behind launch and launch_3d.  `grid3` carries the
+/// 3-D geometry when the call came through launch_3d (degenerate {1,1,1}
+/// otherwise) so the schedule fuzzer can permute z/y/x traversal instead of
+/// linear order.
 template <typename... B, typename Body>
-void launch_impl(const char* kernel, std::size_t grid_size, Granularity gran,
-                 const std::tuple<B...>& registered, const contract::Contract* con, Body&& body,
-                 Dim3 grid3) {
+void launch_impl(const char* kernel, std::size_t grid_size, const std::tuple<B...>& registered,
+                 const contract::Contract& con, Body&& body, Dim3 grid3) {
   constexpr auto seq = std::index_sequence_for<B...>{};
   const Mode m = mode();
-  bool word = m != Mode::kOff && (m == Mode::kWord || gran == Granularity::kWord);
   const bool axis_aware = grid3.count() == grid_size && (grid3.y > 1 || grid3.z > 1);
   int schedules = grid_size > 1 ? fuzz_schedules() : 0;
   // 3-D grids always cover the full deterministic 3-D repertoire: six axis
@@ -871,37 +826,30 @@ void launch_impl(const char* kernel, std::size_t grid_size, Granularity gran,
   // A traffic Scope on this thread wants the contract-derived volumes even
   // with checking off (kernel wrappers derive their KernelCost traffic from
   // it), so the zero-overhead fast path only applies without one.
-  const bool want_traffic = con != nullptr && (m != Mode::kOff || traffic::scope_active());
+  const bool want_traffic = m != Mode::kOff || traffic::scope_active();
 
-  if (m == Mode::kOff && schedules == 0 && !want_traffic) {
+  if (!want_traffic && schedules == 0) {
     launch_blocks(grid_size, run_raw);
     return;
   }
 
   // Contract evaluation: prove once per launch geometry.  A proved contract
-  // downgrades a *process-wide* word-mode launch to the interval tier — the
-  // proof discharges exactly what the shadow would re-derive per word
-  // (cross-block disjointness and bounds).  Per-launch Granularity::kWord
-  // opt-ins keep the shadow: they exist to model intra-block lanes, which
-  // per-block footprints say nothing about.
+  // downgrades a word-mode launch to the interval tier — the proof
+  // discharges exactly what the shadow would re-derive per word
+  // (cross-block disjointness and bounds).
+  const std::vector<BufMeta> meta = detail::metas(registered);
   const contract::Geom geom{static_cast<std::int64_t>(grid_size), grid3.x, grid3.y, grid3.z};
   traffic::LaunchTraffic predicted;
   if (want_traffic) {
-    predicted = traffic::analyze(*con, geom, detail::shapes(registered));
+    predicted = traffic::analyze(con, geom, meta);
     traffic::record(kernel, predicted);
   }
-  bool validate = false;
+  bool word = m == Mode::kWord;
   if (m != Mode::kOff) {
-    if (con != nullptr) {
-      const contract::ProveResult pr = contract::prove(*con, geom, detail::extents(registered));
-      const bool fast =
-          word && gran != Granularity::kWord && pr.proved() && contract::fastpath_enabled();
-      if (fast) word = false;
-      contract::note_launch(kernel, pr, word || fast, fast);
-      validate = true;
-    } else {
-      contract::note_launch_no_contract(kernel, word);
-    }
+    const contract::ProveResult pr = contract::prove(con, geom, meta);
+    const bool fast = word && pr.proved() && contract::fastpath_enabled();
+    if (fast) word = false;
+    contract::note_launch(kernel, pr, word || fast, fast);
   }
 
   std::vector<std::vector<std::uint8_t>> pre;
@@ -913,7 +861,7 @@ void launch_impl(const char* kernel, std::size_t grid_size, Granularity gran,
     // Tier 2: serialize the grid so the shared shadow arrays need no locks
     // and hazard reports are deterministic.
     std::vector<BlockLog> logs(grid_size);
-    WordShadow shadow(kernel, detail::metas(registered));
+    WordShadow shadow(kernel, meta);
     for (std::size_t b = 0; b < grid_size; ++b) {
       shadow.begin_block(b);
       detail::t_lane = {true, kBlockLane, 0};
@@ -922,109 +870,55 @@ void launch_impl(const char* kernel, std::size_t grid_size, Granularity gran,
       detail::t_lane.active = false;
     }
     shadow.finish();
-    analyze_launch(kernel, detail::metas(registered), logs);
+    analyze_launch(kernel, meta, logs);
   } else {
     std::vector<BlockLog> logs(grid_size);
     launch_blocks(grid_size, [&](std::size_t b) {
       detail::with_tracked_views(
           registered, &logs[b], nullptr, [&](const auto&... views) { body(b, views...); }, seq);
     });
-    if (validate) {
-      detail::validate_observed(kernel, *con, geom, detail::metas(registered), logs);
-      detail::validate_traffic(kernel, predicted, detail::metas(registered), logs);
-    }
-    analyze_launch(kernel, detail::metas(registered), logs);
+    detail::validate_observed(kernel, con, geom, meta, logs);
+    detail::validate_traffic(kernel, predicted, meta, logs);
+    analyze_launch(kernel, meta, logs);
   }
 
   if (schedules > 0) {
-    detail::run_schedule_fuzz(kernel, registered, grid_size, schedules, grid3, pre,
+    detail::run_schedule_fuzz(kernel, registered, meta, grid_size, schedules, grid3, pre,
                               [&](std::span<const std::size_t> order, bool parallel) {
                                 launch_blocks_in_order(order, parallel, run_raw);
                               });
   }
 }
 
-template <typename... B, typename Body>
-void launch_3d_impl(const char* kernel, Dim3 grid, Granularity gran,
-                    const std::tuple<B...>& registered, const contract::Contract* con,
-                    Body&& body) {
-  const auto decompose = [grid, &body](std::size_t linear, const auto&... views) {
-    const auto bx = static_cast<std::uint32_t>(linear % grid.x);
-    const auto by = static_cast<std::uint32_t>((linear / grid.x) % grid.y);
-    const auto bz =
-        static_cast<std::uint32_t>(linear / (static_cast<std::size_t>(grid.x) * grid.y));
-    body(bx, by, bz, views...);
-  };
-  launch_impl(kernel, grid.count(), gran, registered, con,
-              [&](std::size_t linear, const auto&... views) { decompose(linear, views...); },
-              grid);
-}
-
 }  // namespace detail
 
-/// launch_blocks with buffer registration and per-launch granularity:
-/// body(block, view...).  The trailing grid3 carries the 3-D geometry when
-/// the call came through launch_3d (degenerate {1,1,1} otherwise) so the
-/// schedule fuzzer can permute z/y/x traversal instead of linear order.
-template <typename... B, typename Body>
-void launch(const char* kernel, std::size_t grid_size, Granularity gran,
-            const std::tuple<B...>& registered, Body&& body, Dim3 grid3 = {}) {
-  detail::launch_impl(kernel, grid_size, gran, registered, nullptr, std::forward<Body>(body),
-                      grid3);
-}
-
-/// Contract-carrying variant: the declared footprint is proved (or honestly
-/// left to dynamic checking) and cross-validated against observation.
-template <typename... B, typename Body>
-void launch(const char* kernel, std::size_t grid_size, Granularity gran,
-            const std::tuple<B...>& registered, const contract::Contract& con, Body&& body,
-            Dim3 grid3 = {}) {
-  detail::launch_impl(kernel, grid_size, gran, registered, &con, std::forward<Body>(body), grid3);
-}
-
-/// launch_blocks with buffer registration: body(block, view...).
-template <typename... B, typename Body>
-void launch(const char* kernel, std::size_t grid_size, const std::tuple<B...>& registered,
-            Body&& body) {
-  detail::launch_impl(kernel, grid_size, Granularity::kDefault, registered, nullptr,
-                      std::forward<Body>(body), Dim3{});
-}
-
+/// launch_blocks with buffer registration and a footprint contract:
+/// body(block, view...).  The declared footprint is proved (or honestly left
+/// to dynamic checking) and cross-validated against observation.
 template <typename... B, typename Body>
 void launch(const char* kernel, std::size_t grid_size, const std::tuple<B...>& registered,
             const contract::Contract& con, Body&& body) {
-  detail::launch_impl(kernel, grid_size, Granularity::kDefault, registered, &con,
-                      std::forward<Body>(body), Dim3{});
+  detail::launch_impl(kernel, grid_size, registered, con, std::forward<Body>(body), Dim3{});
 }
 
-/// launch_blocks_3d with buffer registration: body(bx, by, bz, view...).
-/// Block footprints are logged under the linear index (bz*gy + by)*gx + bx.
-/// The grid geometry is forwarded to the schedule fuzzer, which replays 3-D
-/// grids under permuted z/y/x traversal orders rather than linear shuffles
-/// alone.
-template <typename... B, typename Body>
-void launch_3d(const char* kernel, Dim3 grid, Granularity gran, const std::tuple<B...>& registered,
-               Body&& body) {
-  detail::launch_3d_impl(kernel, grid, gran, registered, nullptr, std::forward<Body>(body));
-}
-
-template <typename... B, typename Body>
-void launch_3d(const char* kernel, Dim3 grid, Granularity gran, const std::tuple<B...>& registered,
-               const contract::Contract& con, Body&& body) {
-  detail::launch_3d_impl(kernel, grid, gran, registered, &con, std::forward<Body>(body));
-}
-
-template <typename... B, typename Body>
-void launch_3d(const char* kernel, Dim3 grid, const std::tuple<B...>& registered, Body&& body) {
-  detail::launch_3d_impl(kernel, grid, Granularity::kDefault, registered, nullptr,
-                         std::forward<Body>(body));
-}
-
+/// launch_blocks_3d with buffer registration and a footprint contract:
+/// body(bx, by, bz, view...).  Block footprints are logged under the linear
+/// index (bz*gy + by)*gx + bx.  The grid geometry is forwarded to the
+/// schedule fuzzer, which replays 3-D grids under permuted z/y/x traversal
+/// orders rather than linear shuffles alone.
 template <typename... B, typename Body>
 void launch_3d(const char* kernel, Dim3 grid, const std::tuple<B...>& registered,
                const contract::Contract& con, Body&& body) {
-  detail::launch_3d_impl(kernel, grid, Granularity::kDefault, registered, &con,
-                         std::forward<Body>(body));
+  detail::launch_impl(
+      kernel, grid.count(), registered, con,
+      [grid, &body](std::size_t linear, const auto&... views) {
+        const auto bx = static_cast<std::uint32_t>(linear % grid.x);
+        const auto by = static_cast<std::uint32_t>((linear / grid.x) % grid.y);
+        const auto bz =
+            static_cast<std::uint32_t>(linear / (static_cast<std::size_t>(grid.x) * grid.y));
+        body(bx, by, bz, views...);
+      },
+      grid);
 }
 
 }  // namespace szp::sim::checked

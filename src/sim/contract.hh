@@ -293,6 +293,14 @@ template <typename... C>
   return Contract{{cl...}};
 }
 
+/// A registered buffer as the prover, the traffic analyzer and the checker
+/// see it: the name clauses refer to, the element count, the element size.
+struct BufMeta {
+  const char* name = "?";
+  std::uint64_t elems = 0;
+  std::uint32_t elem_bytes = 1;
+};
+
 /// Grid geometry a contract is evaluated against.  `gx*gy*gz == grid` marks
 /// a coordinate-aware (launch_3d) grid; otherwise the grid is linear and
 /// only `b()` terms are meaningful.

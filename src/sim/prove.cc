@@ -223,18 +223,16 @@ const char* verdict_name(Verdict v) {
       return "proved";
     case Verdict::kUnproved:
       return "unproved-fallback-dynamic";
-    case Verdict::kNoContract:
-      return "no-contract";
   }
   return "?";
 }
 
-ProveResult prove(const Contract& con, const Geom& geom, const std::vector<BufExtent>& bufs) {
+ProveResult prove(const Contract& con, const Geom& geom, const std::vector<BufMeta>& bufs) {
   ProveResult res;
   auto& reasons = res.reasons;
 
-  const auto extent_of = [&](const char* name) -> const BufExtent* {
-    for (const BufExtent& e : bufs) {
+  const auto extent_of = [&](const char* name) -> const BufMeta* {
+    for (const BufMeta& e : bufs) {
       if (std::strcmp(e.name, name) == 0) return &e;
     }
     return nullptr;
@@ -248,7 +246,7 @@ ProveResult prove(const Contract& con, const Geom& geom, const std::vector<BufEx
     // Host sinks are traffic declarations, not footprints: no buffer to
     // prove anything about, and nothing the disjointness pass could touch.
     if (cl.kind == ClauseKind::kHostSink) continue;
-    const BufExtent* e = extent_of(cl.buf);
+    const BufMeta* e = extent_of(cl.buf);
     if (e == nullptr) {
       push_reason(reasons, cl, "names no registered buffer");
       continue;
@@ -265,7 +263,7 @@ ProveResult prove(const Contract& con, const Geom& geom, const std::vector<BufEx
     for (std::size_t i = 0; i < con.clauses.size(); ++i) {
       const Clause& w = con.clauses[i];
       if (!ok[i] || !is_write(w)) continue;
-      const BufExtent* e = extent_of(w.buf);
+      const BufMeta* e = extent_of(w.buf);
       const auto elems = static_cast<std::int64_t>(e->elems);
 
       if (w.kind == ClauseKind::kAll) {
@@ -354,18 +352,6 @@ std::map<std::string, KernelVerdict>& registry() {
   return r;
 }
 
-int rank(Verdict v) {
-  switch (v) {
-    case Verdict::kProved:
-      return 0;
-    case Verdict::kUnproved:
-      return 1;
-    case Verdict::kNoContract:
-      return 2;
-  }
-  return 2;
-}
-
 // -1: not yet latched from the environment; else 0/1.
 std::atomic<int> g_fastpath{-1};
 
@@ -375,24 +361,13 @@ void note_launch(const char* kernel, const ProveResult& result, bool word_reques
                  bool word_fastpath) {
   const std::lock_guard<std::mutex> lock(registry_mutex());
   KernelVerdict& e = registry()[kernel];
-  if (e.launches == 0) {
-    e.kernel = kernel;
-    e.verdict = result.verdict;
-  } else if (rank(result.verdict) > rank(e.verdict)) {
-    e.verdict = result.verdict;
-  }
+  if (e.launches == 0) e.kernel = kernel;
+  if (e.launches == 0 || !result.proved()) e.verdict = result.verdict;
   ++e.launches;
   if (word_requested) {
     word_fastpath ? ++e.word_fastpath : ++e.word_fallback;
   }
   if (e.reason.empty() && !result.reasons.empty()) e.reason = result.reasons.front();
-}
-
-void note_launch_no_contract(const char* kernel, bool word_requested) {
-  ProveResult none;
-  none.verdict = Verdict::kNoContract;
-  none.reasons.emplace_back("no contract declared at the launch site");
-  note_launch(kernel, none, word_requested, false);
 }
 
 std::vector<KernelVerdict> registry_snapshot() {
@@ -410,25 +385,15 @@ void reset_registry() {
 
 std::string verdict_table_text() {
   const std::vector<KernelVerdict> all = registry_snapshot();
-  std::size_t proved = 0, unproved = 0, missing = 0;
+  std::size_t proved = 0;
   std::size_t width = 0;
   for (const KernelVerdict& e : all) {
     width = std::max(width, e.kernel.size());
-    switch (e.verdict) {
-      case Verdict::kProved:
-        ++proved;
-        break;
-      case Verdict::kUnproved:
-        ++unproved;
-        break;
-      case Verdict::kNoContract:
-        ++missing;
-        break;
-    }
+    if (e.verdict == Verdict::kProved) ++proved;
   }
   std::ostringstream os;
-  os << "contract-analyze: " << all.size() << " kernel(s): " << proved << " proved, " << unproved
-     << " unproved-fallback-dynamic, " << missing << " no-contract\n";
+  os << "contract-analyze: " << all.size() << " kernel(s): " << proved << " proved, "
+     << all.size() - proved << " unproved-fallback-dynamic\n";
   for (const KernelVerdict& e : all) {
     os << "  " << e.kernel << std::string(width - e.kernel.size() + 2, ' ')
        << verdict_name(e.verdict);

@@ -1,6 +1,6 @@
 // szp::sim::contract — symbolic prover for footprint contracts.
 //
-// Given a contract, a launch geometry, and the registered buffer extents,
+// Given a contract, a launch geometry, and the registered buffers,
 // prove() decides two properties by interval/stride arithmetic over the
 // affine terms (see contract.hh):
 //
@@ -31,17 +31,9 @@
 
 namespace szp::sim::contract {
 
-/// Registered extent of one buffer, in elements (decoupled from
-/// checked::BufMeta so the prover has no dependency on check.hh).
-struct BufExtent {
-  const char* name = "?";
-  std::uint64_t elems = 0;
-};
-
 enum class Verdict : std::uint8_t {
-  kProved,      ///< disjointness + bounds hold for every block pair
-  kUnproved,    ///< outside the affine domain: falls back to dynamic checking
-  kNoContract,  ///< launch site declared no contract at all
+  kProved,    ///< disjointness + bounds hold for every block pair
+  kUnproved,  ///< outside the affine domain: falls back to dynamic checking
 };
 
 [[nodiscard]] const char* verdict_name(Verdict v);
@@ -56,10 +48,10 @@ struct ProveResult {
 };
 
 /// Decide disjointness + bounds for `con` under `geom` against the
-/// registered buffer extents.  Unknown buffer names or malformed clauses
-/// (len < 1, stride < 0) are proof obstacles, not exceptions.
+/// registered buffers' element counts.  Unknown buffer names or malformed
+/// clauses (len < 1, stride < 0) are proof obstacles, not exceptions.
 [[nodiscard]] ProveResult prove(const Contract& con, const Geom& geom,
-                                const std::vector<BufExtent>& bufs);
+                                const std::vector<BufMeta>& bufs);
 
 // ---------------------------------------------------------------------------
 // Kernel verdict registry (feeds `szp analyze` and the word-mode fast path).
@@ -67,10 +59,10 @@ struct ProveResult {
 
 /// Aggregated per-kernel outcome across every checked launch this process
 /// has run.  A kernel that launches under several geometries keeps the
-/// weakest verdict seen (proved < unproved < no-contract never weakens back).
+/// weakest verdict seen: one unproved launch makes it unproved.
 struct KernelVerdict {
   std::string kernel;
-  Verdict verdict = Verdict::kNoContract;
+  Verdict verdict = Verdict::kUnproved;
   std::uint64_t launches = 0;        ///< checked launches observed
   std::uint64_t word_fastpath = 0;   ///< word-mode launches downgraded by proof
   std::uint64_t word_fallback = 0;   ///< word-mode launches kept fully shadowed
@@ -80,7 +72,6 @@ struct KernelVerdict {
 /// Record one checked launch's outcome for `szp analyze` and tests.
 void note_launch(const char* kernel, const ProveResult& result, bool word_requested,
                  bool word_fastpath);
-void note_launch_no_contract(const char* kernel, bool word_requested);
 
 /// Snapshot of the registry, sorted by kernel name (deterministic).
 [[nodiscard]] std::vector<KernelVerdict> registry_snapshot();

@@ -203,7 +203,7 @@ const BufVolume* LaunchTraffic::find(std::string_view buffer) const {
 }
 
 LaunchTraffic analyze(const contract::Contract& con, const contract::Geom& geom,
-                      const std::vector<BufShape>& bufs) {
+                      const std::vector<contract::BufMeta>& bufs) {
   LaunchTraffic t;
   t.buffers.resize(bufs.size());
   for (std::size_t i = 0; i < bufs.size(); ++i) t.buffers[i].buffer = bufs[i].name;
@@ -426,10 +426,6 @@ namespace szp::sim::checked::detail {
 
 void validate_traffic(const char* kernel, const traffic::LaunchTraffic& predicted,
                       const std::vector<BufMeta>& bufs, const std::vector<BlockLog>& logs) {
-  // Host-sink rows are appended after the registered-buffer prefix; a
-  // shorter vector means traffic was never derived for this launch.
-  if (predicted.buffers.size() < bufs.size()) return;
-
   // Observed bytes per (buffer, direction): per block, union-normalize the
   // logged intervals (the log coalesces only adjacent records, so repeats
   // would double-count), then sum across blocks — re-reads across blocks are

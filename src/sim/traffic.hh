@@ -52,14 +52,6 @@
 
 namespace szp::sim::traffic {
 
-/// Registered extent of one buffer, as the analyzer needs it.  Mirrors
-/// checked::BufMeta without depending on check.hh (check.hh includes us).
-struct BufShape {
-  const char* name = "?";
-  std::uint64_t elems = 0;
-  std::uint32_t elem_bytes = 1;
-};
-
 /// DRAM transaction granularity the coalescing estimate scores against:
 /// 32 words × 4 bytes = one 128-byte cache line.
 inline constexpr std::uint64_t kSegmentBytes = 128;
@@ -104,14 +96,14 @@ struct LaunchTraffic {
 /// Symbolically evaluate `con` over the concrete launch geometry: per-buffer
 /// byte volumes, touched-segment counts, and dynamic-bound flags.
 [[nodiscard]] LaunchTraffic analyze(const contract::Contract& con, const contract::Geom& geom,
-                                    const std::vector<BufShape>& bufs);
+                                    const std::vector<contract::BufMeta>& bufs);
 
 // ---------------------------------------------------------------------------
 // Scope: per-thread traffic accumulation for kernel wrappers.
 // ---------------------------------------------------------------------------
 
-/// While a Scope is open on a thread, every contract-carrying launch on that
-/// thread is analyzed (even with checking off) and its volumes accumulate
+/// While a Scope is open on a thread, every checked launch on that thread
+/// is analyzed (even with checking off) and its volumes accumulate
 /// here.  Wrappers open one around their launches and call apply() to
 /// replace the traffic fields of their hand-assembled KernelCost with the
 /// contract-derived volumes.  Scopes nest: a destroyed Scope rolls its

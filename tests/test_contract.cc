@@ -23,7 +23,6 @@ using namespace szp;
 namespace chk = sim::checked;
 namespace ctr = sim::contract;
 
-using ctr::BufExtent;
 using ctr::Geom;
 using ctr::Verdict;
 
@@ -199,7 +198,7 @@ TEST(ContractDynamic, UnderDeclaredContractFailsLoudly) {
   // writes 20.  The extra 4 elements race with nothing (the tiles still
   // don't meet) and stay in bounds, so only the contract check can object.
   std::vector<std::uint32_t> out(64, 0);
-  chk::launch("seeded_underdeclared", 2, chk::Granularity::kDefault,
+  chk::launch("seeded_underdeclared", 2,
               chk::bufs(chk::out(std::span<std::uint32_t>(out), "out")),
               ctr::contract(ctr::writes("out", ctr::b() * 32, 16)),
               [](std::size_t b, const auto& v) {
@@ -224,7 +223,7 @@ TEST(ContractDynamic, UnderDeclaredContractFailsLoudly) {
 TEST(ContractDynamic, AccurateContractStaysClean) {
   chk::ScopedMode guard(chk::Mode::kInterval);
   std::vector<std::uint32_t> out(64, 0);
-  chk::launch("accurate_tiles", 2, chk::Granularity::kDefault,
+  chk::launch("accurate_tiles", 2,
               chk::bufs(chk::out(std::span<std::uint32_t>(out), "out")),
               ctr::contract(ctr::writes("out", ctr::b() * 32, 20)),
               [](std::size_t b, const auto& v) {
@@ -240,16 +239,14 @@ TEST(ContractDynamic, AccurateContractStaysClean) {
 
 namespace {
 
-void tiled_fill(const char* kernel, std::vector<std::uint32_t>& out, chk::Granularity gran,
-                bool proved_contract) {
+void tiled_fill(const char* kernel, std::vector<std::uint32_t>& out, bool proved_contract) {
   constexpr std::size_t kTile = 256;
   const std::size_t blocks = out.size() / kTile;
   auto con = proved_contract
                  ? ctr::contract(ctr::writes("out", ctr::b() * static_cast<std::int64_t>(kTile),
                                              static_cast<std::int64_t>(kTile)))
                  : ctr::contract(ctr::writes_dyn("out"));
-  chk::launch(kernel, blocks, gran,
-              chk::bufs(chk::out(std::span<std::uint32_t>(out), "out")), con,
+  chk::launch(kernel, blocks, chk::bufs(chk::out(std::span<std::uint32_t>(out), "out")), con,
               [](std::size_t b, const auto& v) {
     for (std::size_t i = 0; i < kTile; ++i) v[b * kTile + i] = static_cast<std::uint32_t>(b);
   });
@@ -262,7 +259,7 @@ TEST(ContractFastpath, ProvedContractSkipsWordShadow) {
   ctr::ScopedFastpath fast(true);
   ctr::reset_registry();
   std::vector<std::uint32_t> out(1024, 0);
-  tiled_fill("fastpath_proved", out, chk::Granularity::kDefault, true);
+  tiled_fill("fastpath_proved", out, true);
   const auto& report = chk::current_report();
   EXPECT_TRUE(report.clean()) << chk::report_text();
   // The proof discharged the shadow: no pages, no recorded words.
@@ -281,7 +278,7 @@ TEST(ContractFastpath, UnprovedContractKeepsWordShadow) {
   ctr::ScopedFastpath fast(true);
   ctr::reset_registry();
   std::vector<std::uint32_t> out(1024, 0);
-  tiled_fill("fastpath_unproved", out, chk::Granularity::kDefault, false);
+  tiled_fill("fastpath_unproved", out, false);
   const auto& report = chk::current_report();
   EXPECT_TRUE(report.clean()) << chk::report_text();
   EXPECT_GT(report.shadow_words, 0u);
@@ -298,26 +295,10 @@ TEST(ContractFastpath, DisabledSwitchKeepsWordShadow) {
   ctr::ScopedFastpath fast(false);
   ctr::reset_registry();
   std::vector<std::uint32_t> out(1024, 0);
-  tiled_fill("fastpath_disabled", out, chk::Granularity::kDefault, true);
+  tiled_fill("fastpath_disabled", out, true);
   EXPECT_GT(chk::current_report().shadow_words, 0u);
   const auto snap = ctr::registry_snapshot();
   const auto* v = find_verdict(snap, "fastpath_disabled");
-  ASSERT_NE(v, nullptr);
-  EXPECT_EQ(v->verdict, Verdict::kProved);
-  EXPECT_EQ(v->word_fallback, 1u);
-}
-
-TEST(ContractFastpath, PerLaunchWordOptInKeepsShadow) {
-  // Granularity::kWord exists to model intra-block lanes; per-block
-  // footprints say nothing about those, so the proof must not disarm it.
-  chk::ScopedMode guard(chk::Mode::kInterval);
-  ctr::ScopedFastpath fast(true);
-  ctr::reset_registry();
-  std::vector<std::uint32_t> out(1024, 0);
-  tiled_fill("word_opt_in", out, chk::Granularity::kWord, true);
-  EXPECT_GT(chk::current_report().shadow_words, 0u);
-  const auto snap = ctr::registry_snapshot();
-  const auto* v = find_verdict(snap, "word_opt_in");
   ASSERT_NE(v, nullptr);
   EXPECT_EQ(v->verdict, Verdict::kProved);
   EXPECT_EQ(v->word_fallback, 1u);
@@ -400,11 +381,11 @@ TEST(ContractRegistry, VerdictTableIsDeterministicAndSorted) {
   std::vector<std::uint32_t> out(64, 0);
   {
     chk::ScopedMode guard(chk::Mode::kInterval);
-    chk::launch("zz_last", 2, chk::Granularity::kDefault,
-                chk::bufs(chk::out(std::span<std::uint32_t>(out), "out")),
+    chk::launch("zz_last", 2, chk::bufs(chk::out(std::span<std::uint32_t>(out), "out")),
                 ctr::contract(ctr::writes("out", ctr::b() * 32, 32)),
                 [](std::size_t b, const auto& v) { v[b * 32] = 1; });
     chk::launch("aa_first", 2, chk::bufs(chk::out(std::span<std::uint32_t>(out), "out")),
+                ctr::contract(ctr::writes_dyn("out")),
                 [](std::size_t b, const auto& v) { v[b * 32] = 1; });
   }
   const std::string table = ctr::verdict_table_text();
@@ -414,10 +395,8 @@ TEST(ContractRegistry, VerdictTableIsDeterministicAndSorted) {
   ASSERT_NE(aa, std::string::npos);
   ASSERT_NE(zz, std::string::npos);
   EXPECT_LT(aa, zz);
-  EXPECT_NE(table.find("1 proved, 0 unproved-fallback-dynamic, 1 no-contract"),
-            std::string::npos)
+  EXPECT_NE(table.find("2 kernel(s): 1 proved, 1 unproved-fallback-dynamic\n"), std::string::npos)
       << table;
-  EXPECT_NE(table.find("no contract declared at the launch site"), std::string::npos);
 }
 
 }  // namespace

@@ -18,24 +18,26 @@ namespace {
 
 using namespace szp;
 namespace chk = sim::checked;
+namespace ctr = sim::contract;
 
 TEST(SimCheck, DisabledRecordsNothing) {
-  chk::set_enabled(false);
-  chk::reset();
+  chk::ScopedMode guard(chk::Mode::kOff);
   std::vector<int> buf(64, 0);
   chk::launch("disabled_kernel", 4, chk::bufs(chk::out(std::span<int>(buf), "buf")),
+              ctr::contract(ctr::writes_dyn("buf")),
               [](std::size_t b, const auto& v) { v[0] = static_cast<int>(b); });
   EXPECT_EQ(chk::current_report().launches_checked, 0u);
   EXPECT_TRUE(chk::current_report().clean());
 }
 
 TEST(SimCheck, FlagsCrossBlockWriteWriteOverlap) {
-  chk::ScopedEnable guard;
+  chk::ScopedMode guard(chk::Mode::kInterval);
   // Two blocks both write quant cell 7 — the canonical block-independence
   // violation a fused kernel refactor could introduce.
   std::vector<std::uint16_t> quant(256, 0);
   chk::launch("seeded_ww_race", 2,
               chk::bufs(chk::out(std::span<std::uint16_t>(quant), "quant")),
+              ctr::contract(ctr::writes_dyn("quant")),
               [](std::size_t b, const auto& vquant) {
     const std::size_t base = b * 128;
     for (std::size_t i = 0; i < 128; ++i) vquant[base + i] = static_cast<std::uint16_t>(b);
@@ -55,7 +57,7 @@ TEST(SimCheck, FlagsCrossBlockWriteWriteOverlap) {
 }
 
 TEST(SimCheck, FlagsCrossBlockReadWriteOverlap) {
-  chk::ScopedEnable guard;
+  chk::ScopedMode guard(chk::Mode::kInterval);
   // Block 0 writes [0, 64); block 1 reads [60, 124): a read/write hazard
   // even though OpenMP's static schedule may serialize the two blocks.
   std::vector<float> halo(128, 0.0f);
@@ -63,6 +65,7 @@ TEST(SimCheck, FlagsCrossBlockReadWriteOverlap) {
   chk::launch("seeded_rw_race", 2,
               chk::bufs(chk::inout(std::span<float>(halo), "halo"),
                         chk::out(std::span<float>(out), "out")),
+              ctr::contract(ctr::updates_dyn("halo"), ctr::writes_dyn("out")),
               [](std::size_t b, const auto& vhalo, const auto& vout) {
     if (b == 0) {
       for (std::size_t i = 0; i < 64; ++i) vhalo[i] = 1.0f;
@@ -83,7 +86,7 @@ TEST(SimCheck, FlagsCrossBlockReadWriteOverlap) {
 }
 
 TEST(SimCheck, FlagsOobReadInStridedScan) {
-  chk::ScopedEnable guard;
+  chk::ScopedMode guard(chk::Mode::kInterval);
   // Off-by-one strided scan: 8 tiles of 16 over a 127-element buffer; the
   // last tile's final read lands at element 127, one past the extent.
   std::vector<std::int32_t> data(127, 1);
@@ -91,6 +94,7 @@ TEST(SimCheck, FlagsOobReadInStridedScan) {
   chk::launch("seeded_oob_scan", 8,
               chk::bufs(chk::in(std::span<const std::int32_t>(data), "data"),
                         chk::out(std::span<std::int32_t>(sums), "sums")),
+              ctr::contract(ctr::reads_dyn("data"), ctr::writes_dyn("sums")),
               [](std::size_t b, const auto& vdata, const auto& vsums) {
     std::int32_t acc = 0;
     for (std::size_t i = 0; i < 16; ++i) acc += vdata[b * 16 + i];  // block 7 runs past
@@ -109,10 +113,11 @@ TEST(SimCheck, FlagsOobReadInStridedScan) {
 }
 
 TEST(SimCheck, FlagsOobWrite) {
-  chk::ScopedEnable guard;
+  chk::ScopedMode guard(chk::Mode::kInterval);
   std::vector<double> buf(10, 0.0);
   chk::launch("seeded_oob_write", 1,
               chk::bufs(chk::out(std::span<double>(buf), "buf")),
+              ctr::contract(ctr::writes_dyn("buf")),
               [](std::size_t, const auto& v) {
     for (std::size_t i = 0; i <= 10; ++i) v[i] = 1.0;  // one past the end
   });
@@ -125,9 +130,10 @@ TEST(SimCheck, FlagsOobWrite) {
 }
 
 TEST(SimCheck, ReportTextNamesKernelBlockAndOffsets) {
-  chk::ScopedEnable guard;
+  chk::ScopedMode guard(chk::Mode::kInterval);
   std::vector<int> cell(4, 0);
   chk::launch("named_kernel", 2, chk::bufs(chk::out(std::span<int>(cell), "cell")),
+              ctr::contract(ctr::writes_dyn("cell")),
               [](std::size_t b, const auto& v) { v[1] = static_cast<int>(b); });
   const std::string text = chk::report_text();
   EXPECT_NE(text.find("named_kernel"), std::string::npos) << text;
@@ -160,7 +166,7 @@ TEST_P(SimCheckRoundTrip, CompressDecompressHasNoFindings) {
                                   : Extents::d3(17, 18, 19);
   const auto data = smooth_field(ext, static_cast<std::uint32_t>(rank));
 
-  chk::ScopedEnable guard;
+  chk::ScopedMode guard(chk::Mode::kInterval);
   CompressConfig cfg;
   cfg.eb = ErrorBound::relative(1e-3);
   const auto compressed = Compressor(cfg).compress(data, ext);
@@ -180,7 +186,7 @@ TEST(SimCheck, AllWorkflowsRoundTripClean) {
   const Extents ext = Extents::d2(48, 52);
   const auto data = smooth_field(ext, 99);
   for (const Workflow wf : {Workflow::kHuffman, Workflow::kRle, Workflow::kRleVle}) {
-    chk::ScopedEnable guard;
+    chk::ScopedMode guard(chk::Mode::kInterval);
     CompressConfig cfg;
     cfg.eb = ErrorBound::relative(1e-3);
     cfg.workflow = wf;

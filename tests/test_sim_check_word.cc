@@ -20,6 +20,7 @@
 #include "lossless/lzh.hh"
 #include "lossless/lzr.hh"
 #include "sim/check.hh"
+#include "sim/prove.hh"
 #include "tools/cli.hh"
 #include "zfp/zfp.hh"
 
@@ -27,6 +28,7 @@ namespace {
 
 using namespace szp;
 namespace chk = sim::checked;
+namespace ctr = sim::contract;
 
 std::vector<float> smooth_field(const Extents& ext, std::uint32_t seed) {
   std::mt19937 rng(seed);
@@ -39,6 +41,15 @@ std::vector<float> smooth_field(const Extents& ext, std::uint32_t seed) {
   }
   return v;
 }
+
+/// Word mode with the shadow on every launch.  The test kernels below
+/// declare their writes dynamic, but a one-block grid has no pair of blocks
+/// to race, so the prover discharges even those and the fast path would
+/// skip the shadow these tests exercise.
+struct ShadowedWordMode {
+  chk::ScopedMode mode{chk::Mode::kWord};
+  ctr::ScopedFastpath fastpath{false};
+};
 
 /// Two lanes of one block write the same word in the same barrier epoch —
 /// the canonical intra-block hazard (e.g. a mis-assigned warp-shuffle slot).
@@ -54,6 +65,7 @@ TEST(SimCheckWord, IntervalModeMissesIntraBlockHazard) {
   chk::ScopedMode guard(chk::Mode::kInterval);
   std::vector<int> buf(16, 0);
   chk::launch("seeded_intra_ww", 1, chk::bufs(chk::out(std::span<int>(buf), "buf")),
+              ctr::contract(ctr::writes_dyn("buf")),
               [](std::size_t b, const auto& v) { seeded_intra_block_ww(b, v); });
   // One block: interval footprints cannot conflict with themselves.
   EXPECT_TRUE(chk::current_report().clean()) << chk::report_text();
@@ -61,9 +73,10 @@ TEST(SimCheckWord, IntervalModeMissesIntraBlockHazard) {
 }
 
 TEST(SimCheckWord, WordModeCatchesIntraBlockHazard) {
-  chk::ScopedMode guard(chk::Mode::kWord);
+  ShadowedWordMode guard;
   std::vector<int> buf(16, 0);
   chk::launch("seeded_intra_ww", 1, chk::bufs(chk::out(std::span<int>(buf), "buf")),
+              ctr::contract(ctr::writes_dyn("buf")),
               [](std::size_t b, const auto& v) { seeded_intra_block_ww(b, v); });
   const auto& report = chk::current_report();
   ASSERT_FALSE(report.hazards.empty()) << chk::report_text();
@@ -78,19 +91,11 @@ TEST(SimCheckWord, WordModeCatchesIntraBlockHazard) {
   EXPECT_TRUE(report.races.empty()) << chk::report_text();
 }
 
-TEST(SimCheckWord, PerLaunchWordOptInUpgradesIntervalMode) {
-  chk::ScopedMode guard(chk::Mode::kInterval);
-  std::vector<int> buf(16, 0);
-  chk::launch("seeded_intra_ww_optin", 1, chk::Granularity::kWord,
-              chk::bufs(chk::out(std::span<int>(buf), "buf")),
-              [](std::size_t b, const auto& v) { seeded_intra_block_ww(b, v); });
-  EXPECT_FALSE(chk::current_report().hazards.empty()) << chk::report_text();
-}
-
 TEST(SimCheckWord, ReadWriteHazardAcrossLanes) {
-  chk::ScopedMode guard(chk::Mode::kWord);
+  ShadowedWordMode guard;
   std::vector<int> buf(16, 0);
   chk::launch("seeded_intra_rw", 1, chk::bufs(chk::inout(std::span<int>(buf), "buf")),
+              ctr::contract(ctr::updates_dyn("buf")),
               [](std::size_t, const auto& v) {
     chk::this_thread(0);
     v[3] = 7;
@@ -103,11 +108,12 @@ TEST(SimCheckWord, ReadWriteHazardAcrossLanes) {
 }
 
 TEST(SimCheckWord, BenignStridingIsNotFlagged) {
-  chk::ScopedMode guard(chk::Mode::kWord);
+  ShadowedWordMode guard;
   // Classic strided access: lane l owns every 4th word — disjoint footprints
   // inside one epoch.  Racecheck would not flag this; neither must we.
   std::vector<int> buf(64, 0);
   chk::launch("benign_stride", 1, chk::bufs(chk::out(std::span<int>(buf), "buf")),
+              ctr::contract(ctr::writes_dyn("buf")),
               [](std::size_t, const auto& v) {
     for (std::uint32_t lane = 0; lane < 4; ++lane) {
       chk::this_thread(lane);
@@ -118,11 +124,12 @@ TEST(SimCheckWord, BenignStridingIsNotFlagged) {
 }
 
 TEST(SimCheckWord, BarrierOrdersAccessesAcrossEpochs) {
-  chk::ScopedMode guard(chk::Mode::kWord);
+  ShadowedWordMode guard;
   // Lane 0 writes, __syncthreads(), lane 1 reads the same word: ordered, not
   // a hazard — the pattern every staged shared-memory kernel relies on.
   std::vector<int> buf(16, 0);
   chk::launch("barrier_ordered", 1, chk::bufs(chk::inout(std::span<int>(buf), "buf")),
+              ctr::contract(ctr::updates_dyn("buf")),
               [](std::size_t, const auto& v) {
     chk::this_thread(0);
     v[5] = 42;
@@ -134,10 +141,11 @@ TEST(SimCheckWord, BarrierOrdersAccessesAcrossEpochs) {
 }
 
 TEST(SimCheckWord, AtomicUpdatesFromDifferentLanesAreExempt) {
-  chk::ScopedMode guard(chk::Mode::kWord);
+  ShadowedWordMode guard;
   // Shared-memory histogram privatization: many lanes atomicAdd one bin.
   std::vector<std::uint32_t> bins(8, 0);
   chk::launch("atomic_bins", 1, chk::bufs(chk::inout(std::span<std::uint32_t>(bins), "bins")),
+              ctr::contract(ctr::updates_dyn("bins")),
               [](std::size_t, const auto& v) {
     for (std::uint32_t lane = 0; lane < 8; ++lane) {
       chk::this_thread(lane);
@@ -149,9 +157,10 @@ TEST(SimCheckWord, AtomicUpdatesFromDifferentLanesAreExempt) {
 }
 
 TEST(SimCheckWord, WordModeStillFlagsCrossBlockRaces) {
-  chk::ScopedMode guard(chk::Mode::kWord);
+  ShadowedWordMode guard;
   std::vector<int> buf(64, 0);
   chk::launch("cross_block_ww", 2, chk::bufs(chk::out(std::span<int>(buf), "buf")),
+              ctr::contract(ctr::writes_dyn("buf")),
               [](std::size_t b, const auto& v) { v[9] = static_cast<int>(b); });
   const auto& report = chk::current_report();
   ASSERT_FALSE(report.races.empty()) << chk::report_text();
@@ -160,9 +169,10 @@ TEST(SimCheckWord, WordModeStillFlagsCrossBlockRaces) {
 }
 
 TEST(SimCheckWord, HazardReportNamesLaneBufferAndWord) {
-  chk::ScopedMode guard(chk::Mode::kWord);
+  ShadowedWordMode guard;
   std::vector<int> buf(16, 0);
   chk::launch("named_hazard", 1, chk::bufs(chk::out(std::span<int>(buf), "cells")),
+              ctr::contract(ctr::writes_dyn("cells")),
               [](std::size_t b, const auto& v) { seeded_intra_block_ww(b, v); });
   const std::string text = chk::report_text();
   EXPECT_NE(text.find("named_hazard"), std::string::npos) << text;
@@ -196,15 +206,17 @@ TEST(SimCheckWord, IntervalModeMissesHuffmanEmitChunkHazard) {
   std::vector<std::uint32_t> gaps(8, 0);
   chk::launch("seeded_huffman_gap", 1,
               chk::bufs(chk::out(std::span<std::uint32_t>(gaps), "gaps")),
+              ctr::contract(ctr::writes_dyn("gaps")),
               [](std::size_t, const auto& v) { seeded_huffman_gap_clobber(v); });
   EXPECT_TRUE(chk::current_report().clean()) << chk::report_text();
 }
 
 TEST(SimCheckWord, WordModeCatchesHuffmanEmitChunkHazard) {
-  chk::ScopedMode guard(chk::Mode::kWord);
+  ShadowedWordMode guard;
   std::vector<std::uint32_t> gaps(8, 0);
   chk::launch("seeded_huffman_gap", 1,
               chk::bufs(chk::out(std::span<std::uint32_t>(gaps), "gaps")),
+              ctr::contract(ctr::writes_dyn("gaps")),
               [](std::size_t, const auto& v) { seeded_huffman_gap_clobber(v); });
   const auto& report = chk::current_report();
   ASSERT_FALSE(report.hazards.empty()) << chk::report_text();
@@ -238,15 +250,17 @@ TEST(SimCheckWord, IntervalModeMissesZfpBlockPlaneHazard) {
   std::vector<std::int32_t> block(16, 0);
   chk::launch("seeded_zfp_plane", 1,
               chk::bufs(chk::inout(std::span<std::int32_t>(block), "block")),
+              ctr::contract(ctr::updates_dyn("block")),
               [](std::size_t, const auto& v) { seeded_zfp_plane_hazard(v); });
   EXPECT_TRUE(chk::current_report().clean()) << chk::report_text();
 }
 
 TEST(SimCheckWord, WordModeCatchesZfpBlockPlaneHazard) {
-  chk::ScopedMode guard(chk::Mode::kWord);
+  ShadowedWordMode guard;
   std::vector<std::int32_t> block(16, 0);
   chk::launch("seeded_zfp_plane", 1,
               chk::bufs(chk::inout(std::span<std::int32_t>(block), "block")),
+              ctr::contract(ctr::updates_dyn("block")),
               [](std::size_t, const auto& v) { seeded_zfp_plane_hazard(v); });
   const auto& report = chk::current_report();
   ASSERT_FALSE(report.hazards.empty()) << chk::report_text();
@@ -295,12 +309,13 @@ TEST(SimCheckWord, ZfpRoundTripIsClean) {
 // --------------------------------------------------------------------------
 
 TEST(SimCheckWord, HazardsStraddlingAPageBoundaryAreCaught) {
-  chk::ScopedMode guard(chk::Mode::kWord);
+  ShadowedWordMode guard;
   // Words kShadowPageWords-1 and kShadowPageWords sit on opposite sides of
   // the first page boundary; both carry a seeded two-lane collision.
   const auto last = chk::kShadowPageWords - 1;
   std::vector<int> buf(3 * chk::kShadowPageWords, 0);
   chk::launch("page_straddle", 1, chk::bufs(chk::out(std::span<int>(buf), "buf")),
+              ctr::contract(ctr::writes_dyn("buf")),
               [last](std::size_t, const auto& v) {
     chk::this_thread(0);
     v[last] = 1;
@@ -319,11 +334,12 @@ TEST(SimCheckWord, HazardsStraddlingAPageBoundaryAreCaught) {
 }
 
 TEST(SimCheckWord, SparseAccessAllocatesFewPages) {
-  chk::ScopedMode guard(chk::Mode::kWord);
+  ShadowedWordMode guard;
   // 64 pages worth of buffer, three words touched: the paged shadow must
   // allocate only the three pages hit, not one slot per word.
   std::vector<int> buf(64 * chk::kShadowPageWords, 0);
   chk::launch("sparse_touch", 1, chk::bufs(chk::out(std::span<int>(buf), "buf")),
+              ctr::contract(ctr::writes_dyn("buf")),
               [](std::size_t, const auto& v) {
     v[0] = 1;
     v[30 * chk::kShadowPageWords + 5] = 2;
@@ -337,12 +353,13 @@ TEST(SimCheckWord, SparseAccessAllocatesFewPages) {
 }
 
 TEST(SimCheckWord, SamplingStillCatchesADenseRace) {
-  chk::ScopedMode guard(chk::Mode::kWord);
+  ShadowedWordMode guard;
   chk::ScopedWordSample sample(8);
   // Two lanes collide on 64 consecutive words: any conflict spanning >= N
   // consecutive words hits a tracked one under 1-in-N sampling.
   std::vector<int> buf(256, 0);
   chk::launch("dense_sampled", 1, chk::bufs(chk::out(std::span<int>(buf), "buf")),
+              ctr::contract(ctr::writes_dyn("buf")),
               [](std::size_t, const auto& v) {
     chk::this_thread(0);
     for (std::size_t i = 0; i < 64; ++i) v[i] = 1;
@@ -356,13 +373,14 @@ TEST(SimCheckWord, SamplingStillCatchesADenseRace) {
 }
 
 TEST(SimCheckWord, SamplingTradesAwayIsolatedHazards) {
-  chk::ScopedMode guard(chk::Mode::kWord);
+  ShadowedWordMode guard;
   chk::ScopedWordSample sample(8);
   // The documented trade-off: a collision on a single untracked word (5 is
   // not a multiple of 8) is invisible at sample 8.  Run full-rate to catch
   // isolated single-word hazards.
   std::vector<int> buf(16, 0);
   chk::launch("isolated_sampled", 1, chk::bufs(chk::out(std::span<int>(buf), "buf")),
+              ctr::contract(ctr::writes_dyn("buf")),
               [](std::size_t b, const auto& v) { seeded_intra_block_ww(b, v); });
   EXPECT_TRUE(chk::current_report().clean()) << chk::report_text();
 }
@@ -379,6 +397,7 @@ TEST(SimCheckFuzz, CatchesOrderDependentKernel) {
   // output that no footprint analysis can prove wrong.
   std::vector<int> buf(64, -1);
   chk::launch("seeded_order_dep", 64, chk::bufs(chk::inout(std::span<int>(buf), "buf")),
+              ctr::contract(ctr::updates_dyn("buf")),
               [](std::size_t b, const auto& v) {
     v[b] = static_cast<int>(b);  // benign per-block cell
     v[0] = static_cast<int>(b);  // all blocks collide here
@@ -398,6 +417,7 @@ TEST(SimCheckFuzz, OrderInvariantKernelIsClean) {
   chk::launch("order_invariant", 8,
               chk::bufs(chk::in(std::span<const int>(in), "in"),
                         chk::out(std::span<int>(out), "out")),
+              ctr::contract(ctr::reads_dyn("in"), ctr::writes_dyn("out")),
               [](std::size_t b, const auto& vin, const auto& vout) {
     int acc = 0;
     for (std::size_t i = 0; i < 32; ++i) acc += vin[b * 32 + i];
@@ -420,6 +440,7 @@ TEST(SimCheckFuzz, CatchesAxisOrderDependentKernel3d) {
   std::vector<std::uint64_t> acc(4, 0);
   chk::launch_3d("seeded_axis_dep", sim::Dim3{4, 3, 2},
                  chk::bufs(chk::inout(std::span<std::uint64_t>(acc), "acc")),
+                 ctr::contract(ctr::updates_dyn("acc")),
                  [](std::uint32_t bx, std::uint32_t by, std::uint32_t bz, const auto& v) {
     const std::uint64_t c = bx + 4ull * by + 16ull * bz;
     v[0] = v[0] * 3 + c;
@@ -446,6 +467,7 @@ TEST(SimCheckFuzz, AxisOrderInvariant3dKernelIsClean) {
   std::vector<std::uint64_t> out(24, 0);
   chk::launch_3d("axis_invariant", sim::Dim3{4, 3, 2},
                  chk::bufs(chk::out(std::span<std::uint64_t>(out), "out")),
+                 ctr::contract(ctr::writes_dyn("out")),
                  [](std::uint32_t bx, std::uint32_t by, std::uint32_t bz, const auto& v) {
     const std::size_t b = (bz * 3ull + by) * 4 + bx;
     v[b] = 100 + b;
@@ -488,6 +510,7 @@ TEST(SimCheckFuzz, RestoresCanonicalResultAfterReplays) {
   chk::ScopedFuzz fuzz(4);
   std::vector<int> out(16, 0);
   chk::launch("restore_post", 4, chk::bufs(chk::out(std::span<int>(out), "out")),
+              ctr::contract(ctr::writes_dyn("out")),
               [](std::size_t b, const auto& v) {
     for (std::size_t i = 0; i < 4; ++i) v[b * 4 + i] = static_cast<int>(b + 1);
   });

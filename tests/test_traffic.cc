@@ -34,7 +34,7 @@ using ctr::Geom;
 TEST(TrafficAnalyze, TiledWindowExactVolumeAndSegments) {
   // 4 blocks × 16 uint32 elements: 256 useful bytes, but each 64-byte tile
   // store drags a whole 128-byte segment — write coalescing 0.5.
-  const std::vector<trf::BufShape> shapes = {{"out", 64, 4}};
+  const std::vector<ctr::BufMeta> shapes = {{"out", 64, 4}};
   const auto t = trf::analyze(ctr::contract(ctr::writes("out", ctr::b() * 16, 16)),
                               Geom{4, 4, 1, 1}, shapes);
   ASSERT_EQ(t.buffers.size(), 1u);
@@ -48,7 +48,7 @@ TEST(TrafficAnalyze, TiledWindowExactVolumeAndSegments) {
 TEST(TrafficAnalyze, StridedNarrowFamilyScoresLow) {
   // Each block gathers 3 single 8-byte elements, 286 elements apart: every
   // access drags a full segment, so coalescing is 8/128.
-  const std::vector<trf::BufShape> shapes = {{"priv", 858, 8}};
+  const std::vector<ctr::BufMeta> shapes = {{"priv", 858, 8}};
   const auto t = trf::analyze(
       ctr::contract(ctr::reads("priv", ctr::b(), 1).strided(3, 286).clamp()),
       Geom{2, 2, 1, 1}, shapes);
@@ -59,7 +59,7 @@ TEST(TrafficAnalyze, StridedNarrowFamilyScoresLow) {
 
 TEST(TrafficAnalyze, ClampedTailShortensLastBlock) {
   // 3 tiles of 16 over a 40-element buffer: the last tile clamps to 8.
-  const std::vector<trf::BufShape> shapes = {{"out", 40, 4}};
+  const std::vector<ctr::BufMeta> shapes = {{"out", 40, 4}};
   const auto t = trf::analyze(ctr::contract(ctr::writes("out", ctr::b() * 16, 16).clamp()),
                               Geom{3, 3, 1, 1}, shapes);
   EXPECT_EQ(t.bytes_written(), 160u);  // 16 + 16 + 8 elements × 4 B
@@ -69,7 +69,7 @@ TEST(TrafficAnalyze, ClampedTailShortensLastBlock) {
 TEST(TrafficAnalyze, BoxTileVolumeOver2D) {
   // 2×2 grid of 4×4 boxes over an 8×8 float field: 16-byte rows each drag a
   // 128-byte segment — the Lorenzo/ZFP tiled-kernel signature.
-  const std::vector<trf::BufShape> shapes = {{"field", 64, 4}};
+  const std::vector<ctr::BufMeta> shapes = {{"field", 64, 4}};
   const auto t = trf::analyze(
       ctr::contract(ctr::writes_box("field", ctr::bx() * 4, 4, ctr::by() * 4, 4,
                                     ctr::lit(0), 1, 8, 8, 1)),
@@ -81,7 +81,7 @@ TEST(TrafficAnalyze, BoxTileVolumeOver2D) {
 
 TEST(TrafficAnalyze, BroadcastReadCountsEveryBlock) {
   // kAll is a broadcast: every block pulls the whole 128-byte buffer.
-  const std::vector<trf::BufShape> shapes = {{"book", 32, 4}};
+  const std::vector<ctr::BufMeta> shapes = {{"book", 32, 4}};
   const auto t = trf::analyze(ctr::contract(ctr::reads_all("book")), Geom{3, 3, 1, 1}, shapes);
   EXPECT_EQ(t.bytes_read(), 384u);
   EXPECT_EQ(t.buffers[0].seg_bytes_read, 384u);
@@ -89,7 +89,7 @@ TEST(TrafficAnalyze, BroadcastReadCountsEveryBlock) {
 }
 
 TEST(TrafficAnalyze, BoundedDynamicUsesDeclaredCeiling) {
-  const std::vector<trf::BufShape> shapes = {{"out", 100, 4}};
+  const std::vector<ctr::BufMeta> shapes = {{"out", 100, 4}};
   const auto t = trf::analyze(ctr::contract(ctr::writes_dyn("out", 10)), Geom{4, 4, 1, 1},
                               shapes);
   EXPECT_EQ(t.bytes_written(), 40u);  // 10 elements once per launch, not per block
@@ -98,7 +98,7 @@ TEST(TrafficAnalyze, BoundedDynamicUsesDeclaredCeiling) {
 }
 
 TEST(TrafficAnalyze, UnboundedDynamicFallsBackToWholeBuffer) {
-  const std::vector<trf::BufShape> shapes = {{"out", 100, 4}};
+  const std::vector<ctr::BufMeta> shapes = {{"out", 100, 4}};
   const auto t = trf::analyze(ctr::contract(ctr::writes_dyn("out")), Geom{4, 4, 1, 1}, shapes);
   EXPECT_EQ(t.bytes_written(), 400u);
   EXPECT_TRUE(t.dynamic());
@@ -108,7 +108,7 @@ TEST(TrafficAnalyze, UnboundedDynamicFallsBackToWholeBuffer) {
 TEST(TrafficAnalyze, HostSinkAppendsDeclaredStoreRow) {
   // host_sink declares the store side of a kernel whose output is
   // host-owned heap state; the row rides after the registered buffers.
-  const std::vector<trf::BufShape> shapes = {{"in", 32, 4}};
+  const std::vector<ctr::BufMeta> shapes = {{"in", 32, 4}};
   const auto t = trf::analyze(
       ctr::contract(ctr::reads_all("in"), ctr::host_sink("sink", 999)), Geom{1, 1, 1, 1},
       shapes);
@@ -320,7 +320,7 @@ TEST(TrafficRoofline, PoorCoalescingRaisesTheRidge) {
 
 TEST(TrafficRegistry, TablesAreDeterministicAndSorted) {
   trf::reset_registry();
-  const std::vector<trf::BufShape> shapes = {{"out", 64, 4}};
+  const std::vector<ctr::BufMeta> shapes = {{"out", 64, 4}};
   const auto t = trf::analyze(ctr::contract(ctr::writes("out", ctr::b() * 16, 16)),
                               Geom{4, 4, 1, 1}, shapes);
   trf::record("zz_kernel", t);

@@ -615,8 +615,8 @@ int cmd_analyze(const Args& a, std::ostream& out) {
   if (want_roofline) out << sim::traffic::roofline_table_text(sim::v100());
   out << sim::checked::report_text();
 
-  // Traffic coverage: every contract-carrying kernel the suite exercised
-  // must have derived nonzero volumes — a zero or absent row means a
+  // Traffic coverage: every kernel the suite exercised must have derived
+  // nonzero volumes — a zero or absent row means a
   // contract whose clauses the analyzer cannot see traffic through.
   bool uncovered = false;
   if (want_traffic || want_roofline) {
@@ -633,12 +633,7 @@ int cmd_analyze(const Args& a, std::ostream& out) {
     }
   }
 
-  bool missing = false;
-  for (const auto& v : sim::contract::registry_snapshot()) {
-    missing |= v.verdict == sim::contract::Verdict::kNoContract;
-  }
-  if (!sim::checked::current_report().clean() || uncovered) return 3;
-  return missing ? 5 : 0;
+  return sim::checked::current_report().clean() && !uncovered ? 0 : 3;
 }
 
 void usage(std::ostream& err) {
@@ -700,14 +695,13 @@ void usage(std::ostream& err) {
          "analyze runs a canned workload over every simulated-GPU kernel under\n"
          "interval checking and prints the footprint-contract verdict per kernel:\n"
          "proved (cross-block disjointness + bounds discharged statically, so\n"
-         "--check=word skips word-shadow instrumentation for it), unproved-\n"
+         "--check=word skips word-shadow instrumentation for it) or unproved-\n"
          "fallback-dynamic (honest reason printed; dynamic checking remains the\n"
-         "authority), or no-contract.  Exit 5 if any kernel lacks a contract,\n"
-         "3 if the checker fired.  --traffic adds the statically derived\n"
-         "per-kernel byte-volume & coalescing table (from the same contracts);\n"
-         "--roofline classifies each kernel bandwidth- vs compute-bound against\n"
-         "the V100 DeviceSpec.  Either flag also fails (exit 3) when a\n"
-         "contract-carrying kernel has no nonzero derived volumes.\n"
+         "authority).  Exit 3 if the checker fired.  --traffic adds the\n"
+         "statically derived per-kernel byte-volume & coalescing table (from\n"
+         "the same contracts); --roofline classifies each kernel bandwidth- vs\n"
+         "compute-bound against the V100 DeviceSpec.  Either flag also fails\n"
+         "(exit 3) when a kernel has no nonzero derived volumes.\n"
          "analyze --codecs instead prints the selector's deterministic score\n"
          "table — every lossless codec ranked by the cost model —\n"
          "over canned quant-code histograms spanning the compressibility\n"
