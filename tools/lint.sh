@@ -2,21 +2,21 @@
 # Static checks over the project sources.  Usage:
 #
 #   tools/lint.sh [build-dir] [extra clang-tidy args...]
-#   tools/lint.sh --contracts-only
+#   tools/lint.sh --text-only
 #
 # Three phases:
-#   1. Footprint-contract coverage: every chk::launch / checked::launch(_3d)
-#      call site in src/ must register a contract (a `contract` token inside
-#      the call's parenthesis extent).  And one OpenMP site: no OpenMP
-#      pragma, `omp.h`, `omp_` or `_OPENMP` in src/ outside
-#      src/sim/launch.hh, whose sim::launch_blocks is the one parallel loop.
-#      And one bit reader and one bit writer: no class named *BitReader or
-#      *BitWriter in src/ outside src/core/huffman/bitio.hh, and the
-#      bit-at-a-time get_bit( only in bitio.hh and codebook.hh (the
-#      canonical-walk fallback).  And one file layer: no file stream
-#      (`fstream`, `ifstream`, `ofstream`, `<fstream>`), `fopen(`, `pread(`
-#      or `mmap(` in the C++ sources of src/ or tools/ outside
-#      src/core/io/.  Pure text checks, no toolchain needed.
+#   1. Text checks over the sources.  One OpenMP site: no OpenMP pragma,
+#      `omp.h`, `omp_` or `_OPENMP` in src/ outside src/sim/launch.hh,
+#      whose sim::launch_blocks is the one parallel loop.  One bit reader
+#      and one bit writer: no class named *BitReader or *BitWriter in src/
+#      outside src/core/huffman/bitio.hh, and the bit-at-a-time get_bit(
+#      only in bitio.hh and codebook.hh (the canonical-walk fallback).  One
+#      file layer: no file stream (`fstream`, `ifstream`, `ofstream`,
+#      `<fstream>`), `fopen(`, `pread(` or `mmap(` in the C++ sources of
+#      src/ or tools/ outside src/core/io/.  No toolchain needed.  (Every
+#      checked launch declares a footprint contract because checked::launch
+#      and launch_3d take one: a call without it does not compile, which the
+#      launch_without_contract_is_rejected ctest pins.)
 #   2. Static traffic coverage: `szp analyze --traffic` must exit clean —
 #      every registered kernel carries contract-derived volumes in the
 #      traffic table.  Skipped when the build tree has no szp binary.
@@ -25,69 +25,17 @@
 #      exported by default, see CMakeLists.txt).  Warnings are errors (see
 #      .clang-tidy WarningsAsErrors).
 #
-# --contracts-only runs phase 1 alone — the `lint` CMake target falls back to
-# it when clang-tidy is not installed.
+# --text-only runs phase 1 alone — the `lint` CMake target falls back to it
+# when clang-tidy is not installed.
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 
-contracts_only=0
-if [ "${1:-}" = "--contracts-only" ]; then
-  contracts_only=1
+text_only=0
+if [ "${1:-}" = "--text-only" ]; then
+  text_only=1
   shift
 fi
-
-# --- Phase 1: every checked launch declares a footprint contract. ----------
-check_contracts() {
-  bad=0
-  for f in $(find "${repo_root}/src" \( -name '*.cc' -o -name '*.hh' \) | sort); do
-    awk -v file="$f" '
-      {
-        line = $0
-        sub(/\/\/.*/, "", line)  # strip line comments (doc examples)
-        while (length(line) > 0) {
-          if (!in_launch) {
-            if (match(line, /(chk|checked)::launch(_3d)?\(/)) {
-              in_launch = 1; depth = 0; seen = 0; start = NR
-              line = substr(line, RSTART)
-            } else break
-          }
-          n = length(line)
-          consumed = n
-          closed = 0
-          for (i = 1; i <= n; i++) {
-            c = substr(line, i, 1)
-            if (c == "(") depth++
-            else if (c == ")") {
-              depth--
-              if (depth == 0) {
-                closed = 1
-                consumed = i
-                break
-              }
-            }
-          }
-          # Only text inside the call extent can satisfy the requirement: a
-          # `contract` token after the closing paren — or inside parens
-          # re-opened later on the same line by the next statement — belongs
-          # to that statement, not to this launch.
-          if (substr(line, 1, consumed) ~ /contract/) seen = 1
-          if (closed) {
-            if (!seen) {
-              printf "%s:%d: checked launch without a footprint contract\n", file, start
-              bad = 1
-            }
-            in_launch = 0
-          }
-          line = substr(line, consumed + 1)
-          if (in_launch) break  # call continues on the next input line
-        }
-      }
-      END { exit bad }
-    ' "$f" || bad=1
-  done
-  return ${bad}
-}
 
 # --- Phase 1: OpenMP is named only by the launcher. -------------------------
 check_openmp_site() {
@@ -126,13 +74,6 @@ check_file_layer() {
   return 1
 }
 
-echo "lint.sh: checking footprint-contract coverage of checked launches"
-check_contracts || {
-  echo "lint.sh: contract coverage check FAILED" >&2
-  exit 1
-}
-echo "lint.sh: contract coverage OK"
-
 echo "lint.sh: checking that OpenMP appears only in src/sim/launch.hh"
 check_openmp_site || {
   echo "lint.sh: one-OpenMP-site check FAILED (route the loop through sim::launch_blocks)" >&2
@@ -155,7 +96,7 @@ check_file_layer || {
 }
 echo "lint.sh: one file layer OK"
 
-if [ "${contracts_only}" = 1 ]; then
+if [ "${text_only}" = 1 ]; then
   exit 0
 fi
 
@@ -165,7 +106,7 @@ build_dir=${1:-"${repo_root}/build"}
 # --- Phase 2: static traffic coverage. -------------------------------------
 # Every registered kernel must have a row with derived volumes in the traffic
 # table (`szp analyze --traffic` exits 3 on an uncovered kernel or a
-# checker/traffic finding, 5 on a missing contract).  Needs the built CLI;
+# checker/traffic finding).  Needs the built CLI;
 # skipped with a note when the build tree has none.
 szp_bin="${build_dir}/tools/szp"
 if [ -x "${szp_bin}" ]; then
