@@ -42,10 +42,11 @@ std::vector<float> smooth_field(const Extents& ext, std::uint32_t seed) {
   return v;
 }
 
-/// Word mode with the shadow on every launch.  The test kernels below
-/// declare their writes dynamic, but a one-block grid has no pair of blocks
-/// to race, so the prover discharges even those and the fast path would
-/// skip the shadow these tests exercise.
+/// Word mode with the shadow on every launch.  A proved contract sends a
+/// launch to the interval tier, which never sees the lane model these tests
+/// exercise: the production kernels below prove, and so does every test
+/// kernel that declares its writes dynamic, since a one-block grid has no
+/// pair of blocks to race.
 struct ShadowedWordMode {
   chk::ScopedMode mode{chk::Mode::kWord};
   ctr::ScopedFastpath fastpath{false};
@@ -279,7 +280,7 @@ TEST(SimCheckWord, HuffmanGapEncodeDecodeIsClean) {
   for (const auto s : syms) ++freq[s];
   const auto book = HuffmanCodebook::build(freq);
 
-  chk::ScopedMode guard(chk::Mode::kWord);
+  ShadowedWordMode guard;
   const auto enc = huffman_encode(syms, book, 1024, HuffmanEncVariant::kOptimized, 256);
   const auto dec = huffman_decode(enc, book);
   EXPECT_EQ(dec.symbols, syms);
@@ -294,7 +295,7 @@ TEST(SimCheckWord, ZfpRoundTripIsClean) {
   // must stay exempt.
   for (const Extents& ext : {Extents::d2(37, 22), Extents::d3(9, 10, 11)}) {
     const auto data = smooth_field(ext, 71);
-    chk::ScopedMode guard(chk::Mode::kWord);
+    ShadowedWordMode guard;
     const auto compressed = zfp::zfp_compress(data, ext, {});
     const auto restored = zfp::zfp_decompress(compressed.bytes);
     EXPECT_EQ(restored.data.size(), data.size());
