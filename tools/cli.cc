@@ -616,8 +616,8 @@ int cmd_analyze(const Args& a, std::ostream& out) {
   out << sim::checked::report_text();
 
   // Traffic coverage: every kernel the suite exercised must have derived
-  // nonzero volumes — a zero or absent row means a
-  // contract whose clauses the analyzer cannot see traffic through.
+  // nonzero volumes — a zero or absent row means a contract whose clauses
+  // the analyzer cannot see traffic through.
   bool uncovered = false;
   if (want_traffic || want_roofline) {
     const auto traffic_rows = sim::traffic::registry_snapshot();
