@@ -213,6 +213,81 @@ TEST(CliAnalyze, VerdictTableIsPinned) {
   EXPECT_EQ(line.rfind("sim-check:", 0), 0u) << line;
 }
 
+TEST(CliAnalyze, TrafficTableIsPinned) {
+  // Every header line and row of the traffic and roofline tables the canned
+  // workload prints: launches, contract-derived volumes, coalescing, the dyn
+  // flag, intensity, ridge and bound.
+  const char* const kWant[] = {
+      "static traffic: 26 kernel(s), 4985317 byte(s) read, 6252602 byte(s) written (contract-derived)",
+      "  kernel                        launches     read-bytes    write-bytes  coalesce  dyn",
+      "  codec/quant_pack                     3         120000         120000      1.00     ",
+      "  codec/quant_unpack                   3         120000         120000      1.00     ",
+      "  device_scan/tile_reduce              3          40320             96      0.96     ",
+      "  device_scan/tile_scan                3          40416          40320      0.98     ",
+      "  histogram/merge                      5         147456          40960      1.00     ",
+      "  histogram/tile_bins                  5         347456         147456      1.00     ",
+      "  huffman_decode                       2          51920          80000      0.98  dyn",
+      "  huffman_encode/chunk_sizes           2          80000            320      0.94     ",
+      "  huffman_encode/deflate               2          80640          20320      0.93  dyn",
+      "  lorenzo_construct                    6         328640         822104      0.90     ",
+      "  lorenzo_reconstruct                  5         162388         324320      0.94  dyn",
+      "  lorenzo_reconstruct_coarse           1           6480           4320      0.11     ",
+      "  lz77/freq_merge                      4          10112          10112      0.99     ",
+      "  lz77/token_freq                      4          40304          10112      0.99     ",
+      "  lz77/tokenize                        5        3110720        2910720      1.00     ",
+      "  lzh/decode                           2           3991          80000      1.00  dyn",
+      "  lzh/encode                           2          15096           8675      0.99  dyn",
+      "  lzr/expand                           2           9338          80000      0.99  dyn",
+      "  lzr/token_split                      2          15096          11795      0.98  dyn",
+      "  reduce_by_key/tile_runs              2         240000        1200024      1.00     ",
+      "  regression_construct                 1           4448          11408      0.12     ",
+      "  regression_reconstruct               1           3248           4320      0.11  dyn",
+      "  rle_decode/expand                    1           1800         200000      0.89  dyn",
+      "  scatter_add                          1            304             76      0.07  dyn",
+      "  zfp_compress                         2           3316           1828      0.12     ",
+      "  zfp_decompress                       2           1828           3316      0.12     ",
+      "roofline (V100-SXM2): ridge 5.50 flop/B at full coalescing, 900 GB/s peak",
+      "  kernel                          flop/B  coalesce   ridge  bound",
+      "  codec/quant_pack                  0.50      1.00    5.50  bandwidth",
+      "  codec/quant_unpack                0.50      1.00    5.50  bandwidth",
+      "  device_scan/tile_reduce           0.25      0.96    5.73  bandwidth",
+      "  device_scan/tile_scan             0.25      0.98    5.63  bandwidth",
+      "  histogram/merge                   0.25      1.00    5.50  bandwidth",
+      "  histogram/tile_bins               1.00      1.00    5.50  bandwidth",
+      "  huffman_decode                   60.00      0.98    5.60  compute",
+      "  huffman_encode/chunk_sizes        1.00      0.94    5.83  bandwidth",
+      "  huffman_encode/deflate            2.50      0.93    5.89  bandwidth",
+      "  lorenzo_construct                 0.60      0.90    6.07  bandwidth",
+      "  lorenzo_reconstruct               0.50      0.94    5.84  bandwidth",
+      "  lorenzo_reconstruct_coarse        0.70      0.11   51.32  bandwidth",
+      "  lz77/freq_merge                   0.25      0.99    5.56  bandwidth",
+      "  lz77/token_freq                   1.00      0.99    5.55  bandwidth",
+      "  lz77/tokenize                    20.00      1.00    5.50  compute",
+      "  lzh/decode                       30.00      1.00    5.51  compute",
+      "  lzh/encode                        2.50      0.99    5.56  bandwidth",
+      "  lzr/expand                        0.50      0.99    5.53  bandwidth",
+      "  lzr/token_split                   0.50      0.98    5.60  bandwidth",
+      "  reduce_by_key/tile_runs           1.00      1.00    5.50  bandwidth",
+      "  regression_construct              0.80      0.12   47.46  bandwidth",
+      "  regression_reconstruct            0.60      0.11   49.91  bandwidth",
+      "  rle_decode/expand                 0.50      0.89    6.17  bandwidth",
+      "  scatter_add                       0.25      0.07   74.04  bandwidth",
+      "  zfp_compress                      4.00      0.12   45.94  bandwidth",
+      "  zfp_decompress                    4.00      0.12   45.94  bandwidth",
+  };
+  const auto r = run({"analyze", "--traffic", "--roofline"});
+  ASSERT_EQ(r.code, 0) << r.out << r.err;
+  std::istringstream text(r.out);
+  std::string line;
+  while (std::getline(text, line) && line.rfind("static traffic:", 0) != 0) {
+  }
+  for (const char* want : kWant) {
+    EXPECT_EQ(line, want);
+    ASSERT_TRUE(std::getline(text, line)) << "missing line " << want;
+  }
+  EXPECT_EQ(line.rfind("sim-check:", 0), 0u) << line;
+}
+
 TEST_F(CliTest, StreamingContainer) {
   const auto raw = path("s.f32");
   const auto arc = path("s.szpc");

@@ -6,12 +6,14 @@
 // and codec tables must follow the tags the archive header stores.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <iterator>
+#include <optional>
 #include <ostream>
 #include <set>
 #include <string>
@@ -27,8 +29,10 @@
 #include "core/huffman/codec.hh"
 #include "core/io/io.hh"
 #include "core/pipeline/stage.hh"
+#include "core/rle/rle.hh"
 #include "core/streaming.hh"
 #include "one_lane_archive.hh"
+#include "zfp/zfp.hh"
 
 namespace {
 
@@ -629,6 +633,124 @@ TEST(ModeledClock, HistogramCostsArePinned) {
       "rle+vle rle_vle br=902576 bw=33458 fl=623040 la=8 pi=38940 pat=3 cf=0x1.70a3d70a3d70ap-4",
   };
   const auto rows = histogram_cost_rows();
+  ASSERT_EQ(rows.size(), std::size(kWant));
+  for (std::size_t i = 0; i < rows.size(); ++i) EXPECT_EQ(rows[i], kWant[i]) << "row " << i;
+}
+
+// --- The modeled clock of the RLE, ZFP and LZ stages ---------------------------
+//
+// Every cost field of rle_encode and rle_decode (empty, one-tile, multi-tile
+// and one long run that splits at the u16 cap), of ZFP compress and
+// decompress (ragged 1-D, 2-D and 3-D block grids at two rates), and of the
+// six LZ stages, driven through the codec table on empty and multi-tile
+// code streams.
+
+/// Quant codes around the radius: runs of the zero residual broken by
+/// short excursions, so both RLE and the LZ parse find structure.
+std::vector<quant_t> run_codes(std::size_t n) {
+  std::vector<quant_t> q(n);
+  std::uint32_t s = 4242;
+  for (auto& v : q) {
+    s = s * 1664525u + 1013904223u;
+    const std::uint32_t u = s >> 24;
+    v = static_cast<quant_t>(u < 200 ? 512 : 504 + (u & 15));
+  }
+  return q;
+}
+
+/// A section sink over a vector of its own, for driving a codec directly.
+class VectorSink final : public pipeline::SectionSink {
+ public:
+  ByteWriter& open(std::size_t section_bytes) override {
+    bytes.assign(section_bytes, 0);
+    writer.emplace(std::span<std::uint8_t>(bytes));
+    return *writer;
+  }
+  std::vector<std::uint8_t> bytes;
+  std::optional<ByteWriter> writer;
+};
+
+std::vector<std::string> codec_stage_cost_rows() {
+  std::vector<std::string> rows;
+  const std::size_t kRleSizes[] = {0, 3000, 65536 * 2 + 3000};
+  for (const std::size_t n : kRleSizes) {
+    const auto rle = rle_encode(run_codes(n));
+    const std::string label = "n=" + std::to_string(n);
+    rows.push_back(label + " rle_encode" + cost_fields(rle.cost));
+    rows.push_back(label + " rle_decode" + cost_fields(rle_decode(rle).cost));
+  }
+  const auto flat = rle_encode(std::vector<quant_t>(65536 * 2 + 3000, 512));
+  rows.push_back("flat rle_encode" + cost_fields(flat.cost));
+  rows.push_back("flat rle_decode" + cost_fields(rle_decode(flat).cost));
+
+  for (const Extents& ext : {Extents::d1(1001), Extents::d2(37, 45), Extents::d3(9, 10, 11)}) {
+    const auto data = rough_field<float>(ext, 0.1);
+    for (const double rate : {8.0, 3.5}) {
+      const auto c = zfp::zfp_compress(data, ext, zfp::ZfpConfig{rate});
+      const std::string label =
+          "rank=" + std::to_string(ext.rank) + " rate=" + std::to_string(rate);
+      rows.push_back(label + " zfp_compress" + cost_fields(c.cost));
+      rows.push_back(label + " zfp_decompress" + cost_fields(zfp::zfp_decompress(c.bytes).cost));
+    }
+  }
+
+  const CompressConfig cfg;
+  for (const Workflow wf : {Workflow::kLz77, Workflow::kLzh, Workflow::kLzr}) {
+    const pipeline::LosslessCodec& codec = pipeline::codec(wf);
+    for (const std::size_t n : {std::size_t{0}, std::size_t{16384 * 2 + 3000}}) {
+      const auto quant = run_codes(n);
+      Workspace ws;
+      VectorSink sink;
+      sim::PipelineReport report;
+      codec.encode(quant, pipeline::EncodeContext{cfg, {}, n * 4}, ws, sink, report);
+      ByteReader r(sink.bytes);
+      sim::device_vector<quant_t> out;
+      codec.decode(r, pipeline::DecodeContext{n, n * 4}, out, report);
+      EXPECT_TRUE(std::equal(out.begin(), out.end(), quant.begin(), quant.end())) << codec.name();
+      for (const sim::StageReport& s : report.stages) {
+        rows.push_back("n=" + std::to_string(n) + " " + s.name + cost_fields(s.cost));
+      }
+    }
+  }
+  return rows;
+}
+
+TEST(ModeledClock, CodecStageCostsArePinned) {
+  const char* const kWant[] = {
+      "n=0 rle_encode br=0 bw=0 fl=0 la=1 pi=1 pat=0 cf=0x0p+0",
+      "n=0 rle_decode br=0 bw=0 fl=0 la=1 pi=1 pat=0 cf=0x0p+0",
+      "n=3000 rle_encode br=6000 bw=34496 fl=6000 la=1 pi=3000 pat=0 cf=0x1.47ae147ae147bp-4",
+      "n=3000 rle_decode br=20196 bw=6000 fl=3000 la=1 pi=1122 pat=0 cf=0x0p+0",
+      "n=134072 rle_encode br=268144 bw=1534540 fl=268144 la=1 pi=134072 pat=0 cf=0x1.47ae147ae147bp-4",
+      "n=134072 rle_decode br=872082 bw=268144 fl=134072 la=1 pi=48449 pat=0 cf=0x0p+0",
+      "flat rle_encode br=268144 bw=1340756 fl=268144 la=1 pi=134072 pat=0 cf=0x1.47ae147ae147bp-4",
+      "flat rle_decode br=54 bw=268144 fl=134072 la=1 pi=3 pat=0 cf=0x0p+0",
+      "rank=1 rate=8.000000 zfp_compress br=4004 bw=1004 fl=12012 la=1 pi=1001 pat=0 cf=0x1.3333333333333p-1",
+      "rank=1 rate=8.000000 zfp_decompress br=1004 bw=4004 fl=12012 la=1 pi=1001 pat=0 cf=0x1.3333333333333p-1",
+      "rank=1 rate=3.500000 zfp_compress br=4004 bw=753 fl=12012 la=1 pi=1001 pat=0 cf=0x1.3333333333333p-1",
+      "rank=1 rate=3.500000 zfp_decompress br=753 bw=4004 fl=12012 la=1 pi=1001 pat=0 cf=0x1.3333333333333p-1",
+      "rank=2 rate=8.000000 zfp_compress br=6660 bw=1920 fl=19980 la=1 pi=1665 pat=0 cf=0x1.3333333333333p-1",
+      "rank=2 rate=8.000000 zfp_decompress br=1920 bw=6660 fl=19980 la=1 pi=1665 pat=0 cf=0x1.3333333333333p-1",
+      "rank=2 rate=3.500000 zfp_compress br=6660 bw=840 fl=19980 la=1 pi=1665 pat=0 cf=0x1.3333333333333p-1",
+      "rank=2 rate=3.500000 zfp_decompress br=840 bw=6660 fl=19980 la=1 pi=1665 pat=0 cf=0x1.3333333333333p-1",
+      "rank=3 rate=8.000000 zfp_compress br=3960 bw=1728 fl=11880 la=1 pi=990 pat=0 cf=0x1.3333333333333p-1",
+      "rank=3 rate=8.000000 zfp_decompress br=1728 bw=3960 fl=11880 la=1 pi=990 pat=0 cf=0x1.3333333333333p-1",
+      "rank=3 rate=3.500000 zfp_compress br=3960 bw=756 fl=11880 la=1 pi=990 pat=0 cf=0x1.3333333333333p-1",
+      "rank=3 rate=3.500000 zfp_decompress br=756 bw=3960 fl=11880 la=1 pi=990 pat=0 cf=0x1.3333333333333p-1",
+      "n=0 lz77_encode br=262144 bw=262144 fl=0 la=2 pi=1 pat=3 cf=0x0p+0",
+      "n=0 lz77_decode br=0 bw=0 fl=0 la=1 pi=1 pat=0 cf=0x0p+0",
+      "n=35768 lz77_encode br=977504 bw=905968 fl=3576800 la=2 pi=1 pat=3 cf=0x0p+0",
+      "n=35768 lz77_decode br=71536 bw=71536 fl=357680 la=1 pi=1 pat=0 cf=0x0p+0",
+      "n=0 lzh_encode br=267216 bw=267203 fl=0 la=5 pi=1 pat=3 cf=0x0p+0",
+      "n=0 lzh_decode br=1 bw=0 fl=0 la=2 pi=1 pat=0 cf=0x0p+0",
+      "n=35768 lzh_encode br=1067392 bw=937534 fl=3576800 la=5 pi=1 pat=3 cf=0x0p+0",
+      "n=35768 lzh_decode br=82857 bw=143072 fl=357680 la=2 pi=1 pat=0 cf=0x0p+0",
+      "n=0 lzr_encode br=267216 bw=267207 fl=0 la=5 pi=1 pat=3 cf=0x0p+0",
+      "n=0 lzr_decode br=2 bw=0 fl=0 la=2 pi=1 pat=0 cf=0x0p+0",
+      "n=35768 lzr_encode br=1067392 bw=944162 fl=3576800 la=5 pi=1 pat=3 cf=0x0p+0",
+      "n=35768 lzr_decode br=98204 bw=143072 fl=357680 la=2 pi=1 pat=0 cf=0x0p+0",
+  };
+  const auto rows = codec_stage_cost_rows();
   ASSERT_EQ(rows.size(), std::size(kWant));
   for (std::size_t i = 0; i < rows.size(); ++i) EXPECT_EQ(rows[i], kWant[i]) << "row " << i;
 }
