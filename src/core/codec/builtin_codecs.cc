@@ -3,9 +3,10 @@
 // (eight lanes, plus the decode-only one-lane format of tag 3); and the
 // codec table, which splices in the LZ family of lz_codecs.cc.  The
 // section byte layouts and the PipelineReport stage names are pinned by the
-// golden-archive tests.  estimate() mirrors, per codec, the analytic
-// KernelCost formulas the real kernels report, so the selector's modeled
-// seconds agree with the PipelineReport of an actual run.
+// golden-archive tests.  The rANS estimate prices its stages with the
+// formulas they report; the Huffman and RLE estimates are coarser than
+// their stages' modeled costs and stay so, because kAuto's picks depend on
+// them (codec.hh).
 #include <algorithm>
 #include <array>
 #include <cmath>
@@ -118,8 +119,8 @@ double huffman_section_bytes(double symbols, std::uint32_t chunk) {
   return 8.0 + 4.0 + 4.0 + 8.0 + 8.0 * chunks + 8.0;
 }
 
-/// Analytic encode cost of a chunked-Huffman pass over `symbols` symbols at
-/// `bits` bits each — same shape huffman_encode_into() reports.
+/// Estimated encode cost of a chunked-Huffman pass over `symbols` symbols at
+/// `bits` bits each: coarser than the cost huffman_encode_into() reports.
 sim::KernelCost huffman_encode_cost(double symbols, double bits, std::size_t book_live) {
   sim::KernelCost c;
   c.bytes_read = static_cast<std::uint64_t>(symbols) * sizeof(quant_t) + book_live * 9;
@@ -132,8 +133,8 @@ sim::KernelCost huffman_encode_cost(double symbols, double bits, std::size_t boo
   return c;
 }
 
-/// Analytic decode cost of the chunked-Huffman inflate — same shape
-/// huffman_decode() reports (bit-serial table walk, compute-bound).
+/// Estimated decode cost of the chunked-Huffman inflate (bit-serial table
+/// walk, compute-bound): coarser than the cost huffman_decode() reports.
 sim::KernelCost huffman_decode_cost(double symbols, double bits, std::size_t book_live,
                                     std::uint32_t chunk) {
   sim::KernelCost c;

@@ -30,10 +30,14 @@
 //   * Kernels run as registered checked launches with footprint contracts,
 //     so `--check=word`, `szp analyze` and the traffic analyzer cover every
 //     codec equally.
-//   * estimate() is histogram-only — no trial encode.  Its KernelCosts use
-//     the same analytic formulas the real kernels report, so the modeled
-//     encode/decode seconds the selector ranks match what PipelineReport
-//     would show.
+//   * estimate() is histogram-only — no trial encode.  The rANS and LZ
+//     estimates price their stages with the formulas the stages report
+//     (LZ at the projected payload, its decode stage at the section it
+//     read).  The Huffman and RLE estimates are coarser than their stages'
+//     modeled costs — Huffman's reads n·2 + live·9 bytes in 3 launches,
+//     its stage two code passes, the chunk-size scan and the offsets in 4
+//     — and stay so on purpose: kAuto's picks, and so its archives, depend
+//     on them.
 #pragma once
 
 #include <cstdint>

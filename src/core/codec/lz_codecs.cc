@@ -24,7 +24,6 @@
 #include "sim/check.hh"
 #include "sim/launch.hh"
 #include "sim/timer.hh"
-#include "sim/traffic.hh"
 
 namespace szp::pipeline {
 
@@ -118,7 +117,7 @@ LzProjection project_lz(const CodecSignals& sig) {
   return p;
 }
 
-/// The serial hash-chain parse: contract traffic over input + chains, no
+/// The serial hash-chain parse: traffic over input + chains, no
 /// parallelism (one block).  This is the honest price of the host-style
 /// dictionary tier and why the selector only picks LZ under ratio-heavy
 /// objectives.
@@ -133,10 +132,12 @@ sim::KernelCost lz_parse_cost(std::size_t n) {
   return c;
 }
 
-sim::KernelCost lz_expand_cost(std::size_t n, double payload_bits) {
+/// The serial expansion of `stream_bytes` of tokens back to the packed
+/// n-code byte stream.
+sim::KernelCost lz_expand_cost(std::size_t n, std::uint64_t stream_bytes) {
   sim::KernelCost c;
   const std::uint64_t bytes = n * sizeof(quant_t);
-  c.bytes_read = static_cast<std::uint64_t>(payload_bits * static_cast<double>(n) / 8.0) + bytes;
+  c.bytes_read = stream_bytes + bytes;
   c.bytes_written = bytes;
   c.flops = bytes * 5;
   c.parallel_items = 1;  // back-references serialize the expansion
@@ -155,6 +156,30 @@ sim::KernelCost pack_cost(std::size_t n) {
   return c;
 }
 
+/// The modeled encode stage, priced by estimate() and reported by encode():
+/// the pack kernel, then the parse.  The LZ kernels' contracts describe
+/// host-only tables (the hash head, a chain link per input byte, per-tile
+/// token-frequency rows), so no stage takes its traffic from them.
+sim::KernelCost lz_encode_cost(std::size_t n) {
+  sim::KernelCost c = pack_cost(n);
+  c += lz_parse_cost(n);
+  return c;
+}
+
+/// The modeled decode stage: the expansion of `stream_bytes`, then the
+/// unpack kernel.  estimate() prices the projected payload, decode() the
+/// section it read.
+sim::KernelCost lz_decode_cost(std::size_t n, std::uint64_t stream_bytes) {
+  sim::KernelCost c = lz_expand_cost(n, stream_bytes);
+  c += pack_cost(n);
+  return c;
+}
+
+/// Projected payload bytes of an estimate.
+std::uint64_t payload_bytes(const CodecEstimate& e, std::size_t n) {
+  return static_cast<std::uint64_t>(e.payload_bits_per_symbol * static_cast<double>(n) / 8.0);
+}
+
 // --- lz77: raw token stream -------------------------------------------------
 
 class Lz77Codec final : public LosslessCodec {
@@ -165,14 +190,9 @@ class Lz77Codec final : public LosslessCodec {
   void encode(std::span<const quant_t> quant, const EncodeContext& ctx, Workspace& ws,
               SectionSink& sink, sim::PipelineReport& report) const override {
     sim::Timer t;
-    sim::KernelCost cost = pack_cost(quant.size());
-    std::vector<lossless::Lz77Token> tokens;
-    {
-      sim::traffic::Scope scope;  // contract-derived volumes (pack + parse)
-      quant_pack(quant, ws.codec_bytes);
-      tokens = lossless::lz77_tokenize(ws.codec_bytes);
-      scope.apply(cost);
-    }
+    quant_pack(quant, ws.codec_bytes);
+    const auto tokens = lossless::lz77_tokenize(ws.codec_bytes);
+    sim::KernelCost cost = lz_encode_cost(quant.size());
     cost.flops = quant.size_bytes() * 50;
     cost.parallel_items = 1;  // greedy parse is serial
     cost.pattern = sim::AccessPattern::kScattered;
@@ -191,6 +211,7 @@ class Lz77Codec final : public LosslessCodec {
   void decode(ByteReader& r, const DecodeContext& ctx, sim::device_vector<quant_t>& out,
               sim::PipelineReport& report) const override {
     sim::Timer t;
+    const std::size_t section_start = r.position();
     r.set_segment("quant-codes");
     const auto count = r.get<std::uint64_t>();
     constexpr std::size_t kTokenBytes = 7;
@@ -207,35 +228,31 @@ class Lz77Codec final : public LosslessCodec {
     const std::size_t packed = ctx.n * sizeof(quant_t);
     std::vector<std::uint8_t> bytes;
     bytes.reserve(std::min<std::size_t>(packed, count * 258));
-    sim::KernelCost cost;
-    {
-      sim::traffic::Scope scope;
-      for (std::uint64_t i = 0; i < count; ++i) {
-        lossless::Lz77Token tok;
-        tok.litlen_sym = r.get<std::uint16_t>();
-        tok.len_extra = r.get<std::uint16_t>();
-        tok.dist_sym = r.get<std::uint8_t>();
-        tok.dist_extra = r.get<std::uint16_t>();
-        const bool more = lossless::lz77_expand(tok, bytes);
-        if (!more && i + 1 != count) {
-          throw DecodeError(DecodeErrorKind::kCorruptStream, "quant-codes",
-                            "lz77 end-of-block token before the declared stream end");
-        }
-        if (more && i + 1 == count) {
-          throw DecodeError(DecodeErrorKind::kCorruptStream, "quant-codes",
-                            "lz77 token stream is missing the end-of-block token");
-        }
-        if (bytes.size() > packed) {
-          throw DecodeError(DecodeErrorKind::kCorruptStream, "quant-codes",
-                            "lz77 stream expands past the " + std::to_string(ctx.n) +
-                                "-element grid");
-        }
+    for (std::uint64_t i = 0; i < count; ++i) {
+      lossless::Lz77Token tok;
+      tok.litlen_sym = r.get<std::uint16_t>();
+      tok.len_extra = r.get<std::uint16_t>();
+      tok.dist_sym = r.get<std::uint8_t>();
+      tok.dist_extra = r.get<std::uint16_t>();
+      const bool more = lossless::lz77_expand(tok, bytes);
+      if (!more && i + 1 != count) {
+        throw DecodeError(DecodeErrorKind::kCorruptStream, "quant-codes",
+                          "lz77 end-of-block token before the declared stream end");
       }
-      require_packed_size(bytes.size(), ctx.n, "lz77");
-      out.resize(ctx.n);
-      quant_unpack(bytes, out);
-      scope.apply(cost);
+      if (more && i + 1 == count) {
+        throw DecodeError(DecodeErrorKind::kCorruptStream, "quant-codes",
+                          "lz77 token stream is missing the end-of-block token");
+      }
+      if (bytes.size() > packed) {
+        throw DecodeError(DecodeErrorKind::kCorruptStream, "quant-codes",
+                          "lz77 stream expands past the " + std::to_string(ctx.n) +
+                              "-element grid");
+      }
     }
+    require_packed_size(bytes.size(), ctx.n, "lz77");
+    out.resize(ctx.n);
+    quant_unpack(bytes, out);
+    sim::KernelCost cost = lz_decode_cost(ctx.n, r.position() - section_start);
     cost.flops = packed * 5;
     cost.parallel_items = 1;
     report.add({"lz77_decode", ctx.payload_bytes, t.seconds(), cost});
@@ -247,10 +264,8 @@ class Lz77Codec final : public LosslessCodec {
     // Raw tokens are 7 bytes each, literals included.
     e.payload_bits_per_symbol = 56.0 * (p.match_tokens_per_sym + p.lit_bytes_per_sym);
     e.fixed_bytes = 8.0 + 56.0;  // token count + end-of-block token
-    e.encode_cost = pack_cost(sig.n);
-    e.encode_cost += lz_parse_cost(sig.n);
-    e.decode_cost = lz_expand_cost(sig.n, e.payload_bits_per_symbol);
-    e.decode_cost += pack_cost(sig.n);
+    e.encode_cost = lz_encode_cost(sig.n);
+    e.decode_cost = lz_decode_cost(sig.n, payload_bytes(e, sig.n));
     return e;
   }
 };
@@ -265,14 +280,9 @@ class LzEntropyCodec : public LosslessCodec {
   void encode(std::span<const quant_t> quant, const EncodeContext& ctx, Workspace& ws,
               SectionSink& sink, sim::PipelineReport& report) const override {
     sim::Timer t;
-    sim::KernelCost cost = pack_cost(quant.size());
-    std::vector<std::uint8_t> payload;
-    {
-      sim::traffic::Scope scope;  // pack + parse + entropy kernels
-      quant_pack(quant, ws.codec_bytes);
-      payload = Derived::compress_bytes(ws.codec_bytes);
-      scope.apply(cost);
-    }
+    quant_pack(quant, ws.codec_bytes);
+    const auto payload = Derived::compress_bytes(ws.codec_bytes);
+    sim::KernelCost cost = lz_encode_cost(quant.size());
     cost.flops = quant.size_bytes() * 50;
     cost.parallel_items = 1;  // greedy parse is serial
     cost.pattern = sim::AccessPattern::kScattered;
@@ -283,20 +293,17 @@ class LzEntropyCodec : public LosslessCodec {
   void decode(ByteReader& r, const DecodeContext& ctx, sim::device_vector<quant_t>& out,
               sim::PipelineReport& report) const override {
     sim::Timer t;
+    const std::size_t section_start = r.position();
     r.set_segment("quant-codes");
     // get_bytes() validates the declared length against the remaining bytes
     // before anything is allocated; the nested stream validates its own
     // declared original size before reserving (lzh.cc / lzr.cc).
     const auto payload = r.get_bytes();
-    sim::KernelCost cost;
-    {
-      sim::traffic::Scope scope;
-      const auto bytes = Derived::decompress_bytes(payload);
-      require_packed_size(bytes.size(), ctx.n, Derived::kName);
-      out.resize(ctx.n);
-      quant_unpack(bytes, out);
-      scope.apply(cost);
-    }
+    const auto bytes = Derived::decompress_bytes(payload);
+    require_packed_size(bytes.size(), ctx.n, Derived::kName);
+    out.resize(ctx.n);
+    quant_unpack(bytes, out);
+    sim::KernelCost cost = lz_decode_cost(ctx.n, r.position() - section_start);
     cost.flops = ctx.n * sizeof(quant_t) * 5;
     cost.parallel_items = 1;
     report.add({Derived::kDecodeStage, ctx.payload_bytes, t.seconds(), cost});
@@ -308,10 +315,8 @@ class LzEntropyCodec : public LosslessCodec {
     e.payload_bits_per_symbol = Derived::kMatchTokenBits * p.match_tokens_per_sym +
                                 Derived::lit_bits_per_byte(p.lit_entropy_bits) * p.lit_bytes_per_sym;
     e.fixed_bytes = Derived::kFixedBytes;
-    e.encode_cost = pack_cost(sig.n);
-    e.encode_cost += lz_parse_cost(sig.n);
-    e.decode_cost = lz_expand_cost(sig.n, e.payload_bits_per_symbol);
-    e.decode_cost += pack_cost(sig.n);
+    e.encode_cost = lz_encode_cost(sig.n);
+    e.decode_cost = lz_decode_cost(sig.n, payload_bytes(e, sig.n));
     return e;
   }
 };

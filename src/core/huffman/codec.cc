@@ -20,7 +20,6 @@ std::uint64_t huffman_size_into(std::span<const quant_t> symbols, const HuffmanC
     throw std::invalid_argument("huffman_encode: gap_stride must divide chunk_size");
   }
   enc.cost = {};
-  sim::traffic::Scope traffic_scope;  // contract-derived volumes for enc.cost
   enc.num_symbols = symbols.size();
   enc.chunk_size = chunk_size;
   enc.gap_stride = gap_stride;
@@ -81,7 +80,13 @@ std::uint64_t huffman_size_into(std::span<const quant_t> symbols, const HuffmanC
       std::span<const std::uint64_t>(chunk_bytes),
       std::span<std::uint64_t>(enc.chunk_offsets.data(), nchunks));
   enc.chunk_offsets[nchunks] = total;
-  traffic_scope.apply(enc.cost);
+  // Modeled cost (paper §V-C.1): the chunk-size pass reads every code and
+  // stores one size per chunk; the offset scan reads the sizes twice and
+  // stores the offsets, with one carry per scan tile stored and read back.
+  const std::size_t tiles = sim::div_ceil(nchunks, sim::kScanTile);
+  enc.cost.bytes_read = n * sizeof(quant_t) + (2 * nchunks + tiles) * sizeof(std::uint64_t);
+  enc.cost.bytes_written = (2 * nchunks + tiles) * sizeof(std::uint64_t);
+  enc.cost.launches = 3;
   return total;
 }
 
@@ -114,7 +119,6 @@ void huffman_deflate_into(std::span<const quant_t> symbols, const HuffmanCodeboo
   // honestly stays on dynamic (word-shadow) checking.
   namespace chk = sim::checked;
   namespace ctr = sim::contract;
-  sim::traffic::Scope traffic_scope;
   const auto csz = static_cast<std::int64_t>(chunk_size);
   ctr::Contract deflate_contract;
   deflate_contract.clauses.push_back(ctr::reads("symbols", ctr::b() * csz, csz).clamp());
@@ -190,18 +194,15 @@ void huffman_deflate_into(std::span<const quant_t> symbols, const HuffmanCodeboo
     bw.flush();
   });
 
-  // Cost model (paper §V-C.1): traffic comes from the footprint contracts
-  // (chunk_sizes + scan + deflate, including the scan-bounded payload
-  // volume); the baseline variant additionally stores a full word per
-  // thread before compaction, which no contract of the optimized kernels
-  // models — add that delta on top of the derived stores.  The host's word
-  // stores do not change the model: the optimized encoder stores when a
-  // unit fills.
-  sim::KernelCost deflate;
-  traffic_scope.apply(deflate);
-  enc.cost.bytes_read += deflate.bytes_read + book.alphabet_size() * 9;
-  enc.cost.bytes_written += deflate.bytes_written;
-  enc.cost.launches += deflate.launches;
+  // Cost model (paper §V-C.1): the deflate reads every code, its chunk's
+  // two offsets and the codebook, and stores the payload and the gap array;
+  // the baseline variant additionally stores a full word per thread before
+  // compaction.  The host's word stores do not change the model: the
+  // optimized encoder stores when a unit fills.
+  enc.cost.bytes_read +=
+      n * sizeof(quant_t) + 2 * nchunks * sizeof(std::uint64_t) + book.alphabet_size() * 9;
+  enc.cost.bytes_written += total + enc.gaps.size() * sizeof(std::uint32_t);
+  enc.cost.launches += 1;
   if (variant == HuffmanEncVariant::kBaseline && n * sizeof(std::uint32_t) > total) {
     enc.cost.bytes_written += n * sizeof(std::uint32_t) - total;
   }
@@ -301,7 +302,6 @@ sim::KernelCost decode_chunks(const HuffmanEncoded& enc, std::span<const std::ui
   const std::size_t stride = enc.gap_stride > 0 ? enc.gap_stride : enc.chunk_size;
   namespace chk = sim::checked;
   namespace ctr = sim::contract;
-  sim::traffic::Scope traffic_scope;  // contract-derived volumes for `cost`
   // Decode unit `u` covers symbols [u*stride, u*stride + stride) ∩ [0, n):
   // with chunk_size = subblocks_per_chunk * stride, the chunk/sub-block
   // decomposition collapses to one affine window per unit, and block b's
@@ -412,16 +412,21 @@ sim::KernelCost decode_chunks(const HuffmanEncoded& enc, std::span<const std::ui
     }
   });
 
-  traffic_scope.apply(cost);
-  cost.bytes_read += book.alphabet_size() * 9;  // codebook is not a launch buffer
-  // The modeled kernel is cuSZ's canonical decode, one dependent bit-serial
-  // table walk per chunk: latency/compute-bound, not bandwidth-bound —
-  // which is why the paper sees it stagnate from V100 to A100 (§V-C.2).
-  // The host's interleaved units and table-driven lookups do not change the
-  // model.  The per-symbol weight is calibrated to Table VII's ~40-50 GB/s
-  // V100 decode rows for the chunked decoder; gap-array decoding keeps
-  // warps converged over short chains, which reference [15] reports as a
-  // multi-x decode gain (weight calibrated accordingly).
+  // The modeled kernel is cuSZ's canonical decode: each decode unit reads
+  // its chunk's whole payload slice and two bounding offsets (sub-block
+  // units share the slice), its gap entry and the codebook, and stores its
+  // symbols.  One dependent bit-serial table walk per unit makes it
+  // latency/compute-bound, not bandwidth-bound — which is why the paper
+  // sees it stagnate from V100 to A100 (§V-C.2).  The host's interleaved
+  // units and table-driven lookups do not change the model.  The per-symbol
+  // weight is calibrated to Table VII's ~40-50 GB/s V100 decode rows for
+  // the chunked decoder; gap-array decoding keeps warps converged over short
+  // chains, which reference [15] reports as a multi-x decode gain (weight
+  // calibrated accordingly).
+  cost.bytes_read = payload.size() * subblocks_per_chunk + units * 2 * sizeof(std::uint64_t) +
+                    (enc.gap_stride > 0 ? units * sizeof(std::uint32_t) : 0) +
+                    book.alphabet_size() * 9;
+  cost.bytes_written = n * sizeof(quant_t);
   cost.flops = n * (130 + 320 * std::min<std::size_t>(stride, 4096) / 4096);
   cost.parallel_items = n;
   cost.pattern = sim::AccessPattern::kCoalescedStreaming;

@@ -313,7 +313,6 @@ sim::KernelCost lorenzo_reconstruct_coarse(std::span<const quant_t> quant,
 
   namespace chk = sim::checked;
   namespace ctr = sim::contract;
-  sim::traffic::Scope traffic_scope;  // contract-derived volumes for the cost
   const auto box = [&](ctr::AccessKind a, const char* buf) {
     return lorenzo_detail::box_clause(a, buf, grid, ext);
   };
@@ -374,8 +373,10 @@ sim::KernelCost lorenzo_reconstruct_coarse(std::span<const quant_t> quant,
 
   const std::size_t n = ext.count();
   const std::size_t chunks = grid.dim.count();
+  // Every chunk reads its codes and dense outliers and stores its values.
   sim::KernelCost c;
-  traffic_scope.apply(c);  // contract-derived: quant+outlier reads, out store
+  c.bytes_read = n * (sizeof(quant_t) + sizeof(qdiff_t));
+  c.bytes_written = n * sizeof(T);
   c.flops = n * (2 * static_cast<std::size_t>(ext.rank) + 4);
   c.parallel_items = chunks;  // one virtual thread per chunk
   c.pattern = sim::AccessPattern::kStrided;

@@ -16,7 +16,6 @@ RleEncoded rle_encode(std::span<const quant_t> symbols) {
   enc.num_symbols = symbols.size();
   if (symbols.empty()) return enc;
 
-  sim::traffic::Scope traffic_scope;  // contract-derived volumes for enc.cost
   auto runs = sim::reduce_by_key<quant_t, std::uint64_t>(symbols);
 
   enc.values.reserve(runs.keys.size());
@@ -33,11 +32,9 @@ RleEncoded rle_encode(std::span<const quant_t> symbols) {
     enc.counts.push_back(static_cast<std::uint16_t>(remaining));
   }
 
-  enc.cost = sim::reduce_by_key_cost<quant_t>(symbols.size(), enc.values.size());
-  // Traffic from the footprint contract of the tile_runs launch; the run
-  // merge is host-side, so the hand-modeled store volume for the compacted
-  // (value, count) pairs is added on top.
-  traffic_scope.apply(enc.cost);
+  // The tile_runs pass; the run merge is host-side, so the store of the
+  // compacted (value, count) pairs is added on top.
+  enc.cost = sim::reduce_by_key_cost<quant_t, std::uint64_t>(symbols.size());
   enc.cost.bytes_written += enc.byte_size();
   return enc;
 }
@@ -72,7 +69,6 @@ sim::KernelCost expand_runs(const RleEncoded& enc, std::span<const std::uint64_t
   sim::KernelCost cost;
   namespace chk = sim::checked;
   namespace ctr = sim::contract;
-  sim::traffic::Scope traffic_scope;  // contract-derived volumes for `cost`
   // Each run writes [offset[r], offset[r+1]) — run lengths are data, so the
   // write footprint is data-dependent and the expand kernel honestly stays
   // on dynamic (word-shadow) checking.
@@ -92,9 +88,11 @@ sim::KernelCost expand_runs(const RleEncoded& enc, std::span<const std::uint64_t
     std::fill(vsym.data() + lo, vsym.data() + hi, vvalues[r]);
   });
 
-  // Traffic from the expand contract (the offset scan is host-side metadata
-  // validation, not a device launch).
-  traffic_scope.apply(cost);
+  // Each run reads its value and its two bounding offsets and fills its
+  // slice (the offset scan is host-side metadata validation, not a device
+  // launch).
+  cost.bytes_read = enc.values.size() * (sizeof(quant_t) + 2 * sizeof(std::uint64_t));
+  cost.bytes_written = enc.num_symbols * sizeof(quant_t);
   cost.flops = enc.num_symbols;
   cost.parallel_items = enc.values.empty() ? 1 : enc.values.size();
   cost.pattern = sim::AccessPattern::kCoalescedStreaming;

@@ -813,39 +813,36 @@ void launch_impl(const char* kernel, std::size_t grid_size, const std::tuple<B..
                  const contract::Contract& con, Body&& body, Dim3 grid3) {
   constexpr auto seq = std::index_sequence_for<B...>{};
   const Mode m = mode();
-  const bool axis_aware = grid3.count() == grid_size && (grid3.y > 1 || grid3.z > 1);
   int schedules = grid_size > 1 ? fuzz_schedules() : 0;
-  // 3-D grids always cover the full deterministic 3-D repertoire: six axis
-  // traversal orders, reversed, serial.
-  if (schedules > 0 && axis_aware) schedules = std::max(schedules, 8);
 
   const auto run_raw = [&](std::size_t b) {
     detail::with_raw_views(registered, [&](const auto&... views) { body(b, views...); }, seq);
   };
 
-  // A traffic Scope on this thread wants the contract-derived volumes even
-  // with checking off (kernel wrappers derive their KernelCost traffic from
-  // it), so the zero-overhead fast path only applies without one.
-  const bool want_traffic = m != Mode::kOff || traffic::scope_active();
-
-  if (!want_traffic && schedules == 0) {
+  // Checking off and no schedule fuzzing: the bare grid.  The contract is
+  // not evaluated and nothing is recorded; stage costs are closed forms.
+  if (m == Mode::kOff && schedules == 0) {
     launch_blocks(grid_size, run_raw);
     return;
   }
 
-  // Contract evaluation: prove once per launch geometry.  A proved contract
+  // 3-D grids always cover the full deterministic 3-D repertoire: six axis
+  // traversal orders, reversed, serial.
+  const bool axis_aware = grid3.count() == grid_size && (grid3.y > 1 || grid3.z > 1);
+  if (schedules > 0 && axis_aware) schedules = std::max(schedules, 8);
+
+  // Contract evaluation while checking: derive and record the launch's
+  // traffic, and prove once per launch geometry.  A proved contract
   // downgrades a word-mode launch to the interval tier — the proof
   // discharges exactly what the shadow would re-derive per word
   // (cross-block disjointness and bounds).
   const std::vector<BufMeta> meta = detail::metas(registered);
   const contract::Geom geom{static_cast<std::int64_t>(grid_size), grid3.x, grid3.y, grid3.z};
   traffic::LaunchTraffic predicted;
-  if (want_traffic) {
-    predicted = traffic::analyze(con, geom, meta);
-    traffic::record(kernel, predicted);
-  }
   bool word = m == Mode::kWord;
   if (m != Mode::kOff) {
+    predicted = traffic::analyze(con, geom, meta);
+    traffic::record(kernel, predicted);
     const contract::ProveResult pr = contract::prove(con, geom, meta);
     const bool fast = word && pr.proved() && contract::fastpath_enabled();
     if (fast) word = false;

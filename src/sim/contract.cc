@@ -28,49 +28,16 @@ struct ERange {
   std::int64_t hi = 0;  // half-open, elements
 };
 
-/// Evaluate one clause for one block into element ranges.
-void clause_ranges(const Clause& cl, std::int64_t b, std::int64_t x, std::int64_t y,
-                   std::int64_t z, std::int64_t elems, std::vector<ERange>& out) {
-  switch (cl.kind) {
-    case ClauseKind::kHostSink:
-      return;  // no registered buffer behind it — nothing to cover
-    case ClauseKind::kAll:
-    case ClauseKind::kDynamic:
-      out.push_back({0, elems});
-      return;
-    case ClauseKind::kWindow: {
-      const std::int64_t base = contract::eval(cl.base, b, x, y, z);
-      for (std::int64_t i = 0; i < cl.count; ++i) {
-        std::int64_t lo = base + i * cl.stride;
-        std::int64_t hi = lo + cl.len;
-        if (cl.clamped) {
-          lo = std::max<std::int64_t>(lo, 0);
-          hi = std::min(hi, elems);
-        }
-        if (hi > lo) out.push_back({lo, hi});
-      }
-      return;
-    }
-    case ClauseKind::kBox: {
-      const auto clamp_axis = [](std::int64_t v, std::int64_t n) {
-        return std::max<std::int64_t>(0, std::min(v, n));
-      };
-      const std::int64_t x0 = clamp_axis(contract::eval(cl.lo_x, b, x, y, z), cl.nx);
-      const std::int64_t x1 = clamp_axis(contract::eval(cl.lo_x, b, x, y, z) + cl.span_x, cl.nx);
-      const std::int64_t y0 = clamp_axis(contract::eval(cl.lo_y, b, x, y, z), cl.ny);
-      const std::int64_t y1 = clamp_axis(contract::eval(cl.lo_y, b, x, y, z) + cl.span_y, cl.ny);
-      const std::int64_t z0 = clamp_axis(contract::eval(cl.lo_z, b, x, y, z), cl.nz);
-      const std::int64_t z1 = clamp_axis(contract::eval(cl.lo_z, b, x, y, z) + cl.span_z, cl.nz);
-      if (x1 <= x0) return;
-      for (std::int64_t zz = z0; zz < z1; ++zz) {
-        for (std::int64_t yy = y0; yy < y1; ++yy) {
-          const std::int64_t row = (zz * cl.ny + yy) * cl.nx;
-          out.push_back({row + x0, row + x1});
-        }
-      }
-      return;
-    }
+/// Append the ranges one clause declares for block b: a whole-buffer or
+/// dynamic clause declares the buffer, a host sink nothing.
+void clause_ranges(const Clause& cl, const contract::Geom& geom, std::int64_t b,
+                   std::int64_t elems, std::vector<ERange>& out) {
+  if (cl.kind == ClauseKind::kAll || cl.kind == ClauseKind::kDynamic) {
+    out.push_back({0, elems});
+    return;
   }
+  contract::for_each_range(cl, geom, b, elems,
+                           [&](std::int64_t lo, std::int64_t hi) { out.push_back({lo, hi}); });
 }
 
 /// Sort and coalesce (overlapping or adjacent ranges merge).
@@ -135,12 +102,7 @@ void validate_observed(const char* kernel, const contract::Contract& con,
   for (std::size_t b = 0; b < logs.size(); ++b) {
     const BlockLog& log = logs[b];
     if (log.acc.empty()) continue;
-    std::int64_t x = 0, y = 0, z = 0;
-    if (geom.coords()) {
-      x = static_cast<std::int64_t>(b) % geom.gx;
-      y = (static_cast<std::int64_t>(b) / geom.gx) % geom.gy;
-      z = static_cast<std::int64_t>(b) / (geom.gx * geom.gy);
-    }
+    const auto block = static_cast<std::int64_t>(b);
     std::fill(cover_valid.begin(), cover_valid.end(), false);
 
     for (const TaggedInterval& t : log.acc) {
@@ -151,10 +113,10 @@ void validate_observed(const char* kernel, const contract::Contract& con,
         const auto elems = static_cast<std::int64_t>(bufs[bi].elems);
         for (const Clause* cl : by_buf[bi]) {
           if (cl->access != contract::AccessKind::kWrite) {
-            clause_ranges(*cl, static_cast<std::int64_t>(b), x, y, z, elems, covers[bi][0]);
+            clause_ranges(*cl, geom, block, elems, covers[bi][0]);
           }
           if (cl->access != contract::AccessKind::kRead) {
-            clause_ranges(*cl, static_cast<std::int64_t>(b), x, y, z, elems, covers[bi][1]);
+            clause_ranges(*cl, geom, block, elems, covers[bi][1]);
           }
         }
         normalize(covers[bi][0]);

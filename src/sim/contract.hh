@@ -311,4 +311,48 @@ struct Geom {
   [[nodiscard]] constexpr bool coords() const { return gx * gy * gz == grid; }
 };
 
+/// Call f(lo, hi) for every element range [lo, hi) a kWindow or kBox clause
+/// declares for block b (on a launch_3d grid, at its coordinates x fastest):
+/// a clamped window cut to [0, elems), a box's axes cut to its field, empty
+/// ranges skipped.  The other kinds declare no per-block ranges.  Both the
+/// traffic analyzer and the containment check evaluate clauses through this
+/// one walk.
+template <typename F>
+void for_each_range(const Clause& cl, const Geom& geom, std::int64_t b, std::int64_t elems,
+                    F&& f) {
+  std::int64_t bx = 0, by = 0, bz = 0;
+  if (geom.coords()) {
+    bx = b % geom.gx;
+    by = (b / geom.gx) % geom.gy;
+    bz = b / (geom.gx * geom.gy);
+  }
+  if (cl.kind == ClauseKind::kWindow) {
+    const std::int64_t base = eval(cl.base, b, bx, by, bz);
+    for (std::int64_t i = 0; i < cl.count; ++i) {
+      std::int64_t lo = base + i * cl.stride;
+      std::int64_t hi = lo + cl.len;
+      if (cl.clamped) {
+        lo = lo < 0 ? 0 : lo;
+        hi = hi > elems ? elems : hi;
+      }
+      if (hi > lo) f(lo, hi);
+    }
+  } else if (cl.kind == ClauseKind::kBox) {
+    const auto cut = [](std::int64_t v, std::int64_t n) { return v < 0 ? 0 : v > n ? n : v; };
+    const std::int64_t x = eval(cl.lo_x, b, bx, by, bz);
+    const std::int64_t y = eval(cl.lo_y, b, bx, by, bz);
+    const std::int64_t z = eval(cl.lo_z, b, bx, by, bz);
+    const std::int64_t x0 = cut(x, cl.nx), x1 = cut(x + cl.span_x, cl.nx);
+    const std::int64_t y0 = cut(y, cl.ny), y1 = cut(y + cl.span_y, cl.ny);
+    const std::int64_t z0 = cut(z, cl.nz), z1 = cut(z + cl.span_z, cl.nz);
+    if (x1 <= x0) return;
+    for (std::int64_t zz = z0; zz < z1; ++zz) {
+      for (std::int64_t yy = y0; yy < y1; ++yy) {
+        const std::int64_t row = (zz * cl.ny + yy) * cl.nx;
+        f(row + x0, row + x1);
+      }
+    }
+  }
+}
+
 }  // namespace szp::sim::contract

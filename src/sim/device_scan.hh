@@ -14,12 +14,15 @@
 
 namespace szp::sim {
 
+/// Default scan tile: elements per block of both scan passes.
+inline constexpr std::size_t kScanTile = 4096;
+
 /// Exclusive prefix sum: out[i] = sum(in[0..i)).  Returns the grand total.
 /// Two-pass tile decomposition (per-tile reduce, carry scan, per-tile scan),
 /// the same decoupled structure cub uses; tiles run block-parallel.
 template <typename T>
 T device_exclusive_scan(std::span<const T> in, std::span<T> out,
-                        std::size_t tile = 4096) {
+                        std::size_t tile = kScanTile) {
   const std::size_t n = in.size();
   if (n == 0) return T{};
   const std::size_t tiles = div_ceil(n, tile);
@@ -72,7 +75,7 @@ T device_exclusive_scan(std::span<const T> in, std::span<T> out,
 /// Inclusive prefix sum: out[i] = sum(in[0..i]).
 template <typename T>
 T device_inclusive_scan(std::span<const T> in, std::span<T> out,
-                        std::size_t tile = 4096) {
+                        std::size_t tile = kScanTile) {
   const T grand = device_exclusive_scan(in, out, tile);
   for (std::size_t i = 0; i < in.size(); ++i) out[i] = static_cast<T>(out[i] + in[i]);
   return grand;

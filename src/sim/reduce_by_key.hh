@@ -25,10 +25,13 @@ struct RunsOutput {
   std::vector<Count> counts;  ///< run lengths, same size as keys
 };
 
+/// Default tile: keys per block of the tile_runs pass.
+inline constexpr std::size_t kRunTile = std::size_t{1} << 16;
+
 /// Collapse consecutive equal keys into (key, run-length) pairs.
 template <typename Key, typename Count = std::uint32_t>
 RunsOutput<Key, Count> reduce_by_key(std::span<const Key> keys,
-                                     std::size_t tile = 1 << 16) {
+                                     std::size_t tile = kRunTile) {
   RunsOutput<Key, Count> out;
   const std::size_t n = keys.size();
   if (n == 0) return out;
@@ -109,12 +112,14 @@ std::vector<Key> expand_runs(std::span<const Key> keys, std::span<const Count> c
   return out;
 }
 
-/// Analytic GPU cost of reduce_by_key over n keys producing r runs.
+/// Analytic GPU cost of reduce_by_key over n keys: every key read once, and
+/// the worst-case run arrays (one key and one count per input key) and one
+/// run count per tile stored, in one launch.
 template <typename Key, typename Count = std::uint32_t>
-[[nodiscard]] KernelCost reduce_by_key_cost(std::size_t n, std::size_t runs) {
+[[nodiscard]] KernelCost reduce_by_key_cost(std::size_t n, std::size_t tile = kRunTile) {
   KernelCost c;
   c.bytes_read = n * sizeof(Key);
-  c.bytes_written = runs * (sizeof(Key) + sizeof(Count));
+  c.bytes_written = n * (sizeof(Key) + sizeof(Count)) + div_ceil(n, tile) * sizeof(std::uint64_t);
   c.flops = 2 * n;  // compare + conditional increment
   c.parallel_items = n;
   c.pattern = AccessPattern::kCoalescedStreaming;
@@ -122,7 +127,6 @@ template <typename Key, typename Count = std::uint32_t>
   // allocations; calibrated so the modeled stage matches the ~100-160 GB/s
   // the paper measures for it on V100 (§V-B, Table V).
   c.custom_factor = 0.08;
-  c.launches = 3;
   return c;
 }
 

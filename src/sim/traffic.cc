@@ -1,9 +1,9 @@
 // szp::sim::traffic — implementation of the static traffic analyzer.
 //
-// Volume derivation walks every block of the launch geometry and evaluates
-// the contract's affine clauses exactly as the containment validator does
-// (contract.cc), but instead of building covers it sums range lengths and
-// counts touched 128-byte DRAM segments per contiguous range.  The segment
+// Volume derivation walks every block of the launch geometry through the
+// per-block range evaluator the containment validator builds its covers
+// from (contract::for_each_range), but sums range lengths and counts
+// touched 128-byte DRAM segments per contiguous range.  The segment
 // count is what makes the coalescing estimate: a unit-stride window of W
 // bytes touches ceil(W/128)+O(1) segments (score ~1.0), while a strided
 // family of narrow windows drags a whole segment per window (score ~eb/128).
@@ -31,8 +31,6 @@ namespace {
 
 using contract::Clause;
 using contract::ClauseKind;
-
-thread_local Scope* t_scope = nullptr;
 
 std::map<std::string, KernelTraffic>& registry() {
   static std::map<std::string, KernelTraffic> reg;
@@ -65,49 +63,15 @@ Volume affine_volume(const Clause& cl, const contract::Geom& geom, std::uint64_t
                      std::uint32_t eb) {
   Volume v;
   const auto n = static_cast<std::int64_t>(elems);
-  const bool coords = geom.coords();
-  const auto add_range = [&](std::int64_t lo, std::int64_t hi) {
-    lo = std::max<std::int64_t>(lo, 0);
-    hi = std::min(hi, n);
-    if (hi <= lo) return;
-    v.bytes += static_cast<std::uint64_t>(hi - lo) * eb;
-    v.seg_bytes += segment_bytes(static_cast<std::uint64_t>(lo) * eb,
-                                 static_cast<std::uint64_t>(hi) * eb);
-  };
   for (std::int64_t b = 0; b < geom.grid; ++b) {
-    std::int64_t x = 0, y = 0, z = 0;
-    if (coords) {
-      x = b % geom.gx;
-      y = (b / geom.gx) % geom.gy;
-      z = b / (geom.gx * geom.gy);
-    }
-    if (cl.kind == ClauseKind::kWindow) {
-      const std::int64_t base = contract::eval(cl.base, b, x, y, z);
-      for (std::int64_t i = 0; i < cl.count; ++i) {
-        const std::int64_t lo = base + i * cl.stride;
-        add_range(lo, lo + cl.len);
-      }
-    } else {  // kBox
-      const auto clamp_axis = [](std::int64_t val, std::int64_t ax) {
-        return std::max<std::int64_t>(0, std::min(val, ax));
-      };
-      const std::int64_t x0 = clamp_axis(contract::eval(cl.lo_x, b, x, y, z), cl.nx);
-      const std::int64_t x1 =
-          clamp_axis(contract::eval(cl.lo_x, b, x, y, z) + cl.span_x, cl.nx);
-      const std::int64_t y0 = clamp_axis(contract::eval(cl.lo_y, b, x, y, z), cl.ny);
-      const std::int64_t y1 =
-          clamp_axis(contract::eval(cl.lo_y, b, x, y, z) + cl.span_y, cl.ny);
-      const std::int64_t z0 = clamp_axis(contract::eval(cl.lo_z, b, x, y, z), cl.nz);
-      const std::int64_t z1 =
-          clamp_axis(contract::eval(cl.lo_z, b, x, y, z) + cl.span_z, cl.nz);
-      if (x1 <= x0) continue;
-      for (std::int64_t zz = z0; zz < z1; ++zz) {
-        for (std::int64_t yy = y0; yy < y1; ++yy) {
-          const std::int64_t row = (zz * cl.ny + yy) * cl.nx;
-          add_range(row + x0, row + x1);
-        }
-      }
-    }
+    contract::for_each_range(cl, geom, b, n, [&](std::int64_t lo, std::int64_t hi) {
+      lo = std::max<std::int64_t>(lo, 0);
+      hi = std::min(hi, n);
+      if (hi <= lo) return;
+      v.bytes += static_cast<std::uint64_t>(hi - lo) * eb;
+      v.seg_bytes += segment_bytes(static_cast<std::uint64_t>(lo) * eb,
+                                   static_cast<std::uint64_t>(hi) * eb);
+    });
   }
   return v;
 }
@@ -282,36 +246,10 @@ LaunchTraffic analyze(const contract::Contract& con, const contract::Geom& geom,
 }
 
 // ---------------------------------------------------------------------------
-// Scope.
+// Registry and tables.
 // ---------------------------------------------------------------------------
 
-Scope::Scope() : parent_(t_scope) { t_scope = this; }
-
-Scope::~Scope() {
-  t_scope = parent_;
-  if (parent_ != nullptr) {
-    parent_->bytes_read_ += bytes_read_;
-    parent_->bytes_written_ += bytes_written_;
-    parent_->launches_ += launches_;
-  }
-}
-
-void Scope::apply(KernelCost& cost) const {
-  cost.bytes_read = bytes_read_;
-  cost.bytes_written = bytes_written_;
-  if (launches_ > 0) cost.launches = launches_;
-}
-
-bool scope_active() { return t_scope != nullptr; }
-
 void record(const char* kernel, const LaunchTraffic& t) {
-  const std::uint64_t br = t.bytes_read();
-  const std::uint64_t bw = t.bytes_written();
-  if (t_scope != nullptr) {
-    t_scope->bytes_read_ += br;
-    t_scope->bytes_written_ += bw;
-    ++t_scope->launches_;
-  }
   std::uint64_t sr = 0, sw = 0;
   for (const BufVolume& b : t.buffers) {
     sr += b.seg_bytes_read;
@@ -321,16 +259,12 @@ void record(const char* kernel, const LaunchTraffic& t) {
   KernelTraffic& kt = registry()[kernel];
   kt.kernel = kernel;
   ++kt.launches;
-  kt.bytes_read += br;
-  kt.bytes_written += bw;
+  kt.bytes_read += t.bytes_read();
+  kt.bytes_written += t.bytes_written();
   kt.seg_bytes_read += sr;
   kt.seg_bytes_written += sw;
   kt.dynamic = kt.dynamic || t.dynamic();
 }
-
-// ---------------------------------------------------------------------------
-// Registry and tables.
-// ---------------------------------------------------------------------------
 
 double KernelTraffic::coalescing() const {
   return ratio(bytes_read + bytes_written, seg_bytes_read + seg_bytes_written);

@@ -7,8 +7,7 @@
 // analyzer consumes the same clauses for *performance*: symbolically
 // evaluating a contract over a concrete launch geometry yields
 //
-//   * per-buffer, per-launch read/write byte volumes (the paper's
-//     bytes-moved arguments, derived instead of hand-written),
+//   * per-buffer, per-launch read/write byte volumes of the host kernel,
 //   * a coalescing-efficiency estimate — the fraction of touched 32-word
 //     (128-byte) DRAM segments actually used, the quantity Nsight reports
 //     as gld_efficiency/gst_efficiency.  Unit-stride windows score ~1.0;
@@ -31,14 +30,14 @@
 //                   buffer.  Rows carrying such a clause are flagged
 //                   `dyn` — the volume is an upper bound, not an identity.
 //
-// The analyzer runs inside checked::launch_impl whenever checking is on or
-// a traffic::Scope is open on the calling thread; results accumulate in a
-// process-global per-kernel registry (szp analyze --traffic/--roofline) and
-// in the innermost Scope, which kernel wrappers use to replace hand-written
-// KernelCost traffic constants with the derived volumes.  The interval tier
-// cross-validates observed bytes against the static prediction: observed
-// traffic beyond the declared volume (the *_dyn slack included) is a
-// TrafficFinding — a stale contract or an under-declared bound.
+// The analyzer runs inside checked::launch_impl while checking is on, and
+// only then: results accumulate in a process-global per-kernel registry
+// (szp analyze --traffic/--roofline), and the interval tier cross-validates
+// observed bytes against the static prediction — observed traffic beyond
+// the declared volume (the *_dyn slack included) is a TrafficFinding, a
+// stale contract or an under-declared bound.  The tables describe the host
+// kernels.  No stage reads them for its modeled KernelCost, which is a
+// closed form of the paper's kernel (sim/profile.hh).
 #pragma once
 
 #include <cstdint>
@@ -48,7 +47,6 @@
 
 #include "sim/contract.hh"
 #include "sim/device.hh"
-#include "sim/profile.hh"
 
 namespace szp::sim::traffic {
 
@@ -99,51 +97,12 @@ struct LaunchTraffic {
                                     const std::vector<contract::BufMeta>& bufs);
 
 // ---------------------------------------------------------------------------
-// Scope: per-thread traffic accumulation for kernel wrappers.
-// ---------------------------------------------------------------------------
-
-/// While a Scope is open on a thread, every checked launch on that thread
-/// is analyzed (even with checking off) and its volumes accumulate
-/// here.  Wrappers open one around their launches and call apply() to
-/// replace the traffic fields of their hand-assembled KernelCost with the
-/// contract-derived volumes.  Scopes nest: a destroyed Scope rolls its
-/// totals into its parent, so a wrapper that internally calls another
-/// wrapped primitive (huffman encode → device scan) sees the full traffic.
-class Scope {
- public:
-  Scope();
-  ~Scope();
-  Scope(const Scope&) = delete;
-  Scope& operator=(const Scope&) = delete;
-
-  [[nodiscard]] std::uint64_t bytes_read() const { return bytes_read_; }
-  [[nodiscard]] std::uint64_t bytes_written() const { return bytes_written_; }
-  [[nodiscard]] int launches() const { return launches_; }
-
-  /// Overwrite cost's bytes_read/bytes_written/launches with the volumes
-  /// recorded so far.  flops, pattern, and calibration factors stay the
-  /// wrapper's (the contract knows traffic, not arithmetic).
-  void apply(KernelCost& cost) const;
-
- private:
-  friend void record(const char* kernel, const LaunchTraffic& t);
-  Scope* parent_ = nullptr;
-  std::uint64_t bytes_read_ = 0;
-  std::uint64_t bytes_written_ = 0;
-  int launches_ = 0;
-};
-
-/// True when a Scope is open on this thread: checked::launch_impl must
-/// analyze the contract even when checking is off.
-[[nodiscard]] bool scope_active();
-
-/// Feed one analyzed launch into the innermost Scope (if any) and the
-/// process-global per-kernel registry.  Called by checked::launch_impl.
-void record(const char* kernel, const LaunchTraffic& t);
-
-// ---------------------------------------------------------------------------
 // Per-kernel registry (mirrors contract's verdict registry).
 // ---------------------------------------------------------------------------
+
+/// Feed one analyzed launch into the process-global per-kernel registry.
+/// Called by checked::launch_impl while checking is on.
+void record(const char* kernel, const LaunchTraffic& t);
 
 /// Accumulated static traffic of one kernel across its recorded launches.
 struct KernelTraffic {

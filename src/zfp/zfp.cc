@@ -315,7 +315,6 @@ ZfpCompressed zfp_compress(std::span<const float> data, const Extents& ext,
 
   namespace chk = sim::checked;
   namespace ctr = sim::contract;
-  sim::traffic::Scope traffic_scope;  // contract-derived volumes for out.cost
   // One 4x4x4 (edge-clamped) tile of the field per block, and one
   // byte-rounded payload slot at the block's linear index — affine in the
   // block coordinates, so both footprints are statically provable.
@@ -395,7 +394,9 @@ ZfpCompressed zfp_compress(std::span<const float> data, const Extents& ext,
   ZfpCompressed out;
   out.bytes = w.take();
   out.ratio = static_cast<double>(data.size_bytes()) / static_cast<double>(out.bytes.size());
-  traffic_scope.apply(out.cost);  // contract-derived: field tiles + payload slots
+  // Every block reads its tile of the field and stores its payload slot.
+  out.cost.bytes_read = data.size_bytes();
+  out.cost.bytes_written = payload.size();
   out.cost.flops = data.size() * 12;  // lifting + negabinary + plane tests
   out.cost.parallel_items = data.size();
   out.cost.pattern = sim::AccessPattern::kCoalescedStreaming;
@@ -464,7 +465,6 @@ ZfpDecompressed zfp_decompress(std::span<const std::uint8_t> archive) {
 
   namespace chk = sim::checked;
   namespace ctr = sim::contract;
-  sim::traffic::Scope traffic_scope;  // contract-derived volumes for out.cost
   const auto bpb8 = static_cast<std::int64_t>(bits_per_block / 8);
   const auto gbx = static_cast<std::int64_t>(grid.bx);
   const auto gby = static_cast<std::int64_t>(grid.by);
@@ -519,7 +519,9 @@ ZfpDecompressed zfp_decompress(std::span<const std::uint8_t> archive) {
     scatter_block(vdata, ext, gx, gy, gz, vals.data());
   });
 
-  traffic_scope.apply(out.cost);  // contract-derived: payload slots + field tiles
+  // Every block reads its payload slot and stores its tile of the field.
+  out.cost.bytes_read = total_bits / 8;
+  out.cost.bytes_written = out.data.size() * sizeof(float);
   out.cost.flops = out.data.size() * 12;
   out.cost.parallel_items = out.data.size();
   out.cost.pattern = sim::AccessPattern::kCoalescedStreaming;

@@ -737,18 +737,18 @@ TEST(ModeledClock, CodecStageCostsArePinned) {
       "rank=3 rate=8.000000 zfp_decompress br=1728 bw=3960 fl=11880 la=1 pi=990 pat=0 cf=0x1.3333333333333p-1",
       "rank=3 rate=3.500000 zfp_compress br=3960 bw=756 fl=11880 la=1 pi=990 pat=0 cf=0x1.3333333333333p-1",
       "rank=3 rate=3.500000 zfp_decompress br=756 bw=3960 fl=11880 la=1 pi=990 pat=0 cf=0x1.3333333333333p-1",
-      "n=0 lz77_encode br=262144 bw=262144 fl=0 la=2 pi=1 pat=3 cf=0x0p+0",
-      "n=0 lz77_decode br=0 bw=0 fl=0 la=1 pi=1 pat=0 cf=0x0p+0",
-      "n=35768 lz77_encode br=977504 bw=905968 fl=3576800 la=2 pi=1 pat=3 cf=0x0p+0",
-      "n=35768 lz77_decode br=71536 bw=71536 fl=357680 la=1 pi=1 pat=0 cf=0x0p+0",
-      "n=0 lzh_encode br=267216 bw=267203 fl=0 la=5 pi=1 pat=3 cf=0x0p+0",
-      "n=0 lzh_decode br=1 bw=0 fl=0 la=2 pi=1 pat=0 cf=0x0p+0",
-      "n=35768 lzh_encode br=1067392 bw=937534 fl=3576800 la=5 pi=1 pat=3 cf=0x0p+0",
-      "n=35768 lzh_decode br=82857 bw=143072 fl=357680 la=2 pi=1 pat=0 cf=0x0p+0",
-      "n=0 lzr_encode br=267216 bw=267207 fl=0 la=5 pi=1 pat=3 cf=0x0p+0",
-      "n=0 lzr_decode br=2 bw=0 fl=0 la=2 pi=1 pat=0 cf=0x0p+0",
-      "n=35768 lzr_encode br=1067392 bw=944162 fl=3576800 la=5 pi=1 pat=3 cf=0x0p+0",
-      "n=35768 lzr_decode br=98204 bw=143072 fl=357680 la=2 pi=1 pat=0 cf=0x0p+0",
+      "n=0 lz77_encode br=0 bw=0 fl=0 la=2 pi=1 pat=3 cf=0x0p+0",
+      "n=0 lz77_decode br=15 bw=0 fl=0 la=2 pi=1 pat=0 cf=0x0p+0",
+      "n=35768 lz77_encode br=786896 bw=95381 fl=3576800 la=2 pi=1 pat=3 cf=0x0p+0",
+      "n=35768 lz77_decode br=180194 bw=143072 fl=357680 la=2 pi=1 pat=0 cf=0x0p+0",
+      "n=0 lzh_encode br=0 bw=0 fl=0 la=2 pi=1 pat=3 cf=0x0p+0",
+      "n=0 lzh_decode br=50 bw=0 fl=0 la=2 pi=1 pat=0 cf=0x0p+0",
+      "n=35768 lzh_encode br=786896 bw=95381 fl=3576800 la=2 pi=1 pat=3 cf=0x0p+0",
+      "n=35768 lzh_decode br=154767 bw=143072 fl=357680 la=2 pi=1 pat=0 cf=0x0p+0",
+      "n=0 lzr_encode br=0 bw=0 fl=0 la=2 pi=1 pat=3 cf=0x0p+0",
+      "n=0 lzr_decode br=68 bw=0 fl=0 la=2 pi=1 pat=0 cf=0x0p+0",
+      "n=35768 lzr_encode br=786896 bw=95381 fl=3576800 la=2 pi=1 pat=3 cf=0x0p+0",
+      "n=35768 lzr_decode br=154700 bw=143072 fl=357680 la=2 pi=1 pat=0 cf=0x0p+0",
   };
   const auto rows = codec_stage_cost_rows();
   ASSERT_EQ(rows.size(), std::size(kWant));

@@ -1,7 +1,8 @@
 // Static traffic & roofline analyzer (sim/traffic.hh): exact volume and
 // segment math per clause kind, pinned per-kernel byte-volume/coalescing
 // tables for the real kernels, the observed-vs-predicted TrafficFinding
-// path, and roofline classification against a DeviceSpec.
+// path, roofline classification against a DeviceSpec, and an unchecked run
+// that records nothing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -9,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "core/compressor.hh"
 #include "core/huffman/codebook.hh"
 #include "core/huffman/codec.hh"
 #include "core/predictor/lorenzo.hh"
@@ -128,12 +130,12 @@ TEST(TrafficAnalyze, HostSinkAppendsDeclaredStoreRow) {
 // constant) changes, which is exactly what they are here to surface.
 // ---------------------------------------------------------------------------
 
-/// Run `fn` under a fresh registry + Scope, return the single kernel row.
+/// Run `fn` checked against a fresh registry, return the kernel's row.
 template <typename Fn>
 trf::KernelTraffic kernel_row(const std::string& kernel, Fn&& fn) {
   trf::reset_registry();
   {
-    trf::Scope scope;
+    chk::ScopedMode checked(chk::Mode::kInterval);
     fn();
   }
   for (const auto& row : trf::registry_snapshot()) {
@@ -341,6 +343,24 @@ TEST(TrafficRegistry, TablesAreDeterministicAndSorted) {
   EXPECT_EQ(roofline, trf::roofline_table_text(sim::v100()));
   EXPECT_LT(once.find("aa_kernel"), once.find("zz_kernel"));
   trf::reset_registry();
+  EXPECT_TRUE(trf::registry_snapshot().empty());
+}
+
+TEST(TrafficRegistry, UncheckedRunRecordsNothing) {
+  // With checking off a launch is the bare grid: no contract is evaluated,
+  // so Huffman and RLE+VLE round trips leave the registry empty.
+  chk::ScopedMode unchecked(chk::Mode::kOff);
+  trf::reset_registry();
+  const Extents ext = Extents::d1(20000);
+  const auto data = ramp(ext.count());
+  for (const Workflow wf : {Workflow::kHuffman, Workflow::kRleVle}) {
+    CompressConfig cfg;
+    cfg.eb = ErrorBound::absolute(1e-2);
+    cfg.workflow = wf;
+    const auto c = Compressor(cfg).compress(data, ext);
+    EXPECT_EQ(c.stats.workflow_used, wf);
+    EXPECT_EQ(Compressor::decompress(c.bytes).data.size(), ext.count());
+  }
   EXPECT_TRUE(trf::registry_snapshot().empty());
 }
 

@@ -13,7 +13,10 @@
 #      only in bitio.hh and codebook.hh (the canonical-walk fallback).  One
 #      file layer: no file stream (`fstream`, `ifstream`, `ofstream`,
 #      `<fstream>`), `fopen(`, `pread(` or `mmap(` in the C++ sources of
-#      src/ or tools/ outside src/core/io/.  No toolchain needed.  (Every
+#      src/ or tools/ outside src/core/io/.  One cost model: no `traffic::`
+#      and no `sim/traffic.hh` in src/ outside src/sim/ — a stage's modeled
+#      cost is a closed form of the paper's kernel, never the traffic
+#      analyzer's host-kernel volumes.  No toolchain needed.  (Every
 #      checked launch declares a footprint contract because checked::launch
 #      and launch_3d take one: a call without it does not compile, which the
 #      launch_without_contract_is_rejected ctest pins.)
@@ -74,6 +77,15 @@ check_file_layer() {
   return 1
 }
 
+# --- Phase 1: one cost model. -----------------------------------------------
+check_cost_model() {
+  sim_dir="${repo_root}/src/sim/"
+  hits=$(grep -rnE 'traffic::|sim/traffic\.hh' "${repo_root}/src" | grep -vF "${sim_dir}" || true)
+  [ -z "${hits}" ] && return 0
+  printf '%s\n' "${hits}" | sed 's/$/  <- traffic analyzer outside src\/sim\//'
+  return 1
+}
+
 echo "lint.sh: checking that OpenMP appears only in src/sim/launch.hh"
 check_openmp_site || {
   echo "lint.sh: one-OpenMP-site check FAILED (route the loop through sim::launch_blocks)" >&2
@@ -95,6 +107,14 @@ check_file_layer || {
   exit 1
 }
 echo "lint.sh: one file layer OK"
+
+echo "lint.sh: checking that the traffic analyzer is named only in src/sim/"
+check_cost_model || {
+  echo "lint.sh: one-cost-model check FAILED (give the stage a closed-form" \
+       "KernelCost; the traffic tables describe host kernels)" >&2
+  exit 1
+}
+echo "lint.sh: one cost model OK"
 
 if [ "${text_only}" = 1 ]; then
   exit 0
