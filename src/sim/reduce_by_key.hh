@@ -112,14 +112,15 @@ std::vector<Key> expand_runs(std::span<const Key> keys, std::span<const Count> c
   return out;
 }
 
-/// Analytic GPU cost of reduce_by_key over n keys: every key read once, and
-/// the worst-case run arrays (one key and one count per input key) and one
-/// run count per tile stored, in one launch.
+/// Analytic GPU cost of reduce_by_key over n keys in kRunTile tiles: every
+/// key read once, and the worst-case run arrays (one key and one count per
+/// input key) and one run count per tile stored, in one launch.
 template <typename Key, typename Count = std::uint32_t>
-[[nodiscard]] KernelCost reduce_by_key_cost(std::size_t n, std::size_t tile = kRunTile) {
+[[nodiscard]] KernelCost reduce_by_key_cost(std::size_t n) {
   KernelCost c;
   c.bytes_read = n * sizeof(Key);
-  c.bytes_written = n * (sizeof(Key) + sizeof(Count)) + div_ceil(n, tile) * sizeof(std::uint64_t);
+  c.bytes_written =
+      n * (sizeof(Key) + sizeof(Count)) + div_ceil(n, kRunTile) * sizeof(std::uint64_t);
   c.flops = 2 * n;  // compare + conditional increment
   c.parallel_items = n;
   c.pattern = AccessPattern::kCoalescedStreaming;
