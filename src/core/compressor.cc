@@ -10,6 +10,7 @@
 #include "core/codec/codec.hh"
 #include "core/pipeline/stage.hh"
 #include "core/serialize.hh"
+#include "sim/aligned.hh"
 #include "sim/histogram.hh"
 #include "sim/sparse.hh"
 #include "sim/timer.hh"
@@ -33,9 +34,9 @@ void validate_exactness(const ValueRange& range, double eb_abs) {
 /// The archive of one compress() call.  The codec opens its section once
 /// it knows the section's exact size; the archive is allocated then, once,
 /// at its exact size — header, predictor aux, outlier section, the
-/// section, and the CRC-32 tail — and everything before the section is
-/// written.  seal() checks that the codec filled its section and stores the
-/// CRC.
+/// section, and the CRC-32 tail — advised for huge pages
+/// (sim::reserve_dense), and everything before the section is written.
+/// seal() checks that the codec filled its section and stores the CRC.
 class ArchiveSink final : public pipeline::SectionSink {
  public:
   ArchiveSink(const archive::ArchiveHeader& header, const pipeline::PredictStage& predictor,
@@ -51,7 +52,9 @@ class ArchiveSink final : public pipeline::SectionSink {
       w.put_vector(ws_.product.outliers.values);
     };
     const std::size_t prefix_bytes = counted_size(prefix);
-    bytes_.resize(prefix_bytes + section_bytes + archive::kCrcBytes);
+    const std::size_t total = prefix_bytes + section_bytes + archive::kCrcBytes;
+    sim::reserve_dense(bytes_, total);
+    bytes_.resize(total);
     const std::span<std::uint8_t> all(bytes_);
     ByteWriter head(all.first(prefix_bytes));
     prefix(head);

@@ -119,6 +119,19 @@ struct Decompressed {
     data_f64.clear();
     return std::forward<F>(f)(data);
   }
+
+  /// write_field(f) for a kernel that writes all `n` elements: the vector
+  /// is sized to n before `f` sees it, and storage it grows into is fresh
+  /// (nothing copied) and advised for huge pages (sim::reserve_dense).
+  template <typename F>
+  decltype(auto) write_field(std::size_t n, F&& f) {
+    return write_field([&]<typename T>(std::vector<T>& v) -> decltype(auto) {
+      if (v.capacity() < n) v.clear();
+      sim::reserve_dense(v, n);
+      v.resize(n);
+      return std::forward<F>(f)(v);
+    });
+  }
 };
 
 /// Error-bounded lossy compressor (cuSZ+).  Holds only its configuration

@@ -61,8 +61,7 @@ class LorenzoStage final : public PredictStage {
                       lorenzo_fuse_cost(h.extents.count(), p.outliers.nnz())});
     sim::Timer t;
     const sim::KernelCost recon_cost =
-        out.write_field([&]<typename T>(std::vector<T>& field) {
-          field.resize(h.extents.count());
+        out.write_field(h.extents.count(), [&]<typename T>(std::vector<T>& field) {
           return lorenzo_reconstruct<T>(p.quant, p.outliers, h.extents, h.eb_abs,
                                         QuantConfig{h.capacity}.radius(), field, recon);
         });
@@ -100,8 +99,7 @@ class RegressionStage final : public PredictStage {
     sim::Timer t;
     const PredictorProduct& p = ws.product;
     const sim::KernelCost recon_cost =
-        out.write_field([&]<typename T>(std::vector<T>& field) {
-          field.resize(h.extents.count());
+        out.write_field(h.extents.count(), [&]<typename T>(std::vector<T>& field) {
           return regression_reconstruct<T>(p.quant, p.outliers, p.coefficients, h.extents,
                                            h.eb_abs, QuantConfig{h.capacity}, field);
         });
@@ -144,8 +142,7 @@ class InterpolationStage final : public PredictStage {
     sim::Timer t;
     const PredictorProduct& p = ws.product;
     const sim::KernelCost recon_cost =
-        out.write_field([&]<typename T>(std::vector<T>& field) {
-          field.resize(h.extents.count());
+        out.write_field(h.extents.count(), [&]<typename T>(std::vector<T>& field) {
           return interpolation_reconstruct<T>(p.quant, p.outliers, p.coefficients, p.level,
                                               h.extents, h.eb_abs, QuantConfig{h.capacity},
                                               field);

@@ -6,6 +6,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "sim/aligned.hh"
+
 namespace szp {
 
 namespace {
@@ -172,8 +174,9 @@ void interpolation_construct_into(std::span<const T> data, const Extents& ext, d
   res.quant.assign(n, static_cast<quant_t>(r));
 
   // Working buffer of reconstructed values; every point is overwritten
-  // before any finer level reads it.
-  std::vector<float> rec(n);
+  // before any finer level reads it, so it is a dense buffer, on huge
+  // pages when large (sim/aligned.hh).
+  sim::device_vector<float> rec(n);
   std::vector<Outlier> found;  // in visit order
 
   // Emit the code (or outlier) of point gi against `pred` and return the
@@ -256,7 +259,7 @@ sim::KernelCost interpolation_reconstruct(std::span<const quant_t> quant,
 
   // Every value is written to `out` before it is rounded into the float
   // lattice the predictions read, so a double field keeps its precision.
-  std::vector<float> rec(n);
+  sim::device_vector<float> rec(n);
   std::size_t a = 0, cur = 0;
   const auto decode = [&](std::size_t gi, double pred) {
     std::int64_t q = static_cast<std::int64_t>(quant[gi]) - r;

@@ -18,6 +18,7 @@
 #include "core/io/io.hh"
 #include "core/metrics.hh"
 #include "core/serialize.hh"
+#include "sim/aligned.hh"
 #include "sim/launch.hh"
 #include "sim/timer.hh"
 
@@ -806,7 +807,8 @@ void decompress_stream_impl(io::FieldSource& src, io::ContainerSink& sink,
 
 /// Sink of the in-memory decompress(): decoded slabs append straight into
 /// the result's field, of the dtype the directory pass recorded in `info`,
-/// reserved once from the decode's size hint.
+/// reserved once from the decode's size hint (sim::reserve_dense: the slabs
+/// fill all of it).
 class FieldSink final : public io::ContainerSink {
  public:
   explicit FieldSink(const StreamingFileInfo& info) : info_(info) {}
@@ -818,8 +820,9 @@ class FieldSink final : public io::ContainerSink {
     });
   }
   void reserve_hint(std::size_t more) override {
-    field().write_field(
-        [&]<typename T>(std::vector<T>& v) { v.reserve(v.size() + more / sizeof(T)); });
+    field().write_field([&]<typename T>(std::vector<T>& v) {
+      sim::reserve_dense(v, v.size() + more / sizeof(T));
+    });
   }
   [[nodiscard]] std::size_t bytes_written() const override { return field_.bytes().size(); }
   [[nodiscard]] bool retains_bytes() const override { return true; }

@@ -18,6 +18,14 @@
 // and its visit-ordered outlier list are the per-call allocations left
 // outside the workspace.
 //
+// Page faults: a workspace that grows, and the value-returning decode's
+// workspace local to the call, fault their buffers in on first touch.  The
+// dense ones (the quant-codes, RLE temporaries, reconstruct scratch and
+// the lattice) are sim::device_vectors, 2 MiB-aligned and on huge pages
+// from 2 MiB up (sim/aligned.hh).  The sparse ones, rans_stream and the
+// predictor product's outlier_slots, keep allocators that never take that
+// advice: they touch a page here and there by design.
+//
 // Concurrency: a Workspace is single-threaded state.  WorkspacePool hands
 // out exclusive leases from a mutex-protected free list — parallel slab
 // streaming acquires one workspace per worker (from its Compressor's pool

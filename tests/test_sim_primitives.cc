@@ -1,17 +1,29 @@
-// Unit tests for histogram, reduce_by_key (RLE backend), the launcher and
-// the sparse scatter in the simulated-GPU substrate.
+// Unit tests for histogram, reduce_by_key (RLE backend), the launcher, the
+// sparse scatter and the huge-page rule for large buffers in the
+// simulated-GPU substrate.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <memory>
 #include <random>
+#include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #ifdef _OPENMP
 #include <omp.h>
 #endif
 
+#include "core/compressor.hh"
+#include "core/predictor/product.hh"
+#include "core/workspace.hh"
 #include "scoped_threads.hh"
+#include "sim/aligned.hh"
 #include "sim/check.hh"
 #include "sim/histogram.hh"
 #include "sim/launch.hh"
@@ -233,6 +245,81 @@ TEST(DenseToSparse, ScatterAddRoundTrips) {
   std::vector<std::int32_t> rebuilt(dense.size(), 0);
   scatter_add(sparse, std::span<std::int32_t>(rebuilt));
   EXPECT_EQ(rebuilt, dense);
+}
+
+// --- Huge pages for large dense buffers (sim/aligned.hh) --------------------
+
+// Sparse buffers never take the advice: a huge page would make 2 MiB
+// resident for each 4 KiB they touch.  Neither allocator calls
+// advise_huge_pages.
+static_assert(std::is_same_v<decltype(szp::PredictorProduct::outlier_slots)::allocator_type,
+                             std::allocator<szp::OutlierSlot>>);
+static_assert(std::is_same_v<decltype(szp::Workspace::rans_stream)::allocator_type,
+                             szp::sim::DefaultInitAllocator<std::uint8_t>>);
+
+constexpr std::uintptr_t kHugePage = szp::sim::kHugePage;
+
+/// Without transparent huge pages in the kernel the advice fails, and only
+/// the alignment can be checked.
+bool kernel_has_thp() {
+  return std::filesystem::exists("/sys/kernel/mm/transparent_hugepage/enabled");
+}
+
+/// Whether the mapping in /proc/self/smaps that holds `p` lists `flag` in
+/// its VmFlags.
+bool mapping_has_flag(const void* p, const std::string& flag) {
+  const auto addr = reinterpret_cast<std::uintptr_t>(p);
+  std::ifstream smaps("/proc/self/smaps");
+  std::string line;
+  bool holds = false;
+  while (std::getline(smaps, line)) {
+    std::istringstream fields(line);
+    std::string first;
+    fields >> first;
+    const std::size_t dash = first.find('-');
+    const bool header = dash != std::string::npos &&
+                        first.find_first_not_of("0123456789abcdef-") == std::string::npos;
+    if (header) {
+      const std::uintptr_t lo = std::stoull(first.substr(0, dash), nullptr, 16);
+      const std::uintptr_t hi = std::stoull(first.substr(dash + 1), nullptr, 16);
+      holds = lo <= addr && addr < hi;
+    } else if (holds && first == "VmFlags:") {
+      for (std::string f; fields >> f;) {
+        if (f == flag) return true;
+      }
+      return false;
+    }
+  }
+  return false;
+}
+
+TEST(HugePages, LargeDeviceVectorIsAlignedAndAdvised) {
+  const szp::sim::device_vector<szp::quant_t> codes(std::size_t{1} << 21);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(codes.data()) % kHugePage, 0u);
+  if (!kernel_has_thp()) GTEST_SKIP() << "kernel without transparent huge pages";
+  EXPECT_TRUE(mapping_has_flag(codes.data(), "hg"));
+}
+
+TEST(HugePages, SmallDeviceVectorStaysCacheLineAligned) {
+  const szp::sim::device_vector<szp::quant_t> codes(1000);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(codes.data()) % szp::sim::kCacheLine, 0u);
+}
+
+TEST(HugePages, OneShotDecodeAdvisesTheField) {
+  const std::size_t n = std::size_t{1} << 22;
+  std::vector<float> field(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto x = static_cast<float>(i);
+    field[i] = std::sin(x * 1e-3f) + 0.25f * std::cos(x * 0.37f);
+  }
+  const szp::Compressed archive = szp::Compressor{}.compress(field, szp::Extents::d1(n));
+  const szp::Decompressed out = szp::Compressor::decompress(archive.bytes);
+  ASSERT_EQ(out.data.size(), n);
+  const auto first = (reinterpret_cast<std::uintptr_t>(out.data.data()) + kHugePage - 1) &
+                     ~(kHugePage - 1);
+  ASSERT_LE(first + kHugePage, reinterpret_cast<std::uintptr_t>(out.data.data() + n));
+  if (!kernel_has_thp()) GTEST_SKIP() << "kernel without transparent huge pages";
+  EXPECT_TRUE(mapping_has_flag(reinterpret_cast<const void*>(first), "hg"));
 }
 
 }  // namespace

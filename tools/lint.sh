@@ -16,9 +16,13 @@
 #      src/ or tools/ outside src/core/io/.  One cost model: no `traffic::`
 #      and no `sim/traffic.hh` in src/ outside src/sim/ — a stage's modeled
 #      cost is a closed form of the paper's kernel, never the traffic
-#      analyzer's host-kernel volumes.  No toolchain needed.  (Every
-#      checked launch declares a footprint contract because checked::launch
-#      and launch_3d take one: a call without it does not compile, which the
+#      analyzer's host-kernel volumes.  One page-advice site: no `madvise`
+#      and no `MADV_` in src/ outside src/sim/aligned.hh, whose
+#      advise_huge_pages serves only dense buffers — a sparse one on huge
+#      pages would hold 2 MiB resident for each 4 KiB it touches.  No
+#      toolchain needed.  (Every checked launch declares a footprint
+#      contract because checked::launch and launch_3d take one: a call
+#      without it does not compile, which the
 #      launch_without_contract_is_rejected ctest pins.)
 #   2. Static traffic coverage: `szp analyze --traffic` must exit clean —
 #      every registered kernel carries contract-derived volumes in the
@@ -86,6 +90,15 @@ check_cost_model() {
   return 1
 }
 
+# --- Phase 1: one page-advice site. -----------------------------------------
+check_page_advice() {
+  aligned="${repo_root}/src/sim/aligned.hh:"
+  hits=$(grep -rnE 'madvise|MADV_' "${repo_root}/src" | grep -vF "${aligned}" || true)
+  [ -z "${hits}" ] && return 0
+  printf '%s\n' "${hits}" | sed 's/$/  <- page advice outside src\/sim\/aligned.hh/'
+  return 1
+}
+
 echo "lint.sh: checking that OpenMP appears only in src/sim/launch.hh"
 check_openmp_site || {
   echo "lint.sh: one-OpenMP-site check FAILED (route the loop through sim::launch_blocks)" >&2
@@ -115,6 +128,14 @@ check_cost_model || {
   exit 1
 }
 echo "lint.sh: one cost model OK"
+
+echo "lint.sh: checking that page advice is named only in src/sim/aligned.hh"
+check_page_advice || {
+  echo "lint.sh: one-page-advice-site check FAILED (size a dense buffer with" \
+       "sim::reserve_dense or sim::device_vector; never advise a sparse one)" >&2
+  exit 1
+}
+echo "lint.sh: one page-advice site OK"
 
 if [ "${text_only}" = 1 ]; then
   exit 0
