@@ -302,49 +302,6 @@ int main(int argc, char** argv) {
           decode_identical ? "byte-identical" : "DIFFER", decode_max_err);
   fs::remove_all(oocore_dir);
 
-  // -- Word-mode contract fast path vs full word shadow ---------------------
-  // Under SZP_SIM_CHECK=word (the bench_checked_pipeline leg), kernels whose
-  // footprint contracts the prover discharges skip word-shadow
-  // instrumentation entirely.  Time the same compression with the fast path
-  // on and off: the proof must buy real wall-clock, not just fewer shadow
-  // pages.  The two sides alternate call by call (which goes first swaps
-  // each pair) for a fixed number of pairs whatever --iters says, and the
-  // gate compares their medians, so a burst of host load lands on both
-  // sides instead of deciding the verdict.
-  bool fastpath_pass = true;
-  double fast_s = 0.0, full_s = 0.0;
-  if (sim::checked::mode() == sim::checked::Mode::kWord) {
-    constexpr int kFastpathPairs = 7;
-    const auto timed = [&](bool fastpath) {
-      const sim::contract::ScopedFastpath scope(fastpath);
-      const auto t0 = Clock::now();
-      (void)reused.compress(data, ext);
-      return seconds_since(t0);
-    };
-    const auto median = [](std::vector<double> v) {
-      std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(v.size() / 2),
-                       v.end());
-      return v[v.size() / 2];
-    };
-    (void)timed(true);  // warm-up, excluded
-    (void)timed(false);
-    std::vector<double> fast, full;
-    for (int i = 0; i < kFastpathPairs; ++i) {
-      const bool fast_first = i % 2 == 0;
-      const double first = timed(fast_first);
-      const double second = timed(!fast_first);
-      fast.push_back(fast_first ? first : second);
-      full.push_back(fast_first ? second : first);
-    }
-    fast_s = median(fast);
-    full_s = median(full);
-    fastpath_pass = fast_s < full_s;
-    println("word-mode fast path (medians of %d alternating pairs): proved-contract %.3f "
-            "ms/field, full shadow %.3f ms/field (%.2fx) — %s",
-            kFastpathPairs, fast_s * 1e3, full_s * 1e3, full_s / std::max(fast_s, 1e-12),
-            fastpath_pass ? "fast path wins" : "FAST PATH DID NOT WIN");
-  }
-
   bool checker_clean = true;
   if (sim::checked::enabled() || sim::checked::fuzz_schedules() > 0) {
     std::fputs(sim::checked::report_text().c_str(), stdout);
@@ -352,16 +309,15 @@ int main(int argc, char** argv) {
     checker_clean = sim::checked::current_report().clean();
   }
 
-  const bool pass = improvement >= 20.0 && identical && checker_clean &&
-                    fastpath_pass && streaming_pass && oocore_pass;
+  const bool pass =
+      improvement >= 20.0 && identical && checker_clean && streaming_pass && oocore_pass;
   println("%s: modeled reuse improvement %.1f%% (require >= 20%%), containers %s, "
-          "streaming %.2fx%s%s%s%s%s",
+          "streaming %.2fx%s%s%s%s",
           pass ? "PASS" : "FAIL", improvement, identical ? "identical" : "differ",
           streaming_speedup,
           streaming_pass ? "" : " (parallel LOSES to serial at gated size)",
           oocore_pass ? "" : ", out-of-core leg failed",
           checker_clean ? "" : ", checker findings",
-          fastpath_pass ? "" : ", word fast path slower than full shadow",
           smoke ? " [smoke]" : "");
 
   std::ofstream json(json_path, std::ios::trunc);
@@ -401,9 +357,6 @@ int main(int argc, char** argv) {
        << "  \"decode_identical\": " << (decode_identical ? "true" : "false") << ",\n"
        << "  \"decode_within_bound\": " << (decode_within_bound ? "true" : "false") << ",\n"
        << "  \"oocore_pass\": " << (oocore_pass ? "true" : "false") << ",\n"
-       << "  \"word_fastpath_seconds\": " << fast_s << ",\n"
-       << "  \"word_fullshadow_seconds\": " << full_s << ",\n"
-       << "  \"word_fastpath_wins\": " << (fastpath_pass ? "true" : "false") << ",\n"
        << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
        << "  \"pass\": " << (pass ? "true" : "false") << "\n"
        << "}\n";

@@ -1,8 +1,8 @@
 // szp — first-order Lorenzo predictor with dual quantization (paper §IV-A)
 // and the three Lorenzo reconstruction strategies evaluated in Table II:
 //
-//   * kCoarseChunkSerial  — cuSZ baseline: one (virtual) thread serially
-//     reconstructs a whole chunk, with a divergent outlier branch
+//   * lorenzo_reconstruct_coarse — cuSZ baseline: one (virtual) thread
+//     serially reconstructs a whole chunk, with a divergent outlier branch
 //     (quant-code 0 is the outlier placeholder, outliers live in
 //     prequantized-*value* space).
 //   * kNaivePartialSum    — proof-of-concept cuSZ+ kernel: chunk staged
@@ -57,10 +57,11 @@ inline constexpr std::size_t kLorenzoRun = 32;
 /// host result and host time do not depend on it.
 inline constexpr std::size_t kLorenzoSequentiality = 8;
 
+/// The two partial-sum kernels of lorenzo_reconstruct.  The values are
+/// fixed because parameterized test names print them.
 enum class ReconstructVariant {
-  kCoarseChunkSerial,    ///< one chunk per block, serial raster order
-  kNaivePartialSum,      ///< each chunk staged through a thread-private copy
-  kOptimizedPartialSum,  ///< in-place passes over the block's rows (production)
+  kNaivePartialSum = 1,      ///< each chunk staged through a thread-private copy
+  kOptimizedPartialSum = 2,  ///< in-place passes over the block's rows (production)
 };
 
 /// Which construction kernel the cost model attributes.  Both run the same

@@ -227,10 +227,6 @@ sim::KernelCost lorenzo_reconstruct(std::span<const quant_t> quant,
   if (quant.size() != n || out.size() != n || outliers.values.size() != outliers.nnz()) {
     throw std::invalid_argument("lorenzo_reconstruct: size mismatch");
   }
-  if (cfg.variant == ReconstructVariant::kCoarseChunkSerial) {
-    throw std::invalid_argument(
-        "lorenzo_reconstruct: coarse variant needs lorenzo_reconstruct_coarse");
-  }
   const bool naive = cfg.variant == ReconstructVariant::kNaivePartialSum;
   const double eb2 = 2.0 * eb_abs;
   const auto grid = lorenzo_detail::block_grid(ext, kLorenzoRun);

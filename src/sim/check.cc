@@ -56,15 +56,8 @@ std::mutex& report_mutex() {
 
 Mode env_default_mode() {
   const char* v = std::getenv("SZP_SIM_CHECK");
-  const bool explicit_off = v != nullptr && v[0] == '0' && v[1] == '\0';
-  if (v != nullptr && std::string_view(v) == "word") return Mode::kWord;
-#ifdef SZP_SIM_CHECK_DEFAULT_ON
-  // Built with -DSZP_SIM_CHECK=ON: checking is on unless explicitly disabled.
-  return explicit_off ? Mode::kOff : Mode::kInterval;
-#else
-  if (v == nullptr || v[0] == '\0' || explicit_off) return Mode::kOff;
-  return Mode::kInterval;
-#endif
+  if (v == nullptr || v[0] == '\0' || std::string_view(v) == "0") return Mode::kOff;
+  return std::string_view(v) == "word" ? Mode::kWord : Mode::kInterval;
 }
 
 int env_default_fuzz() {

@@ -56,12 +56,9 @@
 // compile), and then
 //   * the interval tier cross-validates every observed footprint against
 //     the declaration (observed ⊆ declared → ContractFinding on mismatch),
-//   * launches whose contracts the prover discharges (cross-block
-//     disjointness + bounds) skip word-shadow instrumentation under kWord
-//     mode (a proof says nothing about intra-block lanes: a lane model that
-//     must run under the shadow does so with contract::ScopedFastpath(false)
-//     or an unproved contract), and
-//   * `szp analyze` renders the per-kernel verdict registry.
+//   * every checked launch is proved (cross-block disjointness + bounds)
+//     and its verdict recorded, which `szp analyze` renders; a verdict
+//     changes nothing either tier runs, and word mode shadows every launch.
 #pragma once
 
 #include <algorithm>
@@ -92,9 +89,8 @@ namespace szp::sim::checked {
 enum class Mode : int { kOff = 0, kInterval = 1, kWord = 2 };
 
 /// Current tier.  First call latches the SZP_SIM_CHECK environment variable
-/// ("word" selects kWord, any other non-empty non-"0" value kInterval; the
-/// SZP_SIM_CHECK_DEFAULT_ON compile default maps to kInterval); set_mode()
-/// overrides at any time.
+/// ("word" selects kWord, any other non-empty non-"0" value kInterval);
+/// set_mode() overrides at any time.
 [[nodiscard]] Mode mode();
 void set_mode(Mode m);
 
@@ -832,21 +828,14 @@ void launch_impl(const char* kernel, std::size_t grid_size, const std::tuple<B..
   if (schedules > 0 && axis_aware) schedules = std::max(schedules, 8);
 
   // Contract evaluation while checking: derive and record the launch's
-  // traffic, and prove once per launch geometry.  A proved contract
-  // downgrades a word-mode launch to the interval tier — the proof
-  // discharges exactly what the shadow would re-derive per word
-  // (cross-block disjointness and bounds).
+  // traffic, and prove once per launch geometry for `szp analyze`.
   const std::vector<BufMeta> meta = detail::metas(registered);
   const contract::Geom geom{static_cast<std::int64_t>(grid_size), grid3.x, grid3.y, grid3.z};
   traffic::LaunchTraffic predicted;
-  bool word = m == Mode::kWord;
   if (m != Mode::kOff) {
     predicted = traffic::analyze(con, geom, meta);
     traffic::record(kernel, predicted);
-    const contract::ProveResult pr = contract::prove(con, geom, meta);
-    const bool fast = word && pr.proved() && contract::fastpath_enabled();
-    if (fast) word = false;
-    contract::note_launch(kernel, pr, word || fast, fast);
+    contract::note_launch(kernel, contract::prove(con, geom, meta));
   }
 
   std::vector<std::vector<std::uint8_t>> pre;
@@ -854,7 +843,7 @@ void launch_impl(const char* kernel, std::size_t grid_size, const std::tuple<B..
 
   if (m == Mode::kOff) {
     launch_blocks(grid_size, run_raw);
-  } else if (word) {
+  } else if (m == Mode::kWord) {
     // Tier 2: serialize the grid so the shared shadow arrays need no locks
     // and hazard reports are deterministic.
     std::vector<BlockLog> logs(grid_size);
@@ -890,8 +879,8 @@ void launch_impl(const char* kernel, std::size_t grid_size, const std::tuple<B..
 }  // namespace detail
 
 /// launch_blocks with buffer registration and a footprint contract:
-/// body(block, view...).  The declared footprint is proved (or honestly left
-/// to dynamic checking) and cross-validated against observation.
+/// body(block, view...).  The declared footprint is proved for `szp analyze`
+/// and, on the interval tier, cross-validated against observation.
 template <typename... B, typename Body>
 void launch(const char* kernel, std::size_t grid_size, const std::tuple<B...>& registered,
             const contract::Contract& con, Body&& body) {

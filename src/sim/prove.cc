@@ -4,12 +4,10 @@
 // every decision below is a direct interval or stride comparison over the
 // concrete coefficients of the contract's terms.  When a footprint is
 // outside the domain it accumulates a human-readable reason instead of
-// guessing — `szp analyze` surfaces those reasons, and the kernel simply
-// keeps full dynamic checking.
+// guessing — `szp analyze` surfaces those reasons.
 #include "sim/prove.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <map>
@@ -352,21 +350,14 @@ std::map<std::string, KernelVerdict>& registry() {
   return r;
 }
 
-// -1: not yet latched from the environment; else 0/1.
-std::atomic<int> g_fastpath{-1};
-
 }  // namespace
 
-void note_launch(const char* kernel, const ProveResult& result, bool word_requested,
-                 bool word_fastpath) {
+void note_launch(const char* kernel, const ProveResult& result) {
   const std::lock_guard<std::mutex> lock(registry_mutex());
   KernelVerdict& e = registry()[kernel];
   if (e.launches == 0) e.kernel = kernel;
   if (e.launches == 0 || !result.proved()) e.verdict = result.verdict;
   ++e.launches;
-  if (word_requested) {
-    word_fastpath ? ++e.word_fastpath : ++e.word_fallback;
-  }
   if (e.reason.empty() && !result.reasons.empty()) e.reason = result.reasons.front();
 }
 
@@ -402,17 +393,5 @@ std::string verdict_table_text() {
   }
   return os.str();
 }
-
-bool fastpath_enabled() {
-  int v = g_fastpath.load(std::memory_order_relaxed);
-  if (v < 0) {
-    const char* env = std::getenv("SZP_SIM_CONTRACT_FASTPATH");
-    v = (env != nullptr && env[0] == '0' && env[1] == '\0') ? 0 : 1;
-    g_fastpath.store(v, std::memory_order_relaxed);
-  }
-  return v != 0;
-}
-
-void set_fastpath(bool on) { g_fastpath.store(on ? 1 : 0, std::memory_order_relaxed); }
 
 }  // namespace szp::sim::contract

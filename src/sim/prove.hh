@@ -15,9 +15,10 @@
 // The domain is deliberately incomplete: data-dependent footprints
 // (kDynamic), interleaved gap-stride families whose windows are provably
 // disjoint only via modular reasoning, and mixed b()/bx() terms all yield
-// kUnproved with a reason string — those kernels simply keep full dynamic
-// checking.  An unproved contract is not an error; a *wrong* contract is
-// caught dynamically by the observed ⊆ declared cross-validation.
+// kUnproved with a reason string.  A verdict is evidence that `szp analyze`
+// reports; it changes nothing any checking tier runs.  An unproved contract
+// is not an error; a *wrong* contract is caught dynamically by the interval
+// tier's observed ⊆ declared cross-validation.
 //
 // prove() is pure and cheap (a few dozen integer comparisons), so checked
 // launches re-prove per launch geometry rather than caching verdicts.
@@ -54,7 +55,7 @@ struct ProveResult {
                                 const std::vector<BufMeta>& bufs);
 
 // ---------------------------------------------------------------------------
-// Kernel verdict registry (feeds `szp analyze` and the word-mode fast path).
+// Kernel verdict registry (feeds `szp analyze`).
 // ---------------------------------------------------------------------------
 
 /// Aggregated per-kernel outcome across every checked launch this process
@@ -63,15 +64,12 @@ struct ProveResult {
 struct KernelVerdict {
   std::string kernel;
   Verdict verdict = Verdict::kUnproved;
-  std::uint64_t launches = 0;        ///< checked launches observed
-  std::uint64_t word_fastpath = 0;   ///< word-mode launches downgraded by proof
-  std::uint64_t word_fallback = 0;   ///< word-mode launches kept fully shadowed
-  std::string reason;                ///< first unproved reason ("" when proved)
+  std::uint64_t launches = 0;  ///< checked launches observed
+  std::string reason;          ///< first unproved reason ("" when proved)
 };
 
 /// Record one checked launch's outcome for `szp analyze` and tests.
-void note_launch(const char* kernel, const ProveResult& result, bool word_requested,
-                 bool word_fastpath);
+void note_launch(const char* kernel, const ProveResult& result);
 
 /// Snapshot of the registry, sorted by kernel name (deterministic).
 [[nodiscard]] std::vector<KernelVerdict> registry_snapshot();
@@ -81,23 +79,5 @@ void reset_registry();
 /// verdict spelling), formatted like checked::report_text() so CI diffs of
 /// `szp analyze` output are byte-stable.
 [[nodiscard]] std::string verdict_table_text();
-
-/// Word-mode fast path switch: when on (default, env SZP_SIM_CONTRACT_FASTPATH
-/// latched, 0 disables), launches whose contracts are proved run the interval
-/// tier instead of full word-shadow instrumentation under --check=word.
-[[nodiscard]] bool fastpath_enabled();
-void set_fastpath(bool on);
-
-/// RAII fast-path override for tests and benchmarks.
-class ScopedFastpath {
- public:
-  explicit ScopedFastpath(bool on) : prev_(fastpath_enabled()) { set_fastpath(on); }
-  ~ScopedFastpath() { set_fastpath(prev_); }
-  ScopedFastpath(const ScopedFastpath&) = delete;
-  ScopedFastpath& operator=(const ScopedFastpath&) = delete;
-
- private:
-  bool prev_;
-};
 
 }  // namespace szp::sim::contract

@@ -95,6 +95,30 @@ TEST_F(CliTest, GenCompressInfoDecompressRoundTrip) {
   EXPECT_LT(m.max_abs_error, 1e-3 * range.span());
 }
 
+TEST_F(CliTest, GenHintKeepsTheFieldsRank) {
+  // Following the hint compresses the field at its own rank: a 1-D HACC
+  // field and a 2-D CESM field, each compressed with the hint's -d.
+  struct Case {
+    std::string dataset, field, scale, info;
+  };
+  for (const Case& c : {Case{"HACC", "vx", "0.003", "rank 1, dims 1x1x25166 "},
+                        Case{"CESM-ATM", "FSDSC", "0.05", "rank 2, dims 1x90x180 "}}) {
+    SCOPED_TRACE(c.dataset);
+    const auto raw = path("h.f32");
+    const auto arc = path("h.szp");
+    auto r = run({"gen", "-o", raw, "--dataset", c.dataset, "--field", c.field, "--scale",
+                  c.scale});
+    ASSERT_EQ(r.code, 0) << r.err;
+    const auto at = r.out.find(" -d ");
+    ASSERT_NE(at, std::string::npos) << r.out;
+    const auto dims = r.out.substr(at + 4, r.out.find(' ', at + 4) - (at + 4));
+    r = run({"compress", "-i", raw, "-o", arc, "-d", dims, "--eb", "1e-3"});
+    ASSERT_EQ(r.code, 0) << r.err;
+    r = run({"info", "-i", arc});
+    EXPECT_NE(r.out.find(c.info), std::string::npos) << "-d " << dims << "\n" << r.out;
+  }
+}
+
 TEST_F(CliTest, ExplicitWorkflowAndPredictor) {
   const auto raw = path("f.f32");
   const auto arc = path("f.szp");

@@ -1,6 +1,7 @@
 // Footprint contracts: the affine prover's positive and negative space, the
-// observed-vs-declared dynamic cross-validation, the word-mode fast path,
-// and the verdict registry fed by the real Huffman/ZFP kernels.
+// observed-vs-declared dynamic cross-validation, word mode's shadow on
+// proved and unproved launches alike, and the verdict registry fed by the
+// real Huffman/ZFP kernels.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -233,8 +234,8 @@ TEST(ContractDynamic, AccurateContractStaysClean) {
 }
 
 // ---------------------------------------------------------------------------
-// Word-mode fast path: a proved contract stands in for the word shadow; an
-// unproved one demonstrably keeps it.
+// Word mode shadows every launch: a verdict is evidence for `szp analyze`
+// and changes nothing the checker runs.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -252,56 +253,32 @@ void tiled_fill(const char* kernel, std::vector<std::uint32_t>& out, bool proved
   });
 }
 
+/// Fill `out` in word mode at full rate; every written word is shadowed
+/// whatever the verdict, which must be `want`.
+void expect_word_shadow(const char* kernel, bool proved_contract, Verdict want) {
+  chk::ScopedMode guard(chk::Mode::kWord);
+  chk::ScopedWordSample every_word(1);
+  ctr::reset_registry();
+  std::vector<std::uint32_t> out(1024, 0);
+  tiled_fill(kernel, out, proved_contract);
+  const auto& report = chk::current_report();
+  EXPECT_TRUE(report.clean()) << chk::report_text();
+  EXPECT_EQ(report.shadow_words, out.size());
+  const auto snap = ctr::registry_snapshot();
+  const auto* v = find_verdict(snap, kernel);
+  ASSERT_NE(v, nullptr);
+  EXPECT_EQ(v->verdict, want);
+  EXPECT_EQ(v->launches, 1u);
+}
+
 }  // namespace
 
-TEST(ContractFastpath, ProvedContractSkipsWordShadow) {
-  chk::ScopedMode guard(chk::Mode::kWord);
-  ctr::ScopedFastpath fast(true);
-  ctr::reset_registry();
-  std::vector<std::uint32_t> out(1024, 0);
-  tiled_fill("fastpath_proved", out, true);
-  const auto& report = chk::current_report();
-  EXPECT_TRUE(report.clean()) << chk::report_text();
-  // The proof discharged the shadow: no pages, no recorded words.
-  EXPECT_EQ(report.shadow_pages, 0u);
-  EXPECT_EQ(report.shadow_words, 0u);
-  const auto snap = ctr::registry_snapshot();
-  const auto* v = find_verdict(snap, "fastpath_proved");
-  ASSERT_NE(v, nullptr);
-  EXPECT_EQ(v->verdict, Verdict::kProved);
-  EXPECT_EQ(v->word_fastpath, 1u);
-  EXPECT_EQ(v->word_fallback, 0u);
+TEST(ContractWordMode, ProvedContractRunsTheWordShadow) {
+  expect_word_shadow("word_proved", true, Verdict::kProved);
 }
 
-TEST(ContractFastpath, UnprovedContractKeepsWordShadow) {
-  chk::ScopedMode guard(chk::Mode::kWord);
-  ctr::ScopedFastpath fast(true);
-  ctr::reset_registry();
-  std::vector<std::uint32_t> out(1024, 0);
-  tiled_fill("fastpath_unproved", out, false);
-  const auto& report = chk::current_report();
-  EXPECT_TRUE(report.clean()) << chk::report_text();
-  EXPECT_GT(report.shadow_words, 0u);
-  const auto snap = ctr::registry_snapshot();
-  const auto* v = find_verdict(snap, "fastpath_unproved");
-  ASSERT_NE(v, nullptr);
-  EXPECT_EQ(v->verdict, Verdict::kUnproved);
-  EXPECT_EQ(v->word_fastpath, 0u);
-  EXPECT_EQ(v->word_fallback, 1u);
-}
-
-TEST(ContractFastpath, DisabledSwitchKeepsWordShadow) {
-  chk::ScopedMode guard(chk::Mode::kWord);
-  ctr::ScopedFastpath fast(false);
-  ctr::reset_registry();
-  std::vector<std::uint32_t> out(1024, 0);
-  tiled_fill("fastpath_disabled", out, true);
-  EXPECT_GT(chk::current_report().shadow_words, 0u);
-  const auto snap = ctr::registry_snapshot();
-  const auto* v = find_verdict(snap, "fastpath_disabled");
-  ASSERT_NE(v, nullptr);
-  EXPECT_EQ(v->verdict, Verdict::kProved);
-  EXPECT_EQ(v->word_fallback, 1u);
+TEST(ContractWordMode, UnprovedContractRunsTheWordShadow) {
+  expect_word_shadow("word_unproved", false, Verdict::kUnproved);
 }
 
 // ---------------------------------------------------------------------------

@@ -158,7 +158,6 @@ class ReconstructVariants
 
 TEST_P(ReconstructVariants, AllVariantsProduceIdenticalOutput) {
   const auto [rank, variant, field] = GetParam();
-  if (variant == ReconstructVariant::kCoarseChunkSerial) GTEST_SKIP();
   const Extents ext = extents_for(rank, true);
   const auto data = random_field(ext, static_cast<std::uint32_t>(98 + field));
   const double eb = 1e-3;
@@ -524,8 +523,8 @@ TEST_P(LorenzoDifferential, ReconstructMatchesPerChunkReference) {
 
 TEST_P(LorenzoDifferential, CheckedModesRunTheSameKernels) {
   // Interval and word-granular checking run the same passes through the
-  // views; with the proof fast path off, word mode keeps the lane shadow
-  // on, so the lane model of the partial sums is checked too.
+  // views, and word mode runs the partial sums' lane model under the
+  // shadow.
   const int rank = GetParam();
   const Extents ext = straddling_extents(rank)[3];  // 2 runs + 3 columns
   const double eb = 0x1p-7;
@@ -548,7 +547,6 @@ TEST_P(LorenzoDifferential, CheckedModesRunTheSameKernels) {
     for (const auto mode : {sim::checked::Mode::kInterval, sim::checked::Mode::kWord}) {
       SCOPED_TRACE("variant " + std::to_string(static_cast<int>(variant)) + " mode " +
                    std::to_string(static_cast<int>(mode)));
-      sim::contract::ScopedFastpath no_fastpath(false);
       sim::checked::ScopedMode checked(mode);
       EXPECT_EQ(run_all(variant), unchecked);
       const auto& report = sim::checked::current_report();

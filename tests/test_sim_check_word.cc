@@ -42,16 +42,6 @@ std::vector<float> smooth_field(const Extents& ext, std::uint32_t seed) {
   return v;
 }
 
-/// Word mode with the shadow on every launch.  A proved contract sends a
-/// launch to the interval tier, which never sees the lane model these tests
-/// exercise: the production kernels below prove, and so does every test
-/// kernel that declares its writes dynamic, since a one-block grid has no
-/// pair of blocks to race.
-struct ShadowedWordMode {
-  chk::ScopedMode mode{chk::Mode::kWord};
-  ctr::ScopedFastpath fastpath{false};
-};
-
 /// Two lanes of one block write the same word in the same barrier epoch —
 /// the canonical intra-block hazard (e.g. a mis-assigned warp-shuffle slot).
 template <typename View>
@@ -74,7 +64,7 @@ TEST(SimCheckWord, IntervalModeMissesIntraBlockHazard) {
 }
 
 TEST(SimCheckWord, WordModeCatchesIntraBlockHazard) {
-  ShadowedWordMode guard;
+  chk::ScopedMode guard(chk::Mode::kWord);
   std::vector<int> buf(16, 0);
   chk::launch("seeded_intra_ww", 1, chk::bufs(chk::out(std::span<int>(buf), "buf")),
               ctr::contract(ctr::writes_dyn("buf")),
@@ -93,7 +83,7 @@ TEST(SimCheckWord, WordModeCatchesIntraBlockHazard) {
 }
 
 TEST(SimCheckWord, ReadWriteHazardAcrossLanes) {
-  ShadowedWordMode guard;
+  chk::ScopedMode guard(chk::Mode::kWord);
   std::vector<int> buf(16, 0);
   chk::launch("seeded_intra_rw", 1, chk::bufs(chk::inout(std::span<int>(buf), "buf")),
               ctr::contract(ctr::updates_dyn("buf")),
@@ -109,7 +99,7 @@ TEST(SimCheckWord, ReadWriteHazardAcrossLanes) {
 }
 
 TEST(SimCheckWord, BenignStridingIsNotFlagged) {
-  ShadowedWordMode guard;
+  chk::ScopedMode guard(chk::Mode::kWord);
   // Classic strided access: lane l owns every 4th word — disjoint footprints
   // inside one epoch.  Racecheck would not flag this; neither must we.
   std::vector<int> buf(64, 0);
@@ -125,7 +115,7 @@ TEST(SimCheckWord, BenignStridingIsNotFlagged) {
 }
 
 TEST(SimCheckWord, BarrierOrdersAccessesAcrossEpochs) {
-  ShadowedWordMode guard;
+  chk::ScopedMode guard(chk::Mode::kWord);
   // Lane 0 writes, __syncthreads(), lane 1 reads the same word: ordered, not
   // a hazard — the pattern every staged shared-memory kernel relies on.
   std::vector<int> buf(16, 0);
@@ -142,7 +132,7 @@ TEST(SimCheckWord, BarrierOrdersAccessesAcrossEpochs) {
 }
 
 TEST(SimCheckWord, AtomicUpdatesFromDifferentLanesAreExempt) {
-  ShadowedWordMode guard;
+  chk::ScopedMode guard(chk::Mode::kWord);
   // Shared-memory histogram privatization: many lanes atomicAdd one bin.
   std::vector<std::uint32_t> bins(8, 0);
   chk::launch("atomic_bins", 1, chk::bufs(chk::inout(std::span<std::uint32_t>(bins), "bins")),
@@ -158,7 +148,7 @@ TEST(SimCheckWord, AtomicUpdatesFromDifferentLanesAreExempt) {
 }
 
 TEST(SimCheckWord, WordModeStillFlagsCrossBlockRaces) {
-  ShadowedWordMode guard;
+  chk::ScopedMode guard(chk::Mode::kWord);
   std::vector<int> buf(64, 0);
   chk::launch("cross_block_ww", 2, chk::bufs(chk::out(std::span<int>(buf), "buf")),
               ctr::contract(ctr::writes_dyn("buf")),
@@ -169,8 +159,39 @@ TEST(SimCheckWord, WordModeStillFlagsCrossBlockRaces) {
   EXPECT_EQ(report.races.front().byte_lo, 9 * sizeof(int));
 }
 
+TEST(SimCheckWord, ProvedMultiBlockLaunchStillShadowsItsLanes) {
+  // Each block writes its own 16-word window, so the contract proves
+  // cross-block disjointness; the proof says nothing about the lanes inside
+  // a block, and word mode must still report every block's collision.
+  chk::ScopedMode guard(chk::Mode::kWord);
+  ctr::reset_registry();
+  constexpr std::size_t kTile = 16;
+  constexpr std::size_t kBlocks = 4;
+  std::vector<int> buf(kBlocks * kTile, 0);
+  chk::launch("proved_lane_collision", kBlocks,
+              chk::bufs(chk::out(std::span<int>(buf), "buf")),
+              ctr::contract(ctr::writes("buf", ctr::b() * kTile, kTile)),
+              [](std::size_t b, const auto& v) {
+    chk::this_thread(0);
+    v[b * kTile + 5] = 1;
+    chk::this_thread(1);
+    v[b * kTile + 5] = 2;
+  });
+  const auto verdicts = ctr::registry_snapshot();
+  ASSERT_EQ(verdicts.size(), 1u);
+  EXPECT_EQ(verdicts.front().verdict, ctr::Verdict::kProved) << verdicts.front().reason;
+  const auto& report = chk::current_report();
+  ASSERT_EQ(report.hazards.size(), kBlocks) << chk::report_text();
+  for (std::size_t b = 0; b < kBlocks; ++b) {
+    EXPECT_EQ(report.hazards[b].block, b);
+    EXPECT_EQ(report.hazards[b].word, b * kTile + 5);
+    EXPECT_TRUE(report.hazards[b].write_write);
+  }
+  EXPECT_TRUE(report.races.empty()) << chk::report_text();
+}
+
 TEST(SimCheckWord, HazardReportNamesLaneBufferAndWord) {
-  ShadowedWordMode guard;
+  chk::ScopedMode guard(chk::Mode::kWord);
   std::vector<int> buf(16, 0);
   chk::launch("named_hazard", 1, chk::bufs(chk::out(std::span<int>(buf), "cells")),
               ctr::contract(ctr::writes_dyn("cells")),
@@ -213,7 +234,7 @@ TEST(SimCheckWord, IntervalModeMissesHuffmanEmitChunkHazard) {
 }
 
 TEST(SimCheckWord, WordModeCatchesHuffmanEmitChunkHazard) {
-  ShadowedWordMode guard;
+  chk::ScopedMode guard(chk::Mode::kWord);
   std::vector<std::uint32_t> gaps(8, 0);
   chk::launch("seeded_huffman_gap", 1,
               chk::bufs(chk::out(std::span<std::uint32_t>(gaps), "gaps")),
@@ -257,7 +278,7 @@ TEST(SimCheckWord, IntervalModeMissesZfpBlockPlaneHazard) {
 }
 
 TEST(SimCheckWord, WordModeCatchesZfpBlockPlaneHazard) {
-  ShadowedWordMode guard;
+  chk::ScopedMode guard(chk::Mode::kWord);
   std::vector<std::int32_t> block(16, 0);
   chk::launch("seeded_zfp_plane", 1,
               chk::bufs(chk::inout(std::span<std::int32_t>(block), "block")),
@@ -280,7 +301,7 @@ TEST(SimCheckWord, HuffmanGapEncodeDecodeIsClean) {
   for (const auto s : syms) ++freq[s];
   const auto book = HuffmanCodebook::build(freq);
 
-  ShadowedWordMode guard;
+  chk::ScopedMode guard(chk::Mode::kWord);
   const auto enc = huffman_encode(syms, book, 1024, HuffmanEncVariant::kOptimized, 256);
   const auto dec = huffman_decode(enc, book);
   EXPECT_EQ(dec.symbols, syms);
@@ -295,7 +316,7 @@ TEST(SimCheckWord, ZfpRoundTripIsClean) {
   // must stay exempt.
   for (const Extents& ext : {Extents::d2(37, 22), Extents::d3(9, 10, 11)}) {
     const auto data = smooth_field(ext, 71);
-    ShadowedWordMode guard;
+    chk::ScopedMode guard(chk::Mode::kWord);
     const auto compressed = zfp::zfp_compress(data, ext, {});
     const auto restored = zfp::zfp_decompress(compressed.bytes);
     EXPECT_EQ(restored.data.size(), data.size());
@@ -310,7 +331,7 @@ TEST(SimCheckWord, ZfpRoundTripIsClean) {
 // --------------------------------------------------------------------------
 
 TEST(SimCheckWord, HazardsStraddlingAPageBoundaryAreCaught) {
-  ShadowedWordMode guard;
+  chk::ScopedMode guard(chk::Mode::kWord);
   // Words kShadowPageWords-1 and kShadowPageWords sit on opposite sides of
   // the first page boundary; both carry a seeded two-lane collision.
   const auto last = chk::kShadowPageWords - 1;
@@ -335,7 +356,7 @@ TEST(SimCheckWord, HazardsStraddlingAPageBoundaryAreCaught) {
 }
 
 TEST(SimCheckWord, SparseAccessAllocatesFewPages) {
-  ShadowedWordMode guard;
+  chk::ScopedMode guard(chk::Mode::kWord);
   // 64 pages worth of buffer, three words touched: the paged shadow must
   // allocate only the three pages hit, not one slot per word.
   std::vector<int> buf(64 * chk::kShadowPageWords, 0);
@@ -354,7 +375,7 @@ TEST(SimCheckWord, SparseAccessAllocatesFewPages) {
 }
 
 TEST(SimCheckWord, SamplingStillCatchesADenseRace) {
-  ShadowedWordMode guard;
+  chk::ScopedMode guard(chk::Mode::kWord);
   chk::ScopedWordSample sample(8);
   // Two lanes collide on 64 consecutive words: any conflict spanning >= N
   // consecutive words hits a tracked one under 1-in-N sampling.
@@ -374,7 +395,7 @@ TEST(SimCheckWord, SamplingStillCatchesADenseRace) {
 }
 
 TEST(SimCheckWord, SamplingTradesAwayIsolatedHazards) {
-  ShadowedWordMode guard;
+  chk::ScopedMode guard(chk::Mode::kWord);
   chk::ScopedWordSample sample(8);
   // The documented trade-off: a collision on a single untracked word (5 is
   // not a multiple of 8) is invisible at sample 8.  Run full-rate to catch

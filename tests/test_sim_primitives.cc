@@ -115,22 +115,16 @@ TEST(DeviceHistogram, OneDominantBinMatchesNaiveCountAtEveryThreadCount) {
 TEST(DeviceHistogram, WordCheckedRunIsClean) {
   // Word granularity models each lane of a tile: the private-bin updates
   // must stay atomics from their own lanes, and the merge must read only
-  // what its contract declares.  With the proof fast path on, the proved
-  // kernels run on the interval tier instead; off, the lane model runs
-  // under the word shadow.
+  // what its contract declares.
   namespace chk = szp::sim::checked;
-  for (const bool fastpath : {true, false}) {
-    SCOPED_TRACE(fastpath ? "proof fast path" : "full shadow");
-    const szp::sim::contract::ScopedFastpath proof(fastpath);
-    const chk::ScopedMode guard(chk::Mode::kWord);
-    for_each_histogram_case([](const std::vector<std::uint16_t>& codes, std::uint32_t capacity,
-                               const std::vector<std::uint64_t>& want) {
-      EXPECT_EQ(device_histogram<std::uint16_t>(codes, capacity), want);
-    });
-    EXPECT_TRUE(chk::current_report().clean()) << chk::report_text();
-    EXPECT_GT(chk::current_report().launches_checked, 0u);
-    if (!fastpath) EXPECT_GT(chk::current_report().shadow_words, 0u);
-  }
+  const chk::ScopedMode guard(chk::Mode::kWord);
+  for_each_histogram_case([](const std::vector<std::uint16_t>& codes, std::uint32_t capacity,
+                             const std::vector<std::uint64_t>& want) {
+    EXPECT_EQ(device_histogram<std::uint16_t>(codes, capacity), want);
+  });
+  EXPECT_TRUE(chk::current_report().clean()) << chk::report_text();
+  EXPECT_GT(chk::current_report().launches_checked, 0u);
+  EXPECT_GT(chk::current_report().shadow_words, 0u);
 }
 
 std::vector<std::uint16_t> runs_sequence(std::uint32_t seed, std::size_t nruns,

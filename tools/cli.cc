@@ -156,6 +156,14 @@ Extents parse_dims(const std::string& spec) {
   }
 }
 
+/// The -d spelling parse_dims reads back as `e`, rank included.
+std::string format_dims(const Extents& e) {
+  std::string s = std::to_string(e.nx);
+  if (e.rank >= 2) s = std::to_string(e.ny) + "x" + s;
+  if (e.rank >= 3) s = std::to_string(e.nz) + "x" + s;
+  return s;
+}
+
 /// Codec names come from the codec table (LosslessCodec::name()); "auto"
 /// is the one name the table does not hold.
 Workflow parse_workflow(const std::string& s) {
@@ -361,8 +369,8 @@ int cmd_gen(const Args& a, std::ostream& out) {
   const Extents& e = f.spec.extents;
   out << "generated " << dataset << "/" << field << ": dims " << e.nz << "x" << e.ny << "x"
       << e.nx << " (" << values.size() * 4 / (1 << 20) << " MB) -> " << out_path << "\n";
-  out << "hint: szp compress -i " << out_path << " -o field.szp -d " << e.nz << "x" << e.ny
-      << "x" << e.nx << " --eb 1e-3\n";
+  out << "hint: szp compress -i " << out_path << " -o field.szp -d " << format_dims(e)
+      << " --eb 1e-3\n";
   return 0;
 }
 
@@ -694,14 +702,14 @@ void usage(std::ostream& err) {
          "block orders and reports any output divergence (SZP_SIM_FUZZ_SCHEDULE=N).\n"
          "analyze runs a canned workload over every simulated-GPU kernel under\n"
          "interval checking and prints the footprint-contract verdict per kernel:\n"
-         "proved (cross-block disjointness + bounds discharged statically, so\n"
-         "--check=word skips word-shadow instrumentation for it) or unproved-\n"
-         "fallback-dynamic (honest reason printed; dynamic checking remains the\n"
-         "authority).  Exit 3 if the checker fired.  --traffic adds the\n"
-         "statically derived per-kernel byte-volume & coalescing table (from\n"
-         "the same contracts); --roofline classifies each kernel bandwidth- vs\n"
-         "compute-bound against the V100 DeviceSpec.  Either flag also fails\n"
-         "(exit 3) when a kernel has no nonzero derived volumes.\n"
+         "proved (cross-block disjointness + bounds discharged statically) or\n"
+         "unproved-fallback-dynamic (reason printed).  A verdict is evidence only:\n"
+         "--check and --check=word check every launch whatever it says.  Exit 3\n"
+         "if the checker fired.  --traffic adds the statically derived per-kernel\n"
+         "byte-volume & coalescing table (from the same contracts); --roofline\n"
+         "classifies each kernel bandwidth- vs compute-bound against the V100\n"
+         "DeviceSpec.  Either flag also fails (exit 3) when a kernel has no\n"
+         "nonzero derived volumes.\n"
          "analyze --codecs instead prints the selector's deterministic score\n"
          "table — every lossless codec ranked by the cost model —\n"
          "over canned quant-code histograms spanning the compressibility\n"
