@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -63,21 +64,52 @@ struct ValueRange {
   }
 
   /// A block-reduce (sim::reduce_blocks): parallel over fixed blocks, and
-  /// exact, so the range is the same at every thread count.
+  /// exact, so the range is the same at every thread count (only the sign
+  /// of a zero extreme may depend on the lane split).
+  ///
+  /// Each block's partial is thread-coarsened: 16 independent lanes of lo,
+  /// hi and a non-finite flag instead of one loop-carried min/max chain,
+  /// merged at the end, then a scalar tail.  Every lane update is a select,
+  /// so the lane loop vectorizes under plain SSE2 for float and double
+  /// (check with -fopt-info-vec-optimized: a short-circuit `&&` flag or
+  /// 8 lanes leave it scalar).
   template <typename T>
   static ValueRange of(std::span<const T> data) {
     return sim::reduce_blocks(
         data.size(),
         [data](std::size_t begin, std::size_t end) {
-          T lo = data[begin], hi = data[begin];
-          bool fin = true;
-          for (std::size_t i = begin; i < end; ++i) {
-            const T v = data[i];
-            fin = fin && std::isfinite(v);
-            lo = std::min(lo, v);
-            hi = std::max(hi, v);
+          constexpr std::size_t kLanes = 16;
+          constexpr T kMax = std::numeric_limits<T>::max();
+          // |v| <= max is false exactly for NaN and +-Inf.
+          const auto flag = [](T v, T bad) { return std::fabs(v) <= kMax ? bad : T{1}; };
+          T lo[kLanes], hi[kLanes], bad[kLanes];
+          for (std::size_t j = 0; j < kLanes; ++j) {
+            lo[j] = data[begin];
+            hi[j] = data[begin];
+            bad[j] = T{0};
           }
-          return ValueRange{static_cast<double>(lo), static_cast<double>(hi), fin};
+          std::size_t i = begin;
+          for (; i + kLanes <= end; i += kLanes) {
+            for (std::size_t j = 0; j < kLanes; ++j) {
+              const T v = data[i + j];
+              lo[j] = v < lo[j] ? v : lo[j];
+              hi[j] = v > hi[j] ? v : hi[j];
+              bad[j] = flag(v, bad[j]);
+            }
+          }
+          T l = lo[0], h = hi[0], b = bad[0];
+          for (std::size_t j = 1; j < kLanes; ++j) {
+            l = lo[j] < l ? lo[j] : l;
+            h = hi[j] > h ? hi[j] : h;
+            b = bad[j] > b ? bad[j] : b;
+          }
+          for (; i < end; ++i) {
+            const T v = data[i];
+            l = v < l ? v : l;
+            h = v > h ? v : h;
+            b = flag(v, b);
+          }
+          return ValueRange{static_cast<double>(l), static_cast<double>(h), b == T{0}};
         },
         merge);
   }

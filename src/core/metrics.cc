@@ -1,6 +1,5 @@
 #include "core/metrics.hh"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -9,6 +8,15 @@
 #include "sim/launch.hh"
 
 namespace szp {
+
+namespace {
+
+/// The larger of two errors, or NaN if either is: a NaN error (a NaN in
+/// either field) must survive every partial and merge, where `>` and
+/// std::max would drop it and report a perfect match.
+double max_or_nan(double a, double b) { return std::isnan(a) || a > b ? a : b; }
+
+}  // namespace
 
 template <typename T>
 DistortionMetrics compare_fields(std::span<const T> original,
@@ -36,22 +44,24 @@ DistortionMetrics compare_fields(std::span<const T> original,
           const double e =
               static_cast<double>(original[k]) - static_cast<double>(decompressed[k]);
           part.sum_sq += e * e;
-          const double ae = std::abs(e);
-          if (ae > part.max_err) part.max_err = ae;
+          part.max_err = max_or_nan(part.max_err, std::abs(e));
         }
         return part;
       },
       [](const ErrorSums& a, const ErrorSums& b) {
-        return ErrorSums{a.sum_sq + b.sum_sq, std::max(a.max_err, b.max_err)};
+        return ErrorSums{a.sum_sq + b.sum_sq, max_or_nan(a.max_err, b.max_err)};
       });
   m.max_abs_error = err.max_err;
   m.mse = err.sum_sq / static_cast<double>(original.size());
-  if (m.mse > 0.0 && m.value_range > 0.0) {
-    m.psnr_db = 20.0 * std::log10(m.value_range) - 10.0 * std::log10(m.mse);
-    m.nrmse = std::sqrt(m.mse) / m.value_range;
-  } else {
+  // Only an exact match reads as infinite PSNR.  Otherwise the formula
+  // stands: a NaN MSE gives NaN, and a constant original with a nonzero
+  // error gives PSNR -inf and NRMSE +inf.
+  if (m.mse == 0.0) {
     m.psnr_db = std::numeric_limits<double>::infinity();
     m.nrmse = 0.0;
+  } else {
+    m.psnr_db = 20.0 * std::log10(m.value_range) - 10.0 * std::log10(m.mse);
+    m.nrmse = std::sqrt(m.mse) / m.value_range;
   }
   return m;
 }

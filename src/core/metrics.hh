@@ -8,6 +8,8 @@
 
 namespace szp {
 
+/// A NaN in either field makes max_abs_error, mse, psnr_db and nrmse NaN;
+/// psnr_db is +inf only when mse is 0.
 struct DistortionMetrics {
   double max_abs_error = 0.0;
   double mse = 0.0;

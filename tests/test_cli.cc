@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -681,6 +682,30 @@ TEST_F(CliTest, EmptyInputIsRejected) {
   const auto r = run({"verify", "-a", empty, "-b", empty});
   ASSERT_EQ(r.code, 0) << r.err;
   EXPECT_EQ(verified_max_error(r.out), 0.0);
+}
+
+TEST_F(CliTest, VerifyReportsANanInTheRestoredFileAsNan) {
+  // One NaN in a restored file is not a perfect match: verify prints nan
+  // for max |error|, so a max-error check against the bound fails.
+  const auto raw = path("n.f32");
+  const auto arc = path("n.szp");
+  const auto restored = path("n.out");
+  std::vector<float> field(4096);
+  for (std::size_t i = 0; i < field.size(); ++i) {
+    field[i] = std::sin(0.01f * static_cast<float>(i));
+  }
+  write_f32(raw, field);
+  auto r = run({"compress", "-i", raw, "-o", arc, "-d", "4096", "--eb", "1e-3"});
+  ASSERT_EQ(r.code, 0) << r.err;
+  r = run({"decompress", "-i", arc, "-o", restored});
+  ASSERT_EQ(r.code, 0) << r.err;
+  auto back = read_f32(restored);
+  back[1234] = std::numeric_limits<float>::quiet_NaN();
+  write_f32(restored, back);
+  r = run({"verify", "-a", raw, "-b", restored});
+  ASSERT_EQ(r.code, 0) << r.err;
+  EXPECT_NE(r.out.find("max |error|: nan\n"), std::string::npos) << r.out;
+  EXPECT_TRUE(std::isnan(verified_max_error(r.out))) << r.out;
 }
 
 TEST_F(CliTest, ErrorsAreReported) {
